@@ -92,7 +92,8 @@ echo "== obs-purity rule (observability layer static gate) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.analysis src --select obs-purity --no-baseline
 OBS_TRACE="$(mktemp -t obs_trace_XXXXXX.json)"
 OBS_METRICS="$(mktemp -t obs_metrics_XXXXXX.json)"
-trap 'rm -f "${OBS_TRACE}" "${OBS_METRICS}"' EXIT
+E2E_OUT="$(mktemp -t e2e_ie_warm_XXXXXX.txt)"
+trap 'rm -f "${OBS_TRACE}" "${OBS_METRICS}" "${E2E_OUT}"' EXIT
 echo "== traced IE run + Chrome trace validation =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli dataset IE --scale 0.3 \
   --max-flips 2000 --workers 2 --session-requests 4 --session-concurrent 2 \
@@ -115,5 +116,27 @@ PYEOF
 echo "== observability overhead benchmark (quick; ${CPUS} CPU(s)) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_obs_overhead.py --quick \
   --assert-null-overhead 0.02 --assert-full-overhead 0.10 --json-out benchmarks/results/BENCH_obs.json
+
+# The pool-vs-serial number, on every check log: one traced run of the
+# many-tiny-components workload (3,000 IE components, 2 workers).  The
+# run must exit 0 and report "correct": true; dispatch_overhead_ratio is
+# pooled seconds / serial seconds on the same components (< 1: the pool
+# wins), worker_busy_share the workers' busy share of the dispatch wall,
+# worker_state_setup_s the per-request worker state rebuilding (~0 warm).
+echo "== e2e benchmark: ie_warm_map traced run (pool vs serial) =="
+python3 -m benchmarks.e2e --workload ie_warm_map --seed 0 --seconds 8 --trace 1 >"${E2E_OUT}"
+python3 - "${E2E_OUT}" <<'PYEOF'
+import json, sys
+result = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+if not result["correct"] or result["failed"]:
+    sys.exit(f"ie_warm_map: correct={result['correct']} failed={result['failed']}/{result['attempted']}")
+for name in (
+    "parallel.dispatch_overhead_ratio",
+    "parallel.worker_busy_share",
+    "inference.worker_state_setup_s",
+):
+    metric = result["metrics"][name]
+    print(f"ie_warm_map  {name:<40} {metric['value']:.4f} {metric['unit']}")
+PYEOF
 
 echo "== check.sh OK =="

@@ -112,6 +112,12 @@ class MRF:
     # over this MRF (owned by repro.inference.vector_kernel, cached here so
     # its lifetime matches the MRF's, like _flat_view).
     _vector_view: Optional[object] = field(default=None, repr=False, compare=False)
+    # ``(len(clauses), total literals)``: the schedulers, the bin-packer and
+    # the loader ask for ``size()`` several times per request; a changed
+    # clause count invalidates it.
+    _literal_total: Optional[Tuple[int, int]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def from_store(
@@ -156,7 +162,14 @@ class MRF:
         return len(self.clauses)
 
     def total_literals(self) -> int:
-        return sum(len(clause.literals) for clause in self.clauses)
+        cached = self._literal_total
+        if cached is None or cached[0] != len(self.clauses):
+            cached = (
+                len(self.clauses),
+                sum(len(clause.literals) for clause in self.clauses),
+            )
+            self._literal_total = cached
+        return cached[1]
 
     def size(self) -> int:
         """The size measure used by the partitioner (atoms + literals)."""

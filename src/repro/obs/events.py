@@ -20,7 +20,10 @@ Two recording entry points exist on purpose:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple, Type
 
@@ -125,21 +128,27 @@ def merge_series(
     merged = factory(label)
     if not traces:
         return merged
-    timestamps = sorted({point.time for trace in traces for point in trace.points})
-    for timestamp in timestamps:
-        total = 0.0
-        defined = True
-        for trace in traces:
-            best = math.inf
-            for point in trace.points:
-                if point.time <= timestamp and point.cost < best:
-                    best = point.cost
-            if math.isinf(best):
-                defined = False
-                break
-            total += best
-        if defined:
-            merged.record_final(timestamp, total)
+    # One sweep over the time-sorted points (stable, so equal timestamps
+    # keep trace order): a running best per trace plus a count of traces
+    # that have no finite best yet.
+    entries = [
+        (point.time, index, point.cost)
+        for index, trace in enumerate(traces)
+        for point in trace.points
+    ]
+    entries.sort(key=operator.itemgetter(0))
+    bests = [math.inf] * len(traces)
+    undefined = len(traces)
+    for timestamp, group in itertools.groupby(entries, key=operator.itemgetter(0)):
+        for _, index, cost in group:
+            best = bests[index]
+            if cost < best:
+                undefined += math.isinf(cost) - math.isinf(best)
+                bests[index] = cost
+        if not undefined:
+            # Left-to-right float sum in trace order (not sum()/fsum):
+            # every emitted total is bit-identical to the per-trace loop.
+            merged.record_final(timestamp, functools.reduce(operator.add, bests, 0.0))
     return merged
 
 

@@ -15,7 +15,14 @@ drivers unchanged (:mod:`repro.parallel.pool`), shipping results back
 through a per-component shared-memory result region.  Dispatch
 (largest-first work-stealing, with the legacy barrier waves kept as
 ``parallel_dispatch="wave"``) lives in :mod:`repro.parallel.scheduler`;
-deterministic result merging in :mod:`repro.parallel.merge`.
+deterministic result merging in :mod:`repro.parallel.merge`.  Tasks
+cross the process boundary in **chunks**: the stealing loop cuts the
+largest-first order into consecutive batches by estimated work (fat
+first, single tasks at the tail), the pool moves one queue message per
+chunk each way, and workers steal whole chunks — so a request of
+thousands of tiny components pays for a few dozen round-trips, not
+thousands, while every result, span and steal is still accounted per
+task.
 
 **Determinism contract**: each component's task runs on an RNG stream
 derived only from the run seed and the component index, and every merge

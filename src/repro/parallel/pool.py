@@ -14,14 +14,22 @@ seed, the flip budget).  The function that executes a task —
   (:class:`~repro.parallel.buffers.ComponentBufferSet`) on first use,
   caches the MRF *and* its kernel state, and runs the identical function.
 
+The unit of IPC is the **chunk**: the scheduler hands the pool a batch of
+one request's tasks (:meth:`WorkerPool.submit_chunk`), the pool puts one
+message on the task queue, the worker that takes it runs the tasks one by
+one and answers with *one* completion message carrying a token per task.
+A many-tiny-components request therefore costs a few dozen queue
+round-trips instead of one per component; a chunk of one task is the
+degenerate case, not a second path.
+
 Finished results ship back through shared memory, not pickling: every
 pool also packs a :class:`~repro.parallel.buffers.ResultBufferSet` —
 one reserved region per component per *result bank* — and workers write
-each result in place, replying with a tiny completion token
-``(request id, index, worker id, channel)``.  A result that does not
-fit its region (oversized trace, unexpected atom set) falls back to the
-pickled queue, counted but never truncated; shipping telemetry is kept
-per admitted request (:meth:`WorkerPool.finish_request` hands the
+each result in place, the task's token ``(index, payload, error,
+channel, events)`` riding its chunk's completion message.  A result that
+does not fit its region (oversized trace, unexpected atom set) rides the
+message pickled instead, counted but never truncated; shipping telemetry
+is kept per admitted request (:meth:`WorkerPool.finish_request` hands the
 scheduler counters attributable to exactly one request) with
 :attr:`WorkerPool.shm_shipped` / :attr:`WorkerPool.pickle_shipped` /
 :attr:`WorkerPool.shm_bytes` still accumulating pool-lifetime totals.
@@ -29,9 +37,9 @@ scheduler counters attributable to exactly one request) with
 Concurrent admission: tasks are tagged ``(request_id, index)``, so one
 pool can multiplex several requests' task streams over the same worker
 set and shared task queue.  Each admitted request checks out a private
-result bank for its lifetime; completion tokens that belong to another
-request are stashed and handed to that request's draining thread, so
-every request sees exactly its own completions in completion order —
+result bank for its lifetime; a completion message that belongs to
+another request is parked as a block for that request's draining thread,
+so every request sees exactly its own completions in completion order —
 the same stream it would see running alone.
 
 Because each task carries its own derived seed and runs the existing
@@ -139,12 +147,16 @@ def execute_component_task(
 # The worker process
 # ----------------------------------------------------------------------
 
-#: Upper bound on cached ``(component, kernel_backend)`` states per worker.
-#: A persistent pool serving many requests would otherwise grow one kernel
-#: state per component it ever touched; evicting the least recently used
-#: state is bit-safe because ``run_on_state`` rewrites reused states in
-#: place at the start of every try — a rebuilt state is identical.
-WORKER_STATE_CACHE_LIMIT = 64
+#: Budget of a worker's kernel-state cache, in partitioner size units
+#: (Σ ``MRF.size()`` of the cached components).  A persistent pool
+#: serving many requests would otherwise grow one kernel state per
+#: component it ever touched; the bound is on what the states weigh, not
+#: on how many there are, so a session of thousands of tiny components
+#: keeps every state resident while a few giant ones still evict.
+#: Evicting the least recently used state is bit-safe because
+#: ``run_on_state`` rewrites reused states in place at the start of every
+#: try — a rebuilt state is identical.
+WORKER_STATE_CACHE_UNITS = 1_000_000
 
 #: Completion-token channel tags (the only payloads besides errors).
 SHIPPED_SHM = "shm"
@@ -158,26 +170,93 @@ WORKER_TASK_EVENT_BUDGET = 8
 
 
 class BoundedStateCache:
-    """A small LRU map for worker-side kernel states."""
+    """An LRU map for worker-side kernel states, bounded by size units.
 
-    def __init__(self, limit: int = WORKER_STATE_CACHE_LIMIT) -> None:
-        self.limit = max(1, limit)
-        self._entries: "OrderedDict[Tuple[int, str], object]" = OrderedDict()
+    Every entry weighs its component's ``MRF.size()``; the least recently
+    used entries are evicted while the total exceeds ``budget``, except
+    that the newest entry is always admitted (a component larger than
+    the whole budget is cached alone).  ``hits`` / ``misses`` count
+    :meth:`get` outcomes for the ``pool.state_cache_*`` metrics.
+    """
+
+    def __init__(self, budget: int = WORKER_STATE_CACHE_UNITS) -> None:
+        self.budget = max(1, budget)
+        self.units = 0
+        self.hits = 0
+        self.misses = 0
+        self._entries: "OrderedDict[Tuple[int, str], Tuple[object, int]]" = OrderedDict()
 
     def get(self, key: Tuple[int, str]) -> Optional[object]:
-        state = self._entries.get(key)
-        if state is not None:
-            self._entries.move_to_end(key)
-        return state
-
-    def put(self, key: Tuple[int, str], state: object) -> None:
-        self._entries[key] = state
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.hits += 1
         self._entries.move_to_end(key)
-        while len(self._entries) > self.limit:
-            self._entries.popitem(last=False)
+        return entry[0]
+
+    def put(self, key: Tuple[int, str], state: object, units: int) -> None:
+        previous = self._entries.pop(key, None)
+        if previous is not None:
+            self.units -= previous[1]
+        self._entries[key] = (state, units)
+        self.units += units
+        while self.units > self.budget and len(self._entries) > 1:
+            _, (_, evicted_units) = self._entries.popitem(last=False)
+            self.units -= evicted_units
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _worker_run_task(
+    task: ComponentTask,
+    buffers: ComponentBufferSet,
+    results: ResultBufferSet,
+    states: BoundedStateCache,
+) -> tuple:
+    """Execute one task of a chunk and return its completion token.
+
+    The token is ``(index, payload, error, channel, events)``: a result
+    written into the task's ``(component, result bank)`` shared-memory
+    region is acknowledged with ``payload=None`` and channel ``"shm"``;
+    when the region refuses it (result too large for the reservation) —
+    or the task carries no bank (``result_bank < 0``) — the full outcome
+    rides the token instead, tagged ``"pickle"``.  ``events`` is the
+    bounded per-task span list when the task asked to be traced, else
+    ``None``.
+    """
+    traced = task.trace_events
+    setup_start = wall_now() if traced else 0.0
+    mrf = buffers.component(task.index)
+    state = None
+    if task.kind == "walksat":
+        key = (task.index, task.walksat.kernel_backend)
+        state = states.get(key)
+        if state is None:
+            state = make_search_state(mrf, backend=task.walksat.kernel_backend)
+            states.put(key, state, mrf.size())
+    search_start = wall_now() if traced else 0.0
+    outcome = execute_component_task(task, mrf, state)
+    search_end = wall_now() if traced else 0.0
+    shipped_shm = task.result_bank >= 0 and results.write_outcome(
+        task.index,
+        outcome.result,
+        outcome.simulated_seconds,
+        mrf.atom_ids,
+        bank=task.result_bank,
+    )
+    events = None
+    if traced:
+        ship_end = wall_now()
+        events = [
+            {"name": "state-setup", "start": setup_start, "end": search_start},
+            {"name": "kernel-search", "start": search_start, "end": search_end},
+            {"name": "ship-result", "start": search_end, "end": ship_end},
+        ][:WORKER_TASK_EVENT_BUDGET]
+    if shipped_shm:
+        return (task.index, None, None, SHIPPED_SHM, events)
+    return (task.index, outcome, None, SHIPPED_PICKLE, events)
 
 
 def _worker_main(
@@ -188,77 +267,52 @@ def _worker_main(
     worker_id: int,
     stall_seconds: float,
 ) -> None:
-    """Worker loop: rebuild-and-cache components, execute tasks, reply.
+    """Worker loop: take a chunk, run its tasks, answer with one message.
 
     The buffer sets are inherited through fork; MRFs and kernel states are
-    cached per (component, kernel backend) — bounded by
-    ``WORKER_STATE_CACHE_LIMIT`` — so a component re-dispatched across
+    cached per (component, kernel backend) — the states bounded by
+    ``WORKER_STATE_CACHE_UNITS`` — so a component re-dispatched across
     rounds (or across a persistent session's requests) reuses its state
     exactly like the serial driver does.
 
-    A finished result is written into the ``(component, result bank)``
-    shared-memory region the task names and acknowledged with a
-    ``(request_id, index, None, None, worker_id, "shm", events)`` token
-    (``events`` is the bounded per-task span list when the task asked to
-    be traced, else ``None``); when
-    the region refuses it (result too large for the reservation) — or
-    the task carries no bank (``result_bank < 0``) — the full outcome
-    rides the queue instead, tagged ``"pickle"``.  The token is sent
-    only *after* the region write completes, so the parent's read is
-    ordered-after the write without any locking.  ``stall_seconds`` is
-    the injected-slow-worker test hook: it delays this worker before
-    every task, forcing maximal stealing skew while leaving results
-    untouched.
+    A queue item is one chunk: a non-empty list of one request's tasks,
+    run in order through :func:`_worker_run_task`.  The reply is a single
+    ``(request_id, worker_id, tokens, cache_hits, cache_misses)`` message
+    with one token per executed task, sent only *after* every region
+    write of the chunk completes, so the parent's reads are
+    ordered-after the writes without any locking.  A task that raises
+    ends its chunk: the tokens of the tasks finished before it are still
+    delivered, followed by an error token for exactly that task (the
+    parent fails the request on it, so the chunk's remaining tasks are
+    moot).  ``stall_seconds`` is the injected-slow-worker test hook: it
+    delays this worker before every task, forcing maximal stealing skew
+    while leaving results untouched.
     """
     states = BoundedStateCache()
     try:
         while True:
-            task = task_queue.get()
-            if task is None:
+            chunk = task_queue.get()
+            if chunk is None:
                 break
-            if stall_seconds > 0.0:
-                wall_sleep(stall_seconds)
-            try:
-                traced = task.trace_events
-                setup_start = wall_now() if traced else 0.0
-                mrf = buffers.component(task.index)
-                state = None
-                if task.kind == "walksat":
-                    key = (task.index, task.walksat.kernel_backend)
-                    state = states.get(key)
-                    if state is None:
-                        state = make_search_state(mrf, backend=task.walksat.kernel_backend)
-                        states.put(key, state)
-                search_start = wall_now() if traced else 0.0
-                outcome = execute_component_task(task, mrf, state)
-                search_end = wall_now() if traced else 0.0
-                shipped_shm = task.result_bank >= 0 and results.write_outcome(
-                    task.index,
-                    outcome.result,
-                    outcome.simulated_seconds,
-                    mrf.atom_ids,
-                    bank=task.result_bank,
+            hits, misses = states.hits, states.misses
+            tokens = []
+            for task in chunk:
+                if stall_seconds > 0.0:
+                    wall_sleep(stall_seconds)
+                try:
+                    tokens.append(_worker_run_task(task, buffers, results, states))
+                except BaseException as error:  # surface, don't hang the parent
+                    tokens.append((task.index, None, repr(error), None, None))
+                    break
+            result_queue.put(
+                (
+                    chunk[0].request_id,
+                    worker_id,
+                    tokens,
+                    states.hits - hits,
+                    states.misses - misses,
                 )
-                events = None
-                if traced:
-                    ship_end = wall_now()
-                    events = [
-                        {"name": "state-setup", "start": setup_start, "end": search_start},
-                        {"name": "kernel-search", "start": search_start, "end": search_end},
-                        {"name": "ship-result", "start": search_end, "end": ship_end},
-                    ][:WORKER_TASK_EVENT_BUDGET]
-                if shipped_shm:
-                    result_queue.put(
-                        (task.request_id, task.index, None, None, worker_id, SHIPPED_SHM, events)
-                    )
-                else:
-                    result_queue.put(
-                        (task.request_id, task.index, outcome, None, worker_id, SHIPPED_PICKLE, events)
-                    )
-            except BaseException as error:  # surface, don't hang the parent
-                result_queue.put(
-                    (task.request_id, task.index, None, repr(error), worker_id, None, None)
-                )
+            )
     finally:
         buffers.close()
         results.close()
@@ -314,12 +368,15 @@ class WorkerPool:
         self.shm_shipped = 0
         self.pickle_shipped = 0
         self.shm_bytes = 0
-        self._inflight: Dict[Tuple[int, int], ComponentTask] = {}
-        #: Completion tokens read off the shared queue by a thread
-        #: draining a *different* request, parked for their owner.
-        self._parked: Dict[int, Deque[tuple]] = {}
+        #: request id -> component index -> submitted, not yet collected task
+        self._inflight: Dict[int, Dict[int, ComponentTask]] = {}
+        #: request id -> completion tokens unpacked from chunk messages and
+        #: not yet collected: a request's own drain queues them here, and
+        #: so does a thread draining a *different* request (parking the
+        #: whole block for its owner).
+        self._ready: Dict[int, Deque[tuple]] = {}
         self._route_lock = threading.Lock()
-        #: Wakes request threads the instant a token is parked for them;
+        #: Wakes request threads the instant a block is parked for them;
         #: one thread at a time (the elected drainer) blocks on the
         #: results queue so a parked token never waits out a poll cycle.
         self._route_cond = threading.Condition(self._route_lock)
@@ -384,26 +441,34 @@ class WorkerPool:
             return False
         return all(ours is theirs for ours, theirs in zip(self._packed, components))
 
-    def submit(self, task: ComponentTask) -> None:
-        """Queue one task, tagging it with its request's result bank.
+    def submit_chunk(self, tasks: Sequence[ComponentTask]) -> None:
+        """Queue one chunk — a batch of one request's tasks — as one message.
 
-        The first task of a request checks out a private bank for the
+        The request's first chunk checks out a private bank for the
         request's lifetime (returned by :meth:`finish_request`); when
-        every bank is taken the task is tagged ``-1`` and its results
+        every bank is taken its tasks are tagged ``-1`` and their results
         ride the pickled fallback — correct, just slower.  Exhaustion is
         never silent: it counts ``pool.bank_exhausted`` and logs one
         structured warning per starved request.
         """
+        if not tasks:
+            raise ValueError("a chunk needs at least one task")
+        request_id = tasks[0].request_id
+        if any(task.request_id != request_id for task in tasks):
+            raise ValueError("a chunk carries the tasks of exactly one request")
         checked_out = False
         exhausted = False
         with self._route_lock:
-            bank = self._bank_of.get(task.request_id)
+            bank = self._bank_of.get(request_id)
             if bank is None:
                 bank = self._free_banks.pop(0) if self._free_banks else -1
-                self._bank_of[task.request_id] = bank
+                self._bank_of[request_id] = bank
                 checked_out = bank >= 0
                 exhausted = bank < 0
-            self._inflight[(task.request_id, task.index)] = task
+            inflight = self._inflight.setdefault(request_id, {})
+            for task in tasks:
+                task.result_bank = bank
+                inflight[task.index] = task
         if checked_out:
             self.metrics.increment("pool.bank_checkouts")
         elif exhausted:
@@ -411,36 +476,39 @@ class WorkerPool:
             _logger.warning(
                 "result-bank exhaustion: request_id=%d has no free result bank "
                 "(banks=%d); results will ship via the pickled fallback",
-                task.request_id,
+                request_id,
                 self.result_buffers.banks,
             )
-        task.result_bank = bank
-        self._tasks.put(task)
+        self._tasks.put(list(tasks))
+
+    def submit(self, task: ComponentTask) -> None:
+        """Queue a single task (a chunk of one)."""
+        self.submit_chunk((task,))
 
     def next_outcome(self, request_id: int = 0) -> Tuple[ComponentOutcome, int]:
         """Collect one finished task of ``request_id``: ``(outcome, worker id)``.
 
-        Blocks until one of *this request's* in-flight tasks completes
-        (the work-stealing drain: the scheduler reacts to each
-        completion, not to a wave barrier).  Tokens belonging to other
-        admitted requests are parked for their own draining threads (see
-        :meth:`_route_token`), so each request observes exactly the
-        completion stream it would see running alone.
+        Blocks until one of *this request's* in-flight tasks is reported
+        complete (the work-stealing drain: the scheduler reacts to each
+        completion, not to a wave barrier).  Chunk messages belonging to
+        other admitted requests are parked for their own draining
+        threads (see :meth:`_route_token`), so each request observes
+        exactly the completion stream it would see running alone.
         """
-        token = self._route_token(request_id)
-        _, index, payload, error, worker_id, channel, events = token
+        index, payload, error, worker_id, channel, events = self._route_token(request_id)
         with self._route_lock:
-            task = self._inflight.pop((request_id, index), None)
+            task = self._inflight.get(request_id, {}).pop(index, None)
             if events is not None:
                 self._task_events[(request_id, index)] = {
                     "worker": worker_id,
                     "channel": channel,
                     "events": events,
                 }
+            #: the request's ``[shm, pickle, bytes]`` counters
+            shipping = self._request_shipping.setdefault(request_id, [0, 0, 0])
         if error is not None:
             self.shutdown()
             raise RuntimeError(f"parallel component task failed: component {index}: {error}")
-        shipping = self._shipping_for(request_id)
         if channel == SHIPPED_SHM:
             if task is None:
                 # The token names a task this pool never recorded in
@@ -487,38 +555,45 @@ class WorkerPool:
     def _route_token(self, request_id: int) -> tuple:
         """Return the next completion token belonging to ``request_id``.
 
-        One thread at a time — the elected drainer — blocks on the
-        shared results queue; every other admitted request's thread
-        waits on the routing condition instead.  A drainer that pulls a
-        token for a different request parks it on the owner's deque and
-        wakes everyone, so the owner claims it immediately rather than
+        Tokens are ``(index, payload, error, worker id, channel, events)``,
+        unpacked from the workers' per-chunk completion messages onto the
+        owning request's ready queue.  One thread at a time — the elected
+        drainer — blocks on the shared results queue; every other
+        admitted request's thread waits on the routing condition
+        instead.  A drainer that pulls a message of a different request
+        parks its tokens as one block on the owner's queue and wakes
+        everyone, so the owner claims them immediately rather than
         waiting out a poll cycle.  The drainer polls with a timeout so a
         worker dying without replying (OOM kill, segfault in an
-        extension) surfaces as a RuntimeError instead of blocking the
-        parent forever — ``_worker_main`` only converts *Python*
-        exceptions into error replies.
+        extension — mid-chunk included) surfaces as a RuntimeError
+        instead of blocking the parent forever — ``_worker_main`` only
+        converts *Python* exceptions into error tokens.
         """
+        woken = False
         while True:
             claimed = None
             with self._route_cond:
                 while True:
-                    parked = self._parked.get(request_id)
-                    if parked:
-                        claimed = parked.popleft()
+                    ready = self._ready.get(request_id)
+                    if ready:
+                        claimed = ready.popleft()
                         break
                     if not self._drainer_busy:
                         self._drainer_busy = True
+                        woken = False
                         break
                     # Timed wait for liveness: if the drainer dies with an
                     # exception after the notify, someone must take over.
                     self._route_cond.wait(timeout=0.5)
+                    woken = True
             if claimed is not None:
-                self.metrics.increment("pool.parked_token_wakeups")
+                if woken:
+                    self.metrics.increment("pool.parked_token_wakeups")
                 return claimed
-            token = None
+            message = None
             try:
                 try:
-                    token = self._results.get(timeout=0.5)
+                    message = self._results.get(timeout=0.5)
                 except queue_module.Empty:
                     dead = [p for p in self._processes if not p.is_alive()]
                     if dead:
@@ -528,23 +603,20 @@ class WorkerPool:
                             f"(exit codes {[p.exitcode for p in dead]})"
                         )
             finally:
-                parked_for_other = False
                 with self._route_cond:
                     self._drainer_busy = False
-                    if token is not None and token[0] != request_id:
-                        self._parked.setdefault(token[0], deque()).append(token)
-                        token = None
-                        parked_for_other = True
+                    if message is not None:
+                        owner, worker_id, tokens, cache_hits, cache_misses = message
+                        self._ready.setdefault(owner, deque()).extend(
+                            (index, payload, error, worker_id, channel, events)
+                            for index, payload, error, channel, events in tokens
+                        )
                     self._route_cond.notify_all()
-                if parked_for_other:
-                    self.metrics.increment("pool.parked_tokens")
-            if token is not None:
-                return token
-
-    def _shipping_for(self, request_id: int) -> List[int]:
-        """The request's ``[shm, pickle, bytes]`` counters (created lazily)."""
-        with self._route_lock:
-            return self._request_shipping.setdefault(request_id, [0, 0, 0])
+            if message is not None:
+                if owner != request_id:
+                    self.metrics.increment("pool.parked_tokens", len(tokens))
+                self.metrics.increment("pool.state_cache_hits", cache_hits)
+                self.metrics.increment("pool.state_cache_misses", cache_misses)
 
     def take_task_events(self, request_id: int) -> Dict[int, dict]:
         """Pop the worker-emitted span records of one request's tasks.
@@ -567,14 +639,17 @@ class WorkerPool:
         Returns the ``(shm_shipped, pickle_shipped, shm_bytes)`` shipped
         for exactly this request — the scheduler reports these, so a
         warm pool's telemetry never bleeds across requests — and frees
-        the request's result bank for the next admission.
+        the request's result bank for the next admission.  A request that
+        failed mid-chunk leaves nothing behind either: its uncollected
+        tokens and in-flight records are dropped here.
         """
         with self._route_lock:
             bank = self._bank_of.pop(request_id, None)
             if bank is not None and bank >= 0:
                 self._free_banks.append(bank)
                 self._free_banks.sort()
-            self._parked.pop(request_id, None)
+            self._ready.pop(request_id, None)
+            self._inflight.pop(request_id, None)
             self._pickle_warned.discard(request_id)
             for key in [k for k in self._task_events if k[0] == request_id]:
                 del self._task_events[key]

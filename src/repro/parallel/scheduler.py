@@ -19,7 +19,15 @@ component, and runs them
 * on the resolved backend — in-process for ``serial``/``threads``
   (reusing the caller's cached kernel states), through the shared-memory
   :class:`~repro.parallel.pool.WorkerPool` for ``processes``, whose
-  results ship back through the pool's shared-memory result regions.
+  results ship back through the pool's shared-memory result regions;
+* **in chunks** on the processes backend — the stealing loop cuts the
+  largest-first order into consecutive chunks by estimated work
+  (:func:`chunk_boundaries`, guided self-scheduling: each chunk takes a
+  fixed share of the work still undispatched, so chunks shrink to single
+  tasks at the tail) and the pool moves one message per chunk each way.
+  Thousands of tiny components cost a few dozen queue round-trips; a
+  handful of coarse ones still travel one by one.  The worker that takes
+  a chunk owns its tasks, so stealing happens between chunks.
 
 **Deadline accounting is post-hoc bookkeeping, not wave membership.**
 When ``deadline_seconds`` is set, the components that count are decided
@@ -38,8 +46,8 @@ skipped *fewer* components at higher worker counts, which this replaces.
 Simulated costs are nonnegative, so the prefix sums are monotone and the
 cutoff becomes *provable* mid-run as soon as the known prefix crosses
 the deadline; dispatch stops submitting there, and with a deadline the
-in-flight window is capped at ``workers`` so at most ``workers - 1``
-results are ever discarded.
+chunks are single tasks and the in-flight window is capped at
+``workers``, so at most ``workers - 1`` results are ever discarded.
 
 Results are always returned **in component order** regardless of
 completion order, and every aggregate (sequential simulated seconds,
@@ -120,6 +128,49 @@ class ScheduledOutcome(ParallelOutcome):
 def dispatch_order(components: Sequence[MRF]) -> List[int]:
     """Largest-first component order (ties broken by lower index)."""
     return sorted(range(len(components)), key=lambda i: (-components[i].size(), i))
+
+
+#: Guided self-scheduling: a chunk takes ``1 / (CHUNK_SHARE * workers)`` of
+#: the estimated work not yet dispatched.  2 leaves half of the work to
+#: rebalance after every worker's first chunk.
+CHUNK_SHARE = 2
+
+
+def task_work(task: ComponentTask, component: MRF) -> int:
+    """Estimated work of one task: component size × allocated flips/samples."""
+    if task.walksat is not None:
+        steps = task.walksat.max_flips
+    elif task.mcsat is not None:
+        steps = task.mcsat.samples + task.mcsat.burn_in
+    else:
+        steps = 1
+    return component.size() * max(steps, 1)
+
+
+def chunk_boundaries(work: Sequence[int], workers: int) -> List[Tuple[int, int]]:
+    """Cut dispatch positions ``0..len(work)`` into consecutive chunks.
+
+    ``work[p]`` is the estimated work of dispatch position ``p``.  Each
+    chunk ``(start, stop)`` takes positions while their summed work stays
+    within ``remaining / (CHUNK_SHARE * workers)`` — always at least one —
+    so early chunks are fat, the tail is single tasks, and a position
+    heavier than the share travels alone.  Every position lands in
+    exactly one chunk and order is preserved.
+    """
+    chunks: List[Tuple[int, int]] = []
+    remaining = sum(work)
+    divisor = CHUNK_SHARE * max(workers, 1)
+    start = 0
+    while start < len(work):
+        taken = work[start]
+        stop = start + 1
+        while stop < len(work) and (taken + work[stop]) * divisor <= remaining:
+            taken += work[stop]
+            stop += 1
+        chunks.append((start, stop))
+        remaining -= taken
+        start = stop
+    return chunks
 
 
 def deadline_cutoff(
@@ -334,6 +385,7 @@ def run_component_tasks(
 
     owns_pool = False
     shm_shipped = pickle_shipped = shm_bytes = 0
+    chunks_sent = 0
 
     def run_local(index: int) -> ComponentOutcome:
         state = local_states[index] if local_states is not None else None
@@ -375,8 +427,8 @@ def run_component_tasks(
                     spent += outcome.simulated_seconds
             elif dispatch == "steal":
                 if backend == "processes":
-                    executed = _run_processes_steal(
-                        order, tasks, pool, workers, deadline_seconds,
+                    executed, chunks_sent = _run_processes_steal(
+                        order, tasks, components, pool, workers, deadline_seconds,
                         costs, slots, position_of, worker_counts, request_id,
                         worker_of=worker_of,
                         ship_window=ship_window if traced else None,
@@ -511,6 +563,7 @@ def run_component_tasks(
         metrics.increment("scheduler.tasks_discarded", discarded)
         metrics.increment("scheduler.tasks_skipped", len(skipped))
         metrics.increment("scheduler.steals", steals)
+        metrics.increment("scheduler.chunks_dispatched", chunks_sent)
         metrics.observe("scheduler.dispatch_wall_seconds", stopwatch.total)
     return ScheduledOutcome(
         results=[slot.result for slot in slots],
@@ -607,6 +660,7 @@ def _emit_task_spans(
 def _run_processes_steal(
     order: Sequence[int],
     tasks: Sequence[ComponentTask],
+    components: Sequence[MRF],
     pool: WorkerPool,
     workers: int,
     deadline: Optional[float],
@@ -617,32 +671,47 @@ def _run_processes_steal(
     request_id: int = 0,
     worker_of: Optional[Dict[int, int]] = None,
     ship_window: Optional[List[Optional[float]]] = None,
-) -> int:
-    """The stealing loop on the forked pool.
+) -> Tuple[int, int]:
+    """The stealing loop on the forked pool: ``(tasks completed, chunks sent)``.
 
-    The pool's task queue *is* the shared cursor: tasks enter it in
-    largest-first order and whichever worker frees up first takes the
-    head.  Without a deadline everything is submitted up-front (maximum
-    stealing, zero parent involvement until completions); with one, the
-    in-flight window is capped at ``workers`` so no more than
-    ``workers - 1`` tasks can ever run past the provable cutoff.
+    The pool's task queue *is* the shared cursor: chunks of the
+    largest-first order enter it in order and whichever worker frees up
+    first takes the head.  Without a deadline the order is cut by
+    :func:`chunk_boundaries` and every chunk is submitted up-front
+    (maximum stealing, zero parent involvement until completions); with
+    one, every chunk is a single task and the in-flight window is capped
+    at ``workers``, so no more than ``workers - 1`` tasks can ever run
+    past the provable cutoff.
 
     Under concurrent admission the same queue multiplexes several
-    requests' streams — this loop submits only its own request's tasks
+    requests' streams — this loop submits only its own request's chunks
     and drains only its own completions (:meth:`WorkerPool.next_outcome`
     parks other requests' tokens for their draining threads), so the
     per-request cursor, window and deadline accounting are untouched by
     interleaving.
     """
-    window = len(order) if deadline is None else max(workers, 1)
+    if deadline is None:
+        chunks = chunk_boundaries(
+            [task_work(tasks[index], components[index]) for index in order], workers
+        )
+        window = len(order)
+    else:
+        chunks = [(position, position + 1) for position in range(len(order))]
+        window = max(workers, 1)
+    sent = 0
     submitted = 0
     completed = 0
     while True:
         cutoff = deadline_cutoff(costs, deadline)
         limit = len(order) if cutoff is None else min(cutoff, len(order))
-        while submitted < limit and submitted - completed < window:
-            pool.submit(tasks[order[submitted]])
-            submitted += 1
+        while (
+            sent < len(chunks)
+            and chunks[sent][1] <= limit
+            and chunks[sent][1] - completed <= window
+        ):
+            start, submitted = chunks[sent]
+            pool.submit_chunk([tasks[index] for index in order[start:submitted]])
+            sent += 1
         if completed >= submitted:
             break
         drain_start = wall_now() if ship_window is not None else 0.0
@@ -657,4 +726,4 @@ def _run_processes_steal(
         worker_counts[worker_id] = worker_counts.get(worker_id, 0) + 1
         if worker_of is not None:
             worker_of[outcome.index] = worker_id
-    return completed
+    return completed, sent

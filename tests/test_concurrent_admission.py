@@ -357,6 +357,68 @@ class TestSharedPoolMultiplexing:
         total_pickled = sum(pickled for _shm, pickled in shipped)
         assert total_shm + total_pickled == 2 * len(components)
 
+    def test_other_requests_chunk_message_is_parked_as_a_block(self):
+        # One worker, so completion messages arrive in submission order:
+        # request 1's chunk answers first, and the thread draining request
+        # 2 is the one that reads it — the whole block is parked for its
+        # owner, who then collects it without touching the queue.
+        components = imbalanced_components()
+        reference = run_component_tasks(
+            components, walksat_tasks(components), backend="serial", workers=1
+        )
+        chunks = {}
+        for request_id in (1, 2):
+            chunks[request_id] = walksat_tasks(components)
+            for task in chunks[request_id]:
+                task.request_id = request_id
+        with WorkerPool(components, 1, result_banks=2) as pool:
+            pool.submit_chunk(chunks[1])
+            pool.submit_chunk(chunks[2][:4])
+            pool.submit_chunk(chunks[2][4:])
+            counters = lambda: pool.metrics.as_dict()["counters"]
+            first, _worker = pool.next_outcome(2)
+            assert counters()["pool.parked_tokens"] == len(components)
+            assert len(pool._ready[1]) == len(components)
+            assert first.index == 0
+            # Request 1 collects its parked block while request 2's second
+            # chunk message is still on the queue (or not even produced).
+            got = {}
+            for _ in components:
+                outcome, _worker = pool.next_outcome(1)
+                got[outcome.index] = outcome
+            assert sorted(got) == list(range(len(components)))
+            for index, want in enumerate(reference.results):
+                assert result_fields(got[index].result) == result_fields(want)
+            assert counters()["pool.parked_tokens"] == len(components)
+            # Request 2's own messages are queued locally, never "parked".
+            rest = [pool.next_outcome(2)[0].index for _ in components[1:]]
+            assert rest == [1, 2, 3, 4, 5]
+            assert counters()["pool.parked_tokens"] == len(components)
+            assert pool.finish_request(1)[0] == len(components)
+            assert pool.finish_request(2)[0] == len(components)
+            assert pool._inflight == {} and pool._ready == {}
+
+    def test_interleaved_chunked_requests_match_solo(self):
+        # Enough components that each request travels in multi-task
+        # chunks; two threads drain one pool, parking each other's blocks.
+        components = [
+            conflicted_chain(2 + index % 5, first_atom=1 + 100 * index)
+            for index in range(40)
+        ]
+        with WorkerPool(components, 2, result_banks=2) as pool:
+            reference, outcomes = self._drive_concurrently(
+                pool, components, (1, 2)
+            )
+            counters = pool.metrics.as_dict()["counters"]
+            assert pool._inflight == {} and pool._ready == {}
+        assert counters["pool.shm_shipped"] == 2 * len(components)
+        for request_id, outcome in outcomes.items():
+            assert outcome.dispatch_order == reference.dispatch_order
+            for got, want in zip(outcome.results, reference.results):
+                assert result_fields(got) == result_fields(want), request_id
+            assert outcome.shm_shipped == len(components), request_id
+            assert sum(outcome.worker_task_counts.values()) == len(components)
+
     def test_shm_token_without_inflight_record_raises(self):
         # Regression: a shm completion token with no in-flight record used
         # to default to bank 0 — another request's live result region.

@@ -1,15 +1,19 @@
 """Unit tests for the observability subsystem (:mod:`repro.obs`).
 
 Tracer semantics (ambient nesting, post-hoc stitching, request
-attribution), metrics registry aggregates, and the Chrome trace-event /
-metrics exporters.  The dynamic non-perturbation guarantee — tracing on
+attribution), metrics registry aggregates, the Chrome trace-event /
+metrics exporters, and the one-sweep ``merge_series`` against its
+quadratic reference.  The dynamic non-perturbation guarantee — tracing on
 vs off is bit-identical — lives in ``tests/test_obs_parity.py``.
 """
 
 import json
+import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     MetricsRegistry,
@@ -20,6 +24,7 @@ from repro.obs import (
     write_chrome_trace,
     write_metrics,
 )
+from repro.obs.events import Series, merge_series
 from repro.obs.tracer import _NULL_SPAN
 
 
@@ -204,3 +209,95 @@ class TestChromeTraceExport:
         write_metrics(registry, text_path)
         assert json.loads(json_path.read_text())["counters"]["pool.shm_shipped"] == 4.0
         assert "counter pool.shm_shipped 4" in text_path.read_text()
+
+
+def reference_merge_series(traces, label=""):
+    """The quadratic definition :func:`merge_series` must reproduce exactly.
+
+    For every distinct timestamp, rescan every point of every trace for its
+    best cost so far and add the bests up left to right in trace order.
+    Kept here as the oracle for the one-sweep implementation.
+    """
+    merged = Series(label)
+    if not traces:
+        return merged
+    timestamps = sorted({point.time for trace in traces for point in trace.points})
+    for timestamp in timestamps:
+        total = 0.0
+        defined = True
+        for trace in traces:
+            best = math.inf
+            for point in trace.points:
+                if point.time <= timestamp and point.cost < best:
+                    best = point.cost
+            if math.isinf(best):
+                defined = False
+                break
+            total += best
+        if defined:
+            merged.record_final(timestamp, total)
+    return merged
+
+
+def _rows(series):
+    """Bit-exact projection: floats by their hex form (0.1+0.2 != 0.3)."""
+    return [(point.time.hex(), point.cost.hex(), point.flips) for point in series.points]
+
+
+#: Few distinct timestamps (duplicates within and across traces), costs
+#: that do not add exactly, ``inf`` (a violated hard clause) included.
+_times = st.sampled_from([0.0, 0.1, 0.25, 0.3, 1.0, 1.5, 2.0, 1e9])
+_costs = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1e-9, 1e16, math.inf]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+)
+_traces = st.lists(
+    st.lists(st.tuples(_times, _costs), max_size=8), max_size=7
+)
+
+
+class TestMergeSeries:
+    @given(raw=_traces)
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_equals_quadratic_reference(self, raw):
+        traces = []
+        for rows in raw:
+            series = Series("component")
+            for time, cost in rows:
+                series.record_final(time, cost)  # unsorted, non-monotone too
+            traces.append(series)
+        assert _rows(merge_series(traces, "m")) == _rows(
+            reference_merge_series(traces, "m")
+        )
+
+    def test_undefined_until_every_trace_has_a_finite_best(self):
+        first, second, empty = Series(), Series(), Series()
+        first.record_final(1.0, 5.0)
+        first.record_final(3.0, 2.0)
+        second.record_final(2.0, math.inf)
+        second.record_final(3.0, 4.0)
+        second.record_final(3.0, 1.0)  # duplicate timestamp: the best counts
+        merged = merge_series([first, second])
+        assert [(p.time, p.cost) for p in merged.points] == [(3.0, 3.0)]
+        assert merge_series([first, second, empty]).points == []
+        assert merge_series([]).points == []
+
+    def test_totals_are_left_to_right_sums_in_trace_order(self):
+        # 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1 in floating point.
+        traces = []
+        for cost in (0.1, 0.2, 0.3):
+            series = Series()
+            series.record_final(0.0, cost)
+            traces.append(series)
+        assert merge_series(traces).points[0].cost == 0.0 + 0.1 + 0.2 + 0.3
+        assert merge_series(traces[::-1]).points[0].cost == 0.0 + 0.3 + 0.2 + 0.1
+
+    def test_factory_and_label_are_honoured(self):
+        from repro.inference.tracing import TimeCostTrace, merge_traces
+
+        trace = TimeCostTrace("component-0")
+        trace.record(0.5, 2.0)
+        merged = merge_traces([trace], label="tuffy")
+        assert isinstance(merged, TimeCostTrace)
+        assert merged.label == "tuffy"
+        assert merged.as_rows() == [(0.5, 2.0)]

@@ -21,11 +21,19 @@ from repro.inference.component_walksat import ComponentAwareWalkSAT
 from repro.inference.mcsat import MCSat, MCSatOptions
 from repro.inference.walksat import WalkSATOptions
 from repro.mrf.components import connected_components
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
     PARALLEL_BACKENDS,
     available_parallel_backends,
     processes_available,
     resolve_parallel_backend,
+)
+from repro.parallel.pool import ComponentOutcome, ComponentTask
+from repro.parallel.scheduler import (
+    chunk_boundaries,
+    dispatch_order,
+    run_component_tasks,
+    task_work,
 )
 from repro.utils.rng import RandomSource
 
@@ -125,6 +133,109 @@ class TestMapParity:
         reference = results["serial"]
         for backend, payload in results.items():
             assert payload == reference, backend
+
+
+def _walksat_tasks(components, flips=300):
+    rng = RandomSource(11)
+    return [
+        ComponentTask(
+            index=index,
+            kind="walksat",
+            seed=rng.spawn(index + 1).seed,
+            walksat=WalkSATOptions(max_flips=flips, trace_label=f"component-{index}"),
+        )
+        for index in range(len(components))
+    ]
+
+
+def _result_fields(result):
+    """Everything deterministic about a WalkSATResult (``seconds`` is wall)."""
+    return (
+        result.best_assignment,
+        result.best_cost,
+        result.flips,
+        result.tries,
+        result.reached_target,
+        result.hitting_time,
+        result.trace.label,
+        [(p.time, p.cost, p.flips) for p in result.trace.points],
+    )
+
+
+@pytest.mark.skipif(not processes_available(), reason="fork start method unavailable")
+class TestChunkedDispatchParity:
+    """Chunked pool dispatch == the serial executable specification.
+
+    Bit-for-bit — assignments, costs, flips, traces, ``dispatch_order``,
+    ``skipped`` and the simulated accounting — on example1, RC and IE,
+    at 1/2/4 workers, with and without a deadline that falls inside the
+    run (the no-deadline runs travel in multi-task chunks, the deadline
+    runs in single-task chunks through the same loop).
+    """
+
+    @pytest.mark.parametrize("workload", ("example1", "RC", "IE"))
+    @pytest.mark.parametrize("with_deadline", (False, True))
+    def test_chunked_equals_serial(self, workloads, workload, with_deadline):
+        from repro.inference.state import make_search_state
+        from repro.inference.walksat import WalkSATResult
+
+        components = workloads[workload]
+
+        def placeholder(index):
+            state = make_search_state(components[index])
+            result = WalkSATResult(
+                best_assignment=state.assignment_dict(), best_cost=state.cost,
+                flips=0, tries=0, seconds=0.0,
+            )
+            return ComponentOutcome(index, result, 0.0)
+
+        def run(backend, workers, deadline, metrics=None):
+            return run_component_tasks(
+                components, _walksat_tasks(components), backend=backend,
+                workers=workers, deadline_seconds=deadline,
+                placeholder=placeholder, metrics=metrics,
+            )
+
+        full = run("serial", 1, None)
+        order = dispatch_order(components)
+        assert full.dispatch_order == order
+        deadline = None
+        if with_deadline:
+            # Half of the full run's simulated spend: a cutoff mid-order.
+            deadline = full.sequential_simulated_seconds / 2
+        for workers in WORKER_COUNTS:
+            reference = run("serial", workers, deadline)
+            if with_deadline:
+                assert 0 < len(reference.skipped) < len(components)
+            metrics = MetricsRegistry()
+            result = run("processes", workers, deadline, metrics)
+            key = (workload, workers, deadline)
+            assert result.dispatch_order == reference.dispatch_order, key
+            assert result.skipped == reference.skipped, key
+            assert [_result_fields(r) for r in result.results] == [
+                _result_fields(r) for r in reference.results
+            ], key
+            assert (
+                result.sequential_simulated_seconds
+                == reference.sequential_simulated_seconds
+            ), key
+            assert (
+                result.parallel_simulated_seconds
+                == reference.parallel_simulated_seconds
+            ), key
+            chunks = metrics.as_dict()["counters"][
+                "scheduler.chunks_dispatched"
+            ]
+            if with_deadline:
+                assert chunks == result.executed, key
+            else:
+                tasks = _walksat_tasks(components)
+                cut = chunk_boundaries(
+                    [task_work(tasks[i], components[i]) for i in order], workers
+                )
+                assert chunks == len(cut), key
+                if workers == 1:
+                    assert chunks < len(components), key
 
 
 class TestMarginalParity:

@@ -10,8 +10,12 @@ and the Gauss-Seidel refinement merge is backend-independent.
 """
 
 import math
+import os
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grounding.clause_table import GroundClauseStore
 from repro.inference.component_walksat import ComponentAwareWalkSAT
@@ -21,8 +25,21 @@ from repro.mrf.graph import MRF
 from repro.parallel import processes_available
 from repro.parallel.buffers import ComponentBufferSet
 from repro.parallel.merge import gauss_seidel_refine
-from repro.parallel.pool import ComponentOutcome, ComponentTask, execute_component_task
-from repro.parallel.scheduler import dispatch_order
+from repro.obs.metrics import MetricsRegistry
+from repro.parallel import pool as pool_module
+from repro.parallel.pool import (
+    ComponentOutcome,
+    ComponentTask,
+    WorkerPool,
+    execute_component_task,
+)
+from repro.parallel.scheduler import (
+    CHUNK_SHARE,
+    chunk_boundaries,
+    dispatch_order,
+    run_component_tasks,
+    task_work,
+)
 from repro.partitioning.greedy import GreedyPartitioner
 from repro.utils.rng import RandomSource
 
@@ -155,6 +172,256 @@ class TestDispatchOrder:
         )
         assert outcome.dispatch_order == [2, 1, 0]
         assert outcome.skipped == []
+
+
+class TestChunkBoundaries:
+    """The guided self-scheduling cut of a dispatch order into chunks."""
+
+    @given(
+        work=st.lists(st.integers(min_value=1, max_value=10**9), max_size=200),
+        workers=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_position_in_exactly_one_chunk_in_order(self, work, workers):
+        chunks = chunk_boundaries(work, workers)
+        covered = [position for start, stop in chunks for position in range(start, stop)]
+        assert covered == list(range(len(work)))
+        assert all(stop > start for start, stop in chunks)
+        # A multi-task chunk never exceeds its share of the work that was
+        # still undispatched when it was cut.
+        remaining = sum(work)
+        for start, stop in chunks:
+            taken = sum(work[start:stop])
+            if stop - start > 1:
+                assert taken * CHUNK_SHARE * workers <= remaining
+            remaining -= taken
+
+    def test_equal_tasks_shrink_to_single_task_chunks(self):
+        chunks = chunk_boundaries([5] * 3000, 2)
+        lengths = [stop - start for start, stop in chunks]
+        assert lengths[0] == 3000 // (CHUNK_SHARE * 2)
+        assert lengths == sorted(lengths, reverse=True)
+        assert lengths[-CHUNK_SHARE * 2:] == [1] * (CHUNK_SHARE * 2)
+        # Thousands of tasks travel in a few dozen messages.
+        assert len(chunks) < 40
+
+    def test_single_task_is_one_chunk(self):
+        assert chunk_boundaries([7], 4) == [(0, 1)]
+        assert chunk_boundaries([], 4) == []
+
+    def test_task_heavier_than_the_share_travels_alone(self):
+        # Largest-first: the giant leads, and is more than 1/(2*2) of the work.
+        chunks = chunk_boundaries([1000, 10, 10, 10, 10, 10, 10, 10, 10], 2)
+        assert chunks[0] == (0, 1)
+        assert chunks[1] == (1, 3)
+
+    def test_coarse_request_keeps_single_task_tail(self):
+        lengths = [stop - start for start, stop in chunk_boundaries([60] * 48, 2)]
+        assert sum(lengths) == 48
+        assert max(lengths) == 48 // (CHUNK_SHARE * 2)
+        assert lengths.count(1) >= CHUNK_SHARE * 2
+
+    def test_task_work_is_size_times_allocated_steps(self):
+        from repro.inference.mcsat import MCSatOptions
+
+        component = conflicted_chain(5)
+        walksat = ComponentTask(
+            index=0, kind="walksat", seed=0, walksat=WalkSATOptions(max_flips=300)
+        )
+        mcsat = ComponentTask(
+            index=0, kind="mcsat", seed=0, mcsat=MCSatOptions(samples=6, burn_in=2)
+        )
+        assert task_work(walksat, component) == component.size() * 300
+        assert task_work(mcsat, component) == component.size() * 8
+
+
+def many_components(count=24):
+    """``count`` disjoint chains of 2..7 atoms (sizes repeat, so ties too)."""
+    return [
+        conflicted_chain(2 + index % 6, first_atom=1 + 100 * index)
+        for index in range(count)
+    ]
+
+
+def outcome_fields(outcome):
+    """Comparable projection of a ComponentOutcome (trace included)."""
+    result = outcome.result
+    return (
+        outcome.index,
+        outcome.simulated_seconds,
+        result.best_assignment,
+        result.best_cost,
+        result.flips,
+        result.tries,
+        [(p.time, p.cost, p.flips) for p in result.trace.points],
+    )
+
+
+@pytest.mark.skipif(not processes_available(), reason="fork start method unavailable")
+class TestChunkedPool:
+    """One pool message per chunk, one completion message back."""
+
+    def test_chunked_run_matches_serial_and_counts_chunks(self):
+        components = many_components()
+        expected = [
+            execute_component_task(task, component)
+            for task, component in zip(walksat_tasks(components), components)
+        ]
+        metrics = MetricsRegistry()
+        with WorkerPool(components, 1, metrics=metrics) as pool:
+            for _ in range(2):
+                outcome = run_component_tasks(
+                    components, walksat_tasks(components), backend="processes",
+                    workers=2, pool=pool, metrics=metrics,
+                )
+                assert outcome.dispatch_order == dispatch_order(components)
+                assert outcome.skipped == []
+                assert outcome.executed == len(components)
+                for got, want in zip(outcome.results, expected):
+                    assert got.best_assignment == want.result.best_assignment
+                    assert got.best_cost == want.result.best_cost
+                    assert got.flips == want.result.flips
+        counters = metrics.as_dict()["counters"]
+        tasks = walksat_tasks(components)
+        chunks = chunk_boundaries(
+            [
+                task_work(tasks[index], components[index])
+                for index in dispatch_order(components)
+            ],
+            2,
+        )
+        assert 1 < len(chunks) < len(components)
+        assert counters["scheduler.chunks_dispatched"] == 2 * len(chunks)
+        # Tasks are still counted one by one.
+        assert counters["scheduler.tasks_executed"] == 2 * len(components)
+        assert counters["pool.shm_shipped"] == 2 * len(components)
+        # One worker: the first request builds every state, the second
+        # finds every state resident.
+        assert counters["pool.state_cache_misses"] == len(components)
+        assert counters["pool.state_cache_hits"] == len(components)
+
+    def test_deadline_run_sends_single_task_chunks(self):
+        components = many_components(8)
+        tasks = walksat_tasks(components)
+        costs = [
+            execute_component_task(task, component).simulated_seconds
+            for task, component in zip(tasks, components)
+        ]
+        order = dispatch_order(components)
+        # The deadline falls strictly inside the run: after three positions.
+        deadline = sum(costs[index] for index in order[:3])
+        metrics = MetricsRegistry()
+        outcome = run_component_tasks(
+            components, walksat_tasks(components), backend="processes", workers=2,
+            deadline_seconds=deadline,
+            placeholder=zero_flip_placeholder(components), metrics=metrics,
+        )
+        assert outcome.dispatch_order == order[:3]
+        assert outcome.skipped == sorted(order[3:])
+        counters = metrics.as_dict()["counters"]
+        # One message per task, and the capped window kept dispatch from
+        # running the whole order past the cutoff.
+        assert counters["scheduler.chunks_dispatched"] == outcome.executed
+        assert 3 <= outcome.executed < len(components)
+
+    def test_chunk_ships_some_results_via_shm_and_others_pickled(self):
+        components = many_components(12)
+        tasks = walksat_tasks(components)
+        expected = [
+            execute_component_task(task, component)
+            for task, component in zip(tasks, components)
+        ]
+        trace_lengths = [len(out.result.trace.points) for out in expected]
+        capacity = sorted(trace_lengths)[len(trace_lengths) // 2 - 1]
+        fits = [length <= capacity for length in trace_lengths]
+        assert any(fits) and not all(fits)
+        with WorkerPool(components, 2, trace_capacity=capacity) as pool:
+            pool.submit_chunk(walksat_tasks(components))  # one message, one worker
+            outcomes = {}
+            for _ in components:
+                outcome, _worker = pool.next_outcome()
+                outcomes[outcome.index] = outcome
+            assert pool.finish_request(0)[:2] == (fits.count(True), fits.count(False))
+        for index, want in enumerate(expected):
+            assert outcome_fields(outcomes[index]) == outcome_fields(want)
+
+    def test_error_mid_chunk_delivers_finished_tokens_then_fails_cleanly(self):
+        components = many_components(6)
+        tasks = walksat_tasks(components)
+        for task in tasks:
+            task.request_id = 7
+        tasks[2] = ComponentTask(index=2, kind="bogus", seed=0, request_id=7)
+        expected = [
+            execute_component_task(task, component)
+            for task, component in zip(tasks[:2], components)
+        ]
+        pool = WorkerPool(components, 2)
+        try:
+            pool.submit_chunk(tasks)
+            # The two tasks finished before the failing one are delivered.
+            for want in expected:
+                outcome, _worker = pool.next_outcome(7)
+                assert outcome_fields(outcome) == outcome_fields(want)
+            # The error names exactly the failing task ...
+            with pytest.raises(RuntimeError, match="component 2.*bogus"):
+                pool.next_outcome(7)
+            # ... and the request closes out clean: no in-flight records
+            # (the chunk's never-run tasks included), no queued tokens,
+            # the bank back on the free list.
+            assert pool.finish_request(7) == (2, 0, pool.shm_bytes)
+            assert 7 not in pool._inflight
+            assert 7 not in pool._ready
+            assert 7 not in pool._bank_of
+            assert pool._free_banks == [0]
+        finally:
+            pool.shutdown()
+
+    def test_scheduler_surfaces_mid_chunk_error_and_frees_the_bank(self):
+        components = many_components(6)
+        tasks = walksat_tasks(components)
+        tasks[3] = ComponentTask(index=3, kind="bogus", seed=0)
+        with WorkerPool(components, 2) as pool:
+            with pytest.raises(RuntimeError, match="component 3"):
+                run_component_tasks(
+                    components, tasks, backend="processes", workers=2, pool=pool,
+                    request_id=5,
+                )
+            assert pool._inflight == {}
+            assert pool._bank_of == {}
+            assert pool._free_banks == [0]
+
+    def test_worker_dying_mid_chunk_surfaces_through_liveness_poll(self, monkeypatch):
+        components = many_components(4)
+        real = pool_module.execute_component_task
+
+        def dying(task, mrf, state=None):
+            if task.index == 1:
+                os._exit(3)  # no reply, no cleanup: an OOM kill's shape
+            return real(task, mrf, state)
+
+        # Patched before the fork, so the workers inherit it.
+        monkeypatch.setattr(pool_module, "execute_component_task", dying)
+        pool = WorkerPool(components, 1)
+        try:
+            pool.submit_chunk(walksat_tasks(components))
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="died before replying"):
+                pool.next_outcome()
+            assert time.monotonic() - started < 10.0
+            pool.finish_request(0)
+            assert pool._inflight == {}
+        finally:
+            pool.shutdown()
+
+    def test_chunk_must_be_one_requests_nonempty_batch(self):
+        components = many_components(2)
+        tasks = walksat_tasks(components)
+        tasks[1].request_id = 9
+        with WorkerPool(components, 1) as pool:
+            with pytest.raises(ValueError):
+                pool.submit_chunk([])
+            with pytest.raises(ValueError):
+                pool.submit_chunk(tasks)
 
 
 class TestDeadlineHandling:

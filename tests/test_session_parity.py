@@ -382,6 +382,29 @@ class TestPersistentPool:
             engine.run_map()
             assert engine.stats.pool_launches == 2
 
+    def test_tiny_component_session_keeps_worker_states_resident(self):
+        # Hundreds of tiny components weigh little in size units, so every
+        # kernel state a worker builds stays cached across warm requests
+        # (a bound on the number of entries would evict most of them).
+        dataset = load_dataset("IE", DatasetScale(factor=4, seed=0))
+        config = InferenceConfig(
+            seed=0, max_flips=4000, parallel_backend="processes", workers=2
+        )
+        with TuffyEngine(dataset.program, config) as engine:
+            for seed in range(3):
+                engine.run_map(seed=seed)
+            count = len(engine.components.components)
+            counters = engine.metrics_snapshot().as_dict()["counters"]
+        assert count > 200
+        hits = counters["pool.state_cache_hits"]
+        misses = counters["pool.state_cache_misses"]
+        assert hits + misses == 3 * count
+        # No eviction: a (worker, component) pair misses at most once; and
+        # three requests over two workers revisit every component.
+        assert misses <= 2 * count
+        assert hits >= count
+        assert counters["scheduler.chunks_dispatched"] < 3 * count
+
     def test_persistent_pool_off_never_launches_a_session_pool(self):
         config = _rc_config(
             parallel_backend="processes", workers=2, persistent_pool=False
@@ -430,28 +453,65 @@ class TestWorkerPoolLifecycle:
 
 
 class TestBoundedStateCache:
-    def test_evicts_least_recently_used_beyond_limit(self):
-        cache = BoundedStateCache(limit=3)
+    """The worker kernel-state cache is bounded by size units, not entries."""
+
+    def test_evicts_least_recently_used_by_units(self):
+        cache = BoundedStateCache(budget=10)
         for index in range(5):
-            cache.put((index, "flat"), object())
-        assert len(cache) == 3
-        assert cache.get((0, "flat")) is None
-        assert cache.get((1, "flat")) is None
+            cache.put((index, "flat"), object(), units=4)
+        # 5 x 4 units against a budget of 10: the two newest remain.
+        assert len(cache) == 2
+        assert cache.units == 8
+        assert cache.get((2, "flat")) is None
+        assert cache.get((3, "flat")) is not None
         assert cache.get((4, "flat")) is not None
 
+    def test_many_tiny_entries_stay_resident(self):
+        cache = BoundedStateCache(budget=1000)
+        for index in range(500):
+            cache.put((index, "flat"), object(), units=2)
+        assert len(cache) == 500
+        cache.put((500, "flat"), object(), units=2)
+        assert len(cache) == 500
+        assert cache.get((0, "flat")) is None
+
     def test_get_refreshes_recency(self):
-        cache = BoundedStateCache(limit=2)
+        cache = BoundedStateCache(budget=2)
         first, second, third = object(), object(), object()
-        cache.put((1, "flat"), first)
-        cache.put((2, "flat"), second)
+        cache.put((1, "flat"), first, units=1)
+        cache.put((2, "flat"), second, units=1)
         assert cache.get((1, "flat")) is first  # refresh 1; 2 becomes LRU
-        cache.put((3, "flat"), third)
+        cache.put((3, "flat"), third, units=1)
         assert cache.get((2, "flat")) is None
         assert cache.get((1, "flat")) is first
 
-    def test_worker_cache_limit_is_bounded(self):
-        assert pool_module.WORKER_STATE_CACHE_LIMIT >= 1
-        cache = BoundedStateCache()
-        for index in range(pool_module.WORKER_STATE_CACHE_LIMIT + 10):
-            cache.put((index, "flat"), object())
-        assert len(cache) == pool_module.WORKER_STATE_CACHE_LIMIT
+    def test_entry_larger_than_budget_is_admitted_alone(self):
+        cache = BoundedStateCache(budget=10)
+        small, giant = object(), object()
+        cache.put((1, "flat"), small, units=3)
+        cache.put((2, "flat"), giant, units=50)
+        assert len(cache) == 1
+        assert cache.units == 50
+        assert cache.get((2, "flat")) is giant
+        cache.put((3, "flat"), small, units=3)
+        assert cache.get((2, "flat")) is None
+        assert cache.units == 3
+
+    def test_replacing_an_entry_reweighs_it(self):
+        cache = BoundedStateCache(budget=10)
+        cache.put((1, "flat"), object(), units=6)
+        cache.put((1, "flat"), object(), units=2)
+        assert len(cache) == 1
+        assert cache.units == 2
+
+    def test_hits_and_misses_are_counted(self):
+        cache = BoundedStateCache(budget=10)
+        assert cache.get((1, "flat")) is None
+        cache.put((1, "flat"), object(), units=1)
+        cache.get((1, "flat"))
+        cache.get((1, "flat"))
+        assert (cache.hits, cache.misses) == (2, 1)
+
+    def test_default_budget_is_the_module_constant(self):
+        assert pool_module.WORKER_STATE_CACHE_UNITS >= 1
+        assert BoundedStateCache().budget == pool_module.WORKER_STATE_CACHE_UNITS
