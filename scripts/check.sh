@@ -92,7 +92,7 @@ echo "== obs-purity rule (observability layer static gate) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.analysis src --select obs-purity --no-baseline
 OBS_TRACE="$(mktemp -t obs_trace_XXXXXX.json)"
 OBS_METRICS="$(mktemp -t obs_metrics_XXXXXX.json)"
-E2E_OUT="$(mktemp -t e2e_ie_warm_XXXXXX.txt)"
+E2E_OUT="$(mktemp -t e2e_traced_XXXXXX.txt)"
 trap 'rm -f "${OBS_TRACE}" "${OBS_METRICS}" "${E2E_OUT}"' EXIT
 echo "== traced IE run + Chrome trace validation =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli dataset IE --scale 0.3 \
@@ -117,26 +117,41 @@ echo "== observability overhead benchmark (quick; ${CPUS} CPU(s)) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_obs_overhead.py --quick \
   --assert-null-overhead 0.02 --assert-full-overhead 0.10 --json-out benchmarks/results/BENCH_obs.json
 
-# The pool-vs-serial number, on every check log: one traced run of the
-# many-tiny-components workload (3,000 IE components, 2 workers).  The
-# run must exit 0 and report "correct": true; dispatch_overhead_ratio is
-# pooled seconds / serial seconds on the same components (< 1: the pool
-# wins), worker_busy_share the workers' busy share of the dispatch wall,
+# One traced run of an e2e workload on every check log: the run must exit
+# 0 and report "correct": true; the named per-layer metrics are printed.
+e2e_traced_run() {
+  local workload="$1"
+  shift
+  python3 -m benchmarks.e2e --workload "${workload}" --seed 0 --seconds 8 --trace 1 >"${E2E_OUT}"
+  python3 - "${E2E_OUT}" "${workload}" "$@" <<'PYEOF'
+import json, sys
+path, workload, *names = sys.argv[1:]
+result = json.loads(open(path).read().splitlines()[-1])
+if not result["correct"] or result["failed"]:
+    sys.exit(f"{workload}: correct={result['correct']} failed={result['failed']}/{result['attempted']}")
+for name in names:
+    metric = result["metrics"][name]
+    print(f"{workload}  {name:<40} {metric['value']:.4f} {metric['unit']}")
+PYEOF
+}
+
+# The pool-vs-serial number: the many-tiny-components workload (3,000 IE
+# components, 2 workers).  dispatch_overhead_ratio is pooled seconds /
+# serial seconds on the same components (< 1: the pool wins),
+# worker_busy_share the workers' busy share of the dispatch wall,
 # worker_state_setup_s the per-request worker state rebuilding (~0 warm).
 echo "== e2e benchmark: ie_warm_map traced run (pool vs serial) =="
-python3 -m benchmarks.e2e --workload ie_warm_map --seed 0 --seconds 8 --trace 1 >"${E2E_OUT}"
-python3 - "${E2E_OUT}" <<'PYEOF'
-import json, sys
-result = json.loads(open(sys.argv[1]).read().splitlines()[-1])
-if not result["correct"] or result["failed"]:
-    sys.exit(f"ie_warm_map: correct={result['correct']} failed={result['failed']}/{result['attempted']}")
-for name in (
-    "parallel.dispatch_overhead_ratio",
-    "parallel.worker_busy_share",
-    "inference.worker_state_setup_s",
-):
-    metric = result["metrics"][name]
-    print(f"ie_warm_map  {name:<40} {metric['value']:.4f} {metric['unit']}")
-PYEOF
+e2e_traced_run ie_warm_map \
+  parallel.dispatch_overhead_ratio parallel.worker_busy_share inference.worker_state_setup_s
+
+# The cold request, stage by stage: the one-shot workload (RC, 74,776
+# ground clauses, 96 components, 2 workers).  The five numbers are where
+# a cold request's time goes before the first flip — grounding, MRF
+# build, component detection, pool checkout (fork) and the workers'
+# first-use state construction.
+echo "== e2e benchmark: rc_cold_map traced run (the stages before the first flip) =="
+e2e_traced_run rc_cold_map \
+  grounding.ground_s mrf.build_s mrf.components_s parallel.pool_checkout_s \
+  inference.worker_state_setup_s
 
 echo "== check.sh OK =="

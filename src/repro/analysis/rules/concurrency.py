@@ -1,12 +1,13 @@
 """Fork-safety rules for the multiprocess parallel backend.
 
 The processes backend forks workers that inherit the parent's memory image
-and then communicate only through queues and the shared-memory component
-buffers.  Four things keep that safe and deterministic, and each gets a
-rule: worker entrypoints must not mutate fork-inherited module globals,
-shared-memory buffers must not be written after they are published to
-workers, a live pool must never repack its buffers (tear down and fork a
-fresh pool instead), and task callables shipped to a pool must be
+— the component MRFs included — and then communicate only through queues
+and the shared-memory result regions.  Four things keep that safe and
+deterministic, and each gets a rule: worker entrypoints must not mutate
+fork-inherited module globals, shared-memory buffers must not be written
+after they are published to workers, a live pool must never repack its
+buffers or rebind what its workers inherited at fork time (tear down and
+fork a fresh pool instead), and task callables shipped to a pool must be
 picklable (no lambdas or closures).
 
 One further rule guards thread-level concurrency rather than fork
@@ -311,18 +312,21 @@ class SharedMemoryPublishRule(Rule):
 
 @register
 class PoolLifecycleRule(Rule):
-    """Shared-memory repacking on a live worker pool."""
+    """Repacking or rebinding fork-time state on a live worker pool."""
 
     id: ClassVar[str] = "fork-pool-lifecycle"
     family: ClassVar[str] = "fork-safety"
     description: ClassVar[str] = (
-        "a pool-like class (one that starts processes and owns packed "
-        "shared-memory buffers in __init__) must never repack those buffers "
-        "on a live pool: workers attached to the old segments at fork time "
-        "and keep reading them, so a repack (any *BufferSet.pack(...) call, "
-        "or rebinding a buffer-set attribute like self.buffers or "
-        "self.result_buffers outside __init__) silently desynchronises "
-        "parent and workers. Tear the pool down and fork a fresh one."
+        "a pool-like class (one whose __init__ starts processes and binds a "
+        "packed shared-memory buffer set — any self.*buffers* attribute) "
+        "must never change, on a live pool, what its workers took at fork "
+        "time: they attached to the segments and inherited every self.* "
+        "object passed in Process(args=...) — the component list among "
+        "them — as of the fork and keep using those, so a repack (any "
+        "*BufferSet.pack(...) call) or a rebind of such an attribute "
+        "outside __init__ (self.result_buffers, self._components) silently "
+        "desynchronises parent and workers. Tear the pool down and fork a "
+        "fresh one."
     )
 
     def applies_to(self, source: SourceFile) -> bool:
@@ -344,37 +348,39 @@ class PoolLifecycleRule(Rule):
         )
 
     def _is_pool_class(self, class_def: ast.ClassDef) -> bool:
-        """A class whose __init__ binds both worker processes and buffers."""
+        """A class whose __init__ binds worker processes and a buffer set."""
         init = self._find_init(class_def)
         if init is None:
             return False
         bound = self._self_attribute_targets(init)
-        return "buffers" in bound and "_processes" in bound
+        return "_processes" in bound and any("buffers" in attr for attr in bound)
 
     def _check_pool_class(
         self, source: SourceFile, class_def: ast.ClassDef
     ) -> Iterator[Finding]:
         init = self._find_init(class_def)
         bound = self._self_attribute_targets(init) if init is not None else set()
-        # Every buffer-set attribute the pool packed at fork time — e.g.
-        # ``buffers`` (component structure) and ``result_buffers`` (result
-        # regions) — is frozen for the pool's lifetime.
+        # Frozen for the pool's lifetime: every buffer-set attribute packed
+        # before the fork (``result_buffers``) and everything the workers
+        # inherited as a ``Process`` argument (the component list, which
+        # the parent keeps reading ``atom_ids`` off; the queues).
         protected = {attr for attr in bound if "buffers" in attr}
+        if init is not None:
+            protected |= self._fork_inherited_attributes(init)
         for method in class_def.body:
             if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if method.name == "__init__":
                 continue
             for node in ast.walk(method):
-                if isinstance(node, ast.Assign):
-                    hits = self._self_attribute_targets_of(node) & protected
-                    for attr in sorted(hits):
-                        yield source.finding(
-                            node, self.id,
-                            f"method '{method.name}' rebinds self.{attr} on a "
-                            "live pool; workers still read the segment packed "
-                            "at fork time — build a new pool instead",
-                        )
+                hits = self._self_attribute_targets_of(node) & protected
+                for attr in sorted(hits):
+                    yield source.finding(
+                        node, self.id,
+                        f"method '{method.name}' rebinds self.{attr} on a "
+                        "live pool; workers still use the object they took "
+                        "at fork time — build a new pool instead",
+                    )
                 if self._is_pack_call(node):
                     yield source.finding(
                         node, self.id,
@@ -386,20 +392,44 @@ class PoolLifecycleRule(Rule):
     def _self_attribute_targets(self, function: ast.FunctionDef) -> Set[str]:
         bound: Set[str] = set()
         for node in ast.walk(function):
-            if isinstance(node, ast.Assign):
-                bound |= self._self_attribute_targets_of(node)
+            bound |= self._self_attribute_targets_of(node)
         return bound
 
-    def _self_attribute_targets_of(self, node: ast.Assign) -> Set[str]:
-        targets: Set[str] = set()
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                targets.add(target.attr)
-        return targets
+    def _self_attribute_targets_of(self, node: ast.AST) -> Set[str]:
+        """``self.<attr>`` names a plain or annotated assignment binds."""
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            return set()
+        return {target.attr for target in targets if self._is_self_attribute(target)}
+
+    def _is_self_attribute(self, node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        )
+
+    def _fork_inherited_attributes(self, init: ast.FunctionDef) -> Set[str]:
+        """``self.<attr>`` objects handed to workers in ``Process(args=...)``."""
+        inherited: Set[str] = set()
+        for node in ast.walk(init):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            # ``context.Process(...)`` or a bare ``Process(...)``.
+            if getattr(func, "attr", getattr(func, "id", None)) != "Process":
+                continue
+            for keyword in node.keywords:
+                if keyword.arg == "args":
+                    inherited |= {
+                        argument.attr
+                        for argument in ast.walk(keyword.value)
+                        if self._is_self_attribute(argument)
+                    }
+        return inherited
 
     def _is_pack_call(self, node: ast.AST) -> bool:
         """Matches ``<Anything>BufferSet.pack(...)``."""

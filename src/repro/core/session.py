@@ -3,8 +3,8 @@
 A cold :class:`~repro.core.engine.TuffyEngine` run pays for everything on
 every call: grounding, MRF construction, component detection, kernel-state
 allocation and — on the ``processes`` backend — forking a worker pool and
-packing the shared-memory buffers.  :class:`EngineSession` splits that
-into *session-lived* state (database, atom registry, grounding result,
+reserving its shared-memory result regions.  :class:`EngineSession` splits
+that into *session-lived* state (database, atom registry, grounding result,
 MRF, component decomposition, persistent :class:`~repro.parallel.pool.WorkerPool`)
 and *per-request* state (:class:`InferenceRequest`: seed, RNG, timer,
 simulated clock), so repeated MAP or marginal requests reuse everything
@@ -74,10 +74,11 @@ order and get different atom ids.
 
 Pool lifecycle
 --------------
-The persistent pool is keyed on the component list it was packed from
-(identity per element).  A pool is never repacked in place — a grounding
+The persistent pool is keyed on the component list it was forked over
+(identity per element): its workers search the component objects they
+inherited at fork time.  A pool is never rebuilt in place — a grounding
 change tears it down and the next request forks a fresh one (the
-``fork-pool-lifecycle`` analysis rule enforces the never-repack rule).
+``fork-pool-lifecycle`` analysis rule enforces this).
 Unclosed sessions shut their pool (and the admission executor) down at
 garbage collection via ``weakref.finalize``; call :meth:`close` (or use
 the session as a context manager) for deterministic teardown.
@@ -454,6 +455,12 @@ class EngineSession:
             if is_delta:
                 self.stats.delta_ground_runs += 1
                 self.metrics.increment("session.delta_ground_runs")
+            # The clause store's share of the per-clause ``seconds``: what
+            # is left of them is the relational queries themselves.
+            self.metrics.increment(
+                "grounding.ingest_seconds",
+                sum(stats.ingest_seconds for stats in result.per_clause),
+            )
             report = self.last_ground_report
             if report is not None:
                 # Replay-cache effectiveness: clauses replayed from cache
@@ -773,7 +780,7 @@ class EngineSession:
                 partitioning = partitioner.partition(component)
                 # Partition-parallel first pass + Gauss-Seidel cut repair.
                 # The conditioned partition MRFs are fresh objects per call,
-                # so the persistent pool (packed from the session's
+                # so the persistent pool (forked over the session's
                 # components) is never lent here.
                 outcome = gauss_seidel_refine(
                     component,
@@ -1087,6 +1094,7 @@ class EngineSession:
                 memory_model=self.memory_model,
                 execution_backend=config.execution_backend,
                 enable_replay_cache=config.delta_grounding,
+                tracer=self.tracer,
             )
         return self._grounder
 
@@ -1095,9 +1103,9 @@ class EngineSession:
 
         The old decomposition is kept around so :meth:`detect_components`
         can adopt unchanged components; the pool is torn down immediately —
-        its shared-memory buffers were packed from the old components and
-        are never repacked in place.  Safe against in-flight requests
-        because :meth:`ground` drains them first.
+        its workers hold the old components as of their fork and its result
+        regions were sized for them; neither is ever rebuilt in place.  Safe
+        against in-flight requests because :meth:`ground` drains them first.
         """
         self.mrf = None
         self._previous_components = self.components
@@ -1112,7 +1120,7 @@ class EngineSession:
     def _adopt_components(self, decomposition: ComponentDecomposition) -> None:
         """Swap in old component MRFs whose structure is unchanged.
 
-        Adoption preserves the old objects' adjacency/flat-view caches.
+        Adoption preserves the old objects' flat/vector-view caches.
         Bit-parity is unaffected: a component's search depends only on its
         clause literals and weights, which the signature pins exactly.
         """
@@ -1169,8 +1177,8 @@ class EngineSession:
 
         Lends a pool only when the backend actually resolves to
         ``processes`` for this task count and ``persistent_pool`` is on.
-        A pool packed from a different component list is torn down and a
-        fresh one forked (never repacked in place) — but only after every
+        A pool forked over a different component list is torn down and a
+        fresh one forked (never rebuilt in place) — but only after every
         in-flight search has drained: a concurrently admitted request may
         still be reading the old pool's shared-memory result regions, and
         ``shutdown`` destroys them (the same guard :meth:`ground` applies

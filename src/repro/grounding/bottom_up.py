@@ -20,14 +20,15 @@ Delta-grounding
 ---------------
 With ``enable_replay_cache=True`` (the engine session's mode) the grounder
 records, per first-order clause, the exact sequence of clause-store events
-its query produced (every ``add`` literal tuple and every
-satisfied-by-evidence count) together with a snapshot of the per-predicate
-registry versions the clause depends on.  On a later ``ground()`` over the
-same registry, a clause whose predicates are all unchanged is **replayed**
-from that record instead of re-running its relational query; only clauses
-touching a changed predicate re-execute.  Replay issues the identical
-``add`` sequence, so the resulting store is bit-for-bit identical to a
-full reground (``add_batch`` is parity-tested equal to repeated ``add``).
+its query produced (every ``add`` literal tuple, every ``add_batch`` as
+one event holding its two arrays, and every satisfied-by-evidence count)
+together with a snapshot of the per-predicate registry versions the clause
+depends on.  On a later ``ground()`` over the same registry, a clause
+whose predicates are all unchanged is **replayed** from that record
+instead of re-running its relational query; only clauses touching a
+changed predicate re-execute.  Replay issues the identical call sequence —
+a batch goes back through ``add_batch`` as a batch — so the resulting
+store is bit-for-bit identical to a full reground.
 ``last_report`` exposes the per-run counters (queries executed vs clauses
 replayed, atom tables loaded vs reused) that the session benchmark and the
 delta-grounding tests assert on.
@@ -35,7 +36,7 @@ delta-grounding tests assert on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.grounding.atoms import AtomRegistry
@@ -50,6 +51,7 @@ from repro.grounding.pruning import LiteralOutcome, literal_outcome
 from repro.grounding.result import ClauseGroundingStats, GroundingResult
 from repro.logic.clauses import WeightedClause
 from repro.logic.predicates import Predicate
+from repro.obs.tracer import NullTracer
 from repro.rdbms.column_batch import NULL_CODE
 from repro.rdbms.database import Database
 from repro.rdbms.executor import ColumnarQueryResult, QueryResult
@@ -113,10 +115,11 @@ class _ClauseReplay:
     """Cached outcome of one clause's grounding query.
 
     ``events`` is the ordered clause-store call sequence the query
-    produced: ``("add", literal_tuple)`` and ``("satisfied", count)``
-    entries, replayed verbatim so the store state is bit-identical to a
-    re-executed query.  Validity is pinned to the clause *object*, the
-    registry identity, and the per-predicate version snapshot.
+    produced: ``("add", literal_tuple)``, ``("add_batch", (flat_literals,
+    row_lengths))`` and ``("satisfied", count)`` entries, replayed
+    verbatim so the store state is bit-identical to a re-executed query.
+    Validity is pinned to the clause *object*, the registry identity, and
+    the per-predicate version snapshot.
     """
 
     clause: WeightedClause
@@ -133,9 +136,9 @@ class _RecordingStore:
     """Forwards to a clause store while recording the event stream.
 
     Only the three mutating entry points the grounding consumers use are
-    wrapped; ``add_batch`` rows are recorded as individual ``add`` events
-    (the batch-parity suite pins ``add_batch`` == repeated ``add``), so a
-    replay through ``add`` reproduces the store bit-for-bit.
+    wrapped.  A batch is recorded as one event holding private copies of
+    its arrays (the event outlives the call; the caller's arrays need
+    not), so a replay hands ``add_batch`` exactly what the query did.
     """
 
     def __init__(self, store: GroundClauseStore) -> None:
@@ -151,12 +154,7 @@ class _RecordingStore:
         self._store.record_satisfied_by_evidence(count)
 
     def add_batch(self, flat_literals, counts, weight, source=None) -> int:
-        flat = [int(value) for value in flat_literals]
-        cursor = 0
-        for count in counts:
-            row = tuple(flat[cursor : cursor + int(count)])
-            cursor += int(count)
-            self.events.append(("add", row))
+        self.events.append(("add_batch", (np.array(flat_literals), np.array(counts))))
         return self._store.add_batch(flat_literals, counts, weight, source)
 
 
@@ -193,6 +191,9 @@ class BottomUpGrounder:
         :class:`~repro.core.session.EngineSession`).  Off by default — the
         cache holds a copy of the grounding output, which one-shot callers
         should not pay for.
+    tracer:
+        Where the per-clause ``clause-ingest`` spans go (the session's
+        tracer); the no-op tracer when omitted.
     """
 
     database: Optional[Database] = None
@@ -202,6 +203,7 @@ class BottomUpGrounder:
     memory_model: Optional[MemoryModel] = None
     execution_backend: Optional[str] = None
     enable_replay_cache: bool = False
+    tracer: object = field(default_factory=NullTracer)
 
     def __post_init__(self) -> None:
         if self.database is None:
@@ -356,25 +358,32 @@ class BottomUpGrounder:
         """Re-issue a cached event stream against a fresh store.
 
         The store ends bit-identical to re-running the query: same ``add``
-        calls in the same order with the same literal tuples and weights
-        (identical floats, so duplicate-merge sums are unchanged), same
-        satisfied-by-evidence count.  The cached statistics are what the
-        query would report; only ``seconds`` reflects the (cheap) replay.
+        / ``add_batch`` calls in the same order with the same literals and
+        weights (identical floats, so duplicate-merge sums are unchanged),
+        same satisfied-by-evidence count.  The cached statistics are what
+        the query would report; only ``seconds`` reflects the (cheap)
+        replay, all of which is ingest.
         """
+        name = clause.name or str(clause)
         stopwatch = Stopwatch()
-        with stopwatch.measure():
+        with stopwatch.measure(), self.tracer.span(
+            "clause-ingest", clause=name, replayed=True
+        ):
             for kind, payload in cached.events:
                 if kind == "add":
                     store.add(payload, clause.weight, clause.name)
+                elif kind == "add_batch":
+                    store.add_batch(*payload, clause.weight, clause.name)
                 else:
                     store.record_satisfied_by_evidence(payload)
         return ClauseGroundingStats(
-            clause_name=clause.name or str(clause),
+            clause_name=name,
             ground_clauses=cached.produced,
             pruned_bindings=cached.pruned,
             seconds=stopwatch.total,
             sql=cached.sql,
             intermediate_tuples=cached.intermediate_tuples,
+            ingest_seconds=stopwatch.total,
         )
 
     def _ground_clause(
@@ -383,7 +392,9 @@ class BottomUpGrounder:
         atoms: AtomRegistry,
         store: GroundClauseStore,
     ) -> ClauseGroundingStats:
+        name = clause.name or str(clause)
         stopwatch = Stopwatch()
+        ingest = Stopwatch()
         produced = 0
         pruned = 0
         intermediate = 0
@@ -391,7 +402,7 @@ class BottomUpGrounder:
             compilation = self._compiler.compile(clause)
             if compilation.query is None:
                 return ClauseGroundingStats(
-                    clause_name=clause.name or str(clause),
+                    clause_name=name,
                     ground_clauses=0,
                     pruned_bindings=0,
                     seconds=stopwatch.total,
@@ -403,20 +414,23 @@ class BottomUpGrounder:
             )
             if backend == "columnar":
                 result = self.database.executor.execute_batch(planned)
-                produced, pruned = self._consume_columns(
-                    clause, compilation, result, store
-                )
+                consume = self._consume_columns
             else:
                 result = self.database.executor.execute(planned, backend="row")
-                produced, pruned = self._consume_rows(clause, compilation, result, store)
+                consume = self._consume_rows
+            # The relational query ends here; what follows is the clause
+            # store's share of ``seconds``.
+            with ingest.measure(), self.tracer.span("clause-ingest", clause=name):
+                produced, pruned = consume(clause, compilation, result, store)
             intermediate = plan_intermediate_tuples(planned.root)
         return ClauseGroundingStats(
-            clause_name=clause.name or str(clause),
+            clause_name=name,
             ground_clauses=produced,
             pruned_bindings=pruned,
             seconds=stopwatch.total,
             sql=compilation.sql,
             intermediate_tuples=intermediate,
+            ingest_seconds=ingest.total,
         )
 
     def _consume_rows(

@@ -361,7 +361,7 @@ class GroundClauseStore:
         """All distinct atom ids referenced by any clause, sorted."""
         seen = set()
         for clause in self._clauses:
-            seen.update(clause.atom_ids)
+            seen.update(map(abs, clause.literals))
         return sorted(seen)
 
     def total_literals(self) -> int:

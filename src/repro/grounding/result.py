@@ -18,7 +18,11 @@ class ClauseGroundingStats:
     counts the tuples the clause's relational query pushed through its join
     operators (hash-join build+probe rows, nested-loop comparisons) — the
     state that lives inside the RDBMS rather than the inference process,
-    the asymmetry behind the paper's Table 4.
+    the asymmetry behind the paper's Table 4.  ``ingest_seconds`` is the
+    part of ``seconds`` spent after the relational query returned, turning
+    its result into clause-store entries (evidence pruning of the result
+    rows plus ``add`` / ``add_batch``; a replayed clause is all ingest) —
+    ``seconds - ingest_seconds`` is what a better join order could save.
     """
 
     clause_name: str
@@ -27,6 +31,7 @@ class ClauseGroundingStats:
     seconds: float
     sql: Optional[str] = None
     intermediate_tuples: int = 0
+    ingest_seconds: float = 0.0
 
 
 @dataclass

@@ -455,11 +455,10 @@ class ConstraintPool:
         }
 
     def _shell_mrf(self, codes, positions, clauses, adjacency) -> MRF:
-        """An MRF shell over prebuilt flat structure (no adjacency dict).
+        """An MRF shell over prebuilt flat structure.
 
-        The shell skips ``MRF.from_clauses``'s atom-set union/sort and
-        id-level adjacency build; only the flat view (which is all the
-        search kernel reads) is populated.
+        The shell skips ``MRF.from_clauses``'s atom-set union/sort; only
+        the flat view (which is all the search kernel reads) is populated.
         """
         mrf = MRF(clauses=clauses, atom_ids=self._atom_ids)
         mrf._flat_view = MRFFlatView.from_parts(

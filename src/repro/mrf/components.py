@@ -2,9 +2,14 @@
 
 Components are found by a single scan of the clause table that merges the
 atoms of every clause in a union-find structure — exactly the procedure the
-paper describes.  The decomposition exposes each component as its own
-:class:`~repro.mrf.graph.MRF` plus a per-component size, which is what the
-bin-packing batch loader and the component-aware search consume.
+paper describes — followed by one bucketing pass that drops each clause
+into the component its atoms were merged into.  Every clause is visited
+once per pass and read straight off ``clause.literals``; a component's
+atom set *is* its union-find group, so component MRFs are constructed
+directly rather than re-derived from their clauses.  The decomposition exposes each
+component as its own :class:`~repro.mrf.graph.MRF` plus a per-component
+size, which is what the bin-packing batch loader and the component-aware
+search consume.
 """
 
 from __future__ import annotations
@@ -47,25 +52,26 @@ def connected_components(source: MRF | GroundClauseStore) -> ComponentDecomposit
     """Split an MRF (or a clause store) into its connected components."""
     mrf = source if isinstance(source, MRF) else MRF.from_store(source)
     union_find = UnionFind(mrf.atom_ids)
-    for clause in mrf.clauses:
-        # Order-preserving dedup: set iteration order is hash-dependent, and
-        # the merge order feeds union-find root selection.
-        atom_ids = list(dict.fromkeys(clause.atom_ids))
-        for left, right in zip(atom_ids, atom_ids[1:]):
-            union_find.union(left, right)
+    union_sequence = union_find.union_sequence
+    # Atoms are merged in literal order (never set order, which is
+    # hash-dependent): the merge order feeds union-find root selection.
+    # Each clause remembers the root it merged into — a member of its
+    # component — so the bucketing pass needs no second look at literals.
+    anchors = [union_sequence(map(abs, clause.literals)) for clause in mrf.clauses]
 
     groups = union_find.groups()
     clause_groups: Dict[object, List[GroundClause]] = {root: [] for root in groups}
-    for clause in mrf.clauses:
-        root = union_find.find(clause.atom_ids[0])
-        clause_groups[root].append(clause)
+    find = union_find.find
+    for clause, anchor in zip(mrf.clauses, anchors):
+        clause_groups[find(anchor)].append(clause)
 
     decomposition = ComponentDecomposition()
     # Deterministic ordering: components sorted by their smallest atom id.
     ordered_roots = sorted(groups, key=lambda root: min(groups[root]))
     for index, root in enumerate(ordered_roots):
-        component = MRF.from_clauses(clause_groups[root], extra_atoms=groups[root])
-        decomposition.components.append(component)
+        decomposition.components.append(
+            MRF(clauses=clause_groups[root], atom_ids=sorted(groups[root]))
+        )
         for atom_id in groups[root]:
             decomposition.atom_to_component[atom_id] = index
     return decomposition

@@ -1,4 +1,15 @@
-"""The MRF graph structure consumed by the search phase."""
+"""The MRF graph structure consumed by the search phase.
+
+An :class:`MRF` is two lists — ground clauses and atom ids — and nothing
+else is built when one is constructed: ``from_store`` / ``from_clauses``
+visit each clause once, to collect its atoms.  What the consumers need on
+top is derived on first use and cached on the object: the position-indexed
+:class:`MRFFlatView` (and the numpy view over it) when the first search
+state is made — on the processes backend, in the worker that first runs
+the component — the atom → clause adjacency when ``clauses_of_atom`` /
+``degree`` / ``neighbors`` is first asked, the literal total on the first
+``size()``.
+"""
 
 from __future__ import annotations
 
@@ -100,13 +111,17 @@ class MRF:
     """A ground MRF: atoms (nodes) and weighted ground clauses (hyperedges).
 
     ``atom_ids`` is the set of query-atom ids appearing in the clauses (plus
-    any isolated atoms explicitly added).  Adjacency from atom to the clauses
-    that mention it is precomputed because WalkSAT needs it on every flip.
+    any isolated atoms explicitly added).  Everything derived from the two
+    lists — the search kernels' flat/vector views, the atom → clause
+    adjacency behind :meth:`clauses_of_atom`, the literal total — is a cache
+    built on first use and excluded from ``==``.
     """
 
     clauses: List[GroundClause] = field(default_factory=list)
     atom_ids: List[int] = field(default_factory=list)
-    _adjacency: Dict[int, List[int]] = field(default_factory=dict, repr=False)
+    _adjacency: Optional[Dict[int, List[int]]] = field(
+        default=None, repr=False, compare=False
+    )
     _flat_view: Optional[MRFFlatView] = field(default=None, repr=False, compare=False)
     # Lazily-built numpy structure shared by every vectorized search state
     # over this MRF (owned by repro.inference.vector_kernel, cached here so
@@ -123,31 +138,30 @@ class MRF:
     def from_store(
         cls, store: GroundClauseStore, extra_atoms: Iterable[int] = ()
     ) -> "MRF":
-        clauses = store.clauses()
         atom_ids = set(store.atom_ids())
         atom_ids.update(extra_atoms)
-        mrf = cls(clauses=clauses, atom_ids=sorted(atom_ids))
-        mrf._build_adjacency()
-        return mrf
+        return cls(clauses=store.clauses(), atom_ids=sorted(atom_ids))
 
     @classmethod
     def from_clauses(
         cls, clauses: Sequence[GroundClause], extra_atoms: Iterable[int] = ()
     ) -> "MRF":
-        atom_ids: Set[int] = set()
+        atom_ids: Set[int] = set(extra_atoms)
         for clause in clauses:
-            atom_ids.update(clause.atom_ids)
-        atom_ids.update(extra_atoms)
-        mrf = cls(clauses=list(clauses), atom_ids=sorted(atom_ids))
-        mrf._build_adjacency()
-        return mrf
+            atom_ids.update(map(abs, clause.literals))
+        return cls(clauses=list(clauses), atom_ids=sorted(atom_ids))
 
-    def _build_adjacency(self) -> None:
-        self._adjacency = {atom_id: [] for atom_id in self.atom_ids}
-        for index, clause in enumerate(self.clauses):
-            # Order-preserving dedup (literal order), not set order.
-            for atom_id in dict.fromkeys(clause.atom_ids):
-                self._adjacency.setdefault(atom_id, []).append(index)
+    def _atom_clauses(self) -> Dict[int, List[int]]:
+        """Atom id → indices of the clauses mentioning it, built on first use."""
+        adjacency = self._adjacency
+        if adjacency is None:
+            adjacency = {atom_id: [] for atom_id in self.atom_ids}
+            for index, clause in enumerate(self.clauses):
+                # Order-preserving dedup (literal order), not set order.
+                for atom_id in dict.fromkeys(map(abs, clause.literals)):
+                    adjacency.setdefault(atom_id, []).append(index)
+            self._adjacency = adjacency
+        return adjacency
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -187,10 +201,10 @@ class MRF:
 
     def clauses_of_atom(self, atom_id: int) -> List[int]:
         """Indices (into ``clauses``) of the clauses mentioning an atom."""
-        return self._adjacency.get(atom_id, [])
+        return self._atom_clauses().get(atom_id, [])
 
     def degree(self, atom_id: int) -> int:
-        return len(self._adjacency.get(atom_id, ()))
+        return len(self._atom_clauses().get(atom_id, ()))
 
     def total_soft_weight(self) -> float:
         return sum(abs(clause.weight) for clause in self.clauses if not clause.is_hard)
@@ -222,7 +236,7 @@ class MRF:
     def neighbors(self, atom_id: int) -> FrozenSet[int]:
         """Atoms sharing at least one clause with the given atom."""
         neighbors: Set[int] = set()
-        for clause_index in self._adjacency.get(atom_id, ()):
+        for clause_index in self._atom_clauses().get(atom_id, ()):
             neighbors.update(self.clauses[clause_index].atom_ids)
         neighbors.discard(atom_id)
         return frozenset(neighbors)

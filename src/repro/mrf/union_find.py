@@ -2,12 +2,14 @@
 
 The paper detects MRF components by maintaining "an in-memory union-find
 structure over the nodes" while scanning the clause table once; this is that
-structure.
+structure.  The scan's unit of work is a whole clause, so the primitive is
+:meth:`UnionFind.union_sequence` — merge the sets of a run of registered
+elements in one call; :meth:`UnionFind.union` is the two-element case.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List
+from typing import Dict, Hashable, Iterable, List, Optional
 
 
 class UnionFind:
@@ -33,28 +35,50 @@ class UnionFind:
 
     def find(self, element: Hashable) -> Hashable:
         """Return the representative of the element's set (path compression)."""
-        if element not in self._parent:
-            raise KeyError(f"unknown element {element!r}")
-        root = element
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[element] != root:
-            self._parent[element], element = root, self._parent[element]
+        parent = self._parent
+        try:
+            root = parent[element]
+        except KeyError:
+            raise KeyError(f"unknown element {element!r}") from None
+        while parent[root] != root:
+            root = parent[root]
+        while parent[element] != root:
+            parent[element], element = root, parent[element]
         return root
+
+    def union_sequence(self, elements: Iterable[Hashable]) -> Optional[Hashable]:
+        """Merge the sets of already-registered elements, left to right.
+
+        Equivalent to ``union(e0, e1); union(e1, e2); ...`` — the same
+        by-size root choice at every step, so the final roots are
+        identical; repeated elements are harmless.  Returns the merged
+        set's root (``None`` for an empty sequence); an unregistered
+        element raises ``KeyError``.
+        """
+        parent = self._parent
+        size = self._size
+        merged = None
+        for element in elements:
+            root = parent[element]
+            if parent[root] != root:
+                while parent[root] != root:
+                    root = parent[root]
+                while parent[element] != root:
+                    parent[element], element = root, parent[element]
+            if merged is None:
+                merged = root
+            elif root != merged:
+                if size[merged] < size[root]:
+                    merged, root = root, merged
+                parent[root] = merged
+                size[merged] += size[root]
+        return merged
 
     def union(self, left: Hashable, right: Hashable) -> Hashable:
         """Merge the sets containing the two elements; returns the new root."""
         self.add(left)
         self.add(right)
-        left_root = self.find(left)
-        right_root = self.find(right)
-        if left_root == right_root:
-            return left_root
-        if self._size[left_root] < self._size[right_root]:
-            left_root, right_root = right_root, left_root
-        self._parent[right_root] = left_root
-        self._size[left_root] += self._size[right_root]
-        return left_root
+        return self.union_sequence((left, right))
 
     def connected(self, left: Hashable, right: Hashable) -> bool:
         return self.find(left) == self.find(right)
@@ -65,9 +89,10 @@ class UnionFind:
     def groups(self) -> Dict[Hashable, List[Hashable]]:
         """All sets, keyed by their representative."""
         result: Dict[Hashable, List[Hashable]] = {}
+        find = self.find
         for element in self._parent:
-            result.setdefault(self.find(element), []).append(element)
+            result.setdefault(find(element), []).append(element)
         return result
 
     def component_count(self) -> int:
-        return sum(1 for element, parent in self._parent.items() if self.find(element) == element)
+        return sum(1 for element in self._parent if self.find(element) == element)

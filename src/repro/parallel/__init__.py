@@ -8,11 +8,13 @@ kernel) and ``execution_backend`` (relational engine):
 selects the vehicle that runs per-component inference tasks.  ``serial``
 runs them in the calling thread (the executable specification),
 ``threads`` uses a thread pool (GIL-bound — useful only for I/O-flavoured
-cost models), and ``processes`` forks a worker pool that receives every
-component's flat kernel structure through one shared-memory segment
-(:mod:`repro.parallel.buffers`) and runs the existing WalkSAT / MC-SAT
-drivers unchanged (:mod:`repro.parallel.pool`), shipping results back
-through a per-component shared-memory result region.  Dispatch
+cost models), and ``processes`` forks a worker pool whose workers search
+the component MRFs they inherited from the parent at fork time — nothing
+is shipped down, each worker builds a component's kernel state the first
+time it runs it — with the existing WalkSAT / MC-SAT drivers unchanged
+(:mod:`repro.parallel.pool`), shipping results back through a
+per-component shared-memory result region
+(:mod:`repro.parallel.buffers`).  Dispatch
 (largest-first work-stealing, with the legacy barrier waves kept as
 ``parallel_dispatch="wave"``) lives in :mod:`repro.parallel.scheduler`;
 deterministic result merging in :mod:`repro.parallel.merge`.  Tasks

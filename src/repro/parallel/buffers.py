@@ -1,176 +1,31 @@
-"""Shared-memory component buffers for the multiprocess inference pool.
+"""Shared-memory result regions for the multiprocess inference pool.
 
-The process backend must hand each worker the structure of every MRF
-component it may be asked to search.  Pickling the components through the
-task queue would copy the whole clause list per task (the cost the paper's
-batch loader exists to avoid); instead the parent packs, once per run, the
-*flat kernel structure* of every component — the same position-indexed
-buffers :class:`~repro.mrf.graph.MRFFlatView` feeds the WalkSAT kernel —
-into one :class:`multiprocessing.shared_memory.SharedMemory` segment:
+Only one direction of the process backend's traffic needs a buffer.
+*Down*, nothing is shipped at all: workers are forked from the parent
+(the only start method the backend supports — see
+:func:`repro.parallel.resolve_parallel_backend`) and therefore already
+hold every component MRF the pool was built over; a task names its
+component by index into that fork-inherited list.  *Up*,
+:class:`ResultBufferSet` reserves a per-component *result region* (atom
+values, trace slots, hitting/flip counters) in one
+:class:`multiprocessing.shared_memory.SharedMemory` segment at pack time;
+workers write finished results in place and the result queue carries only
+a tiny completion token — no pickling of large assignments or marginal
+vectors.
 
-* per component: its global atom ids, its per-clause weights, and the
-  clause → literal relation as signed *position codes* (``+(p+1)`` /
-  ``-(p+1)``, exactly ``MRFFlatView.clause_codes``) in one CSR pair
-  (codes + clause offsets);
-* one directory (plain Python, a few ints per component) mapping each
-  component to its slices of the segment.
-
-Workers inherit the mapping through ``fork`` (the only start method the
-process backend supports — see :func:`repro.parallel.resolve_parallel_backend`),
-attach zero-copy ``memoryview`` casts over it, and rebuild each component's
-MRF *on first use only* (then cache it): clause order, atom order and
-literal order are preserved exactly, so the rebuilt flat view — and
-therefore every seeded search over it — is bit-for-bit identical to the
-parent's (the parity suite pins this).
-
-Results travel the same road in reverse: :class:`ResultBufferSet`
-reserves a per-component *result region* (atom values, trace slots,
-hitting/flip counters) at pack time, workers write finished results in
-place and the result queue carries only a tiny completion token —
-pickling of large assignments and marginal vectors is gone entirely.
-
-Everything here uses the stdlib ``array``/``memoryview`` machinery so the
-process backend keeps working when numpy is absent.
+Everything here uses the stdlib ``memoryview`` machinery so the process
+backend keeps working when numpy is absent.
 """
 
 from __future__ import annotations
 
-from array import array
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.grounding.clause_table import GroundClause
 from repro.inference.mcsat import MarginalResult
 from repro.inference.tracing import TimeCostTrace, TracePoint
 from repro.inference.walksat import WalkSATResult
 from repro.mrf.graph import MRF
-
-#: Directory entry per component: element offsets (8-byte units) into the
-#: segment plus counts.  ``(weights_off, n_clauses, ids_off, n_atoms,
-#: offsets_off, codes_off, n_codes)``.
-DirectoryEntry = Tuple[int, int, int, int, int, int, int]
-
-
-class ComponentBufferSet:
-    """A packed set of MRF components living in one shared-memory segment."""
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        directory: List[DirectoryEntry],
-        owner: bool,
-    ) -> None:
-        self._shm = shm
-        self.directory = directory
-        self._owner = owner
-        # Whole-segment casts; both views address the same 8-byte elements.
-        self._ints = shm.buf.cast("q")
-        self._floats = shm.buf.cast("d")
-        self._mrf_cache: Dict[int, MRF] = {}
-
-    # ------------------------------------------------------------------
-    # Packing (parent side)
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def pack(cls, components: Sequence[MRF]) -> "ComponentBufferSet":
-        """Serialise every component's flat structure into shared memory."""
-        directory: List[DirectoryEntry] = []
-        total = 0
-        views = [component.flat_view() for component in components]
-        for component, view in zip(components, views):
-            n_clauses = component.clause_count
-            n_atoms = len(view.atom_ids)
-            n_codes = sum(len(codes) for codes in view.clause_codes)
-            directory.append(
-                (
-                    total,  # weights
-                    n_clauses,
-                    total + n_clauses,  # atom ids
-                    n_atoms,
-                    total + n_clauses + n_atoms,  # clause offsets (n_clauses + 1)
-                    total + n_clauses + n_atoms + n_clauses + 1,  # codes
-                    n_codes,
-                )
-            )
-            total += n_clauses + n_atoms + n_clauses + 1 + n_codes
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1) * 8)
-        buffers = cls(shm, directory, owner=True)
-        ints = buffers._ints
-        floats = buffers._floats
-        for component, view, entry in zip(components, views, directory):
-            w_off, n_clauses, ids_off, n_atoms, offs_off, codes_off, _ = entry
-            for index, clause in enumerate(component.clauses):
-                floats[w_off + index] = clause.weight
-            ints[ids_off : ids_off + n_atoms] = array("q", view.atom_ids)
-            offset = 0
-            cursor = codes_off
-            for index, codes in enumerate(view.clause_codes):
-                ints[offs_off + index] = offset
-                ints[cursor : cursor + len(codes)] = array("q", codes)
-                cursor += len(codes)
-                offset += len(codes)
-            ints[offs_off + n_clauses] = offset
-        return buffers
-
-    # ------------------------------------------------------------------
-    # Rebuilding (worker side)
-    # ------------------------------------------------------------------
-
-    def component(self, index: int) -> MRF:
-        """The MRF of one packed component, rebuilt once and cached.
-
-        Clause order, atom-id order and literal order match the packed
-        component exactly, so the lazily built flat view (and every search
-        over it) is identical to the parent's.
-        """
-        cached = self._mrf_cache.get(index)
-        if cached is not None:
-            return cached
-        w_off, n_clauses, ids_off, n_atoms, offs_off, codes_off, _ = self.directory[index]
-        ints = self._ints
-        floats = self._floats
-        atom_ids = list(ints[ids_off : ids_off + n_atoms])
-        clauses: List[GroundClause] = []
-        for clause_index in range(n_clauses):
-            start = codes_off + ints[offs_off + clause_index]
-            stop = codes_off + ints[offs_off + clause_index + 1]
-            literals = tuple(
-                atom_ids[code - 1] if code > 0 else -atom_ids[-code - 1]
-                for code in ints[start:stop]
-            )
-            clauses.append(
-                GroundClause(clause_index + 1, literals, floats[w_off + clause_index])
-            )
-        mrf = MRF(clauses=clauses, atom_ids=atom_ids)
-        mrf._build_adjacency()
-        self._mrf_cache[index] = mrf
-        return mrf
-
-    def __len__(self) -> int:
-        return len(self.directory)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release this process's view (workers call this on shutdown)."""
-        # memoryview casts must be released before the segment can unmap.
-        self._ints.release()
-        self._floats.release()
-        self._shm.close()
-
-    def destroy(self) -> None:
-        """Release and unlink the segment (owner only, after the run)."""
-        self.close()
-        if self._owner:
-            self._shm.unlink()
-
-
-# ----------------------------------------------------------------------
-# Result shipping (worker → parent)
-# ----------------------------------------------------------------------
 
 #: Fixed per-component result header, in 8-byte elements.  Slots are read
 #: through whichever cast (int/float) matches the field:
@@ -206,11 +61,10 @@ def _default_trace_capacity(n_atoms: int, n_clauses: int) -> int:
 class ResultBufferSet:
     """Per-component result regions in one shared-memory segment.
 
-    The reverse direction of :class:`ComponentBufferSet`: the parent
-    sizes one region per component at pack time (atom values + trace
-    slots + a fixed header), workers *write a finished result in place*
-    and send only a tiny completion token through the result queue — no
-    pickling of large assignments or marginal vectors.  A result that
+    The parent sizes one region per component at pack time (atom values
+    + trace slots + a fixed header), workers *write a finished result in
+    place* and send only a tiny completion token through the result queue
+    — no pickling of large assignments or marginal vectors.  A result that
     does not fit its reserved region (an oversized trace, an unexpected
     atom set) is never truncated: :meth:`write_outcome` refuses and the
     worker falls back to the pickled queue (the pool counts how often).

@@ -1,18 +1,21 @@
 """The multiprocess worker pool (and its serial/thread stand-ins).
 
 One task vocabulary serves every parallel backend: a
-:class:`ComponentTask` names a packed component by index and carries the
-small, picklable run parameters (driver options, the derived child-stream
-seed, the flip budget).  The function that executes a task —
-:func:`execute_component_task` — is the *same code* on every backend:
+:class:`ComponentTask` names a component by its index in the caller's
+list and carries the small, picklable run parameters (driver options, the
+derived child-stream seed, the flip budget).  The function that executes a
+task — :func:`execute_component_task` — is the *same code* on every
+backend:
 
 * the **serial** and **threads** backends call it in-process against the
   caller's component MRFs (and, for WalkSAT, the caller's cached kernel
   states — the PR 2 state-reuse lifecycle);
-* the **processes** backend ships the task to a worker, which rebuilds the
-  component from the shared-memory buffer set
-  (:class:`~repro.parallel.buffers.ComponentBufferSet`) on first use,
-  caches the MRF *and* its kernel state, and runs the identical function.
+* the **processes** backend ships the task to a worker, which indexes the
+  component list it inherited through ``fork`` — the parent's own MRF
+  objects, never shipped, pickled or decoded — builds the component's
+  flat view and kernel state the first time it runs it (so a cold
+  request's state construction is split over the workers), caches the
+  state, and runs the identical function.
 
 The unit of IPC is the **chunk**: the scheduler hands the pool a batch of
 one request's tasks (:meth:`WorkerPool.submit_chunk`), the pool puts one
@@ -23,7 +26,7 @@ round-trips instead of one per component; a chunk of one task is the
 degenerate case, not a second path.
 
 Finished results ship back through shared memory, not pickling: every
-pool also packs a :class:`~repro.parallel.buffers.ResultBufferSet` —
+pool packs a :class:`~repro.parallel.buffers.ResultBufferSet` —
 one reserved region per component per *result bank* — and workers write
 each result in place, the task's token ``(index, payload, error,
 channel, events)`` riding its chunk's completion message.  A result that
@@ -64,7 +67,7 @@ from repro.inference.state import make_search_state
 from repro.inference.walksat import WalkSAT, WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.buffers import ComponentBufferSet, ResultBufferSet
+from repro.parallel.buffers import ResultBufferSet
 from repro.utils.clock import CostModel, SimulatedClock, wall_now, wall_sleep
 from repro.utils.rng import RandomSource
 
@@ -76,8 +79,9 @@ class ComponentTask:
     """One unit of work: search (or sample) one component.
 
     ``index`` is the component's position in the caller's component list —
-    it names the packed buffers on the processes backend and the result
-    slot on every backend.  ``seed`` is the derived child-stream seed
+    it names the worker's fork-inherited MRF and the shared-memory result
+    region on the processes backend, and the result slot on every backend.
+    ``seed`` is the derived child-stream seed
     (``parent_rng.spawn(index + 1).seed``), computed by the caller so the
     stream is a pure function of the run seed and the component id,
     independent of which worker runs the task or when.
@@ -211,7 +215,7 @@ class BoundedStateCache:
 
 def _worker_run_task(
     task: ComponentTask,
-    buffers: ComponentBufferSet,
+    components: Sequence[MRF],
     results: ResultBufferSet,
     states: BoundedStateCache,
 ) -> tuple:
@@ -228,7 +232,7 @@ def _worker_run_task(
     """
     traced = task.trace_events
     setup_start = wall_now() if traced else 0.0
-    mrf = buffers.component(task.index)
+    mrf = components[task.index]
     state = None
     if task.kind == "walksat":
         key = (task.index, task.walksat.kernel_backend)
@@ -260,7 +264,7 @@ def _worker_run_task(
 
 
 def _worker_main(
-    buffers: ComponentBufferSet,
+    components: Sequence[MRF],
     results: ResultBufferSet,
     task_queue,
     result_queue,
@@ -269,8 +273,11 @@ def _worker_main(
 ) -> None:
     """Worker loop: take a chunk, run its tasks, answer with one message.
 
-    The buffer sets are inherited through fork; MRFs and kernel states are
-    cached per (component, kernel backend) — the states bounded by
+    ``components`` and ``results`` are ``Process`` arguments, which under
+    the ``fork`` start method are inherited, never pickled: the component
+    MRFs *are* the parent's objects as of the fork.  Kernel states (and
+    with them the MRFs' flat/vector views) are built on a component's
+    first task here and cached per (component, kernel backend), bounded by
     ``WORKER_STATE_CACHE_UNITS`` — so a component re-dispatched across
     rounds (or across a persistent session's requests) reuses its state
     exactly like the serial driver does.
@@ -300,7 +307,7 @@ def _worker_main(
                 if stall_seconds > 0.0:
                     wall_sleep(stall_seconds)
                 try:
-                    tokens.append(_worker_run_task(task, buffers, results, states))
+                    tokens.append(_worker_run_task(task, components, results, states))
                 except BaseException as error:  # surface, don't hang the parent
                     tokens.append((task.index, None, repr(error), None, None))
                     break
@@ -314,22 +321,23 @@ def _worker_main(
                 )
             )
     finally:
-        buffers.close()
         results.close()
 
 
 class WorkerPool:
-    """A pool of forked workers sharing component and result buffer sets.
+    """A pool of forked workers over one component list and its result regions.
 
     The pool is reusable across runs (the engine session keeps one alive
-    between requests — workers' cached MRFs and kernel states stay warm,
-    and the result region is reused request after request) and is a
-    context manager: ``with WorkerPool(...) as pool`` guarantees both
-    shared-memory segments are unlinked even when the run raises.  The
-    constructor itself cleans up on failure, so an exception between
-    packing the buffers and starting the workers can never leak a
-    segment.  Never repack buffers on a live pool — build a new pool (the
-    ``fork-pool-lifecycle`` analysis rule enforces this).
+    between requests — workers' cached kernel states stay warm, and the
+    result region is reused request after request) and is a context
+    manager: ``with WorkerPool(...) as pool`` guarantees the shared-memory
+    segment is unlinked even when the run raises.  The constructor itself
+    cleans up on failure: whether shared-memory allocation, queue
+    construction or a process start raises, ``/dev/shm`` is left as it
+    was found.  Workers hold the component list and the result regions as
+    of the fork, so neither is ever rebound or repacked on a live pool —
+    build a new pool (the ``fork-pool-lifecycle`` analysis rule enforces
+    this).
 
     ``trace_capacity`` overrides the per-component result-region trace
     sizing (tests force the pickled fallback with a tiny capacity);
@@ -351,11 +359,14 @@ class WorkerPool:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         context = multiprocessing.get_context("fork")
-        self.buffers = ComponentBufferSet.pack(components)
+        #: What every worker inherits at fork time and the parent reads
+        #: ``atom_ids`` off when it rebuilds a shipped result.
+        self._components: List[MRF] = list(components)
+        # The only shared-memory allocation: if it raises there is nothing
+        # to undo, and everything after it is covered by the ``try`` below.
         self.result_buffers = ResultBufferSet.pack(
             components, trace_capacity, banks=result_banks
         )
-        self._packed: List[MRF] = list(components)
         self._closed = False
         #: Dotted-name counters (``pool.*``) — shared with the owning
         #: session's registry when one is injected, private otherwise so
@@ -400,7 +411,7 @@ class WorkerPool:
                     context.Process(
                         target=_worker_main,
                         args=(
-                            self.buffers,
+                            self._components,
                             self.result_buffers,
                             self._tasks,
                             self._results,
@@ -414,13 +425,12 @@ class WorkerPool:
                 process.start()
         except BaseException:
             # Undo a partial start: without this, the shared-memory
-            # segments (and any already-forked workers) would leak.
+            # segment (and any already-forked workers) would leak.
             for process in self._processes:
                 if process.is_alive():
                     process.terminate()
                     process.join()
             self._closed = True
-            self.buffers.destroy()
             self.result_buffers.destroy()
             raise
 
@@ -431,15 +441,18 @@ class WorkerPool:
         self.shutdown()
 
     def matches(self, components: Sequence[MRF]) -> bool:
-        """True when this pool was packed from exactly these components.
+        """True when this pool was forked over exactly these components.
 
-        Identity comparison, element-wise: the packed buffers snapshot the
-        component MRFs, so reuse is only sound for the same objects (the
-        session invalidates the pool when grounding produces new ones).
+        Identity comparison, element-wise: the workers hold a fork-time
+        snapshot of the component MRFs, so reuse is only sound for the
+        same objects (the session invalidates the pool when grounding
+        produces new ones).
         """
-        if self._closed or len(components) != len(self._packed):
+        if self._closed or len(components) != len(self._components):
             return False
-        return all(ours is theirs for ours, theirs in zip(self._packed, components))
+        return all(
+            ours is theirs for ours, theirs in zip(self._components, components)
+        )
 
     def submit_chunk(self, tasks: Sequence[ComponentTask]) -> None:
         """Queue one chunk — a batch of one request's tasks — as one message.
@@ -524,7 +537,7 @@ class WorkerPool:
                 task.walksat.trace_label if task.walksat is not None else ""
             )
             result, simulated_seconds = self.result_buffers.read_outcome(
-                index, self._packed[index].atom_ids, trace_label, bank=bank
+                index, self._components[index].atom_ids, trace_label, bank=bank
             )
             nbytes = self.result_buffers.outcome_nbytes(index, bank=bank)
             with self._route_lock:
@@ -668,5 +681,4 @@ class WorkerPool:
             self._tasks.put(None)
         for process in self._processes:
             process.join()
-        self.buffers.destroy()
         self.result_buffers.destroy()

@@ -309,10 +309,10 @@ def run_component_tasks(
 
     ``pool`` lends a caller-owned :class:`WorkerPool` (the engine
     session's persistent pool) to the ``processes`` backend: the pool must
-    have been packed from exactly these component objects, it is *not*
+    have been forked over exactly these component objects, it is *not*
     shut down here (the owner keeps it warm across calls), and it is
     ignored on the in-process backends.  Without it the scheduler builds
-    an ephemeral pool whose shared-memory segments are released in a
+    an ephemeral pool whose shared-memory segment is released in a
     ``finally`` even when a task raises.
 
     ``dispatch`` selects the dispatch loop (``"steal"`` work-stealing,
@@ -356,7 +356,7 @@ def run_component_tasks(
         local_states = None
         if pool is not None and not pool.matches(components):
             raise ValueError(
-                "the provided worker pool was packed for different components"
+                "the provided worker pool was forked over different components"
             )
     else:
         pool = None

@@ -125,12 +125,7 @@ class GreedyPartitioner:
                 cut_clauses.append(clause_index)
                 continue
             # Merge the components and account for the clause's literals.
-            iterator = iter(atom_ids)
-            first = next(iterator)
-            root = union_find.find(first)
-            for atom_id in iterator:
-                root = union_find.union(root, atom_id)
-            component_size[root] = combined
+            component_size[union_find.union_sequence(atom_ids)] = combined
             merged_clauses.append(clause_index)
 
         groups = union_find.groups()

@@ -381,47 +381,26 @@ class TestPoolTaskClosure:
 
 
 class TestPoolLifecycle:
-    def test_repacking_live_pool_fires(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {"parallel/pool.py": """\
+    #: The shape of the real pool: one packed buffer set (results only),
+    #: annotated bindings, and the component list handed to the workers
+    #: as a ``Process`` argument.
+    POOL_INIT = """\
             class WorkerPool:
-                def __init__(self, components, workers):
-                    self.buffers = ComponentBufferSet.pack(components)
-                    self._processes = [spawn() for _ in range(workers)]
-
-                def rebind(self, components):
-                    self.buffers = fresh_buffers(components)
-
-                def repack(self, components):
-                    ComponentBufferSet.pack(components)
-            """})
-        found = messages(report, "fork-pool-lifecycle")
-        assert len(found) == 2
-        assert any("rebinds self.buffers" in message for message in found)
-        assert any("repacks shared-memory buffers" in message for message in found)
-
-    def test_packing_in_init_and_shutdown_are_clean(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {"parallel/pool.py": """\
-            class WorkerPool:
-                def __init__(self, components, workers):
-                    self.buffers = ComponentBufferSet.pack(components)
-                    self._processes = [spawn() for _ in range(workers)]
-
-                def shutdown(self):
-                    for process in self._processes:
-                        process.join()
-                    self.buffers.destroy()
-            """})
-        assert report.findings == []
-
-    def test_result_buffer_repack_and_rebind_fire(self, tmp_path: Path) -> None:
-        # The rule generalises over every packed buffer set the pool owns:
-        # the result regions are as frozen as the component structure.
-        report = analyze(tmp_path, {"parallel/pool.py": """\
-            class WorkerPool:
-                def __init__(self, components, workers):
-                    self.buffers = ComponentBufferSet.pack(components)
+                def __init__(self, context, components, workers):
+                    self._components: List[MRF] = list(components)
                     self.result_buffers = ResultBufferSet.pack(components)
-                    self._processes = [spawn() for _ in range(workers)]
+                    self._processes: List[object] = []
+                    for worker_id in range(workers):
+                        self._processes.append(
+                            context.Process(
+                                target=_worker_main,
+                                args=(self._components, self.result_buffers, worker_id),
+                            )
+                        )
+"""
+
+    def test_repacking_live_pool_fires(self, tmp_path: Path) -> None:
+        report = analyze(tmp_path, {"parallel/pool.py": self.POOL_INIT + """\
 
                 def rebind(self, components):
                     self.result_buffers = fresh_buffers(components)
@@ -434,14 +413,78 @@ class TestPoolLifecycle:
         assert any("rebinds self.result_buffers" in message for message in found)
         assert any("repacks shared-memory buffers" in message for message in found)
 
+    def test_packing_in_init_and_shutdown_are_clean(self, tmp_path: Path) -> None:
+        report = analyze(tmp_path, {"parallel/pool.py": self.POOL_INIT + """\
+
+                def matches(self, components):
+                    return len(components) == len(self._components)
+
+                def shutdown(self):
+                    for process in self._processes:
+                        process.join()
+                    self.result_buffers.destroy()
+            """})
+        assert report.findings == []
+
+    def test_rebinding_fork_inherited_components_fires(self, tmp_path: Path) -> None:
+        # The workers index their fork-time snapshot of the list while the
+        # parent reads ``atom_ids`` off its own: a rebind (plain or
+        # annotated) desynchronises them exactly like a repack would.
+        report = analyze(tmp_path, {"parallel/pool.py": self.POOL_INIT + """\
+
+                def adopt(self, components):
+                    self._components = list(components)
+
+                def adopt_annotated(self, components):
+                    self._components: List[MRF] = list(components)
+            """})
+        found = messages(report, "fork-pool-lifecycle")
+        assert len(found) == 2
+        assert all("rebinds self._components" in message for message in found)
+
+    def test_any_buffers_attribute_marks_a_pool(self, tmp_path: Path) -> None:
+        # No attribute is literally called ``buffers``: the rule must not
+        # depend on that name to recognise a pool.
+        report = analyze(tmp_path, {"parallel/pool.py": """\
+            class Pool:
+                def __init__(self, components, workers):
+                    self.outcome_buffers_v2 = ResultBufferSet.pack(components)
+                    self._processes = [spawn() for _ in range(workers)]
+
+                def rebind(self, components):
+                    self.outcome_buffers_v2 = fresh_buffers(components)
+            """})
+        found = messages(report, "fork-pool-lifecycle")
+        assert len(found) == 1
+        assert "rebinds self.outcome_buffers_v2" in found[0]
+
+    def test_live_worker_pool_is_recognised(self) -> None:
+        # The rule is only as good as its pool detector: the real
+        # WorkerPool must be seen, with its fork-time state protected.
+        import ast
+
+        from repro.analysis.rules.concurrency import PoolLifecycleRule
+        from repro.parallel import pool as pool_module
+
+        tree = ast.parse(Path(pool_module.__file__).read_text())
+        rule = PoolLifecycleRule()
+        (worker_pool,) = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "WorkerPool"
+        ]
+        assert rule._is_pool_class(worker_pool)
+        inherited = rule._fork_inherited_attributes(rule._find_init(worker_pool))
+        assert {"_components", "result_buffers"} <= inherited
+
     def test_non_pool_class_and_other_dirs_are_clean(self, tmp_path: Path) -> None:
         repacker = """\
             class BufferCache:
                 def __init__(self, components):
-                    self.buffers = ComponentBufferSet.pack(components)
+                    self.result_buffers = ResultBufferSet.pack(components)
 
                 def refresh(self, components):
-                    self.buffers = ComponentBufferSet.pack(components)
+                    self.result_buffers = ResultBufferSet.pack(components)
             """
         report = analyze(
             tmp_path,

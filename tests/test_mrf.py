@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets.example1 import example1_mrf, example1_optimal_cost, example1_store
 from repro.grounding.clause_table import GroundClause, GroundClauseStore
-from repro.mrf.components import connected_components
+from repro.mrf.components import ComponentDecomposition, connected_components
 from repro.mrf.cost import (
     all_false_assignment,
     assignment_cost,
@@ -18,6 +18,87 @@ from repro.mrf.cost import (
 )
 from repro.mrf.graph import MRF
 from repro.mrf.union_find import UnionFind
+
+
+class _ReferenceUnionFind:
+    """The union-find as it was before ``union_sequence`` (the oracle's)."""
+
+    def __init__(self, elements=()):
+        self._parent = {}
+        self._size = {}
+        for element in elements:
+            self.add(element)
+
+    def add(self, element):
+        if element not in self._parent:
+            self._parent[element] = element
+            self._size[element] = 1
+
+    def find(self, element):
+        root = element
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[element] != root:
+            self._parent[element], element = root, self._parent[element]
+        return root
+
+    def union(self, left, right):
+        self.add(left)
+        self.add(right)
+        left_root = self.find(left)
+        right_root = self.find(right)
+        if left_root == right_root:
+            return left_root
+        if self._size[left_root] < self._size[right_root]:
+            left_root, right_root = right_root, left_root
+        self._parent[right_root] = left_root
+        self._size[left_root] += self._size[right_root]
+        return left_root
+
+    def groups(self):
+        result = {}
+        for element in self._parent:
+            result.setdefault(self.find(element), []).append(element)
+        return result
+
+
+def reference_connected_components(source):
+    """``connected_components`` as it was before the single-scan rewrite.
+
+    Pairwise unions over a deduplicated ``clause.atom_ids``, a second scan
+    to bucket clauses, component MRFs re-derived by ``from_clauses`` —
+    kept verbatim as the oracle for component order, per-component clause
+    order, ``atom_ids`` and ``atom_to_component``.
+    """
+    mrf = source if isinstance(source, MRF) else MRF.from_store(source)
+    union_find = _ReferenceUnionFind(mrf.atom_ids)
+    for clause in mrf.clauses:
+        atom_ids = list(dict.fromkeys(clause.atom_ids))
+        for left, right in zip(atom_ids, atom_ids[1:]):
+            union_find.union(left, right)
+
+    groups = union_find.groups()
+    clause_groups = {root: [] for root in groups}
+    for clause in mrf.clauses:
+        root = union_find.find(clause.atom_ids[0])
+        clause_groups[root].append(clause)
+
+    decomposition = ComponentDecomposition()
+    ordered_roots = sorted(groups, key=lambda root: min(groups[root]))
+    for index, root in enumerate(ordered_roots):
+        component = MRF.from_clauses(clause_groups[root], extra_atoms=groups[root])
+        decomposition.components.append(component)
+        for atom_id in groups[root]:
+            decomposition.atom_to_component[atom_id] = index
+    return decomposition
+
+
+#: Clauses over a small atom universe so that merges, repeated atoms inside
+#: a clause (``(3, -3, 5)``, ``(2, 2)``) and unit clauses are all common.
+_literals = st.integers(min_value=1, max_value=14).flatmap(
+    lambda atom: st.sampled_from((atom, -atom))
+)
+_clause_literals = st.lists(st.lists(_literals, min_size=1, max_size=4), max_size=25)
 
 
 def small_store():
@@ -50,6 +131,31 @@ class TestUnionFind:
         with pytest.raises(KeyError):
             UnionFind().find("nope")
 
+    def test_union_sequence_requires_registered_elements(self):
+        dsu = UnionFind(range(3))
+        assert dsu.union_sequence(()) is None
+        assert dsu.union_sequence((2,)) == 2
+        with pytest.raises(KeyError):
+            dsu.union_sequence((0, 7))
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 15), min_size=1, max_size=5), max_size=30
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_union_sequence_picks_the_roots_pairwise_union_picks(self, sequences):
+        """Same by-size root choice as ``union(e0, e1); union(e1, e2); ...``."""
+        ours = UnionFind(range(16))
+        reference = _ReferenceUnionFind(range(16))
+        for sequence in sequences:
+            root = ours.union_sequence(sequence)
+            for left, right in zip(sequence, sequence[1:]):
+                reference.union(left, right)
+            assert root == reference.find(sequence[0])
+        assert ours.groups() == reference.groups()
+        assert list(ours.groups()) == list(reference.groups())
+
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_connectivity_matches_reference(self, edges):
@@ -68,7 +174,7 @@ class TestUnionFind:
 
 
 class TestMRFGraph:
-    def test_from_store_builds_adjacency(self):
+    def test_from_store_answers_adjacency_queries(self):
         mrf = MRF.from_store(small_store())
         assert mrf.atom_count == 6
         assert mrf.clause_count == 4
@@ -77,6 +183,44 @@ class TestMRFGraph:
         assert mrf.degree(2) == 2
         assert set(mrf.clauses_of_atom(2)) == {0, 1}
         assert mrf.neighbors(2) == frozenset({1, 3})
+
+    def test_adjacency_is_built_on_first_use_and_once(self):
+        clauses = small_store().clauses()
+        for mrf in (MRF.from_store(small_store()), MRF.from_clauses(clauses)):
+            assert mrf._adjacency is None  # construction builds none
+            assert mrf.degree(2) == 2
+            built = mrf._adjacency
+            assert built is not None
+            mrf.clauses_of_atom(3)
+            mrf.neighbors(5)
+            assert mrf._adjacency is built
+
+    def test_equality_ignores_which_accessor_ran(self):
+        left = MRF.from_store(small_store())
+        right = MRF.from_store(small_store())
+        assert left == right
+        assert left.degree(2) == 2
+        assert left == right and right._adjacency is None
+
+    @given(_clause_literals, st.lists(st.integers(15, 18), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_lazy_adjacency_matches_a_direct_scan(self, literal_lists, extra_atoms):
+        clauses = [
+            GroundClause(index + 1, tuple(literals), 1.0)
+            for index, literals in enumerate(literal_lists)
+        ]
+        mrf = MRF.from_clauses(clauses, extra_atoms=extra_atoms)
+        for atom_id in mrf.atom_ids:
+            mentioning = [
+                index
+                for index, clause in enumerate(clauses)
+                if atom_id in clause.atom_ids
+            ]
+            assert mrf.clauses_of_atom(atom_id) == mentioning
+            assert mrf.degree(atom_id) == len(mentioning)
+            together = {a for index in mentioning for a in clauses[index].atom_ids}
+            assert mrf.neighbors(atom_id) == frozenset(together - {atom_id})
+        assert mrf.degree(99) == 0 and mrf.clauses_of_atom(99) == []
 
     def test_subgraph_and_cut(self):
         mrf = MRF.from_store(small_store())
@@ -174,6 +318,60 @@ class TestComponents:
         store.add((10,), 1.0)
         ordered = connected_components(store).sorted_by_size()
         assert ordered[0].atom_count >= ordered[-1].atom_count
+
+    @staticmethod
+    def _assert_same_decomposition(ours, reference):
+        assert len(ours.components) == len(reference.components)
+        for component, expected in zip(ours.components, reference.components):
+            assert component.atom_ids == expected.atom_ids
+            assert len(component.clauses) == len(expected.clauses)
+            assert all(
+                clause is other
+                for clause, other in zip(component.clauses, expected.clauses)
+            )
+            assert component == expected
+        # Dict order included: it is the order atoms were assigned in.
+        assert list(ours.atom_to_component.items()) == list(
+            reference.atom_to_component.items()
+        )
+
+    @given(_clause_literals, st.lists(st.integers(1, 20), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_single_scan_matches_reference_on_mrfs(self, literal_lists, extra_atoms):
+        # Clause objects built directly: repeated atoms inside a clause
+        # survive (the store would drop or merge them).
+        clauses = [
+            GroundClause(index + 1, tuple(literals), float(index % 3) - 0.5)
+            for index, literals in enumerate(literal_lists)
+        ]
+        mrf = MRF.from_clauses(clauses, extra_atoms=extra_atoms)
+        self._assert_same_decomposition(
+            connected_components(mrf), reference_connected_components(mrf)
+        )
+
+    @given(_clause_literals)
+    @settings(max_examples=100, deadline=None)
+    def test_single_scan_matches_reference_on_stores(self, literal_lists):
+        store = GroundClauseStore()
+        for literals in literal_lists:
+            store.add(literals, 1.0)
+        self._assert_same_decomposition(
+            connected_components(store), reference_connected_components(store)
+        )
+
+    def test_single_scan_matches_reference_on_datasets(self):
+        from repro.datasets import DatasetScale, load_dataset
+        from repro.grounding.bottom_up import BottomUpGrounder
+
+        for name in ("RC", "IE", "ER"):
+            program = load_dataset(name, DatasetScale(factor=0.5, seed=2)).program
+            grounding = BottomUpGrounder().ground(
+                program.clauses(), program.build_atom_registry()
+            )
+            mrf = MRF.from_store(grounding.clauses)
+            self._assert_same_decomposition(
+                connected_components(mrf), reference_connected_components(mrf)
+            )
 
     def test_example1_optimal_cost_helper(self):
         assert example1_optimal_cost(7) == 7.0

@@ -167,6 +167,49 @@ class TestSpanTreeShape:
                 assert parent.name.startswith("component[")
                 assert "worker" in span.attributes
 
+    def test_clause_ingest_is_split_out_of_the_ground_span(self):
+        # Each first-order clause's query time is (relational query) +
+        # (clause-store ingest); the ingest half is visible three ways
+        # that must agree: per-clause stats, child spans of ``ground``,
+        # and one session metric.  A delta's replayed clauses are all
+        # ingest.
+        dataset = load_dataset("RC", DatasetScale(factor=0.25, seed=0))
+        config = InferenceConfig(seed=0, tracing="on", execution_backend="columnar")
+        with EngineSession(dataset.program, config) as session:
+            grounding = session.ground()
+            spans = session.tracer.spans()
+            (ground,) = [span for span in spans if span.name == "ground"]
+            ingests = [span for span in spans if span.name == "clause-ingest"]
+            assert ingests and all(s.parent_id == ground.span_id for s in ingests)
+            assert [s.attributes["clause"] for s in ingests] == [
+                stats.clause_name for stats in grounding.per_clause if stats.sql
+            ]
+            for stats in grounding.per_clause:
+                assert 0.0 <= stats.ingest_seconds <= stats.seconds
+            total = sum(stats.ingest_seconds for stats in grounding.per_clause)
+            assert total > 0.0
+            assert session.metrics.counter("grounding.ingest_seconds") == total
+            # The span sits inside the stopwatch, around the same call.
+            assert 0.0 < sum(s.wall_duration for s in ingests) <= total
+
+            fact = next(
+                f.atom.argument_values()
+                for f in dataset.program.evidence
+                if f.atom.predicate.name == "wrote"
+            )
+            session.remove_evidence("wrote", fact)
+            delta = session.ground()
+            replayed = [
+                span
+                for span in session.tracer.spans()
+                if span.name == "clause-ingest" and span.attributes.get("replayed")
+            ]
+            assert len(replayed) == session.last_ground_report.clauses_replayed > 0
+            replayed_names = {span.attributes["clause"] for span in replayed}
+            for stats in delta.per_clause:
+                if stats.clause_name in replayed_names:
+                    assert stats.ingest_seconds == stats.seconds
+
     def test_stitched_order_is_deterministic(self):
         first = self._traced_session_run("threads", workers=4)
         second = self._traced_session_run("threads", workers=4)

@@ -1,8 +1,9 @@
-"""The partition scheduler: buffers, dispatch order, deadline handling.
+"""The partition scheduler: worker start, dispatch order, deadline handling.
 
 Covers the pieces under the ``parallel_backend`` seam that the parity
-suite does not: the shared-memory component buffers round-trip exactly,
-dispatch is largest-first, ``scheduling.run_components`` honors the
+suite does not: workers search the parent's own component objects (one
+shared-memory segment per pool, for results only), dispatch is
+largest-first, ``scheduling.run_components`` honors the
 deadline by post-hoc bookkeeping (a dispatch position counts iff the
 summed simulated costs of the positions before it stay under the
 deadline — identical across backends, dispatch modes and worker counts),
@@ -23,11 +24,12 @@ from repro.inference.scheduling import run_components
 from repro.inference.walksat import WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.parallel import processes_available
-from repro.parallel.buffers import ComponentBufferSet
+from repro.parallel.buffers import ResultBufferSet
 from repro.parallel.merge import gauss_seidel_refine
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import pool as pool_module
 from repro.parallel.pool import (
+    BoundedStateCache,
     ComponentOutcome,
     ComponentTask,
     WorkerPool,
@@ -106,51 +108,74 @@ def zero_flip_placeholder(components):
     return placeholder
 
 
-class TestComponentBuffers:
-    def test_roundtrip_preserves_structure(self):
-        components = sized_components()
-        # A hard and a negative clause exercise the weight encoding.
-        store = GroundClauseStore()
-        store.add((300, 301), math.inf)
-        store.add((-301, 302), -2.5)
-        components.append(MRF.from_store(store))
-        buffers = ComponentBufferSet.pack(components)
-        try:
-            assert len(buffers) == len(components)
-            for index, original in enumerate(components):
-                rebuilt = buffers.component(index)
-                assert rebuilt.atom_ids == original.atom_ids
-                assert [c.literals for c in rebuilt.clauses] == [
-                    c.literals for c in original.clauses
-                ]
-                assert [c.weight for c in rebuilt.clauses] == [
-                    c.weight for c in original.clauses
-                ]
-                original_view = original.flat_view()
-                rebuilt_view = rebuilt.flat_view()
-                assert rebuilt_view.clause_codes == original_view.clause_codes
-                assert rebuilt_view.adjacency == original_view.adjacency
-                assert (
-                    rebuilt_view.clause_atom_positions
-                    == original_view.clause_atom_positions
-                )
-                # Rebuilt components are cached, not rebuilt per task.
-                assert buffers.component(index) is rebuilt
-        finally:
-            buffers.destroy()
+def weighted_components():
+    """``sized_components`` plus one with a hard and a negative clause."""
+    store = GroundClauseStore()
+    store.add((300, 301), math.inf)
+    store.add((-301, 302), -2.5)
+    return sized_components() + [MRF.from_store(store)]
 
-    def test_rebuilt_component_searches_identically(self):
-        components = sized_components()
-        buffers = ComponentBufferSet.pack(components)
+
+class TestForkInheritedComponents:
+    """Workers index the parent's component list; nothing is shipped down."""
+
+    @pytest.mark.skipif(
+        not processes_available(), reason="fork start method unavailable"
+    )
+    def test_pool_owns_exactly_one_segment_and_unlinks_it(self):
+        before = set(os.listdir("/dev/shm"))
+        pool = WorkerPool(weighted_components(), 2)
         try:
-            task = walksat_tasks(components)[0]
-            original = execute_component_task(task, components[0])
-            rebuilt = execute_component_task(task, buffers.component(0))
-            assert rebuilt.result.best_assignment == original.result.best_assignment
-            assert rebuilt.result.best_cost == original.result.best_cost
-            assert rebuilt.simulated_seconds == original.simulated_seconds
+            assert len(set(os.listdir("/dev/shm")) - before) == 1
         finally:
-            buffers.destroy()
+            pool.shutdown()
+        assert set(os.listdir("/dev/shm")) == before
+
+    def test_worker_searches_the_parents_component_object(self, monkeypatch):
+        components = weighted_components()
+        searched = []
+        real = execute_component_task
+
+        def spy(task, mrf, state=None):
+            searched.append((mrf, state))
+            return real(task, mrf, state)
+
+        monkeypatch.setattr(pool_module, "execute_component_task", spy)
+        results = ResultBufferSet.pack(components)
+        try:
+            states = BoundedStateCache()
+            for task in walksat_tasks(components):
+                assert components[task.index]._flat_view is None
+                pool_module._worker_run_task(task, components, results, states)
+        finally:
+            results.destroy()
+        # The task ran on the very object the parent holds, and its flat
+        # view was built by the worker's first use, not ahead of it.
+        for (mrf, state), component in zip(searched, components):
+            assert mrf is component
+            assert state.mrf is component
+            assert component._flat_view is not None
+
+    @pytest.mark.skipif(
+        not processes_available(), reason="fork start method unavailable"
+    )
+    def test_forked_worker_searches_identically(self):
+        components = weighted_components()
+        tasks = walksat_tasks(components)
+        with WorkerPool(components, 2) as pool:
+            pool.submit_chunk(tasks)
+            shipped = {
+                outcome.index: outcome for outcome in pool.drain(len(tasks))
+            }
+            pool.finish_request(0)
+        for task in tasks:
+            local = execute_component_task(task, components[task.index])
+            remote = shipped[task.index]
+            assert remote.result.best_assignment == local.result.best_assignment
+            assert list(remote.result.best_assignment) == components[task.index].atom_ids
+            assert remote.result.best_cost == local.result.best_cost
+            assert remote.result.flips == local.result.flips
+            assert remote.simulated_seconds == local.simulated_seconds
 
 
 class TestDispatchOrder:

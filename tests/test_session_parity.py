@@ -13,6 +13,8 @@ call sequence* (registry build, then the ordered ``add_evidence`` calls)
 asserted via the grounding delta report's counters.
 """
 
+import os
+
 import pytest
 
 from repro.core.config import InferenceConfig
@@ -23,7 +25,8 @@ from repro.datasets.example1 import example1_mrf
 from repro.mrf.components import connected_components
 from repro.parallel import processes_available
 from repro.parallel import pool as pool_module
-from repro.parallel.buffers import ComponentBufferSet
+from repro.parallel import buffers as buffers_module
+from repro.parallel.buffers import ResultBufferSet
 from repro.parallel.pool import BoundedStateCache, WorkerPool
 
 BACKENDS = [
@@ -359,6 +362,79 @@ class TestEvidenceRetraction:
 
 
 @pytest.mark.skipif(not processes_available(), reason="fork start method unavailable")
+def _store_fingerprint(store):
+    return (
+        [
+            (clause.clause_id, clause.literals, clause.weight, clause.source)
+            for clause in store
+        ],
+        store.evidence_violation_cost,
+        store.tautologies,
+        store.satisfied_by_evidence,
+    )
+
+
+class TestBatchReplayParity:
+    """A recorded ``add_batch`` event replays to the store a re-run builds.
+
+    Two sessions walk the same add/retract schedule, one replaying
+    unchanged clauses from its recorded events (batches as batches), the
+    other re-executing every relational query; after every step their
+    clause stores must be bit-identical.
+    """
+
+    #: dataset -> a closed-world predicate only some of its rules read.
+    DELTA_PREDICATE = {"RC": "refers", "IE": "next", "ER": "simMed"}
+
+    @pytest.mark.parametrize("dataset", sorted(DELTA_PREDICATE))
+    def test_replayed_store_equals_reexecuted_store(self, dataset):
+        def program():
+            return load_dataset(dataset, DatasetScale(factor=0.5, seed=1)).program
+
+        predicate = self.DELTA_PREDICATE[dataset]
+        fact = next(
+            fact.atom.argument_values()
+            for fact in program().evidence
+            if fact.atom.predicate.name == predicate
+        )
+        schedule = [
+            ("remove_evidence", fact),
+            ("add_evidence", fact),
+            ("remove_evidence", fact),
+        ]
+        base = dict(seed=0, execution_backend="columnar")
+        with TuffyEngine(program(), InferenceConfig(**base)) as replaying, TuffyEngine(
+            program(), InferenceConfig(delta_grounding=False, **base)
+        ) as reexecuting:
+            assert _store_fingerprint(replaying.ground().clauses) == _store_fingerprint(
+                reexecuting.ground().clauses
+            )
+            recorded = replaying.session._bottom_up_grounder()._replay
+            assert any(
+                kind == "add_batch"
+                for replay in recorded.values()
+                for kind, _payload in replay.events
+            )
+            for step, (call, arguments) in enumerate(schedule):
+                getattr(replaying, call)(predicate, arguments)
+                getattr(reexecuting, call)(predicate, arguments)
+                replayed = replaying.ground()
+                executed = reexecuting.ground()
+                report = replaying.session.last_ground_report
+                assert report.clauses_replayed > 0, (dataset, step)
+                assert reexecuting.session.last_ground_report.clauses_replayed == 0
+                assert _store_fingerprint(replayed.clauses) == _store_fingerprint(
+                    executed.clauses
+                ), (dataset, step)
+                assert [
+                    (stats.ground_clauses, stats.pruned_bindings, stats.intermediate_tuples)
+                    for stats in replayed.per_clause
+                ] == [
+                    (stats.ground_clauses, stats.pruned_bindings, stats.intermediate_tuples)
+                    for stats in executed.per_clause
+                ], (dataset, step)
+
+
 class TestPersistentPool:
     def test_pool_forked_once_and_shared_across_request_kinds(self):
         config = _rc_config(
@@ -431,7 +507,7 @@ class TestWorkerPoolLifecycle:
 
     def test_constructor_failure_destroys_shared_memory(self, components, monkeypatch):
         destroyed = []
-        original_destroy = ComponentBufferSet.destroy
+        original_destroy = ResultBufferSet.destroy
 
         def spying_destroy(self):
             destroyed.append(True)
@@ -441,7 +517,7 @@ class TestWorkerPoolLifecycle:
             def Queue(self):
                 raise RuntimeError("queue construction failed")
 
-        monkeypatch.setattr(ComponentBufferSet, "destroy", spying_destroy)
+        monkeypatch.setattr(ResultBufferSet, "destroy", spying_destroy)
         monkeypatch.setattr(
             pool_module.multiprocessing,
             "get_context",
@@ -450,6 +526,65 @@ class TestWorkerPoolLifecycle:
         with pytest.raises(RuntimeError, match="queue construction failed"):
             WorkerPool(components, 2)
         assert destroyed, "shared-memory segment leaked on constructor failure"
+
+    @pytest.mark.skipif(
+        not processes_available(), reason="fork start method unavailable"
+    )
+    @pytest.mark.parametrize("failing_allocation", [1, 2])
+    def test_shm_allocation_failure_leaves_dev_shm_unchanged(
+        self, components, monkeypatch, failing_allocation
+    ):
+        # Regression: a second segment's allocation used to fail *outside*
+        # the constructor's cleanup, leaking the first.  However many
+        # segments a pool allocates (today: one), a failure at any of
+        # them must leave /dev/shm as it was found.
+        before = set(os.listdir("/dev/shm"))
+        real = buffers_module.shared_memory.SharedMemory
+        allocations = []
+
+        def flaky(*args, **kwargs):
+            allocations.append(kwargs)
+            if len(allocations) == failing_allocation:
+                raise OSError(28, "No space left on device")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(buffers_module.shared_memory, "SharedMemory", flaky)
+        try:
+            pool = WorkerPool(components, 2)
+        except OSError:
+            pass
+        else:
+            pool.shutdown()
+        assert set(os.listdir("/dev/shm")) == before
+
+    @pytest.mark.skipif(
+        not processes_available(), reason="fork start method unavailable"
+    )
+    def test_process_start_failure_leaves_dev_shm_unchanged(
+        self, components, monkeypatch
+    ):
+        before = set(os.listdir("/dev/shm"))
+        fork = pool_module.multiprocessing.get_context("fork")
+        started = []
+
+        class SecondStartFails(fork.Process):
+            def start(self):
+                if started:
+                    raise OSError(11, "Resource temporarily unavailable")
+                super().start()
+                started.append(self)
+
+        class Context:
+            Queue = staticmethod(fork.Queue)
+            Process = SecondStartFails
+
+        monkeypatch.setattr(
+            pool_module.multiprocessing, "get_context", lambda method: Context()
+        )
+        with pytest.raises(OSError, match="temporarily unavailable"):
+            WorkerPool(components, 2)
+        assert set(os.listdir("/dev/shm")) == before
+        assert len(started) == 1 and not started[0].is_alive()
 
 
 class TestBoundedStateCache:
