@@ -119,6 +119,7 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python benchmarks/bench_obs_overhead
 
 # One traced run of an e2e workload on every check log: the run must exit
 # 0 and report "correct": true; the named per-layer metrics are printed.
+# A NAME=VALUE argument is a count the run must report exactly.
 e2e_traced_run() {
   local workload="$1"
   shift
@@ -130,8 +131,11 @@ result = json.loads(open(path).read().splitlines()[-1])
 if not result["correct"] or result["failed"]:
     sys.exit(f"{workload}: correct={result['correct']} failed={result['failed']}/{result['attempted']}")
 for name in names:
+    name, _, expected = name.partition("=")
     metric = result["metrics"][name]
     print(f"{workload}  {name:<40} {metric['value']:.4f} {metric['unit']}")
+    if expected and metric["value"] != float(expected):
+        sys.exit(f"{workload}: {name} is {metric['value']:g}, expected {expected}")
 PYEOF
 }
 
@@ -145,13 +149,16 @@ e2e_traced_run ie_warm_map \
   parallel.dispatch_overhead_ratio parallel.worker_busy_share inference.worker_state_setup_s
 
 # The cold request, stage by stage: the one-shot workload (RC, 74,776
-# ground clauses, 96 components, 2 workers).  The five numbers are where
+# ground clauses, 96 components, 2 workers).  The six numbers are where
 # a cold request's time goes before the first flip — grounding, MRF
-# build, component detection, pool checkout (fork) and the workers'
-# first-use state construction.
+# build, component detection, pool checkout (fork), the workers'
+# first-use state construction and the same construction staged in one
+# process.  The two counts must repeat exactly: a clause store that drops
+# or duplicates a row changes them.
 echo "== e2e benchmark: rc_cold_map traced run (the stages before the first flip) =="
 e2e_traced_run rc_cold_map \
   grounding.ground_s mrf.build_s mrf.components_s parallel.pool_checkout_s \
-  inference.worker_state_setup_s
+  inference.worker_state_setup_s inference.state_build_s \
+  grounding.ground_clauses=74776 mrf.components=96
 
 echo "== check.sh OK =="

@@ -99,9 +99,18 @@ class UnorderedIterationRule(Rule):
                     yield source.finding(node.args[0], self.id, self._MESSAGE)
 
 
+#: The deterministic core: results there must be bit-reproducible.
+_CORE_DIRS = ("inference", "grounding", "mrf", "parallel", "partitioning", "rdbms")
+
+#: numpy reductions that add floats pairwise (``np.add.reduce`` and what
+#: is built on it), not in one left-to-right sequence.
+_PAIRWISE_REDUCTIONS = ("sum", "mean", "dot")
+_PAIRWISE_ADD_METHODS = ("reduce", "reduceat")
+
+
 @register
 class UnorderedFloatSumRule(Rule):
-    """Float accumulation over an unordered iterable."""
+    """Float accumulation over an unordered iterable, or in pairwise order."""
 
     id: ClassVar[str] = "det-float-sum"
     family: ClassVar[str] = "determinism"
@@ -109,12 +118,24 @@ class UnorderedFloatSumRule(Rule):
         "sum()/math.fsum() over a set (or a generator driven by one) "
         "accumulates floats in hash order; float addition is not associative, "
         "so totals drift across runs and machines. Accumulate over a "
-        "deterministically ordered sequence instead."
+        "deterministically ordered sequence instead. In the deterministic "
+        "core (inference/grounding/mrf/parallel/partitioning/rdbms), "
+        "np.sum/np.mean/np.dot/np.add.reduce/np.add.reduceat are flagged "
+        "too: they add pairwise, so a total differs in the last bits from "
+        "the sequential sum the other backends compute (np.bincount and "
+        "Python's sum() over an ordered sequence add left to right). "
+        "Integer and boolean counts are exact: allow(...) them inline."
     )
 
     _MESSAGE = (
         "float accumulation over an unordered iterable; the sequential-"
         "accumulation invariant requires a deterministic addition order"
+    )
+    _PAIRWISE_MESSAGE = (
+        "numpy {name} adds pairwise, not left to right: a float total is not "
+        "bit-identical to the sequential one; accumulate in order (sum() over "
+        "an ordered sequence, np.bincount), or allow(det-float-sum) an "
+        "integer/boolean count"
     )
 
     def _is_sum_call(self, node: ast.Call) -> bool:
@@ -128,8 +149,42 @@ class UnorderedFloatSumRule(Rule):
             and func.value.id == "math"
         )
 
+    def _pairwise_reduction(
+        self, node: ast.Call, numpy_names: Set[str], imported: Dict[str, str]
+    ) -> Optional[str]:
+        """``np.sum``-style name of a pairwise numpy reduction call, if it is one."""
+        func = node.func
+        if isinstance(func, ast.Name):
+            original = imported.get(func.id)
+            return f"{original}()" if original in _PAIRWISE_REDUCTIONS else None
+        if not isinstance(func, ast.Attribute):
+            return None
+        base = func.value
+        if isinstance(base, ast.Name) and base.id in numpy_names:
+            if func.attr in _PAIRWISE_REDUCTIONS:
+                return f"{base.id}.{func.attr}()"
+        elif (
+            func.attr in _PAIRWISE_ADD_METHODS
+            and isinstance(base, ast.Attribute)
+            and base.attr == "add"
+            and isinstance(base.value, ast.Name)
+            and base.value.id in numpy_names
+        ):
+            return f"{base.value.id}.add.{func.attr}()"
+        return None
+
     def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+        core = source.in_directory(*_CORE_DIRS)
+        numpy_names = _module_aliases(source, "numpy") if core else set()
+        imported = _from_imports(source, "numpy") if core else {}
         for node in source.walk():
+            if core and isinstance(node, ast.Call):
+                name = self._pairwise_reduction(node, numpy_names, imported)
+                if name is not None:
+                    yield source.finding(
+                        node, self.id, self._PAIRWISE_MESSAGE.format(name=name)
+                    )
+                    continue
             if not (isinstance(node, ast.Call) and self._is_sum_call(node) and node.args):
                 continue
             argument = node.args[0]
@@ -229,7 +284,7 @@ class WallClockRule(Rule):
         "(repro/utils/clock.py is the sanctioned wrapper)."
     )
 
-    _SCOPED_DIRS = ("inference", "grounding", "mrf", "parallel", "partitioning", "rdbms")
+    _SCOPED_DIRS = _CORE_DIRS
     _DATETIME_ATTRS = ("now", "utcnow", "today")
 
     def applies_to(self, source: SourceFile) -> bool:

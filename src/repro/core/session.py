@@ -1142,11 +1142,12 @@ class EngineSession:
 
     @staticmethod
     def _component_signature(component: MRF):
+        columns = component.columns()
         return (
             tuple(component.atom_ids),
-            tuple(
-                (clause.literals, clause.weight) for clause in component.clauses
-            ),
+            columns.offsets.tobytes(),
+            columns.literals.tobytes(),
+            columns.weights.tobytes(),
         )
 
     def _split_components(

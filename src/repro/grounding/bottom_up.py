@@ -12,9 +12,10 @@ the columnar backend the per-literal evidence-outcome logic
 (:func:`repro.grounding.pruning.literal_outcome`) is evaluated over whole
 aid/truth columns at once and the surviving signed-literal rows are bulk
 appended through :meth:`~repro.grounding.clause_table.GroundClauseStore.add_batch`
-— no per-row Python work between the relational engine and the clause
-store.  Both consumers are bit-for-bit identical: same clauses, same
-order, same statistics (the grounding parity suite enforces this).
+to the store's columns — no per-row Python object between the relational
+engine's arrays and the clause table's arrays.  Both consumers are
+bit-for-bit identical: same clauses, same order, same statistics (the
+grounding parity suite enforces this).
 
 Delta-grounding
 ---------------

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.grounding.clause_table import GroundClauseStore
+from repro.grounding.clause_table import GroundClauseStore, table_weight
 from repro.inference.state import make_search_state
 from repro.inference.tracing import TimeCostTrace
 from repro.inference.walksat import WalkSATOptions, WalkSATResult
@@ -204,12 +204,11 @@ class RDBMSWalkSAT:
         clause_rows: List[_StoredClause] = []
         clause_table = self.database.table(CLAUSE_TABLE)
         for clause in mrf.clauses:
-            weight = 1e300 if clause.is_hard else clause.weight
             row = clause_table.schema.validate_row(
                 (
                     clause.clause_id,
                     " ".join(str(literal) for literal in clause.literals),
-                    weight,
+                    table_weight(clause.weight),
                     clause.source or "",
                 )
             )

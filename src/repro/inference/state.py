@@ -7,8 +7,10 @@ kernel — the in-memory half of the hybrid architecture (paper, Section 3.2),
 kept deliberately close to flat, cache-friendly data:
 
 * **Flat arrays.**  The truth assignment (``array('b')``) and per-clause
-  effective |weight| (``array('d')``) are dense buffers indexed by
-  atom/clause position.  The per-clause satisfied-literal counts are a
+  effective |weight| (``array('d')``, derived from the MRF's weight
+  column with C-level ``map``/``sum`` passes, never from clause objects)
+  are dense buffers indexed by atom/clause position.  The per-clause
+  satisfied-literal counts are a
   dense position-indexed *list*: it is read and written on every
   adjacency entry of every flip, and CPython list indexing is about twice
   as fast as ``array`` indexing (arrays unbox on access), which measurably
@@ -17,10 +19,11 @@ kept deliberately close to flat, cache-friendly data:
 * **Shared flat structure.**  The clause → literal and atom → clause
   relations come from the MRF's cached :class:`~repro.mrf.graph.MRFFlatView`
   (per-clause signed literal-code tuples and per-atom
-  ``(clause, polarity)`` adjacency tuples, all position-indexed), so
-  nothing is allocated per step and every state over the same MRF shares
-  one copy.  The distinct atom positions of each clause are deduplicated
-  once per MRF instead of on every step.
+  ``(clause, polarity)`` adjacency tuples, all position-indexed, built
+  from the MRF's clause columns), so nothing is allocated per step and
+  every state over the same MRF shares one copy.  The distinct atom
+  positions of each clause are deduplicated once per MRF instead of on
+  every step.
 * **Violated set.**  A list plus position map, so sampling, insertion and
   removal are all O(1).  It is touched only when a clause's satisfied
   count crosses zero, and entries are maintained in the exact order the
@@ -76,26 +79,28 @@ class SearchState:
         self.atom_ids: List[int] = view.atom_ids
         self._position: Dict[int, int] = view.atom_position
 
+        weights = mrf.weight_column().tolist()
+        magnitudes = list(map(abs, weights))
+        inf = math.inf
+        hard_count = magnitudes.count(inf)
         if hard_penalty is not None:
             self.hard_penalty = hard_penalty
         else:
-            soft_total = sum(abs(c.weight) for c in mrf.clauses if not c.is_hard)
-            self.hard_penalty = max(10.0 * soft_total, 10.0)
+            # Sequential, in clause order.
+            soft = [m for m in magnitudes if m != inf] if hard_count else magnitudes
+            self.hard_penalty = max(10.0 * sum(soft), 10.0)
 
         # Effective |weight| used for cost bookkeeping (hard -> large penalty).
-        self._abs_weight = array(
-            "d",
-            [
-                self.hard_penalty if clause.is_hard else abs(clause.weight)
-                for clause in mrf.clauses
-            ],
-        )
-        # A clause with negative weight is violated when satisfied.
-        self._negated: List[bool] = [clause.weight < 0 for clause in mrf.clauses]
+        if hard_count:
+            penalty = self.hard_penalty
+            magnitudes = [penalty if m == inf else m for m in magnitudes]
+        self._abs_weight = array("d", magnitudes)
+        # A clause with negative weight is violated when satisfied
+        # (``0.0 > weight``, mapped in C).
+        self._negated: List[bool] = list(map((0.0).__gt__, weights))
 
-        # Shared per-MRF structure (signed-code tuples derived from the CSR
-        # buffers; see MRFFlatView).
-        self._clause_codes = view.clause_codes
+        # Shared per-MRF structure (see MRFFlatView; the clause codes are
+        # read off the view by _initialise_counts).
         self._clause_positions = view.clause_atom_positions
         self._adjacency = view.adjacency
 
@@ -109,7 +114,7 @@ class SearchState:
                 if index is not None:
                     assignment[index] = 1 if value else 0
 
-        self._sat_count = [0] * len(mrf.clauses)
+        self._sat_count = [0] * len(weights)
         self._violated_list: List[int] = []
         self._violated_position: Dict[int, int] = {}
         self._journal: List[int] = []
@@ -134,7 +139,7 @@ class SearchState:
         violated_list.clear()
         violated_position.clear()
         cost = 0.0
-        for clause_index, codes in enumerate(self._clause_codes):
+        for clause_index, codes in enumerate(self._view.clause_codes):
             count = 0
             for code in codes:
                 if code > 0:
@@ -259,11 +264,13 @@ class SearchState:
     def true_cost(self) -> float:
         """Cost with hard violations counted at infinity (reporting form)."""
         total = 0.0
-        for clause_index, clause in enumerate(self.mrf.clauses):
-            if self._is_violated(clause_index):
-                if clause.is_hard:
+        for weight, count, negated in zip(
+            self.mrf.weight_column(), self._sat_count, self._negated
+        ):
+            if (count > 0) == negated:  # violated
+                if math.isinf(weight):
                     return math.inf
-                total += abs(clause.weight)
+                total += abs(weight)
         return total
 
     def soft_cost(self) -> float:

@@ -28,11 +28,18 @@ What is vectorized, and why only that:
   scan) and ``delta_cost_batch`` use the numpy mirrors when they are in
   sync, falling back to the scalar implementations otherwise.
 
+The per-MRF structure (:class:`VectorMRFView`) is read straight off the
+MRF's clause columns — literal positions by ``searchsorted``, owners by
+``np.repeat`` over the row lengths, ``negated`` from the weight column —
+and which clauses get batched-greedy tables is decided for all clauses at
+once from ``bincount`` atom degrees.
+
 Parity-critical numerics: per-candidate deltas are summed with
 ``np.bincount``, whose accumulation is a simple left-to-right loop in entry
 order — the same float addition order as the scalar kernel.  ``np.sum`` and
 ``np.add.reduceat`` use pairwise summation and would *not* be bit-identical;
-do not substitute them.  Non-crossing entries contribute ``±0.0``, which
+do not substitute them (the ``det-float-sum`` analysis rule flags them in
+the deterministic core).  Non-crossing entries contribute ``±0.0``, which
 never changes an IEEE-754 running sum's value.
 
 Everything import-sensitive is gated: when numpy is missing,
@@ -46,7 +53,7 @@ from array import array
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.inference.state import SearchState
-from repro.mrf.graph import MRF
+from repro.mrf.graph import MRF, literal_positions
 from repro.utils import autotune
 from repro.utils.rng import RandomSource
 
@@ -102,26 +109,16 @@ class VectorMRFView:
     def __init__(self, mrf: MRF) -> None:
         flat = mrf.flat_view()
         self._flat = flat
-        self.clause_count = len(flat.clause_codes)
-
-        positions: List[int] = []
-        expects: List[int] = []
-        owners: List[int] = []
-        for clause_index, codes in enumerate(flat.clause_codes):
-            for code in codes:
-                if code > 0:
-                    positions.append(code - 1)
-                    expects.append(1)
-                else:
-                    positions.append(-code - 1)
-                    expects.append(0)
-                owners.append(clause_index)
-        self.lit_pos = np.asarray(positions, dtype=np.intp)
-        self.lit_expect = np.asarray(expects, dtype=np.int8)
-        self.lit_clause = np.asarray(owners, dtype=np.intp)
-        self.negated = np.array(
-            [clause.weight < 0 for clause in mrf.clauses], dtype=bool
+        columns = mrf.columns()
+        self.clause_count = len(columns)
+        literals = np.frombuffer(columns.literals, dtype=np.int64)
+        self.lit_pos = literal_positions(literals, flat.atom_ids)
+        self.lit_expect = (literals > 0).astype(np.int8)
+        self.lit_clause = np.repeat(
+            np.arange(self.clause_count, dtype=np.intp),
+            np.diff(np.frombuffer(columns.offsets, dtype=np.int64)),
         )
+        self.negated = np.frombuffer(columns.weights, dtype=np.float64) < 0
         self._greedy_tables: Dict[int, Dict[int, tuple]] = {}
         self._atom_updates: Optional[List[Tuple["np.ndarray", "np.ndarray"]]] = None
 
@@ -134,19 +131,33 @@ class VectorMRFView:
         by candidate, each candidate's entries in clause order — the same
         order the scalar loop accumulates in) and ``owner`` maps each entry
         back to its candidate slot for the ``np.bincount`` reduction.
+        Which clauses qualify is decided for all of them at once from the
+        atoms' degrees (one ``bincount`` each for degrees and totals).
         """
         cached = self._greedy_tables.get(min_entries)
         if cached is not None:
             return cached
         flat = self._flat
         adjacency = flat.adjacency
+        candidates_of = flat.clause_atom_positions
+        degree = np.bincount(self.lit_pos, minlength=len(flat.atom_ids))
+        # Integer-valued float64 sums: exact.
+        totals = np.bincount(
+            self.lit_clause, weights=degree[self.lit_pos], minlength=self.clause_count
+        )
+        candidate_counts = np.fromiter(
+            map(len, candidates_of), dtype=np.intp, count=self.clause_count
+        )
+        literal_counts = np.bincount(self.lit_clause, minlength=self.clause_count)
+        # A clause repeating an atom counts that candidate's degree once.
+        for clause_index in np.nonzero(candidate_counts != literal_counts)[0].tolist():
+            totals[clause_index] = sum(
+                len(adjacency[position]) for position in candidates_of[clause_index]
+            )
+        eligible = np.nonzero((candidate_counts >= 2) & (totals >= min_entries))[0]
         tables: Dict[int, tuple] = {}
-        for clause_index, candidates in enumerate(flat.clause_atom_positions):
-            if len(candidates) < 2:
-                continue
-            total = sum(len(adjacency[position]) for position in candidates)
-            if total < min_entries:
-                continue
+        for clause_index in eligible.tolist():
+            candidates = candidates_of[clause_index]
             entry_pos: List[int] = []
             entry_expect: List[int] = []
             entry_clause: List[int] = []
@@ -180,18 +191,15 @@ class VectorMRFView:
         ``np.add.at``/``np.subtract.at`` (fancy ``+=`` would drop them).
         """
         if self._atom_updates is None:
-            updates = []
-            for entries in self._flat.adjacency:
-                indices = np.asarray(
-                    [clause_index for clause_index, _positive in entries],
-                    dtype=np.intp,
-                )
-                signs = np.asarray(
-                    [1 if positive else -1 for _clause, positive in entries],
-                    dtype=np.int32,
-                )
-                updates.append((indices, signs))
-            self._atom_updates = updates
+            # Atom-major order (stable: each atom's entries in clause order,
+            # as in the flat view's adjacency), split at atom boundaries.
+            order = np.argsort(self.lit_pos, kind="stable")
+            bounds = np.cumsum(np.bincount(self.lit_pos, minlength=len(self._flat.atom_ids)))
+            indices = np.split(self.lit_clause[order], bounds[:-1])
+            signs = np.split(
+                np.where(self.lit_expect[order] == 1, 1, -1).astype(np.int32), bounds[:-1]
+            )
+            self._atom_updates = list(zip(indices, signs))
         return self._atom_updates
 
 

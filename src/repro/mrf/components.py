@@ -1,25 +1,38 @@
 """Connected-component detection over the ground MRF (paper, Section 3.3).
 
-Components are found by a single scan of the clause table that merges the
-atoms of every clause in a union-find structure — exactly the procedure the
-paper describes — followed by one bucketing pass that drops each clause
-into the component its atoms were merged into.  Every clause is visited
-once per pass and read straight off ``clause.literals``; a component's
-atom set *is* its union-find group, so component MRFs are constructed
-directly rather than re-derived from their clauses.  The decomposition exposes each
-component as its own :class:`~repro.mrf.graph.MRF` plus a per-component
-size, which is what the bin-packing batch loader and the component-aware
-search consume.
+Components are found by a single pass over the clause table that merges
+the atoms of every clause in a union-find structure — the procedure the
+paper describes.  The pass reads the MRF's literal column: a clause's
+atoms are a slice of it, and clauses over the same atom set (the same
+atoms with other signs, from other rules) are merged once.  Which atoms
+end up together — all the decomposition depends on — does not depend on
+the order sets are merged in.  Every clause then belongs to its first
+atom's component, and the clause columns are reordered once, stably, by
+that label: each component's clauses are a contiguous slice of the
+reordered columns, in their original order.  A component's atom set *is*
+its union-find group, so component MRFs are columns plus atom ids —
+arrays, not clause objects, which is what forked workers inherit.  The
+decomposition exposes each component as its own
+:class:`~repro.mrf.graph.MRF` plus a per-component size, which is what the
+bin-packing batch loader and the component-aware search consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.grounding.clause_table import GroundClause, GroundClauseStore
-from repro.mrf.graph import MRF
+from repro.grounding.clause_table import ClauseColumns, GroundClauseStore, row_keys
+from repro.mrf.graph import MRF, literal_positions
 from repro.mrf.union_find import UnionFind
+
+try:  # gated dependency: the literal column is read with numpy when present
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised only without numpy
+    np = None  # type: ignore[assignment]
+
+#: Atom sets the union pass turns into Python lists per block.
+_SCAN_BLOCK_SETS = 8192
 
 
 @dataclass
@@ -51,27 +64,61 @@ class ComponentDecomposition:
 def connected_components(source: MRF | GroundClauseStore) -> ComponentDecomposition:
     """Split an MRF (or a clause store) into its connected components."""
     mrf = source if isinstance(source, MRF) else MRF.from_store(source)
+    columns = mrf.columns()
     union_find = UnionFind(mrf.atom_ids)
     union_sequence = union_find.union_sequence
-    # Atoms are merged in literal order (never set order, which is
-    # hash-dependent): the merge order feeds union-find root selection.
-    # Each clause remembers the root it merged into — a member of its
-    # component — so the bucketing pass needs no second look at literals.
-    anchors = [union_sequence(map(abs, clause.literals)) for clause in mrf.clauses]
+    for atoms in _atom_sets(columns):
+        union_sequence(atoms)
 
     groups = union_find.groups()
-    clause_groups: Dict[object, List[GroundClause]] = {root: [] for root in groups}
-    find = union_find.find
-    for clause, anchor in zip(mrf.clauses, anchors):
-        clause_groups[find(anchor)].append(clause)
-
-    decomposition = ComponentDecomposition()
     # Deterministic ordering: components sorted by their smallest atom id.
     ordered_roots = sorted(groups, key=lambda root: min(groups[root]))
+    decomposition = ComponentDecomposition()
+    atom_to_component = decomposition.atom_to_component
+    for index, root in enumerate(ordered_roots):
+        for atom_id in groups[root]:
+            atom_to_component[atom_id] = index
+    parts = columns.partition(
+        _first_atom_labels(columns, mrf.atom_ids, atom_to_component), len(ordered_roots)
+    )
     for index, root in enumerate(ordered_roots):
         decomposition.components.append(
-            MRF(clauses=clause_groups[root], atom_ids=sorted(groups[root]))
+            MRF(columns=parts[index], atom_ids=sorted(groups[root]))
         )
-        for atom_id in groups[root]:
-            decomposition.atom_to_component[atom_id] = index
     return decomposition
+
+
+def _atom_sets(columns: ClauseColumns) -> Iterator[Sequence[int]]:
+    """The distinct atom sets (sorted) of the clauses with two or more literals."""
+    if np is None:
+        yield from (sorted(map(abs, row)) for row in columns.literal_rows() if len(row) > 1)
+        return
+    atoms = np.abs(np.frombuffer(columns.literals, dtype=np.int64))
+    offsets = np.frombuffer(columns.offsets, dtype=np.int64)
+    lengths = np.diff(offsets)
+    for width in np.unique(lengths[lengths > 1]).tolist():
+        starts = offsets[:-1][lengths == width]
+        rows = np.sort(atoms[starts[:, None] + np.arange(width)], axis=1)
+        _, first = np.unique(row_keys(rows), return_index=True)
+        distinct = rows[first]
+        # A block at a time, so only one block's atom ids are Python ints
+        # at once; the sets are zipped from columns, as tuples that die
+        # young (no container per set outlives its union).
+        for block in range(0, len(distinct), _SCAN_BLOCK_SETS):
+            yield from zip(*distinct[block : block + _SCAN_BLOCK_SETS].T.tolist())
+
+
+def _first_atom_labels(
+    columns: ClauseColumns, atom_ids: List[int], atom_to_component: Dict[int, int]
+) -> Sequence[int]:
+    """Each clause's component: its first atom's."""
+    if np is None:
+        return [atom_to_component[abs(row[0])] for row in columns.literal_rows()]
+    offsets = np.frombuffer(columns.offsets, dtype=np.int64)
+    if (offsets[1:] == offsets[:-1]).any():
+        raise ValueError("a clause without literals belongs to no component")
+    component_at = np.fromiter(
+        map(atom_to_component.__getitem__, atom_ids), dtype=np.intp, count=len(atom_ids)
+    )
+    first_literals = np.frombuffer(columns.literals, dtype=np.int64)[offsets[:-1]]
+    return component_at[literal_positions(first_literals, atom_ids)]

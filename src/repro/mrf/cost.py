@@ -47,7 +47,7 @@ def assignment_cost(
     cost infinite; otherwise it contributes ``hard_penalty``, which is how
     the search scores candidate flips without drowning in infinities.
     """
-    clause_list = clauses.clauses if isinstance(clauses, MRF) else clauses
+    clause_list = clauses.iter_clauses() if isinstance(clauses, MRF) else clauses
     total = 0.0
     for clause in clause_list:
         if not clause_violated(clause, assignment):
@@ -65,7 +65,7 @@ def violated_clauses(
     clauses: Iterable[GroundClause] | MRF, assignment: Mapping[int, bool]
 ) -> List[GroundClause]:
     """The violated clauses themselves (used by tests and diagnostics)."""
-    clause_list = clauses.clauses if isinstance(clauses, MRF) else clauses
+    clause_list = clauses.iter_clauses() if isinstance(clauses, MRF) else clauses
     return [clause for clause in clause_list if clause_violated(clause, assignment)]
 
 

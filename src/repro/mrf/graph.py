@@ -1,22 +1,59 @@
 """The MRF graph structure consumed by the search phase.
 
-An :class:`MRF` is two lists — ground clauses and atom ids — and nothing
-else is built when one is constructed: ``from_store`` / ``from_clauses``
-visit each clause once, to collect its atoms.  What the consumers need on
+An :class:`MRF` is clause columns (:class:`ClauseColumns`, the clause
+table as CSR arrays) plus an atom-id list, and nothing else is built when
+one is constructed: ``from_store`` shares the store's columns (sealing
+the store) and reads the atom ids off them with one ``np.unique``.  What
+the consumers need on
 top is derived on first use and cached on the object: the position-indexed
 :class:`MRFFlatView` (and the numpy view over it) when the first search
 state is made — on the processes backend, in the worker that first runs
-the component — the atom → clause adjacency when ``clauses_of_atom`` /
-``degree`` / ``neighbors`` is first asked, the literal total on the first
-``size()``.
+the component — the clause list (row views, for MC-SAT, partitioning,
+Gauss-Seidel and the cost oracle) when ``clauses`` is first read, the atom
+→ clause adjacency when ``clauses_of_atom`` / ``degree`` / ``neighbors`` is
+first asked.  An MRF built from a clause list (``from_clauses``) packs its
+columns once, when something first needs them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+import math
+from array import array
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.grounding.clause_table import GroundClause, GroundClauseStore
+from repro.grounding.clause_table import ClauseColumns, GroundClause, GroundClauseStore
+
+try:  # gated dependency: large views are built with numpy when it is present
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised only without numpy
+    np = None  # type: ignore[assignment]
+
+#: Views of MRFs with at least this many clauses are built by numpy; below
+#: it, the per-literal Python loop is faster (SampleSAT constraint sets,
+#: the thousands of tiny IE components).  Above it both builds cost about
+#: the same, and numpy's atom-major allocation of the adjacency makes the
+#: flip loop faster.  Both produce identical views.
+NUMPY_VIEW_MIN_CLAUSES = 256
+
+
+def literal_positions(literals: "np.ndarray", atom_ids: Sequence[int]) -> "np.ndarray":
+    """Position in ``atom_ids`` of each literal's atom (``KeyError`` if absent)."""
+    atoms = np.asarray(atom_ids, dtype=np.int64)
+    magnitudes = np.abs(literals)
+    if not len(magnitudes):
+        return np.zeros(0, dtype=np.intp)
+    if not len(atoms):
+        raise KeyError(int(magnitudes[0]))
+    if (atoms[1:] > atoms[:-1]).all():  # the usual case: ids ascending
+        positions = np.minimum(np.searchsorted(atoms, magnitudes), len(atoms) - 1)
+    else:
+        sorter = np.argsort(atoms, kind="stable")
+        slots = np.searchsorted(atoms, magnitudes, sorter=sorter)
+        positions = sorter[np.minimum(slots, len(atoms) - 1)]
+    missing = np.nonzero(atoms[positions] != magnitudes)[0]
+    if len(missing):
+        raise KeyError(int(magnitudes[missing[0]]))
+    return positions
 
 
 class MRFFlatView:
@@ -30,7 +67,9 @@ class MRFFlatView:
     * ``clause_codes`` — the clause → literal relation as per-clause
       tuples of signed codes: a literal over atom position ``p`` is the
       int ``+(p + 1)`` (positive occurrence) or ``-(p + 1)`` (negative),
-      so satisfied-count initialisation iterates plain ints.
+      so satisfied-count initialisation iterates plain ints.  Built on
+      first read: the vectorized kernel initialises counts with numpy
+      and never reads it.
     * ``adjacency`` — the atom → clause relation as per-atom tuples of
       ``(clause_index, positive)`` pairs, entries in clause order (which
       the kernel relies on for reproducible violated-set ordering).  The
@@ -41,6 +80,13 @@ class MRFFlatView:
       clause in first-occurrence order, deduplicated once here instead of
       on every WalkSAT step.
 
+    Built from the MRF's columns: ``searchsorted`` gives every literal's
+    atom position, and one stable argsort by position gives the atom-major
+    adjacency, whose pairs are then allocated atom by atom — each atom's
+    entries sit together in memory, which the flip loop walks.  Small MRFs
+    (``NUMPY_VIEW_MIN_CLAUSES``) and numpy-less installs take the
+    equivalent per-literal loop.
+
     A view is built lazily by :meth:`MRF.flat_view` and cached; it assumes
     the MRF is not mutated afterwards.  All buffers are read-only shared
     state: every :class:`SearchState` over the same MRF reuses one view.
@@ -49,7 +95,8 @@ class MRFFlatView:
     __slots__ = (
         "atom_ids",
         "atom_position",
-        "clause_codes",
+        "_clause_codes",
+        "_codes",
         "clause_atom_positions",
         "adjacency",
     )
@@ -74,7 +121,8 @@ class MRFFlatView:
         view = cls.__new__(cls)
         view.atom_ids = atom_ids
         view.atom_position = atom_position
-        view.clause_codes = clause_codes
+        view._clause_codes = clause_codes
+        view._codes = None
         view.clause_atom_positions = clause_atom_positions
         view.adjacency = adjacency
         return view
@@ -83,14 +131,34 @@ class MRFFlatView:
         self.atom_ids: List[int] = list(mrf.atom_ids)
         position = {atom_id: index for index, atom_id in enumerate(self.atom_ids)}
         self.atom_position: Dict[int, int] = position
+        self._codes: Optional[Tuple["np.ndarray", array]] = None
+        if np is not None and mrf.clause_count >= NUMPY_VIEW_MIN_CLAUSES:
+            self._build_from_columns(mrf.columns())
+        else:
+            self._build_from_rows(mrf.literal_rows(), position)
 
+    @property
+    def clause_codes(self) -> Sequence[Tuple[int, ...]]:
+        # Idempotent, so two threads racing here both build the same tuples.
+        if self._clause_codes is None:
+            codes, offsets = self._codes  # type: ignore[misc]
+            codes = codes.tolist()
+            bounds = offsets.tolist()
+            self._clause_codes = tuple(
+                [tuple(codes[start:end]) for start, end in zip(bounds, bounds[1:])]
+            )
+        return self._clause_codes
+
+    def _build_from_rows(
+        self, rows: Iterable[Sequence[int]], position: Dict[int, int]
+    ) -> None:
         clause_codes: List[Tuple[int, ...]] = []
         clause_positions: List[Tuple[int, ...]] = []
         adjacency_lists: List[List[Tuple[int, bool]]] = [[] for _ in self.atom_ids]
-        for clause_index, clause in enumerate(mrf.clauses):
+        for clause_index, literals in enumerate(rows):
             codes: List[int] = []
             distinct: List[int] = []
-            for literal in clause.literals:
+            for literal in literals:
                 atom_position = position[abs(literal)]
                 codes.append(atom_position + 1 if literal > 0 else -(atom_position + 1))
                 if atom_position not in distinct:
@@ -99,48 +167,111 @@ class MRFFlatView:
             clause_codes.append(tuple(codes))
             clause_positions.append(tuple(distinct))
 
-        self.clause_codes: Tuple[Tuple[int, ...], ...] = tuple(clause_codes)
+        self._clause_codes: Optional[Sequence[Tuple[int, ...]]] = tuple(clause_codes)
         self.clause_atom_positions: Tuple[Tuple[int, ...], ...] = tuple(clause_positions)
         self.adjacency: Tuple[Tuple[Tuple[int, bool], ...], ...] = tuple(
             tuple(entries) for entries in adjacency_lists
         )
 
+    def _build_from_columns(self, columns: ClauseColumns) -> None:
+        literals = np.frombuffer(columns.literals, dtype=np.int64)
+        offsets = np.frombuffer(columns.offsets, dtype=np.int64)
+        positions = literal_positions(literals, self.atom_ids)
+        self._clause_codes = None
+        self._codes = (np.where(literals > 0, positions + 1, -(positions + 1)), columns.offsets)
+        position_list = positions.tolist()
+        bounds = columns.offsets.tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        clause_positions = [tuple(position_list[start:end]) for start, end in spans]
 
-@dataclass
+        # One stable sort by atom position: each atom's occurrences, in
+        # clause (then literal) order.
+        owners = np.repeat(np.arange(len(spans)), np.diff(offsets))
+        order = np.argsort(positions, kind="stable")
+        sorted_positions = positions[order]
+        sorted_owners = owners[order]
+        # A clause repeating an atom lists each distinct position once.
+        repeats = (sorted_positions[1:] == sorted_positions[:-1]) & (
+            sorted_owners[1:] == sorted_owners[:-1]
+        )
+        for clause_index in np.unique(sorted_owners[1:][repeats]).tolist():
+            clause_positions[clause_index] = tuple(dict.fromkeys(clause_positions[clause_index]))
+        self.clause_atom_positions = tuple(clause_positions)
+
+        # One int object per clause, shared by all of its entries.
+        clause_indices = list(range(len(spans)))
+        pairs = list(
+            zip(
+                map(clause_indices.__getitem__, sorted_owners.tolist()),
+                (literals[order] > 0).tolist(),
+            )
+        )
+        atom_bounds = np.zeros(len(self.atom_ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(positions, minlength=len(self.atom_ids)), out=atom_bounds[1:])
+        atom_bounds = atom_bounds.tolist()
+        self.adjacency = tuple(
+            [tuple(pairs[start:end]) for start, end in zip(atom_bounds, atom_bounds[1:])]
+        )
+
+
 class MRF:
     """A ground MRF: atoms (nodes) and weighted ground clauses (hyperedges).
 
     ``atom_ids`` is the set of query-atom ids appearing in the clauses (plus
-    any isolated atoms explicitly added).  Everything derived from the two
-    lists — the search kernels' flat/vector views, the atom → clause
-    adjacency behind :meth:`clauses_of_atom`, the literal total — is a cache
-    built on first use and excluded from ``==``.
+    any isolated atoms explicitly added).  The clauses are held either as
+    :class:`ClauseColumns` (``from_store``, components) or as a list
+    (``from_clauses``); :meth:`columns` and :attr:`clauses` give either form,
+    deriving the other on first use.  Everything derived — the columns or
+    clause list, the search kernels' flat/vector views, the atom → clause
+    adjacency behind :meth:`clauses_of_atom` — is a cache and excluded from
+    ``==``, which compares atom ids and clause rows.  An MRF is not mutated
+    after construction.
     """
 
-    clauses: List[GroundClause] = field(default_factory=list)
-    atom_ids: List[int] = field(default_factory=list)
-    _adjacency: Optional[Dict[int, List[int]]] = field(
-        default=None, repr=False, compare=False
-    )
-    _flat_view: Optional[MRFFlatView] = field(default=None, repr=False, compare=False)
-    # Lazily-built numpy structure shared by every vectorized search state
-    # over this MRF (owned by repro.inference.vector_kernel, cached here so
-    # its lifetime matches the MRF's, like _flat_view).
-    _vector_view: Optional[object] = field(default=None, repr=False, compare=False)
-    # ``(len(clauses), total literals)``: the schedulers, the bin-packer and
-    # the loader ask for ``size()`` several times per request; a changed
-    # clause count invalidates it.
-    _literal_total: Optional[Tuple[int, int]] = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("atom_ids", "_clauses", "_columns", "_adjacency", "_flat_view", "_vector_view")
+
+    def __init__(
+        self,
+        clauses: Optional[Sequence[GroundClause]] = None,
+        atom_ids: Iterable[int] = (),
+        columns: Optional[ClauseColumns] = None,
+    ) -> None:
+        if clauses is not None and columns is not None:
+            raise ValueError("give an MRF clauses or columns, not both")
+        self.atom_ids: List[int] = atom_ids if isinstance(atom_ids, list) else list(atom_ids)
+        if columns is None and not isinstance(clauses, list):
+            clauses = list(clauses or ())
+        self._clauses: Optional[List[GroundClause]] = clauses  # type: ignore[assignment]
+        self._columns = columns
+        self._adjacency: Optional[Dict[int, List[int]]] = None
+        self._flat_view: Optional[MRFFlatView] = None
+        # Lazily-built numpy structure shared by every vectorized search state
+        # over this MRF (owned by repro.inference.vector_kernel, cached here so
+        # its lifetime matches the MRF's, like _flat_view).
+        self._vector_view: Optional[object] = None
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atom_ids == other.atom_ids and self.columns() == other.columns()
 
     @classmethod
     def from_store(
         cls, store: GroundClauseStore, extra_atoms: Iterable[int] = ()
     ) -> "MRF":
-        atom_ids = set(store.atom_ids())
-        atom_ids.update(extra_atoms)
-        return cls(clauses=store.clauses(), atom_ids=sorted(atom_ids))
+        """The MRF over a store's clauses, reading its columns in place.
+
+        Seals the store: the columns are shared, so it takes no more
+        clauses afterwards.
+        """
+        store.seal()
+        atom_ids = store.columns.distinct_atoms()
+        extra = list(extra_atoms)
+        if extra:
+            atom_ids = sorted(set(atom_ids).union(extra))
+        return cls(columns=store.columns, atom_ids=atom_ids)
 
     @classmethod
     def from_clauses(
@@ -151,14 +282,57 @@ class MRF:
             atom_ids.update(map(abs, clause.literals))
         return cls(clauses=list(clauses), atom_ids=sorted(atom_ids))
 
+    # ------------------------------------------------------------------
+    # The two clause forms
+    # ------------------------------------------------------------------
+
+    @property
+    def clauses(self) -> List[GroundClause]:
+        """The clauses as :class:`GroundClause` row views (built once, cached)."""
+        if self._clauses is None:
+            self._clauses = self._columns.rows()  # type: ignore[union-attr]
+        return self._clauses
+
+    def iter_clauses(self) -> Iterator[GroundClause]:
+        """The clauses one at a time, for one-pass readers (the cost oracle).
+
+        Row views built on the fly are not cached, so reading an MRF once
+        does not keep a Python object per clause alive.
+        """
+        if self._clauses is not None:
+            return iter(self._clauses)
+        return iter(self._columns)  # type: ignore[arg-type]
+
+    def columns(self) -> ClauseColumns:
+        """The clauses as columns (packed once from a clause list)."""
+        if self._columns is None:
+            self._columns = ClauseColumns.pack(self._clauses)  # type: ignore[arg-type]
+        return self._columns
+
+    def literal_rows(self) -> Sequence[Sequence[int]]:
+        """Each clause's literals, in clause order, in whichever form is at hand."""
+        if self._columns is None:
+            return [clause.literals for clause in self._clauses]  # type: ignore[union-attr]
+        return self._columns.literal_rows()
+
+    def weight_column(self) -> array:
+        """The clause weights, in clause order (``array('d')``).
+
+        Read from the columns; an MRF that only has a clause list (a
+        SampleSAT constraint shell) reads it off the list without packing.
+        """
+        if self._columns is None:
+            return array("d", [clause.weight for clause in self._clauses])  # type: ignore[union-attr]
+        return self._columns.weights
+
     def _atom_clauses(self) -> Dict[int, List[int]]:
         """Atom id → indices of the clauses mentioning it, built on first use."""
         adjacency = self._adjacency
         if adjacency is None:
             adjacency = {atom_id: [] for atom_id in self.atom_ids}
-            for index, clause in enumerate(self.clauses):
+            for index, literals in enumerate(self.literal_rows()):
                 # Order-preserving dedup (literal order), not set order.
-                for atom_id in dict.fromkeys(map(abs, clause.literals)):
+                for atom_id in dict.fromkeys(map(abs, literals)):
                     adjacency.setdefault(atom_id, []).append(index)
             self._adjacency = adjacency
         return adjacency
@@ -173,28 +347,21 @@ class MRF:
 
     @property
     def clause_count(self) -> int:
-        return len(self.clauses)
+        if self._columns is None:
+            return len(self._clauses)  # type: ignore[arg-type]
+        return len(self._columns.weights)
 
     def total_literals(self) -> int:
-        cached = self._literal_total
-        if cached is None or cached[0] != len(self.clauses):
-            cached = (
-                len(self.clauses),
-                sum(len(clause.literals) for clause in self.clauses),
-            )
-            self._literal_total = cached
-        return cached[1]
+        if self._columns is None:
+            return sum(len(clause.literals) for clause in self._clauses)  # type: ignore[union-attr]
+        return len(self._columns.literals)
 
     def size(self) -> int:
         """The size measure used by the partitioner (atoms + literals)."""
         return self.atom_count + self.total_literals()
 
     def flat_view(self) -> MRFFlatView:
-        """The flat-array view of this MRF, built lazily and cached.
-
-        The view (and everything derived from it) assumes the clause list is
-        no longer mutated once the first search state has been constructed.
-        """
+        """The flat-array view of this MRF, built lazily and cached."""
         if self._flat_view is None:
             self._flat_view = MRFFlatView(self)
         return self._flat_view
@@ -207,7 +374,7 @@ class MRF:
         return len(self._atom_clauses().get(atom_id, ()))
 
     def total_soft_weight(self) -> float:
-        return sum(abs(clause.weight) for clause in self.clauses if not clause.is_hard)
+        return sum(abs(weight) for weight in self.weight_column() if not math.isinf(weight))
 
     # ------------------------------------------------------------------
     # Subgraphs

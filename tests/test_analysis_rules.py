@@ -122,6 +122,49 @@ class TestUnorderedFloatSum:
             """})
         assert report.findings == []
 
+    def test_numpy_pairwise_reductions_fire_in_the_core(self, tmp_path: Path) -> None:
+        report = analyze(tmp_path, {"inference/kernel.py": """\
+            import numpy
+            import numpy as np
+            from numpy import dot
+
+            def f(w, starts):
+                total = np.sum(w) + numpy.mean(w) + dot(w, w)
+                return total, np.add.reduce(w), np.add.reduceat(w, starts)
+            """})
+        found = messages(report, "det-float-sum")
+        assert len(found) == 5
+        assert any("np.add.reduceat()" in message for message in found)
+
+    def test_sequential_forms_and_non_core_files_are_clean(self, tmp_path: Path) -> None:
+        report = analyze(tmp_path, {
+            "cli.py": """\
+                import numpy as np
+
+                def f(w):
+                    return np.sum(w)
+                """,
+            "mrf/views.py": """\
+                import numpy as np
+
+                def f(flags, owners, w):
+                    count = flags.sum()
+                    totals = np.bincount(owners, weights=w)
+                    return count, totals, sum(w.tolist())
+                """,
+        })
+        assert report.findings == []
+
+    def test_integer_count_is_suppressible(self, tmp_path: Path) -> None:
+        report = analyze(tmp_path, {"grounding/count.py": """\
+            import numpy as np
+
+            def f(mask):
+                return np.sum(mask)  # repro: allow(det-float-sum): boolean count, exact
+            """})
+        assert report.findings == []
+        assert len(report.suppressed) == 1
+
 
 class TestRawRandom:
     def test_module_random_and_entropy_sources_fire(self, tmp_path: Path) -> None:

@@ -133,6 +133,29 @@ class TestGroundClauseStore:
         assert loaded[0].source == "F2"
         assert loaded[1].is_hard
 
+    def test_database_round_trip_keeps_weight_signs_and_sources(self):
+        # A negative hard clause ("must stay false") used to come back as a
+        # positive one: the table spelled every infinite weight +1e300.
+        database = Database()
+        store = GroundClauseStore(merge_duplicates=False)
+        for literals, weight, source in (
+            ((1, -2), math.inf, "hard"),
+            ((3,), -math.inf, "never"),
+            ((-4, 5), -0.75, "negative"),
+            ((6,), 2.5, None),
+            ((7, 8, -9), 0.1, "positive"),
+        ):
+            store.add(literals, weight, source)
+        store.store_in_database(database)
+        loaded = GroundClauseStore.load_from_database(database)
+        assert [(c.clause_id, c.literals, c.weight, c.source) for c in loaded] == [
+            (1, (1, -2), math.inf, "hard"),
+            (2, (3,), -math.inf, "never"),
+            (3, (-4, 5), -0.75, "negative"),
+            (4, (6,), 2.5, None),
+            (5, (7, 8, -9), 0.1, "positive"),
+        ]
+
     def test_store_overwrites_previous_contents(self):
         database = Database()
         first = GroundClauseStore()

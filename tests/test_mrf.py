@@ -324,11 +324,8 @@ class TestComponents:
         assert len(ours.components) == len(reference.components)
         for component, expected in zip(ours.components, reference.components):
             assert component.atom_ids == expected.atom_ids
-            assert len(component.clauses) == len(expected.clauses)
-            assert all(
-                clause is other
-                for clause, other in zip(component.clauses, expected.clauses)
-            )
+            # Clause ids, literal order, weights and sources, row by row.
+            assert component.clauses == expected.clauses
             assert component == expected
         # Dict order included: it is the order atoms were assigned in.
         assert list(ours.atom_to_component.items()) == list(
