@@ -4,23 +4,15 @@ The paper reports grounding times of 48/13/3913/23891 seconds for Alchemy
 against 6/13/40/106 seconds for Tuffy on LP/IE/RC/ER: bottom-up grounding in
 the RDBMS wins by up to a factor of 225, with the gap largest on the
 join-heavy datasets (RC, ER).  This benchmark reruns both grounding
-strategies on the generated workloads and reports wall-clock seconds plus
+strategies on the generated workloads — bottom-up on the relational
+engine's default execution backend — and reports wall-clock seconds plus
 the speed-up factor; the expected shape is Tuffy >= Alchemy everywhere, and
 a clearly larger factor on RC/ER than on IE.
 
-The bottom-up grounder additionally runs on each requested *execution
-backend* of the relational engine (``--backend``): ``row`` is the
-tuple-at-a-time iterator engine, ``columnar`` the numpy batch engine
-(results are bit-identical; the benchmark asserts it).  ``--scale``
-rescales the generated datasets — the columnar engine's lead grows with
-table size (see ``COLUMNAR_AUTO_MIN_ROWS``).
-
 Usage::
 
-    python benchmarks/bench_table2_grounding.py                     # full run
-    python benchmarks/bench_table2_grounding.py --quick             # scripts/check.sh
-    python benchmarks/bench_table2_grounding.py --backend columnar --scale 3
-    python benchmarks/bench_table2_grounding.py --backend columnar --assert-speedup 2
+    python benchmarks/bench_table2_grounding.py             # full run
+    python benchmarks/bench_table2_grounding.py --quick     # LP and RC at half scale
 """
 
 from __future__ import annotations
@@ -35,9 +27,9 @@ for _path in (_ROOT, os.path.join(_ROOT, "src")):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
+from benchmarks.harness import DATASETS, emit, fresh_dataset, render_table
 from repro.grounding.bottom_up import BottomUpGrounder
 from repro.grounding.top_down import TopDownGrounder
-from repro.rdbms.column_batch import NUMPY_AVAILABLE
 
 
 def _grounding_fingerprint(result):
@@ -46,8 +38,7 @@ def _grounding_fingerprint(result):
     Statistics like satisfied-by-evidence counts legitimately differ between
     top-down (which enumerates satisfied bindings) and bottom-up (which
     prunes them inside the SQL), so only the resulting clause set is
-    fingerprinted here; the execution backends are additionally held to
-    bit-identical statistics by the grounding parity suite.
+    fingerprinted here.
     """
     return (
         result.ground_clause_count,
@@ -56,8 +47,8 @@ def _grounding_fingerprint(result):
     )
 
 
-def ground_dataset(name, backends, scale=1.0, with_top_down=True, repeats=1):
-    from benchmarks.harness import fresh_dataset
+def ground_dataset(name, scale=1.0, repeats=1):
+    """Best-of-``repeats`` seconds of each strategy, and the clause count."""
 
     def run(make_grounder):
         best_seconds = None
@@ -73,83 +64,47 @@ def ground_dataset(name, backends, scale=1.0, with_top_down=True, repeats=1):
             best_seconds = elapsed if best_seconds is None else min(best_seconds, elapsed)
         return result, best_seconds
 
-    timings = {}
-    fingerprints = {}
-    if with_top_down:
-        result, seconds = run(TopDownGrounder)
-        timings["top-down"] = seconds
-        fingerprints["top-down"] = _grounding_fingerprint(result)
-    clause_count = None
-    for backend in backends:
-        result, seconds = run(lambda: BottomUpGrounder(execution_backend=backend))
-        timings[backend] = seconds
-        fingerprints[backend] = _grounding_fingerprint(result)
-        clause_count = result.ground_clause_count
-    # Every strategy and backend must ground to the same problem.
-    distinct = set(fingerprints.values())
-    assert len(distinct) == 1, (name, fingerprints)
-    return timings, clause_count
+    top_down, top_down_seconds = run(TopDownGrounder)
+    bottom_up, bottom_up_seconds = run(BottomUpGrounder)
+    # Both strategies must ground to the same problem.
+    assert _grounding_fingerprint(top_down) == _grounding_fingerprint(bottom_up), name
+    return top_down_seconds, bottom_up_seconds, bottom_up.ground_clause_count
 
 
-def collect_rows(backends, scale=1.0, with_top_down=True, datasets=None, repeats=1):
-    from benchmarks.harness import DATASETS
+def collect_rows(scale=1.0, datasets=None, repeats=1):
+    return [
+        (name, *ground_dataset(name, scale=scale, repeats=repeats))
+        for name in datasets or DATASETS
+    ]
 
-    rows = []
-    for name in datasets or DATASETS:
-        timings, clause_count = ground_dataset(
-            name, backends, scale=scale, with_top_down=with_top_down, repeats=repeats
+
+def render(rows, scale):
+    table_rows = [
+        (
+            name,
+            round(top_down, 3),
+            round(bottom_up, 3),
+            round(top_down / max(bottom_up, 1e-9), 1),
+            clause_count,
         )
-        rows.append((name, timings, clause_count))
-    return rows
-
-
-def render(rows, backends, with_top_down, scale):
-    from benchmarks.harness import render_table
-
-    headers = ["dataset"]
-    if with_top_down:
-        headers.append("Alchemy (top-down)")
-    headers.extend(f"Tuffy ({backend})" for backend in backends)
-    if with_top_down:
-        headers.append("speed-up vs Alchemy")
-    if "row" in backends and "columnar" in backends:
-        headers.append("columnar vs row")
-    headers.append("#ground clauses")
-
-    table_rows = []
-    for name, timings, clause_count in rows:
-        cells = [name]
-        if with_top_down:
-            cells.append(round(timings["top-down"], 3))
-        for backend in backends:
-            cells.append(round(timings[backend], 3))
-        if with_top_down:
-            best_bottom_up = min(timings[backend] for backend in backends)
-            cells.append(round(timings["top-down"] / max(best_bottom_up, 1e-9), 1))
-        if "row" in backends and "columnar" in backends:
-            cells.append(
-                f"{timings['row'] / max(timings['columnar'], 1e-9):.2f}x"
-            )
-        cells.append(clause_count)
-        table_rows.append(tuple(cells))
+        for name, top_down, bottom_up, clause_count in rows
+    ]
     title = "Table 2 — grounding time (seconds, wall clock)"
     if scale != 1.0:
         title += f" [dataset scale x{scale:g}]"
-    return render_table(title, headers, table_rows)
+    return render_table(
+        title,
+        ["dataset", "Alchemy (top-down)", "Tuffy (bottom-up)", "speed-up", "#ground clauses"],
+        table_rows,
+    )
 
 
 def test_table2_grounding_time(benchmark):
     """pytest-benchmark entry point: the paper's Table 2 shape."""
-    from benchmarks.harness import emit
-
-    backends = ["row", "columnar"] if NUMPY_AVAILABLE else ["row"]
-    rows = benchmark.pedantic(
-        lambda: collect_rows(backends), rounds=1, iterations=1
-    )
-    emit("table2_grounding", render(rows, backends, with_top_down=True, scale=1.0))
+    rows = benchmark.pedantic(collect_rows, rounds=1, iterations=1)
+    emit("table2_grounding", render(rows, scale=1.0))
     speedups = {
-        name: timings["top-down"] / max(min(timings[b] for b in backends), 1e-9)
-        for name, timings, _ in rows
+        name: top_down / max(bottom_up, 1e-9) for name, top_down, bottom_up, _ in rows
     }
     # Bottom-up grounding must never lose, and must win clearly on the
     # join-heavy datasets (the paper's RC and ER columns).
@@ -160,17 +115,7 @@ def test_table2_grounding_time(benchmark):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced datasets (LP, RC) at half scale (for scripts/check.sh)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("row", "columnar", "both"),
-        default="both",
-        help="bottom-up execution backend(s) to measure; 'columnar' also "
-        "times the row engine so the speedup can be reported (and exits "
-        "with a skip message when numpy is unavailable)",
+        "--quick", action="store_true", help="reduced datasets (LP, RC) at half scale"
     )
     parser.add_argument(
         "--scale", type=float, default=1.0, help="dataset generator scale factor"
@@ -179,44 +124,12 @@ def main(argv=None) -> int:
         "--repeats", type=int, default=1, help="timing repeats per grounder (best-of)"
     )
     parser.add_argument(
-        "--no-top-down",
-        action="store_true",
-        help="skip the Alchemy-style top-down baseline",
-    )
-    parser.add_argument(
         "--datasets",
         default=None,
         help="comma-separated workload subset (default: LP,IE,RC,ER; "
         "ER grows very fast with --scale)",
     )
-    parser.add_argument(
-        "--assert-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit non-zero unless the columnar backend is at least X times "
-        "faster than the row engine on some dataset",
-    )
-    from benchmarks.harness import add_json_out_argument
-
-    add_json_out_argument(parser)
     args = parser.parse_args(argv)
-
-    if args.backend == "row" and args.assert_speedup is not None:
-        parser.error("--assert-speedup needs the columnar backend (use --backend columnar)")
-    if args.backend in ("columnar", "both") and not NUMPY_AVAILABLE:
-        if args.backend == "columnar":
-            print("SKIP: columnar execution backend requested but numpy is unavailable")
-            return 0
-        if args.assert_speedup is not None:
-            print("SKIP: --assert-speedup needs the columnar backend but numpy is unavailable")
-            return 0
-        print("numpy unavailable: measuring the row backend only")
-        backends = ["row"]
-    elif args.backend == "row":
-        backends = ["row"]
-    else:
-        backends = ["row", "columnar"]
 
     if args.datasets:
         datasets = tuple(token.strip().upper() for token in args.datasets.split(","))
@@ -225,56 +138,9 @@ def main(argv=None) -> int:
     else:
         datasets = None
     scale = (0.5 if args.quick else 1.0) * args.scale
-    with_top_down = not args.no_top_down
-
-    rows = collect_rows(
-        backends,
-        scale=scale,
-        with_top_down=with_top_down,
-        datasets=datasets,
-        repeats=args.repeats,
-    )
-    table = render(rows, backends, with_top_down, scale)
-
-    from benchmarks.harness import emit
-
-    if args.quick:
-        artifact = "table2_grounding_quick"
-    elif args.backend == "both" and scale == 1.0:
-        artifact = "table2_grounding"
-    else:
-        artifact = "table2_grounding_backends"
-    emit(artifact, table)
-    if args.json_out:
-        from benchmarks.harness import emit_json
-
-        emit_json(
-            "table2_grounding",
-            [
-                {"dataset": name, "ground_clauses": clause_count, **timings}
-                for name, timings, clause_count in rows
-            ],
-            path=args.json_out,
-            metadata={
-                "quick": args.quick,
-                "backends": backends,
-                "scale": scale,
-                "with_top_down": with_top_down,
-            },
-        )
-
-    if len(backends) == 2:
-        best = max(
-            timings["row"] / max(timings["columnar"], 1e-9) for _, timings, _ in rows
-        )
-        print(f"\nbest columnar-vs-row grounding speedup: {best:.2f}x "
-              "(groundings identical across backends)")
-        if args.assert_speedup is not None and best < args.assert_speedup:
-            print(
-                f"FAIL: columnar speedup below required {args.assert_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
+    rows = collect_rows(scale=scale, datasets=datasets, repeats=args.repeats)
+    quick_run = args.quick or args.datasets or scale != 1.0
+    emit("table2_grounding_quick" if quick_run else "table2_grounding", render(rows, scale))
     return 0
 
 

@@ -20,9 +20,8 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.core import InferenceConfig
 from repro.datasets import Dataset, DatasetScale, load_dataset
@@ -47,50 +46,6 @@ def emit(name: str, text: str) -> None:
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
-
-
-def add_json_out_argument(parser) -> None:
-    """Add the shared ``--json-out`` option to a benchmark's CLI.
-
-    Benchmarks that accept it call :func:`emit_json` with their measured
-    rows; ``scripts/check.sh`` points the flag at
-    ``benchmarks/results/BENCH_<name>.json`` so the perf trajectory is
-    machine-readable across PRs (see ``benchmarks/results/README.md``).
-    """
-    parser.add_argument(
-        "--json-out",
-        default=None,
-        metavar="PATH",
-        help="also write the measured results as JSON to this path",
-    )
-
-
-def emit_json(
-    benchmark: str,
-    rows: List[Dict[str, object]],
-    path: Optional[str] = None,
-    metadata: Optional[Dict[str, object]] = None,
-) -> str:
-    """Persist benchmark measurements as machine-readable JSON.
-
-    The recorded document is ``{"benchmark", "metadata", "rows"}`` where
-    ``rows`` is a list of flat name→value dicts (one per measured
-    configuration).  Defaults to ``benchmarks/results/BENCH_<name>.json``
-    when no path is given; returns the path written.
-    """
-    if path is None:
-        path = os.path.join(RESULTS_DIR, f"BENCH_{benchmark}.json")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    document = {
-        "benchmark": benchmark,
-        "metadata": metadata or {},
-        "rows": rows,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"[json] wrote {path}")
-    return path
 
 
 def benchmark_dataset(name: str, factor: float = 1.0) -> Dataset:

@@ -26,8 +26,9 @@ import sys
 from typing import Optional, Sequence
 
 from repro.baselines import AlchemyEngine
-from repro.core import InferenceConfig, MLNProgram, TuffyEngine
+from repro.core import InferenceConfig, MLNProgram, ReproError, TuffyEngine
 from repro.datasets import DATASET_NAMES, DatasetScale, load_dataset
+from repro.logic.parser import MLNSyntaxError
 from repro.obs import write_chrome_trace, write_metrics
 from repro.utils.timer import Stopwatch
 
@@ -89,20 +90,11 @@ def _add_inference_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1, help="parallel component searches")
     parser.add_argument(
         "--parallel-backend",
-        choices=("auto", "serial", "threads", "processes"),
+        choices=("auto", "serial", "processes"),
         default="auto",
         help="how per-component searches run (auto engages the shared-memory "
         "multiprocess pool when workers > 1 and the MRF has several "
         "components; results are bit-identical across backends)",
-    )
-    parser.add_argument(
-        "--parallel-dispatch",
-        choices=("steal", "wave"),
-        default="steal",
-        help="dispatch loop for per-component searches (steal: work-stealing "
-        "cursor, workers pull the next largest-first component as they "
-        "finish; wave: legacy barrier scheduler kept as a benchmark "
-        "baseline; results are bit-identical across both)",
     )
     parser.add_argument(
         "--no-partitioning",
@@ -181,7 +173,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> InferenceConfig:
         max_flips=arguments.max_flips,
         workers=arguments.workers,
         parallel_backend=arguments.parallel_backend,
-        parallel_dispatch=arguments.parallel_dispatch,
         use_partitioning=not arguments.no_partitioning,
         memory_budget_bytes=(
             arguments.memory_budget_kb * 1024 if arguments.memory_budget_kb else None
@@ -359,15 +350,25 @@ def _command_stats(arguments: argparse.Namespace, stream) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
-    """CLI entry point; returns the process exit status."""
+    """CLI entry point; returns the process exit status.
+
+    Invalid input — a rejected configuration or a malformed program — is
+    reported like an argparse usage error: one ``repro-tuffy: error:``
+    line on stderr and exit status 2, no traceback.
+    """
     stream = stream or sys.stdout
-    arguments = build_parser().parse_args(argv)
+    parser = build_parser()
+    arguments = parser.parse_args(argv)
     handlers = {
         "infer": _command_infer,
         "dataset": _command_dataset,
         "stats": _command_stats,
     }
-    return handlers[arguments.command](arguments, stream)
+    try:
+        return handlers[arguments.command](arguments, stream)
+    except (ReproError, MLNSyntaxError) as error:
+        print(f"{parser.prog}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,7 +7,7 @@ from typing import Optional
 
 from repro.core.errors import ConfigurationError
 from repro.inference.state import KERNEL_BACKENDS
-from repro.parallel import DISPATCH_MODES, PARALLEL_BACKENDS
+from repro.parallel import PARALLEL_BACKENDS
 from repro.rdbms.executor import EXECUTION_BACKENDS
 from repro.rdbms.optimizer import OptimizerOptions
 from repro.utils.clock import CostModel
@@ -40,19 +40,16 @@ class InferenceConfig:
     ``parallel_backend`` the vehicle that runs them (``"auto"`` engages
     the shared-memory multiprocess pool whenever there is parallelism to
     exploit — more than one worker and more than one component — and
-    falls back to ``"serial"`` otherwise; ``"serial"`` / ``"threads"`` /
-    ``"processes"`` force one).  ``parallel_dispatch`` selects the
-    dispatch loop (``"steal"``, the default work-stealing cursor —
-    workers pull the next largest-first component the moment they finish
-    — or ``"wave"``, the legacy barrier scheduler kept as a benchmark
-    baseline).  Results are bit-identical across parallel backends,
-    dispatch modes and worker counts; only wall-clock time changes.
+    falls back to ``"serial"`` otherwise; ``"serial"`` / ``"processes"``
+    force one).  ``processes`` dispatches largest-first with work
+    stealing — workers pull the next component the moment they finish.
+    Results are bit-identical across parallel backends and worker
+    counts; only wall-clock time changes.
     When ``deadline_seconds`` is set, the components that count are
     decided by post-hoc bookkeeping over the per-component simulated
     costs (dispatch position ``p`` counts iff the summed costs of the
     positions before it stay under the deadline), so even the deadline
-    outcome is identical across backends, dispatch modes and worker
-    counts.
+    outcome is identical across backends and worker counts.
     ``kernel_backend`` selects the search-kernel implementation behind
     every search driver the engine constructs (WalkSAT, component search,
     Gauss-Seidel, MC-SAT and its SampleSAT states): ``"auto"`` engages the
@@ -114,7 +111,6 @@ class InferenceConfig:
     gauss_seidel_rounds: int = 3
     workers: int = 1
     parallel_backend: str = "auto"
-    parallel_dispatch: str = "steal"
     target_cost: Optional[float] = None
     deadline_seconds: Optional[float] = None
     kernel_backend: str = "auto"
@@ -157,11 +153,6 @@ class InferenceConfig:
             raise ConfigurationError(
                 f"unknown parallel backend {self.parallel_backend!r}; "
                 f"expected one of {PARALLEL_BACKENDS}"
-            )
-        if self.parallel_dispatch not in DISPATCH_MODES:
-            raise ConfigurationError(
-                f"unknown parallel dispatch {self.parallel_dispatch!r}; "
-                f"expected one of {DISPATCH_MODES}"
             )
         if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
             raise ConfigurationError("memory_budget_bytes must be positive when set")

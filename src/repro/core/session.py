@@ -36,8 +36,8 @@ caches and the kernel-state lease, but each request is self-contained:
 its own RNG stream, timer, simulated-time accounting and telemetry.  The
 contract extends verbatim: every request's MAP assignment, marginals,
 skipped set and scheduling outcome are bit-identical whether the request
-runs alone or interleaved with others, on every backend, dispatch mode
-and worker count — concurrency only changes wall-clock time.
+runs alone or interleaved with others, on every backend and worker
+count — concurrency only changes wall-clock time.
 
 Two rules make that hold.  *Setup is serialized, search is concurrent*:
 everything that touches session state (grounding, loading, pool
@@ -643,7 +643,6 @@ class EngineSession:
                 workers=config.workers,
                 cost_model=config.cost_model,
                 parallel_backend=config.parallel_backend,
-                dispatch=config.parallel_dispatch,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
@@ -653,7 +652,7 @@ class EngineSession:
                 task_count=len(small_components),
             )
             if resolved != "processes":
-                # In-process backends reuse kernel states across warm
+                # The serial backend reuses kernel states across warm
                 # requests via the lease; the processes backend keeps the
                 # equivalent cache inside each pool worker.
                 key = ("components", config.kernel_backend)
@@ -796,7 +795,6 @@ class EngineSession:
                     clock=SimulatedClock(config.cost_model),
                     parallel_backend=config.parallel_backend,
                     workers=config.workers,
-                    dispatch=config.parallel_dispatch,
                 )
                 assignment.update(outcome.best_assignment)
                 total_cost += outcome.best_cost
@@ -884,7 +882,6 @@ class EngineSession:
                     parallel_backend=config.parallel_backend,
                     workers=config.workers,
                     pool=plan.pool,
-                    dispatch=config.parallel_dispatch,
                     request_id=request.request_id,
                     tracer=self.tracer,
                     metrics=self.metrics,

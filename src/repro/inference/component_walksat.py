@@ -9,13 +9,13 @@ already-optimal components.
 ``ComponentAwareWalkSAT`` runs WalkSAT on each component with a weighted
 round-robin flip budget, keeps the best state found *per component*, and
 combines them into a global assignment.  Component tasks run behind the
-``parallel_backend`` seam (``auto`` | ``serial`` | ``threads`` |
-``processes``, see :mod:`repro.parallel`): each component's search draws
-its RNG from a stream derived only from the run seed and the component
-index, so the merged result is bit-for-bit identical on every backend,
-dispatch mode and worker count — including deadline-bounded runs, whose
-skipped set is decided by post-hoc bookkeeping over the simulated
-per-component costs rather than by wave membership.  The ``processes``
+``parallel_backend`` seam (``auto`` | ``serial`` | ``processes``, see
+:mod:`repro.parallel`): each component's search draws its RNG from a
+stream derived only from the run seed and the component index, so the
+merged result is bit-for-bit identical on every backend and worker count
+— including deadline-bounded runs, whose skipped set is decided by
+post-hoc bookkeeping over the simulated per-component costs rather than
+by completion order.  The ``processes``
 backend ships component structure through shared memory and searches on
 all cores (the real Table 7 parallelism), shipping results back through
 a shared-memory result region; results carry wall-clock and simulated
@@ -84,7 +84,6 @@ class ComponentAwareWalkSAT:
         workers: int = 1,
         cost_model: Optional[CostModel] = None,
         parallel_backend: str = "auto",
-        dispatch: str = "steal",
         tracer=None,
         metrics=None,
     ) -> None:
@@ -95,7 +94,6 @@ class ComponentAwareWalkSAT:
         self.workers = workers
         self.cost_model = cost_model or CostModel()
         self.parallel_backend = parallel_backend
-        self.dispatch = dispatch
         #: Injected observability (never module-global): read-side only,
         #: so a recording tracer is bit-identical to the default no-op.
         self.tracer = tracer if tracer is not None else NullTracer()
@@ -126,7 +124,7 @@ class ComponentAwareWalkSAT:
         :func:`repro.inference.scheduling.run_components`.
 
         ``local_states`` supplies caller-owned kernel states (one per
-        component) for the in-process backends — the engine session
+        component) for the serial backend — the engine session
         passes a checked-out lease here so two concurrently admitted
         requests never run on the same live :class:`SearchState`; when
         omitted, this instance's own per-component cache is used (safe
@@ -171,17 +169,15 @@ class ComponentAwareWalkSAT:
             )
             return ComponentOutcome(index, result, 0.0)
 
-        with self.tracer.span(
-            "dispatch", components=len(components), mode=self.dispatch
-        ):
+        with self.tracer.span("dispatch", components=len(components)):
             outcome: ParallelOutcome = run_components(
                 components,
                 tasks,
                 parallel_backend=self.parallel_backend,
                 workers=self.workers,
                 deadline_seconds=self.options.deadline_seconds,
-                # Lazy: built (and cached) only when the resolved backend runs
-                # in-process — the processes backend caches states per worker.
+                # Lazy: built (and cached) only when the resolved backend is
+                # serial — the processes backend caches states per worker.
                 local_states=(
                     local_states
                     if local_states is not None
@@ -189,7 +185,6 @@ class ComponentAwareWalkSAT:
                 ),
                 placeholder=placeholder,
                 pool=pool,
-                dispatch=self.dispatch,
                 request_id=request_id,
                 tracer=self.tracer,
                 metrics=self.metrics,

@@ -166,7 +166,6 @@ class MCSat:
         parallel_backend: str = "auto",
         workers: int = 1,
         pool=None,
-        dispatch: str = "steal",
         request_id: int = 0,
         tracer=None,
         metrics=None,
@@ -203,7 +202,7 @@ class MCSat:
         ]
         outcome = dispatch_components(
             components, tasks, parallel_backend=parallel_backend, workers=workers,
-            pool=pool, dispatch=dispatch, request_id=request_id,
+            pool=pool, request_id=request_id,
             tracer=tracer, metrics=metrics,
         )
         return merge_marginal_results(

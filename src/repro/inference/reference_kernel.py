@@ -2,13 +2,10 @@
 
 :class:`ReferenceSearchState` is the list-of-tuples implementation that
 :class:`repro.inference.state.SearchState` replaced.  It is retained, nearly
-verbatim, for two purposes:
-
-* the kernel-parity tests (``tests/test_search_kernel_parity.py``) drive
-  both implementations with identical seeds and assert bit-for-bit equal
-  costs, deltas and violated-set ordering, and
-* ``benchmarks/bench_search_kernel.py`` uses it as the baseline when
-  reporting the flat-array kernel's flips/sec speedup.
+verbatim, as the oracle of the kernel-parity tests
+(``tests/test_search_kernel_parity.py``), which drive both
+implementations with identical seeds and assert bit-for-bit equal costs,
+deltas and violated-set ordering.
 
 It implements the same public API as the flat-array kernel, including the
 ``checkpoint``/``checkpoint_dict`` pair — realised here the way the seed

@@ -3,24 +3,20 @@
 The paper runs WalkSAT on each MRF component with a *weighted round-robin*
 policy — component ``G_i`` receives ``total_flips * |G_i| / |G|`` steps — and
 uses a worker pool to process loaded components in parallel (Section 3.3,
-Table 7).  This module provides the flip-allocation policy, the legacy
-in-process task runner with its simulated-time model of parallel execution
-(so speed-ups can be reported deterministically), and
-:func:`run_components` — the ``parallel_backend`` seam that hands
-per-component tasks to the partition scheduler
-(:mod:`repro.parallel.scheduler`), including the true multiprocess
-shared-memory backend.
+Table 7).  This module provides the flip-allocation policy, the
+simulated-time model of parallel execution (list-scheduling makespan, so
+speed-ups can be reported deterministically), and :func:`run_components`
+— the ``parallel_backend`` seam that hands per-component tasks to the
+partition scheduler (:mod:`repro.parallel.scheduler`), including the true
+multiprocess shared-memory backend.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.mrf.graph import MRF
-
-T = TypeVar("T")
 
 
 def weighted_flip_allocation(components: Sequence[MRF], total_flips: int) -> List[int]:
@@ -103,48 +99,6 @@ class ParallelOutcome:
         return self.sequential_simulated_seconds / self.parallel_simulated_seconds
 
 
-def run_tasks(
-    tasks: Sequence[Callable[[], Tuple[T, float]]],
-    workers: int = 1,
-) -> ParallelOutcome:
-    """Run tasks, each returning ``(result, simulated_seconds)``.
-
-    With ``workers == 1`` the tasks run sequentially in the calling thread.
-    With more workers a thread pool is used (the tasks are CPU-bound Python,
-    so wall-clock gains are limited by the GIL, which is why the simulated
-    parallel time — longest processor assignment under list scheduling — is
-    also reported and used by the benchmarks).
-    """
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    from repro.utils.timer import Stopwatch
-
-    stopwatch = Stopwatch()
-    outputs: List[object] = []
-    durations: List[float] = []
-    with stopwatch.measure():
-        if workers == 1 or len(tasks) <= 1:
-            for task in tasks:
-                result, simulated = task()
-                outputs.append(result)
-                durations.append(simulated)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(task) for task in tasks]
-                for future in futures:
-                    result, simulated = future.result()
-                    outputs.append(result)
-                    durations.append(simulated)
-    sequential = sum(durations)
-    parallel = _list_schedule_makespan(durations, workers)
-    return ParallelOutcome(
-        results=outputs,
-        wall_seconds=stopwatch.total,
-        sequential_simulated_seconds=sequential,
-        parallel_simulated_seconds=parallel,
-    )
-
-
 def _list_schedule_makespan(durations: Sequence[float], workers: int) -> float:
     """Makespan of greedy list scheduling of the given task durations."""
     if not durations:
@@ -165,8 +119,6 @@ def run_components(
     local_states=None,
     placeholder: Optional[Callable[[int], object]] = None,
     pool=None,
-    dispatch: str = "steal",
-    stall_worker: Optional[Tuple[int, float]] = None,
     request_id: int = 0,
     tracer=None,
     metrics=None,
@@ -174,25 +126,24 @@ def run_components(
     """Run one :class:`~repro.parallel.pool.ComponentTask` per component.
 
     The parallel seam of the component drivers: resolves
-    ``parallel_backend`` (``auto`` | ``serial`` | ``threads`` |
-    ``processes``, see :func:`repro.parallel.resolve_parallel_backend`)
-    and hands the tasks to the partition scheduler
+    ``parallel_backend`` (``auto`` | ``serial`` | ``processes``, see
+    :func:`repro.parallel.resolve_parallel_backend`) and hands the tasks
+    to the partition scheduler
     (:func:`repro.parallel.scheduler.run_component_tasks`), which
-    dispatches them largest-first on the requested ``dispatch`` loop
-    (``steal`` work-stealing, ``wave`` legacy barrier) and returns
-    results in component order.  ``deadline_seconds`` is honored by
+    dispatches them largest-first — sequentially on ``serial``,
+    work-stealing on ``processes`` — and returns results in component
+    order.  ``deadline_seconds`` is honored by
     post-hoc bookkeeping over the per-component simulated costs — a
     dispatch position counts iff the summed costs of the positions
     before it stay under the deadline — so the set of skipped
     components (each receiving ``placeholder(index)``) is bit-identical
-    across backends, dispatch modes *and* worker counts.
+    across backends *and* worker counts.
     ``local_states`` may be a sequence of cached kernel states or a
-    zero-arg callable building them; it is consulted only on the
-    in-process backends.  ``pool`` lends a caller-owned persistent
+    zero-arg callable building them; it is consulted only on the serial
+    backend.  ``pool`` lends a caller-owned persistent
     :class:`~repro.parallel.pool.WorkerPool` to the ``processes``
     backend (the caller keeps ownership — it is not shut down here) and
-    is ignored on the other backends.  ``stall_worker`` is the
-    slow-worker test hook, forwarded to the scheduler.  ``request_id``
+    is ignored on the serial backend.  ``request_id``
     names the admitted session request this run serves — a shared
     persistent pool uses it to route completions back to the right
     request when several are in flight.  ``tracer`` / ``metrics`` are
@@ -214,8 +165,6 @@ def run_components(
         local_states=local_states,
         placeholder=placeholder,
         pool=pool,
-        dispatch=dispatch,
-        stall_worker=stall_worker,
         request_id=request_id,
         tracer=tracer,
         metrics=metrics,

@@ -3,20 +3,18 @@
 The third backend seam of the repo, mirroring ``kernel_backend`` (search
 kernel) and ``execution_backend`` (relational engine):
 
-``parallel_backend = auto | serial | threads | processes``
+``parallel_backend = auto | serial | processes``
 
 selects the vehicle that runs per-component inference tasks.  ``serial``
-runs them in the calling thread (the executable specification),
-``threads`` uses a thread pool (GIL-bound — useful only for I/O-flavoured
-cost models), and ``processes`` forks a worker pool whose workers search
+runs them in the calling thread (the executable specification), and
+``processes`` forks a worker pool whose workers search
 the component MRFs they inherited from the parent at fork time — nothing
 is shipped down, each worker builds a component's kernel state the first
 time it runs it — with the existing WalkSAT / MC-SAT drivers unchanged
 (:mod:`repro.parallel.pool`), shipping results back through a
 per-component shared-memory result region
-(:mod:`repro.parallel.buffers`).  Dispatch
-(largest-first work-stealing, with the legacy barrier waves kept as
-``parallel_dispatch="wave"``) lives in :mod:`repro.parallel.scheduler`;
+(:mod:`repro.parallel.buffers`).  Dispatch (largest-first
+work-stealing) lives in :mod:`repro.parallel.scheduler`;
 deterministic result merging in :mod:`repro.parallel.merge`.  Tasks
 cross the process boundary in **chunks**: the stealing loop cuts the
 largest-first order into consecutive batches by estimated work (fat
@@ -29,15 +27,15 @@ task.
 **Determinism contract**: each component's task runs on an RNG stream
 derived only from the run seed and the component index, and every merge
 is performed in component order — so MAP assignments and marginals are
-bit-for-bit identical across backends, dispatch modes and worker counts
+bit-for-bit identical across backends and worker counts
 (``tests/test_parallel_parity.py`` proves it on example1, RC and IE).
 The backend choice is purely a wall-clock decision.  This holds for
 ``deadline_seconds`` too: the components that count are decided by
 post-hoc bookkeeping over the per-component simulated costs (dispatch
 position ``p`` counts iff the summed costs of the positions before it
 stay under the deadline — the spend of a single sequential worker), not
-by wave membership or completion order, so the deadline outcome is the
-same on every backend, dispatch mode and worker count.
+by completion order, so the deadline outcome is the same on every
+backend and worker count.
 
 This module keeps only the seam itself (constants + resolution) so that
 importing it from the config layer costs nothing; the heavy pieces import
@@ -50,13 +48,7 @@ import multiprocessing
 
 #: Valid values for the ``parallel_backend`` option of the component
 #: search drivers, the engine config and the CLI.
-PARALLEL_BACKENDS = ("auto", "serial", "threads", "processes")
-
-#: Valid values for the ``parallel_dispatch`` option of the scheduler, the
-#: engine config and the CLI: ``steal`` is the work-stealing dispatch loop
-#: (default), ``wave`` the legacy barrier scheduler kept as a benchmark
-#: baseline.  Results are bit-identical across both.
-DISPATCH_MODES = ("steal", "wave")
+PARALLEL_BACKENDS = ("auto", "serial", "processes")
 
 
 def processes_available() -> bool:
@@ -76,8 +68,8 @@ def processes_available() -> bool:
 def available_parallel_backends() -> tuple:
     """The parallel backends usable in this environment, in preference order."""
     if processes_available():
-        return ("serial", "threads", "processes")
-    return ("serial", "threads")
+        return ("serial", "processes")
+    return ("serial",)
 
 
 def resolve_parallel_backend(
@@ -87,9 +79,9 @@ def resolve_parallel_backend(
 
     ``auto`` picks ``processes`` when there is parallelism to exploit —
     more than one worker *and* more than one component — and the platform
-    supports the forked pool; a single component (or a single worker)
-    falls back to ``serial``, where the pool's spin-up cost cannot be
-    repaid (the bench pins the single-component overhead bound).  All
+    supports the forked pool; otherwise (a single component, a single
+    worker, or no ``fork``) it falls back to ``serial``, where there is
+    no pool spin-up cost to repay.  All
     backends are bit-identical in results, so the choice is purely a
     performance decision.
     """
@@ -106,8 +98,6 @@ def resolve_parallel_backend(
         return backend
     if backend != "auto":
         return backend
-    if workers <= 1 or task_count <= 1:
-        return "serial"
-    if processes_available():
+    if workers > 1 and task_count > 1 and processes_available():
         return "processes"
-    return "threads"
+    return "serial"

@@ -89,7 +89,6 @@ def gauss_seidel_refine(
     workers: int = 1,
     initial_assignment: Optional[Mapping[int, bool]] = None,
     pool=None,
-    dispatch: str = "steal",
 ) -> GaussSeidelResult:
     """Partition-parallel first pass, then Gauss-Seidel rounds on the cut.
 
@@ -160,7 +159,6 @@ def gauss_seidel_refine(
             parallel_backend=parallel_backend,
             workers=workers,
             pool=pool,
-            dispatch=dispatch,
         )
         for index, result in zip(active, outcome.results):
             first_pass_flips += result.flips

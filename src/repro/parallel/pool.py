@@ -1,4 +1,4 @@
-"""The multiprocess worker pool (and its serial/thread stand-ins).
+"""The multiprocess worker pool (and its serial stand-in).
 
 One task vocabulary serves every parallel backend: a
 :class:`ComponentTask` names a component by its index in the caller's
@@ -7,7 +7,7 @@ derived child-stream seed, the flip budget).  The function that executes a
 task — :func:`execute_component_task` — is the *same code* on every
 backend:
 
-* the **serial** and **threads** backends call it in-process against the
+* the **serial** backend calls it in-process against the
   caller's component MRFs (and, for WalkSAT, the caller's cached kernel
   states — the PR 2 state-reuse lifecycle);
 * the **processes** backend ships the task to a worker, which indexes the
@@ -49,7 +49,7 @@ Because each task carries its own derived seed and runs the existing
 drivers unchanged, results are bit-for-bit identical across backends and
 worker counts; only wall-clock time changes.  Workers are forked, so the
 pool refuses to start when the ``fork`` start method is unavailable
-(callers resolve ``auto`` to ``threads`` there).
+(callers resolve ``auto`` to ``serial`` there).
 """
 
 from __future__ import annotations
@@ -494,16 +494,12 @@ class WorkerPool:
             )
         self._tasks.put(list(tasks))
 
-    def submit(self, task: ComponentTask) -> None:
-        """Queue a single task (a chunk of one)."""
-        self.submit_chunk((task,))
-
     def next_outcome(self, request_id: int = 0) -> Tuple[ComponentOutcome, int]:
         """Collect one finished task of ``request_id``: ``(outcome, worker id)``.
 
         Blocks until one of *this request's* in-flight tasks is reported
         complete (the work-stealing drain: the scheduler reacts to each
-        completion, not to a wave barrier).  Chunk messages belonging to
+        completion as it arrives).  Chunk messages belonging to
         other admitted requests are parked for their own draining
         threads (see :meth:`_route_token`), so each request observes
         exactly the completion stream it would see running alone.

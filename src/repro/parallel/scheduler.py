@@ -9,17 +9,14 @@ component, and runs them
 * **largest-first** — components are dispatched in decreasing ``size()``
   order (ties by lower index), the classic list-scheduling heuristic the
   simulated Table 7 model already uses, so stragglers start early;
-* **work-stealing** (``dispatch="steal"``, the default) — a shared task
-  cursor over the largest-first order: every worker pulls the next
-  component the moment it finishes its current one, so no worker ever
-  idles at a barrier while another grinds through a giant component.
-  The per-wave barrier scheduler survives as ``dispatch="wave"`` (the
-  benchmark baseline): waves of ``workers`` tasks with a full barrier
-  between them;
-* on the resolved backend — in-process for ``serial``/``threads``
-  (reusing the caller's cached kernel states), through the shared-memory
-  :class:`~repro.parallel.pool.WorkerPool` for ``processes``, whose
-  results ship back through the pool's shared-memory result regions;
+* on one executor per resolved backend — ``serial`` is the executable
+  specification, a strictly sequential loop in the calling thread
+  (reusing the caller's cached kernel states); ``processes`` is the
+  work-stealing loop over the shared-memory
+  :class:`~repro.parallel.pool.WorkerPool`: the pool's task queue is a
+  shared cursor over the largest-first order, every worker pulls the next
+  chunk the moment it finishes its current one, and results ship back
+  through the pool's shared-memory result regions;
 * **in chunks** on the processes backend — the stealing loop cuts the
   largest-first order into consecutive chunks by estimated work
   (:func:`chunk_boundaries`, guided self-scheduling: each chunk takes a
@@ -29,7 +26,7 @@ component, and runs them
   handful of coarse ones still travel one by one.  The worker that takes
   a chunk owns its tasks, so stealing happens between chunks.
 
-**Deadline accounting is post-hoc bookkeeping, not wave membership.**
+**Deadline accounting is post-hoc bookkeeping, not completion order.**
 When ``deadline_seconds`` is set, the components that count are decided
 by a rule that references only deterministic quantities: dispatch
 position ``p`` is *counted* iff the left-to-right sum of the simulated
@@ -39,10 +36,8 @@ have accumulated when it reached ``p``.  Everything past the first
 excluded position gets the caller's placeholder result, *even if a
 worker already ran it* (an over-eager execution is discarded, its
 derived RNG stream touched nothing else).  Because the rule never
-mentions workers, waves, or completion order, deadline outcomes are
-bit-identical across ``serial | threads | processes``, across ``steal``
-and ``wave`` dispatch, and across worker counts — the old wave scheduler
-skipped *fewer* components at higher worker counts, which this replaces.
+mentions workers or completion order, deadline outcomes are
+bit-identical across ``serial | processes`` and across worker counts.
 Simulated costs are nonnegative, so the prefix sums are monotone and the
 cutoff becomes *provable* mid-run as soon as the known prefix crosses
 the deadline; dispatch stops submitting there, and with a deadline the
@@ -52,8 +47,8 @@ chunks are single tasks and the in-flight window is capped at
 Results are always returned **in component order** regardless of
 completion order, and every aggregate (sequential simulated seconds,
 list-scheduling makespan) is computed in the same order as the serial
-path, so seeded runs are bit-for-bit identical across backends, dispatch
-modes and worker counts (``tests/test_parallel_parity.py``).  The
+path, so seeded runs are bit-for-bit identical across backends and
+worker counts (``tests/test_parallel_parity.py``).  The
 telemetry on :class:`ScheduledOutcome` (steal counts, per-worker task
 counts, shm-vs-pickled shipping) is the one deliberately nondeterministic
 part — it reports what actually happened on the machine.
@@ -61,21 +56,18 @@ part — it reports what actually happened on the machine.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.inference.scheduling import ParallelOutcome, _list_schedule_makespan
 from repro.mrf.graph import MRF
 from repro.obs.tracer import NullTracer
-from repro.parallel import DISPATCH_MODES
 from repro.parallel.pool import (
     ComponentOutcome,
     ComponentTask,
     WorkerPool,
     execute_component_task,
 )
-from repro.utils.clock import wall_now, wall_sleep
+from repro.utils.clock import wall_now
 from repro.utils.timer import Stopwatch
 
 
@@ -86,11 +78,9 @@ class ScheduledOutcome(ParallelOutcome):
     parity contract); the remaining fields are execution telemetry —
     ``executed`` tasks actually ran, of which ``discarded`` finished past
     the deadline cutoff and were replaced by placeholders; ``steals`` is
-    how many tasks a worker pulled beyond its first (0 under ``wave``
-    dispatch — a barrier assignment is not a steal — and 0 when
-    per-worker attribution is unavailable: the serial path and the
-    wave-threads barrier); ``worker_task_counts`` maps worker id →
-    tasks executed;
+    how many tasks a worker pulled beyond its first (0 on the serial
+    path, which records no per-worker attribution);
+    ``worker_task_counts`` maps worker id → tasks executed;
     ``shm_shipped`` / ``pickle_shipped`` / ``shm_bytes`` report the
     result-shipping split on the processes backend, counted per request
     (a warm pool's lifetime totals never bleed into one request's
@@ -102,7 +92,6 @@ class ScheduledOutcome(ParallelOutcome):
         *args,
         dispatch_order=None,
         skipped=None,
-        dispatch: str = "steal",
         executed: int = 0,
         discarded: int = 0,
         steals: int = 0,
@@ -115,7 +104,6 @@ class ScheduledOutcome(ParallelOutcome):
         super().__init__(*args, **kwargs)
         self.dispatch_order: List[int] = dispatch_order or []
         self.skipped: List[int] = skipped or []
-        self.dispatch = dispatch
         self.executed = executed
         self.discarded = discarded
         self.steals = steals
@@ -199,88 +187,6 @@ def deadline_cutoff(
     return None
 
 
-# ----------------------------------------------------------------------
-# Work-stealing (threads): shared cursor + module-level worker loop
-# ----------------------------------------------------------------------
-
-
-class _StealState:
-    """Shared cursor and bookkeeping for the in-process stealing loop.
-
-    One lock guards the claim/complete transitions; the task bodies run
-    outside it.  Claiming re-derives the provable deadline cutoff from
-    the costs recorded so far, so submission stops as early as the
-    accounting allows without ever guessing.
-    """
-
-    def __init__(
-        self,
-        order: Sequence[int],
-        run_local: Callable[[int], ComponentOutcome],
-        deadline: Optional[float],
-        stall_worker: Optional[Tuple[int, float]],
-    ) -> None:
-        self.lock = threading.Lock()
-        self.order = order
-        self.run_local = run_local
-        self.deadline = deadline
-        self.stall_worker = stall_worker
-        self.cursor = 0
-        self.costs: List[Optional[float]] = [None] * len(order)
-        self.outcomes: List[Optional[ComponentOutcome]] = [None] * len(order)
-        self.counts: Dict[int, int] = {}
-        self.workers_by_position: Dict[int, int] = {}
-        self.error: Optional[BaseException] = None
-
-    def claim(self) -> Optional[int]:
-        with self.lock:
-            if self.error is not None or self.cursor >= len(self.order):
-                return None
-            cutoff = deadline_cutoff(self.costs, self.deadline)
-            if cutoff is not None and self.cursor >= cutoff:
-                return None
-            position = self.cursor
-            self.cursor += 1
-            return position
-
-    def complete(
-        self, position: int, outcome: ComponentOutcome, worker_index: int
-    ) -> None:
-        with self.lock:
-            self.outcomes[position] = outcome
-            self.costs[position] = outcome.simulated_seconds
-            self.counts[worker_index] = self.counts.get(worker_index, 0) + 1
-            self.workers_by_position[position] = worker_index
-
-    def fail(self, error: BaseException) -> None:
-        with self.lock:
-            if self.error is None:
-                self.error = error
-
-
-def _steal_thread_main(state: _StealState, worker_index: int) -> None:
-    """One stealing worker: pull from the shared cursor until it runs dry.
-
-    Module-level (not a closure) so the ``fork-task-closure`` discipline
-    holds for thread pools too.  The stall hook delays the chosen worker
-    before every task — the injected-slow-worker test uses it to force
-    maximal stealing skew without touching any result.
-    """
-    stall = state.stall_worker
-    while True:
-        position = state.claim()
-        if position is None:
-            return
-        if stall is not None and stall[0] == worker_index:
-            wall_sleep(stall[1])
-        try:
-            outcome = state.run_local(state.order[position])
-        except BaseException as error:  # re-raised by the driver
-            state.fail(error)
-            return
-        state.complete(position, outcome, worker_index)
-
-
 def run_component_tasks(
     components: Sequence[MRF],
     tasks: Sequence[ComponentTask],
@@ -290,8 +196,6 @@ def run_component_tasks(
     local_states=None,
     placeholder: Optional[Callable[[int], ComponentOutcome]] = None,
     pool: Optional[WorkerPool] = None,
-    dispatch: str = "steal",
-    stall_worker: Optional[Tuple[int, float]] = None,
     request_id: int = 0,
     tracer=None,
     metrics=None,
@@ -301,7 +205,7 @@ def run_component_tasks(
     ``local_states`` supplies the caller's cached kernel states — one per
     component, for the WalkSAT state-reuse lifecycle — either as a
     sequence or as a zero-argument callable; it is only consulted (and a
-    callable only invoked) on the in-process backends, so callers never
+    callable only invoked) on the serial backend, so callers never
     build states the processes backend would ignore.  ``placeholder``
     builds the outcome of a component the deadline excluded (it must not
     consume the run's RNG streams — each component owns a derived stream,
@@ -311,19 +215,13 @@ def run_component_tasks(
     session's persistent pool) to the ``processes`` backend: the pool must
     have been forked over exactly these component objects, it is *not*
     shut down here (the owner keeps it warm across calls), and it is
-    ignored on the in-process backends.  Without it the scheduler builds
+    ignored on the serial backend.  Without it the scheduler builds
     an ephemeral pool whose shared-memory segment is released in a
     ``finally`` even when a task raises.
 
-    ``dispatch`` selects the dispatch loop (``"steal"`` work-stealing,
-    ``"wave"`` legacy barrier waves) — bit-identical results either way;
-    ``stall_worker=(index, seconds)`` is the slow-worker test hook for
-    the in-process stealing loop (the processes backend takes the
-    equivalent hook on the pool constructor).
-
     Deadline-bounded runs count the components chosen by the post-hoc
-    prefix rule (see the module docstring): identical across backends,
-    dispatch modes *and* worker counts.
+    prefix rule (see the module docstring): identical across backends
+    *and* worker counts.
 
     ``request_id`` names the admitted request this run belongs to; every
     task is stamped with it, so a shared persistent pool can multiplex
@@ -348,9 +246,9 @@ def run_component_tasks(
         raise ValueError("one task per component is required")
     if workers <= 0:
         raise ValueError("workers must be positive")
-    if dispatch not in DISPATCH_MODES:
+    if backend not in ("serial", "processes"):
         raise ValueError(
-            f"unknown dispatch mode {dispatch!r}; expected one of {DISPATCH_MODES}"
+            f"unknown scheduler backend {backend!r}; expected 'serial' or 'processes'"
         )
     if backend == "processes":
         local_states = None
@@ -373,7 +271,7 @@ def run_component_tasks(
     slots: List[Optional[ComponentOutcome]] = [None] * len(tasks)
     costs: List[Optional[float]] = [None] * len(order)
     worker_counts: Dict[int, int] = {}
-    #: component index -> (wall start, wall end) for in-process tasks
+    #: component index -> (wall start, wall end) for serial-loop tasks
     task_walls: List[Optional[Tuple[float, float]]] = [None] * len(tasks)
     #: component index -> worker id, where attribution is known
     worker_of: Dict[int, int] = {}
@@ -406,14 +304,7 @@ def run_component_tasks(
 
     try:
         with stopwatch.measure():
-            if backend == "processes":
-                if pool is None:
-                    pool = WorkerPool(components, workers)
-                    owns_pool = True
-
-            if backend == "serial" or (
-                backend != "processes" and (workers == 1 or len(order) <= 1)
-            ):
+            if backend == "serial":
                 # The executable specification: strictly sequential in
                 # dispatch order, stopping exactly at the deadline rule.
                 spent = 0.0
@@ -425,73 +316,16 @@ def run_component_tasks(
                     record(outcome)
                     worker_of[index] = 0
                     spent += outcome.simulated_seconds
-            elif dispatch == "steal":
-                if backend == "processes":
-                    executed, chunks_sent = _run_processes_steal(
-                        order, tasks, components, pool, workers, deadline_seconds,
-                        costs, slots, position_of, worker_counts, request_id,
-                        worker_of=worker_of,
-                        ship_window=ship_window if traced else None,
-                    )
-                else:
-                    state = _StealState(
-                        order, run_local, deadline_seconds, stall_worker
-                    )
-                    with ThreadPoolExecutor(max_workers=workers) as executor:
-                        futures = [
-                            executor.submit(_steal_thread_main, state, worker_index)
-                            for worker_index in range(min(workers, len(order)))
-                        ]
-                        for future in futures:
-                            future.result()
-                    if state.error is not None:
-                        raise state.error
-                    for position, outcome in enumerate(state.outcomes):
-                        if outcome is not None:
-                            record(outcome)
-                            executed += 1
-                    worker_counts.update(state.counts)
-                    for position, worker_index in state.workers_by_position.items():
-                        worker_of[order[position]] = worker_index
-            else:  # dispatch == "wave": the legacy barrier scheduler
-                # Waves of ``workers`` tasks with a full barrier between
-                # them — the baseline the stealing loop is benchmarked
-                # against (an imbalanced wave idles every worker behind
-                # its slowest member).
-                wave_size = max(workers, 1)
-                cursor = 0
-                executor = None
-                try:
-                    if backend == "threads":
-                        executor = ThreadPoolExecutor(max_workers=workers)
-                    while cursor < len(order):
-                        cutoff = deadline_cutoff(costs, deadline_seconds)
-                        if cutoff is not None and cursor >= cutoff:
-                            break
-                        wave = order[cursor : cursor + wave_size]
-                        cursor += len(wave)
-                        if backend == "processes":
-                            for index in wave:
-                                pool.submit(tasks[index])
-                            for _ in wave:
-                                drain_start = wall_now() if traced else 0.0
-                                outcome, worker_id = pool.next_outcome(request_id)
-                                if traced:
-                                    if ship_window[0] is None:
-                                        ship_window[0] = drain_start
-                                    ship_window[1] = wall_now()
-                                record(outcome)
-                                worker_of[outcome.index] = worker_id
-                                worker_counts[worker_id] = (
-                                    worker_counts.get(worker_id, 0) + 1
-                                )
-                        elif executor is not None:
-                            for outcome in executor.map(run_local, wave):
-                                record(outcome)
-                        executed += len(wave)
-                finally:
-                    if executor is not None:
-                        executor.shutdown()
+            else:
+                if pool is None:
+                    pool = WorkerPool(components, workers)
+                    owns_pool = True
+                executed, chunks_sent = _run_processes_steal(
+                    order, tasks, components, pool, workers, deadline_seconds,
+                    costs, slots, position_of, worker_counts, request_id,
+                    worker_of=worker_of,
+                    ship_window=ship_window if traced else None,
+                )
 
             # Post-hoc bookkeeping: the counted prefix of the dispatch
             # order, by the deterministic rule (module docstring).
@@ -538,7 +372,6 @@ def run_component_tasks(
         _emit_task_spans(
             tracer,
             order,
-            dispatch,
             task_walls,
             task_event_map,
             worker_of,
@@ -553,11 +386,7 @@ def run_component_tasks(
 
     durations = [slot.simulated_seconds for slot in slots]
     participating = len(worker_counts)
-    steals = (
-        max(0, executed - participating)
-        if dispatch == "steal" and participating
-        else 0
-    )
+    steals = max(0, executed - participating) if participating else 0
     if metrics is not None:
         metrics.increment("scheduler.tasks_executed", executed)
         metrics.increment("scheduler.tasks_discarded", discarded)
@@ -572,7 +401,6 @@ def run_component_tasks(
         parallel_simulated_seconds=_list_schedule_makespan(durations, workers),
         dispatch_order=counted,
         skipped=sorted(skipped),
-        dispatch=dispatch,
         executed=executed,
         discarded=discarded,
         steals=steals,
@@ -586,7 +414,6 @@ def run_component_tasks(
 def _emit_task_spans(
     tracer,
     order: Sequence[int],
-    dispatch: str,
     task_walls: List[Optional[Tuple[float, float]]],
     task_event_map: Dict[int, dict],
     worker_of: Dict[int, int],
@@ -616,7 +443,6 @@ def _emit_task_spans(
         attributes = {
             "component": index,
             "position": position,
-            "dispatch": dispatch,
             "backend": backend,
         }
         worker = worker_of.get(index, info["worker"] if info else None)

@@ -2,7 +2,7 @@
 
 This is the object the grounding layer talks to, playing the role PostgreSQL
 plays for Tuffy.  It intentionally exposes a narrow interface: create and
-bulk-load tables, build indexes, run conjunctive queries (optionally dumping
+bulk-load tables, run conjunctive queries (optionally dumping
 the result into another table), and report I/O statistics.
 """
 
@@ -12,7 +12,6 @@ from typing import Any, Dict, Iterable, Optional, Sequence
 
 from repro.rdbms.catalog import Catalog
 from repro.rdbms.executor import ColumnarQueryResult, Executor, QueryResult
-from repro.rdbms.indexes import HashIndex, IndexCatalog, SortedIndex
 from repro.rdbms.optimizer import ConjunctiveQuery, Optimizer, OptimizerOptions, PlannedQuery
 from repro.rdbms.schema import TableSchema
 from repro.rdbms.sql import render_select
@@ -38,7 +37,6 @@ class Database:
         self.storage = StorageManager(page_size=page_size, buffer_pool=self.buffer_pool)
         self.catalog = Catalog(storage=self.storage)
         self.statistics = StatisticsCatalog()
-        self.indexes = IndexCatalog()
         self.optimizer = Optimizer(
             self.catalog.tables(), self.statistics, optimizer_options or OptimizerOptions()
         )
@@ -54,7 +52,6 @@ class Database:
     def drop_table(self, name: str) -> None:
         self.catalog.drop_table(name)
         self.statistics.invalidate(name)
-        self.indexes.drop_table_indexes(name)
 
     def table(self, name: str) -> Table:
         return self.catalog.table(name)
@@ -77,12 +74,6 @@ class Database:
 
     def analyze(self, name: str) -> TableStatistics:
         return self.statistics.analyze(self.catalog.table(name))
-
-    def build_hash_index(self, table_name: str, columns: Sequence[str]) -> HashIndex:
-        return self.indexes.build_hash_index(self.catalog.table(table_name), columns)
-
-    def build_sorted_index(self, table_name: str, column: str) -> SortedIndex:
-        return self.indexes.build_sorted_index(self.catalog.table(table_name), column)
 
     # ------------------------------------------------------------------
     # Query execution

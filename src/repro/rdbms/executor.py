@@ -15,7 +15,7 @@ Backend selection mirrors the search kernel's ``resolve_backend`` seam:
 resolves to ``columnar`` iff numpy is importable *and* the plan scans at
 least one base table with >= :data:`COLUMNAR_AUTO_MIN_ROWS` rows (below
 that the numpy dispatch and dictionary-encoding overheads cannot amortize;
-the crossover was measured with ``benchmarks/bench_table2_grounding.py``).
+the crossover was measured on the generated grounding workloads).
 """
 
 from __future__ import annotations

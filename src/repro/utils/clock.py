@@ -36,7 +36,7 @@ def wall_sleep(seconds: float) -> None:
 
     The sanctioned wall-clock sleep for code under the ``det-wallclock``
     analysis rule (the deterministic core must not call ``time.*``
-    directly).  It is used only for *pacing* — the scheduler's injected
+    directly).  It is used only for *pacing* — the worker pool's injected
     slow-worker test hook — never for anything that feeds results, so
     determinism is unaffected.
     """

@@ -74,6 +74,157 @@ class TestParser:
         assert config.parallel_backend == "serial"
         assert config.workers == 3
 
+    @pytest.mark.parametrize("backend", ("auto", "serial", "processes"))
+    def test_each_parallel_backend_choice_reaches_config(self, backend):
+        from repro.cli import _config_from_arguments
+
+        arguments = build_parser().parse_args(
+            ["dataset", "IE", "--parallel-backend", backend]
+        )
+        assert _config_from_arguments(arguments).parallel_backend == backend
+
+    @pytest.mark.parametrize(
+        "flags",
+        (
+            ["--parallel-backend", "threads"],
+            ["--parallel-dispatch", "wave"],
+        ),
+    )
+    def test_removed_parallel_options_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["dataset", "IE", *flags])
+        assert raised.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestBadInput:
+    """Invalid input is one ``error:`` line on stderr and exit 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        (
+            (["--max-flips", "0"], "max_flips must be positive"),
+            (["--workers", "0"], "workers must be positive"),
+            (["--mcsat-samples", "0"], "mcsat_samples must be positive"),
+        ),
+    )
+    def test_rejected_configuration(self, flags, message, capsys):
+        status = main(["dataset", "RC", "--scale", "0.1", *flags], stream=io.StringIO())
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err == f"repro-tuffy: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        (
+            (["--max-flips", "0"], "max_flips must be positive"),
+            (["--workers", "0"], "workers must be positive"),
+            (["--mcsat-samples", "0"], "mcsat_samples must be positive"),
+        ),
+    )
+    def test_rejected_configuration_on_infer(
+        self, program_files, flags, message, capsys
+    ):
+        program, evidence = program_files
+        status = main(
+            ["infer", "-i", program, "-e", evidence, *flags], stream=io.StringIO()
+        )
+        assert status == 2
+        assert capsys.readouterr().err == f"repro-tuffy: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        (
+            (["--max-flips", "-5"], "max_flips must be positive"),
+            (["--workers", "-2"], "workers must be positive"),
+            (["--mcsat-samples", "-1"], "mcsat_samples must be positive"),
+            (["--memory-budget-kb", "-1"], "memory_budget_bytes must be positive when set"),
+        ),
+    )
+    def test_negative_values_rejected(self, flags, message, capsys):
+        status = main(["dataset", "RC", "--scale", "0.1", *flags], stream=io.StringIO())
+        assert status == 2
+        assert capsys.readouterr().err == f"repro-tuffy: error: {message}\n"
+
+    @pytest.mark.parametrize("name", ("ER", "IE", "LP", "RC"))
+    def test_rejected_configuration_prints_nothing_on_stdout_for_any_dataset(
+        self, name, capsys
+    ):
+        output = io.StringIO()
+        status = main(["dataset", name, "--scale", "0.1", "--workers", "0"], stream=output)
+        assert status == 2
+        # The workload banner may print; no inference output follows it.
+        assert "# atoms inferred true" not in output.getvalue()
+        assert capsys.readouterr().err == "repro-tuffy: error: workers must be positive\n"
+
+    @pytest.mark.parametrize(
+        "program_text, fragment",
+        (
+            (
+                "wrote(author, paper)\n1 wrote(x, p) =>\n",
+                "unexpected end of rule",
+            ),
+            (
+                "wrote(author, paper)\nwrote(x, p) => wrote(p, x)\n",
+                "rule must either start with a weight",
+            ),
+            (
+                "wrote(author, paper)\n1 wrote(x, p) @ wrote(p, x)\n",
+                "unexpected character",
+            ),
+        ),
+    )
+    def test_malformed_program(self, tmp_path, program_text, fragment, capsys):
+        program = tmp_path / "bad.mln"
+        program.write_text(program_text)
+        status = main(["infer", "-i", str(program)], stream=io.StringIO())
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-tuffy: error: line 2: ")
+        assert fragment in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "evidence_text, fragment",
+        (
+            ("wrote(Joe)\n", "has 1 arguments, predicate wrote expects 2"),
+            ("wrote Joe\n", "malformed evidence atom"),
+        ),
+    )
+    def test_malformed_evidence(self, tmp_path, evidence_text, fragment, capsys):
+        program = tmp_path / "prog.mln"
+        evidence = tmp_path / "prog.db"
+        program.write_text("wrote(author, paper)\n1 wrote(x, p) => wrote(p, x)\n")
+        evidence.write_text(evidence_text)
+        status = main(
+            ["infer", "-i", str(program), "-e", str(evidence)], stream=io.StringIO()
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-tuffy: error: line 1: ")
+        assert fragment in err
+        assert err.count("\n") == 1
+
+    def test_stats_on_malformed_program(self, tmp_path, capsys):
+        program = tmp_path / "bad.mln"
+        program.write_text("wrote(author, paper)\n1 wrote(x, p) =>\n")
+        output = io.StringIO()
+        status = main(["stats", "-i", str(program)], stream=output)
+        assert status == 2
+        assert output.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err == "repro-tuffy: error: line 2: unexpected end of rule\n"
+
+    def test_unknown_predicate_in_program(self, tmp_path, capsys):
+        program = tmp_path / "bad.mln"
+        program.write_text("wrote(author, paper)\n1 wrote(x, p) => cites(p, x)\n")
+        status = main(["infer", "-i", str(program)], stream=io.StringIO())
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-tuffy: error: ")
+        assert "cites" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestStatsCommand:
     def test_prints_table1_fields(self, program_files):
@@ -118,7 +269,7 @@ class TestInferCommand:
         from repro.parallel import processes_available
 
         program, evidence = program_files
-        backends = ["serial", "threads"] + (
+        backends = ["serial"] + (
             ["processes"] if processes_available() else []
         )
         outputs = {}

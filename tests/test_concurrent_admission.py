@@ -5,8 +5,8 @@ The session's concurrency contract (:mod:`repro.core.session`): up to
 shared session state — persistent pool, shared-memory result banks,
 grounding caches, kernel-state lease — and every request's MAP
 assignment, marginals, skipped set and telemetry are bit-identical to
-running the same request alone.  Checked across parallel backends,
-dispatch modes and worker counts, including a per-request deadline and
+running the same request alone.  Checked across parallel backends and
+worker counts, including a per-request deadline and
 an injected slow worker (the ``stall_worker`` hook) forcing maximal
 interleaving skew on a shared pool.
 """
@@ -28,7 +28,7 @@ from repro.parallel.scheduler import run_component_tasks
 from repro.utils.rng import RandomSource
 
 BACKENDS = [
-    backend for backend in ("serial", "threads", "processes")
+    backend for backend in ("serial", "processes")
     if backend != "processes" or processes_available()
 ]
 WORKER_COUNTS = (1, 2, 4)
@@ -120,19 +120,6 @@ class TestConcurrentAdmissionParity:
         _assert_same_map(got[1], solo_map_7, key)
         _assert_same_marginal(got[2], solo_marginal, key)
         _assert_same_map(got[3], solo_deadline, key)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_wave_dispatch_interleaves_identically(self, backend):
-        solo = TuffyEngine(_program(), _config(
-            parallel_backend=backend, workers=2, parallel_dispatch="wave",
-        )).run_map(seed=0)
-        with TuffyEngine(_program(), _config(
-            parallel_backend=backend, workers=2, parallel_dispatch="wave",
-            max_inflight_requests=3,
-        )) as engine:
-            futures = [engine.submit_map(seed=0) for _ in range(3)]
-            for future in futures:
-                _assert_same_map(future.result(), solo, key=backend)
 
     def test_repeat_interleaved_batches_stay_warm(self):
         # Two consecutive concurrent batches: the second reuses grounding,
@@ -301,7 +288,6 @@ class TestSharedPoolMultiplexing:
                     walksat_tasks(components),
                     backend="processes",
                     workers=2,
-                    dispatch="steal",
                     pool=pool,
                     request_id=request_id,
                 )
@@ -425,7 +411,7 @@ class TestSharedPoolMultiplexing:
         components = [conflicted_chain(3)]
         with WorkerPool(components, 1) as pool:
             task = walksat_tasks(components)[0]
-            pool.submit(task)
+            pool.submit_chunk([task])
             with pool._route_lock:
                 pool._inflight.clear()
             with pytest.raises(RuntimeError, match="no in-flight task record"):
@@ -442,7 +428,6 @@ class TestSharedPoolMultiplexing:
                     walksat_tasks(components),
                     backend="processes",
                     workers=2,
-                    dispatch="steal",
                     pool=pool,
                     request_id=request_id,
                 )

@@ -7,7 +7,11 @@ import pytest
 from repro.datasets.example1 import example1_mrf
 from repro.grounding.clause_table import GroundClauseStore
 from repro.inference.rdbms_walksat import RDBMSWalkSAT
-from repro.inference.scheduling import run_tasks, weighted_flip_allocation
+from repro.inference.scheduling import (
+    ParallelOutcome,
+    _list_schedule_makespan,
+    weighted_flip_allocation,
+)
 from repro.inference.tracing import FlipRateMeter, TimeCostTrace, merge_traces
 from repro.inference.walksat import WalkSAT, WalkSATOptions, expected_hitting_time
 from repro.mrf.components import connected_components
@@ -443,20 +447,15 @@ class TestScheduling:
         assert shares == [100, 300, 600]
         assert weighted_flip_allocation(components, 1000) == shares
 
-    def test_run_tasks_sequential_and_parallel(self):
-        def make_task(duration):
-            def task():
-                return duration, duration
-
-            return task
-
-        outcome = run_tasks([make_task(d) for d in (3.0, 1.0, 2.0)], workers=1)
-        assert outcome.results == [3.0, 1.0, 2.0]
-        assert outcome.sequential_simulated_seconds == pytest.approx(6.0)
-        parallel = run_tasks([make_task(d) for d in (3.0, 1.0, 2.0)], workers=2)
-        assert parallel.parallel_simulated_seconds == pytest.approx(3.0)
-        assert parallel.simulated_speedup == pytest.approx(2.0)
-
-    def test_run_tasks_invalid_workers(self):
-        with pytest.raises(ValueError):
-            run_tasks([], workers=0)
+    def test_list_schedule_makespan_and_speedup(self):
+        durations = [3.0, 1.0, 2.0]
+        assert _list_schedule_makespan(durations, 1) == pytest.approx(6.0)
+        assert _list_schedule_makespan(durations, 2) == pytest.approx(3.0)
+        assert _list_schedule_makespan([], 2) == 0.0
+        outcome = ParallelOutcome(
+            results=durations,
+            wall_seconds=0.0,
+            sequential_simulated_seconds=sum(durations),
+            parallel_simulated_seconds=_list_schedule_makespan(durations, 2),
+        )
+        assert outcome.simulated_speedup == pytest.approx(2.0)

@@ -3,7 +3,7 @@
 The tracing contract: a recording tracer observes, never acts.  Results
 — assignments, costs, flips, marginals, the RNG stream position and the
 simulated clock — are **bit-identical** with tracing on vs off, across
-parallel backends, dispatch modes and worker counts (``obs-purity``
+parallel backends and worker counts (``obs-purity``
 enforces the static half of this; these tests prove the dynamic half).
 
 Shape tests pin the stitched span tree: every worker task span resolves
@@ -28,10 +28,9 @@ from repro.parallel.pool import ComponentTask, WorkerPool
 from repro.utils.rng import RandomSource
 
 BACKENDS = [
-    backend for backend in ("serial", "threads", "processes")
+    backend for backend in ("serial", "processes")
     if backend != "processes" or processes_available()
 ]
-DISPATCH_MODES = ("steal", "wave")
 WORKER_COUNTS = (1, 4)
 
 
@@ -63,14 +62,13 @@ def _driver_fields(result):
     )
 
 
-def _run(components, backend, dispatch, workers, tracer=None):
+def _run(components, backend, workers, tracer=None):
     rng = RandomSource(0)
     result = ComponentAwareWalkSAT(
         WalkSATOptions(max_flips=1500),
         rng,
         workers=workers,
         parallel_backend=backend,
-        dispatch=dispatch,
         tracer=tracer,
         metrics=MetricsRegistry() if tracer is not None else None,
     ).run(components, total_flips=1500)
@@ -81,19 +79,15 @@ def _run(components, backend, dispatch, workers, tracer=None):
 
 class TestTraceParity:
     @pytest.mark.parametrize("workload", ("example1", "RC"))
-    @pytest.mark.parametrize("dispatch", DISPATCH_MODES)
-    def test_driver_results_identical_traced_or_not(
-        self, workloads, workload, dispatch
-    ):
+    def test_driver_results_identical_traced_or_not(self, workloads, workload):
         components = workloads[workload]
         for backend in BACKENDS:
             for workers in WORKER_COUNTS:
-                untraced, rng_after = _run(components, backend, dispatch, workers)
+                untraced, rng_after = _run(components, backend, workers)
                 traced, traced_rng_after = _run(
-                    components, backend, dispatch, workers,
-                    tracer=RecordingTracer(),
+                    components, backend, workers, tracer=RecordingTracer()
                 )
-                key = (workload, backend, dispatch, workers)
+                key = (workload, backend, workers)
                 assert traced == untraced, key
                 assert traced_rng_after == rng_after, key
 
@@ -141,9 +135,7 @@ class TestSpanTreeShape:
             tracer = session.tracer
         return tracer
 
-    @pytest.mark.parametrize(
-        "backend", [b for b in ("threads", "processes") if b in BACKENDS]
-    )
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_task_spans_resolve_to_their_request_root(self, backend):
         tracer = self._traced_session_run(backend, workers=2)
         assert tracer.request_ids() == [1]
@@ -211,13 +203,15 @@ class TestSpanTreeShape:
                     assert stats.ingest_seconds == stats.seconds
 
     def test_stitched_order_is_deterministic(self):
-        first = self._traced_session_run("threads", workers=4)
-        second = self._traced_session_run("threads", workers=4)
+        # The last backend is the forked pool when fork is available: the
+        # one whose completion order varies run to run.
+        first = self._traced_session_run(BACKENDS[-1], workers=4)
+        second = self._traced_session_run(BACKENDS[-1], workers=4)
         names_first = [span.name for span in first.request_spans(1)]
         names_second = [span.name for span in second.request_spans(1)]
         assert names_first == names_second
         # Component spans are emitted post-hoc in dispatch order, not
-        # completion order — the sequence cannot depend on thread timing.
+        # completion order — the sequence cannot depend on worker timing.
         components = [n for n in names_first if n.startswith("component[")]
         assert components == sorted(components, key=lambda n: int(n[10:-1]))
 
@@ -258,8 +252,8 @@ class TestBankExhaustionSurfacing:
         )
         with caplog.at_level(logging.WARNING, logger="repro.parallel.pool"):
             with WorkerPool(components, 1, result_banks=1, metrics=registry) as pool:
-                pool.submit(task_a)  # takes the only bank
-                pool.submit(task_b)  # exhausted: bank -1, pickled fallback
+                pool.submit_chunk([task_a])  # takes the only bank
+                pool.submit_chunk([task_b])  # exhausted: bank -1, pickled fallback
                 outcome_a, _ = pool.next_outcome(1)
                 outcome_b, _ = pool.next_outcome(2)
                 pool.finish_request(1)

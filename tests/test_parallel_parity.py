@@ -3,11 +3,10 @@
 The determinism contract of ``repro.parallel`` (see its module docstring):
 per-component RNG streams derive only from the run seed and the component
 index, and merges happen in component order — so MAP best assignments and
-MC-SAT marginals are **bit-for-bit identical** across
-``serial``/``threads``/``processes`` backends, across worker counts
-(1, 2, 4) and across dispatch modes (``steal``/``wave``), on example1,
-RC and IE — with and without a deadline (whose skipped set is post-hoc
-bookkeeping, independent of backend, dispatch and workers).  The backend
+MC-SAT marginals are **bit-for-bit identical** across the
+``serial``/``processes`` backends and across worker counts (1, 2, 4), on
+example1, RC and IE — with and without a deadline (whose skipped set is
+post-hoc bookkeeping, independent of backend and workers).  The backend
 is purely a wall-clock decision.
 """
 
@@ -38,7 +37,7 @@ from repro.parallel.scheduler import (
 from repro.utils.rng import RandomSource
 
 BACKENDS = [
-    backend for backend in ("serial", "threads", "processes")
+    backend for backend in ("serial", "processes")
     if backend != "processes" or processes_available()
 ]
 WORKER_COUNTS = (1, 2, 4)
@@ -90,33 +89,26 @@ class TestMapParity:
 
     @pytest.mark.parametrize("workload", ("example1", "RC"))
     @pytest.mark.parametrize("deadline", (None, 1e-9))
-    def test_wave_and_steal_dispatch_bit_identical(
-        self, workloads, workload, deadline
-    ):
+    def test_deadline_runs_bit_identical(self, workloads, workload, deadline):
         components = workloads[workload]
         reference = ComponentAwareWalkSAT(
             WalkSATOptions(max_flips=2000, deadline_seconds=deadline),
             RandomSource(0),
             parallel_backend="serial",
-            dispatch="steal",
         ).run(components, total_flips=2000)
         for backend in BACKENDS:
             for workers in WORKER_COUNTS:
-                for dispatch in ("steal", "wave"):
-                    result = ComponentAwareWalkSAT(
-                        WalkSATOptions(max_flips=2000, deadline_seconds=deadline),
-                        RandomSource(0),
-                        workers=workers,
-                        parallel_backend=backend,
-                        dispatch=dispatch,
-                    ).run(components, total_flips=2000)
-                    key = (workload, backend, workers, dispatch, deadline)
-                    assert result.best_assignment == reference.best_assignment, key
-                    assert result.best_cost == reference.best_cost, key
-                    assert result.flips == reference.flips, key
-                    assert (
-                        result.skipped_components == reference.skipped_components
-                    ), key
+                result = ComponentAwareWalkSAT(
+                    WalkSATOptions(max_flips=2000, deadline_seconds=deadline),
+                    RandomSource(0),
+                    workers=workers,
+                    parallel_backend=backend,
+                ).run(components, total_flips=2000)
+                key = (workload, backend, workers, deadline)
+                assert result.best_assignment == reference.best_assignment, key
+                assert result.best_cost == reference.best_cost, key
+                assert result.flips == reference.flips, key
+                assert result.skipped_components == reference.skipped_components, key
 
     def test_engine_map_parity_across_backends(self):
         results = {}
@@ -279,7 +271,7 @@ class TestMarginalParity:
 
 class TestBackendResolution:
     def test_constants_and_availability(self):
-        assert PARALLEL_BACKENDS == ("auto", "serial", "threads", "processes")
+        assert PARALLEL_BACKENDS == ("auto", "serial", "processes")
         assert "serial" in available_parallel_backends()
 
     def test_auto_falls_back_to_serial_without_parallelism(self):
@@ -288,6 +280,15 @@ class TestBackendResolution:
         # Single worker: nothing to parallelise.
         assert resolve_parallel_backend("auto", workers=1, task_count=8) == "serial"
 
+    def test_auto_falls_back_to_serial_without_fork(self, monkeypatch):
+        import repro.parallel
+
+        monkeypatch.setattr(repro.parallel, "processes_available", lambda: False)
+        assert resolve_parallel_backend("auto", workers=4, task_count=8) == "serial"
+        assert repro.parallel.available_parallel_backends() == ("serial",)
+        with pytest.raises(RuntimeError):
+            resolve_parallel_backend("processes", workers=4, task_count=8)
+
     def test_auto_engages_processes_when_parallelism_exists(self):
         if not processes_available():
             pytest.skip("fork start method unavailable")
@@ -295,11 +296,16 @@ class TestBackendResolution:
 
     def test_explicit_backends_are_honoured(self):
         assert resolve_parallel_backend("serial", workers=4, task_count=8) == "serial"
-        assert resolve_parallel_backend("threads", workers=4, task_count=8) == "threads"
+        if processes_available():
+            assert (
+                resolve_parallel_backend("processes", workers=1, task_count=1)
+                == "processes"
+            )
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_parallel_backend("cluster")
+        for backend in ("cluster", "threads"):
+            with pytest.raises(ValueError):
+                resolve_parallel_backend(backend)
 
     def test_config_validates_parallel_backend(self):
         from repro.core.errors import ConfigurationError
@@ -310,10 +316,30 @@ class TestBackendResolution:
             "processes"
         )
 
-    def test_config_validates_parallel_dispatch(self):
+    def test_config_rejects_threads_backend(self):
         from repro.core.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            InferenceConfig(parallel_dispatch="barrier")
-        assert InferenceConfig().parallel_dispatch == "steal"
-        assert InferenceConfig(parallel_dispatch="wave").parallel_dispatch == "wave"
+            InferenceConfig(parallel_backend="threads")
+
+    @pytest.mark.parametrize(
+        "workers, task_count", ((1, 1), (1, 8), (4, 1), (2, 2), (4, 8))
+    )
+    def test_auto_needs_workers_components_and_fork(self, workers, task_count):
+        parallel = workers > 1 and task_count > 1 and processes_available()
+        assert resolve_parallel_backend(
+            "auto", workers=workers, task_count=task_count
+        ) == ("processes" if parallel else "serial")
+
+    @pytest.mark.parametrize("backend", ("wave", "steal", "", "Serial", "THREADS"))
+    def test_config_rejects_names_outside_the_seam(self, backend):
+        from repro.core.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="unknown parallel backend"):
+            InferenceConfig(parallel_backend=backend)
+        with pytest.raises(ValueError):
+            resolve_parallel_backend(backend)
+
+    def test_config_has_no_dispatch_field(self):
+        with pytest.raises(TypeError):
+            InferenceConfig(parallel_dispatch="steal")

@@ -6,7 +6,7 @@ shared-memory segment per pool, for results only), dispatch is
 largest-first, ``scheduling.run_components`` honors the
 deadline by post-hoc bookkeeping (a dispatch position counts iff the
 summed simulated costs of the positions before it stay under the
-deadline — identical across backends, dispatch modes and worker counts),
+deadline — identical across backends and worker counts),
 and the Gauss-Seidel refinement merge is backend-independent.
 """
 
@@ -46,7 +46,7 @@ from repro.partitioning.greedy import GreedyPartitioner
 from repro.utils.rng import RandomSource
 
 BACKENDS = [
-    backend for backend in ("serial", "threads", "processes")
+    backend for backend in ("serial", "processes")
     if backend != "processes" or processes_available()
 ]
 
@@ -197,6 +197,33 @@ class TestDispatchOrder:
         )
         assert outcome.dispatch_order == [2, 1, 0]
         assert outcome.skipped == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", (1, 4))
+    def test_many_component_order_and_results_independent_of_workers(
+        self, backend, workers
+    ):
+        components = many_components(12)
+        expected = [
+            execute_component_task(task, component)
+            for task, component in zip(walksat_tasks(components), components)
+        ]
+        outcome = run_components(
+            components,
+            walksat_tasks(components),
+            parallel_backend=backend,
+            workers=workers,
+        )
+        assert outcome.dispatch_order == dispatch_order(components)
+        assert outcome.skipped == []
+        # Results come back in component order, whoever ran them.
+        for got, want in zip(outcome.results, expected):
+            assert got.best_assignment == want.result.best_assignment
+            assert got.best_cost == want.result.best_cost
+            assert got.flips == want.result.flips
+        assert outcome.sequential_simulated_seconds == pytest.approx(
+            sum(want.simulated_seconds for want in expected)
+        )
 
 
 class TestChunkBoundaries:
@@ -469,10 +496,7 @@ class TestDeadlineHandling:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", (1, 2, 4))
-    @pytest.mark.parametrize("dispatch", ("steal", "wave"))
-    def test_tiny_deadline_counts_only_first_position(
-        self, backend, workers, dispatch
-    ):
+    def test_tiny_deadline_counts_only_first_position(self, backend, workers):
         components = sized_components()
         tasks = walksat_tasks(components)
         outcome = run_components(
@@ -482,11 +506,10 @@ class TestDeadlineHandling:
             workers=workers,
             deadline_seconds=1e-9,
             placeholder=zero_flip_placeholder(components),
-            dispatch=dispatch,
         )
         # Post-hoc rule: position 0 always counts (zero spend before it);
         # its cost alone exceeds the tiny deadline, so everything after is
-        # skipped — on every backend, dispatch mode and worker count.
+        # skipped — on every backend and worker count.
         assert outcome.dispatch_order == dispatch_order(components)[:1]
         assert outcome.skipped == [1, 2]
         for index, result in enumerate(outcome.results):
@@ -524,8 +547,7 @@ class TestDeadlineHandling:
     def test_deadline_run_identical_across_backends_and_workers(self):
         """The strengthened contract: the deadline outcome is decided by
         post-hoc bookkeeping over the simulated costs, so it is identical
-        across backends *and* worker counts (the old wave scheduler
-        completed more components at higher worker counts)."""
+        across backends *and* worker counts."""
         components = sized_components()
         reference = ComponentAwareWalkSAT(
             WalkSATOptions(max_flips=900, deadline_seconds=1e-9),
@@ -547,7 +569,7 @@ class TestDeadlineHandling:
                 assert result.best_cost == reference.best_cost, label
                 assert result.skipped_components == reference.skipped_components
 
-    def test_no_deadline_dispatches_everything_in_one_wave(self):
+    def test_no_deadline_dispatches_everything(self):
         components = sized_components()
         outcome = run_components(
             components,
@@ -610,6 +632,32 @@ class TestGaussSeidelRefine:
         assert result.best_assignment == reference.best_assignment
         assert result.best_cost == reference.best_cost
         assert result.flips == reference.flips
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", (1, 4))
+    def test_refine_independent_of_workers(self, backend, workers):
+        mrf, partitioner = self._oversized()
+        partitions = partitioner.partition(mrf).atom_partitions
+        reference = gauss_seidel_refine(
+            mrf,
+            partitions,
+            options=WalkSATOptions(max_flips=800),
+            rng=RandomSource(5),
+            rounds=3,
+        )
+        result = gauss_seidel_refine(
+            mrf,
+            partitions,
+            options=WalkSATOptions(max_flips=800),
+            rng=RandomSource(5),
+            rounds=3,
+            parallel_backend=backend,
+            workers=workers,
+        )
+        assert result.best_assignment == reference.best_assignment
+        assert result.best_cost == reference.best_cost
+        assert result.flips == reference.flips
+        assert result.cut_clause_count == reference.cut_clause_count
 
     def test_refine_covers_all_atoms_and_counts_cut(self):
         mrf, partitioner = self._oversized()

@@ -30,7 +30,7 @@ from repro.parallel.buffers import ResultBufferSet
 from repro.parallel.pool import BoundedStateCache, WorkerPool
 
 BACKENDS = [
-    backend for backend in ("serial", "threads", "processes")
+    backend for backend in ("serial", "processes")
     if backend != "processes" or processes_available()
 ]
 WORKER_COUNTS = (1, 2, 4)

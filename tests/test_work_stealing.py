@@ -2,8 +2,8 @@
 
 The determinism suite for the steal scheduler: the same seed produces
 identical assignments, marginals and deadline reports under worker counts
-1/2/4, under ``dispatch="wave"``, and under an injected slow worker (one
-worker stalled via the test hook, forcing maximal stealing skew).  Plus
+1/2/4 and under an injected slow worker (one pool worker stalled via the
+test hook, forcing maximal stealing skew).  Plus
 the result-shipping layer: shared-memory round-trips are exact, oversized
 results fall back to the pickled queue gracefully (counted, never
 truncated), and the scheduler reports the shipping split.
@@ -29,7 +29,7 @@ from repro.parallel.scheduler import deadline_cutoff, run_component_tasks
 from repro.utils.rng import RandomSource
 
 BACKENDS = [
-    backend for backend in ("serial", "threads", "processes")
+    backend for backend in ("serial", "processes")
     if backend != "processes" or processes_available()
 ]
 WORKER_COUNTS = (1, 2, 4)
@@ -125,12 +125,11 @@ class TestDeadlineCutoff:
 
 
 class TestStealDeterminism:
-    """Same seed => identical results across dispatch modes and workers."""
+    """Same seed => identical results across backends and workers."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("dispatch", ("steal", "wave"))
-    def test_map_search_matches_serial_reference(self, backend, workers, dispatch):
+    def test_map_search_matches_serial_reference(self, backend, workers):
         components = imbalanced_components()
         reference = ComponentAwareWalkSAT(
             WalkSATOptions(max_flips=600),
@@ -143,80 +142,124 @@ class TestStealDeterminism:
             RandomSource(11),
             workers=workers,
             parallel_backend=backend,
-            dispatch=dispatch,
         ).run(components, total_flips=600)
         assert result.best_assignment == reference.best_assignment
         assert result.best_cost == reference.best_cost
         assert result.flips == reference.flips
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("dispatch", ("steal", "wave"))
-    def test_marginals_match_serial_reference(self, backend, dispatch):
+    def test_marginals_match_serial_reference(self, backend):
         components = imbalanced_components()[:3]
         reference = MCSat(
             MCSatOptions(samples=6, burn_in=2), RandomSource(5)
         ).run_components(components, parallel_backend="serial", workers=1)
         result = MCSat(
             MCSatOptions(samples=6, burn_in=2), RandomSource(5)
-        ).run_components(
-            components, parallel_backend=backend, workers=2, dispatch=dispatch
-        )
+        ).run_components(components, parallel_backend=backend, workers=2)
         assert result.probabilities == reference.probabilities
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_deadline_report_independent_of_dispatch_and_workers(
-        self, backend, workers
-    ):
+    def test_deadline_report_independent_of_workers(self, backend, workers):
         components = imbalanced_components()
-        outcomes = {}
-        for dispatch in ("steal", "wave"):
-            searcher = ComponentAwareWalkSAT(
-                WalkSATOptions(max_flips=600, deadline_seconds=1e-9),
-                RandomSource(11),
-                workers=workers,
-                parallel_backend=backend,
-                dispatch=dispatch,
-            )
-            outcomes[dispatch] = searcher.run(components, total_flips=600)
+        result = ComponentAwareWalkSAT(
+            WalkSATOptions(max_flips=600, deadline_seconds=1e-9),
+            RandomSource(11),
+            workers=workers,
+            parallel_backend=backend,
+        ).run(components, total_flips=600)
         reference = ComponentAwareWalkSAT(
             WalkSATOptions(max_flips=600, deadline_seconds=1e-9),
             RandomSource(11),
             workers=1,
             parallel_backend="serial",
         ).run(components, total_flips=600)
-        for dispatch, result in outcomes.items():
-            label = f"{backend}/{dispatch}/workers={workers}"
-            assert result.skipped_components == reference.skipped_components, label
-            assert result.best_assignment == reference.best_assignment, label
-            assert result.best_cost == reference.best_cost, label
+        label = f"{backend}/workers={workers}"
+        assert result.skipped_components == reference.skipped_components, label
+        assert result.best_assignment == reference.best_assignment, label
+        assert result.best_cost == reference.best_cost, label
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_uniform_components_match_serial_reference(self, backend, workers):
+        # Two dozen similar chains: the stealing loop cuts the order into
+        # multi-task chunks, unlike the single-task tail of the giant shape.
+        components = uniform_components()
+        reference = ComponentAwareWalkSAT(
+            WalkSATOptions(max_flips=2400),
+            RandomSource(13),
+            workers=1,
+            parallel_backend="serial",
+        ).run(components, total_flips=2400)
+        result = ComponentAwareWalkSAT(
+            WalkSATOptions(max_flips=2400),
+            RandomSource(13),
+            workers=workers,
+            parallel_backend=backend,
+        ).run(components, total_flips=2400)
+        assert result.best_assignment == reference.best_assignment
+        assert list(result.best_assignment) == list(reference.best_assignment)
+        assert result.best_cost == reference.best_cost
+        assert result.flips == reference.flips
+        assert result.simulated_seconds == reference.simulated_seconds
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_marginals_independent_of_workers(self, backend, workers):
+        components = imbalanced_components()
+        reference = MCSat(
+            MCSatOptions(samples=6, burn_in=2), RandomSource(9)
+        ).run_components(components, parallel_backend="serial", workers=1)
+        result = MCSat(
+            MCSatOptions(samples=6, burn_in=2), RandomSource(9)
+        ).run_components(components, parallel_backend=backend, workers=workers)
+        assert result.probabilities == reference.probabilities
+        assert list(result.probabilities) == list(reference.probabilities)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_mid_run_deadline_report_independent_of_workers(self, backend, workers):
+        components = imbalanced_components()
+        full = ComponentAwareWalkSAT(
+            WalkSATOptions(max_flips=600), RandomSource(11), parallel_backend="serial"
+        ).run(components, total_flips=600)
+        # A deadline three quarters into the sequential spend: some positions
+        # after the first count, the tail is skipped.
+        deadline = 0.75 * full.simulated_seconds
+        reference = ComponentAwareWalkSAT(
+            WalkSATOptions(max_flips=600, deadline_seconds=deadline),
+            RandomSource(11),
+            workers=1,
+            parallel_backend="serial",
+        ).run(components, total_flips=600)
+        assert 0 < len(reference.skipped_components) < len(components) - 1
+        result = ComponentAwareWalkSAT(
+            WalkSATOptions(max_flips=600, deadline_seconds=deadline),
+            RandomSource(11),
+            workers=workers,
+            parallel_backend=backend,
+        ).run(components, total_flips=600)
+        label = f"{backend}/workers={workers}"
+        assert result.skipped_components == reference.skipped_components, label
+        assert result.best_assignment == reference.best_assignment, label
+        assert result.best_cost == reference.best_cost, label
+        assert result.flips == reference.flips, label
+        for index in reference.skipped_components:
+            assert result.component_results[index].flips == 0, label
 
 
+def uniform_components(count=24):
+    """``count`` disjoint chains of 2..7 atoms (sizes repeat, so ties too)."""
+    return [
+        conflicted_chain(2 + index % 6, first_atom=1 + 1000 * index)
+        for index in range(count)
+    ]
+
+
+@pytest.mark.skipif(not processes_available(), reason="fork not available")
 class TestSlowWorker:
     """An injected stall changes who runs what, never what comes out."""
 
-    def test_threads_steal_with_stalled_worker(self):
-        components = imbalanced_components()
-        tasks = walksat_tasks(components)
-        reference = run_component_tasks(
-            components, walksat_tasks(components), backend="serial", workers=1
-        )
-        outcome = run_component_tasks(
-            components,
-            tasks,
-            backend="threads",
-            workers=2,
-            dispatch="steal",
-            stall_worker=(0, 0.02),
-        )
-        for got, want in zip(outcome.results, reference.results):
-            assert result_fields(got) == result_fields(want)
-        # The healthy worker picked up the slack: every task ran, and the
-        # per-worker attribution accounts for all of them.
-        assert outcome.executed == len(components)
-        assert sum(outcome.worker_task_counts.values()) == len(components)
-
-    @pytest.mark.skipif(not processes_available(), reason="fork not available")
     def test_processes_steal_with_stalled_worker(self):
         components = imbalanced_components()
         reference = run_component_tasks(
@@ -228,11 +271,12 @@ class TestSlowWorker:
                 walksat_tasks(components),
                 backend="processes",
                 workers=2,
-                dispatch="steal",
                 pool=pool,
             )
         for got, want in zip(outcome.results, reference.results):
             assert result_fields(got) == result_fields(want)
+        # The healthy worker picked up the slack: every task ran, and the
+        # per-worker attribution accounts for all of them.
         assert outcome.executed == len(components)
         assert sum(outcome.worker_task_counts.values()) == len(components)
 
@@ -246,16 +290,16 @@ class TestSlowWorker:
             deadline_seconds=1e-9,
             placeholder=_zero_placeholder(components),
         )
-        outcome = run_component_tasks(
-            components,
-            walksat_tasks(components),
-            backend="threads",
-            workers=4,
-            dispatch="steal",
-            deadline_seconds=1e-9,
-            placeholder=_zero_placeholder(components),
-            stall_worker=(1, 0.02),
-        )
+        with WorkerPool(components, 4, stall_worker=(1, 0.02)) as pool:
+            outcome = run_component_tasks(
+                components,
+                walksat_tasks(components),
+                backend="processes",
+                workers=4,
+                deadline_seconds=1e-9,
+                placeholder=_zero_placeholder(components),
+                pool=pool,
+            )
         assert outcome.skipped == reference.skipped
         assert outcome.dispatch_order == reference.dispatch_order
         for got, want in zip(outcome.results, reference.results):
@@ -376,36 +420,20 @@ class TestTelemetry:
             walksat_tasks(components),
             backend=backend,
             workers=2,
-            dispatch="steal",
         )
-        assert outcome.dispatch == "steal"
         assert outcome.executed == len(components)
         assert outcome.discarded == 0
         assert outcome.steals >= 0
-        if backend != "serial":
+        if backend == "serial":
+            # No per-worker attribution on the sequential spec loop.
+            assert outcome.steals == 0
+        else:
             assert sum(outcome.worker_task_counts.values()) == len(components)
 
-    def test_wave_dispatch_is_reported(self):
-        components = imbalanced_components()
-        outcome = run_component_tasks(
-            components,
-            walksat_tasks(components),
-            backend="threads",
-            workers=2,
-            dispatch="wave",
-        )
-        assert outcome.dispatch == "wave"
-        assert outcome.executed == len(components)
-        # A barrier assignment is not a steal, no matter how many waves ran.
-        assert outcome.steals == 0
-
-    def test_unknown_dispatch_mode_is_rejected(self):
+    @pytest.mark.parametrize("backend", ("threads", "auto"))
+    def test_unresolved_backend_is_rejected(self, backend):
         components = imbalanced_components()[:2]
         with pytest.raises(ValueError):
             run_component_tasks(
-                components,
-                walksat_tasks(components),
-                backend="serial",
-                workers=1,
-                dispatch="bogus",
+                components, walksat_tasks(components), backend=backend, workers=2
             )
