@@ -10,9 +10,3 @@ import sys
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-
-# Pin the auto-backend crossover thresholds to their built-in defaults:
-# the suite's expectations about which backend `auto` selects must not
-# depend on how fast the host machine happens to be.  Tests that exercise
-# the micro-probe itself re-enable it explicitly (tests/test_autotune.py).
-os.environ.setdefault("REPRO_AUTOTUNE", "off")

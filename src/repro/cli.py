@@ -22,6 +22,7 @@ it does is available programmatically.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -31,6 +32,21 @@ from repro.datasets import DATASET_NAMES, DatasetScale, load_dataset
 from repro.logic.parser import MLNSyntaxError
 from repro.obs import write_chrome_trace, write_metrics
 from repro.utils.timer import Stopwatch
+
+
+def _positive(convert, kind: str):
+    """An argparse ``type`` accepting only finite values above zero."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a positive {kind}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     dataset = subparsers.add_parser("dataset", help="run inference on a built-in benchmark workload")
     dataset.add_argument("name", choices=sorted(DATASET_NAMES), help="workload name")
-    dataset.add_argument("--scale", type=float, default=1.0, help="generator scale factor")
+    dataset.add_argument(
+        "--scale", type=_positive(float, "number"), default=1.0, help="generator scale factor"
+    )
     _add_inference_arguments(dataset)
     dataset.add_argument(
         "--baseline",
@@ -76,15 +94,15 @@ def _add_inference_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("auto", "row", "columnar"),
         default="auto",
         help="relational engine execution model for grounding queries "
-        "(auto picks columnar for large tables when numpy is available)",
+        "(auto picks columnar for large tables)",
     )
     parser.add_argument(
         "--kernel-backend",
         choices=("auto", "flat", "vectorized"),
         default="auto",
         help="search-kernel implementation for MAP search and MC-SAT sampling "
-        "(auto picks the vectorized kernel for large MRFs when numpy is "
-        "available; results are bit-identical across backends)",
+        "(auto picks the vectorized kernel for large MRFs; results are "
+        "bit-identical across backends)",
     )
     parser.add_argument("--max-flips", type=int, default=100_000, help="total WalkSAT flip budget")
     parser.add_argument("--workers", type=int, default=1, help="parallel component searches")
@@ -115,7 +133,7 @@ def _add_inference_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mcsat-samples", type=int, default=100, help="MC-SAT sample count")
     parser.add_argument(
         "--session-requests",
-        type=int,
+        type=_positive(int, "integer"),
         default=1,
         metavar="N",
         help="repeat the inference request N times on one warm engine "
@@ -125,7 +143,7 @@ def _add_inference_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-inflight-requests",
-        type=int,
+        type=_positive(int, "integer"),
         default=1,
         metavar="N",
         help="session admission width: how many submitted requests may be "
@@ -134,7 +152,7 @@ def _add_inference_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--session-concurrent",
-        type=int,
+        type=_positive(int, "integer"),
         default=1,
         metavar="N",
         help="submit the --session-requests requests through the session's "
@@ -179,9 +197,7 @@ def _config_from_arguments(arguments: argparse.Namespace) -> InferenceConfig:
         ),
         mcsat_samples=arguments.mcsat_samples,
         max_inflight_requests=max(
-            getattr(arguments, "max_inflight_requests", 1),
-            getattr(arguments, "session_concurrent", 1),
-            1,
+            arguments.max_inflight_requests, arguments.session_concurrent
         ),
         tracing=getattr(arguments, "tracing", "auto"),
         trace_out=getattr(arguments, "trace_out", None),
@@ -205,8 +221,8 @@ def _print_summary(result, stream) -> None:
 
 
 def _run_inference(program: MLNProgram, arguments: argparse.Namespace, stream) -> int:
-    requests = max(getattr(arguments, "session_requests", 1), 1)
-    concurrent = max(getattr(arguments, "session_concurrent", 1), 1)
+    requests = arguments.session_requests
+    concurrent = arguments.session_concurrent
     with TuffyEngine(program, _config_from_arguments(arguments)) as engine:
         request_seconds = []
         batch_seconds = None

@@ -23,10 +23,11 @@ class InferenceConfig:
     or ``"top-down"`` (the Alchemy-style nested-loop baseline);
     ``optimizer_options`` exposes the relational planner's lesion knobs;
     ``execution_backend`` selects the relational engine's execution model
-    (``"auto"`` engages the columnar batch engine above the measured
-    table-size crossover; ``"row"`` / ``"columnar"`` force one — results
-    are identical either way); ``use_lazy_closure`` applies the Appendix
-    A.3 active closure to the ground clauses before search.
+    (``"auto"`` engages the columnar batch engine once a scanned table
+    reaches ``COLUMNAR_AUTO_MIN_ROWS`` rows; ``"row"`` / ``"columnar"``
+    force one — results are identical either way); ``use_lazy_closure``
+    applies the Appendix A.3 active closure to the ground clauses before
+    search.
 
     Search
     ------
@@ -35,7 +36,8 @@ class InferenceConfig:
     ``max_tries`` the number of restarts, ``use_partitioning`` toggles
     component-aware search (Tuffy vs Tuffy-p in the paper), and
     ``memory_budget_bytes`` — when set — bounds partition sizes, triggering
-    Algorithm 3 plus Gauss-Seidel sweeps for components that exceed it.
+    Algorithm 3 plus Gauss-Seidel sweeps for components that exceed it;
+    ``bytes_per_state_unit`` converts that budget into a partition size.
     ``workers`` sets the number of parallel component searches and
     ``parallel_backend`` the vehicle that runs them (``"auto"`` engages
     the shared-memory multiprocess pool whenever there is parallelism to
@@ -45,22 +47,28 @@ class InferenceConfig:
     stealing — workers pull the next component the moment they finish.
     Results are bit-identical across parallel backends and worker
     counts; only wall-clock time changes.
-    When ``deadline_seconds`` is set, the components that count are
-    decided by post-hoc bookkeeping over the per-component simulated
-    costs (dispatch position ``p`` counts iff the summed costs of the
-    positions before it stay under the deadline), so even the deadline
-    outcome is identical across backends and worker counts.
+    When ``deadline_seconds`` is set (zero or more simulated seconds),
+    the components that count are decided by post-hoc bookkeeping over
+    the per-component simulated costs (dispatch position ``p`` counts iff
+    the summed costs of the positions before it stay under the deadline),
+    so even the deadline outcome is identical across backends and worker
+    counts.
     ``kernel_backend`` selects the search-kernel implementation behind
     every search driver the engine constructs (WalkSAT, component search,
     Gauss-Seidel, MC-SAT and its SampleSAT states): ``"auto"`` engages the
-    numpy-vectorized kernel above the measured MRF-size crossover,
-    ``"flat"`` / ``"vectorized"`` force one — seeded results are
+    numpy-vectorized kernel for MRFs of at least ``VECTOR_AUTO_MIN_CLAUSES``
+    clauses, ``"flat"`` / ``"vectorized"`` force one — seeded results are
     bit-identical either way (mirroring ``execution_backend``).
 
     Marginal inference
     ------------------
-    ``mcsat_samples`` / ``mcsat_burn_in`` control MC-SAT when
-    :meth:`repro.core.engine.TuffyEngine.run_marginal` is used.
+    ``mcsat_samples`` (positive) / ``mcsat_burn_in`` (zero or more)
+    control MC-SAT when :meth:`repro.core.engine.TuffyEngine.run_marginal`
+    is used.
+
+    Every numeric knob is checked here, so a bad value is a
+    :class:`~repro.core.errors.ConfigurationError` at construction, never
+    a failure (or a silently empty run) at request time.
 
     Sessions
     --------
@@ -145,6 +153,8 @@ class InferenceConfig:
             )
         if self.max_flips <= 0:
             raise ConfigurationError("max_flips must be positive")
+        if self.max_tries <= 0:
+            raise ConfigurationError("max_tries must be positive")
         if not 0.0 <= self.noise <= 1.0:
             raise ConfigurationError("noise must be within [0, 1]")
         if self.workers <= 0:
@@ -156,10 +166,16 @@ class InferenceConfig:
             )
         if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
             raise ConfigurationError("memory_budget_bytes must be positive when set")
+        if self.bytes_per_state_unit <= 0:
+            raise ConfigurationError("bytes_per_state_unit must be positive")
+        if self.deadline_seconds is not None and self.deadline_seconds < 0:
+            raise ConfigurationError("deadline_seconds cannot be negative")
         if self.gauss_seidel_rounds <= 0:
             raise ConfigurationError("gauss_seidel_rounds must be positive")
         if self.mcsat_samples <= 0:
             raise ConfigurationError("mcsat_samples must be positive")
+        if self.mcsat_burn_in < 0:
+            raise ConfigurationError("mcsat_burn_in cannot be negative")
         if self.max_inflight_requests <= 0:
             raise ConfigurationError("max_inflight_requests must be positive")
         if self.tracing not in ("auto", "on", "off"):

@@ -40,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.grounding.atoms import AtomRegistry
 from repro.grounding.clause_table import GroundClauseStore
 from repro.grounding.compiler import (
@@ -62,11 +64,6 @@ from repro.rdbms.schema import TableSchema
 from repro.rdbms.types import ColumnType
 from repro.utils.memory import MemoryModel
 from repro.utils.timer import Stopwatch
-
-try:  # gated dependency, mirroring repro.rdbms.column_batch
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
 
 
 def predicate_table_schema(predicate: Predicate) -> TableSchema:

@@ -28,14 +28,11 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.rdbms.database import Database
 from repro.rdbms.schema import TableSchema
 from repro.rdbms.types import ColumnType
-
-try:  # gated dependency: add_batch has a vectorized path for numpy inputs
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
 
 CLAUSE_TABLE_NAME = "ground_clauses"
 
@@ -176,8 +173,6 @@ class ClauseColumns:
 
     def take(self, order: Sequence[int]) -> "ClauseColumns":
         """The rows at ``order`` (row indices), in that order."""
-        if np is None:  # the slow path: through row views
-            return ClauseColumns.pack(map(self.row, order))
         order = np.asarray(order, dtype=np.intp)
         offsets = np.frombuffer(self.offsets, dtype=np.int64)
         lengths = np.diff(offsets)[order]
@@ -201,31 +196,14 @@ class ClauseColumns:
         One stable reorder of every column, then each part is a contiguous
         slice of it (offsets rebased to the part's first literal).
         """
-        if np is None:
-            order: Sequence[int] = sorted(range(len(labels)), key=labels.__getitem__)
-            sizes = [0] * count
-            for label in labels:
-                sizes[label] += 1
-        else:
-            keyed = np.asarray(labels, dtype=np.intp)
-            order = np.argsort(keyed, kind="stable")
-            sizes = np.bincount(keyed, minlength=count).tolist()
-        whole = self.take(order)
+        keyed = np.asarray(labels, dtype=np.intp)
+        sizes = np.bincount(keyed, minlength=count).tolist()
+        whole = self.take(np.argsort(keyed, kind="stable"))
         offsets = whole.offsets
         starts = list(accumulate(sizes, initial=0))
         # Each row's end, relative to the first literal of its part.
-        if np is None:
-            ends = array(
-                "q",
-                [
-                    offsets[row + 1] - offsets[start]
-                    for start, stop in zip(starts, starts[1:])
-                    for row in range(start, stop)
-                ],
-            )
-        else:
-            bounds = np.frombuffer(offsets, dtype=np.int64)
-            ends = array("q", (bounds[1:] - np.repeat(bounds[starts[:-1]], sizes)).tobytes())
+        bounds = np.frombuffer(offsets, dtype=np.int64)
+        ends = array("q", (bounds[1:] - np.repeat(bounds[starts[:-1]], sizes)).tobytes())
         zero = array("q", [0])
         return [
             ClauseColumns(
@@ -241,8 +219,6 @@ class ClauseColumns:
 
     def distinct_atoms(self) -> List[int]:
         """All distinct atom ids referenced by any row, sorted."""
-        if np is None:
-            return sorted(set(map(abs, self.literals)))
         return np.unique(np.abs(np.frombuffer(self.literals, dtype=np.int64))).tolist()
 
 
@@ -405,7 +381,7 @@ class GroundClauseStore:
         stay bit-identical to repeated ``add`` calls.
         """
         self._check_open()
-        if np is not None and isinstance(flat_literals, np.ndarray):
+        if isinstance(flat_literals, np.ndarray):
             return self._add_batch_arrays(
                 flat_literals, np.asarray(row_lengths, dtype=np.int64), weight, source
             )

@@ -25,7 +25,6 @@ from repro.inference.samplesat import SampleSAT
 from repro.inference.state import (
     KERNEL_BACKENDS,
     SearchState,
-    available_backends,
     make_search_state,
     resolve_backend,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "WalkSAT",
     "WalkSATOptions",
     "WalkSATResult",
-    "available_backends",
     "make_search_state",
     "resolve_backend",
 ]

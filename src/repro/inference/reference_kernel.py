@@ -4,8 +4,9 @@
 :class:`repro.inference.state.SearchState` replaced.  It is retained, nearly
 verbatim, as the oracle of the kernel-parity tests
 (``tests/test_search_kernel_parity.py``), which drive both
-implementations with identical seeds and assert bit-for-bit equal costs,
-deltas and violated-set ordering.
+implementations with identical seeds — directly and through
+``WalkSAT.run_on_state`` — and assert bit-for-bit equal costs, deltas and
+violated-set ordering.
 
 It implements the same public API as the flat-array kernel, including the
 ``checkpoint``/``checkpoint_dict`` pair — realised here the way the seed
@@ -19,10 +20,7 @@ import math
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.grounding.clause_table import GroundClause
-from repro.inference.tracing import TimeCostTrace
-from repro.inference.walksat import WalkSATOptions, WalkSATResult
 from repro.mrf.graph import MRF
-from repro.utils.clock import SimulatedClock, WallClock
 from repro.utils.rng import RandomSource
 
 
@@ -236,123 +234,3 @@ class ReferenceSearchState:
 
     def clause(self, clause_index: int) -> GroundClause:
         return self.mrf.clauses[clause_index]
-
-
-class ReferenceWalkSAT:
-    """The seed WalkSAT driver loop, kept verbatim as the benchmark baseline.
-
-    This is the pre-flat-array ``WalkSAT.run_on_state``: per-flip wrapper
-    calls (``has_violations``, ``sample_violated_clause``, deadline check)
-    and a full ``assignment_dict()`` copy on every cost improvement.  Only
-    the noise comparison keeps the strict ``<`` fix so a seeded run
-    consumes the same RNG stream as the current driver.
-    """
-
-    def __init__(
-        self,
-        options: Optional[WalkSATOptions] = None,
-        rng: Optional[RandomSource] = None,
-        clock: Optional[SimulatedClock] = None,
-    ) -> None:
-        self.options = options or WalkSATOptions()
-        self.rng = rng or RandomSource(0)
-        self.clock = clock or SimulatedClock()
-
-    def run(
-        self,
-        mrf: MRF,
-        initial_assignment: Optional[Mapping[int, bool]] = None,
-    ) -> WalkSATResult:
-        state = ReferenceSearchState(mrf, initial_assignment)
-        return self.run_on_state(state, initial_assignment)
-
-    def run_on_state(
-        self,
-        state: ReferenceSearchState,
-        initial_assignment: Optional[Mapping[int, bool]] = None,
-    ) -> WalkSATResult:
-        options = self.options
-        wall = WallClock()
-        trace = TimeCostTrace(options.trace_label)
-        best_cost = math.inf
-        best_assignment: Dict[int, bool] = state.assignment_dict()
-        total_flips = 0
-        tries = 0
-        reached_target = False
-        hitting_time: Optional[int] = None
-
-        for attempt in range(options.max_tries):
-            tries += 1
-            if attempt == 0:
-                if initial_assignment is None and options.random_restarts:
-                    state.randomize(self.rng)
-                else:
-                    state.reset(initial_assignment)
-            elif options.random_restarts:
-                state.randomize(self.rng)
-            else:
-                state.reset(initial_assignment)
-
-            if state.cost < best_cost:
-                best_cost = state.cost
-                best_assignment = state.assignment_dict()
-                trace.record_improvement(self.clock.now(), best_cost, total_flips)
-
-            for _flip in range(options.max_flips):
-                if not state.has_violations():
-                    break
-                if self._deadline_exceeded(options):
-                    break
-                clause_index = state.sample_violated_clause(self.rng)
-                atom_position = self._choose_atom(state, clause_index)
-                state.flip(atom_position)
-                total_flips += 1
-                self.clock.charge(options.flip_cost_event)
-                if state.cost < best_cost:
-                    best_cost = state.cost
-                    best_assignment = state.assignment_dict()
-                    trace.record_improvement(self.clock.now(), best_cost, total_flips)
-                    if (
-                        hitting_time is None
-                        and options.target_cost is not None
-                        and best_cost <= options.target_cost
-                    ):
-                        hitting_time = total_flips
-                if options.target_cost is not None and best_cost <= options.target_cost:
-                    reached_target = True
-                    break
-            if reached_target or self._deadline_exceeded(options):
-                break
-            if not state.has_violations():
-                break
-
-        return WalkSATResult(
-            best_assignment=best_assignment,
-            best_cost=best_cost,
-            flips=total_flips,
-            tries=tries,
-            seconds=wall.elapsed(),
-            trace=trace,
-            reached_target=reached_target,
-            hitting_time=hitting_time,
-        )
-
-    def _choose_atom(self, state: ReferenceSearchState, clause_index: int) -> int:
-        positions = state.clause_atom_positions(clause_index)
-        if len(positions) == 1:
-            return positions[0]
-        if self.rng.random() < self.options.noise:
-            return self.rng.pick(positions)
-        best_position = positions[0]
-        best_delta = state.delta_cost(best_position)
-        for position in positions[1:]:
-            delta = state.delta_cost(position)
-            if delta < best_delta:
-                best_delta = delta
-                best_position = position
-        return best_position
-
-    def _deadline_exceeded(self, options: WalkSATOptions) -> bool:
-        if options.deadline_seconds is None:
-            return False
-        return self.clock.now() >= options.deadline_seconds

@@ -60,7 +60,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.grounding.clause_table import GroundClause
 from repro.mrf.graph import MRF
-from repro.utils import autotune
 from repro.utils.rng import RandomSource
 
 
@@ -565,27 +564,16 @@ KERNEL_BACKENDS = ("auto", "flat", "vectorized")
 #: Under ``auto``, the vectorized backend is only worth its one-time numpy
 #: structure build for MRFs at least this many clauses large; throwaway MRFs
 #: (e.g. SampleSAT constraint sets built per MC-SAT step) stay on the flat
-#: kernel.  See ROADMAP.md ("Search kernel") for the full selection rule.
-#: The crossover is calibrated per machine by an import-time micro-probe
-#: (default 256 on the reference container); ``REPRO_VECTOR_AUTO_MIN_CLAUSES``
-#: pins it and ``REPRO_AUTOTUNE=off`` keeps the default — selection only,
-#: results are bit-identical either way.
-VECTOR_AUTO_MIN_CLAUSES = autotune.threshold("VECTOR_AUTO_MIN_CLAUSES", 256)
-
-
-def available_backends() -> tuple:
-    """The kernel backends usable in this environment, in preference order."""
-    from repro.inference.vector_kernel import NUMPY_AVAILABLE
-
-    return ("flat", "vectorized") if NUMPY_AVAILABLE else ("flat",)
+#: kernel.  Selection only: results are bit-identical either way.
+VECTOR_AUTO_MIN_CLAUSES = 256
 
 
 def resolve_backend(mrf: MRF, backend: str = "auto") -> str:
     """Resolve a requested backend name to a concrete one for this MRF.
 
-    ``auto`` picks ``vectorized`` when numpy is importable and the MRF is
-    large enough (``VECTOR_AUTO_MIN_CLAUSES``) to amortize the vectorized
-    backend's per-MRF structure build, else ``flat``.  Both backends are
+    ``auto`` picks ``vectorized`` when the MRF is large enough
+    (``VECTOR_AUTO_MIN_CLAUSES``) to amortize the vectorized backend's
+    per-MRF structure build, else ``flat``.  Both backends are
     bit-for-bit identical in search semantics (the parity suite enforces
     it), so the choice is purely a performance decision.
     """
@@ -594,19 +582,8 @@ def resolve_backend(mrf: MRF, backend: str = "auto") -> str:
             f"unknown kernel backend {backend!r}; expected one of {KERNEL_BACKENDS}"
         )
     if backend != "auto":
-        if backend == "vectorized":
-            from repro.inference.vector_kernel import NUMPY_AVAILABLE
-
-            if not NUMPY_AVAILABLE:
-                raise RuntimeError(
-                    "vectorized kernel backend requested but numpy is not available"
-                )
         return backend
-    from repro.inference.vector_kernel import NUMPY_AVAILABLE
-
-    if NUMPY_AVAILABLE and mrf.clause_count >= VECTOR_AUTO_MIN_CLAUSES:
-        return "vectorized"
-    return "flat"
+    return "vectorized" if mrf.clause_count >= VECTOR_AUTO_MIN_CLAUSES else "flat"
 
 
 def make_search_state(

@@ -41,10 +41,6 @@ order — the same float addition order as the scalar kernel.  ``np.sum`` and
 do not substitute them (the ``det-float-sum`` analysis rule flags them in
 the deterministic core).  Non-crossing entries contribute ``±0.0``, which
 never changes an IEEE-754 running sum's value.
-
-Everything import-sensitive is gated: when numpy is missing,
-``NUMPY_AVAILABLE`` is False and the factory in :mod:`repro.inference.state`
-never resolves to this backend.
 """
 
 from __future__ import annotations
@@ -52,27 +48,18 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.inference.state import SearchState
 from repro.mrf.graph import MRF, literal_positions
-from repro.utils import autotune
 from repro.utils.rng import RandomSource
-
-try:  # gated dependency: the container may not ship numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-
-NUMPY_AVAILABLE = np is not None
 
 #: Per-clause candidate-adjacency size (sum of candidate atom degrees) at
 #: which the batched numpy greedy overtakes the scalar loop.  Measured
 #: crossover ~120 entries on the reference container; kept a little above
-#: it so borderline clauses stay on the (predictable) scalar path, and
-#: calibrated per machine by an import-time micro-probe
-#: (:mod:`repro.utils.autotune`): ``REPRO_GREEDY_MIN_ENTRIES`` pins it,
-#: ``REPRO_AUTOTUNE=off`` keeps the default.  Selection only — the batched
-#: and scalar greedy paths are bit-identical.
-GREEDY_MIN_ENTRIES = autotune.threshold("GREEDY_MIN_ENTRIES", 128)
+#: it so borderline clauses stay on the (predictable) scalar path.
+#: Selection only — the batched and scalar greedy paths are bit-identical.
+GREEDY_MIN_ENTRIES = 128
 
 
 class VectorMRFView:
@@ -259,8 +246,6 @@ class VectorSearchState(SearchState):
         hard_penalty: Optional[float] = None,
         greedy_min_entries: Optional[int] = None,
     ) -> None:
-        if not NUMPY_AVAILABLE:  # pragma: no cover - guarded by the factory
-            raise RuntimeError("VectorSearchState requires numpy")
         # Set up the shared view before super().__init__, which calls the
         # overridden _initialise_counts.
         self._vv = vector_view(mrf)

@@ -40,9 +40,9 @@ class WalkSATOptions:
     random_restarts: bool = True
     flip_cost_event: str = "memory_flip"
     trace_label: str = "walksat"
-    #: Search-kernel backend: "auto" (vectorized when numpy is available and
-    #: the MRF is large enough), "flat", or "vectorized".  Both backends are
-    #: bit-for-bit identical in search semantics.
+    #: Search-kernel backend: "auto" (vectorized when the MRF is large
+    #: enough), "flat", or "vectorized".  Both backends are bit-for-bit
+    #: identical in search semantics.
     kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:

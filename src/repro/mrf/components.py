@@ -22,14 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.grounding.clause_table import ClauseColumns, GroundClauseStore, row_keys
 from repro.mrf.graph import MRF, literal_positions
 from repro.mrf.union_find import UnionFind
-
-try:  # gated dependency: the literal column is read with numpy when present
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
 
 #: Atom sets the union pass turns into Python lists per block.
 _SCAN_BLOCK_SETS = 8192
@@ -90,9 +87,6 @@ def connected_components(source: MRF | GroundClauseStore) -> ComponentDecomposit
 
 def _atom_sets(columns: ClauseColumns) -> Iterator[Sequence[int]]:
     """The distinct atom sets (sorted) of the clauses with two or more literals."""
-    if np is None:
-        yield from (sorted(map(abs, row)) for row in columns.literal_rows() if len(row) > 1)
-        return
     atoms = np.abs(np.frombuffer(columns.literals, dtype=np.int64))
     offsets = np.frombuffer(columns.offsets, dtype=np.int64)
     lengths = np.diff(offsets)
@@ -112,8 +106,6 @@ def _first_atom_labels(
     columns: ClauseColumns, atom_ids: List[int], atom_to_component: Dict[int, int]
 ) -> Sequence[int]:
     """Each clause's component: its first atom's."""
-    if np is None:
-        return [atom_to_component[abs(row[0])] for row in columns.literal_rows()]
     offsets = np.frombuffer(columns.offsets, dtype=np.int64)
     if (offsets[1:] == offsets[:-1]).any():
         raise ValueError("a clause without literals belongs to no component")

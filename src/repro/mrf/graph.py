@@ -21,12 +21,9 @@ import math
 from array import array
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.grounding.clause_table import ClauseColumns, GroundClause, GroundClauseStore
+import numpy as np
 
-try:  # gated dependency: large views are built with numpy when it is present
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+from repro.grounding.clause_table import ClauseColumns, GroundClause, GroundClauseStore
 
 #: Views of MRFs with at least this many clauses are built by numpy; below
 #: it, the per-literal Python loop is faster (SampleSAT constraint sets,
@@ -83,9 +80,9 @@ class MRFFlatView:
     Built from the MRF's columns: ``searchsorted`` gives every literal's
     atom position, and one stable argsort by position gives the atom-major
     adjacency, whose pairs are then allocated atom by atom — each atom's
-    entries sit together in memory, which the flip loop walks.  Small MRFs
-    (``NUMPY_VIEW_MIN_CLAUSES``) and numpy-less installs take the
-    equivalent per-literal loop.
+    entries sit together in memory, which the flip loop walks.  MRFs below
+    ``NUMPY_VIEW_MIN_CLAUSES`` clauses take the equivalent per-literal
+    loop.
 
     A view is built lazily by :meth:`MRF.flat_view` and cached; it assumes
     the MRF is not mutated afterwards.  All buffers are read-only shared
@@ -132,7 +129,7 @@ class MRFFlatView:
         position = {atom_id: index for index, atom_id in enumerate(self.atom_ids)}
         self.atom_position: Dict[int, int] = position
         self._codes: Optional[Tuple["np.ndarray", array]] = None
-        if np is not None and mrf.clause_count >= NUMPY_VIEW_MIN_CLAUSES:
+        if mrf.clause_count >= NUMPY_VIEW_MIN_CLAUSES:
             self._build_from_columns(mrf.columns())
         else:
             self._build_from_rows(mrf.literal_rows(), position)

@@ -12,8 +12,7 @@ Two recording entry points exist on purpose:
 * :meth:`Series.record` — gated, drops non-improving points.  The
   defensive public API.
 * :meth:`Series.record_improvement` — ungated.  Hot search loops
-  (``walksat.py``, ``reference_kernel.py``, ``rdbms_walksat.py``,
-  ``gauss_seidel.py``) already test ``cost < best_cost`` before recording,
+  (``walksat.py``, ``rdbms_walksat.py``, ``gauss_seidel.py``) already test ``cost < best_cost`` before recording,
   so the gate inside :meth:`record` was a duplicate comparison per
   improvement; those paths call this instead.
 """

@@ -13,8 +13,7 @@ workers write finished results in place and the result queue carries only
 a tiny completion token — no pickling of large assignments or marginal
 vectors.
 
-Everything here uses the stdlib ``memoryview`` machinery so the process
-backend keeps working when numpy is absent.
+Regions are packed and read with the stdlib ``memoryview`` machinery.
 """
 
 from __future__ import annotations

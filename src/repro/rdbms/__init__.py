@@ -44,7 +44,6 @@ from repro.rdbms.database import Database
 from repro.rdbms.executor import (
     EXECUTION_BACKENDS,
     Executor,
-    available_execution_backends,
     resolve_execution_backend,
 )
 from repro.rdbms.expressions import (
@@ -86,6 +85,5 @@ __all__ = [
     "Table",
     "TableSchema",
     "ValueEncoder",
-    "available_execution_backends",
     "resolve_execution_backend",
 ]

@@ -26,10 +26,6 @@ same :class:`~repro.rdbms.optimizer.PlannedQuery`:
   insertion order, stable grouping, first-occurrence dedup — so the
   columnar engine reproduces the row engine's output **order**, not just
   its multiset (the grounding pipeline derives clause ids from row order).
-
-Everything import-sensitive is gated: when numpy is missing,
-``NUMPY_AVAILABLE`` is False, the executor never resolves ``auto`` to the
-columnar backend, and requesting ``columnar`` explicitly raises.
 """
 
 from __future__ import annotations
@@ -37,14 +33,9 @@ from __future__ import annotations
 import weakref
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.rdbms.schema import TableSchema
-
-try:  # gated dependency: the container may not ship numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-
-NUMPY_AVAILABLE = np is not None
 
 #: Code of SQL NULL / unknown truth.  Never present in the encoder's
 #: dictionary; every encoded column may contain it.
@@ -232,8 +223,6 @@ class ColumnarContext:
     """Per-executor columnar state: the encoder and the base-column cache."""
 
     def __init__(self, encoder: Optional[ValueEncoder] = None) -> None:
-        if not NUMPY_AVAILABLE:  # pragma: no cover - exercised only without numpy
-            raise RuntimeError("columnar execution requires numpy")
         self.encoder = encoder or ValueEncoder()
         self._table_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 

@@ -12,10 +12,10 @@ The executor runs either of two engines off the same
 
 Backend selection mirrors the search kernel's ``resolve_backend`` seam:
 ``execution_backend`` is ``auto`` | ``row`` | ``columnar``, where ``auto``
-resolves to ``columnar`` iff numpy is importable *and* the plan scans at
-least one base table with >= :data:`COLUMNAR_AUTO_MIN_ROWS` rows (below
-that the numpy dispatch and dictionary-encoding overheads cannot amortize;
-the crossover was measured on the generated grounding workloads).
+resolves to ``columnar`` iff the plan scans at least one base table with
+>= :data:`COLUMNAR_AUTO_MIN_ROWS` rows (below that the numpy dispatch and
+dictionary-encoding overheads cannot amortize; the crossover was measured
+on the generated grounding workloads).
 """
 
 from __future__ import annotations
@@ -23,17 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.rdbms.column_batch import (
-    NUMPY_AVAILABLE,
-    ColumnBatch,
-    ColumnarContext,
-    ValueEncoder,
-)
+from repro.rdbms.column_batch import ColumnBatch, ColumnarContext, ValueEncoder
 from repro.rdbms.operators import PhysicalOperator, TableScan, iter_plan
 from repro.rdbms.optimizer import PlannedQuery
 from repro.rdbms.schema import TableSchema
 from repro.rdbms.table import Table
-from repro.utils import autotune
 from repro.utils.timer import Stopwatch
 
 #: Valid values for the ``execution_backend`` option of the executor, the
@@ -47,16 +41,9 @@ EXECUTION_BACKENDS = ("auto", "row", "columnar")
 #: cache warm (one query per MLN clause over shared atom tables) it wins at
 #: every size.  Kept a little above the cold break-even so tiny tables stay
 #: on the (allocation-free) row engine, mirroring VECTOR_AUTO_MIN_CLAUSES
-#: in the search kernel.  Like that threshold, the crossover is calibrated
-#: per machine by an import-time micro-probe (:mod:`repro.utils.autotune`):
-#: ``REPRO_COLUMNAR_AUTO_MIN_ROWS`` pins it, ``REPRO_AUTOTUNE=off`` keeps
-#: the default — selection only, results are identical on both engines.
-COLUMNAR_AUTO_MIN_ROWS = autotune.threshold("COLUMNAR_AUTO_MIN_ROWS", 128)
-
-
-def available_execution_backends() -> tuple:
-    """The execution backends usable in this environment, in preference order."""
-    return ("row", "columnar") if NUMPY_AVAILABLE else ("row",)
+#: in the search kernel.  Selection only: results are identical on both
+#: engines.
+COLUMNAR_AUTO_MIN_ROWS = 128
 
 
 def resolve_execution_backend(
@@ -64,8 +51,8 @@ def resolve_execution_backend(
 ) -> str:
     """Resolve a requested backend name to a concrete one for this plan.
 
-    ``auto`` picks ``columnar`` when numpy is importable and the plan scans
-    a base table of at least ``COLUMNAR_AUTO_MIN_ROWS`` rows, else ``row``.
+    ``auto`` picks ``columnar`` when the plan scans a base table of at
+    least ``COLUMNAR_AUTO_MIN_ROWS`` rows, else ``row``.
     Both backends produce identical results (the parity suite enforces it),
     so the choice is purely a performance decision.
     """
@@ -73,16 +60,8 @@ def resolve_execution_backend(
         raise ValueError(
             f"unknown execution backend {backend!r}; expected one of {EXECUTION_BACKENDS}"
         )
-    if backend == "columnar":
-        if not NUMPY_AVAILABLE:
-            raise RuntimeError(
-                "columnar execution backend requested but numpy is not available"
-            )
+    if backend != "auto":
         return backend
-    if backend == "row":
-        return backend
-    if not NUMPY_AVAILABLE:
-        return "row"
     root = plan.root if isinstance(plan, PlannedQuery) else plan
     largest = max(
         (len(op.table) for op in iter_plan(root) if isinstance(op, TableScan)),
@@ -185,10 +164,6 @@ class Executor:
         self, plan: PhysicalOperator | PlannedQuery
     ) -> ColumnarQueryResult:
         """Execute on the columnar engine, returning undecoded columns."""
-        if not NUMPY_AVAILABLE:
-            raise RuntimeError(
-                "columnar execution backend requested but numpy is not available"
-            )
         root = plan.root if isinstance(plan, PlannedQuery) else plan
         context = self.columnar_context()
         stopwatch = Stopwatch()

@@ -20,14 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.rdbms.column_batch import NULL_CODE
 from repro.rdbms.schema import TableSchema
 from repro.rdbms.types import format_value
-
-try:  # gated dependency, mirroring repro.rdbms.column_batch
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
 
 BoundEvaluator = Callable[[Tuple[Any, ...]], Any]
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.rdbms.column_batch import (
     ColumnBatch,
     ColumnarContext,
@@ -41,11 +43,6 @@ from repro.rdbms.column_batch import (
 from repro.rdbms.expressions import Expression
 from repro.rdbms.schema import Column, TableSchema
 from repro.rdbms.table import Table
-
-try:  # gated dependency, mirroring repro.rdbms.column_batch
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
 
 #: Upper bound on the number of candidate pairs a columnar nested-loop join
 #: materialises at once (the index arrays are processed in outer-row blocks).

@@ -14,6 +14,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,12 +24,9 @@ from repro.datasets.example1 import example1_store
 from repro.grounding.bottom_up import BottomUpGrounder
 from repro.grounding.clause_table import GroundClause, GroundClauseStore
 from repro.inference.state import make_search_state
+from repro.inference.vector_kernel import VectorMRFView
 from repro.mrf.components import connected_components
 from repro.mrf.graph import MRF
-
-np = pytest.importorskip("numpy")
-
-from repro.inference.vector_kernel import VectorMRFView  # noqa: E402
 
 
 def fingerprint(store):

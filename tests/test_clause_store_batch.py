@@ -1,6 +1,6 @@
 """GroundClauseStore.add_batch: semantics identical to repeated add calls.
 
-``add_batch`` has three implementations under one contract — the plain
+``add_batch`` has two implementations under one contract — the plain
 Python loop (list inputs), and the vectorized numpy path (array inputs) —
 and the batched grounding consumer depends on all of them matching ``add``
 exactly: duplicate merging, sequential weight summing, hard-clause
@@ -10,15 +10,11 @@ handling, tautology/empty accounting and clause ordering.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.grounding.clause_table import GroundClauseStore
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
 
 
 def flatten(rows):
@@ -43,14 +39,12 @@ def store_state(store):
 
 
 def input_variants(rows):
-    """The same batch as list input and (when available) numpy input."""
+    """The same batch as list input and as numpy input."""
     flat, lengths = flatten(rows)
-    variants = [("list", flat, lengths)]
-    if np is not None:
-        variants.append(
-            ("array", np.asarray(flat, dtype=np.int64), np.asarray(lengths, dtype=np.int64))
-        )
-    return variants
+    return [
+        ("list", flat, lengths),
+        ("array", np.asarray(flat, dtype=np.int64), np.asarray(lengths, dtype=np.int64)),
+    ]
 
 
 def assert_batch_matches_sequential(batches, merge_duplicates=True):
@@ -148,25 +142,21 @@ class TestAddBatchSemantics:
         with pytest.raises(ValueError):
             store.add_batch([1, 2, 3], [2, 2], 1.0)
         assert len(store) == 0 and store.evidence_violation_cost == 0.0
-        if np is not None:
-            with pytest.raises(ValueError):
-                store.add_batch(
-                    np.asarray([1, 2, 3], dtype=np.int64),
-                    np.asarray([2, 2], dtype=np.int64),
-                    1.0,
-                )
-            assert len(store) == 0 and store.evidence_violation_cost == 0.0
+        with pytest.raises(ValueError):
+            store.add_batch(
+                np.asarray([1, 2, 3], dtype=np.int64),
+                np.asarray([2, 2], dtype=np.int64),
+                1.0,
+            )
+        assert len(store) == 0 and store.evidence_violation_cost == 0.0
 
     def test_empty_batch(self):
         store = GroundClauseStore()
         assert store.add_batch([], [], 1.0) == 0
-        if np is not None:
-            assert (
-                store.add_batch(
-                    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 1.0
-                )
-                == 0
-            )
+        assert (
+            store.add_batch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 1.0)
+            == 0
+        )
         assert len(store) == 0
 
     @settings(max_examples=60, deadline=None)

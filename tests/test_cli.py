@@ -146,6 +146,31 @@ class TestBadInput:
         assert status == 2
         assert capsys.readouterr().err == f"repro-tuffy: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "flag, value, kind",
+        (
+            ("--scale", "0", "number"),
+            ("--scale", "-1", "number"),
+            ("--scale", "inf", "number"),
+            ("--session-requests", "0", "integer"),
+            ("--session-requests", "-2", "integer"),
+            ("--max-inflight-requests", "0", "integer"),
+            ("--session-concurrent", "0", "integer"),
+            ("--session-concurrent", "two", "integer"),
+        ),
+    )
+    def test_bad_counts_are_usage_errors(self, flag, value, kind, capsys):
+        """Rejected by argparse, not silently clamped to 1."""
+        output = io.StringIO()
+        with pytest.raises(SystemExit) as raised:
+            main(["dataset", "RC", "--scale", "0.1", flag, value], stream=output)
+        assert raised.value.code == 2
+        assert output.getvalue() == ""
+        err = capsys.readouterr().err
+        expected = f"argument {flag}: must be a positive {kind}, got {value!r}"
+        assert err.endswith(f"repro-tuffy dataset: error: {expected}\n")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name", ("ER", "IE", "LP", "RC"))
     def test_rejected_configuration_prints_nothing_on_stdout_for_any_dataset(
         self, name, capsys
@@ -238,7 +263,6 @@ class TestStatsCommand:
 
 class TestInferCommand:
     def test_map_inference_on_forced_columnar_backend(self, program_files):
-        pytest.importorskip("numpy")
         program, evidence = program_files
         outputs = {}
         for backend in ("row", "columnar"):
@@ -331,7 +355,6 @@ class TestInferCommand:
         assert "# marginal probabilities" in output.getvalue()
 
     def test_marginal_inference_on_forced_kernel_backends(self, program_files):
-        pytest.importorskip("numpy")
         program, evidence = program_files
         outputs = {}
         for backend in ("flat", "vectorized"):

@@ -163,7 +163,6 @@ class TestTuffyEngine:
         assert seen and all(backend == "flat" for backend in seen)
 
     def test_marginals_identical_across_kernel_backends(self):
-        pytest.importorskip("numpy")
         results = {}
         for backend in ("flat", "vectorized"):
             config = InferenceConfig(
@@ -178,6 +177,26 @@ class TestTuffyEngine:
 
         with pytest.raises(ConfigurationError):
             InferenceConfig(kernel_backend="simd")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        (
+            ("max_tries", 0),
+            ("mcsat_burn_in", -5),
+            ("bytes_per_state_unit", 0),
+            ("deadline_seconds", -1.0),
+        ),
+    )
+    def test_out_of_range_value_rejected_at_construction(self, field, value):
+        """Each of these used to fail (or silently skip work) only at request time."""
+        from repro.core.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=field):
+            InferenceConfig(**{field: value}, memory_budget_bytes=1000)
+
+    def test_zero_deadline_and_burn_in_are_legal(self):
+        config = InferenceConfig(deadline_seconds=0, mcsat_burn_in=0)
+        assert config.deadline_seconds == 0 and config.mcsat_burn_in == 0
 
     def test_true_atoms_only_query_atoms(self):
         engine = TuffyEngine(figure1_program(), InferenceConfig(seed=0, max_flips=10_000))

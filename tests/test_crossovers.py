@@ -1,0 +1,75 @@
+"""The three size crossovers that steer the ``auto`` backends.
+
+Each crossover is a plain module constant.  These tests pin its value
+and its boundary: an input one below the constant takes the slow (scalar
+or row) path, an input exactly at it the fast (numpy) path.  Both paths
+are bit-identical in results (the parity suites prove that), so a moved
+constant changes speed, never output — which is why it must move only on
+purpose.
+"""
+
+from repro.grounding.clause_table import GroundClause
+from repro.inference.state import VECTOR_AUTO_MIN_CLAUSES, resolve_backend
+from repro.inference.vector_kernel import GREEDY_MIN_ENTRIES, VectorSearchState
+from repro.mrf.graph import MRF
+from repro.rdbms.executor import COLUMNAR_AUTO_MIN_ROWS, resolve_execution_backend
+from repro.rdbms.operators import TableScan
+from repro.rdbms.schema import TableSchema
+from repro.rdbms.table import Table
+from repro.rdbms.types import ColumnType
+
+
+def chain_mrf(clause_count):
+    """``clause_count`` two-atom clauses over a chain of atoms."""
+    return MRF.from_clauses(
+        [GroundClause(index, (index + 1, -(index + 2)), 1.0) for index in range(clause_count)]
+    )
+
+
+def greedy_probe_mrf(entries):
+    """An MRF whose clause 0, ``(1, 2)``, has ``entries`` adjacency entries.
+
+    A clause's candidate adjacency is the sum of its atoms' degrees; each
+    extra clause ``(1, k)`` or ``(2, k)`` adds one to atom 1's or 2's.
+    """
+    clauses = [GroundClause(0, (1, 2), 1.0)]
+    for extra in range(entries - 2):
+        anchor = 1 if extra % 2 == 0 else 2
+        clauses.append(GroundClause(extra + 1, (anchor, -(extra + 3)), 0.5))
+    return MRF.from_clauses(clauses)
+
+
+def integer_table(rows):
+    table = Table("t", TableSchema.of(("x", ColumnType.INTEGER)))
+    table.bulk_load([(value,) for value in range(rows)])
+    return table
+
+
+def test_crossover_constants():
+    assert VECTOR_AUTO_MIN_CLAUSES == 256
+    assert GREEDY_MIN_ENTRIES == 128
+    assert COLUMNAR_AUTO_MIN_ROWS == 128
+
+
+def test_vector_kernel_crossover_boundary():
+    below = chain_mrf(VECTOR_AUTO_MIN_CLAUSES - 1)
+    at = chain_mrf(VECTOR_AUTO_MIN_CLAUSES)
+    assert below.clause_count == VECTOR_AUTO_MIN_CLAUSES - 1
+    assert resolve_backend(below, "auto") == "flat"
+    assert resolve_backend(at, "auto") == "vectorized"
+
+
+def test_greedy_batching_crossover_boundary():
+    below = VectorSearchState(greedy_probe_mrf(GREEDY_MIN_ENTRIES - 1))
+    at = VectorSearchState(greedy_probe_mrf(GREEDY_MIN_ENTRIES))
+    assert 0 not in below._greedy  # scalar greedy loop
+    assert 0 in at._greedy  # batched numpy gather
+    *_, candidate_count, _, _ = at._greedy[0]
+    assert candidate_count == 2
+
+
+def test_columnar_execution_crossover_boundary():
+    below = TableScan(integer_table(COLUMNAR_AUTO_MIN_ROWS - 1), "t")
+    at = TableScan(integer_table(COLUMNAR_AUTO_MIN_ROWS), "t")
+    assert resolve_execution_backend(below, "auto") == "row"
+    assert resolve_execution_backend(at, "auto") == "columnar"

@@ -13,12 +13,7 @@ import pytest
 from repro.core import InferenceConfig, MLNProgram, TuffyEngine
 from repro.datasets import DatasetScale, load_dataset
 from repro.grounding.bottom_up import BottomUpGrounder
-from repro.rdbms.column_batch import NUMPY_AVAILABLE
 from repro.rdbms.optimizer import OptimizerOptions
-
-pytestmark = pytest.mark.skipif(
-    not NUMPY_AVAILABLE, reason="columnar backend requires numpy"
-)
 
 # The paper's running example (Figure 1 / Example 1): authors, citations
 # and paper categories, with an equality-constrained rule.

@@ -145,7 +145,6 @@ class TestAtomTableReuse:
         assert canonical(first.clauses) == canonical(second.clauses)
 
     def test_encoded_column_cache_survives_reground(self):
-        pytest.importorskip("numpy")
         from repro.rdbms.database import Database
 
         program = figure1_program()

@@ -24,11 +24,8 @@ from repro.inference.mcsat import (
 )
 from repro.inference.samplesat import ConstraintPool, SampleSAT, SampleSATOptions
 from repro.inference.state import make_search_state
-from repro.inference.vector_kernel import NUMPY_AVAILABLE
 from repro.mrf.graph import MRF
 from repro.utils.rng import RandomSource
-
-pytestmark = pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
 
 BACKEND_PARAMS = ["vectorized", "vectorized-forced-batching"]
 

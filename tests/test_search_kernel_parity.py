@@ -25,7 +25,7 @@ from repro.grounding.clause_table import GroundClause
 from repro.inference.component_walksat import ComponentAwareWalkSAT
 from repro.inference.reference_kernel import ReferenceSearchState
 from repro.inference.state import SearchState, make_search_state, resolve_backend
-from repro.inference.vector_kernel import NUMPY_AVAILABLE, VectorSearchState
+from repro.inference.vector_kernel import VectorSearchState
 from repro.inference.walksat import WalkSAT, WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.utils.rng import RandomSource
@@ -38,10 +38,11 @@ def _forced_vector(mrf, initial_assignment=None, hard_penalty=None):
     )
 
 
-KERNEL_PARAMS = [pytest.param(SearchState, id="flat")]
-if NUMPY_AVAILABLE:
-    KERNEL_PARAMS.append(pytest.param(VectorSearchState, id="vectorized"))
-    KERNEL_PARAMS.append(pytest.param(_forced_vector, id="vectorized-forced-greedy"))
+KERNEL_PARAMS = [
+    pytest.param(SearchState, id="flat"),
+    pytest.param(VectorSearchState, id="vectorized"),
+    pytest.param(_forced_vector, id="vectorized-forced-greedy"),
+]
 
 
 @pytest.fixture(params=KERNEL_PARAMS)
@@ -304,7 +305,6 @@ class TestStateReuseLifecycle:
         assert caching.run(mrf, total_flips=400).best_cost == cold.best_cost
 
 
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
 class TestBackendSelection:
     def test_resolve_backend_explicit(self):
         mrf = random_mrf(1)
