@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.core import InferenceConfig
 from repro.datasets import Dataset, DatasetScale, load_dataset
-from repro.inference.tracing import TimeCostTrace
+from repro.obs.events import Series
 
 BENCHMARK_SEED = 0
 DATASETS = ("LP", "IE", "RC", "ER")
@@ -83,7 +83,7 @@ def render_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[obj
     return "\n".join(lines)
 
 
-def render_series(title: str, traces: Dict[str, TimeCostTrace], points: int = 8) -> str:
+def render_series(title: str, traces: Dict[str, Series], points: int = 8) -> str:
     """Render time-cost traces as a compact table of sampled points."""
     lines = [title]
     for label, trace in traces.items():

@@ -8,8 +8,8 @@ from typing import Dict, List, Optional
 from repro.grounding.atoms import AtomRegistry
 from repro.grounding.result import GroundingResult
 from repro.inference.mcsat import MarginalResult
-from repro.inference.tracing import TimeCostTrace
 from repro.logic.predicates import GroundAtom
+from repro.obs.events import Series
 from repro.utils.memory import MemoryReport
 
 
@@ -34,7 +34,7 @@ class InferenceResult:
     component_count: int = 1
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     simulated_seconds: float = 0.0
-    trace: TimeCostTrace = field(default_factory=TimeCostTrace)
+    trace: Series = field(default_factory=Series)
     memory: Optional[MemoryReport] = None
     peak_memory_bytes: int = 0
     marginals: Optional[MarginalResult] = None

@@ -106,11 +106,11 @@ from repro.inference.component_walksat import ComponentAwareWalkSAT
 from repro.inference.mcsat import MCSat, MCSatOptions
 from repro.inference.samplesat import SampleSATOptions
 from repro.inference.state import make_search_state
-from repro.inference.tracing import TimeCostTrace, merge_traces
 from repro.inference.walksat import WalkSAT, WalkSATOptions
 from repro.mrf.components import ComponentDecomposition, connected_components
 from repro.mrf.cost import assignment_cost
 from repro.mrf.graph import MRF
+from repro.obs.events import Series, merge_series
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer, RecordingTracer
 from repro.parallel import resolve_parallel_backend
@@ -734,7 +734,7 @@ class EngineSession:
         assignment: Dict[int, bool] = {}
         total_cost = grounding.clauses.evidence_violation_cost
         total_flips = 0
-        traces: List[TimeCostTrace] = []
+        traces: List[Series] = []
         simulated_search_seconds = 0.0
         peak_state_units = 0
         steals = 0
@@ -806,7 +806,7 @@ class EngineSession:
                 )
                 peak_state_units = max(peak_state_units, largest_partition)
 
-        trace = merge_traces(traces, label="tuffy")
+        trace = merge_series(traces, label="tuffy")
         trace.grounding_seconds = self._database_simulated(request)
         result = InferenceResult(
             label="tuffy",

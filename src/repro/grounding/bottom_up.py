@@ -38,7 +38,7 @@ delta-grounding tests assert on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from repro.grounding.result import ClauseGroundingStats, GroundingResult
 from repro.logic.clauses import WeightedClause
 from repro.logic.predicates import Predicate
 from repro.obs.tracer import NullTracer
-from repro.rdbms.column_batch import NULL_CODE
+from repro.rdbms.column_batch import NULL_CODE, ValueEncoder
 from repro.rdbms.database import Database
 from repro.rdbms.executor import ColumnarQueryResult, QueryResult
 from repro.rdbms.operators import HashJoin, NestedLoopJoin, iter_plan
@@ -74,6 +74,47 @@ def predicate_table_schema(predicate: Predicate) -> TableSchema:
     )
     columns.append(("truth", ColumnType.TRUTH))
     return TableSchema.of(*columns)
+
+
+def atom_table_columns(
+    atoms: AtomRegistry, predicate: Predicate, encoder: ValueEncoder
+) -> Tuple[List["np.ndarray"], Callable[[], List[Tuple[object, ...]]]]:
+    """A predicate's atom table, from the registry's columns.
+
+    Returns the table's columns encoded in ``encoder`` (aid, arguments,
+    truth — :func:`predicate_table_schema` order, atoms in id order) and a
+    function building the same rows as tuples, for a reader that wants
+    rows.  The schema is checked once per column: ids are integers by
+    construction, truth codes map to ``True`` / ``False`` / ``None``, and
+    an argument column holding a non-string constant is coerced to TEXT
+    as a row load would.
+    """
+    atom_ids, codes, truth = atoms.predicate_columns(predicate)
+    values = []
+    columns = [encoder.encode_values(atom_ids.tolist())]
+    for position in range(predicate.arity):
+        column = codes[:, position]
+        if not all(type(value) is str for value in atoms.encoder.decode(np.unique(column))):
+            text = [str(value) for value in atoms.encoder.decode_list(column)]
+            column = atoms.encoder.encode_values(text)
+        values.append(column)
+        columns.append(encoder.translate(column, atoms.encoder))
+    truth_codes = np.array(
+        [NULL_CODE, encoder.encode_scalar(False), encoder.encode_scalar(True)], dtype=np.int64
+    )
+    columns.append(truth_codes[truth.astype(np.intp) + 1])
+
+    def build_rows() -> List[Tuple[object, ...]]:
+        truths = np.array([None, False, True], dtype=object)[truth.astype(np.intp) + 1]
+        return list(
+            zip(
+                atom_ids.tolist(),
+                *(atoms.encoder.decode_list(column) for column in values),
+                truths.tolist(),
+            )
+        )
+
+    return columns, build_rows
 
 
 def plan_intermediate_tuples(root) -> int:
@@ -272,6 +313,9 @@ class BottomUpGrounder:
         for clause in clauses:
             for predicate in clause.predicates():
                 predicates[predicate.name] = predicate
+        # The registry's dictionary becomes the columnar engine's (unless
+        # the engine already has one), so the argument ids need no encoding.
+        encoder = self.database.executor.columnar_context(atoms.encoder).encoder
         for predicate in predicates.values():
             table_name = predicate_table_name(predicate)
             schema = predicate_table_schema(predicate)
@@ -297,11 +341,9 @@ class BottomUpGrounder:
                 table.truncate()
             else:
                 table = self.database.create_table(table_name, schema)
-            rows = [
-                (record.atom_id, *record.atom.argument_values(), record.truth)
-                for record in atoms.records_for_predicate(predicate)
-            ]
-            self.database.bulk_load(table_name, rows)
+            columns, build_rows = atom_table_columns(atoms, predicate, encoder)
+            table.bulk_load_deferred(len(columns[0]), build_rows, columns)
+            self.database.statistics.invalidate(table_name)
             table.stamp_contents(stamp)
             report.atom_tables_loaded += 1
 

@@ -18,6 +18,14 @@ Python object per row, and the MRF, its components and the search kernels'
 views read the same columns.  :class:`GroundClause` is a *row view*, built
 on demand by ``store[i]``, iteration and ``clauses()`` for the API, the
 reference kernel, MC-SAT's constraint templates and the tests.
+
+Persistence (:meth:`GroundClauseStore.store_in_database`) writes the table
+``C(cid, lits, weight, source)`` by page count: the storage manager charges
+the pages, page writes and simulated seconds of the full row load from the
+row count, and :func:`clause_table_rows` renders the rows (``lits`` as
+text) only for a reader that asks for them —
+:meth:`GroundClauseStore.load_from_database` or any row scan.  The batch
+loader's passes and the grounding of a cold request never do.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ CLAUSE_TABLE_NAME = "ground_clauses"
 #: is kept, so a negative hard clause ("must stay false") reads back as one.
 HARD_WEIGHT_SENTINEL = 1e300
 
-#: Rows rendered per step when the clause table is persisted.
+#: Rows rendered per step when the clause table's rows are built.
 _PERSIST_CHUNK_ROWS = 4096
 
 
@@ -646,38 +654,32 @@ class GroundClauseStore:
         )
 
     def store_in_database(self, database: Database, table_name: str = CLAUSE_TABLE_NAME) -> None:
-        """Materialise the clause store into an RDBMS table."""
+        """Persist the clause store as the RDBMS table ``C(cid, lits, weight, source)``.
+
+        The load is charged from the row count: the same pages, page writes
+        and simulated seconds as writing every row.  The row tuples — the
+        ``lits`` text above all — are built only if a reader asks for rows
+        (:meth:`load_from_database`, a row scan); a reader that only pays
+        for a pass, like the batch loader, never builds them.  The rows are
+        taken from a copy of the columns made here, so the table holds what
+        the store held at this call.
+        """
         if not database.has_table(table_name):
             database.create_table(table_name, self.table_schema())
         else:
             database.table(table_name).truncate()
-        table = database.table(table_name)
         columns = self.columns
-        bounds = columns.offsets.tolist()
-        source_texts = [source or "" for source in columns.sources]
-        # A chunk at a time, so only one chunk's literal strings are alive
-        # at once.  The rows are constructed schema-exact (INTEGER, TEXT,
-        # REAL, TEXT), so take the validation-free load path (appending
-        # chunk by chunk fills pages exactly as one load would); invalidate
-        # statistics like Database.bulk_load would.
-        for low in range(0, len(columns), _PERSIST_CHUNK_ROWS):
-            high = min(low + _PERSIST_CHUNK_ROWS, len(columns))
-            base = bounds[low]
-            texts = list(map(str, columns.literals[base : bounds[high]]))
-            lits = [
-                " ".join(texts[start - base : end - base])
-                for start, end in zip(bounds[low:high], bounds[low + 1 : high + 1])
-            ]
-            table.bulk_load_validated(
-                list(
-                    zip(
-                        columns.clause_ids[low:high],
-                        lits,
-                        map(table_weight, columns.weights[low:high]),
-                        map(source_texts.__getitem__, columns.source_index[low:high]),
-                    )
-                )
-            )
+        snapshot = ClauseColumns(
+            columns.literals[:],
+            columns.offsets[:],
+            columns.weights[:],
+            columns.clause_ids[:],
+            columns.source_index[:],
+            list(columns.sources),
+        )
+        database.table(table_name).bulk_load_deferred(
+            len(snapshot), lambda: clause_table_rows(snapshot)
+        )
         database.statistics.invalidate(table_name)
 
     @classmethod
@@ -698,6 +700,36 @@ class GroundClauseStore:
                 weight = math.copysign(math.inf, weight)
             store._append(literals, weight, row[source_pos] or None, row[cid_pos])
         return store
+
+
+def clause_table_rows(columns: ClauseColumns) -> List[Tuple[int, str, float, str]]:
+    """The clause table's rows: ``(cid, lits, weight, source)``, schema-exact.
+
+    ``lits`` is the signed literals as space-separated text, ``weight`` as
+    :func:`table_weight` stores it and ``source`` the rule name (``""`` for
+    none).  Built a chunk at a time, so only one chunk's literal strings
+    are alive at once.
+    """
+    bounds = columns.offsets.tolist()
+    source_texts = [source or "" for source in columns.sources]
+    rows: List[Tuple[int, str, float, str]] = []
+    for low in range(0, len(columns), _PERSIST_CHUNK_ROWS):
+        high = min(low + _PERSIST_CHUNK_ROWS, len(columns))
+        base = bounds[low]
+        texts = list(map(str, columns.literals[base : bounds[high]]))
+        lits = [
+            " ".join(texts[start - base : end - base])
+            for start, end in zip(bounds[low:high], bounds[low + 1 : high + 1])
+        ]
+        rows.extend(
+            zip(
+                columns.clause_ids[low:high],
+                lits,
+                map(table_weight, columns.weights[low:high]),
+                map(source_texts.__getitem__, columns.source_index[low:high]),
+            )
+        )
+    return rows
 
 
 def table_weight(weight: float) -> float:

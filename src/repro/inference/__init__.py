@@ -11,8 +11,6 @@
   components (Section 3.4);
 * :mod:`repro.inference.mcsat` / :mod:`repro.inference.samplesat` — marginal
   inference (Appendix A.5);
-* :mod:`repro.inference.tracing` — time-cost traces and flipping-rate
-  measurement;
 * :mod:`repro.inference.scheduling` — round-robin and parallel execution of
   per-component searches.
 """
@@ -28,13 +26,11 @@ from repro.inference.state import (
     make_search_state,
     resolve_backend,
 )
-from repro.inference.tracing import FlipRateMeter, TimeCostTrace
 from repro.inference.walksat import WalkSAT, WalkSATOptions, WalkSATResult
 
 __all__ = [
     "ComponentAwareWalkSAT",
     "ComponentSearchResult",
-    "FlipRateMeter",
     "GaussSeidelSearch",
     "KERNEL_BACKENDS",
     "MCSat",
@@ -42,7 +38,6 @@ __all__ = [
     "RDBMSWalkSAT",
     "SampleSAT",
     "SearchState",
-    "TimeCostTrace",
     "WalkSAT",
     "WalkSATOptions",
     "WalkSATResult",

@@ -33,10 +33,10 @@ from repro.inference.scheduling import (
     weighted_flip_allocation,
 )
 from repro.inference.state import SearchState, make_search_state
-from repro.inference.tracing import FlipRateMeter, TimeCostTrace
 from repro.inference.walksat import WalkSATOptions, WalkSATResult
 from repro.mrf.components import ComponentDecomposition, connected_components
 from repro.mrf.graph import MRF
+from repro.obs.events import RateMeter, Series
 from repro.utils.clock import CostModel
 from repro.utils.rng import RandomSource
 
@@ -58,7 +58,7 @@ class ComponentSearchResult:
     wall_seconds: float
     simulated_seconds: float
     parallel_simulated_seconds: float
-    trace: TimeCostTrace = field(default_factory=TimeCostTrace)
+    trace: Series = field(default_factory=Series)
     skipped_components: List[int] = field(default_factory=list)
     steals: int = 0
     worker_task_counts: Dict[int, int] = field(default_factory=dict)
@@ -71,7 +71,7 @@ class ComponentSearchResult:
 
     @property
     def flips_per_second(self) -> float:
-        return FlipRateMeter(self.flips, self.wall_seconds).flips_per_second
+        return RateMeter(self.flips, self.wall_seconds).flips_per_second
 
 
 class ComponentAwareWalkSAT:

@@ -19,9 +19,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.grounding.clause_table import GroundClause
 from repro.inference.state import make_search_state
-from repro.inference.tracing import TimeCostTrace
 from repro.inference.walksat import WalkSAT, WalkSATOptions
 from repro.mrf.graph import MRF
+from repro.obs.events import Series
 from repro.utils.clock import SimulatedClock
 from repro.utils.rng import RandomSource
 
@@ -67,7 +67,7 @@ class GaussSeidelResult:
     best_cost: float
     rounds: int
     flips: int
-    trace: TimeCostTrace = field(default_factory=TimeCostTrace)
+    trace: Series = field(default_factory=Series)
     cut_clause_count: int = 0
 
 
@@ -108,7 +108,7 @@ class GaussSeidelSearch:
                     assignment[atom_id] = bool(value)
 
         cut_clauses = self._count_cut_clauses(full_mrf, partition_sets)
-        trace = TimeCostTrace("gauss-seidel")
+        trace = Series("gauss-seidel")
         # The global cost is maintained incrementally by a kernel state over
         # the full MRF: accepting a part's result costs
         # O(changed atoms x degree) instead of a full recount per update.

@@ -34,9 +34,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.grounding.clause_table import GroundClauseStore, table_weight
 from repro.inference.state import make_search_state
-from repro.inference.tracing import TimeCostTrace
 from repro.inference.walksat import WalkSATOptions, WalkSATResult
 from repro.mrf.graph import MRF
+from repro.obs.events import Series
 from repro.rdbms.database import Database
 from repro.rdbms.schema import TableSchema
 from repro.rdbms.types import ColumnType
@@ -111,7 +111,7 @@ class RDBMSWalkSAT:
             for atom_id, indices in atom_clause_index.items()
         }
 
-        trace = TimeCostTrace(self.options.trace_label)
+        trace = Series(self.options.trace_label)
         best_cost = math.inf
         best_assignment = dict(assignment)
         flips = 0

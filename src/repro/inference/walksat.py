@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro.inference.state import KERNEL_BACKENDS, SearchState, make_search_state
-from repro.inference.tracing import FlipRateMeter, TimeCostTrace
 from repro.mrf.graph import MRF
+from repro.obs.events import RateMeter, Series
 from repro.utils.clock import SimulatedClock, WallClock
 from repro.utils.rng import RandomSource
 
@@ -65,13 +65,13 @@ class WalkSATResult:
     flips: int
     tries: int
     seconds: float
-    trace: TimeCostTrace = field(default_factory=TimeCostTrace)
+    trace: Series = field(default_factory=Series)
     reached_target: bool = False
     hitting_time: Optional[int] = None
 
     @property
     def flips_per_second(self) -> float:
-        return FlipRateMeter(self.flips, self.seconds).flips_per_second
+        return RateMeter(self.flips, self.seconds).flips_per_second
 
 
 class WalkSAT:
@@ -110,7 +110,7 @@ class WalkSAT:
         """Search using an existing state (lets callers reuse bookkeeping)."""
         options = self.options
         wall = WallClock()
-        trace = TimeCostTrace(options.trace_label)
+        trace = Series(options.trace_label)
         target = options.target_cost
         best_cost = math.inf
         best_assignment: Dict[int, bool] = state.assignment_dict()

@@ -21,32 +21,43 @@ class Domain:
 
     name: str
     _constants: List[Constant] = field(default_factory=list)
-    _index: Dict[Constant, int] = field(default_factory=dict)
+    #: Constant value -> dense id.
+    _index: Dict[str, int] = field(default_factory=dict)
 
     def add(self, constant: Constant) -> int:
         """Add a constant (idempotently) and return its dense id."""
-        existing = self._index.get(constant)
+        existing = self._index.get(constant.value)
         if existing is not None:
             return existing
         identifier = len(self._constants)
         self._constants.append(constant)
-        self._index[constant] = identifier
+        self._index[constant.value] = identifier
         return identifier
 
     def add_value(self, value: str) -> int:
         """Convenience: add a constant by its string value."""
+        existing = self._index.get(value)
+        if existing is not None:
+            return existing
         return self.add(Constant(value))
+
+    def intern(self, value: str) -> Constant:
+        """The domain's constant for ``value``, added if new."""
+        existing = self._index.get(value)
+        if existing is None:
+            existing = self.add(Constant(value))
+        return self._constants[existing]
 
     def id_of(self, constant: Constant) -> int:
         """Dense id of a constant; raises ``KeyError`` if unknown."""
-        return self._index[constant]
+        return self._index[constant.value]
 
     def constant_of(self, identifier: int) -> Constant:
         """Inverse of :meth:`id_of`."""
         return self._constants[identifier]
 
     def __contains__(self, constant: Constant) -> bool:
-        return constant in self._index
+        return constant.value in self._index
 
     def __len__(self) -> int:
         return len(self._constants)
@@ -57,6 +68,10 @@ class Domain:
     def constants(self) -> List[Constant]:
         """A copy of the constant list, in id order."""
         return list(self._constants)
+
+    def values(self) -> List[str]:
+        """The constants' values, in id order."""
+        return list(self._index)
 
 
 class DomainRegistry:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.logic.clauses import HARD_WEIGHT
 from repro.logic.formulas import (
@@ -54,12 +54,26 @@ from repro.logic.terms import Term, Variable, term_from_token
 
 
 class MLNSyntaxError(ValueError):
-    """Raised when a program or evidence file cannot be parsed."""
+    """Raised when a program or evidence file cannot be parsed.
 
-    def __init__(self, message: str, line_number: Optional[int] = None) -> None:
+    ``line_number`` and ``column`` (both 1-based) locate the offending
+    ``token`` in the input when they are known; the message reads
+    ``line N: <what is wrong> (column C)``.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        line_number: Optional[int] = None,
+        column: Optional[int] = None,
+        token: Optional[str] = None,
+    ) -> None:
         prefix = f"line {line_number}: " if line_number is not None else ""
-        super().__init__(prefix + message)
+        suffix = f" (column {column})" if column is not None else ""
+        super().__init__(prefix + message + suffix)
         self.line_number = line_number
+        self.column = column
+        self.token = token
 
 
 @dataclass
@@ -113,8 +127,12 @@ _TOKEN_PATTERN = re.compile(
 )
 
 
-def _tokenize(text: str, line_number: Optional[int] = None) -> List[str]:
+def _tokenize(
+    text: str, line_number: Optional[int] = None, column: int = 1
+) -> Tuple[List[str], List[int]]:
+    """The tokens of ``text`` and their columns (``text`` starts at ``column``)."""
     tokens: List[str] = []
+    columns: List[int] = []
     position = 0
     while position < len(text):
         match = _TOKEN_PATTERN.match(text, position)
@@ -124,17 +142,26 @@ def _tokenize(text: str, line_number: Optional[int] = None) -> List[str]:
             raise MLNSyntaxError(
                 f"unexpected character {text[position]!r} in {text.strip()!r}",
                 line_number,
+                column + position,
+                text[position],
             )
         tokens.append(match.group(1))
+        columns.append(column + match.start(1))
         position = match.end()
-    return tokens
+    return tokens, columns
 
 
 class _TokenStream:
     """A tiny cursor over a token list with peek/expect helpers."""
 
-    def __init__(self, tokens: Sequence[str], line_number: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        tokens: Sequence[str],
+        line_number: Optional[int] = None,
+        columns: Optional[Sequence[int]] = None,
+    ) -> None:
         self._tokens = list(tokens)
+        self._columns = list(columns) if columns is not None else None
         self._position = 0
         self._line_number = line_number
 
@@ -153,16 +180,20 @@ class _TokenStream:
     def expect(self, expected: str) -> str:
         token = self.next()
         if token != expected:
-            raise MLNSyntaxError(
-                f"expected {expected!r} but found {token!r}", self._line_number
-            )
+            raise self.error(f"expected {expected!r} but found {token!r}")
         return token
 
     def exhausted(self) -> bool:
         return self._position >= len(self._tokens)
 
-    def error(self, message: str) -> MLNSyntaxError:
-        return MLNSyntaxError(message, self._line_number)
+    def error(self, message: str, located: bool = True) -> MLNSyntaxError:
+        """An error located at the token consumed last (if any and ``located``)."""
+        index = self._position - 1
+        if not located or index < 0 or self._columns is None:
+            return MLNSyntaxError(message, self._line_number)
+        return MLNSyntaxError(
+            message, self._line_number, self._columns[index], self._tokens[index]
+        )
 
 
 class MLNParser:
@@ -194,7 +225,12 @@ class MLNParser:
                 program.predicates.append(predicate)
                 continue
             rule_counter += 1
-            rule = self._parse_rule(line, line_number, default_name=f"R{rule_counter}")
+            rule = self._parse_rule(
+                line,
+                line_number,
+                default_name=f"R{rule_counter}",
+                column=_column_of(raw_line, line),
+            )
             program.rules.append(rule)
         return program
 
@@ -220,7 +256,7 @@ class MLNParser:
         if match is None:
             return False
         name = match.group(1)
-        arguments = [argument.strip() for argument in match.group(2).split(",")]
+        arguments = _split_arguments(match.group(2))
         # A declaration's arguments are bare lower-case type names; anything
         # with quotes, capitals or digits is a ground atom (a rule), and a
         # re-mention of a known predicate is a rule as well.
@@ -235,7 +271,7 @@ class MLNParser:
         if match is None:
             raise MLNSyntaxError(f"malformed predicate declaration {line!r}", line_number)
         name = match.group(1)
-        arg_types = tuple(argument.strip() for argument in match.group(2).split(","))
+        arg_types = _split_arguments(match.group(2))
         if any(not argument for argument in arg_types):
             raise MLNSyntaxError(f"empty argument type in declaration {line!r}", line_number)
         return Predicate(name, arg_types, closed_world)
@@ -246,14 +282,18 @@ class MLNParser:
         line_number: Optional[int],
         default_name: Optional[str],
         allow_missing_weight: bool = False,
+        column: int = 1,
     ) -> ParsedRule:
         weight, body, is_hard = _split_weight(line, line_number)
-        tokens = _tokenize(body, line_number)
-        stream = _TokenStream(tokens, line_number)
+        tokens, columns = _tokenize(body, line_number, column + line.find(body))
+        stream = _TokenStream(tokens, line_number, columns)
         formula = self._parse_implication(stream)
         if not stream.exhausted():
             raise MLNSyntaxError(
-                f"trailing tokens after rule: {tokens[stream._position:]}", line_number
+                f"trailing tokens after rule: {tokens[stream._position:]}",
+                line_number,
+                columns[stream._position],
+                tokens[stream._position],
             )
         final_weight = HARD_WEIGHT if is_hard else weight
         if final_weight is None:
@@ -296,7 +336,7 @@ class MLNParser:
     def _parse_unary(self, stream: _TokenStream) -> Formula:
         token = stream.peek()
         if token is None:
-            raise stream.error("unexpected end of rule")
+            raise stream.error("unexpected end of rule", located=False)
         if token == "!":
             stream.next()
             return Negation(self._parse_unary(stream))
@@ -359,40 +399,130 @@ class MLNParser:
     # ------------------------------------------------------------------
 
     def parse_evidence(self, text: str) -> List[ParsedEvidence]:
-        """Parse an evidence database (one ground atom per line)."""
-        evidence: List[ParsedEvidence] = []
+        """Parse an evidence database (one ground atom per line).
+
+        Atoms of declared predicates are checked against their arity;
+        undeclared predicates are accepted as written.
+        """
+        return [
+            ParsedEvidence(name, arguments, truth)
+            for name, arguments, truth in self.evidence_rows(text, declared_only=False)
+        ]
+
+    def evidence_rows(
+        self, text: str, declared_only: bool = True
+    ) -> Iterator[Tuple[str, Tuple[str, ...], bool]]:
+        """``(predicate name, arguments, truth)`` per evidence line, in order.
+
+        The streaming form of :meth:`parse_evidence`: no object per fact
+        beyond the argument tuple.  With ``declared_only`` an atom of an
+        undeclared predicate is an error.  Every error is an
+        :class:`MLNSyntaxError` locating the offending token.
+        """
+        predicates = self._predicates
         for line_number, raw_line in enumerate(text.splitlines(), start=1):
             line = _strip_comment(raw_line).strip()
             if not line:
                 continue
-            truth = True
-            if line.startswith("!"):
-                truth = False
-                line = line[1:].strip()
-            match = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(([^()]*)\)", line)
+            match = _EVIDENCE_ATOM.fullmatch(line)
             if match is None:
-                raise MLNSyntaxError(f"malformed evidence atom {line!r}", line_number)
-            name = match.group(1)
-            raw_arguments = [argument.strip() for argument in match.group(2).split(",")]
-            arguments = tuple(_unquote(argument) for argument in raw_arguments)
-            if name in self._predicates:
-                expected = self._predicates[name].arity
-                if len(arguments) != expected:
+                raise MLNSyntaxError(
+                    f"malformed evidence atom {line!r}",
+                    line_number,
+                    _column_of(raw_line, line),
+                    line,
+                )
+            negated, name, body = match.groups()
+            arguments = _split_arguments(body, unquote=True)
+            predicate = predicates.get(name)
+            if predicate is None:
+                if declared_only:
                     raise MLNSyntaxError(
-                        f"evidence atom {line!r} has {len(arguments)} arguments, "
-                        f"predicate {name} expects {expected}",
+                        f"unknown predicate {name!r}",
                         line_number,
+                        _column_of(raw_line, line) + match.start(2),
+                        name,
                     )
-            evidence.append(ParsedEvidence(name, arguments, truth))
-        return evidence
+            elif len(arguments) != predicate.arity:
+                atom = line[match.start(2) :]
+                raise MLNSyntaxError(
+                    f"evidence atom {atom!r} has {len(arguments)} arguments, "
+                    f"predicate {name} expects {predicate.arity}",
+                    line_number,
+                    _column_of(raw_line, line) + match.start(2),
+                    atom,
+                )
+            yield name, arguments, not negated
+
+
+#: One evidence argument: a quoted constant or one character that is not a
+#: quote, then anything but a parenthesis or comma.  A quote inside a word
+#: (``O'Brien``) is part of the word.
+_EVIDENCE_ARGUMENT = r"""\s*(?:(?:"[^"]*"|'[^']*'|[^()"',\s])[^(),]*)?"""
+
+#: One evidence line (comments stripped, whitespace trimmed): an optional
+#: ``!``, the predicate name and the argument text, in which parentheses
+#: may appear only inside quotes.
+_EVIDENCE_ATOM = re.compile(
+    rf"""(!?)\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(({_EVIDENCE_ARGUMENT}(?:,{_EVIDENCE_ARGUMENT})*)\)"""
+)
+
+
+def _column_of(raw_line: str, line: str) -> int:
+    """1-based column where the stripped ``line`` starts in ``raw_line``."""
+    return raw_line.find(line) + 1
+
+
+def _opens_quote(text: str, index: int) -> bool:
+    """Whether the quote at ``text[index]`` starts a quoted constant.
+
+    Only a quote at the start of an argument does: at the start of ``text``
+    or after ``(``, ``,`` or ``=``, blanks skipped.  An apostrophe inside a
+    word (``O'Brien``) is part of the word.
+    """
+    before = text[:index].rstrip()
+    return not before or before[-1] in "(,="
 
 
 def _strip_comment(line: str) -> str:
-    for marker in ("//", "#"):
-        index = line.find(marker)
-        if index >= 0:
-            line = line[:index]
+    """``line`` up to its first ``//`` or ``#`` outside quotes."""
+    if "#" not in line and "//" not in line:
+        return line
+    quote = None
+    for index, char in enumerate(line):
+        if quote is not None:
+            if char == quote:
+                quote = None
+        elif char in "\"'" and _opens_quote(line, index):
+            quote = char
+        elif char == "#" or line.startswith("//", index):
+            return line[:index]
     return line
+
+
+def _split_arguments(text: str, unquote: bool = False) -> Tuple[str, ...]:
+    """Comma-separated arguments, stripped; commas inside quotes do not split.
+
+    With ``unquote`` a quoted argument loses its quotes.
+    """
+    if '"' not in text and "'" not in text:
+        return tuple(map(str.strip, text.split(",")))
+    arguments: List[str] = []
+    start = 0
+    quote = None
+    for index, char in enumerate(text):
+        if quote is not None:
+            if char == quote:
+                quote = None
+        elif char in "\"'" and _opens_quote(text, index):
+            quote = char
+        elif char == ",":
+            arguments.append(text[start:index].strip())
+            start = index + 1
+    arguments.append(text[start:].strip())
+    if unquote:
+        return tuple(map(_unquote, arguments))
+    return tuple(arguments)
 
 
 def _unquote(token: str) -> str:

@@ -1,11 +1,10 @@
 """Time/cost series and rate meters — the event model behind the Figure 3–8
 benchmarks.
 
-:class:`Series` is the generalised form of what ``inference/tracing.py``
-historically called ``TimeCostTrace``: a monotone-best cost-over-time curve
-sampled on the simulated clock.  ``inference.tracing`` now re-exports thin
-subclasses of these types for API compatibility; new code should import
-from here.
+:class:`Series` is a monotone-best cost-over-time curve sampled on the
+simulated clock (the paper's time-cost plots); :class:`RateMeter` counts
+flips against elapsed time and :func:`merge_series` sums per-component
+curves into one.  Every search loop and benchmark imports them from here.
 
 Two recording entry points exist on purpose:
 
@@ -24,7 +23,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Type
+from typing import List, Sequence, Tuple
 
 
 @dataclass
@@ -112,11 +111,7 @@ class RateMeter:
         return self.flips / self.seconds
 
 
-def merge_series(
-    traces: Sequence[Series],
-    label: str = "",
-    factory: Type[Series] = Series,
-) -> Series:
+def merge_series(traces: Sequence[Series], label: str = "") -> Series:
     """Merge per-component series into one global best-cost curve.
 
     Component searches run independently; at any time the global best cost
@@ -124,7 +119,7 @@ def merge_series(
     samples the union of all component timestamps and is undefined
     (omitted) until every component has reported at least one point.
     """
-    merged = factory(label)
+    merged = Series(label)
     if not traces:
         return merged
     # One sweep over the time-sorted points (stable, so equal timestamps

@@ -22,9 +22,9 @@ from multiprocessing import shared_memory
 from typing import List, Optional, Sequence, Tuple
 
 from repro.inference.mcsat import MarginalResult
-from repro.inference.tracing import TimeCostTrace, TracePoint
 from repro.inference.walksat import WalkSATResult
 from repro.mrf.graph import MRF
+from repro.obs.events import Series, SeriesPoint
 
 #: Fixed per-component result header, in 8-byte elements.  Slots are read
 #: through whichever cast (int/float) matches the field:
@@ -245,11 +245,11 @@ class ResultBufferSet:
                 atom_id: bool(ints[value_off + position])
                 for position, atom_id in enumerate(atom_ids)
             }
-            trace = TimeCostTrace(
+            trace = Series(
                 label=trace_label, grounding_seconds=floats[base + 11]
             )
             trace.points = [
-                TracePoint(
+                SeriesPoint(
                     time=floats[trace_off + 3 * slot],
                     cost=floats[trace_off + 3 * slot + 1],
                     flips=ints[trace_off + 3 * slot + 2],

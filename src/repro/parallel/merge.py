@@ -10,7 +10,7 @@ the serial backend regardless of worker count or completion order:
 * :func:`merge_walksat_results` — the component-search combine: union of
   per-component best assignments, costs summed in component order (float
   addition order matters for bit-parity), traces merged with the existing
-  :func:`~repro.inference.tracing.merge_traces`.
+  :func:`~repro.obs.events.merge_series`.
 * :func:`merge_marginal_results` — the MC-SAT combine: components are
   disjoint atom sets, so the union of per-component marginal dictionaries
   (in component order) is the joint marginal estimate.
@@ -34,9 +34,9 @@ from repro.inference.gauss_seidel import (
     conditioned_mrf,
 )
 from repro.inference.mcsat import MarginalResult
-from repro.inference.tracing import merge_traces
 from repro.inference.walksat import WalkSATOptions, WalkSATResult
 from repro.mrf.graph import MRF
+from repro.obs.events import merge_series
 from repro.utils.clock import SimulatedClock
 from repro.utils.rng import RandomSource
 
@@ -58,7 +58,7 @@ def merge_walksat_results(
         if not math.isinf(result.best_cost):
             best_cost += result.best_cost
         total_flips += result.flips
-    trace = merge_traces([result.trace for result in results], label=trace_label)
+    trace = merge_series([result.trace for result in results], label=trace_label)
     return best_assignment, best_cost, total_flips, trace
 
 

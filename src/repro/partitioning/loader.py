@@ -106,9 +106,12 @@ class BatchLoader:
     # ------------------------------------------------------------------
 
     def _scan_clause_table(self) -> None:
-        """One sequential pass over the persisted clause table."""
+        """Charge one sequential pass over the persisted clause table.
+
+        The pass reads every page through the buffer pool; no row is built.
+        """
         if not self.database.has_table(self.clause_table):
             return
         table = self.database.table(self.clause_table)
-        for _row in table.scan(charge_io=True):
-            pass
+        if table.storage is not None:
+            table.storage.charge_scan(table.name)

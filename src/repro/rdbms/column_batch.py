@@ -19,7 +19,10 @@ same :class:`~repro.rdbms.optimizer.PlannedQuery`:
 * :class:`ColumnarContext` — per-executor state: the shared encoder and a
   per-table cache of encoded base columns (invalidated by the table's
   ``version`` counter), so a grounding run that issues one query per MLN
-  clause pays the Python-loop encoding cost once per table, not per query.
+  clause pays the encoding cost once per table, not per query.  A table
+  loaded with pre-encoded columns (the grounder's atom tables, straight
+  from the atom registry, whose dictionary the grounder shares with the
+  executor) is not encoded at all.
 * The vectorized join/group kernels (:func:`hash_join_indices`,
   :func:`composite_codes`, :func:`first_occurrence_indices`).  They are
   carefully *order-preserving* — probe-major output with build rows in
@@ -31,6 +34,7 @@ same :class:`~repro.rdbms.optimizer.PlannedQuery`:
 from __future__ import annotations
 
 import weakref
+from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,26 +91,34 @@ class ValueEncoder:
         return self._codes.get(value, MISSING_CODE)
 
     def encode_values(self, values: Sequence[Any]) -> "np.ndarray":
-        """Encode a whole column to an ``int64`` code array."""
-        codes = np.empty(len(values), dtype=np.int64)
-        lookup = self._codes.get
+        """Encode a whole column to an ``int64`` code array.
+
+        Unseen values are interned in first-occurrence order — the codes
+        repeated :meth:`encode_scalar` calls would assign — and the lookups
+        run as one ``map`` over the column, not a Python loop.
+        """
+        values = values if isinstance(values, list) else list(values)
         table = self._codes
-        mirror_values = self._values
-        changed = False
-        for index, value in enumerate(values):
-            if value is None:
-                codes[index] = NULL_CODE
-                continue
-            code = lookup(value)
-            if code is None:
-                code = len(table)
-                table[value] = code
-                mirror_values.append(value)
-                changed = True
-            codes[index] = code
-        if changed:
+        fresh = [
+            value
+            for value in dict.fromkeys(values)
+            if value is not None and value not in table
+        ]
+        if fresh:
+            table.update(zip(fresh, range(len(table), len(table) + len(fresh))))
+            self._values.extend(fresh)
             self._mirror = None
-        return codes
+        return np.fromiter(
+            map(table.get, values, repeat(NULL_CODE)), dtype=np.int64, count=len(values)
+        )
+
+    def translate(self, codes: "np.ndarray", source: "ValueEncoder") -> "np.ndarray":
+        """Codes of another encoder's values, re-encoded into this one."""
+        if source is self:
+            return codes
+        mapping = np.append(self.encode_values(source._values[1:]), NULL_CODE)
+        # NULL_CODE (-1) indexes the appended NULL entry.
+        return mapping[np.asarray(codes, dtype=np.int64)]
 
     def decode_scalar(self, code: int) -> Any:
         if code == NULL_CODE:
@@ -223,7 +235,7 @@ class ColumnarContext:
     """Per-executor columnar state: the encoder and the base-column cache."""
 
     def __init__(self, encoder: Optional[ValueEncoder] = None) -> None:
-        self.encoder = encoder or ValueEncoder()
+        self.encoder = encoder if encoder is not None else ValueEncoder()
         self._table_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     def table_columns(self, table) -> List["np.ndarray"]:
@@ -233,15 +245,18 @@ class ColumnarContext:
         if (
             cached is not None
             and cached[0] == version
-            and cached[1] == len(table.rows)
+            and cached[1] == len(table)
         ):
             return cached[2]
-        rows = table.rows
-        columns = [
-            self.encoder.encode_values([row[position] for row in rows])
-            for position in range(len(table.schema))
-        ]
-        self._table_cache[table] = (version, len(rows), columns)
+        columns = getattr(table, "encoded", None)
+        if columns is None:
+            # No producer handed over encoded columns: encode the rows.
+            rows = table.rows
+            columns = [
+                self.encoder.encode_values([row[position] for row in rows])
+                for position in range(len(table.schema))
+            ]
+        self._table_cache[table] = (version, len(table), columns)
         return columns
 
     def batch_from_rows(

@@ -132,10 +132,16 @@ class Executor:
         self.execution_backend = execution_backend
         self._context: Optional[ColumnarContext] = None
 
-    def columnar_context(self) -> ColumnarContext:
-        """The executor's shared columnar state (encoder + column caches)."""
+    def columnar_context(self, encoder: Optional[ValueEncoder] = None) -> ColumnarContext:
+        """The executor's shared columnar state (encoder + column caches).
+
+        ``encoder`` is the dictionary to adopt if the context does not
+        exist yet — a producer that encodes its tables itself (the
+        grounder, with the atom registry's dictionary) passes its own so
+        its codes need no translation.  An existing context keeps its own.
+        """
         if self._context is None:
-            self._context = ColumnarContext()
+            self._context = ColumnarContext(encoder)
         return self._context
 
     def resolve_backend(

@@ -18,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
+from repro.rdbms.column_batch import NULL_CODE
 from repro.rdbms.table import Table
 
 
@@ -44,6 +47,8 @@ class TableStatistics:
 
     @classmethod
     def analyze(cls, table: Table) -> "TableStatistics":
+        if table.encoded is not None:
+            return cls._analyze_codes(table)
         row_count = len(table)
         columns: Dict[str, ColumnStatistics] = {}
         for column in table.schema.column_names:
@@ -52,6 +57,22 @@ class TableStatistics:
             non_null = [value for value in values if value is not None]
             distinct = len(set(non_null))
             null_fraction = 0.0 if row_count == 0 else 1.0 - len(non_null) / row_count
+            columns[column] = ColumnStatistics(distinct, null_fraction)
+        return cls(row_count, columns)
+
+    @classmethod
+    def _analyze_codes(cls, table: Table) -> "TableStatistics":
+        """:meth:`analyze` over a table's pre-encoded columns.
+
+        Code equality is value equality, so distinct non-null codes count
+        distinct non-null values; the rows are never built.
+        """
+        row_count = len(table)
+        columns: Dict[str, ColumnStatistics] = {}
+        for column, codes in zip(table.schema.column_names, table.encoded):
+            present = codes[codes != NULL_CODE]
+            distinct = len(np.unique(present))
+            null_fraction = 0.0 if row_count == 0 else 1.0 - len(present) / row_count
             columns[column] = ColumnStatistics(distinct, null_fraction)
         return cls(row_count, columns)
 

@@ -164,22 +164,44 @@ class StorageManager:
     def bulk_load(self, table_name: str, rows: Sequence[Tuple[Any, ...]]) -> None:
         """Append many rows, charging one write per newly started page.
 
-        Pages are filled slice-at-a-time rather than row-at-a-time; the
-        resulting page layout and write charges are identical to repeated
-        :meth:`append_row` calls.
+        The resulting page layout and write charges are identical to
+        repeated :meth:`append_row` calls.
+        """
+        self.fill_rows(table_name, self.reserve_rows(table_name, len(rows)), rows)
+
+    def reserve_rows(self, table_name: str, count: int) -> int:
+        """Extend a table by ``count`` empty slots; returns the first one's row number.
+
+        Charges exactly what :meth:`bulk_load` of ``count`` rows charges —
+        one write per newly started page — so a producer can pay for a
+        load from its row count alone and :meth:`fill_rows` the slots only
+        if a reader ever asks for rows.  Row ``n`` of a table lives in page
+        ``n // page_size``, slot ``n % page_size``: pages fill in order.
         """
         pages = self._pages.setdefault(table_name, [])
         page_size = self.page_size
-        loaded = 0
-        while loaded < len(rows):
+        first = (len(pages) - 1) * page_size + len(pages[-1]) if pages else 0
+        left = count
+        while left:
             if not pages or len(pages[-1]) >= page_size:
                 pages.append(Page(table_name, len(pages)))
                 self.buffer_pool.stats.page_writes += 1
             page = pages[-1]
-            space = page_size - len(page.rows)
-            chunk = rows[loaded : loaded + space]
-            page.rows.extend(chunk)
-            loaded += len(chunk)
+            take = min(page_size - len(page.rows), left)
+            page.rows.extend([None] * take)  # type: ignore[list-item]
+            left -= take
+        return first
+
+    def fill_rows(self, table_name: str, first: int, rows: Sequence[Tuple[Any, ...]]) -> None:
+        """Write rows into slots :meth:`reserve_rows` made, from row ``first`` on (no charge)."""
+        pages = self._pages[table_name]
+        page_size = self.page_size
+        done = 0
+        while done < len(rows):
+            number, slot = divmod(first + done, page_size)
+            chunk = rows[done : done + page_size - slot]
+            pages[number].rows[slot : slot + len(chunk)] = chunk
+            done += len(chunk)
 
     def page_count(self, table_name: str) -> int:
         return len(self._pages.get(table_name, []))

@@ -212,8 +212,10 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "evidence_text, fragment",
         (
-            ("wrote(Joe)\n", "has 1 arguments, predicate wrote expects 2"),
-            ("wrote Joe\n", "malformed evidence atom"),
+            ("wrote(Joe)\n", "has 1 arguments, predicate wrote expects 2 (column 1)"),
+            ("wrote Joe\n", "malformed evidence atom 'wrote Joe' (column 1)"),
+            ("dog(Rex)\n", "unknown predicate 'dog' (column 1)"),
+            ('wrote(Joe, "P1)\n', "malformed evidence atom"),
         ),
     )
     def test_malformed_evidence(self, tmp_path, evidence_text, fragment, capsys):

@@ -12,11 +12,11 @@ from repro.inference.scheduling import (
     _list_schedule_makespan,
     weighted_flip_allocation,
 )
-from repro.inference.tracing import FlipRateMeter, TimeCostTrace, merge_traces
 from repro.inference.walksat import WalkSAT, WalkSATOptions, expected_hitting_time
 from repro.mrf.components import connected_components
 from repro.mrf.cost import assignment_cost
 from repro.mrf.graph import MRF
+from repro.obs.events import RateMeter, Series, merge_series
 from repro.rdbms.database import Database
 from repro.utils.clock import CostModel, SimulatedClock
 from repro.utils.rng import RandomSource
@@ -341,7 +341,7 @@ class TestRDBMSWalkSAT:
 
 class TestTracing:
     def test_record_keeps_only_improvements(self):
-        trace = TimeCostTrace("t")
+        trace = Series("t")
         trace.record(0.0, 10.0)
         trace.record(1.0, 12.0)
         trace.record(2.0, 5.0)
@@ -349,7 +349,7 @@ class TestTracing:
         assert trace.best_cost == 5.0
 
     def test_cost_at_accounts_for_grounding_offset(self):
-        trace = TimeCostTrace("t", grounding_seconds=10.0)
+        trace = Series("t", grounding_seconds=10.0)
         trace.record(0.0, 8.0)
         trace.record(5.0, 3.0)
         assert math.isinf(trace.cost_at(9.0))
@@ -357,28 +357,28 @@ class TestTracing:
         assert trace.cost_at(15.0) == 3.0
 
     def test_shifted(self):
-        trace = TimeCostTrace("t")
+        trace = Series("t")
         trace.record(1.0, 4.0)
         shifted = trace.shifted(2.0)
         assert shifted.points[0].time == pytest.approx(3.0)
 
     def test_merge_traces_sums_component_bests(self):
-        first = TimeCostTrace("a")
+        first = Series("a")
         first.record(0.0, 5.0)
         first.record(2.0, 1.0)
-        second = TimeCostTrace("b")
+        second = Series("b")
         second.record(1.0, 4.0)
-        merged = merge_traces([first, second])
+        merged = merge_series([first, second])
         assert merged.points[-1].cost == pytest.approx(5.0)
         # Before the second component reports anything the sum is undefined.
         assert all(point.time >= 1.0 for point in merged.points)
 
     def test_flip_rate_meter(self):
-        meter = FlipRateMeter()
+        meter = RateMeter()
         meter.record(100, 2.0)
         meter.record(300, 2.0)
         assert meter.flips_per_second == pytest.approx(100.0)
-        assert FlipRateMeter().flips_per_second == 0.0
+        assert RateMeter().flips_per_second == 0.0
 
 
 def _component(atoms: int, clauses: int) -> MRF:

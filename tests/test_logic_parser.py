@@ -128,3 +128,78 @@ class TestEvidenceParsing:
     def test_comments_and_blank_lines_ignored(self):
         evidence = parse_evidence("\n// comment only\n\nwrote(Joe, P1)\n")
         assert len(evidence) == 1
+
+
+class TestQuotedConstants:
+    """Comment markers and commas inside quotes belong to the constant."""
+
+    DECLARATIONS = "*wrote(author, paper)\ncat(paper, category)\n"
+
+    @pytest.mark.parametrize(
+        "line, arguments",
+        (
+            ('cat(P1, "C#")', ("P1", "C#")),
+            ('cat(P1, "a//b")  // a real comment', ("P1", "a//b")),
+            ('cat(P1, "a, b")', ("P1", "a, b")),
+            ("cat(P1, 'x # y')  # comment", ("P1", "x # y")),
+            ('cat(P1, "f(x)")', ("P1", "f(x)")),
+            ("cat(P1, O'Brien)  // x", ("P1", "O'Brien")),
+            ("cat(\"it's, ok\", O'Brien) # x", ("it's, ok", "O'Brien")),
+        ),
+    )
+    def test_evidence(self, line, arguments):
+        from repro.core.program import MLNProgram
+
+        program = MLNProgram.from_text(self.DECLARATIONS, line + "\n")
+        (fact,) = list(program.evidence)
+        assert fact.atom.argument_values() == arguments
+        assert parse_evidence(line)[0].arguments == arguments
+
+    def test_rule_constant_with_comment_marker(self):
+        program = parse_program(self.DECLARATIONS + '-1 cat(p, "C#")  // weight on C#\n')
+        (rule,) = program.rules
+        assert rule.weight == -1.0
+        assert Constant("C#") in rule.formula.arguments
+
+    def test_unterminated_quote_is_malformed(self):
+        with pytest.raises(MLNSyntaxError, match="malformed evidence atom"):
+            parse_evidence('cat(P1, "AI)')
+
+
+class TestErrorLocation:
+    """Evidence errors name the line, the column and the offending token."""
+
+    PROGRAM = "*wrote(author, paper)\ncat(paper, category)\n"
+
+    def parse(self, evidence):
+        parser = MLNParser()
+        parser.parse_program(self.PROGRAM)
+        return list(parser.evidence_rows(evidence))
+
+    @pytest.mark.parametrize(
+        "evidence, line, column, token, fragment",
+        (
+            ("wrote(Joe, P1)\n  dog(Rex)\n", 2, 3, "dog", "unknown predicate 'dog'"),
+            ("wrote(Joe, P1)\n\n!wrote(Joe)\n", 3, 2, "wrote(Joe)", "has 1 arguments"),
+            ("   wrote Joe\n", 1, 4, "wrote Joe", "malformed evidence atom"),
+        ),
+    )
+    def test_evidence_errors(self, evidence, line, column, token, fragment):
+        with pytest.raises(MLNSyntaxError) as raised:
+            self.parse(evidence)
+        error = raised.value
+        assert (error.line_number, error.column, error.token) == (line, column, token)
+        assert str(error) == f"line {line}: {error.args[0][len(f'line {line}: '):]}"
+        assert fragment in str(error) and str(error).endswith(f"(column {column})")
+
+    def test_program_unknown_predicate_is_located(self):
+        with pytest.raises(MLNSyntaxError) as raised:
+            parse_program(self.PROGRAM + "1  cat(p, c) => dog(p)\n")
+        error = raised.value
+        assert (error.line_number, error.column, error.token) == (3, 17, "dog")
+
+    def test_from_text_rejects_undeclared_evidence_predicates(self):
+        from repro.core.program import MLNProgram
+
+        with pytest.raises(MLNSyntaxError, match="line 1: unknown predicate 'dog'"):
+            MLNProgram.from_text(self.PROGRAM, "dog(Rex)\n")

@@ -292,12 +292,9 @@ class TestMergeSeries:
         assert merge_series(traces).points[0].cost == 0.0 + 0.1 + 0.2 + 0.3
         assert merge_series(traces[::-1]).points[0].cost == 0.0 + 0.3 + 0.2 + 0.1
 
-    def test_factory_and_label_are_honoured(self):
-        from repro.inference.tracing import TimeCostTrace, merge_traces
-
-        trace = TimeCostTrace("component-0")
+    def test_label_is_honoured(self):
+        trace = Series("component-0")
         trace.record(0.5, 2.0)
-        merged = merge_traces([trace], label="tuffy")
-        assert isinstance(merged, TimeCostTrace)
+        merged = merge_series([trace], label="tuffy")
         assert merged.label == "tuffy"
         assert merged.as_rows() == [(0.5, 2.0)]
