@@ -98,6 +98,8 @@ e2e_traced_run ie_warm_map \
 # build, component detection, pool checkout (fork), the workers'
 # first-use state construction and the same construction staged in one
 # process; parse and registry are the text-to-columns stages before them.
+# The workers' kernel search sits beside their state set-up: the cold
+# path is lean once set-up reads below search.
 # The four counts must repeat exactly: a clause store that drops or
 # duplicates a row changes the first two, an atom table that differs
 # changes the join sizes, and a clause table charged differently changes
@@ -106,7 +108,7 @@ echo "== e2e benchmark: rc_cold_map traced run (the stages before the first flip
 e2e_traced_run rc_cold_map \
   logic.parse_s grounding.registry_s \
   grounding.ground_s mrf.build_s mrf.components_s parallel.pool_checkout_s \
-  inference.worker_state_setup_s inference.state_build_s \
+  inference.worker_state_setup_s inference.worker_kernel_search_s inference.state_build_s \
   grounding.ground_clauses=74776 mrf.components=96 \
   rdbms.intermediate_tuples=155254 rdbms.page_reads=585
 

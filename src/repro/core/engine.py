@@ -8,7 +8,7 @@ The engine reproduces the pipeline of the paper's Section 3:
 2. **Hybrid architecture** (Section 3.2): the ground clauses are loaded from
    the clause table into memory and searched with WalkSAT.
 3. **Partitioning** (Sections 3.3-3.4): the MRF is split into connected
-   components (union-find); components are packed into memory-budget-sized
+   components (array labelling); components are packed into memory-budget-sized
    batches for loading, searched independently with a weighted round-robin
    flip budget (optionally in parallel), and components that still exceed
    the memory budget are further split with the greedy partitioner and

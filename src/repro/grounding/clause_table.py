@@ -181,7 +181,10 @@ class ClauseColumns:
 
     def take(self, order: Sequence[int]) -> "ClauseColumns":
         """The rows at ``order`` (row indices), in that order."""
-        order = np.asarray(order, dtype=np.intp)
+        return self._take(np.asarray(order, dtype=np.intp))[0]
+
+    def _take(self, order: "np.ndarray") -> Tuple["ClauseColumns", "np.ndarray"]:
+        """:meth:`take`, plus the literal gather it made (old index per new literal)."""
         offsets = np.frombuffer(self.offsets, dtype=np.int64)
         lengths = np.diff(offsets)[order]
         new_offsets = np.zeros(len(order) + 1, dtype=np.int64)
@@ -189,7 +192,7 @@ class ClauseColumns:
         gather = np.repeat(offsets[:-1][order] - new_offsets[:-1], lengths) + np.arange(
             new_offsets[-1]
         )
-        return ClauseColumns(
+        taken = ClauseColumns(
             _gathered(self.literals, gather),
             array("q", new_offsets.tobytes()),
             _gathered(self.weights, order),
@@ -197,16 +200,22 @@ class ClauseColumns:
             _gathered(self.source_index, order),
             self.sources,
         )
+        return taken, gather
 
-    def partition(self, labels: Sequence[int], count: int) -> List["ClauseColumns"]:
+    def partition(
+        self, labels: Sequence[int], count: int, literal_values: "np.ndarray"
+    ) -> List[Tuple["ClauseColumns", "np.ndarray"]]:
         """Split the rows by label (``0 .. count - 1``), keeping row order.
 
         One stable reorder of every column, then each part is a contiguous
         slice of it (offsets rebased to the part's first literal).
+        ``literal_values`` is a per-literal array aligned with ``literals``;
+        each part comes with its literals' slice of it.
         """
         keyed = np.asarray(labels, dtype=np.intp)
         sizes = np.bincount(keyed, minlength=count).tolist()
-        whole = self.take(np.argsort(keyed, kind="stable"))
+        whole, gather = self._take(np.argsort(keyed, kind="stable"))
+        values = literal_values[gather]
         offsets = whole.offsets
         starts = list(accumulate(sizes, initial=0))
         # Each row's end, relative to the first literal of its part.
@@ -214,13 +223,16 @@ class ClauseColumns:
         ends = array("q", (bounds[1:] - np.repeat(bounds[starts[:-1]], sizes)).tobytes())
         zero = array("q", [0])
         return [
-            ClauseColumns(
-                whole.literals[offsets[start] : offsets[stop]],
-                zero + ends[start:stop],
-                whole.weights[start:stop],
-                whole.clause_ids[start:stop],
-                whole.source_index[start:stop],
-                self.sources,
+            (
+                ClauseColumns(
+                    whole.literals[offsets[start] : offsets[stop]],
+                    zero + ends[start:stop],
+                    whole.weights[start:stop],
+                    whole.clause_ids[start:stop],
+                    whole.source_index[start:stop],
+                    self.sources,
+                ),
+                values[offsets[start] : offsets[stop]],
             )
             for start, stop in zip(starts, starts[1:])
         ]

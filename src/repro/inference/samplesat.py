@@ -274,7 +274,7 @@ class ConstraintPool:
             if clause.weight > 0:
                 templates[index] = _SoftTemplate(
                     (codes,),
-                    (view.clause_atom_positions[index],),
+                    (view.clause_atom_positions(index),),
                     (GroundClause(clause.clause_id, clause.literals, 1.0, clause.source),),
                 )
             elif clause.weight < 0:

@@ -22,8 +22,8 @@ kept deliberately close to flat, cache-friendly data:
   ``(clause, polarity)`` adjacency tuples, all position-indexed, built
   from the MRF's clause columns), so nothing is allocated per step and
   every state over the same MRF shares one copy.  The distinct atom
-  positions of each clause are deduplicated once per MRF instead of on
-  every step.
+  positions of each clause are deduplicated once per MRF, when a step
+  first picks the clause, instead of on every step.
 * **Violated set.**  A list plus position map, so sampling, insertion and
   removal are all O(1).  It is touched only when a clause's satisfied
   count crosses zero, and entries are maintained in the exact order the
@@ -99,8 +99,10 @@ class SearchState:
         self._negated: List[bool] = list(map((0.0).__gt__, weights))
 
         # Shared per-MRF structure (see MRFFlatView; the clause codes are
-        # read off the view by _initialise_counts).
-        self._clause_positions = view.clause_atom_positions
+        # read off the view by _initialise_counts).  A clause's candidate
+        # positions are built on first read: ``None`` in _candidates until
+        # view.clause_atom_positions makes them.
+        self._candidates = view.candidates
         self._adjacency = view.adjacency
 
         atom_count = len(self.atom_ids)
@@ -232,11 +234,10 @@ class SearchState:
     def clause_atom_positions(self, clause_index: int) -> Sequence[int]:
         """Distinct atom positions appearing in a clause.
 
-        Returns the precomputed per-clause tuple (first-occurrence order,
-        shared across all states over the same MRF); callers must treat it
-        as read-only.
+        Returns the view's per-clause tuple (first-occurrence order, built
+        on first read and shared across all states over the same MRF).
         """
-        return self._clause_positions[clause_index]
+        return self._view.clause_atom_positions(clause_index)
 
     def atom_id_at(self, position: int) -> int:
         return self.atom_ids[position]
@@ -313,7 +314,7 @@ class SearchState:
         """
         return [
             self.delta_cost(position)
-            for position in self._clause_positions[clause_index]
+            for position in self._view.clause_atom_positions(clause_index)
         ]
 
     def flip(self, atom_position: int) -> float:
@@ -401,7 +402,8 @@ class SearchState:
         abs_weight = self._abs_weight
         negated = self._negated
         adjacency = self._adjacency
-        clause_positions = self._clause_positions
+        candidates = self._candidates
+        clause_atom_positions = self._view.clause_atom_positions
         violated_list = self._violated_list
         violated_position = self._violated_position
         journal = self._journal
@@ -417,7 +419,10 @@ class SearchState:
             r = getrandbits(k)
             while r >= n:
                 r = getrandbits(k)
-            positions = clause_positions[violated_list[r]]
+            clause_index = violated_list[r]
+            positions = candidates[clause_index]
+            if positions is None:
+                positions = clause_atom_positions(clause_index)
             if len(positions) == 1:
                 position = positions[0]
             elif rng_random() < noise:

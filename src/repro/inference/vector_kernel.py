@@ -28,11 +28,10 @@ What is vectorized, and why only that:
   scan) and ``delta_cost_batch`` use the numpy mirrors when they are in
   sync, falling back to the scalar implementations otherwise.
 
-The per-MRF structure (:class:`VectorMRFView`) is read straight off the
-MRF's clause columns — literal positions by ``searchsorted``, owners by
-``np.repeat`` over the row lengths, ``negated`` from the weight column —
-and which clauses get batched-greedy tables is decided for all clauses at
-once from ``bincount`` atom degrees.
+The per-MRF structure (:class:`VectorMRFView`) reuses the flat view's
+literal arrays — positions, owners, atom degrees — and reads ``negated``
+off the weight column; which clauses get batched-greedy tables is decided
+for all clauses at once from those degrees.
 
 Parity-critical numerics: per-candidate deltas are summed with
 ``np.bincount``, whose accumulation is a simple left-to-right loop in entry
@@ -51,7 +50,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.inference.state import SearchState
-from repro.mrf.graph import MRF, literal_positions
+from repro.mrf.graph import MRF, literal_arrays
 from repro.utils.rng import RandomSource
 
 #: Per-clause candidate-adjacency size (sum of candidate atom degrees) at
@@ -71,15 +70,18 @@ class VectorMRFView:
     * ``lit_pos`` / ``lit_expect`` / ``lit_clause`` — the clause → literal
       relation flattened to parallel arrays (atom position, expected truth
       value for the literal to hold, owning clause index), driving the
-      one-shot satisfied-count initialisation.
+      one-shot satisfied-count initialisation.  Positions and owners are
+      the flat view's :class:`~repro.mrf.graph.LiteralArrays` (derived
+      here only when the flat view was row-built), as are the atom
+      ``degrees`` and the in-clause ``repeats`` that decide greedy tables.
     * ``negated`` — per-clause "violated when satisfied" flags.
-    * ``greedy_tables(min_entries)`` — per-clause batched-greedy gather
-      tables for every clause whose candidate adjacency meets the
-      threshold (cached per threshold; weight-dependent arrays live on the
-      states, because ``hard_penalty`` differs per state).
+    * ``greedy_tables()`` — per-clause batched-greedy gather tables for
+      every clause whose candidate adjacency reaches
+      ``GREEDY_MIN_ENTRIES`` (built on first call; weight-dependent arrays
+      live on the states, because ``hard_penalty`` differs per state).
     * ``atom_updates()`` — per-atom ``(clause_indices, signs)`` arrays for
       keeping the satisfied-count mirror in sync after a flip with one
-      ``np.add.at``.
+      ``np.add.at`` (built on first call).
     """
 
     __slots__ = (
@@ -88,6 +90,8 @@ class VectorMRFView:
         "lit_expect",
         "lit_clause",
         "negated",
+        "degrees",
+        "repeats",
         "_flat",
         "_greedy_tables",
         "_atom_updates",
@@ -98,18 +102,20 @@ class VectorMRFView:
         self._flat = flat
         columns = mrf.columns()
         self.clause_count = len(columns)
-        literals = np.frombuffer(columns.literals, dtype=np.int64)
-        self.lit_pos = literal_positions(literals, flat.atom_ids)
-        self.lit_expect = (literals > 0).astype(np.int8)
-        self.lit_clause = np.repeat(
-            np.arange(self.clause_count, dtype=np.intp),
-            np.diff(np.frombuffer(columns.offsets, dtype=np.int64)),
-        )
+        arrays = flat.arrays
+        if arrays is None:
+            arrays, _ = literal_arrays(
+                mrf.literal_atom_positions(),
+                np.frombuffer(columns.offsets, dtype=np.int64),
+                len(flat.atom_ids),
+            )
+        self.lit_pos, self.lit_clause, self.degrees, self.repeats = arrays
+        self.lit_expect = (np.frombuffer(columns.literals, dtype=np.int64) > 0).astype(np.int8)
         self.negated = np.frombuffer(columns.weights, dtype=np.float64) < 0
-        self._greedy_tables: Dict[int, Dict[int, tuple]] = {}
+        self._greedy_tables: Optional[Dict[int, tuple]] = None
         self._atom_updates: Optional[List[Tuple["np.ndarray", "np.ndarray"]]] = None
 
-    def greedy_tables(self, min_entries: int) -> Dict[int, tuple]:
+    def greedy_tables(self) -> Dict[int, tuple]:
         """Gather tables for clauses whose candidate adjacency is large.
 
         For each qualifying clause: ``(entry_pos, entry_expect,
@@ -118,33 +124,28 @@ class VectorMRFView:
         by candidate, each candidate's entries in clause order — the same
         order the scalar loop accumulates in) and ``owner`` maps each entry
         back to its candidate slot for the ``np.bincount`` reduction.
-        Which clauses qualify is decided for all of them at once from the
-        atoms' degrees (one ``bincount`` each for degrees and totals).
+        Which clauses qualify is decided for all of them at once from
+        arrays: a clause's candidates are its literals minus the repeats,
+        its candidate adjacency the sum of their atoms' degrees.
         """
-        cached = self._greedy_tables.get(min_entries)
-        if cached is not None:
-            return cached
+        if self._greedy_tables is not None:
+            return self._greedy_tables
         flat = self._flat
         adjacency = flat.adjacency
-        candidates_of = flat.clause_atom_positions
-        degree = np.bincount(self.lit_pos, minlength=len(flat.atom_ids))
+        positions, owners = self.lit_pos, self.lit_clause
+        if len(self.repeats):
+            distinct = np.ones(len(positions), dtype=bool)
+            distinct[self.repeats] = False
+            positions, owners = positions[distinct], owners[distinct]
+        candidate_counts = np.bincount(owners, minlength=self.clause_count)
         # Integer-valued float64 sums: exact.
         totals = np.bincount(
-            self.lit_clause, weights=degree[self.lit_pos], minlength=self.clause_count
+            owners, weights=self.degrees[positions], minlength=self.clause_count
         )
-        candidate_counts = np.fromiter(
-            map(len, candidates_of), dtype=np.intp, count=self.clause_count
-        )
-        literal_counts = np.bincount(self.lit_clause, minlength=self.clause_count)
-        # A clause repeating an atom counts that candidate's degree once.
-        for clause_index in np.nonzero(candidate_counts != literal_counts)[0].tolist():
-            totals[clause_index] = sum(
-                len(adjacency[position]) for position in candidates_of[clause_index]
-            )
-        eligible = np.nonzero((candidate_counts >= 2) & (totals >= min_entries))[0]
+        eligible = np.nonzero((candidate_counts >= 2) & (totals >= GREEDY_MIN_ENTRIES))[0]
         tables: Dict[int, tuple] = {}
         for clause_index in eligible.tolist():
-            candidates = candidates_of[clause_index]
+            candidates = flat.clause_atom_positions(clause_index)
             entry_pos: List[int] = []
             entry_expect: List[int] = []
             entry_clause: List[int] = []
@@ -164,7 +165,7 @@ class VectorMRFView:
                 np.asarray(owner, dtype=np.intp),
                 len(candidates),
             )
-        self._greedy_tables[min_entries] = tables
+        self._greedy_tables = tables
         return tables
 
     def atom_updates(self) -> List[Tuple["np.ndarray", "np.ndarray"]]:
@@ -207,11 +208,12 @@ class ConstraintVectorView(VectorMRFView):
     cached per parent clause instead of re-scanned literal by literal, and
     ``negated`` is constant (constraints are all weight-1.0 clauses).
 
-    Batched-greedy tables are disabled: their one-time per-clause adjacency
-    scan and gather-table build cannot amortize over a constraint state
-    that lives for a single SampleSAT call.  Disabling them is a pure
-    performance decision — the scalar greedy it falls back to is
-    bit-identical (the kernel parity suite proves both paths equal).
+    Batched-greedy tables are disabled (the table cache starts out empty,
+    so ``degrees`` and ``repeats`` are never read): their one-time
+    per-clause adjacency scan and gather-table build cannot amortize over a
+    constraint state that lives for a single SampleSAT call.  Disabling
+    them is a pure performance decision — the scalar greedy it falls back
+    to is bit-identical (the kernel parity suite proves both paths equal).
     """
 
     __slots__ = ()
@@ -223,11 +225,9 @@ class ConstraintVectorView(VectorMRFView):
         self.lit_expect = lit_expect
         self.lit_clause = lit_clause
         self.negated = np.zeros(clause_count, dtype=bool)
+        self.degrees = self.repeats = None
         self._greedy_tables = {}
         self._atom_updates = None
-
-    def greedy_tables(self, min_entries: int) -> Dict[int, tuple]:
-        return {}
 
 
 class VectorSearchState(SearchState):
@@ -244,17 +244,13 @@ class VectorSearchState(SearchState):
         mrf: MRF,
         initial_assignment: Optional[Mapping[int, bool]] = None,
         hard_penalty: Optional[float] = None,
-        greedy_min_entries: Optional[int] = None,
     ) -> None:
         # Set up the shared view before super().__init__, which calls the
         # overridden _initialise_counts.
         self._vv = vector_view(mrf)
         self._greedy: Dict[int, tuple] = {}
         super().__init__(mrf, initial_assignment, hard_penalty)
-        threshold = (
-            GREEDY_MIN_ENTRIES if greedy_min_entries is None else greedy_min_entries
-        )
-        tables = self._vv.greedy_tables(threshold)
+        tables = self._vv.greedy_tables()
         if tables:
             abs_weight = np.frombuffer(self._abs_weight, dtype=np.float64)
             signed = np.where(self._vv.negated, -abs_weight, abs_weight)
@@ -422,7 +418,8 @@ class VectorSearchState(SearchState):
         negated = self._negated
         adjacency = self._adjacency
         atom_updates = self._atom_updates
-        clause_positions = self._clause_positions
+        candidates = self._candidates
+        clause_atom_positions = self._view.clause_atom_positions
         violated_list = self._violated_list
         violated_position = self._violated_position
         journal = self._journal
@@ -445,7 +442,9 @@ class VectorSearchState(SearchState):
             while r >= n:
                 r = getrandbits(k)
             clause_index = violated_list[r]
-            positions = clause_positions[clause_index]
+            positions = candidates[clause_index]
+            if positions is None:
+                positions = clause_atom_positions(clause_index)
             if len(positions) == 1:
                 position = positions[0]
             elif rng_random() < noise:

@@ -3,9 +3,9 @@
 The grounding phase outputs a weighted SAT problem; viewed as a hypergraph
 whose nodes are atoms and whose hyperedges are ground clauses, this is the
 Markov Random Field of the MLN (paper, Appendix A.2).  This package provides
-the graph structure, the cost function the search minimises, union-find based
-connected-component detection (paper, Section 3.3) and persistence of the
-component assignment back into the relational engine.
+the graph structure, the cost function the search minimises, connected-
+component detection by array labelling (paper, Section 3.3) and the
+union-find the greedy partitioner merges with.
 """
 
 from repro.mrf.components import ComponentDecomposition, connected_components

@@ -4,11 +4,12 @@ An :class:`MRF` is clause columns (:class:`ClauseColumns`, the clause
 table as CSR arrays) plus an atom-id list, and nothing else is built when
 one is constructed: ``from_store`` shares the store's columns (sealing
 the store) and reads the atom ids off them with one ``np.unique``.  What
-the consumers need on
-top is derived on first use and cached on the object: the position-indexed
-:class:`MRFFlatView` (and the numpy view over it) when the first search
-state is made — on the processes backend, in the worker that first runs
-the component — the clause list (row views, for MC-SAT, partitioning,
+the consumers need on top is derived on first use and cached on the
+object: the literals' atom positions (unless a component decomposition
+handed them over), the position-indexed :class:`MRFFlatView` (and the
+numpy view over it) when the first search state is made — on the
+processes backend, in the worker that first runs the component — the
+clause list (row views, for MC-SAT, partitioning,
 Gauss-Seidel and the cost oracle) when ``clauses`` is first read, the atom
 → clause adjacency when ``clauses_of_atom`` / ``degree`` / ``neighbors`` is
 first asked.  An MRF built from a clause list (``from_clauses``) packs its
@@ -19,7 +20,18 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -29,7 +41,8 @@ from repro.grounding.clause_table import ClauseColumns, GroundClause, GroundClau
 #: it, the per-literal Python loop is faster (SampleSAT constraint sets,
 #: the thousands of tiny IE components).  Above it both builds cost about
 #: the same, and numpy's atom-major allocation of the adjacency makes the
-#: flip loop faster.  Both produce identical views.
+#: flip loop faster.  Both views hold the same relations (the numpy-built
+#: one makes a clause's candidate tuple on first read).
 NUMPY_VIEW_MIN_CLAUSES = 256
 
 
@@ -41,8 +54,13 @@ def literal_positions(literals: "np.ndarray", atom_ids: Sequence[int]) -> "np.nd
         return np.zeros(0, dtype=np.intp)
     if not len(atoms):
         raise KeyError(int(magnitudes[0]))
-    if (atoms[1:] > atoms[:-1]).all():  # the usual case: ids ascending
-        positions = np.minimum(np.searchsorted(atoms, magnitudes), len(atoms) - 1)
+    low = int(atoms.min())
+    span = int(atoms.max()) - low + 1
+    if span <= 4 * len(atoms):
+        # The usual case, ids from one registry: a direct lookup table.
+        table = np.zeros(span, dtype=np.intp)
+        table[atoms - low] = np.arange(len(atoms))
+        positions = table[np.clip(magnitudes - low, 0, span - 1)]
     else:
         sorter = np.argsort(atoms, kind="stable")
         slots = np.searchsorted(atoms, magnitudes, sorter=sorter)
@@ -53,49 +71,98 @@ def literal_positions(literals: "np.ndarray", atom_ids: Sequence[int]) -> "np.nd
     return positions
 
 
+class LiteralArrays(NamedTuple):
+    """An MRF's literal column as position-indexed arrays (clause order).
+
+    ``positions`` is each literal's atom position, ``owners`` its clause
+    index, ``degrees`` the literal count of each atom position, and
+    ``repeats`` the indices of the literals whose atom already occurs
+    earlier in their clause (usually empty).
+    """
+
+    positions: "np.ndarray"
+    owners: "np.ndarray"
+    degrees: "np.ndarray"
+    repeats: "np.ndarray"
+
+
+def literal_arrays(
+    positions: "np.ndarray", offsets: "np.ndarray", atom_count: int
+) -> Tuple[LiteralArrays, "np.ndarray"]:
+    """The :class:`LiteralArrays` of a literal column, plus its atom-major order.
+
+    The order is one stable argsort by atom position: each atom's
+    occurrences, in clause (then literal) order.
+    """
+    owners = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    # numpy sorts 16-bit keys stably by radix, several times faster.
+    keys = positions.astype(np.uint16) if atom_count <= 1 << 16 else positions
+    order = np.argsort(keys, kind="stable")
+    sorted_positions = positions[order]
+    sorted_owners = owners[order]
+    repeats = order[1:][
+        (sorted_positions[1:] == sorted_positions[:-1]) & (sorted_owners[1:] == sorted_owners[:-1])
+    ]
+    degrees = np.bincount(positions, minlength=atom_count)
+    return LiteralArrays(positions, owners, degrees, repeats), order
+
+
 class MRFFlatView:
     """Flat, cache-friendly arrays describing an MRF's clause/atom structure.
 
     The WalkSAT kernel (:class:`repro.inference.state.SearchState`) indexes
     atoms and clauses by dense *positions* rather than ids.  This view maps
-    between the two and precomputes, once per MRF, the flattened relations
-    the kernel's hot loops need:
+    between the two and holds, once per MRF, the relations the kernel's
+    hot loops read:
 
-    * ``clause_codes`` — the clause → literal relation as per-clause
-      tuples of signed codes: a literal over atom position ``p`` is the
-      int ``+(p + 1)`` (positive occurrence) or ``-(p + 1)`` (negative),
-      so satisfied-count initialisation iterates plain ints.  Built on
-      first read: the vectorized kernel initialises counts with numpy
-      and never reads it.
-    * ``adjacency`` — the atom → clause relation as per-atom tuples of
-      ``(clause_index, positive)`` pairs, entries in clause order (which
-      the kernel relies on for reproducible violated-set ordering).  The
-      per-flip loops unpack these pre-built pairs, reusing the stored
-      index object; a signed-code encoding here would allocate a fresh
-      int per entry when decoding (measurably slower in CPython).
-    * ``clause_atom_positions`` — the distinct atom positions of each
-      clause in first-occurrence order, deduplicated once here instead of
-      on every WalkSAT step.
+    * ``adjacency`` (built eagerly) — the atom → clause relation as
+      per-atom tuples of ``(clause_index, positive)`` pairs, entries in
+      clause order (which the kernel relies on for reproducible
+      violated-set ordering).  The per-flip loops unpack these pre-built
+      pairs, reusing the stored index object; a signed-code encoding here
+      would allocate a fresh int per entry when decoding (measurably
+      slower in CPython).
+    * ``clause_atom_positions(i)`` — the distinct atom positions of clause
+      ``i`` in first-occurrence order (the clause's flip candidates),
+      deduplicated once instead of on every WalkSAT step.  A numpy-built
+      view makes each tuple on its first read and keeps it in
+      ``candidates`` (``None`` until then): a search reads the candidates
+      of the violated clauses it picks, a small share of all clauses.
+    * ``clause_codes`` (built on first read) — the clause → literal
+      relation as per-clause tuples of signed codes: a literal over atom
+      position ``p`` is the int ``+(p + 1)`` (positive occurrence) or
+      ``-(p + 1)`` (negative), so satisfied-count initialisation iterates
+      plain ints.  The vectorized kernel initialises counts with numpy and
+      never reads it.
+    * ``arrays`` — the :class:`LiteralArrays` (positions, owners, degrees,
+      repeats) of a numpy-built view, which the vectorized kernel's view
+      reuses; ``None`` for a row-built one.
 
-    Built from the MRF's columns: ``searchsorted`` gives every literal's
-    atom position, and one stable argsort by position gives the atom-major
-    adjacency, whose pairs are then allocated atom by atom — each atom's
-    entries sit together in memory, which the flip loop walks.  MRFs below
-    ``NUMPY_VIEW_MIN_CLAUSES`` clauses take the equivalent per-literal
-    loop.
+    MRFs with at least ``NUMPY_VIEW_MIN_CLAUSES`` clauses are built by
+    numpy from the MRF's columns.  The literals' atom positions come from
+    :meth:`MRF.literal_atom_positions` — handed over by the component
+    decomposition, else one :func:`literal_positions` pass — and one
+    stable argsort by position gives the atom-major adjacency, whose pairs
+    are then allocated atom by atom: each atom's entries sit together in
+    memory, which the flip loop walks.  Smaller MRFs take the equivalent
+    per-literal loop, which builds every relation eagerly.
 
     A view is built lazily by :meth:`MRF.flat_view` and cached; it assumes
     the MRF is not mutated afterwards.  All buffers are read-only shared
-    state: every :class:`SearchState` over the same MRF reuses one view.
+    state: every :class:`SearchState` over the same MRF reuses one view
+    (the lazily filled entries are idempotent, so concurrent readers at
+    worst build the same tuple twice).
     """
 
     __slots__ = (
         "atom_ids",
         "atom_position",
-        "_clause_codes",
-        "_codes",
-        "clause_atom_positions",
+        "candidates",
         "adjacency",
+        "arrays",
+        "_clause_codes",
+        "_literals",
+        "_offsets",
     )
 
     @classmethod
@@ -119,28 +186,38 @@ class MRFFlatView:
         view.atom_ids = atom_ids
         view.atom_position = atom_position
         view._clause_codes = clause_codes
-        view._codes = None
-        view.clause_atom_positions = clause_atom_positions
+        view.candidates = clause_atom_positions
         view.adjacency = adjacency
+        view.arrays = None
         return view
 
     def __init__(self, mrf: "MRF") -> None:
         self.atom_ids: List[int] = list(mrf.atom_ids)
         position = {atom_id: index for index, atom_id in enumerate(self.atom_ids)}
         self.atom_position: Dict[int, int] = position
-        self._codes: Optional[Tuple["np.ndarray", array]] = None
+        self.arrays: Optional[LiteralArrays] = None
         if mrf.clause_count >= NUMPY_VIEW_MIN_CLAUSES:
-            self._build_from_columns(mrf.columns())
+            self._build_from_columns(mrf.columns(), mrf.literal_atom_positions())
         else:
             self._build_from_rows(mrf.literal_rows(), position)
+
+    def clause_atom_positions(self, clause_index: int) -> Tuple[int, ...]:
+        """The distinct atom positions of a clause, in first-occurrence order."""
+        candidates = self.candidates[clause_index]
+        if candidates is None:
+            start, end = self._offsets[clause_index], self._offsets[clause_index + 1]
+            positions = self.arrays.positions[start:end].tolist()  # type: ignore[union-attr]
+            candidates = tuple(dict.fromkeys(positions))
+            self.candidates[clause_index] = candidates
+        return candidates
 
     @property
     def clause_codes(self) -> Sequence[Tuple[int, ...]]:
         # Idempotent, so two threads racing here both build the same tuples.
         if self._clause_codes is None:
-            codes, offsets = self._codes  # type: ignore[misc]
-            codes = codes.tolist()
-            bounds = offsets.tolist()
+            positions = self.arrays.positions  # type: ignore[union-attr]
+            codes = np.where(self._literals > 0, positions + 1, -(positions + 1)).tolist()
+            bounds = self._offsets.tolist()
             self._clause_codes = tuple(
                 [tuple(codes[start:end]) for start, end in zip(bounds, bounds[1:])]
             )
@@ -150,7 +227,7 @@ class MRFFlatView:
         self, rows: Iterable[Sequence[int]], position: Dict[int, int]
     ) -> None:
         clause_codes: List[Tuple[int, ...]] = []
-        clause_positions: List[Tuple[int, ...]] = []
+        clause_positions: List[Optional[Tuple[int, ...]]] = []
         adjacency_lists: List[List[Tuple[int, bool]]] = [[] for _ in self.atom_ids]
         for clause_index, literals in enumerate(rows):
             codes: List[int] = []
@@ -165,46 +242,32 @@ class MRFFlatView:
             clause_positions.append(tuple(distinct))
 
         self._clause_codes: Optional[Sequence[Tuple[int, ...]]] = tuple(clause_codes)
-        self.clause_atom_positions: Tuple[Tuple[int, ...], ...] = tuple(clause_positions)
-        self.adjacency: Tuple[Tuple[Tuple[int, bool], ...], ...] = tuple(
+        self.candidates: List[Optional[Tuple[int, ...]]] = clause_positions
+        self.adjacency: Sequence[Tuple[Tuple[int, bool], ...]] = tuple(
             tuple(entries) for entries in adjacency_lists
         )
 
-    def _build_from_columns(self, columns: ClauseColumns) -> None:
+    def _build_from_columns(self, columns: ClauseColumns, positions: "np.ndarray") -> None:
         literals = np.frombuffer(columns.literals, dtype=np.int64)
         offsets = np.frombuffer(columns.offsets, dtype=np.int64)
-        positions = literal_positions(literals, self.atom_ids)
+        clause_count = len(offsets) - 1
+        self.arrays, order = literal_arrays(positions, offsets, len(self.atom_ids))
+        self._literals = literals
+        self._offsets = columns.offsets
         self._clause_codes = None
-        self._codes = (np.where(literals > 0, positions + 1, -(positions + 1)), columns.offsets)
-        position_list = positions.tolist()
-        bounds = columns.offsets.tolist()
-        spans = list(zip(bounds, bounds[1:]))
-        clause_positions = [tuple(position_list[start:end]) for start, end in spans]
+        self.candidates = [None] * clause_count
 
-        # One stable sort by atom position: each atom's occurrences, in
-        # clause (then literal) order.
-        owners = np.repeat(np.arange(len(spans)), np.diff(offsets))
-        order = np.argsort(positions, kind="stable")
-        sorted_positions = positions[order]
-        sorted_owners = owners[order]
-        # A clause repeating an atom lists each distinct position once.
-        repeats = (sorted_positions[1:] == sorted_positions[:-1]) & (
-            sorted_owners[1:] == sorted_owners[:-1]
-        )
-        for clause_index in np.unique(sorted_owners[1:][repeats]).tolist():
-            clause_positions[clause_index] = tuple(dict.fromkeys(clause_positions[clause_index]))
-        self.clause_atom_positions = tuple(clause_positions)
-
-        # One int object per clause, shared by all of its entries.
-        clause_indices = list(range(len(spans)))
+        # One int object per clause, shared by all of its entries (gathered
+        # as object references).
+        clause_indices = np.arange(clause_count).astype(object)
         pairs = list(
             zip(
-                map(clause_indices.__getitem__, sorted_owners.tolist()),
+                clause_indices[self.arrays.owners[order]].tolist(),
                 (literals[order] > 0).tolist(),
             )
         )
         atom_bounds = np.zeros(len(self.atom_ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(positions, minlength=len(self.atom_ids)), out=atom_bounds[1:])
+        np.cumsum(self.arrays.degrees, out=atom_bounds[1:])
         atom_bounds = atom_bounds.tolist()
         self.adjacency = tuple(
             [tuple(pairs[start:end]) for start, end in zip(atom_bounds, atom_bounds[1:])]
@@ -219,19 +282,30 @@ class MRF:
     :class:`ClauseColumns` (``from_store``, components) or as a list
     (``from_clauses``); :meth:`columns` and :attr:`clauses` give either form,
     deriving the other on first use.  Everything derived — the columns or
-    clause list, the search kernels' flat/vector views, the atom → clause
-    adjacency behind :meth:`clauses_of_atom` — is a cache and excluded from
+    clause list, the literals' atom positions (``positions``, which a
+    component decomposition passes in), the search kernels' flat/vector
+    views, the atom → clause adjacency behind :meth:`clauses_of_atom` — is
+    a cache and excluded from
     ``==``, which compares atom ids and clause rows.  An MRF is not mutated
     after construction.
     """
 
-    __slots__ = ("atom_ids", "_clauses", "_columns", "_adjacency", "_flat_view", "_vector_view")
+    __slots__ = (
+        "atom_ids",
+        "_clauses",
+        "_columns",
+        "_positions",
+        "_adjacency",
+        "_flat_view",
+        "_vector_view",
+    )
 
     def __init__(
         self,
         clauses: Optional[Sequence[GroundClause]] = None,
         atom_ids: Iterable[int] = (),
         columns: Optional[ClauseColumns] = None,
+        positions: Optional["np.ndarray"] = None,
     ) -> None:
         if clauses is not None and columns is not None:
             raise ValueError("give an MRF clauses or columns, not both")
@@ -240,6 +314,8 @@ class MRF:
             clauses = list(clauses or ())
         self._clauses: Optional[List[GroundClause]] = clauses  # type: ignore[assignment]
         self._columns = columns
+        # Each literal's position in atom_ids (see literal_atom_positions).
+        self._positions = positions
         self._adjacency: Optional[Dict[int, List[int]]] = None
         self._flat_view: Optional[MRFFlatView] = None
         # Lazily-built numpy structure shared by every vectorized search state
@@ -321,6 +397,17 @@ class MRF:
         if self._columns is None:
             return array("d", [clause.weight for clause in self._clauses])  # type: ignore[union-attr]
         return self._columns.weights
+
+    def literal_atom_positions(self) -> "np.ndarray":
+        """Each literal's position in ``atom_ids``, in column order.
+
+        The component decomposition hands these over from its one position
+        pass; otherwise one :func:`literal_positions` pass finds them, once.
+        """
+        if self._positions is None:
+            literals = np.frombuffer(self.columns().literals, dtype=np.int64)
+            self._positions = literal_positions(literals, self.atom_ids)
+        return self._positions
 
     def _atom_clauses(self) -> Dict[int, List[int]]:
         """Atom id → indices of the clauses mentioning it, built on first use."""

@@ -1,10 +1,15 @@
 """Union-find (disjoint set union) with path compression and union by size.
 
-The paper detects MRF components by maintaining "an in-memory union-find
-structure over the nodes" while scanning the clause table once; this is that
-structure.  The scan's unit of work is a whole clause, so the primitive is
-:meth:`UnionFind.union_sequence` — merge the sets of a run of registered
-elements in one call; :meth:`UnionFind.union` is the two-element case.
+The greedy partitioner (:mod:`repro.partitioning.greedy`, the paper's
+Algorithm 3) grows partitions with it: clause by clause, in weight order,
+it merges a clause's atoms unless the merged partition would exceed the
+size bound — a decision per clause that depends on the merges before it.
+(Component detection, which the paper also describes with a union-find,
+needs only the final sets; it labels them with array passes instead, see
+:mod:`repro.mrf.components`.)  The unit of work is a whole clause, so the
+primitive is :meth:`UnionFind.union_sequence` — merge the sets of a run
+of registered elements in one call; :meth:`UnionFind.union` is the
+two-element case.
 """
 
 from __future__ import annotations

@@ -54,6 +54,7 @@ pool refuses to start when the ``fork`` start method is unavailable
 
 from __future__ import annotations
 
+import gc
 import logging
 import multiprocessing
 import queue as queue_module
@@ -294,7 +295,14 @@ def _worker_main(
     moot).  ``stall_seconds`` is the injected-slow-worker test hook: it
     delays this worker before every task, forcing maximal stealing skew
     while leaving results untouched.
+
+    The first call is ``gc.freeze()``, as the :mod:`gc` docs advise for
+    ``fork`` without ``exec``: the parent's heap, inherited whole, moves to
+    the permanent generation, so the worker's collections walk only what
+    the worker allocates — a full collection would otherwise visit every
+    inherited object and copy-on-write-fault the pages they sit on.
     """
+    gc.freeze()
     states = BoundedStateCache()
     try:
         while True:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.inference.vector_kernel as vector_kernel
 import repro.mrf.graph as graph
 from repro.datasets import DatasetScale, load_dataset
 from repro.datasets.example1 import example1_store
@@ -140,6 +141,12 @@ def reference_flat_relations(mrf):
     return tuple(clause_codes), tuple(clause_positions), tuple(map(tuple, adjacency))
 
 
+def flat_relations(view):
+    """A flat view's codes, every clause's candidates and adjacency."""
+    candidates = tuple(map(view.clause_atom_positions, range(len(view.candidates))))
+    return tuple(view.clause_codes), candidates, tuple(view.adjacency)
+
+
 def reference_vector_arrays(mrf, thresholds):
     """``VectorMRFView``'s arrays as the per-clause loops built them."""
     clause_codes, clause_positions, adjacency = reference_flat_relations(mrf)
@@ -214,9 +221,7 @@ class TestViewsFromColumns:
             literals, tables, updates = reference_vector_arrays(listed, thresholds)
             for mrf in (component, MRF.from_clauses(component.clauses, extra_atoms=atom_ids)):
                 view = mrf.flat_view()
-                assert (view.clause_codes, view.clause_atom_positions, view.adjacency) == (
-                    expected_flat
-                )
+                assert flat_relations(view) == expected_flat
                 vector = VectorMRFView(mrf)
                 for array, values, dtype in zip(
                     (vector.lit_pos, vector.lit_expect, vector.lit_clause, vector.negated),
@@ -225,7 +230,8 @@ class TestViewsFromColumns:
                 ):
                     assert_arrays(array, values, dtype)
                 for threshold in thresholds:
-                    built = vector.greedy_tables(threshold)
+                    monkeypatch.setattr(vector_kernel, "GREEDY_MIN_ENTRIES", threshold)
+                    built = VectorMRFView(mrf).greedy_tables()
                     assert list(built) == list(tables[threshold])
                     for clause_index, table in built.items():
                         *arrays, count = table
@@ -251,15 +257,46 @@ class TestViewsFromColumns:
         ]
         mrf = MRF.from_clauses(clauses, extra_atoms=[9])
         view = mrf.flat_view()
-        assert (view.clause_codes, view.clause_atom_positions, view.adjacency) == (
-            reference_flat_relations(mrf)
-        )
+        assert flat_relations(view) == reference_flat_relations(mrf)
         # Candidate adjacency totals: 6 and 9 entries for clauses 1 and 3.
         thresholds = range(11)
         _, tables, _ = reference_vector_arrays(mrf, thresholds)
-        vector = VectorMRFView(mrf)
         for threshold in thresholds:
-            assert list(vector.greedy_tables(threshold)) == list(tables[threshold])
+            monkeypatch.setattr(vector_kernel, "GREEDY_MIN_ENTRIES", threshold)
+            assert list(VectorMRFView(mrf).greedy_tables()) == list(tables[threshold])
+
+    def test_one_position_pass_per_component(self, monkeypatch):
+        """The decomposition's positions feed the flat view, whose arrays
+        feed the vector view: nothing searches for a literal's atom again."""
+        monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", 0)
+        columns, atom_ids = max(grounded_columns("RC"), key=lambda part: len(part[0]))
+        component = connected_components(
+            MRF(columns=columns, atom_ids=list(atom_ids))
+        ).components[0]
+        handed_over = component.literal_atom_positions()
+        view = component.flat_view()
+        vector = VectorMRFView(component)
+        assert view.arrays.positions is handed_over
+        assert vector.lit_pos is handed_over
+        assert vector.lit_clause is view.arrays.owners
+        assert vector.degrees is view.arrays.degrees
+
+    def test_candidates_are_built_on_first_read(self, monkeypatch):
+        monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", 0)
+        mrf = MRF.from_clauses(
+            [
+                GroundClause(1, (3, -3, 5), 1.0),
+                GroundClause(2, (2, 5), -0.5),
+                GroundClause(3, (5, 2, 5, -3), 2.0),
+            ]
+        )
+        view = mrf.flat_view()
+        assert view.candidates == [None, None, None]
+        assert view.clause_atom_positions(2) == (2, 0, 1)
+        assert view.candidates == [None, None, (2, 0, 1)]
+        state = make_search_state(mrf, backend="flat")
+        assert state.clause_atom_positions(0) == (1, 2)
+        assert view.candidates == [(1, 2), None, (2, 0, 1)]
 
     def test_literal_over_an_unknown_atom_raises(self, monkeypatch):
         monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", 0)
@@ -268,20 +305,21 @@ class TestViewsFromColumns:
             mrf.flat_view()
 
 
-def test_component_scan_block_boundaries_do_not_matter(monkeypatch):
-    import repro.mrf.components as components
-
+def test_component_labels_do_not_depend_on_clause_order():
+    """Labelling hooks roots edge by edge; which atoms end up together
+    must not depend on the order the clauses (and so the edges) come in."""
     for dataset in ("RC", "IE"):
-        store_columns = grounded_columns(dataset)
-        mrf = MRF.from_clauses(
-            [row for columns, _ in store_columns for row in columns.rows()]
+        rows = [row for columns, _ in grounded_columns(dataset) for row in columns.rows()]
+        forward = connected_components(MRF.from_clauses(rows))
+        backward = connected_components(MRF.from_clauses(rows[::-1]))
+        assert [c.atom_ids for c in backward.components] == [
+            c.atom_ids for c in forward.components
+        ]
+        assert list(backward.atom_to_component.items()) == list(
+            forward.atom_to_component.items()
         )
-        whole = connected_components(mrf)
-        monkeypatch.setattr(components, "_SCAN_BLOCK_SETS", 7)
-        blocked = connected_components(mrf)
-        monkeypatch.undo()
-        assert blocked.components == whole.components
-        assert list(blocked.atom_to_component.items()) == list(whole.atom_to_component.items())
+        for reordered, component in zip(backward.components, forward.components):
+            assert reordered.clauses == component.clauses[::-1]
 
 
 class TestDesignGuard:

@@ -1,6 +1,9 @@
-"""The three size crossovers that steer the ``auto`` backends.
+"""The four size crossovers that steer the ``auto`` backends.
 
-Each crossover is a plain module constant.  These tests pin its value
+Each crossover is a plain module constant: the vectorized search kernel
+(``VECTOR_AUTO_MIN_CLAUSES``), batched greedy (``GREEDY_MIN_ENTRIES``),
+the numpy-built flat view (``NUMPY_VIEW_MIN_CLAUSES``) and columnar
+execution (``COLUMNAR_AUTO_MIN_ROWS``).  These tests pin its value
 and its boundary: an input one below the constant takes the slow (scalar
 or row) path, an input exactly at it the fast (numpy) path.  Both paths
 are bit-identical in results (the parity suites prove that), so a moved
@@ -11,7 +14,7 @@ purpose.
 from repro.grounding.clause_table import GroundClause
 from repro.inference.state import VECTOR_AUTO_MIN_CLAUSES, resolve_backend
 from repro.inference.vector_kernel import GREEDY_MIN_ENTRIES, VectorSearchState
-from repro.mrf.graph import MRF
+from repro.mrf.graph import MRF, NUMPY_VIEW_MIN_CLAUSES
 from repro.rdbms.executor import COLUMNAR_AUTO_MIN_ROWS, resolve_execution_backend
 from repro.rdbms.operators import TableScan
 from repro.rdbms.schema import TableSchema
@@ -48,6 +51,7 @@ def integer_table(rows):
 def test_crossover_constants():
     assert VECTOR_AUTO_MIN_CLAUSES == 256
     assert GREEDY_MIN_ENTRIES == 128
+    assert NUMPY_VIEW_MIN_CLAUSES == 256
     assert COLUMNAR_AUTO_MIN_ROWS == 128
 
 
@@ -66,6 +70,21 @@ def test_greedy_batching_crossover_boundary():
     assert 0 in at._greedy  # batched numpy gather
     *_, candidate_count, _, _ = at._greedy[0]
     assert candidate_count == 2
+
+
+def test_numpy_flat_view_crossover_boundary():
+    below = chain_mrf(255)
+    at = chain_mrf(256)
+    assert (below.clause_count, at.clause_count) == (
+        NUMPY_VIEW_MIN_CLAUSES - 1,
+        NUMPY_VIEW_MIN_CLAUSES,
+    )
+    # Row-built: the per-literal loop, every candidate tuple built eagerly.
+    assert below.flat_view().arrays is None
+    assert None not in below.flat_view().candidates
+    # Numpy-built from the columns: literal arrays, candidates on first read.
+    assert at.flat_view().arrays is not None
+    assert set(at.flat_view().candidates) == {None}
 
 
 def test_columnar_execution_crossover_boundary():

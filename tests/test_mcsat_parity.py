@@ -209,7 +209,12 @@ class TestConstraintPool:
         view = pooled.mrf.flat_view()
         spec_view = spec_state.mrf.flat_view()
         assert list(view.clause_codes) == list(spec_view.clause_codes)
-        assert list(view.clause_atom_positions) == list(spec_view.clause_atom_positions)
+        assert [
+            view.clause_atom_positions(index) for index in range(len(view.candidates))
+        ] == [
+            spec_view.clause_atom_positions(index)
+            for index in range(len(spec_view.candidates))
+        ]
         assert [list(entries) for entries in view.adjacency] == [
             list(entries) for entries in spec_view.adjacency
         ]

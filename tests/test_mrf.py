@@ -372,3 +372,114 @@ class TestComponents:
 
     def test_example1_optimal_cost_helper(self):
         assert example1_optimal_cost(7) == 7.0
+
+
+def _chain(order):
+    """Two-literal clauses linking consecutive atoms of ``order``."""
+    return MRF.from_clauses(
+        [
+            GroundClause(index + 1, (left, -right), 1.0 + index % 3)
+            for index, (left, right) in enumerate(zip(order, order[1:]))
+        ]
+    )
+
+
+class TestLabellingWorstCases:
+    """Inputs that make label propagation slow or expose ordering slips.
+
+    Each decomposition must equal the union-find reference: the same
+    components in the same order, the same ``atom_ids`` and clause order
+    per component, and ``atom_to_component`` in the same order.
+    """
+
+    CHAIN_ATOMS = 100_000
+
+    def _assert_matches_reference(self, mrf):
+        TestComponents._assert_same_decomposition(
+            connected_components(mrf), reference_connected_components(mrf)
+        )
+
+    def test_chain_in_random_id_order(self):
+        import random
+        import time
+
+        order = list(range(1, self.CHAIN_ATOMS + 1))
+        random.Random(7).shuffle(order)
+        mrf = _chain(order)
+        mrf.columns()
+        started = time.perf_counter()
+        decomposition = connected_components(mrf)
+        # Min-label propagation needs one round per chain link (about 90 s
+        # here); hooking and shortcutting need a dozen rounds.
+        assert time.perf_counter() - started < 2.0
+        assert decomposition.component_count == 1
+        self._assert_matches_reference(mrf)
+
+    def test_chain_in_zigzag_id_order(self):
+        half = self.CHAIN_ATOMS // 2
+        order = [atom for pair in zip(range(1, half + 1), range(2 * half, half, -1)) for atom in pair]
+        mrf = _chain(order)
+        assert connected_components(mrf).component_count == 1
+        self._assert_matches_reference(mrf)
+
+    @pytest.mark.parametrize("center", [1, 500])
+    def test_star(self, center):
+        leaves = [atom for atom in range(1, 501) if atom != center]
+        mrf = MRF.from_clauses(
+            [GroundClause(leaf, (leaf, center), 1.0) for leaf in leaves]
+            + [GroundClause(1000, (600, 601), 1.0)]
+        )
+        assert connected_components(mrf).component_count == 2
+        self._assert_matches_reference(mrf)
+
+    def test_isolated_atoms(self):
+        mrf = MRF.from_clauses(
+            [GroundClause(1, (5, -9), 1.0), GroundClause(2, (7,), -1.0)],
+            extra_atoms=[1, 3, 8, 12],
+        )
+        decomposition = connected_components(mrf)
+        assert [component.atom_ids for component in decomposition.components] == [
+            [1], [3], [5, 9], [7], [8], [12]
+        ]
+        assert [component.clause_count for component in decomposition.components] == [
+            0, 0, 1, 1, 0, 0
+        ]
+        self._assert_matches_reference(mrf)
+
+    def test_clauses_that_repeat_an_atom(self):
+        mrf = MRF.from_clauses(
+            [
+                GroundClause(1, (3, -3, 5), 1.0),
+                GroundClause(2, (2, 2), -0.5),
+                GroundClause(3, (4, 4, -4), 2.0),
+                GroundClause(4, (5, 6, 5, -3), math.inf),
+                GroundClause(5, (2, -7, 2), 1.0),
+            ]
+        )
+        assert connected_components(mrf).component_count == 3
+        self._assert_matches_reference(mrf)
+
+    def test_atom_ids_not_ascending(self):
+        listed = MRF.from_clauses(
+            [
+                GroundClause(1, (10, -2), 1.0),
+                GroundClause(2, (7, 3), 1.0),
+                GroundClause(3, (2, 30), -1.0),
+                GroundClause(4, (3,), 1.0),
+            ],
+            extra_atoms=[1, 50],
+        )
+        for atom_ids in (listed.atom_ids[::-1], [7, 50, 2, 1, 30, 3, 10]):
+            mrf = MRF(columns=listed.columns(), atom_ids=atom_ids)
+            decomposition = connected_components(mrf)
+            assert [component.atom_ids for component in decomposition.components] == [
+                [1], [2, 10, 30], [3, 7], [50]
+            ]
+            self._assert_matches_reference(mrf)
+            # Each component's handed-over positions index its own atom ids.
+            for component in decomposition.components:
+                literals = component.columns().literals
+                assert [
+                    component.atom_ids[position]
+                    for position in component.literal_atom_positions().tolist()
+                ] == [abs(literal) for literal in literals]

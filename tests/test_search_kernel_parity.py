@@ -25,29 +25,31 @@ from repro.grounding.clause_table import GroundClause
 from repro.inference.component_walksat import ComponentAwareWalkSAT
 from repro.inference.reference_kernel import ReferenceSearchState
 from repro.inference.state import SearchState, make_search_state, resolve_backend
+from repro.inference import vector_kernel
 from repro.inference.vector_kernel import VectorSearchState
 from repro.inference.walksat import WalkSAT, WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.utils.rng import RandomSource
 
 
-def _forced_vector(mrf, initial_assignment=None, hard_penalty=None):
-    """Vectorized backend with every multi-atom clause on the numpy greedy."""
-    return VectorSearchState(
-        mrf, initial_assignment, hard_penalty, greedy_min_entries=0
-    )
-
-
 KERNEL_PARAMS = [
     pytest.param(SearchState, id="flat"),
     pytest.param(VectorSearchState, id="vectorized"),
-    pytest.param(_forced_vector, id="vectorized-forced-greedy"),
+    pytest.param("forced-greedy", id="vectorized-forced-greedy"),
 ]
 
 
 @pytest.fixture(params=KERNEL_PARAMS)
-def kernel(request):
-    """A kernel-state factory with the SearchState constructor signature."""
+def kernel(request, monkeypatch):
+    """A kernel-state factory with the SearchState constructor signature.
+
+    ``vectorized-forced-greedy`` is the vectorized backend with the
+    batching threshold at zero, so every multi-atom clause takes the
+    numpy greedy path.
+    """
+    if request.param == "forced-greedy":
+        monkeypatch.setattr(vector_kernel, "GREEDY_MIN_ENTRIES", 0)
+        return VectorSearchState
     return request.param
 
 
