@@ -88,9 +88,13 @@ PYEOF
 # serial seconds on the same components (< 1: the pool wins),
 # worker_busy_share the workers' busy share of the dispatch wall,
 # worker_state_setup_s the per-request worker state rebuilding (~0 warm).
+# The last three are where a warm request's per-component bookkeeping
+# sits: the parent's merge, the parent's own dispatch work (chunk
+# messages, the bulk result read) and the workers' search loops.
 echo "== e2e benchmark: ie_warm_map traced run (pool vs serial) =="
 e2e_traced_run ie_warm_map \
-  parallel.dispatch_overhead_ratio parallel.worker_busy_share inference.worker_state_setup_s
+  parallel.dispatch_overhead_ratio parallel.worker_busy_share inference.worker_state_setup_s \
+  core.merge_s parallel.dispatch_self_s inference.worker_kernel_search_s
 
 # The cold request, stage by stage: the one-shot workload (RC, 74,776
 # ground clauses, 96 components, 2 workers).  The six numbers are where

@@ -122,9 +122,11 @@ class UnorderedFloatSumRule(Rule):
         "core (inference/grounding/mrf/parallel/partitioning/rdbms), "
         "np.sum/np.mean/np.dot/np.add.reduce/np.add.reduceat are flagged "
         "too: they add pairwise, so a total differs in the last bits from "
-        "the sequential sum the other backends compute (np.bincount and "
-        "Python's sum() over an ordered sequence add left to right). "
-        "Integer and boolean counts are exact: allow(...) them inline."
+        "the sequential sum the other backends compute. np.bincount and a "
+        "left fold, functools.reduce(operator.add, values, 0.0), add left "
+        "to right; builtin sum() does not (since Python 3.12 it compensates "
+        "float rounding), so the core uses it only on integers. Integer and "
+        "boolean counts are exact: allow(...) them inline."
     )
 
     _MESSAGE = (
@@ -133,9 +135,10 @@ class UnorderedFloatSumRule(Rule):
     )
     _PAIRWISE_MESSAGE = (
         "numpy {name} adds pairwise, not left to right: a float total is not "
-        "bit-identical to the sequential one; accumulate in order (sum() over "
-        "an ordered sequence, np.bincount), or allow(det-float-sum) an "
-        "integer/boolean count"
+        "bit-identical to the sequential one; accumulate in order "
+        "(functools.reduce(operator.add, values, 0.0) over an ordered "
+        "sequence, np.bincount), or allow(det-float-sum) an integer/boolean "
+        "count"
     )
 
     def _is_sum_call(self, node: ast.Call) -> bool:

@@ -183,6 +183,17 @@ class InferenceConfig:
                 f"unknown tracing mode {self.tracing!r}; "
                 "expected one of ('auto', 'on', 'off')"
             )
+        # Combinations that would silently ignore one of their settings.
+        if self.tracing == "off" and self.trace_out is not None:
+            raise ConfigurationError(
+                "trace_out needs tracing 'auto' or 'on': with tracing 'off' "
+                "no span is recorded, so the trace would be empty"
+            )
+        if self.memory_budget_bytes is not None and not self.use_partitioning:
+            raise ConfigurationError(
+                "memory_budget_bytes needs use_partitioning: the monolithic "
+                "search never splits the MRF, so the budget would be ignored"
+            )
 
     @property
     def tracing_enabled(self) -> bool:

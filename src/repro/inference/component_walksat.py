@@ -8,42 +8,57 @@ already-optimal components.
 
 ``ComponentAwareWalkSAT`` runs WalkSAT on each component with a weighted
 round-robin flip budget, keeps the best state found *per component*, and
-combines them into a global assignment.  Component tasks run behind the
+combines them into a global assignment.  The searches run behind the
 ``parallel_backend`` seam (``auto`` | ``serial`` | ``processes``, see
 :mod:`repro.parallel`): each component's search draws its RNG from a
 stream derived only from the run seed and the component index, so the
 merged result is bit-for-bit identical on every backend and worker count
 — including deadline-bounded runs, whose skipped set is decided by
 post-hoc bookkeeping over the simulated per-component costs rather than
-by completion order.  The ``processes``
-backend ships component structure through shared memory and searches on
-all cores (the real Table 7 parallelism), shipping results back through
-a shared-memory result region; results carry wall-clock and simulated
-timings either way.
+by completion order.  The ``processes`` backend searches on all cores
+(the real Table 7 parallelism).
+
+A request costs per chunk, not per component.  The parent describes it
+once (:class:`ComponentSearchRequest`: shared options, cost model, base
+seed and a flip allocation cached with the worker pool); a chunk is that
+description plus component indices, and
+:meth:`ComponentSearchRequest.run_chunk` — the one search loop, in a
+worker or in-process on ``serial`` — reseeds one RNG per component,
+reuses each state's stepper, runs the flip loop shared with
+:meth:`WalkSAT.run_on_state` and writes results into the component's
+result region.  The parent then reads every region at once and merges
+the columns; :attr:`ComponentSearchResult.component_results` builds the
+per-component objects only when read.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-from repro.inference.scheduling import (
-    ParallelOutcome,
-    run_components,
-    weighted_flip_allocation,
-)
+from repro.inference.scheduling import ParallelOutcome, weighted_flip_allocation
 from repro.inference.state import SearchState, make_search_state
-from repro.inference.walksat import WalkSATOptions, WalkSATResult
+from repro.inference.walksat import WalkSATOptions, WalkSATResult, walksat_tries
 from repro.mrf.components import ComponentDecomposition, connected_components
 from repro.mrf.graph import MRF
-from repro.obs.events import RateMeter, Series
-from repro.utils.clock import CostModel
-from repro.utils.rng import RandomSource
+from repro.obs.events import RateMeter, Series, SeriesPoint
+from repro.utils.clock import CostModel, SimulatedClock, wall_now, wall_sleep
+from repro.utils.rng import RandomSource, child_seed
+
+if TYPE_CHECKING:
+    from repro.parallel.merge import WalkSATColumns
 
 
 @dataclass
 class ComponentSearchResult:
     """Combined result of the per-component searches.
+
+    ``columns`` holds every component's result as flat columns (see
+    :class:`~repro.parallel.merge.WalkSATColumns`);
+    :attr:`component_results` builds the per-component
+    :class:`WalkSATResult` list from them on first read.
 
     The telemetry fields (``steals``, ``worker_task_counts``,
     ``shm_shipped``, ``pickle_shipped``) are per-request — the scheduler
@@ -53,7 +68,7 @@ class ComponentSearchResult:
 
     best_assignment: Dict[int, bool]
     best_cost: float
-    component_results: List[WalkSATResult]
+    columns: "WalkSATColumns"
     flips: int
     wall_seconds: float
     simulated_seconds: float
@@ -65,13 +80,144 @@ class ComponentSearchResult:
     shm_shipped: int = 0
     pickle_shipped: int = 0
 
+    @cached_property
+    def component_results(self) -> List[WalkSATResult]:
+        return self.columns.results()
+
     @property
     def component_count(self) -> int:
-        return len(self.component_results)
+        return len(self.columns)
 
     @property
     def flips_per_second(self) -> float:
         return RateMeter(self.flips, self.wall_seconds).flips_per_second
+
+
+@dataclass
+class ComponentSearchRequest:
+    """One component-search request, described once for all its chunks.
+
+    The parent builds it once per request; every chunk message is this
+    description plus the chunk's component indices.  Component ``i``
+    searches ``allocation[i]`` flips (at least one) on the stream
+    ``RandomSource(seed).spawn(i + 1)`` with its own simulated clock
+    under ``cost_model``; ``options`` supplies what every component
+    shares (tries, noise, restarts, target cost, flip event, kernel
+    backend).  ``budget`` is the total the allocation
+    splits, the key its cached plans are stored under.
+    """
+
+    options: WalkSATOptions
+    cost_model: CostModel
+    seed: Optional[int]
+    allocation: Sequence[int]
+    budget: int
+    initial_assignment: Optional[Dict[int, bool]] = None
+
+    def run_chunk(self, indices: Sequence[int], context, bank: int, traced: bool):
+        """Search the chunk's components: one search loop, on either backend.
+
+        Per component the loop reseeds the context's one RNG (the stream
+        ``RandomSource(seed)`` would start), reuses the stepper kept with
+        the component's cached state, runs :func:`walksat_tries` — the
+        flip loop of :meth:`WalkSAT.run_on_state` — and writes the best
+        values and trace triples into the component's result region of
+        ``bank``.  A result that does not fit its region (or every result,
+        when the context has no regions or ``bank`` is ``-1``) is returned
+        as a :class:`~repro.parallel.pool.ComponentOutcome` instead.
+
+        Returns ``(simulated seconds per index, fallbacks by index, bytes
+        written, events)``; ``events`` holds each component's
+        ``state-setup`` / ``kernel-search`` / ``ship-result`` phases when
+        ``traced``, else it is ``None``.  Results equal
+        :func:`~repro.parallel.pool.execute_component_task` on the
+        per-component task, bit for bit.
+        """
+        from repro.parallel.buffers import RESULT_HEADER_SLOTS
+        from repro.parallel.pool import ComponentOutcome
+
+        options = self.options
+        backend = options.kernel_backend
+        noise = options.noise
+        allocation = self.allocation
+        target = options.target_cost
+        seed = self.seed
+        initial = self.initial_assignment
+        components = context.components
+        results = context.results if bank >= 0 else None
+        rng = context.rng
+        stall = context.stall_seconds
+        clock = SimulatedClock(self.cost_model)
+        costs: List[float] = []
+        fallbacks: Dict[int, object] = {}
+        events: Optional[List[list]] = [] if traced else None
+        written = 0
+        for index in indices:
+            if stall > 0.0:
+                wall_sleep(stall)
+            setup_start = wall_now()
+            mrf = components[index]
+            slot = context.slot(index, backend)
+            state = slot[0]
+            rng.reseed(child_seed(seed, index + 1))
+            clock.restart()
+            points: list = []
+            restricted = (
+                None
+                if initial is None
+                else {atom: initial[atom] for atom in mrf.atom_ids if atom in initial}
+            )
+            search_start = wall_now()
+            best, best_cost, flips, tries, reached, hitting, step = walksat_tries(
+                state,
+                rng,
+                clock,
+                options,
+                allocation[index],
+                target,
+                restricted,
+                points,
+                array("b", state.assignment),
+                state.checkpoint_values,
+                slot[2] if slot[1] == noise else None,
+            )
+            search_end = wall_now()
+            slot[1] = noise
+            slot[2] = step
+            simulated = clock.now()
+            seconds = search_end - search_start
+            if results is not None and results.write_walksat(
+                index, best, points, best_cost, simulated, flips, tries,
+                seconds, reached, hitting, bank=bank,
+            ):
+                written += 8 * (RESULT_HEADER_SLOTS + len(best) + 3 * len(points))
+            else:
+                trace = Series(f"component-{index}")
+                trace.points = [SeriesPoint(*point) for point in points]
+                fallbacks[index] = ComponentOutcome(
+                    index,
+                    WalkSATResult(
+                        best_assignment=dict(zip(mrf.atom_ids, map(bool, best))),
+                        best_cost=best_cost,
+                        flips=flips,
+                        tries=tries,
+                        seconds=seconds,
+                        trace=trace,
+                        reached_target=reached,
+                        hitting_time=hitting,
+                    ),
+                    simulated,
+                )
+            costs.append(simulated)
+            if events is not None:
+                events.append(
+                    [
+                        {"name": "state-setup", "start": setup_start, "end": search_start},
+                        {"name": "kernel-search", "start": search_start, "end": search_end},
+                        {"name": "ship-result", "start": search_end, "end": wall_now()},
+                    ]
+                )
+        return costs, fallbacks, written, events
 
 
 class ComponentAwareWalkSAT:
@@ -120,8 +266,10 @@ class ComponentAwareWalkSAT:
         """Search every component and merge the per-component best states.
 
         ``pool`` lends a caller-owned persistent worker pool (the engine
-        session's) to the ``processes`` backend; see
-        :func:`repro.inference.scheduling.run_components`.
+        session's) to the ``processes`` backend, which also keeps the
+        request's flip allocation, dispatch order and chunk cuts cached
+        for the next request; see
+        :func:`repro.parallel.scheduler.run_component_search`.
 
         ``local_states`` supplies caller-owned kernel states (one per
         component) for the serial backend — the engine session
@@ -129,35 +277,56 @@ class ComponentAwareWalkSAT:
         requests never run on the same live :class:`SearchState`; when
         omitted, this instance's own per-component cache is used (safe
         because the session builds one searcher per request).
-        ``request_id`` tags the tasks so a shared pool routes
+        ``request_id`` tags the chunks so a shared pool routes
         completions back to this request.
         """
-        from repro.parallel.merge import merge_walksat_results
-        from repro.parallel.pool import ComponentOutcome, ComponentTask
+        from repro.parallel import resolve_parallel_backend
+        from repro.parallel.pool import ComponentOutcome
+        from repro.parallel.scheduler import run_component_search
 
         components = self._components(source)
         budget = total_flips if total_flips is not None else self.options.max_flips
-        allocation = weighted_flip_allocation(components, budget)
-
-        tasks: List[ComponentTask] = []
-        for index, (component, flips) in enumerate(zip(components, allocation)):
-            tasks.append(
-                ComponentTask(
-                    index=index,
-                    kind="walksat",
-                    seed=self.rng.spawn(index + 1).seed,
-                    walksat=self._component_options(index, flips),
-                    cost_model=self.cost_model,
-                    initial_assignment=self._restricted(component, initial_assignment),
-                )
+        backend = resolve_parallel_backend(
+            self.parallel_backend, workers=self.workers, task_count=len(components)
+        )
+        if backend != "processes":
+            pool = None
+        if pool is not None:
+            allocation = pool.memo(
+                ("flip-allocation", budget),
+                lambda: _allocation(components, budget),
             )
+        else:
+            allocation = _allocation(components, budget)
+        options = self.options
+        # Each component stops once it hits zero cost (its own optimum, since
+        # the cost decomposes over components) unless the caller asked for an
+        # explicit target, which is honored as-is per component.
+        request = ComponentSearchRequest(
+            options=WalkSATOptions(
+                max_tries=options.max_tries,
+                noise=options.noise,
+                target_cost=(
+                    options.target_cost if options.target_cost is not None else 0.0
+                ),
+                random_restarts=options.random_restarts,
+                flip_cost_event=options.flip_cost_event,
+                trace_label="component",
+                kernel_backend=options.kernel_backend,
+            ),
+            cost_model=self.cost_model,
+            seed=self.rng.seed,
+            allocation=allocation,
+            budget=budget,
+            initial_assignment=dict(initial_assignment) if initial_assignment else None,
+        )
 
         def placeholder(index: int) -> ComponentOutcome:
             # A component the deadline kept from dispatching contributes its
             # initial (reset) state: zero flips, zero tries, no randomness.
             state = make_search_state(
                 components[index],
-                tasks[index].initial_assignment,
+                self._restricted(components[index], initial_assignment),
                 backend=self.options.kernel_backend,
             )
             result = WalkSATResult(
@@ -170,10 +339,10 @@ class ComponentAwareWalkSAT:
             return ComponentOutcome(index, result, 0.0)
 
         with self.tracer.span("dispatch", components=len(components)):
-            outcome: ParallelOutcome = run_components(
+            outcome: ParallelOutcome = run_component_search(
                 components,
-                tasks,
-                parallel_backend=self.parallel_backend,
+                request,
+                backend,
                 workers=self.workers,
                 deadline_seconds=self.options.deadline_seconds,
                 # Lazy: built (and cached) only when the resolved backend is
@@ -190,15 +359,13 @@ class ComponentAwareWalkSAT:
                 metrics=self.metrics,
             )
 
-        component_results: List[WalkSATResult] = list(outcome.results)  # type: ignore[arg-type]
-        with self.tracer.span("merge", components=len(component_results)):
-            best_assignment, best_cost, total_flips_done, trace = merge_walksat_results(
-                component_results, trace_label="tuffy"
-            )
+        columns = outcome.results
+        with self.tracer.span("merge", components=len(columns)):
+            best_assignment, best_cost, total_flips_done, trace = columns.merge("tuffy")
         return ComponentSearchResult(
             best_assignment=best_assignment,
             best_cost=best_cost,
-            component_results=component_results,
+            columns=columns,
             flips=total_flips_done,
             wall_seconds=outcome.wall_seconds,
             simulated_seconds=outcome.sequential_simulated_seconds,
@@ -245,24 +412,6 @@ class ComponentAwareWalkSAT:
             ]
         return self._cached_states
 
-    def _component_options(self, index: int, flips: int) -> WalkSATOptions:
-        # Each component stops once it hits zero cost (its own optimum, since
-        # the cost decomposes over components) unless the caller asked for an
-        # explicit target, which is honored as-is per component.
-        target_cost = (
-            self.options.target_cost if self.options.target_cost is not None else 0.0
-        )
-        return WalkSATOptions(
-            max_flips=max(flips, 1),
-            max_tries=self.options.max_tries,
-            noise=self.options.noise,
-            target_cost=target_cost,
-            random_restarts=self.options.random_restarts,
-            flip_cost_event=self.options.flip_cost_event,
-            trace_label=f"component-{index}",
-            kernel_backend=self.options.kernel_backend,
-        )
-
     @staticmethod
     def _restricted(
         component: MRF, initial_assignment: Optional[Mapping[int, bool]]
@@ -275,3 +424,14 @@ class ComponentAwareWalkSAT:
             for atom_id, value in initial_assignment.items()
             if atom_id in component_atoms
         }
+
+
+def _allocation(components: Sequence[MRF], budget: int) -> Sequence[int]:
+    """Each component's flips: the weighted share, at least one.
+
+    An ``array('q')``: every chunk message carries it, and it pickles as
+    one byte string.
+    """
+    return array(
+        "q", [max(flips, 1) for flips in weighted_flip_allocation(components, budget)]
+    )

@@ -195,7 +195,7 @@ class MCSat:
             ComponentTask(
                 index=index,
                 kind="mcsat",
-                seed=self.rng.spawn(index + 1).seed,
+                seed=self.rng.child_seed(index + 1),
                 mcsat=self.options,
             )
             for index in range(len(components))

@@ -28,7 +28,9 @@ architecture would pay.)
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -89,9 +91,10 @@ class RDBMSWalkSAT:
                 if atom_id in assignment:
                     assignment[atom_id] = bool(value)
 
-        hard_penalty = max(
-            10.0 * sum(abs(c.weight) for c in mrf.clauses if not c.is_hard), 10.0
+        soft_total = functools.reduce(
+            operator.add, (abs(c.weight) for c in mrf.clauses if not c.is_hard), 0.0
         )
+        hard_penalty = max(10.0 * soft_total, 10.0)
         # The in-memory kernel mirrors the on-disk state so the Python-side
         # bookkeeping is incremental; the *simulated* clock is still charged
         # exactly what the on-disk architecture would pay (full sequential

@@ -16,7 +16,9 @@ Do not use it in product code paths.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.grounding.clause_table import GroundClause
@@ -40,7 +42,9 @@ class ReferenceSearchState:
         }
         clause_count = len(mrf.clauses)
 
-        soft_total = sum(abs(c.weight) for c in mrf.clauses if not c.is_hard)
+        soft_total = functools.reduce(
+            operator.add, (abs(c.weight) for c in mrf.clauses if not c.is_hard), 0.0
+        )
         self.hard_penalty = (
             hard_penalty if hard_penalty is not None else max(10.0 * soft_total, 10.0)
         )

@@ -54,7 +54,9 @@ I/O per access (see :mod:`repro.inference.rdbms_walksat`).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from array import array
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -87,7 +89,9 @@ class SearchState:
         else:
             # Sequential, in clause order.
             soft = [m for m in magnitudes if m != inf] if hard_count else magnitudes
-            self.hard_penalty = max(10.0 * sum(soft), 10.0)
+            self.hard_penalty = max(
+                10.0 * functools.reduce(operator.add, soft, 0.0), 10.0
+            )
 
         # Effective |weight| used for cost bookkeeping (hard -> large penalty).
         if hard_count:

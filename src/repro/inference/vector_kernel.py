@@ -44,6 +44,8 @@ never changes an IEEE-754 running sum's value.
 
 from __future__ import annotations
 
+import functools
+import operator
 from array import array
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -303,8 +305,11 @@ class VectorSearchState(SearchState):
         violated_position.clear()
         violated_position.update(zip(violated_list, range(len(violated_list))))
         # Sequential left-to-right sum in clause order: parity with the
-        # scalar kernel's accumulation (sum() has exactly that fast path).
-        self.cost = float(sum(map(self._abs_weight.__getitem__, violated_list)))
+        # scalar kernel's accumulation loop (builtin sum() is not one: it
+        # compensates float rounding since Python 3.12).
+        self.cost = functools.reduce(
+            operator.add, map(self._abs_weight.__getitem__, violated_list), 0.0
+        )
         self._journal.clear()
         self._journal_stale = False
         self._best = array("b", self.assignment)

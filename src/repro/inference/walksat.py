@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.inference.state import KERNEL_BACKENDS, SearchState, make_search_state
 from repro.mrf.graph import MRF
-from repro.obs.events import RateMeter, Series
+from repro.obs.events import RateMeter, Series, SeriesPoint
 from repro.utils.clock import SimulatedClock, WallClock
 from repro.utils.rng import RandomSource
 
@@ -110,124 +110,27 @@ class WalkSAT:
         """Search using an existing state (lets callers reuse bookkeeping)."""
         options = self.options
         wall = WallClock()
+        points: List[Tuple[float, float, int]] = []
+        best_assignment, best_cost, flips, tries, reached_target, hitting_time, _ = (
+            walksat_tries(
+                state,
+                self.rng,
+                self.clock,
+                options,
+                options.max_flips,
+                options.target_cost,
+                initial_assignment,
+                points,
+                state.assignment_dict(),
+                state.checkpoint_dict,
+            )
+        )
         trace = Series(options.trace_label)
-        target = options.target_cost
-        best_cost = math.inf
-        best_assignment: Dict[int, bool] = state.assignment_dict()
-        total_flips = 0
-        tries = 0
-        reached_target = False
-        hitting_time: Optional[int] = None
-
-        # State-reuse lifecycle: kernels exposing rerandomize() rewrite
-        # their buffers in place across restarts, so one stepper (created
-        # lazily below) survives every try.  The seed reference kernel has
-        # neither rerandomize nor a stepper and keeps its original path.
-        make_stepper = getattr(state, "make_walksat_stepper", None)
-        rerandomize = getattr(state, "rerandomize", None)
-        rng = self.rng
-        noise = options.noise
-        step = None
-
-        for attempt in range(options.max_tries):
-            tries += 1
-            if attempt == 0:
-                if initial_assignment is None and options.random_restarts:
-                    state.randomize(rng)
-                else:
-                    state.reset(initial_assignment)
-            elif options.random_restarts:
-                if rerandomize is not None:
-                    rerandomize(rng)
-                else:
-                    state.randomize(rng)
-            else:
-                state.reset(initial_assignment)
-            if make_stepper is not None and (step is None or rerandomize is None):
-                step = make_stepper(rng, noise)
-
-            # Improvements are tracked through the state's flip journal:
-            # checkpoint() is O(flips since the last improvement) and the
-            # dict is materialised once per try instead of per improvement.
-            try_improved = False
-            if state.cost < best_cost:
-                best_cost = state.cost
-                state.checkpoint()
-                try_improved = True
-                trace.record_improvement(self.clock.now(), best_cost, total_flips)
-
-            if target is not None and best_cost <= target:
-                # A try whose starting state already meets the target is a
-                # zero-flip hit; without this, expected_hitting_time would
-                # wrongly charge it the full flip budget.
-                reached_target = True
-                if hitting_time is None:
-                    hitting_time = total_flips
-            else:
-                # Hot loop: everything per-flip is either the kernel's own
-                # stepper (sample + choose + flip in one call) or a
-                # pre-bound local, so no wrapper frames are paid per step.
-                # The violated list's identity is stable across resets, so
-                # its truthiness is the has_violations() check.  Flip costs
-                # are charged to the simulated clock in batches, flushed
-                # before every clock observation (deadline check, trace
-                # record, loop exit), so observable times are identical to
-                # charging per flip.
-                violated_list = state._violated_list
-                clock = self.clock
-                charge = clock.charge
-                flip_event = options.flip_cost_event
-                deadline = options.deadline_seconds
-                pending_charges = 0
-                for _flip in range(options.max_flips):
-                    if not violated_list:
-                        break
-                    if deadline is not None:
-                        if pending_charges:
-                            charge(flip_event, pending_charges)
-                            pending_charges = 0
-                        if clock.now() >= deadline:
-                            break
-                    if step is not None:
-                        cost = step()
-                    else:
-                        # Seed-kernel path (ReferenceSearchState): the
-                        # original sample/choose/flip call sequence, which
-                        # consumes the identical RNG stream.
-                        clause_index = state.sample_violated_clause(rng)
-                        state.flip(self._choose_atom(state, clause_index))
-                        cost = state.cost
-                    total_flips += 1
-                    pending_charges += 1
-                    if cost < best_cost:
-                        charge(flip_event, pending_charges)
-                        pending_charges = 0
-                        best_cost = cost
-                        state.checkpoint()
-                        try_improved = True
-                        trace.record_improvement(clock.now(), best_cost, total_flips)
-                        if (
-                            hitting_time is None
-                            and target is not None
-                            and best_cost <= target
-                        ):
-                            hitting_time = total_flips
-                    if target is not None and best_cost <= target:
-                        reached_target = True
-                        break
-                if pending_charges:
-                    charge(flip_event, pending_charges)
-            if try_improved:
-                best_assignment = state.checkpoint_dict()
-            if reached_target or self._deadline_exceeded(options):
-                break
-            if not state.has_violations():
-                break
-
+        trace.points = [SeriesPoint(*point) for point in points]
         return WalkSATResult(
             best_assignment=best_assignment,
             best_cost=best_cost,
-            flips=total_flips,
+            flips=flips,
             tries=tries,
             seconds=wall.elapsed(),
             trace=trace,
@@ -235,32 +138,171 @@ class WalkSAT:
             hitting_time=hitting_time,
         )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
     def _choose_atom(self, state: SearchState, clause_index: int) -> int:
         """Pick the atom of a violated clause to flip (random vs greedy)."""
-        positions = state.clause_atom_positions(clause_index)
-        if len(positions) == 1:
-            return positions[0]
-        # Strict comparison: noise=0.0 must be purely greedy even when the
-        # RNG returns exactly 0.0, and noise=1.0 purely random.
-        if self.rng.random() < self.options.noise:
-            return self.rng.pick(positions)
-        best_position = positions[0]
-        best_delta = state.delta_cost(best_position)
-        for position in positions[1:]:
-            delta = state.delta_cost(position)
-            if delta < best_delta:
-                best_delta = delta
-                best_position = position
-        return best_position
+        return _pick_atom(state, clause_index, self.rng, self.options.noise)
 
-    def _deadline_exceeded(self, options: WalkSATOptions) -> bool:
-        if options.deadline_seconds is None:
-            return False
-        return self.clock.now() >= options.deadline_seconds
+
+def walksat_tries(
+    state: SearchState,
+    rng: RandomSource,
+    clock: SimulatedClock,
+    options: WalkSATOptions,
+    max_flips: int,
+    target: Optional[float],
+    initial_assignment: Optional[Mapping[int, bool]],
+    points: List[Tuple[float, float, int]],
+    best: Any,
+    snapshot: Callable[[], Any],
+    step: Optional[Callable[[], float]] = None,
+) -> Tuple[Any, float, int, int, bool, Optional[int], Optional[Callable[[], float]]]:
+    """The WalkSAT try and flip loop: every WalkSAT search runs through here.
+
+    :meth:`WalkSAT.run_on_state` and the component chunk runner
+    (:meth:`repro.inference.component_walksat.ComponentSearchRequest.run_chunk`)
+    both call it.  ``options`` supplies the tries, noise, restart policy,
+    flip event and deadline; ``max_flips`` and ``target`` are passed apart
+    so that one options object can serve components with different
+    budgets.  Every best-cost improvement appends ``(simulated time, cost,
+    flips)`` to ``points``.  ``best`` is what to report when no try
+    improves on an infinite cost; ``snapshot()`` reads the best
+    assignment at the end of each try that improved.  ``step`` is a
+    stepper the caller kept from an earlier call on the same state, RNG
+    and noise (``None`` builds one).
+
+    Returns ``(best, best cost, flips, tries, reached target, hitting
+    time, stepper)``.
+    """
+    best_cost = math.inf
+    total_flips = 0
+    tries = 0
+    reached_target = False
+    hitting_time: Optional[int] = None
+
+    # State-reuse lifecycle: kernels exposing rerandomize() rewrite
+    # their buffers in place across restarts, so one stepper (created
+    # lazily below) survives every try.  The seed reference kernel has
+    # neither rerandomize nor a stepper and keeps its original path.
+    make_stepper = getattr(state, "make_walksat_stepper", None)
+    rerandomize = getattr(state, "rerandomize", None)
+    noise = options.noise
+    deadline = options.deadline_seconds
+    charge = clock.charge
+    flip_event = options.flip_cost_event
+
+    for attempt in range(options.max_tries):
+        tries += 1
+        if attempt == 0:
+            if initial_assignment is None and options.random_restarts:
+                state.randomize(rng)
+            else:
+                state.reset(initial_assignment)
+        elif options.random_restarts:
+            if rerandomize is not None:
+                rerandomize(rng)
+            else:
+                state.randomize(rng)
+        else:
+            state.reset(initial_assignment)
+        if make_stepper is not None and (step is None or rerandomize is None):
+            step = make_stepper(rng, noise)
+
+        # Improvements are tracked through the state's flip journal:
+        # checkpoint() is O(flips since the last improvement) and the
+        # best assignment is read once per try instead of per improvement.
+        try_improved = False
+        if state.cost < best_cost:
+            best_cost = state.cost
+            state.checkpoint()
+            try_improved = True
+            points.append((clock.now(), best_cost, total_flips))
+
+        if target is not None and best_cost <= target:
+            # A try whose starting state already meets the target is a
+            # zero-flip hit; without this, expected_hitting_time would
+            # wrongly charge it the full flip budget.
+            reached_target = True
+            if hitting_time is None:
+                hitting_time = total_flips
+        else:
+            # Hot loop: everything per-flip is either the kernel's own
+            # stepper (sample + choose + flip in one call) or a
+            # pre-bound local, so no wrapper frames are paid per step.
+            # The violated list's identity is stable across resets, so
+            # its truthiness is the has_violations() check.  Flip costs
+            # are charged to the simulated clock in batches, flushed
+            # before every clock observation (deadline check, trace
+            # record, loop exit), so observable times are identical to
+            # charging per flip.
+            violated_list = state._violated_list
+            pending_charges = 0
+            for _flip in range(max_flips):
+                if not violated_list:
+                    break
+                if deadline is not None:
+                    if pending_charges:
+                        charge(flip_event, pending_charges)
+                        pending_charges = 0
+                    if clock.now() >= deadline:
+                        break
+                if step is not None:
+                    cost = step()
+                else:
+                    # Seed-kernel path (ReferenceSearchState): the
+                    # original sample/choose/flip call sequence, which
+                    # consumes the identical RNG stream.
+                    clause_index = state.sample_violated_clause(rng)
+                    state.flip(_pick_atom(state, clause_index, rng, noise))
+                    cost = state.cost
+                total_flips += 1
+                pending_charges += 1
+                if cost < best_cost:
+                    charge(flip_event, pending_charges)
+                    pending_charges = 0
+                    best_cost = cost
+                    state.checkpoint()
+                    try_improved = True
+                    points.append((clock.now(), best_cost, total_flips))
+                    if (
+                        hitting_time is None
+                        and target is not None
+                        and best_cost <= target
+                    ):
+                        hitting_time = total_flips
+                if target is not None and best_cost <= target:
+                    reached_target = True
+                    break
+            if pending_charges:
+                charge(flip_event, pending_charges)
+        if try_improved:
+            best = snapshot()
+        if reached_target or (deadline is not None and clock.now() >= deadline):
+            break
+        if not state.has_violations():
+            break
+
+    return best, best_cost, total_flips, tries, reached_target, hitting_time, step
+
+
+def _pick_atom(
+    state: SearchState, clause_index: int, rng: RandomSource, noise: float
+) -> int:
+    """Pick the atom of a violated clause to flip (random vs greedy)."""
+    positions = state.clause_atom_positions(clause_index)
+    if len(positions) == 1:
+        return positions[0]
+    # Strict comparison: noise=0.0 must be purely greedy even when the
+    # RNG returns exactly 0.0, and noise=1.0 purely random.
+    if rng.random() < noise:
+        return rng.pick(positions)
+    best_position = positions[0]
+    best_delta = state.delta_cost(best_position)
+    for position in positions[1:]:
+        delta = state.delta_cost(position)
+        if delta < best_delta:
+            best_delta = delta
+            best_position = position
+    return best_position
 
 
 def expected_hitting_time(

@@ -8,7 +8,9 @@ violated, which MAP search treats as "never acceptable".
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 from repro.grounding.clause_table import GroundClause
@@ -74,9 +76,13 @@ def cost_decomposes_over_components(
 ) -> float:
     """Sum of per-component costs; equals the global cost when the components
     partition the clause set (the identity the paper's Section 3.3 relies on)."""
-    return sum(
-        assignment_cost(component, assignment, hard_as_infinite=False)
-        for component in components
+    return functools.reduce(
+        operator.add,
+        (
+            assignment_cost(component, assignment, hard_as_infinite=False)
+            for component in components
+        ),
+        0.0,
     )
 
 

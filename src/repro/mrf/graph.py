@@ -18,7 +18,9 @@ columns once, when something first needs them.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from array import array
 from typing import (
     Dict,
@@ -458,7 +460,11 @@ class MRF:
         return len(self._atom_clauses().get(atom_id, ()))
 
     def total_soft_weight(self) -> float:
-        return sum(abs(weight) for weight in self.weight_column() if not math.isinf(weight))
+        return functools.reduce(
+            operator.add,
+            (abs(weight) for weight in self.weight_column() if not math.isinf(weight)),
+            0.0,
+        )
 
     # ------------------------------------------------------------------
     # Subgraphs

@@ -19,11 +19,12 @@ Two recording entry points exist on purpose:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 
 @dataclass
@@ -119,31 +120,63 @@ def merge_series(traces: Sequence[Series], label: str = "") -> Series:
     samples the union of all component timestamps and is undefined
     (omitted) until every component has reported at least one point.
     """
+    times: List[float] = []
+    owners: List[int] = []
+    costs: List[float] = []
+    for index, trace in enumerate(traces):
+        for point in trace.points:
+            times.append(point.time)
+            owners.append(index)
+            costs.append(point.cost)
+    return merge_series_columns(times, owners, costs, len(traces), label)
+
+
+def merge_series_columns(
+    times: Sequence[float],
+    owners: Sequence[int],
+    costs: Sequence[float],
+    count: int,
+    label: str = "",
+) -> Series:
+    """:func:`merge_series` over flat point columns instead of ``Series``.
+
+    Entry ``k`` is the point ``(times[k], costs[k])`` of trace
+    ``owners[k]`` (``0 <= owner < count``); entries come in trace order,
+    and in point order within a trace — the order :func:`merge_series`
+    lays them out in.  The result is the same series, point for point.
+    Pass lists: the merged points carry the given time and cost objects.
+    """
     merged = Series(label)
-    if not traces:
+    if not count:
         return merged
     # One sweep over the time-sorted points (stable, so equal timestamps
     # keep trace order): a running best per trace plus a count of traces
     # that have no finite best yet.
-    entries = [
-        (point.time, index, point.cost)
-        for index, trace in enumerate(traces)
-        for point in trace.points
-    ]
-    entries.sort(key=operator.itemgetter(0))
-    bests = [math.inf] * len(traces)
-    undefined = len(traces)
-    for timestamp, group in itertools.groupby(entries, key=operator.itemgetter(0)):
-        for _, index, cost in group:
+    order = np.argsort(np.asarray(times, dtype=np.float64), kind="stable").tolist()
+    sorted_times = [times[k] for k in order]
+    sorted_owners = [owners[k] for k in order]
+    sorted_costs = [costs[k] for k in order]
+    bests = [math.inf] * count
+    undefined = count
+    isinf = math.isinf
+    record = merged.record_final
+    entries = len(sorted_times)
+    position = 0
+    while position < entries:
+        timestamp = sorted_times[position]
+        while position < entries and sorted_times[position] == timestamp:
+            index = sorted_owners[position]
+            cost = sorted_costs[position]
             best = bests[index]
             if cost < best:
-                undefined += math.isinf(cost) - math.isinf(best)
+                undefined += isinf(cost) - isinf(best)
                 bests[index] = cost
+            position += 1
         if not undefined:
             # Left-to-right float sum in trace order (not sum()/fsum):
             # every emitted total is bit-identical to the per-trace loop.
-            merged.record_final(timestamp, functools.reduce(operator.add, bests, 0.0))
+            record(timestamp, functools.reduce(operator.add, bests, 0.0))
     return merged
 
 
-__all__ = ["RateMeter", "Series", "SeriesPoint", "merge_series"]
+__all__ = ["RateMeter", "Series", "SeriesPoint", "merge_series", "merge_series_columns"]

@@ -3,14 +3,17 @@
 Every parallel backend returns its per-component results in component
 order (see :mod:`repro.parallel.scheduler`), and every component's search
 runs on an RNG stream derived only from the run seed and the component id
-(``rng.spawn(index + 1)``).  Merging is therefore pure bookkeeping — the
-combined assignment, cost, flips and trace are bit-for-bit identical to
-the serial backend regardless of worker count or completion order:
+(``rng.child_seed(index + 1)``).  Merging is therefore pure bookkeeping
+— the combined assignment, cost, flips and trace are bit-for-bit
+identical to the serial backend regardless of worker count or completion
+order:
 
-* :func:`merge_walksat_results` — the component-search combine: union of
+* :class:`WalkSATColumns` — the component-search combine: union of
   per-component best assignments, costs summed in component order (float
-  addition order matters for bit-parity), traces merged with the existing
-  :func:`~repro.obs.events.merge_series`.
+  addition order matters for bit-parity), traces merged with
+  :func:`~repro.obs.events.merge_series_columns`.  The columns come from
+  one bulk read of the result regions, so a request of thousands of
+  components builds no per-component result object to merge them.
 * :func:`merge_marginal_results` — the MC-SAT combine: components are
   disjoint atom sets, so the union of per-component marginal dictionaries
   (in component order) is the joint marginal estimate.
@@ -25,8 +28,12 @@ the serial backend regardless of worker count or completion order:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.inference.gauss_seidel import (
     GaussSeidelResult,
@@ -36,30 +43,164 @@ from repro.inference.gauss_seidel import (
 from repro.inference.mcsat import MarginalResult
 from repro.inference.walksat import WalkSATOptions, WalkSATResult
 from repro.mrf.graph import MRF
-from repro.obs.events import merge_series
+from repro.obs.events import Series, SeriesPoint, merge_series_columns
 from repro.utils.clock import SimulatedClock
 from repro.utils.rng import RandomSource
 
 
-def merge_walksat_results(
-    results: Sequence[WalkSATResult], trace_label: str = "tuffy"
-):
-    """Combine per-component WalkSAT results (component order).
+class WalkSATColumns:
+    """Per-component WalkSAT results as flat columns, in component order.
 
-    Returns ``(best_assignment, best_cost, total_flips, trace)``; infinite
-    per-component costs (a component whose every try died before finding a
-    finite state) are excluded from the sum, like the serial driver.
+    Two constructors fill it: the parent's one bulk read of every result
+    region (:meth:`~repro.parallel.buffers.ResultBufferSet.read_walksat_columns`)
+    and :meth:`from_results` over result objects (pickled fallbacks,
+    deadline placeholders, the spec path).  :meth:`merge` combines the
+    columns without building a per-component object; :meth:`results`
+    builds the per-component :class:`WalkSATResult` list only when a
+    caller asks for it.
+
+    Component ``i`` owns the atoms ``atom_ids[value_offsets[i]:value_offsets[i + 1]]``
+    (with their best ``values``, in the component's atom order) and the
+    trace points ``trace_offsets[i]:trace_offsets[i + 1]`` of the three
+    ``trace_*`` columns.
     """
-    best_assignment: Dict[int, bool] = {}
-    best_cost = 0.0
-    total_flips = 0
-    for result in results:
-        best_assignment.update(result.best_assignment)
-        if not math.isinf(result.best_cost):
-            best_cost += result.best_cost
-        total_flips += result.flips
-    trace = merge_series([result.trace for result in results], label=trace_label)
-    return best_assignment, best_cost, total_flips, trace
+
+    def __init__(
+        self,
+        atom_ids: Sequence[int],
+        values: Sequence[bool],
+        value_offsets: Sequence[int],
+        best_costs: Sequence[float],
+        flips: Sequence[int],
+        tries: Sequence[int],
+        seconds: Sequence[float],
+        reached_target: Sequence[bool],
+        hitting_times: Sequence[Optional[int]],
+        grounding_seconds: Sequence[float],
+        trace_offsets: Sequence[int],
+        trace_times: Sequence[float],
+        trace_costs: Sequence[float],
+        trace_flips: Sequence[int],
+        results: Optional[List[WalkSATResult]] = None,
+    ) -> None:
+        self.atom_ids = atom_ids
+        self.values = values
+        self.value_offsets = value_offsets
+        self.best_costs = best_costs
+        self.flips = flips
+        self.tries = tries
+        self.seconds = seconds
+        self.reached_target = reached_target
+        self.hitting_times = hitting_times
+        self.grounding_seconds = grounding_seconds
+        self.trace_offsets = trace_offsets
+        self.trace_times = trace_times
+        self.trace_costs = trace_costs
+        self.trace_flips = trace_flips
+        self._results = results
+
+    @classmethod
+    def from_results(cls, results: Sequence[WalkSATResult]) -> "WalkSATColumns":
+        """Columns over result objects (which :meth:`results` returns)."""
+        atom_ids: List[int] = []
+        values: List[bool] = []
+        value_offsets = [0]
+        trace_times: List[float] = []
+        trace_costs: List[float] = []
+        trace_flips: List[int] = []
+        trace_offsets = [0]
+        for result in results:
+            atom_ids.extend(result.best_assignment)
+            values.extend(result.best_assignment.values())
+            value_offsets.append(len(atom_ids))
+            for point in result.trace.points:
+                trace_times.append(point.time)
+                trace_costs.append(point.cost)
+                trace_flips.append(point.flips)
+            trace_offsets.append(len(trace_times))
+        return cls(
+            atom_ids,
+            values,
+            value_offsets,
+            [result.best_cost for result in results],
+            [result.flips for result in results],
+            [result.tries for result in results],
+            [result.seconds for result in results],
+            [result.reached_target for result in results],
+            [result.hitting_time for result in results],
+            [result.trace.grounding_seconds for result in results],
+            trace_offsets,
+            trace_times,
+            trace_costs,
+            trace_flips,
+            results=list(results),
+        )
+
+    def __len__(self) -> int:
+        return len(self.best_costs)
+
+    def merge(self, trace_label: str = "tuffy"):
+        """Combine the components: ``(assignment, cost, flips, trace)``.
+
+        The assignment is the union of the per-component best values in
+        component and atom order; costs are summed left to right in
+        component order, skipping infinite ones (a component whose every
+        try died before finding a finite state); traces are merged by
+        :func:`~repro.obs.events.merge_series_columns`.
+        """
+        assignment = dict(zip(self.atom_ids, self.values))
+        isinf = math.isinf
+        cost = functools.reduce(
+            operator.add, [c for c in self.best_costs if not isinf(c)], 0.0
+        )
+        lengths = np.diff(np.asarray(self.trace_offsets, dtype=np.int64))
+        owners = np.repeat(np.arange(len(self), dtype=np.int64), lengths).tolist()
+        trace = merge_series_columns(
+            self.trace_times, owners, self.trace_costs, len(self), label=trace_label
+        )
+        return assignment, cost, sum(self.flips), trace
+
+    def results(self) -> List[WalkSATResult]:
+        """The per-component results (built on the first call).
+
+        Columns read from the result regions label component ``i``'s
+        trace ``component-i``, the label its search ran under.
+        """
+        if self._results is None:
+            atom_ids, values = self.atom_ids, self.values
+            value_offsets, trace_offsets = self.value_offsets, self.trace_offsets
+            results = []
+            for index in range(len(self)):
+                low, high = value_offsets[index], value_offsets[index + 1]
+                trace = Series(
+                    f"component-{index}",
+                    grounding_seconds=self.grounding_seconds[index],
+                )
+                first, last = trace_offsets[index], trace_offsets[index + 1]
+                trace.points = [
+                    SeriesPoint(time, cost, flips)
+                    for time, cost, flips in zip(
+                        self.trace_times[first:last],
+                        self.trace_costs[first:last],
+                        self.trace_flips[first:last],
+                    )
+                ]
+                results.append(
+                    WalkSATResult(
+                        best_assignment=dict(
+                            zip(atom_ids[low:high], values[low:high])
+                        ),
+                        best_cost=self.best_costs[index],
+                        flips=self.flips[index],
+                        tries=self.tries[index],
+                        seconds=self.seconds[index],
+                        trace=trace,
+                        reached_target=self.reached_target[index],
+                        hitting_time=self.hitting_times[index],
+                    )
+                )
+            self._results = results
+        return self._results
 
 
 def merge_marginal_results(
@@ -143,7 +284,7 @@ def gauss_seidel_refine(
                 ComponentTask(
                     index=len(tasks),
                     kind="walksat",
-                    seed=rng.spawn(500_000 + index + 1).seed,
+                    seed=rng.child_seed(500_000 + index + 1),
                     walksat=part_options,
                     initial_assignment=local_initial,
                 )

@@ -1,55 +1,60 @@
 """The multiprocess worker pool (and its serial stand-in).
 
-One task vocabulary serves every parallel backend: a
-:class:`ComponentTask` names a component by its index in the caller's
-list and carries the small, picklable run parameters (driver options, the
-derived child-stream seed, the flip budget).  The function that executes a
-task — :func:`execute_component_task` — is the *same code* on every
-backend:
+Two kinds of work travel through the pool, both in **chunks** — one
+queue message per batch of one request's components, one reply message
+back:
 
-* the **serial** backend calls it in-process against the
-  caller's component MRFs (and, for WalkSAT, the caller's cached kernel
-  states — the PR 2 state-reuse lifecycle);
-* the **processes** backend ships the task to a worker, which indexes the
-  component list it inherited through ``fork`` — the parent's own MRF
-  objects, never shipped, pickled or decoded — builds the component's
-  flat view and kernel state the first time it runs it (so a cold
-  request's state construction is split over the workers), caches the
-  state, and runs the identical function.
+* **Component search** (MAP) travels as a :class:`SearchChunk`: the
+  request's description, built once by the parent (shared options, cost
+  model, base seed, per-component flip allocation — a
+  :class:`~repro.inference.component_walksat.ComponentSearchRequest`),
+  plus the chunk's component indices.  The worker runs the chunk through
+  the request's one search loop against a :class:`ChunkContext` — its
+  fork-inherited component list, its cached kernel states and steppers,
+  one reusable RNG — writing every result into the component's
+  shared-memory region, and answers with a single token for the chunk.
+  The serial backend runs the same loop in-process against a private
+  copy of the regions.  Nothing is built per component on the parent
+  side: after the last chunk it reads every region at once
+  (:meth:`~repro.parallel.buffers.ResultBufferSet.read_walksat_columns`).
+* **Task lists** (MC-SAT components, Gauss-Seidel partitions) travel as
+  lists of :class:`ComponentTask`, each naming a component by index and
+  carrying its own run parameters; :func:`execute_component_task` runs
+  one, on every backend, and each task answers with its own token
+  ``(index, payload, error, channel, events)`` inside the chunk's reply
+  (:meth:`WorkerPool.next_outcome` hands them out one by one).
 
-The unit of IPC is the **chunk**: the scheduler hands the pool a batch of
-one request's tasks (:meth:`WorkerPool.submit_chunk`), the pool puts one
-message on the task queue, the worker that takes it runs the tasks one by
-one and answers with *one* completion message carrying a token per task.
-A many-tiny-components request therefore costs a few dozen queue
-round-trips instead of one per component; a chunk of one task is the
-degenerate case, not a second path.
+Workers index the component list they inherited through ``fork`` — the
+parent's own MRF objects, never shipped, pickled or decoded — build a
+component's flat view and kernel state the first time they run it (so a
+cold request's state construction is split over the workers) and cache
+it.
 
 Finished results ship back through shared memory, not pickling: every
 pool packs a :class:`~repro.parallel.buffers.ResultBufferSet` —
 one reserved region per component per *result bank* — and workers write
-each result in place, the task's token ``(index, payload, error,
-channel, events)`` riding its chunk's completion message.  A result that
-does not fit its region (oversized trace, unexpected atom set) rides the
-message pickled instead, counted but never truncated; shipping telemetry
-is kept per admitted request (:meth:`WorkerPool.finish_request` hands the
-scheduler counters attributable to exactly one request) with
-:attr:`WorkerPool.shm_shipped` / :attr:`WorkerPool.pickle_shipped` /
-:attr:`WorkerPool.shm_bytes` still accumulating pool-lifetime totals.
+each result in place.  A result that does not fit its region (oversized
+trace, unexpected atom set) rides the reply pickled instead, counted but
+never truncated; shipping telemetry is kept per admitted request
+(:meth:`WorkerPool.finish_request` hands the scheduler counters
+attributable to exactly one request) with :attr:`WorkerPool.shm_shipped`
+/ :attr:`WorkerPool.pickle_shipped` / :attr:`WorkerPool.shm_bytes` still
+accumulating pool-lifetime totals.
 
-Concurrent admission: tasks are tagged ``(request_id, index)``, so one
-pool can multiplex several requests' task streams over the same worker
+Concurrent admission: every chunk is tagged with its request id, so one
+pool can multiplex several requests' chunk streams over the same worker
 set and shared task queue.  Each admitted request checks out a private
-result bank for its lifetime; a completion message that belongs to
-another request is parked as a block for that request's draining thread,
-so every request sees exactly its own completions in completion order —
-the same stream it would see running alone.
+result bank for its lifetime; a reply that belongs to another request is
+parked as a block for that request's draining thread, so every request
+sees exactly its own completions in completion order — the same stream
+it would see running alone.
 
-Because each task carries its own derived seed and runs the existing
-drivers unchanged, results are bit-for-bit identical across backends and
-worker counts; only wall-clock time changes.  Workers are forked, so the
-pool refuses to start when the ``fork`` start method is unavailable
-(callers resolve ``auto`` to ``serial`` there).
+Because every component's search draws on a stream derived only from the
+run seed and its index, results are bit-for-bit identical across
+backends, worker counts and chunk cuts; only wall-clock time changes.
+Workers are forked, so the pool refuses to start when the ``fork``
+start method is unavailable (callers resolve ``auto`` to ``serial``
+there).
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ import queue as queue_module
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.inference.mcsat import MCSat, MCSatOptions
 from repro.inference.state import make_search_state
@@ -122,14 +127,76 @@ class ComponentOutcome:
     simulated_seconds: float
 
 
+@dataclass
+class SearchChunk:
+    """One chunk of a component-search request: the request plus indices.
+
+    ``request`` describes the whole request once (a
+    :class:`~repro.inference.component_walksat.ComponentSearchRequest`:
+    shared options, cost model, base seed, flip allocation); the chunk
+    adds only the component indices it covers.  ``bank`` is assigned by
+    the pool at submit time, like :attr:`ComponentTask.result_bank`;
+    ``traced`` asks for per-component phase events.
+    """
+
+    request_id: int
+    indices: List[int]
+    request: object
+    bank: int = 0
+    traced: bool = False
+
+
+class ChunkContext:
+    """What a chunk runs against, on either backend.
+
+    The component list, the result regions, the kernel states and one
+    reusable RNG that the chunk runner reseeds per component.  A worker's context lives as
+    long as the worker and draws states from its bounded cache; the
+    serial backend's lives for one run over the caller's ``local_states``
+    (or fresh states when there are none).
+
+    :meth:`slot` hands out ``[state, noise, stepper]`` lists: the chunk
+    runner keeps the stepper it built for a state there, valid for the
+    next search of that state with the same noise because steppers bind
+    this context's RNG and the state's in-place buffers.
+    """
+
+    def __init__(
+        self,
+        components: Sequence[MRF],
+        results: ResultBufferSet,
+        states: Optional["BoundedStateCache"] = None,
+        local_states: Optional[Sequence[object]] = None,
+        stall_seconds: float = 0.0,
+    ) -> None:
+        self.components = components
+        self.results = results
+        self.rng = RandomSource(0)
+        self.stall_seconds = stall_seconds
+        self._states = states if states is not None else BoundedStateCache()
+        self._local_states = local_states
+        self._local_slots: Dict[int, list] = {}
+
+    def slot(self, index: int, backend: str) -> list:
+        """The ``[state, noise, stepper]`` slot of component ``index``."""
+        if self._local_states is None:
+            return _cached_slot(self._states, index, self.components[index], backend)
+        slot = self._local_slots.get(index)
+        if slot is None:
+            slot = self._local_slots[index] = [self._local_states[index], None, None]
+        return slot
+
+
 def execute_component_task(
     task: ComponentTask, mrf: MRF, state=None
 ) -> ComponentOutcome:
-    """Run one task against a component MRF (every backend funnels here).
+    """Run one task against a component MRF (the task path's executor).
 
-    For WalkSAT tasks this reproduces the serial component search exactly:
-    a fresh :class:`WalkSAT` over the task's derived RNG stream and its own
-    simulated clock, run on a (reused or fresh) kernel state —
+    The task path carries MC-SAT components and Gauss-Seidel partitions;
+    component search travels as :class:`SearchChunk` instead.  For
+    WalkSAT tasks this is the per-component spec of the component search:
+    a fresh :class:`WalkSAT` over the task's derived RNG stream and its
+    own simulated clock, run on a (reused or fresh) kernel state —
     ``run_on_state`` rewrites reused states in place at the start of every
     try, so a cached state is bit-identical to a fresh one.
     """
@@ -166,6 +233,9 @@ WORKER_STATE_CACHE_UNITS = 1_000_000
 #: Completion-token channel tags (the only payloads besides errors).
 SHIPPED_SHM = "shm"
 SHIPPED_PICKLE = "pickle"
+#: A search chunk's single token: its results are in the regions, plus
+#: any fallbacks riding the token.
+SHIPPED_CHUNK = "chunk"
 
 #: Upper bound on span/event records one task may ship on its completion
 #: token.  Worker tracing rides the same queue as completion tokens, so
@@ -214,6 +284,36 @@ class BoundedStateCache:
         return len(self._entries)
 
 
+def _cached_slot(
+    states: BoundedStateCache, index: int, mrf: MRF, backend: str
+) -> list:
+    """The cached ``[state, noise, stepper]`` slot of a component (built on a miss)."""
+    key = (index, backend)
+    slot = states.get(key)
+    if slot is None:
+        slot = [make_search_state(mrf, backend=backend), None, None]
+        states.put(key, slot, mrf.size())
+    return slot
+
+
+def _worker_run_chunk(chunk: SearchChunk, context: ChunkContext) -> tuple:
+    """Run one search chunk; return its single completion token.
+
+    The token is ``(indices, payload, error, channel, events)`` with
+    ``payload = (simulated seconds per index, fallbacks, shm bytes)`` —
+    see :meth:`~repro.inference.component_walksat.ComponentSearchRequest.run_chunk`.
+    A chunk that raises answers with an error token naming its first
+    component; the parent fails the request on it.
+    """
+    try:
+        costs, fallbacks, shm_bytes, events = chunk.request.run_chunk(
+            chunk.indices, context, chunk.bank, chunk.traced
+        )
+    except Exception as error:  # surface, don't hang the parent
+        return (chunk.indices, None, repr(error), SHIPPED_CHUNK, None)
+    return (chunk.indices, (costs, fallbacks, shm_bytes), None, SHIPPED_CHUNK, events)
+
+
 def _worker_run_task(
     task: ComponentTask,
     components: Sequence[MRF],
@@ -236,11 +336,7 @@ def _worker_run_task(
     mrf = components[task.index]
     state = None
     if task.kind == "walksat":
-        key = (task.index, task.walksat.kernel_backend)
-        state = states.get(key)
-        if state is None:
-            state = make_search_state(mrf, backend=task.walksat.kernel_backend)
-            states.put(key, state, mrf.size())
+        state = _cached_slot(states, task.index, mrf, task.walksat.kernel_backend)[0]
     search_start = wall_now() if traced else 0.0
     outcome = execute_component_task(task, mrf, state)
     search_end = wall_now() if traced else 0.0
@@ -272,29 +368,36 @@ def _worker_main(
     worker_id: int,
     stall_seconds: float,
 ) -> None:
-    """Worker loop: take a chunk, run its tasks, answer with one message.
+    """Worker loop: take a chunk, run it, answer with one message.
 
     ``components`` and ``results`` are ``Process`` arguments, which under
     the ``fork`` start method are inherited, never pickled: the component
     MRFs *are* the parent's objects as of the fork.  Kernel states (and
     with them the MRFs' flat/vector views) are built on a component's
-    first task here and cached per (component, kernel backend), bounded by
+    first use here and cached per (component, kernel backend), bounded by
     ``WORKER_STATE_CACHE_UNITS`` — so a component re-dispatched across
     rounds (or across a persistent session's requests) reuses its state
     exactly like the serial driver does.
 
-    A queue item is one chunk: a non-empty list of one request's tasks,
-    run in order through :func:`_worker_run_task`.  The reply is a single
-    ``(request_id, worker_id, tokens, cache_hits, cache_misses)`` message
-    with one token per executed task, sent only *after* every region
-    write of the chunk completes, so the parent's reads are
-    ordered-after the writes without any locking.  A task that raises
-    ends its chunk: the tokens of the tasks finished before it are still
-    delivered, followed by an error token for exactly that task (the
-    parent fails the request on it, so the chunk's remaining tasks are
-    moot).  ``stall_seconds`` is the injected-slow-worker test hook: it
-    delays this worker before every task, forcing maximal stealing skew
-    while leaving results untouched.
+    A queue item is one chunk of one request, in one of two shapes:
+
+    * a :class:`SearchChunk` (component search) runs through the
+      request's chunk runner — one search loop over the chunk's
+      components, one reused RNG, results written into the regions — and
+      answers with a single token for the whole chunk;
+    * a non-empty list of :class:`ComponentTask` (MC-SAT components,
+      Gauss-Seidel partitions) runs task by task through
+      :func:`_worker_run_task` and answers with one token per task.  A
+      task that raises ends its chunk: the tokens of the tasks finished
+      before it are still delivered, followed by an error token for
+      exactly that task.
+
+    The reply is a single ``(request_id, worker_id, tokens, cache_hits,
+    cache_misses)`` message, sent only *after* every region write of the
+    chunk completes, so the parent's reads are ordered-after the writes
+    without any locking.  ``stall_seconds`` is the injected-slow-worker
+    test hook: it delays this worker before every component, forcing
+    maximal stealing skew while leaving results untouched.
 
     The first call is ``gc.freeze()``, as the :mod:`gc` docs advise for
     ``fork`` without ``exec``: the parent's heap, inherited whole, moves to
@@ -304,24 +407,30 @@ def _worker_main(
     """
     gc.freeze()
     states = BoundedStateCache()
+    context = ChunkContext(components, results, states, stall_seconds=stall_seconds)
     try:
         while True:
             chunk = task_queue.get()
             if chunk is None:
                 break
             hits, misses = states.hits, states.misses
-            tokens = []
-            for task in chunk:
-                if stall_seconds > 0.0:
-                    wall_sleep(stall_seconds)
-                try:
-                    tokens.append(_worker_run_task(task, components, results, states))
-                except BaseException as error:  # surface, don't hang the parent
-                    tokens.append((task.index, None, repr(error), None, None))
-                    break
+            if isinstance(chunk, SearchChunk):
+                request_id = chunk.request_id
+                tokens = [_worker_run_chunk(chunk, context)]
+            else:
+                request_id = chunk[0].request_id
+                tokens = []
+                for task in chunk:
+                    if stall_seconds > 0.0:
+                        wall_sleep(stall_seconds)
+                    try:
+                        tokens.append(_worker_run_task(task, components, results, states))
+                    except BaseException as error:  # surface, don't hang the parent
+                        tokens.append((task.index, None, repr(error), None, None))
+                        break
             result_queue.put(
                 (
-                    chunk[0].request_id,
+                    request_id,
                     worker_id,
                     tokens,
                     states.hits - hits,
@@ -407,6 +516,8 @@ class WorkerPool:
         #: until the scheduler stitches them (:meth:`take_task_events`).
         self._task_events: Dict[Tuple[int, int], dict] = {}
         self._pickle_warned: set = set()
+        #: See :meth:`memo`.
+        self._memo: Dict[Tuple, object] = {}
         try:
             self._tasks = context.Queue()
             self._results = context.Queue()
@@ -477,22 +588,40 @@ class WorkerPool:
         request_id = tasks[0].request_id
         if any(task.request_id != request_id for task in tasks):
             raise ValueError("a chunk carries the tasks of exactly one request")
-        checked_out = False
-        exhausted = False
         with self._route_lock:
-            bank = self._bank_of.get(request_id)
-            if bank is None:
-                bank = self._free_banks.pop(0) if self._free_banks else -1
-                self._bank_of[request_id] = bank
-                checked_out = bank >= 0
-                exhausted = bank < 0
+            bank = self._checkout_bank(request_id)
             inflight = self._inflight.setdefault(request_id, {})
             for task in tasks:
                 task.result_bank = bank
                 inflight[task.index] = task
-        if checked_out:
+        self._tasks.put(list(tasks))
+
+    def submit_search_chunk(self, chunk: SearchChunk) -> None:
+        """Queue one component-search chunk as one message.
+
+        The bank rules are :meth:`submit_chunk`'s; the chunk's results
+        come back through :meth:`next_chunk`.
+        """
+        if not chunk.indices:
+            raise ValueError("a chunk needs at least one component")
+        with self._route_lock:
+            chunk.bank = self._checkout_bank(chunk.request_id)
+        self._tasks.put(chunk)
+
+    def _checkout_bank(self, request_id: int) -> int:
+        """The request's result bank, checked out on its first chunk.
+
+        Called under the routing lock.  ``-1`` means every bank is taken:
+        the request's results ride the pickled fallback.
+        """
+        bank = self._bank_of.get(request_id)
+        if bank is not None:
+            return bank
+        bank = self._free_banks.pop(0) if self._free_banks else -1
+        self._bank_of[request_id] = bank
+        if bank >= 0:
             self.metrics.increment("pool.bank_checkouts")
-        elif exhausted:
+        else:
             self.metrics.increment("pool.bank_exhausted")
             _logger.warning(
                 "result-bank exhaustion: request_id=%d has no free result bank "
@@ -500,7 +629,84 @@ class WorkerPool:
                 request_id,
                 self.result_buffers.banks,
             )
-        self._tasks.put(list(tasks))
+        return bank
+
+    def bank_of(self, request_id: int) -> int:
+        """The result bank the request's chunks were submitted with."""
+        with self._route_lock:
+            return self._bank_of.get(request_id, -1)
+
+    def memo(self, key: Tuple, build: Callable[[], object]) -> object:
+        """A value derived from this pool's component list, built once per key.
+
+        Request plans that depend only on the component list and a few
+        request parameters (the dispatch order, a flip allocation, chunk
+        cuts) are cached with the pool forked over that list, so a warm
+        request does not recompute them.
+        """
+        with self._route_lock:
+            value = self._memo.get(key)
+        if value is None:
+            value = build()
+            with self._route_lock:
+                value = self._memo.setdefault(key, value)
+        return value
+
+    def next_chunk(self, request_id: int) -> Tuple[int, List[int], List[float], Dict[int, ComponentOutcome], object]:
+        """Collect one finished search chunk of ``request_id``.
+
+        Returns ``(worker id, indices, simulated seconds per index,
+        fallbacks, events)``: the chunk's results sit in the request's
+        result regions, except the ``fallbacks`` (component index →
+        outcome) that did not fit theirs.  Raises ``RuntimeError`` (after
+        shutting the pool down) when the chunk failed.
+        """
+        indices, payload, error, worker_id, channel, events = self._route_token(request_id)
+        if error is not None:
+            self.shutdown()
+            raise RuntimeError(
+                f"parallel component search failed: chunk from component "
+                f"{indices[0]}: {error}"
+            )
+        costs, fallbacks, nbytes = payload
+        self._count_shipped(
+            request_id, len(indices) - len(fallbacks), nbytes, sorted(fallbacks)
+        )
+        return worker_id, indices, costs, fallbacks, events
+
+    def _count_shipped(
+        self, request_id: int, shm: int, nbytes: int, pickled: Sequence[int]
+    ) -> None:
+        """Count shipped results — ``pickled`` lists the fallback indices.
+
+        Updates the pool-lifetime totals, the request's ``[shm, pickle,
+        bytes]`` counters and the ``pool.*`` metrics, and warns once per
+        request about the pickled fallback.
+        """
+        with self._route_lock:
+            shipping = self._request_shipping.setdefault(request_id, [0, 0, 0])
+            self.shm_shipped += shm
+            self.shm_bytes += nbytes
+            self.pickle_shipped += len(pickled)
+            shipping[0] += shm
+            shipping[1] += len(pickled)
+            shipping[2] += nbytes
+            warn_fallback = bool(pickled) and request_id not in self._pickle_warned
+            if warn_fallback:
+                self._pickle_warned.add(request_id)
+        if shm:
+            self.metrics.increment("pool.shm_shipped", shm)
+            self.metrics.increment("pool.shm_bytes", nbytes)
+        if pickled:
+            self.metrics.increment("pool.pickle_shipped", len(pickled))
+        if warn_fallback:
+            _logger.warning(
+                "pickled-fallback shipping: request_id=%d component=%d result "
+                "did not ship via shared memory (exhausted bank or oversized "
+                "result); falling back to the pickled queue",
+                request_id,
+                pickled[0],
+            )
 
     def next_outcome(self, request_id: int = 0) -> Tuple[ComponentOutcome, int]:
         """Collect one finished task of ``request_id``: ``(outcome, worker id)``.
@@ -521,8 +727,6 @@ class WorkerPool:
                     "channel": channel,
                     "events": events,
                 }
-            #: the request's ``[shm, pickle, bytes]`` counters
-            shipping = self._request_shipping.setdefault(request_id, [0, 0, 0])
         if error is not None:
             self.shutdown()
             raise RuntimeError(f"parallel component task failed: component {index}: {error}")
@@ -544,29 +748,9 @@ class WorkerPool:
                 index, self._components[index].atom_ids, trace_label, bank=bank
             )
             nbytes = self.result_buffers.outcome_nbytes(index, bank=bank)
-            with self._route_lock:
-                self.shm_shipped += 1
-                self.shm_bytes += nbytes
-                shipping[0] += 1
-                shipping[2] += nbytes
-            self.metrics.increment("pool.shm_shipped")
-            self.metrics.increment("pool.shm_bytes", nbytes)
+            self._count_shipped(request_id, 1, nbytes, ())
             return ComponentOutcome(index, result, simulated_seconds), worker_id
-        with self._route_lock:
-            self.pickle_shipped += 1
-            shipping[1] += 1
-            warn_fallback = request_id not in self._pickle_warned
-            if warn_fallback:
-                self._pickle_warned.add(request_id)
-        self.metrics.increment("pool.pickle_shipped")
-        if warn_fallback:
-            _logger.warning(
-                "pickled-fallback shipping: request_id=%d component=%d result "
-                "did not ship via shared memory (exhausted bank or oversized "
-                "result); falling back to the pickled queue",
-                request_id,
-                index,
-            )
+        self._count_shipped(request_id, 0, 0, (index,))
         return payload, worker_id
 
     def _route_token(self, request_id: int) -> tuple:

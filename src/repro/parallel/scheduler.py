@@ -1,30 +1,41 @@
-"""The partition scheduler: dispatch component tasks on a parallel backend.
+"""The partition scheduler: dispatch component work on a parallel backend.
 
 This is the execution layer behind ``parallel_backend``
-(:func:`repro.parallel.resolve_parallel_backend`): it takes the caller's
-components (typically straight from a :class:`~repro.partitioning.loader.LoadPlan`
-batch, flattened in batch order) and one :class:`ComponentTask` per
-component, and runs them
+(:func:`repro.parallel.resolve_parallel_backend`).  It has two entry
+points over one set of bookkeeping (:class:`_Dispatch`):
+
+* :func:`run_component_search` — a component-search request, described
+  once (a :class:`~repro.inference.component_walksat.ComponentSearchRequest`)
+  and shipped as chunks of component indices; its results come back as
+  columns from one bulk read of the result regions, never as an object
+  per component;
+* :func:`run_component_tasks` — one :class:`ComponentTask` per component
+  (MC-SAT components, Gauss-Seidel partitions), results returned per
+  component.
+
+Either way the components (typically straight from a
+:class:`~repro.partitioning.loader.LoadPlan` batch, flattened in batch
+order) run
 
 * **largest-first** — components are dispatched in decreasing ``size()``
   order (ties by lower index), the classic list-scheduling heuristic the
   simulated Table 7 model already uses, so stragglers start early;
-* on one executor per resolved backend — ``serial`` is the executable
-  specification, a strictly sequential loop in the calling thread
-  (reusing the caller's cached kernel states); ``processes`` is the
-  work-stealing loop over the shared-memory
-  :class:`~repro.parallel.pool.WorkerPool`: the pool's task queue is a
-  shared cursor over the largest-first order, every worker pulls the next
-  chunk the moment it finishes its current one, and results ship back
-  through the pool's shared-memory result regions;
+* on one executor per resolved backend — ``serial`` is a strictly
+  sequential loop in the calling thread (reusing the caller's cached
+  kernel states); ``processes`` is the work-stealing loop over the
+  shared-memory :class:`~repro.parallel.pool.WorkerPool`: the pool's task
+  queue is a shared cursor over the largest-first order, every worker
+  pulls the next chunk the moment it finishes its current one, and
+  results ship back through the pool's shared-memory result regions;
 * **in chunks** on the processes backend — the stealing loop cuts the
   largest-first order into consecutive chunks by estimated work
   (:func:`chunk_boundaries`, guided self-scheduling: each chunk takes a
   fixed share of the work still undispatched, so chunks shrink to single
-  tasks at the tail) and the pool moves one message per chunk each way.
-  Thousands of tiny components cost a few dozen queue round-trips; a
-  handful of coarse ones still travel one by one.  The worker that takes
-  a chunk owns its tasks, so stealing happens between chunks.
+  components at the tail) and the pool moves one message per chunk each
+  way.  Thousands of tiny components cost a few dozen queue round-trips
+  and, on the search path, a few dozen search-loop entries; a handful of
+  coarse ones still travel one by one.  The worker that takes a chunk
+  owns its components, so stealing happens between chunks.
 
 **Deadline accounting is post-hoc bookkeeping, not completion order.**
 When ``deadline_seconds`` is set, the components that count are decided
@@ -56,14 +67,22 @@ part — it reports what actually happened on the machine.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.inference.scheduling import ParallelOutcome, _list_schedule_makespan
 from repro.mrf.graph import MRF
 from repro.obs.tracer import NullTracer
+from repro.parallel.buffers import ResultBufferSet
+from repro.parallel.merge import WalkSATColumns
 from repro.parallel.pool import (
+    ChunkContext,
     ComponentOutcome,
     ComponentTask,
+    SHIPPED_PICKLE,
+    SHIPPED_SHM,
+    SearchChunk,
     WorkerPool,
     execute_component_task,
 )
@@ -187,6 +206,225 @@ def deadline_cutoff(
     return None
 
 
+class _Dispatch:
+    """The bookkeeping one scheduled run shares across both entry points.
+
+    Dispatch order, the per-position simulated costs, per-worker
+    attribution, the stealing loop, the post-hoc deadline rule and the
+    outcome record are the same whether the run ships
+    :class:`ComponentTask` lists (:func:`run_component_tasks`) or
+    component-search chunks (:func:`run_component_search`).
+    """
+
+    def __init__(
+        self,
+        components: Sequence[MRF],
+        backend: str,
+        workers: int,
+        deadline: Optional[float],
+        pool: Optional[WorkerPool],
+        request_id: int,
+        tracer,
+    ) -> None:
+        if workers <= 0:
+            raise ValueError("workers must be positive")
+        if backend not in ("serial", "processes"):
+            raise ValueError(
+                f"unknown scheduler backend {backend!r}; expected 'serial' or 'processes'"
+            )
+        if backend == "processes":
+            if pool is not None and not pool.matches(components):
+                raise ValueError(
+                    "the provided worker pool was forked over different components"
+                )
+        else:
+            pool = None
+        self.components = components
+        self.backend = backend
+        self.workers = workers
+        self.deadline = deadline
+        self.pool = pool
+        self.owns_pool = False
+        self.request_id = request_id
+        self.tracer = tracer if tracer is not None else NullTracer()
+        self.traced = self.tracer.enabled
+        self.order, self.position_of = (
+            pool.memo(("dispatch-order",), lambda: _order_and_positions(components))
+            if pool is not None
+            else _order_and_positions(components)
+        )
+        self.costs: List[Optional[float]] = [None] * len(self.order)
+        self.worker_counts: Dict[int, int] = {}
+        #: component index -> worker id, where attribution is known
+        self.worker_of: Dict[int, int] = {}
+        #: component index -> (wall start, wall end) for serial-loop tasks
+        self.task_walls: List[Optional[Tuple[float, float]]] = [None] * len(components)
+        #: component index -> {"worker", "channel"?, "events"} phase records
+        self.task_events: Dict[int, dict] = {}
+        #: [first drain start, last drain end] on the processes backend
+        self.ship_window: List[Optional[float]] = [None, None]
+        self.executed = 0
+        self.chunks_sent = 0
+        self.shipping: Tuple[int, int, int] = (0, 0, 0)
+        self.stopwatch = Stopwatch()
+
+    def start_pool(self) -> WorkerPool:
+        """The lent pool, or an ephemeral one this run shuts down."""
+        if self.pool is None:
+            self.pool = WorkerPool(self.components, self.workers)
+            self.owns_pool = True
+        return self.pool
+
+    def record(self, worker_id: int, finished, attributed: bool = True) -> None:
+        """Note finished ``(index, simulated seconds)`` pairs of one worker."""
+        count = 0
+        for index, cost in finished:
+            self.costs[self.position_of[index]] = cost
+            self.worker_of[index] = worker_id
+            count += 1
+        self.executed += count
+        if attributed:
+            self.worker_counts[worker_id] = self.worker_counts.get(worker_id, 0) + count
+
+    def steal(self, chunks: Sequence[Tuple[int, int]], window: int, submit, drain) -> None:
+        """The stealing loop on the forked pool.
+
+        The pool's task queue *is* the shared cursor: chunks of the
+        largest-first order enter it in order and whichever worker frees
+        up first takes the head.  ``submit(indices)`` queues one chunk;
+        ``drain()`` blocks for one of this request's completion messages
+        and returns ``(worker id, finished (index, simulated seconds)
+        pairs)``.  At most ``window`` positions are in flight past the
+        completed ones, and nothing past a provable deadline cutoff is
+        submitted.
+
+        Under concurrent admission the same queue multiplexes several
+        requests' streams — this loop submits only its own request's
+        chunks and drains only its own completions (the pool parks other
+        requests' messages for their draining threads), so the
+        per-request cursor, window and deadline accounting are untouched
+        by interleaving.
+        """
+        order = self.order
+        sent = 0
+        submitted = 0
+        completed = 0
+        while True:
+            cutoff = deadline_cutoff(self.costs, self.deadline)
+            limit = len(order) if cutoff is None else min(cutoff, len(order))
+            while (
+                sent < len(chunks)
+                and chunks[sent][1] <= limit
+                and chunks[sent][1] - completed <= window
+            ):
+                start, submitted = chunks[sent]
+                submit(order[start:submitted])
+                sent += 1
+            if completed >= submitted:
+                break
+            drain_start = wall_now() if self.traced else 0.0
+            worker_id, finished = drain()
+            if self.traced:
+                if self.ship_window[0] is None:
+                    self.ship_window[0] = drain_start
+                self.ship_window[1] = wall_now()
+            finished = list(finished)
+            completed += len(finished)
+            self.record(worker_id, finished)
+        self.chunks_sent = sent
+
+    def counted(self) -> List[int]:
+        """The counted prefix of the dispatch order (the post-hoc rule)."""
+        counted: List[int] = []
+        spent = 0.0
+        deadline = self.deadline
+        for position, index in enumerate(self.order):
+            if deadline is not None and spent >= deadline:
+                break
+            cost = self.costs[position]
+            if cost is None:
+                raise RuntimeError(
+                    "internal scheduler error: counted dispatch position "
+                    f"{position} (component {index}) never executed"
+                )
+            counted.append(index)
+            spent += cost
+        return counted
+
+    def release_pool(self) -> None:
+        """Close out the request on the pool (runs in a ``finally``).
+
+        Pulls the workers' task-path span records before
+        ``finish_request`` wipes the request's stash, then collects the
+        shipping counters attributable to exactly this request and frees
+        its result bank for the next one.
+        """
+        pool = self.pool
+        if self.backend == "processes" and pool is not None:
+            if self.traced:
+                self.task_events.update(pool.take_task_events(self.request_id))
+            self.shipping = pool.finish_request(self.request_id)
+        if pool is not None and self.owns_pool:
+            pool.shutdown()
+
+    def outcome(
+        self,
+        results,
+        durations: Sequence[float],
+        counted: List[int],
+        skipped: List[int],
+        discarded_indices: set,
+        metrics,
+    ) -> ScheduledOutcome:
+        """Emit the run's spans and metrics and build its record."""
+        shm_shipped, pickle_shipped, shm_bytes = self.shipping
+        if self.traced:
+            _emit_task_spans(
+                self.tracer,
+                self.order,
+                self.task_walls,
+                self.task_events,
+                self.worker_of,
+                self.costs,
+                discarded_indices,
+                self.ship_window,
+                self.backend,
+                shm_shipped,
+                pickle_shipped,
+                shm_bytes,
+            )
+        participating = len(self.worker_counts)
+        steals = max(0, self.executed - participating) if participating else 0
+        wall_seconds = self.stopwatch.total
+        if metrics is not None:
+            metrics.increment("scheduler.tasks_executed", self.executed)
+            metrics.increment("scheduler.tasks_discarded", len(discarded_indices))
+            metrics.increment("scheduler.tasks_skipped", len(skipped))
+            metrics.increment("scheduler.steals", steals)
+            metrics.increment("scheduler.chunks_dispatched", self.chunks_sent)
+            metrics.observe("scheduler.dispatch_wall_seconds", wall_seconds)
+        return ScheduledOutcome(
+            results=results,
+            wall_seconds=wall_seconds,
+            sequential_simulated_seconds=functools.reduce(operator.add, durations, 0.0),
+            parallel_simulated_seconds=_list_schedule_makespan(durations, self.workers),
+            dispatch_order=counted,
+            skipped=sorted(skipped),
+            executed=self.executed,
+            discarded=len(discarded_indices),
+            steals=steals,
+            worker_task_counts=self.worker_counts,
+            shm_shipped=shm_shipped,
+            pickle_shipped=pickle_shipped,
+            shm_bytes=shm_bytes,
+        )
+
+
+def _order_and_positions(components: Sequence[MRF]) -> Tuple[List[int], Dict[int, int]]:
+    order = dispatch_order(components)
+    return order, {index: position for position, index in enumerate(order)}
+
+
 def run_component_tasks(
     components: Sequence[MRF],
     tasks: Sequence[ComponentTask],
@@ -244,171 +482,266 @@ def run_component_tasks(
     """
     if len(tasks) != len(components):
         raise ValueError("one task per component is required")
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    if backend not in ("serial", "processes"):
-        raise ValueError(
-            f"unknown scheduler backend {backend!r}; expected 'serial' or 'processes'"
-        )
+    run = _Dispatch(
+        components, backend, workers, deadline_seconds, pool, request_id, tracer
+    )
     if backend == "processes":
         local_states = None
-        if pool is not None and not pool.matches(components):
-            raise ValueError(
-                "the provided worker pool was forked over different components"
-            )
-    else:
-        pool = None
-        if callable(local_states):
-            local_states = local_states()
-    if tracer is None:
-        tracer = NullTracer()
-    traced = tracer.enabled
+    elif callable(local_states):
+        local_states = local_states()
+    traced = run.traced
     for task in tasks:
         task.request_id = request_id
         task.trace_events = traced
-    order = dispatch_order(components)
-    position_of = {index: position for position, index in enumerate(order)}
+    order = run.order
     slots: List[Optional[ComponentOutcome]] = [None] * len(tasks)
-    costs: List[Optional[float]] = [None] * len(order)
-    worker_counts: Dict[int, int] = {}
-    #: component index -> (wall start, wall end) for serial-loop tasks
-    task_walls: List[Optional[Tuple[float, float]]] = [None] * len(tasks)
-    #: component index -> worker id, where attribution is known
-    worker_of: Dict[int, int] = {}
-    #: [first drain start, last drain end] on the processes backend
-    ship_window: List[Optional[float]] = [None, None]
-    task_event_map: Dict[int, dict] = {}
-    executed = 0
-    stopwatch = Stopwatch()
-
-    owns_pool = False
-    shm_shipped = pickle_shipped = shm_bytes = 0
-    chunks_sent = 0
-
-    def run_local(index: int) -> ComponentOutcome:
-        state = local_states[index] if local_states is not None else None
-        return execute_component_task(tasks[index], components[index], state)
-
-    if traced:
-        inner_run_local = run_local
-
-        def run_local(index: int) -> ComponentOutcome:
-            start = wall_now()
-            outcome = inner_run_local(index)
-            task_walls[index] = (start, wall_now())
-            return outcome
-
-    def record(outcome: ComponentOutcome) -> None:
-        slots[outcome.index] = outcome
-        costs[position_of[outcome.index]] = outcome.simulated_seconds
 
     try:
-        with stopwatch.measure():
+        with run.stopwatch.measure():
             if backend == "serial":
                 # The executable specification: strictly sequential in
                 # dispatch order, stopping exactly at the deadline rule.
                 spent = 0.0
-                for position, index in enumerate(order):
+                for index in order:
                     if deadline_seconds is not None and spent >= deadline_seconds:
                         break
-                    outcome = run_local(index)
-                    executed += 1
-                    record(outcome)
-                    worker_of[index] = 0
+                    start = wall_now() if traced else 0.0
+                    state = local_states[index] if local_states is not None else None
+                    outcome = execute_component_task(
+                        tasks[index], components[index], state
+                    )
+                    if traced:
+                        run.task_walls[index] = (start, wall_now())
+                    slots[index] = outcome
+                    run.record(0, [(index, outcome.simulated_seconds)], attributed=False)
                     spent += outcome.simulated_seconds
             else:
-                if pool is None:
-                    pool = WorkerPool(components, workers)
-                    owns_pool = True
-                executed, chunks_sent = _run_processes_steal(
-                    order, tasks, components, pool, workers, deadline_seconds,
-                    costs, slots, position_of, worker_counts, request_id,
-                    worker_of=worker_of,
-                    ship_window=ship_window if traced else None,
+                pool = run.start_pool()
+                if deadline_seconds is None:
+                    chunks = chunk_boundaries(
+                        [task_work(tasks[index], components[index]) for index in order],
+                        workers,
+                    )
+                    window = len(order)
+                else:
+                    chunks = _single_chunks(len(order))
+                    window = max(workers, 1)
+
+                def drain():
+                    outcome, worker_id = pool.next_outcome(request_id)
+                    slots[outcome.index] = outcome
+                    return worker_id, [(outcome.index, outcome.simulated_seconds)]
+
+                run.steal(
+                    chunks,
+                    window,
+                    lambda indices: pool.submit_chunk([tasks[i] for i in indices]),
+                    drain,
                 )
-
-            # Post-hoc bookkeeping: the counted prefix of the dispatch
-            # order, by the deterministic rule (module docstring).
-            counted: List[int] = []
-            spent = 0.0
-            for position, index in enumerate(order):
-                if deadline_seconds is not None and spent >= deadline_seconds:
-                    break
-                cost = costs[position]
-                if cost is None:
-                    raise RuntimeError(
-                        "internal scheduler error: counted dispatch position "
-                        f"{position} (component {index}) never executed"
-                    )
-                counted.append(index)
-                spent += cost
-
-            skipped: List[int] = []
-            discarded = 0
-            discarded_indices: set = set()
-            for index in order[len(counted):]:
-                if slots[index] is not None:
-                    discarded += 1
-                    discarded_indices.add(index)
-                skipped.append(index)
-                if placeholder is None:
-                    raise RuntimeError(
-                        "deadline skipped components but no placeholder was provided"
-                    )
+            counted = run.counted()
+            skipped = order[len(counted):]
+            discarded = {index for index in skipped if slots[index] is not None}
+            if skipped and placeholder is None:
+                raise RuntimeError(
+                    "deadline skipped components but no placeholder was provided"
+                )
+            for index in skipped:
                 slots[index] = placeholder(index)
     finally:
-        if backend == "processes" and pool is not None:
-            # Pull the workers' span records before finish_request wipes
-            # the request's stash, then close out the admission: collect
-            # the shipping counters attributable to exactly this request
-            # and free its result bank for the next one.
-            if traced:
-                task_event_map = pool.take_task_events(request_id)
-            shm_shipped, pickle_shipped, shm_bytes = pool.finish_request(request_id)
-        if pool is not None and owns_pool:
-            pool.shutdown()
+        run.release_pool()
 
-    if traced:
-        _emit_task_spans(
-            tracer,
-            order,
-            task_walls,
-            task_event_map,
-            worker_of,
-            costs,
-            discarded_indices,
-            ship_window,
-            backend,
-            shm_shipped,
-            pickle_shipped,
-            shm_bytes,
-        )
-
-    durations = [slot.simulated_seconds for slot in slots]
-    participating = len(worker_counts)
-    steals = max(0, executed - participating) if participating else 0
-    if metrics is not None:
-        metrics.increment("scheduler.tasks_executed", executed)
-        metrics.increment("scheduler.tasks_discarded", discarded)
-        metrics.increment("scheduler.tasks_skipped", len(skipped))
-        metrics.increment("scheduler.steals", steals)
-        metrics.increment("scheduler.chunks_dispatched", chunks_sent)
-        metrics.observe("scheduler.dispatch_wall_seconds", stopwatch.total)
-    return ScheduledOutcome(
-        results=[slot.result for slot in slots],
-        wall_seconds=stopwatch.total,
-        sequential_simulated_seconds=sum(durations),
-        parallel_simulated_seconds=_list_schedule_makespan(durations, workers),
-        dispatch_order=counted,
-        skipped=sorted(skipped),
-        executed=executed,
-        discarded=discarded,
-        steals=steals,
-        worker_task_counts=worker_counts,
-        shm_shipped=shm_shipped,
-        pickle_shipped=pickle_shipped,
-        shm_bytes=shm_bytes,
+    return run.outcome(
+        [slot.result for slot in slots],
+        [slot.simulated_seconds for slot in slots],
+        counted,
+        skipped,
+        discarded,
+        metrics,
     )
+
+
+def run_component_search(
+    components: Sequence[MRF],
+    request,
+    backend: str,
+    workers: int = 1,
+    deadline_seconds: Optional[float] = None,
+    local_states=None,
+    placeholder: Optional[Callable[[int], ComponentOutcome]] = None,
+    pool: Optional[WorkerPool] = None,
+    request_id: int = 0,
+    tracer=None,
+    metrics=None,
+) -> ScheduledOutcome:
+    """Run a component-search request; its results come back as columns.
+
+    ``request`` is a
+    :class:`~repro.inference.component_walksat.ComponentSearchRequest`
+    — the whole request described once.  Dispatch order, chunk
+    boundaries, the deadline rule and telemetry are those of
+    :func:`run_component_tasks`; what differs is what travels and what
+    comes back.  A chunk message is the request plus the chunk's
+    component indices, run by the request's one search loop
+    (:meth:`~repro.inference.component_walksat.ComponentSearchRequest.run_chunk`)
+    — in a worker on the ``processes`` backend, in this thread against
+    a private copy of the result regions on ``serial``.  After the last
+    chunk the parent reads every region at once
+    (:meth:`~repro.parallel.buffers.ResultBufferSet.read_walksat_columns`);
+    the outcome's ``results`` is that :class:`WalkSATColumns`, in
+    component order.  Results that did not fit their region, and the
+    ``placeholder(index)`` outcomes of components a deadline skipped,
+    are folded in through :meth:`WalkSATColumns.from_results`.
+
+    On the processes backend, the dispatch order, the chunk cuts and
+    (through the request) the flip allocation are cached with the pool.
+    """
+    run = _Dispatch(
+        components, backend, workers, deadline_seconds, pool, request_id, tracer
+    )
+    if backend == "processes":
+        local_states = None
+    elif callable(local_states):
+        local_states = local_states()
+    traced = run.traced
+    order = run.order
+    fallbacks: Dict[int, ComponentOutcome] = {}
+    buffers: Optional[ResultBufferSet] = None
+
+    def note_events(worker_id: int, indices, events, channel: Optional[str]) -> None:
+        for index, phases in zip(indices, events):
+            info = {"worker": worker_id, "events": phases}
+            if channel is not None:
+                info["channel"] = SHIPPED_PICKLE if index in fallbacks else channel
+            run.task_events[index] = info
+
+    try:
+        with run.stopwatch.measure():
+            if backend == "serial":
+                # Strictly sequential in dispatch order, stopping exactly
+                # at the deadline rule — the same search loop as a worker.
+                buffers = ResultBufferSet.pack(components, shared=False)
+                context = ChunkContext(components, buffers, local_states=local_states)
+                spent = 0.0
+                if deadline_seconds is None:
+                    chunks = [(0, len(order))]
+                else:
+                    chunks = _single_chunks(len(order))
+                for start, stop in chunks:
+                    if deadline_seconds is not None and spent >= deadline_seconds:
+                        break
+                    indices = order[start:stop]
+                    costs, returned, _nbytes, events = request.run_chunk(
+                        indices, context, 0, traced
+                    )
+                    fallbacks.update(returned)
+                    run.record(0, zip(indices, costs), attributed=False)
+                    if events is not None:
+                        note_events(0, indices, events, None)
+                    spent = functools.reduce(operator.add, costs, spent)
+                bank = 0
+            else:
+                pool = run.start_pool()
+                buffers = pool.result_buffers
+                if deadline_seconds is None:
+                    chunks = pool.memo(
+                        ("search-chunks", request.budget, workers),
+                        lambda: _search_chunks(components, request, order, workers),
+                    )
+                    window = len(order)
+                else:
+                    chunks = _single_chunks(len(order))
+                    window = max(workers, 1)
+
+                def drain():
+                    worker_id, indices, costs, returned, events = pool.next_chunk(
+                        request_id
+                    )
+                    fallbacks.update(returned)
+                    if events is not None:
+                        note_events(worker_id, indices, events, SHIPPED_SHM)
+                    return worker_id, zip(indices, costs)
+
+                run.steal(
+                    chunks,
+                    window,
+                    lambda indices: pool.submit_search_chunk(
+                        SearchChunk(request_id, list(indices), request, traced=traced)
+                    ),
+                    drain,
+                )
+                bank = pool.bank_of(request_id)
+            counted = run.counted()
+            skipped = order[len(counted):]
+            discarded = {
+                index for index in skipped if run.costs[run.position_of[index]] is not None
+            }
+            if skipped and placeholder is None:
+                raise RuntimeError(
+                    "deadline skipped components but no placeholder was provided"
+                )
+            overrides = {index: placeholder(index) for index in skipped}
+            for index, outcome in fallbacks.items():
+                overrides.setdefault(index, outcome)
+            # The bulk read: before release_pool hands the bank to the
+            # next request.
+            columns = _read_columns(components, buffers, bank, overrides)
+    finally:
+        run.release_pool()
+        if backend == "serial" and buffers is not None:
+            buffers.destroy()
+
+    costs = run.costs
+    position_of = run.position_of
+    durations = [
+        overrides[index].simulated_seconds
+        if index in overrides
+        else costs[position_of[index]]
+        for index in range(len(components))
+    ]
+    return run.outcome(columns, durations, counted, skipped, discarded, metrics)
+
+
+def _single_chunks(count: int) -> List[Tuple[int, int]]:
+    """One chunk per dispatch position (deadline runs)."""
+    return [(position, position + 1) for position in range(count)]
+
+
+def _search_chunks(
+    components: Sequence[MRF], request, order: Sequence[int], workers: int
+) -> List[Tuple[int, int]]:
+    """Chunk cuts of a search request: :func:`task_work` without tasks."""
+    allocation = request.allocation
+    return chunk_boundaries(
+        [components[index].size() * max(allocation[index], 1) for index in order],
+        workers,
+    )
+
+
+def _read_columns(
+    components: Sequence[MRF],
+    buffers: ResultBufferSet,
+    bank: int,
+    overrides: Dict[int, ComponentOutcome],
+) -> WalkSATColumns:
+    """Every component's result, in component order.
+
+    One bulk read when every result sits in its region; otherwise the
+    per-component objects (region reads, ``overrides`` for fallbacks and
+    placeholders) folded into columns.
+    """
+    if bank >= 0 and not overrides:
+        return buffers.read_walksat_columns(bank)
+    results = []
+    for index, component in enumerate(components):
+        outcome = overrides.get(index)
+        if outcome is None:
+            result, _seconds = buffers.read_outcome(
+                index, component.atom_ids, f"component-{index}", bank=bank
+            )
+        else:
+            result = outcome.result
+        results.append(result)
+    return WalkSATColumns.from_results(results)
 
 
 def _emit_task_spans(
@@ -448,7 +781,7 @@ def _emit_task_spans(
         worker = worker_of.get(index, info["worker"] if info else None)
         if worker is not None:
             attributes["worker"] = worker
-        if info is not None:
+        if info is not None and "channel" in info:
             attributes["channel"] = info["channel"]
         cost = costs[position]
         if cost is not None:
@@ -481,75 +814,3 @@ def _emit_task_spans(
         pickle=pickle_shipped,
         shm_bytes=shm_bytes,
     )
-
-
-def _run_processes_steal(
-    order: Sequence[int],
-    tasks: Sequence[ComponentTask],
-    components: Sequence[MRF],
-    pool: WorkerPool,
-    workers: int,
-    deadline: Optional[float],
-    costs: List[Optional[float]],
-    slots: List[Optional[ComponentOutcome]],
-    position_of: Dict[int, int],
-    worker_counts: Dict[int, int],
-    request_id: int = 0,
-    worker_of: Optional[Dict[int, int]] = None,
-    ship_window: Optional[List[Optional[float]]] = None,
-) -> Tuple[int, int]:
-    """The stealing loop on the forked pool: ``(tasks completed, chunks sent)``.
-
-    The pool's task queue *is* the shared cursor: chunks of the
-    largest-first order enter it in order and whichever worker frees up
-    first takes the head.  Without a deadline the order is cut by
-    :func:`chunk_boundaries` and every chunk is submitted up-front
-    (maximum stealing, zero parent involvement until completions); with
-    one, every chunk is a single task and the in-flight window is capped
-    at ``workers``, so no more than ``workers - 1`` tasks can ever run
-    past the provable cutoff.
-
-    Under concurrent admission the same queue multiplexes several
-    requests' streams — this loop submits only its own request's chunks
-    and drains only its own completions (:meth:`WorkerPool.next_outcome`
-    parks other requests' tokens for their draining threads), so the
-    per-request cursor, window and deadline accounting are untouched by
-    interleaving.
-    """
-    if deadline is None:
-        chunks = chunk_boundaries(
-            [task_work(tasks[index], components[index]) for index in order], workers
-        )
-        window = len(order)
-    else:
-        chunks = [(position, position + 1) for position in range(len(order))]
-        window = max(workers, 1)
-    sent = 0
-    submitted = 0
-    completed = 0
-    while True:
-        cutoff = deadline_cutoff(costs, deadline)
-        limit = len(order) if cutoff is None else min(cutoff, len(order))
-        while (
-            sent < len(chunks)
-            and chunks[sent][1] <= limit
-            and chunks[sent][1] - completed <= window
-        ):
-            start, submitted = chunks[sent]
-            pool.submit_chunk([tasks[index] for index in order[start:submitted]])
-            sent += 1
-        if completed >= submitted:
-            break
-        drain_start = wall_now() if ship_window is not None else 0.0
-        outcome, worker_id = pool.next_outcome(request_id)
-        if ship_window is not None:
-            if ship_window[0] is None:
-                ship_window[0] = drain_start
-            ship_window[1] = wall_now()
-        completed += 1
-        slots[outcome.index] = outcome
-        costs[position_of[outcome.index]] = outcome.simulated_seconds
-        worker_counts[worker_id] = worker_counts.get(worker_id, 0) + 1
-        if worker_of is not None:
-            worker_of[outcome.index] = worker_id
-    return completed, sent

@@ -9,6 +9,8 @@ Decreasing, and so do we.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
@@ -80,4 +82,4 @@ def packing_quality(bins: Sequence[Bin]) -> Tuple[int, float]:
     if not bins:
         return 0, 0.0
     fills = [bin_.used / bin_.capacity for bin_ in bins if bin_.capacity > 0]
-    return len(bins), sum(fills) / len(fills) if fills else 0.0
+    return len(bins), functools.reduce(operator.add, fills, 0.0) / len(fills) if fills else 0.0

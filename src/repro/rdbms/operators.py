@@ -26,6 +26,8 @@ the optimizer picks among them subject to the lesion knobs.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -579,7 +581,9 @@ class Limit(PhysicalOperator):
 
 _AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
     "count": lambda values: len(values),
-    "sum": lambda values: sum(values),
+    # A left fold, like every float sum of the core (builtin sum()
+    # compensates float rounding since Python 3.12).
+    "sum": lambda values: functools.reduce(operator.add, values, 0),
     "min": lambda values: min(values) if values else None,
     "max": lambda values: max(values) if values else None,
     "collect": lambda values: tuple(values),

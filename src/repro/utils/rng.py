@@ -70,6 +70,21 @@ class RandomSource:
         """Draw from a normal distribution."""
         return self._random.gauss(mean, stddev)
 
+    def reseed(self, seed: int) -> None:
+        """Restart this source on the stream ``RandomSource(seed)`` draws.
+
+        ``Random.seed(s)`` leaves a generator in exactly the state
+        ``Random(s)`` starts in, so a loop over many short searches can
+        reuse one generator (and every method bound to it) instead of
+        building one per search.
+        """
+        self.seed = seed
+        self._random.seed(seed)
+
+    def child_seed(self, salt: int) -> int:
+        """The seed of :meth:`spawn`'s child stream, without building it."""
+        return child_seed(self.seed, salt)
+
     def spawn(self, salt: int) -> "RandomSource":
         """Derive an independent child stream from this source.
 
@@ -77,11 +92,16 @@ class RandomSource:
         which is how the parallel component search gives each worker its own
         reproducible randomness.
         """
-        base = self.seed if self.seed is not None else 0
-        return RandomSource((base * 1_000_003 + salt) & 0x7FFFFFFF)
+        return RandomSource(self.child_seed(salt))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomSource(seed={self.seed!r})"
+
+
+def child_seed(seed: Optional[int], salt: int) -> int:
+    """The seed of the child stream ``RandomSource(seed).spawn(salt)``."""
+    base = seed if seed is not None else 0
+    return (base * 1_000_003 + salt) & 0x7FFFFFFF
 
 
 def spawn_rng(seed: Optional[int], salt: int = 0) -> RandomSource:

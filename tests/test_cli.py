@@ -115,6 +115,33 @@ class TestBadInput:
         assert err == f"repro-tuffy: error: {message}\n"
 
     @pytest.mark.parametrize(
+        "dataset, flags, message",
+        (
+            (
+                "IE",
+                ["--tracing", "off", "--trace-out", "unused-trace.json"],
+                "trace_out needs tracing 'auto' or 'on'",
+            ),
+            (
+                "ER",
+                ["--no-partitioning", "--memory-budget-kb", "2"],
+                "memory_budget_bytes needs use_partitioning",
+            ),
+        ),
+    )
+    def test_ignored_flag_combination_rejected(self, dataset, flags, message, capsys):
+        output = io.StringIO()
+        status = main(
+            ["dataset", dataset, "--scale", "0.1", "--max-flips", "200", *flags],
+            stream=output,
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-tuffy: error: {message}")
+        assert err.count("\n") == 1
+        assert "# atoms inferred true" not in output.getvalue()
+
+    @pytest.mark.parametrize(
         "flags, message",
         (
             (["--max-flips", "0"], "max_flips must be positive"),
@@ -447,11 +474,10 @@ class TestObservabilityFlags:
         assert metrics["counters"]["session.requests"] == 1.0
         assert "io.page_reads" in metrics["gauges"]
 
-    def test_tracing_flag_validated_and_off_writes_empty_trace(
-        self, program_files, tmp_path
+    def test_tracing_off_with_trace_out_is_rejected(
+        self, program_files, tmp_path, capsys
     ):
-        import json
-
+        # It used to print "# trace written" over a file of zero events.
         program, evidence = program_files
         trace_path = tmp_path / "trace.json"
         output = io.StringIO()
@@ -462,8 +488,12 @@ class TestObservabilityFlags:
             ],
             stream=output,
         )
-        assert status == 0
-        assert json.loads(trace_path.read_text())["traceEvents"] == []
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-tuffy: error: trace_out needs tracing")
+        assert err.count("\n") == 1
+        assert not trace_path.exists()
+        assert output.getvalue() == ""
 
     def test_concurrent_summary_prints_metrics_table(self):
         output = io.StringIO()

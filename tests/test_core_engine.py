@@ -194,6 +194,36 @@ class TestTuffyEngine:
         with pytest.raises(ConfigurationError, match=field):
             InferenceConfig(**{field: value}, memory_budget_bytes=1000)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        (
+            (dict(tracing="off", trace_out="trace.json"), "trace_out needs tracing"),
+            (
+                dict(use_partitioning=False, memory_budget_bytes=2048),
+                "memory_budget_bytes needs use_partitioning",
+            ),
+        ),
+    )
+    def test_ignored_setting_combination_rejected(self, overrides, message):
+        """Each combination used to run while silently ignoring one setting."""
+        from repro.core.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=message):
+            InferenceConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        (
+            dict(tracing="auto", trace_out="trace.json"),
+            dict(tracing="on", trace_out="trace.json"),
+            dict(tracing="off"),
+            dict(use_partitioning=True, memory_budget_bytes=2048),
+            dict(use_partitioning=False),
+        ),
+    )
+    def test_neighbouring_combinations_stay_legal(self, overrides):
+        InferenceConfig(**overrides)
+
     def test_zero_deadline_and_burn_in_are_legal(self):
         config = InferenceConfig(deadline_seconds=0, mcsat_burn_in=0)
         assert config.deadline_seconds == 0 and config.mcsat_burn_in == 0

@@ -1,12 +1,15 @@
 """Tests for the incremental WalkSAT search state."""
 
+import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.grounding.clause_table import GroundClauseStore
 from repro.inference.state import SearchState
+from repro.inference.vector_kernel import VectorSearchState
 from repro.mrf.cost import assignment_cost
 from repro.mrf.graph import MRF
 from repro.utils.rng import RandomSource
@@ -133,3 +136,27 @@ class TestSearchStateInvariants:
                 if state._is_violated(index)
             )
             assert state.violated_count() == expected_violated
+
+
+class TestLeftFoldCosts:
+    """Costs add left to right in clause order on every kernel.
+
+    Builtin ``sum()`` compensates float rounding since Python 3.12, so a
+    kernel summing with it would report ``1e16 + 2`` here while the
+    flat kernel's loop reports ``1e16``.
+    """
+
+    def test_flat_and_vectorized_costs_equal_the_left_fold(self):
+        store = GroundClauseStore()
+        for atom, weight in ((1, 1e16), (2, 1.0), (3, 1.0)):
+            store.add((atom,), weight)
+        mrf = MRF.from_store(store)
+        fold = functools.reduce(operator.add, [1e16, 1.0, 1.0], 0.0)
+        flat = SearchState(mrf)
+        vectorized = VectorSearchState(mrf)
+        assert flat.violated_count() == vectorized.violated_count() == 3
+        assert flat.cost == vectorized.cost == fold == 1e16
+        flat.reset()
+        vectorized.reset()
+        assert flat.cost == vectorized.cost == fold
+        assert mrf.total_soft_weight() == fold

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.rng import RandomSource, round_robin, spawn_rng
+from repro.utils.rng import RandomSource, child_seed, round_robin, spawn_rng
 
 
 class TestRandomSource:
@@ -72,6 +72,31 @@ class TestSpawnRng:
     def test_spawn_rng_none_seed(self):
         rng = spawn_rng(None)
         assert 0.0 <= rng.random() < 1.0
+
+
+class TestChildSeed:
+    @given(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=2**40)),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_child_seed_is_the_spawned_seed_and_stream(self, seed, salt):
+        parent = RandomSource(seed)
+        child = parent.spawn(salt)
+        assert parent.child_seed(salt) == child_seed(seed, salt) == child.seed
+        derived = RandomSource(parent.child_seed(salt))
+        assert [derived.random() for _ in range(5)] == [child.random() for _ in range(5)]
+
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=2**31))
+    def test_reseed_restarts_on_the_fresh_stream(self, first, second):
+        reused = RandomSource(first)
+        reused.random()
+        reused.gauss(0.0, 1.0)  # leaves a cached gauss variate behind
+        reused.reseed(second)
+        fresh = RandomSource(second)
+        assert reused.seed == second
+        assert [reused.random() for _ in range(5)] == [fresh.random() for _ in range(5)]
+        assert reused.gauss(0.0, 1.0) == fresh.gauss(0.0, 1.0)
+        assert reused.raw().getrandbits(40) == fresh.raw().getrandbits(40)
 
 
 class TestRoundRobin:
