@@ -11,6 +11,9 @@ do this) or parsed from Alchemy-style text (see
 * the evidence database, and
 * the set of query atoms — either listed explicitly or generated as the
   Cartesian product of the argument domains of each open-world predicate.
+  A constant that only a rule names belongs to its type's domain too (as
+  in Alchemy): the Cartesian product takes it after the evidence-derived
+  values, so it never moves an evidence-derived atom's id.
 
 The evidence database is held as columns (:class:`FactColumns`): parsed
 evidence text and ``add_evidence`` append each fact's predicate, truth
@@ -344,18 +347,40 @@ class MLNProgram:
                 queries.append(atom.predicate, atom.argument_values(), UNKNOWN)
             queries.register_into(registry)
         if generate_query_atoms == "cartesian":
+            rule_constants = self.rule_constants()
             for predicate in self.predicates.query_predicates():
-                self._register_cartesian_atoms(predicate, registry)
+                self._register_cartesian_atoms(predicate, registry, rule_constants)
         return registry
 
-    def _register_cartesian_atoms(self, predicate: Predicate, registry: AtomRegistry) -> None:
+    def rule_constants(self) -> Dict[str, List[str]]:
+        """Per type, the constants the clauses name in that type's argument positions.
+
+        In clause order, each once — a pure function of the rules.
+        """
+        constants: Dict[str, Dict[str, None]] = {}
+        for clause in self.clauses():
+            for literal in clause.literals:
+                for type_name, argument in zip(literal.predicate.arg_types, literal.arguments):
+                    if isinstance(argument, Constant):
+                        constants.setdefault(type_name, {})[argument.value] = None
+        return {type_name: list(values) for type_name, values in constants.items()}
+
+    def _register_cartesian_atoms(
+        self,
+        predicate: Predicate,
+        registry: AtomRegistry,
+        rule_constants: Dict[str, List[str]],
+    ) -> None:
         domains = []
         for type_name in predicate.arg_types:
-            if type_name not in self.domains or len(self.domains[type_name]) == 0:
+            values = self.domains[type_name].values() if type_name in self.domains else []
+            known = set(values)
+            values += [value for value in rule_constants.get(type_name, ()) if value not in known]
+            if not values:
                 # No constants of this type are known: the predicate has no
                 # possible groundings beyond those already registered.
                 return
-            domains.append(registry.encoder.encode_values(self.domains[type_name].values()))
+            domains.append(registry.encoder.encode_values(values))
         # Rows in ``itertools.product`` order: the last argument varies fastest.
         grids = np.meshgrid(*domains, indexing="ij") if domains else []
         rows = np.stack([grid.ravel() for grid in grids], axis=1) if grids else np.empty((1, 0))

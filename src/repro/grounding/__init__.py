@@ -15,8 +15,8 @@ Two grounders are provided:
   backend* (``auto | row | columnar``); on the columnar backend, query
   results stay as numpy columns end to end — per-literal evidence outcomes
   are evaluated over whole aid/truth columns at once and the surviving
-  signed-literal rows are bulk-appended through
-  :meth:`~repro.grounding.clause_table.GroundClauseStore.add_batch`.  Both
+  rows reach the clause store as one signed-literal matrix per clause,
+  through :meth:`~repro.grounding.clause_table.GroundClauseStore.add_matrix`.  Both
   backends produce bit-identical :class:`~repro.grounding.result.GroundingResult`s
   (``tests/test_grounding_columnar_parity.py``).
 * :class:`~repro.grounding.top_down.TopDownGrounder` — the Alchemy-style

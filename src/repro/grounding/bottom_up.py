@@ -10,25 +10,29 @@ Each clause's query runs on the executor's resolved *execution backend*
 (``auto`` | ``row`` | ``columnar``, see :mod:`repro.rdbms.executor`).  On
 the columnar backend the per-literal evidence-outcome logic
 (:func:`repro.grounding.pruning.literal_outcome`) is evaluated over whole
-aid/truth columns at once and the surviving signed-literal rows are bulk
-appended through :meth:`~repro.grounding.clause_table.GroundClauseStore.add_batch`
-to the store's columns — no per-row Python object between the relational
-engine's arrays and the clause table's arrays.  Both consumers are
-bit-for-bit identical: same clauses, same order, same statistics (the
-grounding parity suite enforces this).
+aid/truth columns at once and the surviving rows reach the store as one
+fixed ``(rows, literals)`` matrix of int64 signed atom ids, through
+:meth:`~repro.grounding.clause_table.GroundClauseStore.add_matrix` — no
+per-row Python object between the relational engine's arrays and the
+clause table's arrays.  Repeated literals and tautologies can only come
+from the literal pairs the compilation lists as able to ground to the
+same atom (:func:`~repro.grounding.compiler.same_atom_pairs`), so the
+store checks those pairs instead of canonicalising every row.  Both
+consumers are bit-for-bit identical: same clauses, same order, same
+statistics (the grounding parity suite enforces this).
 
 Delta-grounding
 ---------------
 With ``enable_replay_cache=True`` (the engine session's mode) the grounder
 records, per first-order clause, the exact sequence of clause-store events
-its query produced (every ``add`` literal tuple, every ``add_batch`` as
-one event holding its two arrays, and every satisfied-by-evidence count)
+its query produced (every ``add`` literal tuple, every ``add_matrix`` batch
+as one event holding its matrix, and every satisfied-by-evidence count)
 together with a snapshot of the per-predicate registry versions the clause
 depends on.  On a later ``ground()`` over the same registry, a clause
 whose predicates are all unchanged is **replayed** from that record
 instead of re-running its relational query; only clauses touching a
 changed predicate re-execute.  Replay issues the identical call sequence —
-a batch goes back through ``add_batch`` as a batch — so the resulting
+a matrix goes back through ``add_matrix`` as a matrix — so the resulting
 store is bit-for-bit identical to a full reground.
 ``last_report`` exposes the per-run counters (queries executed vs clauses
 replayed, atom tables loaded vs reused) that the session benchmark and the
@@ -154,8 +158,9 @@ class _ClauseReplay:
     """Cached outcome of one clause's grounding query.
 
     ``events`` is the ordered clause-store call sequence the query
-    produced: ``("add", literal_tuple)``, ``("add_batch", (flat_literals,
-    row_lengths))`` and ``("satisfied", count)`` entries, replayed
+    produced: ``("add", literal_tuple)``, ``("add_batch", (matrix,
+    repeat_pairs, tautology_pairs))`` — one :meth:`GroundClauseStore.add_matrix`
+    call — and ``("satisfied", count)`` entries, replayed
     verbatim so the store state is bit-identical to a re-executed query.
     Validity is pinned to the clause *object*, the registry identity, and
     the per-predicate version snapshot.
@@ -175,26 +180,52 @@ class _RecordingStore:
     """Forwards to a clause store while recording the event stream.
 
     Only the three mutating entry points the grounding consumers use are
-    wrapped.  A batch is recorded as one event holding private copies of
-    its arrays (the event outlives the call; the caller's arrays need
-    not), so a replay hands ``add_batch`` exactly what the query did.
+    wrapped.  A matrix is recorded by reference: the columnar consumer
+    builds a fresh one per query and the store never modifies what it is
+    given, so a replay hands ``add_matrix`` exactly what the query did.
     """
 
     def __init__(self, store: GroundClauseStore) -> None:
-        self._store = store
+        self.store = store
         self.events: List[Tuple[str, object]] = []
 
     def add(self, literals, weight, source=None):
         self.events.append(("add", tuple(literals)))
-        return self._store.add(literals, weight, source)
+        return self.store.add(literals, weight, source)
 
     def record_satisfied_by_evidence(self, count: int = 1) -> None:
         self.events.append(("satisfied", count))
-        self._store.record_satisfied_by_evidence(count)
+        self.store.record_satisfied_by_evidence(count)
 
-    def add_batch(self, flat_literals, counts, weight, source=None) -> int:
-        self.events.append(("add_batch", (np.array(flat_literals), np.array(counts))))
-        return self._store.add_batch(flat_literals, counts, weight, source)
+    def add_matrix(self, matrix, weight, source=None, repeat_pairs=None, tautology_pairs=None):
+        self.events.append(("add_batch", (matrix, repeat_pairs, tautology_pairs)))
+        return self.store.add_matrix(matrix, weight, source, repeat_pairs, tautology_pairs)
+
+
+def _store_counts(store: GroundClauseStore) -> Tuple[int, int, int]:
+    """The store counters a ``clause-ingest`` span reports the change of."""
+    return len(store), store.tautologies, store.repeated_literals
+
+
+def _ingest_attributes(
+    store: GroundClauseStore, before: Tuple[int, int, int], rows_in: int, produced: int
+) -> Dict[str, int]:
+    """What one clause's ingest did to the store, as span attributes.
+
+    ``rows_in`` query rows, of which ``produced`` stored or merged a
+    clause: ``rows_stored`` as new rows, ``rows_merged`` into an earlier
+    row; ``tautologies`` rows dropped as such, and ``repeats_dropped``
+    literals dropped as repeats of an earlier literal of their row.
+    """
+    rows, tautologies, repeats = _store_counts(store)
+    stored = rows - before[0]
+    return {
+        "rows_in": rows_in,
+        "rows_stored": stored,
+        "rows_merged": produced - stored,
+        "tautologies": tautologies - before[1],
+        "repeats_dropped": repeats - before[2],
+    }
 
 
 @dataclass
@@ -398,7 +429,7 @@ class BottomUpGrounder:
         """Re-issue a cached event stream against a fresh store.
 
         The store ends bit-identical to re-running the query: same ``add``
-        / ``add_batch`` calls in the same order with the same literals and
+        / ``add_matrix`` calls in the same order with the same literals and
         weights (identical floats, so duplicate-merge sums are unchanged),
         same satisfied-by-evidence count.  The cached statistics are what
         the query would report; only ``seconds`` reflects the (cheap)
@@ -408,14 +439,23 @@ class BottomUpGrounder:
         stopwatch = Stopwatch()
         with stopwatch.measure(), self.tracer.span(
             "clause-ingest", clause=name, replayed=True
-        ):
+        ) as span:
+            before = _store_counts(store)
             for kind, payload in cached.events:
                 if kind == "add":
                     store.add(payload, clause.weight, clause.name)
                 elif kind == "add_batch":
-                    store.add_batch(*payload, clause.weight, clause.name)
+                    matrix, repeat_pairs, tautology_pairs = payload
+                    store.add_matrix(
+                        matrix, clause.weight, clause.name, repeat_pairs, tautology_pairs
+                    )
                 else:
                     store.record_satisfied_by_evidence(payload)
+            span.annotate(
+                **_ingest_attributes(
+                    store, before, cached.produced + cached.pruned, cached.produced
+                )
+            )
         return ClauseGroundingStats(
             clause_name=name,
             ground_clauses=cached.produced,
@@ -460,8 +500,13 @@ class BottomUpGrounder:
                 consume = self._consume_rows
             # The relational query ends here; what follows is the clause
             # store's share of ``seconds``.
-            with ingest.measure(), self.tracer.span("clause-ingest", clause=name):
+            counted = store.store if isinstance(store, _RecordingStore) else store
+            with ingest.measure(), self.tracer.span("clause-ingest", clause=name) as span:
+                before = _store_counts(counted)
                 produced, pruned = consume(clause, compilation, result, store)
+                span.annotate(
+                    **_ingest_attributes(counted, before, produced + pruned, produced)
+                )
             intermediate = plan_intermediate_tuples(planned.root)
         return ClauseGroundingStats(
             clause_name=name,
@@ -529,9 +574,12 @@ class BottomUpGrounder:
     ) -> Tuple[int, int]:
         """Batched consumer: literal outcomes over whole aid/truth columns.
 
-        Bit-for-bit identical to :meth:`_consume_rows`: rows are consumed
-        in result order, per-row literals in literal order, and the store
-        sees the same ``add`` sequence (via ``add_batch``) and the same
+        Bit-for-bit identical to :meth:`_consume_rows`: the rows no literal
+        satisfies become one ``(rows, literals)`` matrix of signed atom ids
+        (``0`` where the evidence decided the literal), in result order and
+        literal order, handed to
+        :meth:`~repro.grounding.clause_table.GroundClauseStore.add_matrix`
+        with the clause's same-atom literal pairs; the store sees the same
         satisfied-by-evidence count.
         """
         row_count = len(result)
@@ -543,33 +591,38 @@ class BottomUpGrounder:
         # of every row with two comparisons per literal column.
         true_code = encoder.lookup(True)
         false_code = encoder.lookup(False)
+        truth_columns = [
+            result.column_codes(literal.truth_output) for literal in compilation.literals
+        ]
         satisfied = np.zeros(row_count, dtype=bool)
-        unknown_columns: List["np.ndarray"] = []
-        signed_columns: List["np.ndarray"] = []
-        for literal in compilation.literals:
-            truth_codes = result.column_codes(literal.truth_output)
-            positive = literal.literal.positive
-            satisfied |= truth_codes == (true_code if positive else false_code)
-            unknown_columns.append(truth_codes == NULL_CODE)
-            aids = np.asarray(
-                encoder.decode(result.column_codes(literal.aid_output)),
-                dtype=np.int64,
-            )
-            signed_columns.append(aids if positive else -aids)
+        for literal, truth_codes in zip(compilation.literals, truth_columns):
+            satisfied |= truth_codes == (true_code if literal.literal.positive else false_code)
         satisfied_count = int(satisfied.sum())
         if satisfied_count:
             store.record_satisfied_by_evidence(satisfied_count)
         if satisfied_count == row_count:
             return 0, satisfied_count
-        alive = ~satisfied
-        # (row, literal) matrices; row-major flattening preserves the
-        # row-order/literal-order nesting of the row consumer.
-        keep = np.stack(unknown_columns, axis=1)[alive]
-        signed = np.stack(signed_columns, axis=1)[alive]
-        produced = store.add_batch(
-            signed[keep],
-            keep.sum(axis=1),
+        alive = None if satisfied_count == 0 else ~satisfied
+        matrix = np.empty(
+            (row_count - satisfied_count, len(truth_columns)), dtype=np.int64, order="F"
+        )
+        for position, (literal, truth_codes) in enumerate(
+            zip(compilation.literals, truth_columns)
+        ):
+            aid_codes = result.column_codes(literal.aid_output)
+            if alive is not None:
+                truth_codes, aid_codes = truth_codes[alive], aid_codes[alive]
+            aids = encoder.decode_int64(aid_codes)
+            np.multiply(
+                aids,
+                (truth_codes == NULL_CODE) * (1 if literal.literal.positive else -1),
+                out=matrix[:, position],
+            )
+        produced = store.add_matrix(
+            matrix,
             clause.weight,
             clause.name,
+            compilation.repeat_pairs,
+            compilation.tautology_pairs,
         )
         return produced, row_count - produced

@@ -8,7 +8,10 @@ whole clause, an unsatisfied one is dropped from the disjunction).
 
 Duplicate ground clauses over the same literal set are merged by summing
 their weights, which is what both Alchemy and Tuffy do, and which keeps the
-search cost function identical while shrinking the clause table.
+search cost function identical while shrinking the clause table.  The
+grounder hands over one first-order clause's rows at a time as a literal
+matrix (:meth:`GroundClauseStore.add_matrix`), and duplicates are found
+through an array index of packed literal-set keys (:class:`_MergeIndex`).
 
 The table is held as columns (:class:`ClauseColumns`): one flat literal
 array with row offsets (CSR), a weight column, clause ids and a source
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, repeat
+from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -242,35 +245,229 @@ class ClauseColumns:
         return np.unique(np.abs(np.frombuffer(self.literals, dtype=np.int64))).tolist()
 
 
-def row_keys(rows: "np.ndarray") -> "np.ndarray":
-    """One sortable key per row of a non-empty int64 matrix, equal iff the rows are.
-
-    The row read as the digits of one base-``span`` int64 when that fits
-    (sorting int64 is several times faster), else the row's bytes.
-    """
-    low = int(rows.min())
-    span = int(rows.max()) - low + 1
-    if span ** rows.shape[1] >= 2**63:
-        return np.ascontiguousarray(rows).view(f"V{8 * rows.shape[1]}").ravel()
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for column in rows.T:
-        keys = keys * span + (column - low)
-    return keys
-
-
 def _gathered(column: array, index: "np.ndarray") -> array:
     """``column[index]`` as a new array of the same type."""
     values = np.frombuffer(column, dtype=column.typecode)[index]
     return array(column.typecode, values.tobytes())
 
 
+def _sequential_sums(
+    starts: "np.ndarray", additions: "np.ndarray", weight: float
+) -> "np.ndarray":
+    """Each ``starts[i]`` with ``weight`` added ``additions[i]`` times, in sequence.
+
+    The sum repeated :meth:`GroundClauseStore.add` calls make — never a
+    ``count * weight`` product or a pairwise reduction, which can differ
+    in the last bit.  The entries that add ``count`` times take ``count``
+    vector steps together, so the steps total the sum of the distinct
+    counts, at most the rows that were added.
+    """
+    totals = starts.copy()
+    for count in np.flatnonzero(np.bincount(additions, minlength=1)[1:]).tolist():
+        members = additions == count + 1
+        values = totals[members]
+        for _ in range(count + 1):
+            values += weight
+        totals[members] = values
+    return totals
+
+
+class _MergeIndex:
+    """The merge index as arrays: where a row with a given literal set lives.
+
+    A row's key is its literal *set*: with ``bound`` at least every
+    indexed ``|literal|``, each literal maps to the digit
+    ``literal + bound + 1`` (``0`` marks no literal), and a row's digits,
+    sorted, read as one base-``2 * bound + 2`` int64 — leading zeros add
+    nothing, so a row keys the same at any matrix width.  Rows too wide for
+    an int64 key use the bytes of their sorted digits instead.  ``keys``
+    and ``rows`` hold, per *slot*, the indexed keys sorted by ``(key,
+    row)`` and their rows: slot ``0`` for every width whose keys fit an
+    int64, slot ``w`` for a wider width ``w``.  ``covered`` is how many of
+    the store's rows the index has taken in; only rows with a finite weight
+    go in.
+
+    At most one row per literal set has a finite weight (a row is only
+    ever added when the set's earlier rows are hard), and it is that
+    set's newest row — so a lookup takes the *last* entry of its key, and
+    the index is a pure function of the columns.
+    """
+
+    __slots__ = ("bound", "keys", "rows", "covered")
+
+    def __init__(self) -> None:
+        self.bound = 0
+        self.keys: Dict[int, "np.ndarray"] = {}
+        self.rows: Dict[int, "np.ndarray"] = {}
+        self.covered = 0
+
+    def row_keys(
+        self, matrix: "np.ndarray", present: "np.ndarray", widths: "np.ndarray"
+    ) -> List[Tuple[int, Optional["np.ndarray"], "np.ndarray"]]:
+        """The keys of a literal matrix's rows, as ``(slot, members, keys)`` groups.
+
+        ``present`` marks the literals of each row and ``widths`` counts
+        them.  One group per slot; ``members`` indexes its rows, ``None``
+        meaning every row (rows without literals get a key too, which
+        callers ignore).
+        """
+        offset = self.bound + 1
+        digits = [
+            (matrix[:, column] + offset) * present[:, column]
+            for column in range(matrix.shape[1])
+            if present[:, column].any()
+        ]
+        digits = _sorted_columns(digits)
+        span = 2 * self.bound + 2
+        limit = 1
+        while span ** (limit + 1) < 2**63:
+            limit += 1
+        keys = _horner(digits, span)
+        if int(widths.max()) <= limit:
+            return [(0, None, keys)]
+        # Some rows are too wide for an int64 key (their numbers above
+        # wrapped around): one group of bytes keys per such width.
+        narrow = widths <= limit
+        groups: List[Tuple[int, Optional["np.ndarray"], "np.ndarray"]] = []
+        if narrow.any():
+            groups.append((0, np.flatnonzero(narrow), keys[narrow]))
+        block = np.stack(digits, axis=1)
+        for width in np.flatnonzero(np.bincount(widths[~narrow])).tolist():
+            members = np.flatnonzero(widths == width)
+            rows = np.ascontiguousarray(block[members, len(digits) - width :])
+            groups.append((width, members, rows.view(f"V{8 * width}").ravel()))
+        return groups
+
+    def lookup(self, slot: int, keys: "np.ndarray") -> Tuple["np.ndarray", Optional["np.ndarray"]]:
+        """The newest indexed row holding each key (``-1`` where none does).
+
+        Also returns where each key would be inserted (``None`` for an
+        empty slot), for :meth:`insert`.
+        """
+        stored = self.keys.get(slot)
+        if stored is None:
+            return np.full(len(keys), -1, dtype=np.int64), None
+        at = np.searchsorted(stored, keys, side="right")
+        last = np.maximum(at - 1, 0)
+        return np.where(stored[last] == keys, self.rows[slot][last], -1), at
+
+    def insert(
+        self,
+        slot: int,
+        keys: "np.ndarray",
+        rows: "np.ndarray",
+        at: Optional["np.ndarray"] = None,
+    ) -> None:
+        """Take in rows newer than every indexed row, with their keys (sorted).
+
+        ``at`` is where :meth:`lookup` placed the keys, when the slot has
+        not changed since.
+        """
+        stored = self.keys.get(slot)
+        if stored is None:
+            self.keys[slot], self.rows[slot] = keys, rows
+            return
+        if at is None:
+            at = np.searchsorted(stored, keys, side="right")
+        # A merge of two sorted runs; a new key goes after its equals.
+        at = at + np.arange(len(keys))
+        old = np.ones(len(stored) + len(keys), dtype=bool)
+        old[at] = False
+        merged_keys = np.empty(len(old), dtype=stored.dtype)
+        merged_keys[at] = keys
+        merged_keys[old] = stored
+        merged_rows = np.empty(len(old), dtype=np.int64)
+        merged_rows[at] = rows
+        merged_rows[old] = self.rows[slot]
+        self.keys[slot], self.rows[slot] = merged_keys, merged_rows
+
+    def catch_up(self, columns: ClauseColumns, bound: int) -> None:
+        """Take in the rows appended since the last call; make room for ``bound``.
+
+        A larger ``bound`` changes every key, so the index is then rebuilt
+        from the columns (the bound at least doubles each time, so that
+        happens a logarithmic number of times).
+        """
+        start = self.covered
+        end = len(columns)
+        literals = np.frombuffer(columns.literals, dtype=np.int64)
+        appended = literals[columns.offsets[start] :]
+        if len(appended):
+            bound = max(bound, int(np.abs(appended).max()))
+        del appended
+        if bound > self.bound:
+            self.bound = 1 << max(bound, 2 * self.bound).bit_length()
+            self.keys.clear()
+            self.rows.clear()
+            start = 0
+        self.covered = end
+        rows = np.arange(start, end)[
+            np.isfinite(np.frombuffer(columns.weights, dtype=np.float64)[start:])
+        ]
+        if not len(rows):
+            return
+        offsets = np.frombuffer(columns.offsets, dtype=np.int64)
+        starts = offsets[rows]
+        widths = offsets[rows + 1] - starts
+        del offsets
+        present = np.arange(int(widths.max())) < widths[:, None]
+        matrix = np.zeros(present.shape, dtype=np.int64)
+        gather = np.repeat(starts - np.cumsum(widths) + widths, widths)
+        matrix[present] = literals[gather + np.arange(len(gather))]
+        del literals
+        for slot, members, keys in self.row_keys(matrix, present, widths):
+            group = rows if members is None else rows[members]
+            order = np.argsort(keys, kind="stable")
+            self.insert(slot, keys[order], group[order])
+
+
+def _sorted_columns(columns: List["np.ndarray"]) -> List["np.ndarray"]:
+    """Columns of equal length, reordered within each row to ascend left to right.
+
+    Odd-even transposition: ``len(columns)`` rounds of column-wide
+    minimum / maximum steps (a clause has few literals).
+    """
+    columns = list(columns)
+    for step in range(len(columns)):
+        for low in range(step % 2, len(columns) - 1, 2):
+            left, right = columns[low], columns[low + 1]
+            columns[low], columns[low + 1] = np.minimum(left, right), np.maximum(left, right)
+    return columns
+
+
+def _horner(digits: List["np.ndarray"], span: int) -> "np.ndarray":
+    """Digit columns (most significant first) read as base-``span`` int64 numbers."""
+    keys = digits[0].copy()
+    for column in digits[1:]:
+        keys *= span
+        keys += column
+    return keys
+
+
+def _distinct(keys: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """``np.unique(keys, return_index=True, return_counts=True)``, by one quicksort.
+
+    The first occurrence of each key is the least position among its
+    equals, so an unstable sort serves.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    first = np.minimum.reduceat(order, starts)
+    counts = np.diff(np.append(starts, len(keys)))
+    return ordered[starts], first, counts
+
+
 class GroundClauseStore:
     """An append-only clause table, held as :class:`ClauseColumns`.
 
     Rows with the same literal *set* merge by summing weights (when
-    ``merge_duplicates``).  ``_index`` finds them: it maps a row's
-    canonical key — its sorted distinct literals as int64 bytes — to the
-    row.  Hard rows are never merged into; clause ids are ``row + 1``.
+    ``merge_duplicates``); hard rows are never merged into, and clause ids
+    are ``row + 1``.  The merge index is derived from the columns: the
+    batch paths read it as arrays (:class:`_MergeIndex`), and the
+    row-at-a-time :meth:`add` as a dict from a row's canonical key — its
+    sorted literals as int64 bytes — built from the columns on first use.
+    Each view takes in the rows the other appended when it is next read.
     :meth:`seal` ends construction: the MRF built from a store reads its
     columns in place, so they must not change afterwards.
     """
@@ -278,11 +475,17 @@ class GroundClauseStore:
     def __init__(self, merge_duplicates: bool = True) -> None:
         self.merge_duplicates = merge_duplicates
         self.columns = ClauseColumns()
-        self._index: Optional[Dict[bytes, int]] = {}
+        self._sealed = False
+        self._merge_index = _MergeIndex()
+        self._row_index: Dict[bytes, int] = {}
+        #: Rows the dict view has taken in.
+        self._row_index_covered = 0
         self._source_ids: Dict[Optional[str], int] = {}
         self.evidence_violation_cost = 0.0
         self.satisfied_by_evidence = 0
         self.tautologies = 0
+        #: Literals dropped because they repeat an earlier one of their row.
+        self.repeated_literals = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -298,7 +501,8 @@ class GroundClauseStore:
 
         Returns the stored clause, or ``None`` when the clause was empty
         (fully decided by evidence) and only affected the constant cost.
-        This is the specification :meth:`add_batch` is held to.
+        This is the specification :meth:`add_batch` and :meth:`add_matrix`
+        are held to.
         """
         self._check_open()
         row = self._add_row(literals, weight, source)
@@ -311,7 +515,9 @@ class GroundClauseStore:
         # Repeated identical literals in a disjunction are redundant; dropping
         # them keeps the cost function identical and makes the stored clause
         # independent of the order groundings were produced in.
+        given = len(literals)
         literals = tuple(dict.fromkeys(literals))
+        self.repeated_literals += given - len(literals)
         if not literals:
             # An empty clause cannot be satisfied by any assignment: if its
             # weight is positive it contributes a constant violation cost.
@@ -329,13 +535,48 @@ class GroundClauseStore:
         # canonical key directly.
         key = array("q", sorted(literals)).tobytes()
         weights = self.columns.weights
-        index = self._index
-        existing = index.get(key)  # type: ignore[union-attr]
+        index = self._row_index_view()
+        existing = index.get(key)
         if existing is not None and not math.isinf(weights[existing]):
             weights[existing] += weight
             return existing
         row = self._append(literals, weight, source)
-        index[key] = row  # type: ignore[index]
+        index[key] = row
+        self._row_index_covered = row + 1
+        return row
+
+    def _row_index_view(self) -> Dict[bytes, int]:
+        """The merge index as a dict, after taking in the rows appended since."""
+        index = self._row_index
+        columns = self.columns
+        weights = columns.weights
+        literals = columns.literals
+        offsets = columns.offsets
+        for row in range(self._row_index_covered, len(columns)):
+            if not math.isinf(weights[row]):
+                key = array("q", sorted(literals[offsets[row] : offsets[row + 1]])).tobytes()
+                index[key] = row
+        self._row_index_covered = len(columns)
+        return index
+
+    def merge_target(self, literals: Sequence[int]) -> Optional[int]:
+        """The row a clause with these literals would merge into, if any.
+
+        ``None`` when merging is off or the store is sealed, and when no
+        row holds the literal set or its row is hard.  Read through the
+        array index, as the batch paths read it.
+        """
+        distinct = list(dict.fromkeys(literals))
+        if not self.merge_duplicates or self._sealed or not distinct:
+            return None
+        matrix = np.array([distinct], dtype=np.int64)
+        present = matrix != 0
+        index = self._merge_index
+        index.catch_up(self.columns, int(np.abs(matrix).max()))
+        [(slot, _, keys)] = index.row_keys(matrix, present, present.sum(axis=1))
+        row = int(index.lookup(slot, keys)[0][0])
+        if row < 0 or math.isinf(self.columns.weights[row]):
+            return None
         return row
 
     def seal(self) -> None:
@@ -344,10 +585,12 @@ class GroundClauseStore:
         Called by readers that share the columns (``MRF.from_store``) —
         the arrays then never change under them — and idempotent.
         """
-        self._index = None
+        self._sealed = True
+        self._merge_index = _MergeIndex()
+        self._row_index = {}
 
     def _check_open(self) -> None:
-        if self._index is None:
+        if self._sealed:
             raise RuntimeError("the clause store is sealed: an MRF reads its columns")
 
     def _append(
@@ -388,23 +631,26 @@ class GroundClauseStore:
         back-to-back; ``row_lengths`` gives each clause's literal count, in
         order.  Semantics — duplicate merging, weight summing, hard-clause
         handling, tautology/empty-clause accounting and clause ordering —
-        are exactly those of calling :meth:`add` once per row (the batched
-        grounding consumer relies on this; the test suite enforces it).
-        Returns the number of rows that stored or merged a clause
-        (i.e. for which :meth:`add` returned a clause).
-
-        When the inputs are numpy arrays, per-row canonicalisation
-        (literal dedup, tautology detection, duplicate-row grouping) runs
-        vectorized and new rows are appended to the columns as array
-        slices.  Weight merging remains *sequential addition* (never a
-        count-times-weight product or a pairwise reduction), so results
-        stay bit-identical to repeated ``add`` calls.
+        are exactly those of calling :meth:`add` once per row.  Returns the
+        number of rows that stored or merged a clause (i.e. for which
+        :meth:`add` returned a clause).  Numpy inputs are laid out as a
+        0-padded matrix and taken by :meth:`add_matrix`, with every column
+        pair checked; lists go through :meth:`add` row by row.
         """
         self._check_open()
         if isinstance(flat_literals, np.ndarray):
-            return self._add_batch_arrays(
-                flat_literals, np.asarray(row_lengths, dtype=np.int64), weight, source
-            )
+            flat = flat_literals.astype(np.int64, copy=False)
+            lengths = np.asarray(row_lengths, dtype=np.int64)
+            if int(lengths.sum()) != len(flat):
+                raise ValueError(
+                    f"row_lengths cover {int(lengths.sum())} literals, got {len(flat)}"
+                )
+            if not flat.all():
+                raise ValueError("literal ids must be non-zero signed integers")
+            width = int(lengths.max()) if len(lengths) else 0
+            padded = np.zeros((len(lengths), width), dtype=np.int64)
+            padded[np.arange(width) < lengths[:, None]] = flat
+            return self.add_matrix(padded, weight, source)
         if sum(row_lengths) != len(flat_literals):
             raise ValueError(
                 f"row_lengths cover {sum(row_lengths)} literals, got {len(flat_literals)}"
@@ -418,203 +664,159 @@ class GroundClauseStore:
             offset = end
         return stored
 
-    def _add_batch_arrays(
+    def add_matrix(
         self,
-        flat: "np.ndarray",
-        lengths: "np.ndarray",
+        matrix: "np.ndarray",
         weight: float,
-        source: Optional[str],
+        source: Optional[str] = None,
+        repeat_pairs: Optional[Sequence[Tuple[int, int]]] = None,
+        tautology_pairs: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> int:
-        """Vectorized :meth:`add_batch` over numpy inputs.
+        """Add the ground rows of one first-order clause, as a literal matrix.
 
-        Canonicalisation (intra-row literal dedup, tautology detection,
-        duplicate-row grouping) runs on a 0-padded ``(rows, max_len)``
-        literal matrix.  Distinct rows are then visited in first-occurrence
-        order — which assigns the same clause ids and performs the same
-        sequential weight additions as row-at-a-time :meth:`add` calls —
-        but only rows that merge (into an earlier batch's row, or with
-        their own repeats) take a Python step; new rows are appended to
-        the columns in one gather.  A batch in which a merged weight
-        overflows to infinity is stored row by row instead.
+        Row ``r`` of the ``(rows, k)`` int64 ``matrix`` is the clause whose
+        literals are the row's non-zero entries in column order (``0``
+        marks a literal the evidence dropped).  ``repeat_pairs`` lists the
+        column pairs ``(i, j)``, ``i < j``, that can hold the same literal
+        and ``tautology_pairs`` those that can hold an atom and its
+        negation (:func:`~repro.grounding.compiler.same_atom_pairs`);
+        ``None`` means every pair can.  The result — rows, ids, literal
+        order, weight bits, counters — is exactly that of :meth:`add` per
+        row, and so is the return value.  ``matrix`` is never modified (a
+        replayed grounding hands the same array in again).
+
+        Per pair and row, one int64 comparison finds a repeat (the later
+        column is dropped) or a tautology (the row is).  Rows are then
+        keyed by their literal sets (:meth:`_MergeIndex.row_keys`), grouped
+        by one sort, looked up in the index with ``np.searchsorted``, and
+        new rows are appended in first-occurrence order in one gather;
+        weight merges stay sequential additions.  A batch in which a merged
+        weight overflows to infinity is stored row by row instead.
         """
-        row_count = len(lengths)
-        if int(lengths.sum()) != len(flat):
-            raise ValueError(
-                f"row_lengths cover {int(lengths.sum())} literals, got {len(flat)}"
-            )
+        self._check_open()
+        matrix = np.asarray(matrix, dtype=np.int64)
+        row_count, k = matrix.shape
         if row_count == 0:
             return 0
-        flat = flat.astype(np.int64, copy=False)
-        if not flat.all():
-            raise ValueError("literal ids must be non-zero signed integers")
+        if repeat_pairs is None or tautology_pairs is None:
+            every = [(i, j) for j in range(k) for i in range(j)]
+            repeat_pairs = every if repeat_pairs is None else repeat_pairs
+            tautology_pairs = every if tautology_pairs is None else tautology_pairs
+        given = matrix != 0
+        tautological = np.zeros(row_count, dtype=bool)
+        for i, j in tautology_pairs:
+            tautological |= (matrix[:, i] == -matrix[:, j]) & given[:, i]
+        present = given
+        if repeat_pairs:
+            # A later column equal to an earlier one is dropped (first
+            # occurrence wins, as ``dict.fromkeys`` in ``add``).
+            present = given.copy()
+            for i, j in repeat_pairs:
+                present[:, j] &= (matrix[:, i] != matrix[:, j]) | ~given[:, i]
+        widths = np.zeros(row_count, dtype=np.int64)
+        for column in range(k):
+            widths += present[:, column]
+        self.repeated_literals += int(np.count_nonzero(given)) - int(widths.sum())
+        empty_rows = row_count - int(np.count_nonzero(widths))
         hard = math.isinf(weight)
-        merge = self.merge_duplicates and not hard
-        alive = lengths > 0
-        empty_rows = row_count - int(alive.sum())
         if empty_rows and weight > 0 and not hard:
             cost = self.evidence_violation_cost
             for _ in range(empty_rows):
                 cost += weight
             self.evidence_violation_cost = cost
-        if empty_rows == row_count:
+        self.tautologies += int(np.count_nonzero(tautological))
+        keep = (widths > 0) & ~tautological
+        kept = np.flatnonzero(keep)
+        if len(kept) == 0:
             return 0
+        if not self.merge_duplicates or hard:
+            self._append_rows(matrix, present, widths, keep, weight, source)
+            return len(kept)
 
-        max_len = int(lengths.max())
-        offsets = np.concatenate(([0], np.cumsum(lengths[:-1])))
-        padded = np.zeros((row_count, max_len), dtype=np.int64)
-        padded[
-            np.repeat(np.arange(row_count), lengths),
-            np.arange(len(flat)) - np.repeat(offsets, lengths),
-        ] = flat
-        # Intra-row duplicate literals (0 is the pad, never a literal):
-        # zero out repeats until every sorted row is repeat-free.
-        canonical = np.sort(padded, axis=1)
-        has_duplicates = np.zeros(row_count, dtype=bool)
-        while True:
-            repeats = (canonical[:, 1:] == canonical[:, :-1]) & (canonical[:, 1:] != 0)
-            repeat_rows = repeats.any(axis=1)
-            if not repeat_rows.any():
-                break
-            has_duplicates |= repeat_rows
-            canonical[:, 1:][repeats] = 0
-            canonical = np.sort(canonical, axis=1)
-        # Tautologies: an atom surviving with both signs.
-        abs_sorted = np.sort(np.abs(canonical), axis=1)
-        tautological = (
-            (abs_sorted[:, 1:] == abs_sorted[:, :-1]) & (abs_sorted[:, 1:] != 0)
-        ).any(axis=1) & alive
-        self.tautologies += int(tautological.sum())
-        keep = alive & ~tautological
-        kept_rows = np.nonzero(keep)[0]
-        if len(kept_rows) == 0:
-            return 0
-
-        # A stored row keeps its grounded literal order minus repeats
-        # (first occurrence wins, as ``dict.fromkeys`` in ``add``).
-        literal_keep = None
-        repeated = np.nonzero(has_duplicates & keep)[0]
-        if len(repeated):
-            literal_keep = np.ones(len(flat), dtype=bool)
-            for row in repeated.tolist():
-                start = int(offsets[row])
-                seen = set()
-                for position in range(start, start + int(lengths[row])):
-                    literal = int(flat[position])
-                    if literal in seen:
-                        literal_keep[position] = False
-                    seen.add(literal)
-
-        if not merge:
-            self._append_rows(
-                flat, offsets, lengths, kept_rows, literal_keep, weight, source
-            )
-            return len(kept_rows)
-
-        # Group identical rows, one distinct-literal count at a time.  A
-        # row's sorted nonzero literals as bytes are its merge key — the
-        # key ``add`` builds for the same set; ``np.unique`` sorts stably,
-        # so each group's head is its first occurrence.
-        widths = (canonical != 0).sum(axis=1)[kept_rows]
-        index = self._index
-        weights = self.columns.weights
-        merges: List[Tuple[int, float]] = []
-        new_heads = []
-        new_counts = []
-        new_keys: List[bytes] = []
-        for width in np.unique(widths).tolist():
-            members = kept_rows[widths == width]
-            block = canonical[members]
-            literals = np.ascontiguousarray(block[block != 0].reshape(len(members), width))
-            _, first, counts = np.unique(
-                row_keys(literals), return_index=True, return_counts=True
-            )
-            keys = literals[first].view(f"V{8 * width}").ravel().tolist()
-            fresh = np.ones(len(keys), dtype=bool)
-            if index:  # (never None here: add_batch checked the store is open)
-                # Groups whose literal set an earlier batch stored merge
-                # into that row: the only groups that take a step in Python.
-                found = np.fromiter(
-                    map(index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
-                )
-                for group in np.nonzero(found >= 0)[0].tolist():
-                    row = int(found[group])
-                    merged = weights[row]
-                    if math.isinf(merged):
-                        continue  # a hard row is never merged into
-                    fresh[group] = False
-                    for _ in range(int(counts[group])):
-                        merged += weight
-                    merges.append((row, merged))
-            new_heads.append(members[first][fresh])
+        index = self._merge_index
+        index.catch_up(self.columns, max(int(matrix.max()), -int(matrix.min())))
+        current = np.frombuffer(self.columns.weights, dtype=np.float64)
+        new_heads, new_counts, new_keys = [], [], []
+        merge_rows, merge_counts = [], []
+        for slot, members, keys in index.row_keys(matrix, present, widths):
+            if members is None:
+                group, keys = kept, keys[kept]
+            else:
+                chosen = keep[members]
+                group, keys = members[chosen], keys[chosen]
+                if not len(group):
+                    continue
+            keys, first, counts = _distinct(keys)
+            found, at = index.lookup(slot, keys)
+            hit = found >= 0
+            # A hard row is never merged into: its group starts a new row.
+            hit[hit] = np.isfinite(current[found[hit]])
+            merge_rows.append(found[hit])
+            merge_counts.append(counts[hit])
+            fresh = ~hit
+            new_heads.append(group[first[fresh]])
             new_counts.append(counts[fresh])
-            new_keys.extend(compress(keys, fresh.tolist()))
-
-        # New rows are stored in first-occurrence order, which numbers them
-        # exactly as row-at-a-time ``add`` calls would.
+            new_keys.append((slot, keys[fresh], None if at is None else at[fresh]))
+        merge_rows = np.concatenate(merge_rows)
+        merged = _sequential_sums(current[merge_rows], np.concatenate(merge_counts), weight)
+        del current
         heads = np.concatenate(new_heads)
-        order = np.argsort(heads)
-        counts = np.concatenate(new_counts)[order]
-        # A new row's weight is ``weight`` added to itself ``count - 1``
-        # times in sequence — one value per distinct count.
-        new_weights = np.full(len(order), weight)
-        for count in np.unique(counts).tolist():
-            merged = weight
-            for _ in range(count - 1):
-                merged += weight
-            new_weights[counts == count] = merged
-        if np.isinf(new_weights).any() or any(math.isinf(m) for _, m in merges):
+        # A new row's weight is ``weight`` added to itself ``count - 1`` times.
+        new_weights = _sequential_sums(
+            np.full(len(heads), weight), np.concatenate(new_counts) - 1, weight
+        )
+        if np.isinf(merged).any() or np.isinf(new_weights).any():
             # A sum overflowed to a hard weight.  ``add`` would have started
             # a new row at the occurrence that overflowed; nothing is stored
             # yet, so take the kept rows one ``add`` at a time instead.
-            for row in kept_rows.tolist():
-                start = int(offsets[row])
-                self._add_row(flat[start : start + int(lengths[row])].tolist(), weight, source)
-            return len(kept_rows)
-        for row, merged in merges:
-            weights[row] = merged
-        first_new = len(self.columns)
-        self._append_rows(
-            flat, offsets, lengths, heads[order], literal_keep, new_weights, source
-        )
-        rows = np.empty(len(order), dtype=np.int64)
-        rows[order] = np.arange(first_new, first_new + len(order))
-        index.update(zip(new_keys, rows.tolist()))
-        return len(kept_rows)
+            for row in kept.tolist():
+                self._add_row(matrix[row][present[row]].tolist(), weight, source)
+            return len(kept)
+        if len(merge_rows):
+            weights = np.frombuffer(self.columns.weights, dtype=np.float64)
+            weights[merge_rows] = merged
+            del weights
+        # New rows are stored in first-occurrence order — row order of
+        # their heads — which numbers them as row-at-a-time ``add`` would.
+        is_head = np.zeros(row_count, dtype=bool)
+        is_head[heads] = True
+        head_weights = np.empty(row_count)
+        head_weights[heads] = new_weights
+        row_of = np.cumsum(is_head) + (len(self.columns) - 1)
+        self._append_rows(matrix, present, widths, is_head, head_weights[is_head], source)
+        start = 0
+        for slot, keys, at in new_keys:
+            index.insert(slot, keys, row_of[heads[start : start + len(keys)]], at)
+            start += len(keys)
+        index.covered = len(self.columns)
+        return len(kept)
 
     def _append_rows(
         self,
-        flat: "np.ndarray",
-        offsets: "np.ndarray",
-        lengths: "np.ndarray",
-        rows: "np.ndarray",
-        literal_keep: Optional["np.ndarray"],
+        matrix: "np.ndarray",
+        present: "np.ndarray",
+        widths: "np.ndarray",
+        chosen: "np.ndarray",
         weights: "np.ndarray | float",
         source: Optional[str],
     ) -> None:
-        """Append batch rows (indices into ``offsets``/``lengths``) as new clauses."""
-        row_lengths = lengths[rows]
-        out_starts = np.cumsum(row_lengths) - row_lengths
-        gather = np.repeat(offsets[rows] - out_starts, row_lengths) + np.arange(
-            int(row_lengths.sum())
-        )
-        if literal_keep is not None:
-            kept = literal_keep[gather]
-            gather = gather[kept]
-            owners = np.repeat(np.arange(len(rows)), row_lengths)[kept]
-            row_lengths = np.bincount(owners, minlength=len(rows))
+        """Append the ``chosen`` matrix rows as new clauses, in row order."""
         columns = self.columns
         first = len(columns)
         base = columns.offsets[-1]
-        columns.literals.frombytes(flat[gather].tobytes())
-        columns.offsets.frombytes((base + np.cumsum(row_lengths, dtype=np.int64)).tobytes())
+        row_widths = widths[chosen]
+        count = len(row_widths)
+        # Row-major: the rows in order, each row's literals in column order.
+        columns.literals.frombytes(matrix[present & chosen[:, None]].tobytes())
+        columns.offsets.frombytes((base + np.cumsum(row_widths)).tobytes())
         columns.weights.frombytes(
-            np.broadcast_to(np.asarray(weights, dtype=np.float64), len(rows)).tobytes()
+            np.broadcast_to(np.asarray(weights, dtype=np.float64), count).tobytes()
         )
         columns.clause_ids.frombytes(
-            np.arange(first + 1, first + 1 + len(rows), dtype=np.int64).tobytes()
+            np.arange(first + 1, first + 1 + count, dtype=np.int64).tobytes()
         )
         columns.source_index.frombytes(
-            np.full(len(rows), self._source_id(source), dtype=np.intc).tobytes()
+            np.full(count, self._source_id(source), dtype=np.intc).tobytes()
         )
 
     def record_satisfied_by_evidence(self, count: int = 1) -> None:

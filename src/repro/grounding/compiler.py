@@ -17,12 +17,20 @@ of each literal's predicate (one alias ``t0 ... tk-1`` per literal), with:
 
 The SELECT list carries, for every literal, the atom id and the truth value
 so the grounder can drop literals that the evidence has already decided.
+
+The compilation also records, once per clause, which literal pairs can
+ground to the *same atom* (:func:`same_atom_pairs`): only two literals of
+one predicate can, and not when a position holds two different constants
+or two variables the query keeps apart.  These pairs are the only source
+of repeated literals (same sign) and tautologies (opposite signs) in the
+clause's ground rows, so the clause store checks them instead of
+canonicalising every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.logic.clauses import WeightedClause
 from repro.logic.literals import Literal
@@ -52,13 +60,18 @@ class ClauseCompilation:
 
     ``query`` is ``None`` when the clause is trivially satisfied for every
     binding (e.g. a constant equality constraint that always holds), in
-    which case grounding produces nothing for it.
+    which case grounding produces nothing for it.  ``repeat_pairs`` and
+    ``tautology_pairs`` are :func:`same_atom_pairs` of the clause: the
+    literal index pairs ``(i, j)``, ``i < j``, that can ground to the same
+    atom with the same sign and with opposite signs.
     """
 
     clause: WeightedClause
     query: Optional[ConjunctiveQuery]
     literals: List[CompiledLiteral] = field(default_factory=list)
     trivially_satisfied: bool = False
+    repeat_pairs: List[Tuple[int, int]] = field(default_factory=list)
+    tautology_pairs: List[Tuple[int, int]] = field(default_factory=list)
 
     @property
     def sql(self) -> Optional[str]:
@@ -77,6 +90,47 @@ def predicate_table_name(predicate: Predicate) -> str:
 def argument_column(position: int) -> str:
     """Column name of the ``position``-th argument in an atom table."""
     return f"arg{position}"
+
+
+def same_atom_pairs(
+    clause: WeightedClause,
+) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """The literal pairs of a clause that can ground to the same atom.
+
+    Returns ``(repeat_pairs, tautology_pairs)``: index pairs ``(i, j)``,
+    ``i < j``, of literals over one predicate whose arguments can be
+    equal in a grounding — split into same-sign pairs (a repeated literal)
+    and opposite-sign pairs (a tautology).  A pair is left out when some
+    position holds two different constants, or two variables that a
+    ``v1 = v2`` disjunct of the clause keeps apart (its query keeps only
+    the bindings where they differ).  No other pair of the clause's
+    literals can ever ground to the same atom.
+    """
+    apart = {
+        frozenset((left, right))
+        for left, right, positive in clause.equalities
+        if positive and isinstance(left, Variable) and isinstance(right, Variable)
+    }
+    repeat_pairs: List[Tuple[int, int]] = []
+    tautology_pairs: List[Tuple[int, int]] = []
+    literals = clause.literals
+    for j, second in enumerate(literals):
+        for i, first in enumerate(literals[:j]):
+            if first.predicate.name != second.predicate.name:
+                continue
+            if any(
+                (
+                    isinstance(a, Constant)
+                    and isinstance(b, Constant)
+                    and a.value != b.value
+                )
+                or frozenset((a, b)) in apart
+                for a, b in zip(first.arguments, second.arguments)
+            ):
+                continue
+            pairs = repeat_pairs if first.positive == second.positive else tautology_pairs
+            pairs.append((i, j))
+    return repeat_pairs, tautology_pairs
 
 
 class GroundingCompiler:
@@ -111,7 +165,10 @@ class GroundingCompiler:
         )
         if trivially_satisfied:
             return ClauseCompilation(clause, None, compiled_literals, trivially_satisfied=True)
-        return ClauseCompilation(clause, query, compiled_literals)
+        repeat_pairs, tautology_pairs = same_atom_pairs(clause)
+        return ClauseCompilation(
+            clause, query, compiled_literals, False, repeat_pairs, tautology_pairs
+        )
 
     def compile_all(self, clauses) -> List[ClauseCompilation]:
         return [self.compile(clause) for clause in clauses]

@@ -21,7 +21,7 @@ class ClauseGroundingStats:
     the asymmetry behind the paper's Table 4.  ``ingest_seconds`` is the
     part of ``seconds`` spent after the relational query returned, turning
     its result into clause-store entries (evidence pruning of the result
-    rows plus ``add`` / ``add_batch``; a replayed clause is all ingest) —
+    rows plus ``add`` / ``add_matrix``; a replayed clause is all ingest) —
     ``seconds - ingest_seconds`` is what a better join order could save.
     """
 

@@ -51,6 +51,9 @@ NULL_CODE = -1
 #: constant that matches no row.
 MISSING_CODE = -2
 
+#: :meth:`ValueEncoder.decode_int64`'s mark for a value that is not an integer.
+_NOT_AN_INTEGER = np.iinfo(np.int64).min
+
 
 class ValueEncoder:
     """Shared dictionary encoding of arbitrary (hashable) values.
@@ -61,13 +64,16 @@ class ValueEncoder:
     precisely the equality relation the row engine's ``==`` uses.
     """
 
-    __slots__ = ("_codes", "_values", "_mirror")
+    __slots__ = ("_codes", "_values", "_mirror", "_integers")
 
     def __init__(self) -> None:
         self._codes: Dict[Any, int] = {}
         # Slot 0 decodes NULL_CODE (indexing is ``code + 1``).
         self._values: List[Any] = [None]
         self._mirror: Optional["np.ndarray"] = None
+        # ``_values`` as int64 (``_NOT_AN_INTEGER`` where a value is not
+        # one), extended as values are interned; see :meth:`decode_int64`.
+        self._integers = np.empty(0, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -136,6 +142,29 @@ class ValueEncoder:
 
     def decode_list(self, codes: "np.ndarray") -> List[Any]:
         return self.decode(codes).tolist()
+
+    def decode_int64(self, codes: "np.ndarray") -> "np.ndarray":
+        """Decode codes of integer values straight to an ``int64`` array.
+
+        :meth:`decode` without an object array per call: the dictionary's
+        values are mirrored as int64 once, each call converting only those
+        interned since the last.  Raises ``ValueError`` if a code decodes
+        to ``None`` or to a value that is not an integer.
+        """
+        integers = self._integers
+        if len(integers) < len(self._values):
+            values = self._values[len(integers) :]
+            fresh = np.fromiter(values, dtype=object, count=len(values))
+            is_integer = np.fromiter(
+                map(isinstance, values, repeat(int)), dtype=bool, count=len(values)
+            )
+            extension = np.full(len(fresh), _NOT_AN_INTEGER, dtype=np.int64)
+            extension[is_integer] = fresh[is_integer].astype(np.int64)
+            integers = self._integers = np.concatenate((integers, extension))
+        decoded = integers[np.asarray(codes, dtype=np.int64) + 1]
+        if (decoded == _NOT_AN_INTEGER).any():
+            raise ValueError("decode_int64: a code decodes to a non-integer value")
+        return decoded
 
 
 class ColumnBatch:

@@ -37,7 +37,7 @@ def fingerprint(store):
             (clause.clause_id, clause.literals, clause.weight.hex(), clause.source)
             for clause in store
         ],
-        "index": dict(store._index),
+        "merge_targets": [store.merge_target(clause.literals) for clause in store],
         "evidence_violation_cost": store.evidence_violation_cost.hex(),
         "tautologies": store.tautologies,
         "satisfied_by_evidence": store.satisfied_by_evidence,

@@ -1,10 +1,13 @@
-"""GroundClauseStore.add_batch: semantics identical to repeated add calls.
+"""GroundClauseStore batch ingest: semantics identical to repeated add calls.
 
 ``add_batch`` has two implementations under one contract — the plain
-Python loop (list inputs), and the vectorized numpy path (array inputs) —
-and the batched grounding consumer depends on all of them matching ``add``
-exactly: duplicate merging, sequential weight summing, hard-clause
-handling, tautology/empty accounting and clause ordering.
+Python loop (list inputs), and the numpy path (array inputs, through
+``add_matrix`` with every column pair checked) — and the batched grounding
+consumer hands ``add_matrix`` one first-order clause's literal matrix with
+only its same-atom column pairs.  All of them must match ``add`` exactly:
+duplicate merging, sequential weight summing, hard-clause handling,
+tautology/empty accounting and clause ordering, also when row and batch
+adds are mixed in one store — and none may modify the arrays it is given.
 """
 
 import math
@@ -186,3 +189,206 @@ class TestRecordSatisfied:
         store.record_satisfied_by_evidence()
         store.record_satisfied_by_evidence(41)
         assert store.satisfied_by_evidence == 42
+
+
+# ----------------------------------------------------------------------
+# Mixed ingest: add, add_batch and add_matrix into one store
+# ----------------------------------------------------------------------
+
+#: Per predicate, two disjoint atom pools: the atoms a literal over one of
+#: two different constants can ground to.  Small, so rows collide often.
+_POOLS = {
+    (0, "A"): (1, 2),
+    (0, "B"): (3, 4),
+    (1, "A"): (5, 6),
+    (1, "B"): (7, 8),
+}
+
+#: Inexact sums, both signs, hard weights of both signs, and 1e308, whose
+#: merges overflow to a hard weight that must never be merged into.
+_WEIGHTS = [0.1, 1 / 3, -0.7, 2.5, 1e308, -1e308, math.inf, -math.inf]
+
+
+def clause_pairs(shape):
+    """``same_atom_pairs`` of a clause shape ``[(predicate, constant, positive)]``.
+
+    Columns over one predicate and one constant pool can hold the same
+    atom; columns over different constants cannot, and are not listed.
+    """
+    repeat_pairs, tautology_pairs = [], []
+    for j, (predicate, constant, positive) in enumerate(shape):
+        for i, (other_predicate, other_constant, other_positive) in enumerate(shape[:j]):
+            if (predicate, constant) == (other_predicate, other_constant):
+                pairs = repeat_pairs if positive == other_positive else tautology_pairs
+                pairs.append((i, j))
+    return repeat_pairs, tautology_pairs
+
+
+@st.composite
+def clause_batches(draw):
+    """One first-order clause's ground rows: ``(matrix, repeat_pairs, tautology_pairs)``."""
+    shape = draw(
+        st.lists(
+            st.tuples(st.sampled_from([0, 1]), st.sampled_from("AB"), st.booleans()),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = []
+        for predicate, constant, positive in shape:
+            if draw(st.integers(0, 4)) == 0:
+                row.append(0)  # decided by the evidence
+            else:
+                atom = draw(st.sampled_from(_POOLS[predicate, constant]))
+                row.append(atom if positive else -atom)
+        rows.append(row)
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), len(shape))
+    return (matrix, *clause_pairs(shape))
+
+
+_ROW = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 5, -5]), max_size=3)
+
+_OPERATION = st.one_of(
+    st.tuples(st.just("add"), _ROW),
+    st.tuples(st.just("add_batch"), st.lists(_ROW, max_size=10)),
+    st.tuples(st.just("add_matrix"), clause_batches()),
+)
+
+
+def matrix_rows(matrix):
+    """The clause rows a literal matrix stands for (its non-zero entries)."""
+    return [[literal for literal in row if literal] for row in matrix.tolist()]
+
+
+def full_state(store):
+    state = store_state(store)
+    state["weights"] = [clause.weight.hex() for clause in store]
+    state["evidence_violation_cost"] = store.evidence_violation_cost.hex()
+    state["repeated_literals"] = store.repeated_literals
+    state["merge_targets"] = [store.merge_target(clause.literals) for clause in store]
+    return state
+
+
+def apply_mixed(operations, merge_duplicates):
+    """Run the operations through one store, and row by row through another."""
+    store = GroundClauseStore(merge_duplicates=merge_duplicates)
+    reference = GroundClauseStore(merge_duplicates=merge_duplicates)
+    for (kind, payload), weight, source in operations:
+        if kind == "add":
+            rows = [payload]
+            clause = store.add(payload, weight, source)
+            returned = int(clause is not None)
+        elif kind == "add_batch":
+            rows = payload
+            flat, lengths = flatten(rows)
+            flat = np.asarray(flat, dtype=np.int64)
+            lengths = np.asarray(lengths, dtype=np.int64)
+            given = (flat.copy(), lengths.copy())
+            returned = store.add_batch(flat, lengths, weight, source)
+            assert np.array_equal(flat, given[0]) and np.array_equal(lengths, given[1])
+        else:
+            matrix, repeat_pairs, tautology_pairs = payload
+            rows = matrix_rows(matrix)
+            given = matrix.copy()
+            returned = store.add_matrix(
+                matrix, weight, source, repeat_pairs, tautology_pairs
+            )
+            # The replay cache hands the same matrix in again.
+            assert np.array_equal(matrix, given) and matrix.dtype == given.dtype
+        expected = sum(reference.add(row, weight, source) is not None for row in rows)
+        assert returned == expected, kind
+    return store, reference
+
+
+class TestMixedIngest:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                _OPERATION, st.sampled_from(_WEIGHTS), st.sampled_from([None, "R1", "R2"])
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    def test_mixed_ingest_equals_row_by_row_add(self, operations, merge_duplicates):
+        store, reference = apply_mixed(operations, merge_duplicates)
+        assert full_state(store) == full_state(reference)
+        assert store.columns == reference.columns
+
+    @staticmethod
+    def assert_matrix_matches(matrix, weight, shape, before=()):
+        repeat_pairs, tautology_pairs = clause_pairs(shape)
+        operations = [(("add", row), w, None) for row, w in before]
+        matrix = np.array(matrix, dtype=np.int64)
+        operations.append((("add_matrix", (matrix, repeat_pairs, tautology_pairs)), weight, "R"))
+        store, reference = apply_mixed(operations, merge_duplicates=True)
+        assert full_state(store) == full_state(reference)
+        return store
+
+    def test_three_equal_same_predicate_columns(self):
+        shape = [(0, "A", True)] * 3
+        store = self.assert_matrix_matches(
+            [[1, 1, 1], [1, 2, 1], [2, 1, 1], [0, 1, 1]], 0.1, shape
+        )
+        # (2, 1) is the literal set of (1, 2): it merges into that row.
+        assert [clause.literals for clause in store] == [(1,), (1, 2)]
+        assert store.repeated_literals == 5
+
+    def test_same_predicate_columns_over_different_constants(self):
+        # Columns 0 and 1 (constants A, B) share no atom, so only the pair
+        # (0, 2) is checked; rows still merge across column orders.
+        shape = [(0, "A", True), (0, "B", True), (0, "A", False)]
+        store = self.assert_matrix_matches(
+            [[1, 3, -2], [2, 3, -1], [1, 4, -1], [2, 3, -1]], 1.0, shape
+        )
+        assert store.tautologies == 1
+
+    def test_tautologies_and_in_batch_duplicates(self):
+        shape = [(1, "A", True), (1, "A", False)]
+        store = self.assert_matrix_matches(
+            [[5, -5], [5, -6], [6, -5], [5, -6], [0, -6], [5, -6]], 1 / 3, shape
+        )
+        assert store.tautologies == 1
+        assert [clause.literals for clause in store] == [(5, -6), (6, -5), (-6,)]
+
+    def test_merges_into_earlier_rows_and_never_into_hard_rows(self):
+        shape = [(0, "A", True), (0, "B", False)]
+        before = [((1, -3), 0.5), ((-4, 2), math.inf), ((2, -3), -0.7)]
+        store = self.assert_matrix_matches(
+            [[1, -3], [2, -4], [2, -3], [1, -3]], 0.1, shape, before
+        )
+        # (1, -3) merged twice, (2, -4) started a new row beside the hard one.
+        assert len(store) == 4 and store[3].literals == (2, -4)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_overflow_to_infinity(self, sign):
+        shape = [(0, "A", True)]
+        self.assert_matrix_matches(
+            [[1], [1], [2], [1], [1]], sign * 1e308, shape, [((1,), sign * 1e308)]
+        )
+
+    def test_row_indexed_by_a_batch_that_overflows_later_is_not_merged_into(self):
+        # Row (1, 2) enters the array index finite, overflows to a hard
+        # weight in a later batch, and the batch after that must start a
+        # new row instead of merging into it.
+        shape = [(0, "A", True), (0, "B", True)]
+        repeat_pairs, tautology_pairs = clause_pairs(shape)
+        operations = [
+            (("add_matrix", (np.array([[1, 3]]), repeat_pairs, tautology_pairs)), 1e308, "R"),
+            (("add_matrix", (np.array([[1, 3]]), repeat_pairs, tautology_pairs)), 1e308, "R"),
+            (("add_matrix", (np.array([[3, 1]]), repeat_pairs, tautology_pairs)), 0.5, "R"),
+        ]
+        store, reference = apply_mixed(operations, merge_duplicates=True)
+        assert full_state(store) == full_state(reference)
+        assert [clause.weight for clause in store] == [math.inf, 0.5]
+
+    @pytest.mark.parametrize("weight", [0.1, -0.5, math.inf, -math.inf])
+    def test_empty_rows(self, weight):
+        shape = [(0, "A", True), (1, "B", False)]
+        store = self.assert_matrix_matches([[0, 0], [1, 0], [0, 0], [0, -7]], weight, shape)
+        expected = 0.1 + 0.1 if weight == 0.1 else 0.0
+        assert store.evidence_violation_cost == expected

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import InferenceConfig
 from repro.core.errors import ConfigurationError, ProgramError
+from repro.core.engine import TuffyEngine
 from repro.core.program import MLNProgram
 from repro.logic.formulas import PredicateFormula
 from repro.logic.terms import Constant, Variable
@@ -66,8 +67,9 @@ class TestMLNProgram:
         program = MLNProgram.from_text(PROGRAM_TEXT, "wrote(Joe, P1)\nwrote(Ann, P2)")
         program.add_constants("category", ["DB", "AI"])
         registry = program.build_atom_registry()
-        # 2 papers x 2 categories query atoms + 2 evidence atoms.
-        assert len(registry.query_atom_ids()) == 4
+        # 2 papers x 3 categories (DB, AI and the rule's Networking) query
+        # atoms + 2 evidence atoms.
+        assert len(registry.query_atom_ids()) == 6
         assert len(registry.evidence_atom_ids()) == 2
 
     def test_explicit_atom_generation(self):
@@ -96,8 +98,37 @@ class TestMLNProgram:
         assert row["#relations"] == 2
         assert row["#rules"] == 2
         assert row["#evidence tuples"] == 1
-        assert row["#query atoms"] == 1
+        # cat(P1, DB) and cat(P1, Networking): the rule's constant is in
+        # the category domain.
+        assert row["#query atoms"] == 2
         assert row["#entities"] == 3
+
+    def test_rule_constant_joins_its_domain_after_the_evidence(self):
+        program = MLNProgram.from_text(
+            '*wrote(author, paper)\ncat(paper, category)\n1 wrote(x, p) => cat(p, "A")\n',
+            "wrote(A1, P1)\n",
+        )
+        assert "category" not in program.domains
+        assert program.rule_constants() == {"category": ["A"]}
+        with TuffyEngine(program, InferenceConfig(seed=0)) as engine:
+            grounding = engine.ground()
+            assert [
+                (str(grounding.atoms.atom(literal)), clause.weight)
+                for clause in grounding.clauses
+                for literal in clause.literals
+            ] == [("cat(P1, A)", 1.0)]
+
+    def test_rule_constant_keeps_evidence_atom_ids(self):
+        # Networking already occurs in the evidence: the domain order, and
+        # so every atom id, is what the evidence alone gives.
+        evidence = "wrote(Joe, P1)\ncat(P1, Networking)\ncat(P2, DB)\n"
+        with_rule = MLNProgram.from_text(PROGRAM_TEXT, evidence).build_atom_registry()
+        without_rule = MLNProgram.from_text(
+            "*wrote(author, paper)\ncat(paper, category)\n", evidence
+        ).build_atom_registry()
+        assert [str(record.atom) for record in with_rule] == [
+            str(record.atom) for record in without_rule
+        ]
 
     def test_clause_cache_invalidation(self):
         program = MLNProgram.from_text(PROGRAM_TEXT)

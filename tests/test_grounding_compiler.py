@@ -3,7 +3,11 @@
 import pytest
 
 from repro.grounding.bottom_up import predicate_table_schema
-from repro.grounding.compiler import ClauseCompilationError, GroundingCompiler
+from repro.grounding.compiler import (
+    ClauseCompilationError,
+    GroundingCompiler,
+    same_atom_pairs,
+)
 from repro.logic.clauses import WeightedClause
 from repro.logic.literals import Literal
 from repro.logic.predicates import Predicate
@@ -142,6 +146,64 @@ class TestCompilation:
         ]
         compilations = GroundingCompiler().compile_all(clauses)
         assert len(compilations) == 2
+
+
+class TestSameAtomPairs:
+    """Only literals of one predicate whose arguments can agree are listed."""
+
+    WROTE = Predicate("wrote", ("author", "paper"), closed_world=True)
+
+    def test_rc_rules(self):
+        x = Variable("x")
+        f1 = WeightedClause(
+            (Literal(CAT, (P, C1), positive=False), Literal(CAT, (P, C2), positive=False)),
+            5.0,
+            equalities=((C1, C2, True),),
+        )
+        f2 = WeightedClause(
+            (
+                Literal(self.WROTE, (x, P1), positive=False),
+                Literal(self.WROTE, (x, P2), positive=False),
+                Literal(CAT, (P1, C), positive=False),
+                Literal(CAT, (P2, C)),
+            ),
+            1.0,
+        )
+        f3 = WeightedClause(
+            (
+                Literal(CAT, (P1, C), positive=False),
+                Literal(REFERS, (P1, P2), positive=False),
+                Literal(CAT, (P2, C)),
+            ),
+            2.0,
+        )
+        # F1's ``c1 = c2`` disjunct keeps its two cat literals apart.
+        assert same_atom_pairs(f1) == ([], [])
+        assert same_atom_pairs(f2) == ([(0, 1)], [(2, 3)])
+        assert same_atom_pairs(f3) == ([], [(0, 2)])
+        compilation = compile_clause(f2)
+        assert (compilation.repeat_pairs, compilation.tautology_pairs) == ([(0, 1)], [(2, 3)])
+
+    def test_different_constants_never_meet(self):
+        clause = WeightedClause(
+            (
+                Literal(CAT, (P, Constant("DB"))),
+                Literal(CAT, (P, Constant("AI"))),
+                Literal(CAT, (P1, C), positive=False),
+                Literal(CAT, (P1, Constant("DB"))),
+            ),
+            1.0,
+        )
+        assert same_atom_pairs(clause) == ([(0, 3)], [(0, 2), (1, 2), (2, 3)])
+
+    def test_negative_equality_does_not_keep_apart(self):
+        # ``c1 != c2`` as a disjunct keeps the bindings where c1 = c2.
+        clause = WeightedClause(
+            (Literal(CAT, (P, C1)), Literal(CAT, (P, C2))),
+            1.0,
+            equalities=((C1, C2, False),),
+        )
+        assert same_atom_pairs(clause) == ([(0, 1)], [])
 
 
 class TestPredicateTableSchema:

@@ -202,6 +202,51 @@ class TestSpanTreeShape:
                 if stats.clause_name in replayed_names:
                     assert stats.ingest_seconds == stats.seconds
 
+    @pytest.mark.parametrize("backend", ["columnar", "row"])
+    def test_clause_ingest_spans_attribute_rows_per_rule(self, backend):
+        # Each clause-ingest span says what its rule's rows did in the
+        # store; summed over the spans, that is the store itself.
+        dataset = load_dataset("RC", DatasetScale(factor=0.25, seed=0))
+        config = InferenceConfig(seed=0, tracing="on", execution_backend=backend)
+        with EngineSession(dataset.program, config) as session:
+
+            def check(grounding, spans):
+                stats = {s.clause_name: s for s in grounding.per_clause}
+                for span in spans:
+                    clause = stats[span.attributes["clause"]]
+                    assert span.attributes["rows_in"] == (
+                        clause.ground_clauses + clause.pruned_bindings
+                    )
+                    assert span.attributes["rows_stored"] + span.attributes[
+                        "rows_merged"
+                    ] == clause.ground_clauses
+                    assert min(span.attributes[key] for key in ATTRIBUTES) >= 0
+                store = grounding.clauses
+                assert sum(s.attributes["rows_stored"] for s in spans) == len(store)
+                assert sum(s.attributes["tautologies"] for s in spans) == store.tautologies
+                assert (
+                    sum(s.attributes["repeats_dropped"] for s in spans)
+                    == store.repeated_literals
+                )
+
+            ATTRIBUTES = (
+                "rows_in", "rows_stored", "rows_merged", "tautologies", "repeats_dropped"
+            )
+            grounding = session.ground()
+            check(grounding, [s for s in session.tracer.spans() if s.name == "clause-ingest"])
+            assert grounding.clauses.tautologies > 0
+            fact = next(
+                f.atom.argument_values()
+                for f in dataset.program.evidence
+                if f.atom.predicate.name == "wrote"
+            )
+            seen = len(session.tracer.spans())
+            session.remove_evidence("wrote", fact)
+            delta = session.ground()
+            spans = [s for s in session.tracer.spans()[seen:] if s.name == "clause-ingest"]
+            assert any(s.attributes.get("replayed") for s in spans)
+            check(delta, spans)
+
     def test_stitched_order_is_deterministic(self):
         # The last backend is the forked pool when fork is available: the
         # one whose completion order varies run to run.
