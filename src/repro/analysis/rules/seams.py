@@ -1,4 +1,4 @@
-"""Seam-conformance rules: structural checks across the three backend seams.
+"""Seam-conformance rules: structural checks across the backend seams.
 
 Unlike the per-file determinism rules, these inspect several files at once:
 

@@ -90,13 +90,6 @@ def _add_program_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_inference_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
-        "--execution-backend",
-        choices=("auto", "row", "columnar"),
-        default="auto",
-        help="relational engine execution model for grounding queries "
-        "(auto picks columnar for large tables)",
-    )
-    parser.add_argument(
         "--kernel-backend",
         choices=("auto", "flat", "vectorized"),
         default="auto",
@@ -186,7 +179,6 @@ def _add_inference_arguments(parser: argparse.ArgumentParser) -> None:
 def _config_from_arguments(arguments: argparse.Namespace) -> InferenceConfig:
     return InferenceConfig(
         seed=arguments.seed,
-        execution_backend=arguments.execution_backend,
         kernel_backend=arguments.kernel_backend,
         max_flips=arguments.max_flips,
         workers=arguments.workers,

@@ -8,7 +8,6 @@ from typing import Optional
 from repro.core.errors import ConfigurationError
 from repro.inference.state import KERNEL_BACKENDS
 from repro.parallel import PARALLEL_BACKENDS
-from repro.rdbms.executor import EXECUTION_BACKENDS
 from repro.rdbms.optimizer import OptimizerOptions
 from repro.utils.clock import CostModel
 
@@ -21,13 +20,11 @@ class InferenceConfig:
     ---------
     ``grounding_strategy`` is ``"bottom-up"`` (the Tuffy approach, default)
     or ``"top-down"`` (the Alchemy-style nested-loop baseline);
-    ``optimizer_options`` exposes the relational planner's lesion knobs;
-    ``execution_backend`` selects the relational engine's execution model
-    (``"auto"`` engages the columnar batch engine once a scanned table
-    reaches ``COLUMNAR_AUTO_MIN_ROWS`` rows; ``"row"`` / ``"columnar"``
-    force one — results are identical either way); ``use_lazy_closure``
-    applies the Appendix A.3 active closure to the ground clauses before
-    search.
+    ``optimizer_options`` exposes the relational planner's lesion knobs
+    (join algorithms, join order, predicate pushdown), the only choices
+    the relational engine makes — its one execution model runs every plan
+    as column batches; ``use_lazy_closure`` applies the Appendix A.3
+    active closure to the ground clauses before search.
 
     Search
     ------
@@ -58,7 +55,7 @@ class InferenceConfig:
     Gauss-Seidel, MC-SAT and its SampleSAT states): ``"auto"`` engages the
     numpy-vectorized kernel for MRFs of at least ``VECTOR_AUTO_MIN_CLAUSES``
     clauses, ``"flat"`` / ``"vectorized"`` force one — seeded results are
-    bit-identical either way (mirroring ``execution_backend``).
+    bit-identical either way.
 
     Marginal inference
     ------------------
@@ -106,7 +103,6 @@ class InferenceConfig:
     # Grounding.
     grounding_strategy: str = "bottom-up"
     optimizer_options: OptimizerOptions = field(default_factory=OptimizerOptions)
-    execution_backend: str = "auto"
     use_lazy_closure: bool = False
     merge_duplicate_clauses: bool = True
     # Search.
@@ -140,11 +136,6 @@ class InferenceConfig:
         if self.grounding_strategy not in ("bottom-up", "top-down"):
             raise ConfigurationError(
                 f"unknown grounding strategy {self.grounding_strategy!r}"
-            )
-        if self.execution_backend not in EXECUTION_BACKENDS:
-            raise ConfigurationError(
-                f"unknown execution backend {self.execution_backend!r}; "
-                f"expected one of {EXECUTION_BACKENDS}"
             )
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ConfigurationError(

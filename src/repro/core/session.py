@@ -284,7 +284,6 @@ class EngineSession:
         self.database = database or Database(
             clock=SimulatedClock(self.config.cost_model),
             optimizer_options=self.config.optimizer_options,
-            execution_backend=self.config.execution_backend,
         )
         self.memory_model = MemoryModel()
         self.timer = Timer()
@@ -1089,7 +1088,6 @@ class EngineSession:
                 optimizer_options=config.optimizer_options,
                 merge_duplicates=config.merge_duplicate_clauses,
                 memory_model=self.memory_model,
-                execution_backend=config.execution_backend,
                 enable_replay_cache=config.delta_grounding,
                 tracer=self.tracer,
             )

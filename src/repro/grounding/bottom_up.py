@@ -6,9 +6,8 @@ query (Algorithm 2) and lets the engine's optimizer choose join order and
 join algorithms.  The query results are turned into ground clauses with the
 evidence-pruning rules of Appendix A.3 applied.
 
-Each clause's query runs on the executor's resolved *execution backend*
-(``auto`` | ``row`` | ``columnar``, see :mod:`repro.rdbms.executor`).  On
-the columnar backend the per-literal evidence-outcome logic
+Each clause's query runs on the relational engine's column batches
+(:mod:`repro.rdbms.executor`).  The per-literal evidence-outcome logic
 (:func:`repro.grounding.pruning.literal_outcome`) is evaluated over whole
 aid/truth columns at once and the surviving rows reach the store as one
 fixed ``(rows, literals)`` matrix of int64 signed atom ids, through
@@ -17,9 +16,12 @@ per-row Python object between the relational engine's arrays and the
 clause table's arrays.  Repeated literals and tautologies can only come
 from the literal pairs the compilation lists as able to ground to the
 same atom (:func:`~repro.grounding.compiler.same_atom_pairs`), so the
-store checks those pairs instead of canonicalising every row.  Both
-consumers are bit-for-bit identical: same clauses, same order, same
-statistics (the grounding parity suite enforces this).
+store checks those pairs instead of canonicalising every row.  The
+specification is row-at-a-time: each binding's outcomes by
+``literal_outcome`` and one ``GroundClauseStore.add`` per surviving
+binding.  The grounding parity suite runs that spec over the test-side
+row oracle (``tests/row_oracle.py``) and checks the same clauses, order
+and statistics.
 
 Delta-grounding
 ---------------
@@ -54,14 +56,12 @@ from repro.grounding.compiler import (
     argument_column,
     predicate_table_name,
 )
-from repro.grounding.pruning import LiteralOutcome, literal_outcome
 from repro.grounding.result import ClauseGroundingStats, GroundingResult
 from repro.logic.clauses import WeightedClause
 from repro.logic.predicates import Predicate
 from repro.obs.tracer import NullTracer
-from repro.rdbms.column_batch import NULL_CODE, ValueEncoder
+from repro.rdbms.column_batch import NULL_CODE, ValueEncoder, sorted_distinct
 from repro.rdbms.database import Database
-from repro.rdbms.executor import ColumnarQueryResult, QueryResult
 from repro.rdbms.operators import HashJoin, NestedLoopJoin, iter_plan
 from repro.rdbms.optimizer import OptimizerOptions
 from repro.rdbms.schema import TableSchema
@@ -98,7 +98,7 @@ def atom_table_columns(
     columns = [encoder.encode_values(atom_ids.tolist())]
     for position in range(predicate.arity):
         column = codes[:, position]
-        if not all(type(value) is str for value in atoms.encoder.decode(np.unique(column))):
+        if not all(type(value) is str for value in atoms.encoder.decode(sorted_distinct(column))):
             text = [str(value) for value in atoms.encoder.decode_list(column)]
             column = atoms.encoder.encode_values(text)
         values.append(column)
@@ -126,8 +126,7 @@ def plan_intermediate_tuples(root) -> int:
 
     Hash joins report build + probe rows, nested-loop joins report pair
     comparisons — the intermediate state a real RDBMS holds on behalf of
-    the grounding process (the paper's Table 4 asymmetry).  Both execution
-    backends maintain these counters identically.
+    the grounding process (the paper's Table 4 asymmetry).
     """
     total = 0
     for operator in iter_plan(root):
@@ -179,10 +178,13 @@ class _ClauseReplay:
 class _RecordingStore:
     """Forwards to a clause store while recording the event stream.
 
-    Only the three mutating entry points the grounding consumers use are
-    wrapped.  A matrix is recorded by reference: the columnar consumer
-    builds a fresh one per query and the store never modifies what it is
-    given, so a replay hands ``add_matrix`` exactly what the query did.
+    Only the three mutating entry points of grounding are wrapped: the
+    columnar consumer's ``add_matrix`` and satisfied counts, and the
+    row-at-a-time ``add`` of its specification (the test-side row oracle
+    grounds through this recorder too).  A matrix is recorded by
+    reference: the columnar consumer builds a fresh one per query and the
+    store never modifies what it is given, so a replay hands
+    ``add_matrix`` exactly what the query did.
     """
 
     def __init__(self, store: GroundClauseStore) -> None:
@@ -250,11 +252,6 @@ class BottomUpGrounder:
         the size of the *result* (ground clauses), because intermediate
         join state lives inside the RDBMS, not in the inference process —
         this is the asymmetry behind the paper's Table 4.
-    execution_backend:
-        ``auto`` | ``row`` | ``columnar``; ``None`` defers to the
-        database executor's configured backend.  Resolved per clause query
-        (``auto`` engages the columnar engine only above the measured
-        table-size crossover).
     enable_replay_cache:
         Record per-clause event streams so later ``ground()`` calls replay
         clauses whose predicates are unchanged (delta-grounding; used by
@@ -271,7 +268,6 @@ class BottomUpGrounder:
     merge_duplicates: bool = True
     persist_clause_table: bool = True
     memory_model: Optional[MemoryModel] = None
-    execution_backend: Optional[str] = None
     enable_replay_cache: bool = False
     tracer: object = field(default_factory=NullTracer)
 
@@ -475,9 +471,6 @@ class BottomUpGrounder:
         name = clause.name or str(clause)
         stopwatch = Stopwatch()
         ingest = Stopwatch()
-        produced = 0
-        pruned = 0
-        intermediate = 0
         with stopwatch.measure():
             compilation = self._compiler.compile(clause)
             if compilation.query is None:
@@ -489,21 +482,23 @@ class BottomUpGrounder:
                     sql=None,
                 )
             planned = self.database.plan(compilation.query, self.optimizer_options)
-            backend = self.database.executor.resolve_backend(
-                planned, self.execution_backend
-            )
-            if backend == "columnar":
-                result = self.database.executor.execute_batch(planned)
-                consume = self._consume_columns
-            else:
-                result = self.database.executor.execute(planned, backend="row")
-                consume = self._consume_rows
+            result = self.database.executor.execute_batch(planned)
+            # Reading the join output gathers it through the join's
+            # selection: relational work, done before the ingest clock.
+            aid_columns = [
+                result.column_codes(literal.aid_output) for literal in compilation.literals
+            ]
+            truth_columns = [
+                result.column_codes(literal.truth_output) for literal in compilation.literals
+            ]
             # The relational query ends here; what follows is the clause
             # store's share of ``seconds``.
             counted = store.store if isinstance(store, _RecordingStore) else store
             with ingest.measure(), self.tracer.span("clause-ingest", clause=name) as span:
                 before = _store_counts(counted)
-                produced, pruned = consume(clause, compilation, result, store)
+                produced, pruned = self._consume_columns(
+                    clause, compilation, result.encoder, aid_columns, truth_columns, store
+                )
                 span.annotate(
                     **_ingest_attributes(counted, before, produced + pruned, produced)
                 )
@@ -518,82 +513,36 @@ class BottomUpGrounder:
             ingest_seconds=ingest.total,
         )
 
-    def _consume_rows(
-        self,
-        clause: WeightedClause,
-        compilation: ClauseCompilation,
-        result: QueryResult,
-        store: GroundClauseStore,
-    ) -> Tuple[int, int]:
-        """Row-at-a-time consumer: the executable specification.
-
-        Matches the top-down grounder's accounting: ``produced`` counts
-        bindings that stored (or merged into) a ground clause, ``pruned``
-        counts bindings decided entirely by the evidence — satisfied
-        outcomes, clauses that became empty after dropping decided
-        literals, and tautologies.
-        """
-        produced = 0
-        pruned = 0
-        aid_positions = [
-            result.schema.position(literal.aid_output) for literal in compilation.literals
-        ]
-        truth_positions = [
-            result.schema.position(literal.truth_output) for literal in compilation.literals
-        ]
-        signs = [literal.literal.positive for literal in compilation.literals]
-        for row in result.rows:
-            literals: List[int] = []
-            satisfied = False
-            for aid_position, truth_position, positive in zip(
-                aid_positions, truth_positions, signs
-            ):
-                outcome = literal_outcome(row[truth_position], positive)
-                if outcome is LiteralOutcome.SATISFIES:
-                    satisfied = True
-                    break
-                if outcome is LiteralOutcome.UNKNOWN:
-                    atom_id = row[aid_position]
-                    literals.append(atom_id if positive else -atom_id)
-            if satisfied:
-                store.record_satisfied_by_evidence()
-                pruned += 1
-                continue
-            if store.add(literals, clause.weight, clause.name) is not None:
-                produced += 1
-            else:
-                pruned += 1
-        return produced, pruned
-
     def _consume_columns(
         self,
         clause: WeightedClause,
         compilation: ClauseCompilation,
-        result: ColumnarQueryResult,
+        encoder: ValueEncoder,
+        aid_columns: Sequence["np.ndarray"],
+        truth_columns: Sequence["np.ndarray"],
         store: GroundClauseStore,
     ) -> Tuple[int, int]:
-        """Batched consumer: literal outcomes over whole aid/truth columns.
+        """Literal outcomes over a query's whole aid/truth code columns.
 
-        Bit-for-bit identical to :meth:`_consume_rows`: the rows no literal
-        satisfies become one ``(rows, literals)`` matrix of signed atom ids
-        (``0`` where the evidence decided the literal), in result order and
-        literal order, handed to
+        ``aid_columns`` / ``truth_columns`` hold one code array per
+        literal of ``compilation``, in ``encoder``'s dictionary.  The rows
+        no literal satisfies become one ``(rows, literals)`` matrix of
+        signed atom ids (``0`` where the evidence decided the literal), in
+        result order and literal order, handed to
         :meth:`~repro.grounding.clause_table.GroundClauseStore.add_matrix`
-        with the clause's same-atom literal pairs; the store sees the same
-        satisfied-by-evidence count.
+        with the clause's same-atom literal pairs.  Returns ``(produced,
+        pruned)``: bindings that stored or merged a ground clause, and
+        bindings the evidence decided — satisfied rows, rows left empty
+        and tautologies (the top-down grounder's accounting).
         """
-        row_count = len(result)
+        row_count = len(truth_columns[0]) if truth_columns else 0
         if row_count == 0:
             return 0, 0
-        encoder = result.encoder
         # The evidence truth values are True/False/None; their dictionary
         # codes (MISSING when a value never occurs) classify every literal
         # of every row with two comparisons per literal column.
         true_code = encoder.lookup(True)
         false_code = encoder.lookup(False)
-        truth_columns = [
-            result.column_codes(literal.truth_output) for literal in compilation.literals
-        ]
         satisfied = np.zeros(row_count, dtype=bool)
         for literal, truth_codes in zip(compilation.literals, truth_columns):
             satisfied |= truth_codes == (true_code if literal.literal.positive else false_code)
@@ -606,10 +555,9 @@ class BottomUpGrounder:
         matrix = np.empty(
             (row_count - satisfied_count, len(truth_columns)), dtype=np.int64, order="F"
         )
-        for position, (literal, truth_codes) in enumerate(
-            zip(compilation.literals, truth_columns)
+        for position, (literal, aid_codes, truth_codes) in enumerate(
+            zip(compilation.literals, aid_columns, truth_columns)
         ):
-            aid_codes = result.column_codes(literal.aid_output)
             if alive is not None:
                 truth_codes, aid_codes = truth_codes[alive], aid_codes[alive]
             aids = encoder.decode_int64(aid_codes)

@@ -41,6 +41,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.rdbms.column_batch import sorted_distinct
 from repro.rdbms.database import Database
 from repro.rdbms.schema import TableSchema
 from repro.rdbms.types import ColumnType
@@ -242,7 +243,7 @@ class ClauseColumns:
 
     def distinct_atoms(self) -> List[int]:
         """All distinct atom ids referenced by any row, sorted."""
-        return np.unique(np.abs(np.frombuffer(self.literals, dtype=np.int64))).tolist()
+        return sorted_distinct(np.abs(np.frombuffer(self.literals, dtype=np.int64))).tolist()
 
 
 def _gathered(column: array, index: "np.ndarray") -> array:

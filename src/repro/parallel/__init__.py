@@ -1,7 +1,7 @@
 """Multiprocess partition-inference subsystem.
 
-The third backend seam of the repo, mirroring ``kernel_backend`` (search
-kernel) and ``execution_backend`` (relational engine):
+The second backend seam of the repo, mirroring ``kernel_backend`` (search
+kernel):
 
 ``parallel_backend = auto | serial | processes``
 

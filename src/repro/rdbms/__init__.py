@@ -13,25 +13,24 @@ substitute for PostgreSQL: it provides
   each compilable to a per-row evaluator (``bind``) or a vectorized numpy
   mask (``bind_batch``),
 * physical operators — sequential scan, filter, project, nested-loop /
-  hash / sort-merge join, distinct, sort, aggregate (:mod:`operators`) —
-  executable under two models off the same plan: the tuple-at-a-time
-  iterator model (the executable specification) and the batch-at-a-time
-  columnar model over :class:`~repro.rdbms.column_batch.ColumnBatch`
-  arrays (dictionary-encoded columns + selection vectors, joins emitting
-  gather indices),
+  hash / sort-merge join and distinct, the ones the optimizer plans
+  (:mod:`operators`) — evaluated batch-at-a-time over
+  :class:`~repro.rdbms.column_batch.ColumnBatch` arrays
+  (dictionary-encoded columns + selection vectors, joins emitting gather
+  indices),
 * table statistics and cardinality estimation (:mod:`stats`),
 * a query optimizer with the lesion-study knobs from Table 6 of the paper
   (:mod:`optimizer`), and
-* an executor resolving the ``auto | row | columnar`` execution-backend
-  seam per plan (:mod:`executor`, mirroring the search kernel's
-  ``resolve_backend``) behind a :class:`~repro.rdbms.database.Database`
-  facade tying it all together.
+* an executor running the plans (:mod:`executor`) behind a
+  :class:`~repro.rdbms.database.Database` facade tying it all together.
 
-Both execution backends are *order-identical* — same rows, same order,
-same operator counters and I/O charges — so every consumer, including the
-grounding pipeline's bit-identical-results guarantee, is backend-agnostic;
-the columnar engine is purely a performance choice (see
-``tests/test_rdbms_columnar.py`` and ROADMAP.md "Execution backend").
+There is one engine.  Its output is in tuple-at-a-time order — the rows,
+row order, operator counters and I/O charges of the textbook iterator
+model — which the grounding pipeline's bit-identical results rely on.
+That iterator model lives in ``tests/row_oracle.py`` as the test oracle
+over the same plan trees; the parity suites (``tests/test_rdbms_columnar.py``
+and ``tests/test_grounding_columnar_parity.py``) compare the engine
+against it.
 
 The engine is deliberately scoped to what MLN grounding needs: conjunctive
 select-project-join queries with equality predicates, constant filters and
@@ -41,11 +40,7 @@ duplicate elimination.  It does not aim to be a general SQL system.
 from repro.rdbms.catalog import Catalog
 from repro.rdbms.column_batch import ColumnBatch, ColumnarContext, ValueEncoder
 from repro.rdbms.database import Database
-from repro.rdbms.executor import (
-    EXECUTION_BACKENDS,
-    Executor,
-    resolve_execution_backend,
-)
+from repro.rdbms.executor import Executor
 from repro.rdbms.expressions import (
     And,
     ColumnRef,
@@ -74,7 +69,6 @@ __all__ = [
     "ConjunctiveQuery",
     "Const",
     "Database",
-    "EXECUTION_BACKENDS",
     "Executor",
     "Expression",
     "Not",
@@ -85,5 +79,4 @@ __all__ = [
     "Table",
     "TableSchema",
     "ValueEncoder",
-    "resolve_execution_backend",
 ]

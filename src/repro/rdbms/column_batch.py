@@ -1,18 +1,16 @@
-"""Columnar batches: the data representation of the batch execution backend.
+"""Columnar batches: the data representation of the execution engine.
 
-The row engine executes a plan as a tree of Python tuple iterators; this
-module provides the columnar alternative the executor can run off the very
-same :class:`~repro.rdbms.optimizer.PlannedQuery`:
+The executor runs every :class:`~repro.rdbms.optimizer.PlannedQuery` as
+column batches; this module holds their parts:
 
 * :class:`ValueEncoder` — a shared dictionary encoding.  Every value the
   engine touches is interned to a small ``int64`` code (``None`` maps to
   :data:`NULL_CODE`).  Because the dictionary is shared across all tables
   and queries of one executor, *code equality is exactly Python value
-  equality* (``dict`` lookup uses ``hash``/``==``, the same relation the
-  row engine's evaluators use), so equality filters, hash joins and
-  duplicate elimination run entirely on integer arrays.  Ordering
-  comparisons and sorts decode back to the original values, because code
-  order is first-occurrence order, not value order.
+  equality* (``dict`` lookup uses ``hash``/``==``), so equality filters,
+  hash joins and duplicate elimination run entirely on integer arrays.
+  Ordering comparisons and sorts decode back to the original values,
+  because code order is first-occurrence order, not value order.
 * :class:`ColumnBatch` — one column array per schema column plus a
   *selection vector*: filters compose selections instead of copying column
   data, and joins emit gather indices instead of concatenated tuples.
@@ -27,15 +25,17 @@ same :class:`~repro.rdbms.optimizer.PlannedQuery`:
   :func:`composite_codes`, :func:`first_occurrence_indices`).  They are
   carefully *order-preserving* — probe-major output with build rows in
   insertion order, stable grouping, first-occurrence dedup — so the
-  columnar engine reproduces the row engine's output **order**, not just
-  its multiset (the grounding pipeline derives clause ids from row order).
+  engine reproduces the tuple-at-a-time iterator model's output
+  **order**, not just its multiset (the grounding pipeline derives clause
+  ids from row order).  :func:`sorted_distinct` is ``np.unique`` for the
+  callers that only count or test distinct codes.
 """
 
 from __future__ import annotations
 
 import weakref
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class ValueEncoder:
     Codes are assigned by first occurrence and never change, so arrays
     encoded at different times remain comparable.  ``bool``/``int``/``float``
     values that compare equal share a code (``dict`` semantics), which is
-    precisely the equality relation the row engine's ``==`` uses.
+    precisely the equality relation of Python's ``==``.
     """
 
     __slots__ = ("_codes", "_values", "_mirror", "_integers")
@@ -238,7 +238,7 @@ class ColumnBatch:
         return ColumnBatch(schema, [self.columns[p] for p in positions], self.selection)
 
     def to_rows(self, encoder: ValueEncoder) -> List[Tuple[Any, ...]]:
-        """Decode the batch back to the row engine's list-of-tuples form."""
+        """Decode the batch to a list of row tuples."""
         if self.length == 0:
             return []
         decoded = [
@@ -288,17 +288,6 @@ class ColumnarContext:
         self._table_cache[table] = (version, len(table), columns)
         return columns
 
-    def batch_from_rows(
-        self, schema: TableSchema, rows: Iterable[Tuple[Any, ...]]
-    ) -> ColumnBatch:
-        """Encode precomputed rows (fallback operators, ``Materialize``)."""
-        rows = list(rows)
-        columns = [
-            self.encoder.encode_values([row[position] for row in rows])
-            for position in range(len(schema))
-        ]
-        return ColumnBatch(schema, columns)
-
 
 # ----------------------------------------------------------------------
 # Vectorized kernels (all order-preserving; see module docstring)
@@ -344,31 +333,19 @@ def first_occurrence_indices(gids: "np.ndarray") -> "np.ndarray":
     return np.sort(order[boundary])
 
 
-def group_slices(gids: "np.ndarray") -> List[Tuple[int, "np.ndarray"]]:
-    """Group rows by group id, in first-occurrence order.
+def sorted_distinct(values: "np.ndarray") -> "np.ndarray":
+    """``np.unique(values)``: the distinct values in ascending order.
 
-    Returns ``(gid, member_row_positions)`` pairs where groups appear in
-    the order their first row appears and each group's members are in row
-    order — exactly the nesting the row engine's dict-based ``Aggregate``
-    produces.  One stable argsort instead of a Python dict fill.
+    One sort and a neighbour comparison.  A flag-less ``np.unique`` asks
+    ``np.ma.is_masked`` first, which imports ``numpy.ma`` on its first call.
     """
-    n = len(gids)
-    if n == 0:
-        return []
-    order = np.argsort(gids, kind="stable")
-    sorted_gids = gids[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_gids[1:] != sorted_gids[:-1]
-    starts = np.nonzero(boundary)[0]
-    ends = np.append(starts[1:], n)
-    groups = [
-        (int(sorted_gids[start]), order[start:end])
-        for start, end in zip(starts, ends)
-    ]
-    # First-occurrence order == ascending first member position.
-    groups.sort(key=lambda item: int(item[1][0]))
-    return groups
+    ordered = np.sort(values, axis=None)
+    if len(ordered) == 0:
+        return ordered
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def hash_join_indices(
@@ -377,11 +354,11 @@ def hash_join_indices(
     """Equality-join two sides on code columns, emitting gather indices.
 
     Returns ``(left_idx, right_idx, build_count)`` where the pairs
-    reproduce the row engine's hash join output order exactly: probe
+    reproduce the iterator model's hash join output order exactly: probe
     (left) rows in their original order, and for each probe row its build
     (right) matches in build-side insertion order.  Rows with a NULL in
     any key column never match (both sides); ``build_count`` is the number
-    of non-NULL-key build rows (the row engine's ``build_rows`` counter).
+    of non-NULL-key build rows (the join's ``build_rows`` counter).
     """
     n_left = len(left_keys[0])
     left_valid = np.ones(n_left, dtype=bool)

@@ -2,8 +2,9 @@
 
 This is the object the grounding layer talks to, playing the role PostgreSQL
 plays for Tuffy.  It intentionally exposes a narrow interface: create and
-bulk-load tables, run conjunctive queries (optionally dumping
-the result into another table), and report I/O statistics.
+bulk-load tables, plan and run conjunctive queries, and report I/O
+statistics.  The grounder runs its plans through ``executor.execute_batch``
+to read the output as encoded columns.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional, Sequence
 
 from repro.rdbms.catalog import Catalog
-from repro.rdbms.executor import ColumnarQueryResult, Executor, QueryResult
+from repro.rdbms.executor import Executor, QueryResult
 from repro.rdbms.optimizer import ConjunctiveQuery, Optimizer, OptimizerOptions, PlannedQuery
 from repro.rdbms.schema import TableSchema
 from repro.rdbms.sql import render_select
@@ -30,7 +31,6 @@ class Database:
         buffer_pool_pages: int = 4096,
         clock: Optional[SimulatedClock] = None,
         optimizer_options: Optional[OptimizerOptions] = None,
-        execution_backend: str = "auto",
     ) -> None:
         self.clock = clock or SimulatedClock()
         self.buffer_pool = BufferPool(buffer_pool_pages, clock=self.clock)
@@ -40,7 +40,7 @@ class Database:
         self.optimizer = Optimizer(
             self.catalog.tables(), self.statistics, optimizer_options or OptimizerOptions()
         )
-        self.executor = Executor(execution_backend)
+        self.executor = Executor()
 
     # ------------------------------------------------------------------
     # DDL / DML
@@ -85,32 +85,10 @@ class Database:
         return self.optimizer.plan(query, options)
 
     def execute(
-        self,
-        query: ConjunctiveQuery,
-        options: Optional[OptimizerOptions] = None,
-        backend: Optional[str] = None,
-    ) -> QueryResult:
-        planned = self.optimizer.plan(query, options)
-        return self.executor.execute(planned, backend=backend)
-
-    def execute_batch(
         self, query: ConjunctiveQuery, options: Optional[OptimizerOptions] = None
-    ) -> ColumnarQueryResult:
-        """Plan and run a query on the columnar engine, returning columns."""
-        planned = self.optimizer.plan(query, options)
-        return self.executor.execute_batch(planned)
-
-    def execute_into(
-        self,
-        query: ConjunctiveQuery,
-        target_table: str,
-        options: Optional[OptimizerOptions] = None,
-        truncate: bool = False,
-        backend: Optional[str] = None,
     ) -> QueryResult:
         planned = self.optimizer.plan(query, options)
-        target = self.catalog.table(target_table)
-        return self.executor.execute_into(planned, target, truncate=truncate, backend=backend)
+        return self.executor.execute(planned)
 
     def explain(
         self, query: ConjunctiveQuery, options: Optional[OptimizerOptions] = None

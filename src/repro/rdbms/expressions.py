@@ -1,9 +1,11 @@
 """Expression trees for filters and join conditions.
 
-Expressions are evaluated against a row and a schema (column names resolve to
-positions at bind time for speed).  The grounding compiler only produces
-comparisons, conjunctions and negations, but the full set here keeps the
-engine usable as a standalone component and exercised by its own tests.
+``bind`` evaluates an expression against a row and a schema (column names
+resolve to positions at bind time for speed); it is the per-row semantics
+the test-side row oracle evaluates plans with.  The grounding compiler
+only produces comparisons, conjunctions and negations, but the full set
+here keeps the engine usable as a standalone component and exercised by
+its own tests.
 
 Each node also supports ``bind_batch``, the columnar twin of ``bind``: it
 compiles the expression to a vectorized evaluator over a
@@ -11,7 +13,7 @@ compiles the expression to a vectorized evaluator over a
 mask (predicates) or a code array (value nodes).  Equality and null-safe
 comparisons run directly on dictionary codes — code equality is value
 equality because the encoder is shared — while ordering comparisons decode
-back to values, preserving the row engine's Python comparison semantics
+back to values, preserving ``bind``'s Python comparison semantics
 exactly (including "NULL compares False" for the standard operators).
 """
 

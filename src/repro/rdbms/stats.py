@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
-from repro.rdbms.column_batch import NULL_CODE
+from repro.rdbms.column_batch import NULL_CODE, sorted_distinct
 from repro.rdbms.table import Table
 
 
@@ -71,7 +69,7 @@ class TableStatistics:
         columns: Dict[str, ColumnStatistics] = {}
         for column, codes in zip(table.schema.column_names, table.encoded):
             present = codes[codes != NULL_CODE]
-            distinct = len(np.unique(present))
+            distinct = len(sorted_distinct(present))
             null_fraction = 0.0 if row_count == 0 else 1.0 - len(present) / row_count
             columns[column] = ColumnStatistics(distinct, null_fraction)
         return cls(row_count, columns)

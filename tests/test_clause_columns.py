@@ -192,7 +192,7 @@ def grounded_columns(dataset):
     else:
         factor = {"RC": 1, "IE": 1, "LP": 0.5, "ER": 0.5}[dataset]
         program = load_dataset(dataset, DatasetScale(factor=factor, seed=2)).program
-        store = BottomUpGrounder(execution_backend="columnar").ground(
+        store = BottomUpGrounder().ground(
             program.clauses(), program.build_atom_registry()
         ).clauses
     return [
@@ -337,7 +337,7 @@ class TestDesignGuard:
 
         monkeypatch.setattr(GroundClause, "__post_init__", counting)
         program = load_dataset("RC", DatasetScale(factor=1, seed=0)).program
-        grounding = BottomUpGrounder(execution_backend="columnar").ground(
+        grounding = BottomUpGrounder().ground(
             program.clauses(), program.build_atom_registry()
         )
         mrf = MRF.from_store(grounding.clauses)

@@ -3,6 +3,7 @@
 import io
 
 import pytest
+from row_oracle import ground_by_rows
 
 from repro.cli import build_parser, main
 
@@ -38,13 +39,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dataset", "UNKNOWN"])
 
-    def test_execution_backend_choices(self):
-        arguments = build_parser().parse_args(
-            ["dataset", "RC", "--execution-backend", "columnar"]
-        )
-        assert arguments.execution_backend == "columnar"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["dataset", "RC", "--execution-backend", "gpu"])
+    def test_execution_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["dataset", "RC", "--execution-backend", "row"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("usage:")
+        assert "unrecognized arguments: --execution-backend row" in error
 
     def test_kernel_backend_choices(self):
         arguments = build_parser().parse_args(
@@ -291,30 +292,22 @@ class TestStatsCommand:
 
 
 class TestInferCommand:
-    def test_map_inference_on_forced_columnar_backend(self, program_files):
+    def test_map_inference_matches_row_oracle_grounding(self, program_files, monkeypatch):
         program, evidence = program_files
         outputs = {}
-        for backend in ("row", "columnar"):
+        for grounding in ("columnar", "row"):
+            if grounding == "row":
+                ground_by_rows(monkeypatch)
             output = io.StringIO()
             status = main(
-                [
-                    "infer",
-                    "-i",
-                    program,
-                    "-e",
-                    evidence,
-                    "--max-flips",
-                    "2000",
-                    "--execution-backend",
-                    backend,
-                ],
+                ["infer", "-i", program, "-e", evidence, "--max-flips", "2000"],
                 stream=output,
             )
             assert status == 0
             text = output.getvalue()
             atoms_section = text.split("\n#\n")[0]
             cost_lines = [line for line in text.splitlines() if "cost" in line]
-            outputs[backend] = (atoms_section, cost_lines)
+            outputs[grounding] = (atoms_section, cost_lines)
         # Identical inferred atoms and cost; only wall-clock lines may differ.
         assert outputs["row"] == outputs["columnar"]
 

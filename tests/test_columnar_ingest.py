@@ -19,6 +19,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from row_oracle import RowOracleGrounder
 
 from benchmarks.e2e.inputs import render_rc_text
 from repro.core.config import InferenceConfig
@@ -299,15 +300,18 @@ IO_PARITY = {
 }
 
 
+@pytest.mark.parametrize(
+    "grounder", [BottomUpGrounder, RowOracleGrounder], ids=["columnar", "row"]
+)
 @pytest.mark.parametrize("dataset", sorted(IO_PARITY))
-def test_clause_table_io_is_charged_as_before(dataset):
+def test_clause_table_io_is_charged_as_before(dataset, grounder):
     def charges():
         io = database.io_statistics()
         return (io.page_reads, io.page_writes, io.buffer_hits, io.buffer_misses, database.clock.now().hex())
 
     program = load_dataset(dataset, DatasetScale(factor=1, seed=0)).program
     database = Database(buffer_pool_pages=64)
-    grounding = BottomUpGrounder(database=database).ground(
+    grounding = grounder(database=database).ground(
         program.clauses(), program.build_atom_registry()
     )
     seen = [charges()]
@@ -336,7 +340,7 @@ def test_cold_request_builds_no_atom_objects_or_table_rows(monkeypatch):
             _original(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
-    config = InferenceConfig(max_flips=2000, execution_backend="columnar")
+    config = InferenceConfig(max_flips=2000)
     with TuffyEngine(text.parse(), config) as engine:
         engine.run_map(seed=0)
         tables = list(engine.database.catalog)

@@ -1,11 +1,10 @@
-"""The four size crossovers that steer the ``auto`` backends.
+"""The three size crossovers that steer the ``auto`` paths.
 
 Each crossover is a plain module constant: the vectorized search kernel
-(``VECTOR_AUTO_MIN_CLAUSES``), batched greedy (``GREEDY_MIN_ENTRIES``),
-the numpy-built flat view (``NUMPY_VIEW_MIN_CLAUSES``) and columnar
-execution (``COLUMNAR_AUTO_MIN_ROWS``).  These tests pin its value
-and its boundary: an input one below the constant takes the slow (scalar
-or row) path, an input exactly at it the fast (numpy) path.  Both paths
+(``VECTOR_AUTO_MIN_CLAUSES``), batched greedy (``GREEDY_MIN_ENTRIES``)
+and the numpy-built flat view (``NUMPY_VIEW_MIN_CLAUSES``).  These tests
+pin its value and its boundary: an input one below the constant takes the
+slow (scalar) path, an input exactly at it the fast (numpy) path.  Both paths
 are bit-identical in results (the parity suites prove that), so a moved
 constant changes speed, never output — which is why it must move only on
 purpose.
@@ -15,11 +14,6 @@ from repro.grounding.clause_table import GroundClause
 from repro.inference.state import VECTOR_AUTO_MIN_CLAUSES, resolve_backend
 from repro.inference.vector_kernel import GREEDY_MIN_ENTRIES, VectorSearchState
 from repro.mrf.graph import MRF, NUMPY_VIEW_MIN_CLAUSES
-from repro.rdbms.executor import COLUMNAR_AUTO_MIN_ROWS, resolve_execution_backend
-from repro.rdbms.operators import TableScan
-from repro.rdbms.schema import TableSchema
-from repro.rdbms.table import Table
-from repro.rdbms.types import ColumnType
 
 
 def chain_mrf(clause_count):
@@ -42,17 +36,10 @@ def greedy_probe_mrf(entries):
     return MRF.from_clauses(clauses)
 
 
-def integer_table(rows):
-    table = Table("t", TableSchema.of(("x", ColumnType.INTEGER)))
-    table.bulk_load([(value,) for value in range(rows)])
-    return table
-
-
 def test_crossover_constants():
     assert VECTOR_AUTO_MIN_CLAUSES == 256
     assert GREEDY_MIN_ENTRIES == 128
     assert NUMPY_VIEW_MIN_CLAUSES == 256
-    assert COLUMNAR_AUTO_MIN_ROWS == 128
 
 
 def test_vector_kernel_crossover_boundary():
@@ -85,10 +72,3 @@ def test_numpy_flat_view_crossover_boundary():
     # Numpy-built from the columns: literal arrays, candidates on first read.
     assert at.flat_view().arrays is not None
     assert set(at.flat_view().candidates) == {None}
-
-
-def test_columnar_execution_crossover_boundary():
-    below = TableScan(integer_table(COLUMNAR_AUTO_MIN_ROWS - 1), "t")
-    at = TableScan(integer_table(COLUMNAR_AUTO_MIN_ROWS), "t")
-    assert resolve_execution_backend(below, "auto") == "row"
-    assert resolve_execution_backend(at, "auto") == "columnar"

@@ -4,10 +4,14 @@ numpy is a declared dependency, and the program's behaviour is set by its
 arguments and ``InferenceConfig`` alone.  These tests parse every module
 under ``src/repro`` and fail on a read of the process environment or on
 an ``except ImportError`` that guards a numpy import, so neither an
-environment switch nor a numpy-less fallback path creeps back in.
+environment switch nor a numpy-less fallback path creeps back in.  One
+more guard runs a cold request in a fresh interpreter: it must not import
+``numpy.ma``, which costs every one-shot run tens of milliseconds.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,3 +123,28 @@ def test_optional_numpy_imports_are_detected(source):
 def test_clean_sources_pass(source):
     tree = ast.parse(source)
     assert environment_reads(tree) == [] and optional_numpy_imports(tree) == []
+
+
+COLD_REQUEST = """
+import sys
+from repro.core import InferenceConfig, TuffyEngine
+from repro.datasets import DatasetScale, load_dataset
+
+program = load_dataset("RC", DatasetScale(factor=0.5, seed=0)).program
+with TuffyEngine(program, InferenceConfig(max_flips=2000)) as engine:
+    engine.ground()
+    engine.run_map()
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cold_request_does_not_import_numpy_ma():
+    completed = subprocess.run(
+        [sys.executable, "-c", COLD_REQUEST],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(SOURCE_ROOT.parent)},
+        timeout=120,
+    )
+    assert completed.stdout.strip() == "False"

@@ -1,18 +1,22 @@
-"""End-to-end grounding parity: row vs columnar execution backends.
+"""End-to-end grounding parity: the columnar engine vs the row oracle.
 
-The acceptance bar for the columnar engine is *bit-identical*
-``GroundingResult``s: the same ground clauses (literals in the same order,
-same weights from the same sequence of floating-point merges, same
-sources), assigned the same clause ids in the same order, with the same
-store-level and per-clause statistics — on every optimizer plan shape the
-lesion study exercises, across the paper's workloads.
+The acceptance bar for the grounder is *bit-identical* ``GroundingResult``s
+against the tuple-at-a-time specification (``row_oracle.RowOracleGrounder``:
+the oracle's rows, one ``add`` per binding): the same ground clauses
+(literals in the same order, same weights from the same sequence of
+floating-point merges, same sources), assigned the same clause ids in the
+same order, with the same store-level and per-clause statistics and the
+same page charges — on every optimizer plan shape the lesion study
+exercises, across the paper's workloads.
 """
 
 import pytest
+from row_oracle import RowOracleGrounder, ground_by_rows
 
 from repro.core import InferenceConfig, MLNProgram, TuffyEngine
 from repro.datasets import DatasetScale, load_dataset
 from repro.grounding.bottom_up import BottomUpGrounder
+from repro.rdbms.database import Database
 from repro.rdbms.optimizer import OptimizerOptions
 
 # The paper's running example (Figure 1 / Example 1): authors, citations
@@ -39,6 +43,7 @@ PLAN_SHAPES = {
     "full-optimizer": OptimizerOptions.full_optimizer,
     "fixed-join-order": OptimizerOptions.fixed_join_order,
     "nested-loop-only": OptimizerOptions.nested_loop_only,
+    "sort-merge-charged": lambda: OptimizerOptions(enable_hash_join=False, charge_io=True),
 }
 
 
@@ -54,6 +59,7 @@ def dataset_program(name):
 
 PROGRAMS = {
     "example1": example1_program,
+    "IE": lambda: dataset_program("IE"),
     "LP": lambda: dataset_program("LP"),
     "RC": lambda: dataset_program("RC"),
     "ER": lambda: dataset_program("ER"),
@@ -90,12 +96,16 @@ def grounding_snapshot(result):
     }
 
 
+GROUNDERS = {"row": RowOracleGrounder, "columnar": BottomUpGrounder}
+
+
 def ground_with(program_factory, backend, options):
+    """A grounding, plus the database's page charges and simulated clock."""
     program = program_factory()
-    grounder = BottomUpGrounder(
-        optimizer_options=options, execution_backend=backend
-    )
-    return grounder.ground(program.clauses(), program.build_atom_registry())
+    database = Database(buffer_pool_pages=64)
+    grounder = GROUNDERS[backend](database=database, optimizer_options=options)
+    result = grounder.ground(program.clauses(), program.build_atom_registry())
+    return result, (database.io_statistics().as_dict(), database.clock.now().hex())
 
 
 class TestGroundingBitIdentical:
@@ -104,46 +114,38 @@ class TestGroundingBitIdentical:
     def test_row_and_columnar_grounding_identical(self, program_name, plan_shape):
         factory = PROGRAMS[program_name]
         options = PLAN_SHAPES[plan_shape]()
-        row = grounding_snapshot(ground_with(factory, "row", options))
-        columnar = grounding_snapshot(ground_with(factory, "columnar", options))
-        assert row == columnar
+        row, row_io = ground_with(factory, "row", options)
+        columnar, columnar_io = ground_with(factory, "columnar", options)
+        assert grounding_snapshot(row) == grounding_snapshot(columnar)
+        assert row_io == columnar_io
 
-    def test_forced_columnar_on_tiny_tables_still_identical(self):
-        # Below the auto crossover the columnar engine is slower, never wrong.
-        row = grounding_snapshot(ground_with(example1_program, "row", None))
-        columnar = grounding_snapshot(ground_with(example1_program, "columnar", None))
-        assert row == columnar
+    def test_default_options_on_tiny_tables_identical(self):
+        row, row_io = ground_with(example1_program, "row", None)
+        columnar, columnar_io = ground_with(example1_program, "columnar", None)
+        assert grounding_snapshot(row) == grounding_snapshot(columnar)
+        assert row_io == columnar_io
 
 
 class TestEngineThreading:
-    @pytest.mark.parametrize("backend", ["auto", "row", "columnar"])
-    def test_engine_runs_map_on_every_backend(self, backend):
-        config = InferenceConfig(
-            seed=0, max_flips=500, execution_backend=backend, use_partitioning=False
-        )
+    def test_engine_runs_map(self):
+        config = InferenceConfig(seed=0, max_flips=500, use_partitioning=False)
         engine = TuffyEngine(example1_program(), config)
         result = engine.run_map()
         assert result.cost >= 0.0
 
-    def test_map_results_identical_across_backends(self):
-        costs = {}
-        assignments = {}
-        for backend in ("row", "columnar"):
-            config = InferenceConfig(
-                seed=7, max_flips=2000, execution_backend=backend
-            )
-            engine = TuffyEngine(example1_program(), config)
+    def test_map_results_identical_to_row_oracle(self, monkeypatch):
+        def run():
+            engine = TuffyEngine(example1_program(), InferenceConfig(seed=7, max_flips=2000))
             result = engine.run_map()
-            costs[backend] = result.cost
-            assignments[backend] = result.assignment
-        assert costs["row"] == costs["columnar"]
-        assert assignments["row"] == assignments["columnar"]
+            return result.cost, result.assignment
 
-    def test_config_rejects_unknown_backend(self):
-        from repro.core.errors import ConfigurationError
+        columnar = run()
+        ground_by_rows(monkeypatch)
+        assert run() == columnar
 
-        with pytest.raises(ConfigurationError):
-            InferenceConfig(execution_backend="gpu")
+    def test_config_has_no_execution_backend(self):
+        with pytest.raises(TypeError):
+            InferenceConfig(execution_backend="row")
 
 
 class TestPrunedBindingsSurfaced:
@@ -168,7 +170,7 @@ class TestPrunedBindingsSurfaced:
 
     def _ground(self, backend):
         program = MLNProgram.from_text(self.PRUNE_PROGRAM, self.PRUNE_EVIDENCE)
-        grounder = BottomUpGrounder(execution_backend=backend)
+        grounder = GROUNDERS[backend]()
         return grounder.ground(program.clauses(), program.build_atom_registry())
 
     @pytest.mark.parametrize("backend", ["row", "columnar"])

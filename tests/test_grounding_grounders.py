@@ -148,8 +148,8 @@ class TestAtomTableReuse:
         from repro.rdbms.database import Database
 
         program = figure1_program()
-        database = Database(execution_backend="columnar")
-        grounder = BottomUpGrounder(database=database, execution_backend="columnar")
+        database = Database()
+        grounder = BottomUpGrounder(database=database)
         clauses = program.clauses()
         atoms = program.build_atom_registry()
         grounder.ground(clauses, atoms)

@@ -14,17 +14,20 @@ component span, and the post-hoc emission order is deterministic.
 import logging
 
 import pytest
+from row_oracle import ground_by_rows
 
 from repro.core.config import InferenceConfig
 from repro.core.session import EngineSession
 from repro.datasets import DatasetScale, load_dataset
 from repro.datasets.example1 import example1_mrf
+from repro.grounding.bottom_up import BottomUpGrounder
 from repro.inference.component_walksat import ComponentAwareWalkSAT
 from repro.inference.walksat import WalkSATOptions
 from repro.mrf.components import connected_components
 from repro.obs import MetricsRegistry, RecordingTracer
 from repro.parallel import processes_available
 from repro.parallel.pool import ComponentTask, WorkerPool
+from repro.rdbms.column_batch import ColumnBatch
 from repro.utils.rng import RandomSource
 
 BACKENDS = [
@@ -159,6 +162,27 @@ class TestSpanTreeShape:
                 assert parent.name.startswith("component[")
                 assert "worker" in span.attributes
 
+    def test_join_output_is_read_before_clause_ingest_opens(self, monkeypatch):
+        # Reading a join's output gathers it through the join's selection:
+        # relational work, which must not be booked as clause ingest.
+        tracer = RecordingTracer()
+        reads = []
+        original = ColumnBatch.column_codes
+
+        def column_codes(batch, position):
+            current = tracer.current_span()
+            assert current is None or current.name != "clause-ingest"
+            reads.append(position)
+            return original(batch, position)
+
+        monkeypatch.setattr(ColumnBatch, "column_codes", column_codes)
+        program = load_dataset("RC", DatasetScale(factor=1, seed=0)).program
+        grounding = BottomUpGrounder(tracer=tracer).ground(
+            program.clauses(), program.build_atom_registry()
+        )
+        assert reads and len(grounding.clauses) > 0
+        assert any(span.name == "clause-ingest" for span in tracer.spans())
+
     def test_clause_ingest_is_split_out_of_the_ground_span(self):
         # Each first-order clause's query time is (relational query) +
         # (clause-store ingest); the ingest half is visible three ways
@@ -166,7 +190,7 @@ class TestSpanTreeShape:
         # and one session metric.  A delta's replayed clauses are all
         # ingest.
         dataset = load_dataset("RC", DatasetScale(factor=0.25, seed=0))
-        config = InferenceConfig(seed=0, tracing="on", execution_backend="columnar")
+        config = InferenceConfig(seed=0, tracing="on")
         with EngineSession(dataset.program, config) as session:
             grounding = session.ground()
             spans = session.tracer.spans()
@@ -203,11 +227,14 @@ class TestSpanTreeShape:
                     assert stats.ingest_seconds == stats.seconds
 
     @pytest.mark.parametrize("backend", ["columnar", "row"])
-    def test_clause_ingest_spans_attribute_rows_per_rule(self, backend):
+    def test_clause_ingest_spans_attribute_rows_per_rule(self, backend, monkeypatch):
         # Each clause-ingest span says what its rule's rows did in the
-        # store; summed over the spans, that is the store itself.
+        # store; summed over the spans, that is the store itself.  The
+        # ``row`` case grounds through the row oracle.
+        if backend == "row":
+            ground_by_rows(monkeypatch)
         dataset = load_dataset("RC", DatasetScale(factor=0.25, seed=0))
-        config = InferenceConfig(seed=0, tracing="on", execution_backend=backend)
+        config = InferenceConfig(seed=0, tracing="on")
         with EngineSession(dataset.program, config) as session:
 
             def check(grounding, spans):

@@ -1,9 +1,9 @@
-"""Columnar execution backend: operator-level and plan-level parity.
+"""The columnar engine against the row oracle: operator- and plan-level parity.
 
-Every test drives the same plan (or expression) through the row engine and
-the columnar engine and asserts *ordered* equality — the columnar engine
-reproduces the iterator model's output order exactly, which the grounding
-pipeline relies on for bit-identical results.
+Every test drives the same plan (or expression) through the tuple-at-a-time
+oracle (``row_oracle``) and the engine and asserts *ordered* equality — the
+engine reproduces the iterator model's output order exactly, which the
+grounding pipeline relies on for bit-identical results.
 """
 
 import random
@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from row_oracle import rows as oracle_rows
 
 from repro.rdbms.column_batch import (
     NULL_CODE,
@@ -19,14 +20,11 @@ from repro.rdbms.column_batch import (
     composite_codes,
     first_occurrence_indices,
     hash_join_indices,
+    sorted_distinct,
 )
+from repro.grounding.bottom_up import plan_intermediate_tuples
 from repro.rdbms.database import Database
-from repro.rdbms.executor import (
-    COLUMNAR_AUTO_MIN_ROWS,
-    EXECUTION_BACKENDS,
-    Executor,
-    resolve_execution_backend,
-)
+from repro.rdbms.executor import Executor
 from repro.rdbms.expressions import (
     And,
     ColumnRef,
@@ -37,14 +35,11 @@ from repro.rdbms.expressions import (
     Or,
 )
 from repro.rdbms.operators import (
-    Aggregate,
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     NestedLoopJoin,
     Project,
-    Sort,
     SortMergeJoin,
     TableScan,
     iter_plan,
@@ -95,16 +90,15 @@ def visits():
 
 
 def run_both(plan_factory):
-    """Execute a freshly built plan on each backend, returning both row lists.
+    """Run a freshly built plan on the oracle and on the engine.
 
     Separate plan instances keep operator counters independent so they can
     be compared too.
     """
     row_plan = plan_factory()
     col_plan = plan_factory()
-    executor = Executor("row")
-    rows = executor.execute(row_plan, backend="row").rows
-    cols = executor.execute(col_plan, backend="columnar").rows
+    rows = oracle_rows(row_plan)
+    cols = Executor().execute(col_plan).rows
     return rows, cols, row_plan, col_plan
 
 
@@ -153,6 +147,21 @@ class TestKernels:
         assert build_count == 1
         assert left_idx.tolist() == [0]
         assert right_idx.tolist() == [1]
+
+
+class TestSortedDistinct:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=30))
+    def test_equals_np_unique(self, values):
+        array = np.asarray(values, dtype=np.int64)
+        result = sorted_distinct(array)
+        assert result.dtype == array.dtype
+        assert result.tolist() == np.unique(array).tolist()
+
+    def test_reads_a_strided_column(self):
+        codes = np.array([[3, 1], [1, 1], [3, 2]], dtype=np.int64)
+        assert sorted_distinct(codes[:, 0]).tolist() == [1, 3]
+        assert sorted_distinct(codes[:, 1]).tolist() == [1, 2]
 
 
 class TestExpressionParity:
@@ -259,73 +268,46 @@ class TestOperatorParity:
         )
         assert rows == cols
 
-    def test_sort(self, people):
-        rows, cols, _, _ = run_both(
-            lambda: Sort(TableScan(people, "p"), ["p.name", "p.pid"])
+    def test_filter_counts_rows_out(self, people):
+        rows, cols, row_plan, col_plan = run_both(
+            lambda: Filter(TableScan(people, "p"), IsNull(ColumnRef("p.city"), negated=True))
         )
         assert rows == cols
+        assert row_plan.rows_out == col_plan.rows_out == 5
 
-    def test_limit(self, people):
-        rows, cols, _, _ = run_both(lambda: Limit(TableScan(people, "p"), 3))
-        assert rows == cols
-
-    def test_aggregate_native_batch_parity(self, visits):
+    def test_sort_merge_join_with_residual(self, people, visits):
         rows, cols, _, _ = run_both(
-            lambda: Aggregate(
-                TableScan(visits, "v"),
-                ["v.city"],
-                [("count", "v.vid", "n"), ("collect", "v.score", "scores")],
-            )
-        )
-        assert rows == cols
-        # Groups in first-occurrence order, including the NULL-city group.
-        assert [row[0] for row in rows] == ["NYC", "LA", None, "SF"]
-
-    def test_aggregate_array_agg_ordered_parity(self, people):
-        """array_agg (collect): member values in row order per group, NULL
-        inputs dropped — ordered parity with the iterator model."""
-        rows, cols, _, _ = run_both(
-            lambda: Aggregate(
+            lambda: SortMergeJoin(
                 TableScan(people, "p"),
-                ["p.name"],
-                [("collect", "p.city", "cities")],
-            )
-        )
-        assert rows == cols
-        by_name = dict(rows)
-        assert by_name["ann"] == ("NYC", "LA")  # row order within the group
-        assert by_name["bob"] == ()  # NULL input dropped
-
-    def test_aggregate_every_function_and_multi_key(self, visits):
-        rows, cols, _, _ = run_both(
-            lambda: Aggregate(
                 TableScan(visits, "v"),
+                ["p.city"],
                 ["v.city"],
-                [
-                    ("count", "v.score", "n"),
-                    ("sum", "v.score", "total"),
-                    ("min", "v.score", "lo"),
-                    ("max", "v.score", "hi"),
-                    ("collect", "v.score", "all"),
-                ],
+                residual=Comparison("<", ColumnRef("p.pid"), ColumnRef("v.score")),
             )
         )
-        assert rows == cols
+        assert rows == cols and rows
 
-    def test_aggregate_no_group_by(self, visits):
+    def test_distinct_over_a_join(self, people, visits):
         rows, cols, _, _ = run_both(
-            lambda: Aggregate(
-                TableScan(visits, "v"), [], [("sum", "v.score", "total")]
+            lambda: Distinct(
+                Project(
+                    HashJoin(
+                        TableScan(people, "p"), TableScan(visits, "v"), ["p.city"], ["v.city"]
+                    ),
+                    ["p.city", "v.city"],
+                )
             )
         )
-        assert rows == cols == [(26,)]
+        assert rows == cols == [("NYC", "NYC"), ("LA", "LA"), ("SF", "SF")]
 
-    def test_aggregate_empty_input(self):
-        empty = make_table("empty_agg", [("x", ColumnType.INTEGER)], [])
-        rows, cols, _, _ = run_both(
-            lambda: Aggregate(TableScan(empty, "e"), ["e.x"], [("count", "e.x", "n")])
-        )
-        assert rows == cols == []
+    def test_nested_loop_over_an_empty_side(self, people):
+        empty = make_table("none", [("x", ColumnType.INTEGER)], [])
+        for left, right in ((people, empty), (empty, people)):
+            rows, cols, row_plan, col_plan = run_both(
+                lambda: NestedLoopJoin(TableScan(left, "l"), TableScan(right, "r"))
+            )
+            assert rows == cols == []
+            assert row_plan.comparisons == col_plan.comparisons == 0
 
     def test_empty_table(self):
         empty = make_table("empty", [("x", ColumnType.INTEGER)], [])
@@ -390,9 +372,11 @@ class TestRandomizedPlanParity:
             OptimizerOptions(enable_hash_join=False),  # sort-merge join
             OptimizerOptions(enable_predicate_pushdown=False),
         ):
-            row_result = db.execute(query, options, backend="row")
-            col_result = db.execute(query, options, backend="columnar")
-            assert row_result.rows == col_result.rows
+            oracle_plan, engine_plan = db.plan(query, options), db.plan(query, options)
+            assert oracle_rows(oracle_plan) == db.executor.execute(engine_plan).rows
+            assert plan_intermediate_tuples(oracle_plan.root) == plan_intermediate_tuples(
+                engine_plan.root
+            )
 
 
 class TestIOAccountingParity:
@@ -420,10 +404,10 @@ class TestIOAccountingParity:
 
         stats = {}
         options = OptimizerOptions(charge_io=True)
-        for backend in ("row", "columnar"):
+        for backend, run in (("row", oracle_rows), ("columnar", Executor().execute)):
             db = fresh_db()
             db.reset_io_statistics()
-            db.execute(query(), options, backend=backend)
+            run(db.plan(query(), options))
             stats[backend] = db.io_statistics().as_dict()
         assert stats["row"] == stats["columnar"]
 
@@ -437,36 +421,14 @@ class TestIOAccountingParity:
         q.add_output("t0.x", "x")
         options = OptimizerOptions(charge_io=True)
         db.reset_io_statistics()
-        db.execute(q, options, backend="columnar")
+        db.execute(q, options)
         first = db.io_statistics().page_reads
-        db.execute(q, options, backend="columnar")
+        db.execute(q, options)
         # The column cache avoids re-encoding but never avoids I/O charges.
         assert db.io_statistics().page_reads == 2 * first
 
 
-class TestBackendResolution:
-    def test_explicit_backends(self, people):
-        plan = TableScan(people, "p")
-        assert resolve_execution_backend(plan, "row") == "row"
-        assert resolve_execution_backend(plan, "columnar") == "columnar"
-        with pytest.raises(ValueError):
-            resolve_execution_backend(plan, "gpu")
-
-    def test_auto_uses_table_size_crossover(self):
-        small = make_table("small", [("x", ColumnType.INTEGER)], [(1,), (2,)])
-        big = make_table(
-            "big",
-            [("x", ColumnType.INTEGER)],
-            [(i,) for i in range(COLUMNAR_AUTO_MIN_ROWS)],
-        )
-        assert resolve_execution_backend(TableScan(small, "s"), "auto") == "row"
-        assert resolve_execution_backend(TableScan(big, "b"), "auto") == "columnar"
-        join = HashJoin(TableScan(small, "s"), TableScan(big, "b"), ["s.x"], ["b.x"])
-        assert resolve_execution_backend(join, "auto") == "columnar"
-
-    def test_execution_backend_names(self):
-        assert set(EXECUTION_BACKENDS) == {"auto", "row", "columnar"}
-
+class TestPlanWalk:
     def test_iter_plan_visits_every_operator(self, people, visits):
         plan = Filter(
             HashJoin(

@@ -230,16 +230,6 @@ class TestSqlRendering:
 
 
 class TestExecutor:
-    def test_execute_into_table(self):
-        db = build_database()
-        db.create_table(
-            "out", TableSchema.of(("a", ColumnType.INTEGER), ("b", ColumnType.INTEGER))
-        )
-        db.execute_into(join_query(), "out")
-        assert len(db.table("out")) == 4
-        db.execute_into(join_query(), "out", truncate=True)
-        assert len(db.table("out")) == 4
-
     def test_query_result_helpers(self):
         db = build_database()
         result = db.execute(join_query())

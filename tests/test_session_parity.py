@@ -16,6 +16,7 @@ asserted via the grounding delta report's counters.
 import os
 
 import pytest
+from row_oracle import ground_by_rows
 
 from repro.core.config import InferenceConfig
 from repro.core.engine import TuffyEngine
@@ -386,8 +387,16 @@ class TestBatchReplayParity:
     #: dataset -> a closed-world predicate only some of its rules read.
     DELTA_PREDICATE = {"RC": "refers", "IE": "next", "ER": "simMed"}
 
+    @pytest.mark.parametrize("grounding", ["columnar", "row"])
     @pytest.mark.parametrize("dataset", sorted(DELTA_PREDICATE))
-    def test_replayed_store_equals_reexecuted_store(self, dataset):
+    def test_replayed_store_equals_reexecuted_store(self, dataset, grounding, monkeypatch):
+        # ``row`` grounds through the row oracle, whose per-binding ``add``
+        # calls are recorded and replayed as such.
+        expected_event = "add_batch"
+        if grounding == "row":
+            ground_by_rows(monkeypatch)
+            expected_event = "add"
+
         def program():
             return load_dataset(dataset, DatasetScale(factor=0.5, seed=1)).program
 
@@ -402,7 +411,7 @@ class TestBatchReplayParity:
             ("add_evidence", fact),
             ("remove_evidence", fact),
         ]
-        base = dict(seed=0, execution_backend="columnar")
+        base = dict(seed=0)
         with TuffyEngine(program(), InferenceConfig(**base)) as replaying, TuffyEngine(
             program(), InferenceConfig(delta_grounding=False, **base)
         ) as reexecuting:
@@ -411,7 +420,7 @@ class TestBatchReplayParity:
             )
             recorded = replaying.session._bottom_up_grounder()._replay
             assert any(
-                kind == "add_batch"
+                kind == expected_event
                 for replay in recorded.values()
                 for kind, _payload in replay.events
             )
