@@ -29,7 +29,7 @@ else
   echo "== mypy not installed; skipping (strict scope: repro.analysis, repro.utils) =="
 fi
 
-echo "== tier-1 tests (includes the kernel parity suite, all backends) =="
+echo "== tier-1 tests (includes the kernel and MC-SAT parity suites on both count paths) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 
 # Observability: the obs-purity rule alone (fast re-run over the obs

@@ -1,8 +1,10 @@
 """Static analysis for the determinism and backend-parity invariants.
 
 Every result this reproduction reports is certified by bit-for-bit parity
-suites across the ``kernel_backend`` / ``parallel_backend`` seams and
-between the relational engine and its test-side row oracle.  The invariants that make that parity possible —
+suites: across the ``parallel_backend`` seam, between the search kernel's
+two count-initialisation paths and its test-side seed kernel, and between
+the relational engine and its test-side row oracle.  The invariants that
+make that parity possible —
 deterministic iteration order, sequential float accumulation, seed-derived
 RNG streams, fork-safe shared-memory access, fully threaded seam options —
 are enforced here as purpose-built AST rules rather than left to review.

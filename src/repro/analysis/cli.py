@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Determinism & parity linter: AST-based invariant checks over the "
-            "kernel/parallel backend seams (see ROADMAP.md, "
+            "search kernel and the parallel backend seam (see ROADMAP.md, "
             "'Invariants to preserve')."
         ),
     )

@@ -7,8 +7,8 @@ Importing this package registers every rule with
   wall-clock reads and unordered float accumulation;
 * :mod:`repro.analysis.rules.concurrency` — fork-safety of the parallel
   backend (module state, shared-memory publication, pool task closures);
-* :mod:`repro.analysis.rules.seams` — structural conformance of the
-  kernel/parallel backend seams across files;
+* :mod:`repro.analysis.rules.seams` — the ``*_backend`` configuration
+  seams threaded across files;
 * :mod:`repro.analysis.rules.obs` — purity of the observability layer
   (no randomness, no session-state reach-back, no clock mutation).
 """

@@ -1,25 +1,18 @@
 """Seam-conformance rules: structural checks across the backend seams.
 
 Unlike the per-file determinism rules, these inspect several files at once:
-
-* ``seam-kernel-api`` pins the kernel seam: the public methods of
-  :class:`SearchState` (``inference/state.py``) are the seam API, and every
-  retained backend (``reference_kernel.py``'s executable spec,
-  ``vector_kernel.py``'s numpy kernel) must implement them — and must not
-  grow public methods the seam does not define, which is how API drift
-  between backends starts.
-* ``seam-config-threading`` pins the configuration seams: every
-  ``*_backend`` option declared on :class:`InferenceConfig`
-  (``core/config.py``) must be exposed as a CLI flag, forwarded into the
-  config construction in ``cli.py``, and actually read by
-  ``core/engine.py`` — a backend knob that silently stops being threaded
-  through any of those layers is a parity bug waiting for a workload.
+``seam-config-threading`` pins the configuration seams — every
+``*_backend`` option declared on :class:`InferenceConfig`
+(``core/config.py``) must be exposed as a CLI flag, forwarded into the
+config construction in ``cli.py``, and actually read by
+``core/engine.py`` — a backend knob that silently stops being threaded
+through any of those layers is a parity bug waiting for a workload.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, Dict, Iterator, List, Optional, Set, Tuple
+from typing import ClassVar, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.framework import Finding, Project, Rule, SourceFile, register
 
@@ -31,93 +24,6 @@ def _find_class(source: Optional[SourceFile], name: str) -> Optional[ast.ClassDe
         if isinstance(node, ast.ClassDef) and node.name == name:
             return node
     return None
-
-
-def _public_methods(class_def: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
-    methods: Dict[str, ast.FunctionDef] = {}
-    for node in class_def.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            methods[node.name] = node
-    return methods
-
-
-def _positional_names(function: ast.FunctionDef) -> Tuple[str, ...]:
-    arguments = function.args
-    names = [arg.arg for arg in arguments.posonlyargs + arguments.args]
-    return tuple(names[1:])  # drop self
-
-
-@register
-class KernelApiRule(Rule):
-    """Every SearchState seam member implemented by every kernel backend."""
-
-    id: ClassVar[str] = "seam-kernel-api"
-    family: ClassVar[str] = "seam-conformance"
-    description: ClassVar[str] = (
-        "the public methods of SearchState (inference/state.py) are the "
-        "kernel seam API: ReferenceSearchState and VectorSearchState must "
-        "implement (or inherit) each of them with matching positional "
-        "signatures, and must not add public methods the seam does not "
-        "declare — that is how backends drift apart."
-    )
-
-    _STATE_FILE = "inference/state.py"
-    _BACKENDS: Tuple[Tuple[str, str], ...] = (
-        ("inference/reference_kernel.py", "ReferenceSearchState"),
-        ("inference/vector_kernel.py", "VectorSearchState"),
-    )
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        state_source = project.find(self._STATE_FILE)
-        seam_class = _find_class(state_source, "SearchState")
-        if state_source is None or seam_class is None:
-            return
-        api = _public_methods(seam_class)
-        for rel_path, class_name in self._BACKENDS:
-            backend_source = project.find(rel_path)
-            backend_class = _find_class(backend_source, class_name)
-            if backend_source is None or backend_class is None:
-                continue
-            yield from self._check_backend(
-                backend_source, backend_class, class_name, api
-            )
-
-    def _check_backend(
-        self,
-        source: SourceFile,
-        backend_class: ast.ClassDef,
-        class_name: str,
-        api: Dict[str, ast.FunctionDef],
-    ) -> Iterator[Finding]:
-        implemented = _public_methods(backend_class)
-        inherits_seam = any(
-            isinstance(base, ast.Name) and base.id == "SearchState"
-            for base in backend_class.bases
-        )
-        for name in sorted(api):
-            if name in implemented:
-                expected = _positional_names(api[name])
-                actual = _positional_names(implemented[name])
-                if actual != expected:
-                    yield source.finding(
-                        implemented[name], self.id,
-                        f"{class_name}.{name} signature ({', '.join(actual)}) "
-                        f"drifts from the SearchState seam ({', '.join(expected)})",
-                    )
-            elif not inherits_seam:
-                yield source.finding(
-                    backend_class, self.id,
-                    f"{class_name} does not implement SearchState seam member "
-                    f"'{name}'",
-                )
-        for name in sorted(implemented):
-            if name not in api:
-                yield source.finding(
-                    implemented[name], self.id,
-                    f"{class_name}.{name} is public but not part of the "
-                    "SearchState seam API; add it to SearchState or make it "
-                    "private",
-                )
 
 
 @register
@@ -231,4 +137,4 @@ def _attribute_names(source: Optional[SourceFile]) -> Set[str]:
     return attributes
 
 
-__all__ = ["ConfigThreadingRule", "KernelApiRule"]
+__all__ = ["ConfigThreadingRule"]

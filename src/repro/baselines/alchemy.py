@@ -63,7 +63,7 @@ class AlchemyEngine:
         clauses = self.program.clauses()
         atoms = self.program.build_atom_registry()
         grounder = TopDownGrounder(
-            merge_duplicates=self.config.merge_duplicate_clauses,
+            merge_duplicates=True,
             memory_model=self.memory_model,
         )
         with self.timer.measure("grounding"):
@@ -88,7 +88,6 @@ class AlchemyEngine:
             target_cost=config.target_cost,
             deadline_seconds=config.deadline_seconds,
             trace_label="alchemy",
-            kernel_backend=config.kernel_backend,
         )
         with self.timer.measure("search"):
             outcome = WalkSAT(options, RandomSource(config.seed), clock).run(mrf)

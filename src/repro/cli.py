@@ -89,14 +89,6 @@ def _add_program_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_inference_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--kernel-backend",
-        choices=("auto", "flat", "vectorized"),
-        default="auto",
-        help="search-kernel implementation for MAP search and MC-SAT sampling "
-        "(auto picks the vectorized kernel for large MRFs; results are "
-        "bit-identical across backends)",
-    )
     parser.add_argument("--max-flips", type=int, default=100_000, help="total WalkSAT flip budget")
     parser.add_argument("--workers", type=int, default=1, help="parallel component searches")
     parser.add_argument(
@@ -179,7 +171,6 @@ def _add_inference_arguments(parser: argparse.ArgumentParser) -> None:
 def _config_from_arguments(arguments: argparse.Namespace) -> InferenceConfig:
     return InferenceConfig(
         seed=arguments.seed,
-        kernel_backend=arguments.kernel_backend,
         max_flips=arguments.max_flips,
         workers=arguments.workers,
         parallel_backend=arguments.parallel_backend,

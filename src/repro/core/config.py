@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.errors import ConfigurationError
-from repro.inference.state import KERNEL_BACKENDS
 from repro.parallel import PARALLEL_BACKENDS
 from repro.rdbms.optimizer import OptimizerOptions
 from repro.utils.clock import CostModel
@@ -24,7 +23,9 @@ class InferenceConfig:
     (join algorithms, join order, predicate pushdown), the only choices
     the relational engine makes — its one execution model runs every plan
     as column batches; ``use_lazy_closure`` applies the Appendix A.3
-    active closure to the ground clauses before search.
+    active closure to the ground clauses before search.  Soft ground clauses
+    over the same literal set are always merged into one, their weights
+    added.
 
     Search
     ------
@@ -50,12 +51,6 @@ class InferenceConfig:
     the summed costs of the positions before it stay under the deadline),
     so even the deadline outcome is identical across backends and worker
     counts.
-    ``kernel_backend`` selects the search-kernel implementation behind
-    every search driver the engine constructs (WalkSAT, component search,
-    Gauss-Seidel, MC-SAT and its SampleSAT states): ``"auto"`` engages the
-    numpy-vectorized kernel for MRFs of at least ``VECTOR_AUTO_MIN_CLAUSES``
-    clauses, ``"flat"`` / ``"vectorized"`` force one — seeded results are
-    bit-identical either way.
 
     Marginal inference
     ------------------
@@ -104,7 +99,6 @@ class InferenceConfig:
     grounding_strategy: str = "bottom-up"
     optimizer_options: OptimizerOptions = field(default_factory=OptimizerOptions)
     use_lazy_closure: bool = False
-    merge_duplicate_clauses: bool = True
     # Search.
     max_flips: int = 100_000
     max_tries: int = 1
@@ -117,7 +111,6 @@ class InferenceConfig:
     parallel_backend: str = "auto"
     target_cost: Optional[float] = None
     deadline_seconds: Optional[float] = None
-    kernel_backend: str = "auto"
     # Marginal inference.
     mcsat_samples: int = 100
     mcsat_burn_in: int = 10
@@ -136,11 +129,6 @@ class InferenceConfig:
         if self.grounding_strategy not in ("bottom-up", "top-down"):
             raise ConfigurationError(
                 f"unknown grounding strategy {self.grounding_strategy!r}"
-            )
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ConfigurationError(
-                f"unknown kernel backend {self.kernel_backend!r}; "
-                f"expected one of {KERNEL_BACKENDS}"
             )
         if self.max_flips <= 0:
             raise ConfigurationError("max_flips must be positive")

@@ -104,8 +104,7 @@ from repro.grounding.result import GroundingResult
 from repro.grounding.top_down import TopDownGrounder
 from repro.inference.component_walksat import ComponentAwareWalkSAT
 from repro.inference.mcsat import MCSat, MCSatOptions
-from repro.inference.samplesat import SampleSATOptions
-from repro.inference.state import make_search_state
+from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSAT, WalkSATOptions
 from repro.mrf.components import ComponentDecomposition, connected_components
 from repro.mrf.cost import assignment_cost
@@ -198,9 +197,9 @@ class SearchStateLease:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: Dict[Tuple[str, str], object] = {}
+        self._entries: Dict[str, object] = {}
 
-    def checkout(self, key: Tuple[str, str], builder: Callable[[], object]):
+    def checkout(self, key: str, builder: Callable[[], object]):
         """Take exclusive ownership of the cached entry, or build fresh."""
         with self._lock:
             cached = self._entries.pop(key, None)
@@ -208,7 +207,7 @@ class SearchStateLease:
             return cached
         return builder()
 
-    def checkin(self, key: Tuple[str, str], value: object) -> None:
+    def checkin(self, key: str, value: object) -> None:
         """Return a checked-out (or freshly built) entry to the cache."""
         with self._lock:
             self._entries.setdefault(key, value)
@@ -218,7 +217,7 @@ class SearchStateLease:
         with self._lock:
             self._entries.clear()
 
-    def held(self, key: Tuple[str, str]) -> bool:
+    def held(self, key: str) -> bool:
         """Whether an entry is currently cached (i.e. *not* checked out)."""
         with self._lock:
             return key in self._entries
@@ -234,7 +233,7 @@ class _RequestPlan:
     point (the ``req-state-isolation`` analysis rule checks that).
     """
 
-    lease_key: Optional[Tuple[str, str]] = None
+    lease_key: Optional[str] = None
     leased_value: object = None
     decomposition: Optional[ComponentDecomposition] = None
     size_bound: Optional[float] = None
@@ -431,7 +430,7 @@ class EngineSession:
                     self.last_ground_report = self._bottom_up_grounder().last_report
                 else:
                     grounder = TopDownGrounder(
-                        merge_duplicates=config.merge_duplicate_clauses,
+                        merge_duplicates=True,
                         memory_model=self.memory_model,
                     )
                     result = grounder.ground(clauses, registry)
@@ -632,7 +631,6 @@ class EngineSession:
                 noise=config.noise,
                 deadline_seconds=request.deadline_seconds,
                 trace_label="tuffy",
-                kernel_backend=config.kernel_backend,
             )
             # A fresh searcher per request: its options and RNG are
             # request-specific, so it must never be shared.
@@ -654,22 +652,13 @@ class EngineSession:
                 # The serial backend reuses kernel states across warm
                 # requests via the lease; the processes backend keeps the
                 # equivalent cache inside each pool worker.
-                key = ("components", config.kernel_backend)
-                with self.tracer.span(
-                    "lease-checkout", backend=config.kernel_backend
-                ) as lease_span:
+                key = "components"
+                with self.tracer.span("lease-checkout") as lease_span:
                     states = self._state_lease.checkout(
-                        key,
-                        lambda: [
-                            make_search_state(component, backend=config.kernel_backend)
-                            for component in small_components
-                        ],
+                        key, lambda: [SearchState(component) for component in small_components]
                     )
                     if len(states) != len(small_components):
-                        states = [
-                            make_search_state(component, backend=config.kernel_backend)
-                            for component in small_components
-                        ]
+                        states = [SearchState(component) for component in small_components]
                     lease_span.annotate(states=len(states))
                 plan.lease_key = key
                 plan.leased_value = states
@@ -685,17 +674,14 @@ class EngineSession:
             target_cost=config.target_cost,
             deadline_seconds=request.deadline_seconds,
             trace_label="tuffy-p",
-            kernel_backend=config.kernel_backend,
         )
         # Warm path: reuse the full-MRF kernel state across requests via
         # the lease.  Safe for bit-parity because attempt 0 of
         # run_on_state fully rewrites it (randomize with random_restarts,
         # reset otherwise); safe for concurrency because checkout is
         # exclusive — an interleaved request builds its own state.
-        key = ("monolithic", config.kernel_backend)
-        state = self._state_lease.checkout(
-            key, lambda: make_search_state(mrf, None, backend=options.kernel_backend)
-        )
+        key = "monolithic"
+        state = self._state_lease.checkout(key, lambda: SearchState(mrf))
         return _RequestPlan(lease_key=key, leased_value=state, options=options)
 
     def _prepare_marginal(
@@ -708,8 +694,6 @@ class EngineSession:
             MCSatOptions(
                 samples=config.mcsat_samples,
                 burn_in=config.mcsat_burn_in,
-                kernel_backend=config.kernel_backend,
-                samplesat=SampleSATOptions(kernel_backend=config.kernel_backend),
             ),
             request.rng,
         )
@@ -787,7 +771,6 @@ class EngineSession:
                         max_flips=config.max_flips,
                         noise=config.noise,
                         trace_label=f"gauss-seidel-{index}",
-                        kernel_backend=config.kernel_backend,
                     ),
                     rng=request.rng.spawn(1000 + index),
                     rounds=config.gauss_seidel_rounds,
@@ -1086,7 +1069,7 @@ class EngineSession:
             self._grounder = BottomUpGrounder(
                 database=self.database,
                 optimizer_options=config.optimizer_options,
-                merge_duplicates=config.merge_duplicate_clauses,
+                merge_duplicates=True,
                 memory_model=self.memory_model,
                 enable_replay_cache=config.delta_grounding,
                 tracer=self.tracer,

@@ -20,19 +20,13 @@ from repro.inference.gauss_seidel import GaussSeidelSearch
 from repro.inference.mcsat import MCSat, MarginalResult
 from repro.inference.rdbms_walksat import RDBMSWalkSAT
 from repro.inference.samplesat import SampleSAT
-from repro.inference.state import (
-    KERNEL_BACKENDS,
-    SearchState,
-    make_search_state,
-    resolve_backend,
-)
+from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSAT, WalkSATOptions, WalkSATResult
 
 __all__ = [
     "ComponentAwareWalkSAT",
     "ComponentSearchResult",
     "GaussSeidelSearch",
-    "KERNEL_BACKENDS",
     "MCSat",
     "MarginalResult",
     "RDBMSWalkSAT",
@@ -41,6 +35,4 @@ __all__ = [
     "WalkSAT",
     "WalkSATOptions",
     "WalkSATResult",
-    "make_search_state",
-    "resolve_backend",
 ]

@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.inference.scheduling import ParallelOutcome, weighted_flip_allocation
-from repro.inference.state import SearchState, make_search_state
+from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSATOptions, WalkSATResult, walksat_tries
 from repro.mrf.components import ComponentDecomposition, connected_components
 from repro.mrf.graph import MRF
@@ -137,7 +137,6 @@ class ComponentSearchRequest:
         from repro.parallel.pool import ComponentOutcome
 
         options = self.options
-        backend = options.kernel_backend
         noise = options.noise
         allocation = self.allocation
         target = options.target_cost
@@ -157,7 +156,7 @@ class ComponentSearchRequest:
                 wall_sleep(stall)
             setup_start = wall_now()
             mrf = components[index]
-            slot = context.slot(index, backend)
+            slot = context.slot(index)
             state = slot[0]
             rng.reseed(child_seed(seed, index + 1))
             clock.restart()
@@ -312,7 +311,6 @@ class ComponentAwareWalkSAT:
                 random_restarts=options.random_restarts,
                 flip_cost_event=options.flip_cost_event,
                 trace_label="component",
-                kernel_backend=options.kernel_backend,
             ),
             cost_model=self.cost_model,
             seed=self.rng.seed,
@@ -324,10 +322,8 @@ class ComponentAwareWalkSAT:
         def placeholder(index: int) -> ComponentOutcome:
             # A component the deadline kept from dispatching contributes its
             # initial (reset) state: zero flips, zero tries, no randomness.
-            state = make_search_state(
-                components[index],
-                self._restricted(components[index], initial_assignment),
-                backend=self.options.kernel_backend,
+            state = SearchState(
+                components[index], self._restricted(components[index], initial_assignment)
             )
             result = WalkSATResult(
                 best_assignment=state.assignment_dict(),
@@ -405,11 +401,7 @@ class ComponentAwareWalkSAT:
         own, fully-constructed state.
         """
         if len(self._cached_states) != len(components):
-            backend = self.options.kernel_backend
-            self._cached_states = [
-                make_search_state(component, backend=backend)
-                for component in components
-            ]
+            self._cached_states = [SearchState(component) for component in components]
         return self._cached_states
 
     @staticmethod

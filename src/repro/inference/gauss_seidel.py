@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.grounding.clause_table import GroundClause
-from repro.inference.state import make_search_state
+from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSAT, WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.obs.events import Series
@@ -113,12 +113,7 @@ class GaussSeidelSearch:
         # the full MRF: accepting a part's result costs
         # O(changed atoms x degree) instead of a full recount per update.
         # hard_penalty matches assignment_cost(hard_as_infinite=False).
-        global_state = make_search_state(
-            full_mrf,
-            assignment,
-            hard_penalty=1e6,
-            backend=self.options.kernel_backend,
-        )
+        global_state = SearchState(full_mrf, assignment, hard_penalty=1e6)
         best_cost = global_state.cost
         best_assignment = dict(assignment)
         trace.record_improvement(self.clock.now(), best_cost)
@@ -138,7 +133,6 @@ class GaussSeidelSearch:
                     random_restarts=False,
                     flip_cost_event=self.options.flip_cost_event,
                     trace_label=f"partition-{index}",
-                    kernel_backend=self.options.kernel_backend,
                 )
                 searcher = WalkSAT(options, self.rng.spawn(index + 1), self.clock)
                 local_initial = {

@@ -17,22 +17,25 @@ unsatisfied regardless of the current world (a hard negative clause the
 current world satisfies marks a zero-probability world the chain must leave,
 not a constraint to drop).
 
-Two interchangeable sampling pipelines run behind the ``kernel_backend``
-seam (selected per MRF by :func:`repro.inference.state.resolve_backend`,
-like every search driver):
+Two interchangeable sampling pipelines exist, and :meth:`MCSat.run` picks
+one per MRF by the kernel's size test
+(:func:`repro.inference.state.counts_by_numpy`, the same test that picks
+the search state's count initialisation):
 
 * the **scalar loop** (:meth:`MCSat._run_scalar` + :meth:`_select_clauses`)
-  — the executable specification: a Python pass over the clause list per
-  iteration, dict-based world hand-off, per-atom marginal counting;
-* the **vectorized pipeline** (:meth:`MCSat._run_batched`) — per-run numpy
-  selection tables combined with the evaluator's satisfaction mask
+  — the executable specification, and the faster pipeline for small MRFs:
+  a Python pass over the clause list per iteration, dict-based world
+  hand-off, per-atom marginal counting;
+* the **batched pipeline** (:meth:`MCSat._run_batched`), for MRFs of at
+  least ``NUMPY_VIEW_MIN_CLAUSES`` clauses — per-run numpy selection
+  tables combined with the evaluator's satisfaction mask
   (:class:`_BatchedSelection`), pooled constraint-state construction
   (:class:`repro.inference.samplesat.ConstraintPool`), and marginal
   accumulation as one int-vector add per kept sample.
 
 Both consume the identical RNG stream — selection draws ``rng.random()``
 only for eligible clauses, in clause order — so seeded marginals are
-bit-for-bit identical across backends (``tests/test_mcsat_parity.py``).
+bit-for-bit identical whichever pipeline runs (``tests/test_mcsat_parity.py``).
 """
 
 from __future__ import annotations
@@ -48,12 +51,7 @@ from repro.inference.samplesat import (
     SampleSATOptions,
     hard_constraint_prefix,
 )
-from repro.inference.state import (
-    KERNEL_BACKENDS,
-    SearchState,
-    make_search_state,
-    resolve_backend,
-)
+from repro.inference.state import SearchState, counts_by_numpy
 from repro.mrf.graph import MRF
 from repro.utils.rng import RandomSource
 
@@ -81,20 +79,12 @@ class MCSatOptions:
     samples: int = 100
     burn_in: int = 10
     samplesat: SampleSATOptions = field(default_factory=SampleSATOptions)
-    #: Search-kernel backend for the sampling pipeline: drives both the
-    #: full-MRF satisfaction evaluator and, when it resolves to
-    #: ``vectorized`` for the MRF, the batched selection/accumulation
-    #: pipeline (the per-step SampleSAT states follow
-    #: ``samplesat.kernel_backend``).
-    kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.samples <= 0:
             raise ValueError("samples must be positive")
         if self.burn_in < 0:
             raise ValueError("burn_in cannot be negative")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(f"kernel_backend must be one of {KERNEL_BACKENDS}")
 
 
 class _BatchedSelection:
@@ -176,7 +166,7 @@ class MCSat:
         each component is an independent MC-SAT chain.  Every component
         samples on an RNG stream derived from the run seed and its index
         (``rng.spawn(index + 1)``), and each per-component run goes through
-        the same per-MRF backend dispatch as :meth:`run` — so the merged
+        the same per-MRF pipeline choice as :meth:`run` — so the merged
         marginals are bit-identical across ``parallel_backend`` values and
         worker counts (the parallel parity suite proves it), and the
         ``processes`` backend samples the components on all cores.
@@ -214,11 +204,10 @@ class MCSat:
         options = self.options
         sampler = SampleSAT(options.samplesat, self.rng.spawn(97))
         # One kernel state over the full MRF evaluates every clause's
-        # satisfaction in a single pass per iteration; on the vectorized
-        # backend both the per-iteration reset and the flags scan are
-        # single numpy passes.
-        evaluator = make_search_state(mrf, backend=options.kernel_backend)
-        if resolve_backend(mrf, options.kernel_backend) == "vectorized":
+        # satisfaction in a single pass per iteration; on large MRFs both
+        # the per-iteration reset and the satisfaction scan are numpy passes.
+        evaluator = SearchState(mrf)
+        if counts_by_numpy(mrf):
             return self._run_batched(mrf, sampler, evaluator, initial_assignment)
         return self._run_scalar(mrf, sampler, evaluator, initial_assignment)
 
@@ -268,7 +257,7 @@ class MCSat:
         return MarginalResult(probabilities, kept_samples, options.burn_in)
 
     # ------------------------------------------------------------------
-    # The vectorized pipeline
+    # The batched pipeline
     # ------------------------------------------------------------------
 
     def _run_batched(
@@ -287,7 +276,7 @@ class MCSat:
         import numpy as np
 
         options = self.options
-        pool = ConstraintPool(mrf, sampler.options.kernel_backend)
+        pool = ConstraintPool(mrf)
         selection = _BatchedSelection(mrf)
 
         state = pool.prefix_state(initial_assignment)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.grounding.clause_table import GroundClauseStore, table_weight
-from repro.inference.state import make_search_state
+from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSATOptions, WalkSATResult
 from repro.mrf.graph import MRF
 from repro.obs.events import Series
@@ -99,10 +99,7 @@ class RDBMSWalkSAT:
         # bookkeeping is incremental; the *simulated* clock is still charged
         # exactly what the on-disk architecture would pay (full sequential
         # clause scans per step, random page reads per candidate flip).
-        state = make_search_state(
-            mrf, assignment, hard_penalty=hard_penalty,
-            backend=self.options.kernel_backend,
-        )
+        state = SearchState(mrf, assignment, hard_penalty=hard_penalty)
         page_count = len({clause.page for clause in clause_rows})
         atom_clause_index: Dict[int, List[int]] = {atom_id: [] for atom_id in mrf.atom_ids}
         for index, clause in enumerate(clause_rows):

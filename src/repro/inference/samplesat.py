@@ -13,6 +13,12 @@ Two details matter for ergodicity of the enclosing MC-SAT chain:
   get re-randomised rather than frozen at their previous values, and
 * it returns the most recent *satisfying* assignment it visited (falling
   back to the current state only if it never satisfied everything).
+
+Every move runs on the one :class:`~repro.inference.state.SearchState`
+kernel.  MC-SAT's batched pipeline builds its per-step constraint states
+through a :class:`ConstraintPool`, which assembles them from structure
+cached per parent clause — including, for constraint sets large enough to
+initialise their counts with numpy, the literal arrays that path reads.
 """
 
 from __future__ import annotations
@@ -21,8 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.grounding.clause_table import GroundClause
-from repro.inference.state import KERNEL_BACKENDS, SearchState, make_search_state
+from repro.inference.state import SearchState, counts_by_numpy
 from repro.mrf.graph import MRF, MRFFlatView
 from repro.utils.rng import RandomSource
 
@@ -36,10 +44,6 @@ class SampleSATOptions:
     walksat_probability: float = 0.5
     temperature: float = 0.5
     noise: float = 0.5
-    #: Search-kernel backend for the constraint states ("auto" keeps the
-    #: usual small per-step constraint MRFs on the flat kernel; see
-    #: repro.inference.state.resolve_backend).
-    kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.walksat_probability <= 1.0:
@@ -50,8 +54,6 @@ class SampleSATOptions:
             raise ValueError("max_flips must be positive")
         if self.mixing_steps < 0:
             raise ValueError("mixing_steps cannot be negative")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(f"kernel_backend must be one of {KERNEL_BACKENDS}")
 
 
 class SampleSAT:
@@ -82,9 +84,7 @@ class SampleSAT:
             for index, clause in enumerate(clauses)
         ]
         mrf = MRF.from_clauses(constraints, extra_atoms=atom_ids)
-        state = make_search_state(
-            mrf, initial_assignment, backend=self.options.kernel_backend
-        )
+        state = SearchState(mrf, initial_assignment)
         if initial_assignment is None:
             state.randomize(self.rng)
         if self.run_moves(state):
@@ -152,11 +152,8 @@ class SampleSAT:
         if self.rng.random() < self.options.noise:
             position = self.rng.pick(positions)
         else:
-            # Batched deltas share the adjacency walk across candidates on
-            # the vectorized backend; min-by-index keeps the first-minimum
-            # tie-break of the previous min(positions, key=delta_cost).
-            deltas = state.delta_cost_batch(clause_index)
-            position = positions[min(range(len(deltas)), key=deltas.__getitem__)]
+            # The positions are distinct, so min() keeps the first minimum.
+            position = min(positions, key=state.delta_cost)
         state.flip(position)
 
     def _annealing_move(self, state: SearchState) -> None:
@@ -240,9 +237,8 @@ class ConstraintPool:
     mirroring the kernel's state-reuse lifecycle.
     """
 
-    def __init__(self, mrf: MRF, kernel_backend: str = "auto") -> None:
+    def __init__(self, mrf: MRF) -> None:
         view = mrf.flat_view()
-        self._backend = kernel_backend
         self._atom_ids = view.atom_ids
         self._atom_position = view.atom_position
 
@@ -302,9 +298,8 @@ class ConstraintPool:
             tuple(entries) for entries in adjacency
         )
         self._prefix_state: Optional[SearchState] = None
-        # Literal-array fragments for ConstraintVectorView assembly, built
-        # lazily on the first constraint set that resolves to the
-        # vectorized backend (flat-only runs never pay for them).
+        # Literal-array fragments for the numpy count arrays, built on the
+        # first constraint set large enough to need them.
         self._lit_fragments: Optional[dict] = None
 
     @property
@@ -327,12 +322,11 @@ class ConstraintPool:
                 self._prefix_clauses,
                 self._prefix_adjacency,
             )
-            self._attach_vector_view(mrf, ())
-            self._prefix_state = make_search_state(
+            self._seed_count_arrays(mrf, ())
+            self._prefix_state = SearchState(
                 mrf,
                 initial_assignment,
                 hard_penalty=self._constraint_penalty(len(self._prefix_clauses)),
-                backend=self._backend,
             )
         elif initial_assignment is not None:
             self._prefix_state.reset(initial_assignment)
@@ -368,12 +362,8 @@ class ConstraintPool:
                         adjacency[-code - 1].append((clause_index, False))
                 clause_index += 1
         mrf = self._shell_mrf(codes, positions, clauses, adjacency)
-        self._attach_vector_view(mrf, selected_soft)
-        return make_search_state(
-            mrf,
-            hard_penalty=self._constraint_penalty(len(clauses)),
-            backend=self._backend,
-        )
+        self._seed_count_arrays(mrf, selected_soft)
+        return SearchState(mrf, hard_penalty=self._constraint_penalty(len(clauses)))
 
     @staticmethod
     def _constraint_penalty(clause_count: int) -> float:
@@ -385,20 +375,16 @@ class ConstraintPool:
         """
         return max(10.0 * clause_count, 10.0)
 
-    def _attach_vector_view(self, mrf: MRF, selected_soft: Sequence[int]) -> None:
-        """Pre-seed the shell's numpy view when it will run vectorized.
+    def _seed_count_arrays(self, mrf: MRF, selected_soft: Sequence[int]) -> None:
+        """Seed the shell's count arrays when its counts use numpy.
 
-        Concatenates literal-array fragments cached per parent clause
-        instead of letting ``VectorMRFView`` re-scan every literal of the
-        throwaway constraint MRF; a no-op for shells that resolve to the
-        flat kernel.
+        The shell's view is assembled from parts and holds no literal
+        arrays for :func:`~repro.inference.state.count_arrays` to read, so
+        they are concatenated from fragments cached per parent clause; a
+        no-op for shells small enough for the loop.
         """
-        from repro.inference.state import resolve_backend
-
-        if resolve_backend(mrf, self._backend) != "vectorized":
+        if not counts_by_numpy(mrf):
             return
-        from repro.inference.vector_kernel import ConstraintVectorView, np
-
         fragments = self._lit_fragments
         if fragments is None:
             fragments = self._lit_fragments = self._build_lit_fragments()
@@ -414,16 +400,16 @@ class ConstraintPool:
             for size in sizes:
                 lit_clause.extend([clause_index] * size)
                 clause_index += 1
-        mrf._vector_view = ConstraintVectorView(
-            mrf._flat_view,
+        # Constraints all weigh 1.0: no clause is negated.
+        mrf._flat_view.counts = (  # type: ignore[union-attr]
             np.asarray(lit_pos, dtype=np.intp),
-            np.asarray(lit_expect, dtype=np.int8),
             np.asarray(lit_clause, dtype=np.intp),
-            clause_index,
+            np.asarray(lit_expect, dtype=bool),
+            np.zeros(clause_index, dtype=bool),
         )
 
     def _build_lit_fragments(self) -> dict:
-        """Per-parent-clause literal-array pieces for the numpy view."""
+        """Per-parent-clause literal-array pieces for the count arrays."""
 
         def expand(code_groups):
             pos: List[int] = []

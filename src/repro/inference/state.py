@@ -1,4 +1,4 @@
-"""Flat-array search kernel for WalkSAT-style local search.
+"""The WalkSAT search state: one flat-array kernel.
 
 WalkSAT needs, at every step: a uniformly random violated clause, the cost
 change each candidate flip would cause, and an O(degree) update when an atom
@@ -24,6 +24,15 @@ kept deliberately close to flat, cache-friendly data:
   every state over the same MRF shares one copy.  The distinct atom
   positions of each clause are deduplicated once per MRF, when a step
   first picks the clause, instead of on every step.
+* **Count initialisation by size.**  ``reset`` / ``rerandomize`` (every
+  WalkSAT restart, every MC-SAT iteration) recompute every clause's
+  satisfied count.  MRFs with at least
+  :data:`~repro.mrf.graph.NUMPY_VIEW_MIN_CLAUSES` clauses do it with one
+  ``np.bincount`` over the view's literal arrays; smaller ones (SampleSAT
+  constraint sets, the thousands of tiny IE components) loop over the
+  clause codes, which is faster there.  Both paths give the same counts,
+  violated-set order and cost, bit for bit: the cost is summed left to
+  right in clause order either way.
 * **Violated set.**  A list plus position map, so sampling, insertion and
   removal are all O(1).  It is touched only when a clause's satisfied
   count crosses zero, and entries are maintained in the exact order the
@@ -37,19 +46,16 @@ kept deliberately close to flat, cache-friendly data:
   the whole assignment on every improvement.  If the journal overflows
   (more flips than atoms since the last checkpoint) it falls back to one
   full copy.
-
 * **In-place lifecycle.**  :meth:`reset`, :meth:`randomize` and
   :meth:`rerandomize` rewrite the buffers in place instead of rebinding
-  them, so a stepper closure (and any numpy view over the buffers)
+  them, so a stepper closure (and the numpy view over the assignment)
   survives every WalkSAT restart — drivers build one stepper per run and
   per-component searches cache one state per component.
 
-The seed list-of-tuples kernel is retained verbatim in
-:mod:`repro.inference.reference_kernel` as an executable specification; the
-numpy-vectorized backend (:mod:`repro.inference.vector_kernel`) subclasses
-this kernel behind the same API (select with :func:`make_search_state`);
-the RDBMS-backed variant wraps the same bookkeeping but charges simulated
-I/O per access (see :mod:`repro.inference.rdbms_walksat`).
+The seed list-of-tuples kernel is kept as the executable specification in
+``tests/reference_kernel.py``; the RDBMS-backed search wraps the same
+bookkeeping but charges simulated I/O per access (see
+:mod:`repro.inference.rdbms_walksat`).
 """
 
 from __future__ import annotations
@@ -58,15 +64,48 @@ import functools
 import math
 import operator
 from array import array
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.grounding.clause_table import GroundClause
+from repro.mrf import graph
 from repro.mrf.graph import MRF
 from repro.utils.rng import RandomSource
 
 
+def counts_by_numpy(mrf: MRF) -> bool:
+    """Whether states over this MRF initialise their counts with numpy.
+
+    The one size decision of the kernel (see the module doc); MC-SAT picks
+    its pipeline by the same test.
+    """
+    return mrf.clause_count >= graph.NUMPY_VIEW_MIN_CLAUSES
+
+
+def count_arrays(mrf: MRF) -> Tuple["np.ndarray", ...]:
+    """``(positions, owners, positive, negated)`` for numpy count initialisation.
+
+    Each literal's atom position and clause index (the flat view's
+    :class:`~repro.mrf.graph.LiteralArrays`, which a view of an MRF this
+    large holds) and whether it is positive; per clause, whether its
+    weight is negative.  Built once and cached on the flat view (the
+    SampleSAT constraint pool seeds it for its shells).
+    """
+    view = mrf.flat_view()
+    if view.counts is None:
+        columns = mrf.columns()
+        view.counts = (
+            view.arrays.positions,  # type: ignore[union-attr]
+            view.arrays.owners,  # type: ignore[union-attr]
+            np.frombuffer(columns.literals, dtype=np.int64) > 0,
+            np.frombuffer(columns.weights, dtype=np.float64) < 0,
+        )
+    return view.counts
+
+
 class SearchState:
-    """Mutable WalkSAT bookkeeping over one MRF (flat-array engine)."""
+    """Mutable WalkSAT bookkeeping over one MRF (see the module doc)."""
 
     def __init__(
         self,
@@ -111,6 +150,12 @@ class SearchState:
 
         atom_count = len(self.atom_ids)
         self.assignment = array("b", bytes(atom_count))
+        # The numpy path's arrays, and its view over the assignment buffer
+        # (valid for the state's lifetime: the buffer is rewritten in place).
+        self._counts = None
+        if counts_by_numpy(mrf):
+            self._counts = count_arrays(mrf)
+            self._assign_np = np.frombuffer(self.assignment, dtype=np.int8)
         if initial_assignment:
             position = self._position
             assignment = self.assignment
@@ -134,32 +179,50 @@ class SearchState:
     # Initialisation
     # ------------------------------------------------------------------
 
+    def _literal_counts(self) -> "np.ndarray":
+        """Every clause's satisfied-literal count, by one ``np.bincount``."""
+        positions, owners, positive, negated = self._counts  # type: ignore[misc]
+        return np.bincount(
+            owners, weights=self._assign_np[positions] == positive, minlength=len(negated)
+        ).astype(np.int64)
+
     def _initialise_counts(self) -> None:
         assignment = self.assignment
         sat_count = self._sat_count
-        negated = self._negated
         abs_weight = self._abs_weight
         violated_list = self._violated_list
         violated_position = self._violated_position
-        violated_list.clear()
         violated_position.clear()
-        cost = 0.0
-        for clause_index, codes in enumerate(self._view.clause_codes):
-            count = 0
-            for code in codes:
-                if code > 0:
-                    if assignment[code - 1]:
-                        count += 1
-                elif not assignment[-code - 1]:
-                    count += 1
-            sat_count[clause_index] = count
+        if self._counts is not None:
+            counts = self._literal_counts()
+            sat_count[:] = counts.tolist()
             # Violated: positive-weight clause with no satisfied literal, or
             # negated clause that is satisfied.
-            if (count > 0) == negated[clause_index]:
-                violated_position[clause_index] = len(violated_list)
-                violated_list.append(clause_index)
-                cost += abs_weight[clause_index]
-        self.cost = cost
+            violated_list[:] = np.nonzero((counts > 0) == self._counts[3])[0].tolist()
+            violated_position.update(zip(violated_list, range(len(violated_list))))
+            # Left to right in clause order, like the loop below (builtin
+            # sum() compensates float rounding since Python 3.12).
+            self.cost = functools.reduce(
+                operator.add, map(abs_weight.__getitem__, violated_list), 0.0
+            )
+        else:
+            negated = self._negated
+            violated_list.clear()
+            cost = 0.0
+            for clause_index, codes in enumerate(self._view.clause_codes):
+                count = 0
+                for code in codes:
+                    if code > 0:
+                        if assignment[code - 1]:
+                            count += 1
+                    elif not assignment[-code - 1]:
+                        count += 1
+                sat_count[clause_index] = count
+                if (count > 0) == negated[clause_index]:
+                    violated_position[clause_index] = len(violated_list)
+                    violated_list.append(clause_index)
+                    cost += abs_weight[clause_index]
+            self.cost = cost
         self._journal.clear()
         self._journal_stale = False
         self._best = array("b", assignment)
@@ -189,10 +252,19 @@ class SearchState:
         this method is the contract drivers test for when deciding whether
         one stepper can survive WalkSAT restarts.
         """
-        coin = rng.coin
         assignment = self.assignment
-        for index in range(len(assignment)):
-            assignment[index] = 1 if coin() else 0
+        if self._counts is not None:
+            # One raw random() per atom is the draw coin() makes.
+            raw_random = rng.raw().random
+            count = len(assignment)
+            draws = np.fromiter(
+                (raw_random() for _ in range(count)), dtype=np.float64, count=count
+            )
+            self._assign_np[:] = draws < 0.5
+        else:
+            coin = rng.coin
+            for index in range(len(assignment)):
+                assignment[index] = 1 if coin() else 0
         self._initialise_counts()
 
     def randomize(self, rng: RandomSource) -> None:
@@ -265,6 +337,16 @@ class SearchState:
         """
         return [count > 0 for count in self._sat_count]
 
+    def satisfaction_array(self) -> "np.ndarray":
+        """:meth:`satisfaction_flags` as a numpy bool array.
+
+        MC-SAT's batched selection combines it directly with its
+        per-clause eligibility masks.
+        """
+        if self._counts is None:
+            return np.array(self.satisfaction_flags(), dtype=bool)
+        return self._literal_counts() > 0
+
     def true_cost(self) -> float:
         """Cost with hard violations counted at infinity (reporting form)."""
         total = 0.0
@@ -308,18 +390,6 @@ class SearchState:
                 else:
                     delta -= abs_weight[clause_index]
         return delta
-
-    def delta_cost_batch(self, clause_index: int) -> List[float]:
-        """Cost deltas of flipping each distinct atom of a clause, in order.
-
-        Matches ``[delta_cost(p) for p in clause_atom_positions(clause_index)]``
-        exactly.  The vectorized backend overrides this with a batched
-        computation that shares the adjacency walk across the candidates.
-        """
-        return [
-            self.delta_cost(position)
-            for position in self._view.clause_atom_positions(clause_index)
-        ]
 
     def flip(self, atom_position: int) -> float:
         """Flip an atom, updating all bookkeeping; returns the cost delta."""
@@ -563,48 +633,5 @@ class SearchState:
         return self.mrf.clauses[clause_index]
 
 
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
-
-#: Valid values for the ``kernel_backend`` option of the search drivers.
-KERNEL_BACKENDS = ("auto", "flat", "vectorized")
-
-#: Under ``auto``, the vectorized backend is only worth its one-time numpy
-#: structure build for MRFs at least this many clauses large; throwaway MRFs
-#: (e.g. SampleSAT constraint sets built per MC-SAT step) stay on the flat
-#: kernel.  Selection only: results are bit-identical either way.
-VECTOR_AUTO_MIN_CLAUSES = 256
-
-
-def resolve_backend(mrf: MRF, backend: str = "auto") -> str:
-    """Resolve a requested backend name to a concrete one for this MRF.
-
-    ``auto`` picks ``vectorized`` when the MRF is large enough
-    (``VECTOR_AUTO_MIN_CLAUSES``) to amortize the vectorized backend's
-    per-MRF structure build, else ``flat``.  Both backends are
-    bit-for-bit identical in search semantics (the parity suite enforces
-    it), so the choice is purely a performance decision.
-    """
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {backend!r}; expected one of {KERNEL_BACKENDS}"
-        )
-    if backend != "auto":
-        return backend
-    return "vectorized" if mrf.clause_count >= VECTOR_AUTO_MIN_CLAUSES else "flat"
-
-
-def make_search_state(
-    mrf: MRF,
-    initial_assignment: Optional[Mapping[int, bool]] = None,
-    hard_penalty: Optional[float] = None,
-    backend: str = "auto",
-) -> "SearchState":
-    """Construct a search state on the resolved kernel backend."""
-    resolved = resolve_backend(mrf, backend)
-    if resolved == "vectorized":
-        from repro.inference.vector_kernel import VectorSearchState
-
-        return VectorSearchState(mrf, initial_assignment, hard_penalty)
-    return SearchState(mrf, initial_assignment, hard_penalty)
+# The e2e benchmark's layer timings import the kernel under this name.
+make_search_state = SearchState

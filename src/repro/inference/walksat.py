@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.inference.state import KERNEL_BACKENDS, SearchState, make_search_state
+from repro.inference.state import SearchState
 from repro.mrf.graph import MRF
 from repro.obs.events import RateMeter, Series, SeriesPoint
 from repro.utils.clock import SimulatedClock, WallClock
@@ -40,20 +40,12 @@ class WalkSATOptions:
     random_restarts: bool = True
     flip_cost_event: str = "memory_flip"
     trace_label: str = "walksat"
-    #: Search-kernel backend: "auto" (vectorized when the MRF is large
-    #: enough), "flat", or "vectorized".  Both backends are bit-for-bit
-    #: identical in search semantics.
-    kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must be within [0, 1]")
         if self.max_flips <= 0 or self.max_tries <= 0:
             raise ValueError("max_flips and max_tries must be positive")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}"
-            )
 
 
 @dataclass
@@ -97,10 +89,7 @@ class WalkSAT:
         initial_assignment: Optional[Mapping[int, bool]] = None,
     ) -> WalkSATResult:
         """Search the MRF for a low-cost assignment."""
-        state = make_search_state(
-            mrf, initial_assignment, backend=self.options.kernel_backend
-        )
-        return self.run_on_state(state, initial_assignment)
+        return self.run_on_state(SearchState(mrf, initial_assignment), initial_assignment)
 
     def run_on_state(
         self,

@@ -6,10 +6,9 @@ one is constructed: ``from_store`` shares the store's columns (sealing
 the store) and reads the atom ids off them with one ``np.unique``.  What
 the consumers need on top is derived on first use and cached on the
 object: the literals' atom positions (unless a component decomposition
-handed them over), the position-indexed :class:`MRFFlatView` (and the
-numpy view over it) when the first search state is made — on the
-processes backend, in the worker that first runs the component — the
-clause list (row views, for MC-SAT, partitioning,
+handed them over), the position-indexed :class:`MRFFlatView` when the
+first search state is made — on the processes backend, in the worker
+that first runs the component — the clause list (row views, for MC-SAT, partitioning,
 Gauss-Seidel and the cost oracle) when ``clauses`` is first read, the atom
 → clause adjacency when ``clauses_of_atom`` / ``degree`` / ``neighbors`` is
 first asked.  An MRF built from a clause list (``from_clauses``) packs its
@@ -39,12 +38,13 @@ import numpy as np
 
 from repro.grounding.clause_table import ClauseColumns, GroundClause, GroundClauseStore
 
-#: Views of MRFs with at least this many clauses are built by numpy; below
-#: it, the per-literal Python loop is faster (SampleSAT constraint sets,
-#: the thousands of tiny IE components).  Above it both builds cost about
-#: the same, and numpy's atom-major allocation of the adjacency makes the
-#: flip loop faster.  Both views hold the same relations (the numpy-built
-#: one makes a clause's candidate tuple on first read).
+#: Views of MRFs with at least this many clauses are built by numpy, and
+#: search states over them initialise their counts with numpy; below it,
+#: the per-literal Python loops are faster (SampleSAT constraint sets,
+#: the thousands of tiny IE components).  Above it both view builds cost
+#: about the same, and numpy's atom-major allocation of the adjacency makes
+#: the flip loop faster.  Both views hold the same relations (the
+#: numpy-built one makes a clause's candidate tuple on first read).
 NUMPY_VIEW_MIN_CLAUSES = 256
 
 
@@ -133,12 +133,12 @@ class MRFFlatView:
     * ``clause_codes`` (built on first read) — the clause → literal
       relation as per-clause tuples of signed codes: a literal over atom
       position ``p`` is the int ``+(p + 1)`` (positive occurrence) or
-      ``-(p + 1)`` (negative), so satisfied-count initialisation iterates
-      plain ints.  The vectorized kernel initialises counts with numpy and
-      never reads it.
+      ``-(p + 1)`` (negative), so the loop count initialisation iterates
+      plain ints.  The numpy count initialisation never reads it.
     * ``arrays`` — the :class:`LiteralArrays` (positions, owners, degrees,
-      repeats) of a numpy-built view, which the vectorized kernel's view
-      reuses; ``None`` for a row-built one.
+      repeats) of a numpy-built view; ``None`` for a row-built one.
+    * ``counts`` — what the numpy count initialisation reads, cached here
+      by :func:`repro.inference.state.count_arrays` (``None`` until then).
 
     MRFs with at least ``NUMPY_VIEW_MIN_CLAUSES`` clauses are built by
     numpy from the MRF's columns.  The literals' atom positions come from
@@ -162,6 +162,7 @@ class MRFFlatView:
         "candidates",
         "adjacency",
         "arrays",
+        "counts",
         "_clause_codes",
         "_literals",
         "_offsets",
@@ -191,6 +192,7 @@ class MRFFlatView:
         view.candidates = clause_atom_positions
         view.adjacency = adjacency
         view.arrays = None
+        view.counts = None
         return view
 
     def __init__(self, mrf: "MRF") -> None:
@@ -198,6 +200,7 @@ class MRFFlatView:
         position = {atom_id: index for index, atom_id in enumerate(self.atom_ids)}
         self.atom_position: Dict[int, int] = position
         self.arrays: Optional[LiteralArrays] = None
+        self.counts: Optional[Tuple["np.ndarray", ...]] = None
         if mrf.clause_count >= NUMPY_VIEW_MIN_CLAUSES:
             self._build_from_columns(mrf.columns(), mrf.literal_atom_positions())
         else:
@@ -285,8 +288,8 @@ class MRF:
     (``from_clauses``); :meth:`columns` and :attr:`clauses` give either form,
     deriving the other on first use.  Everything derived — the columns or
     clause list, the literals' atom positions (``positions``, which a
-    component decomposition passes in), the search kernels' flat/vector
-    views, the atom → clause adjacency behind :meth:`clauses_of_atom` — is
+    component decomposition passes in), the search kernel's flat view,
+    the atom → clause adjacency behind :meth:`clauses_of_atom` — is
     a cache and excluded from
     ``==``, which compares atom ids and clause rows.  An MRF is not mutated
     after construction.
@@ -299,7 +302,6 @@ class MRF:
         "_positions",
         "_adjacency",
         "_flat_view",
-        "_vector_view",
     )
 
     def __init__(
@@ -320,10 +322,6 @@ class MRF:
         self._positions = positions
         self._adjacency: Optional[Dict[int, List[int]]] = None
         self._flat_view: Optional[MRFFlatView] = None
-        # Lazily-built numpy structure shared by every vectorized search state
-        # over this MRF (owned by repro.inference.vector_kernel, cached here so
-        # its lifetime matches the MRF's, like _flat_view).
-        self._vector_view: Optional[object] = None
 
     __hash__ = None  # type: ignore[assignment]
 

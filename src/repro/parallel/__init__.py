@@ -1,7 +1,6 @@
 """Multiprocess partition-inference subsystem.
 
-The second backend seam of the repo, mirroring ``kernel_backend`` (search
-kernel):
+The repo's one backend seam:
 
 ``parallel_backend = auto | serial | processes``
 

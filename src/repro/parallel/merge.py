@@ -271,7 +271,6 @@ def gauss_seidel_refine(
             random_restarts=False,
             flip_cost_event=options.flip_cost_event,
             trace_label="partition-pass",
-            kernel_backend=options.kernel_backend,
         )
         tasks = []
         for index in active:

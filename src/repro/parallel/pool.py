@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.inference.mcsat import MCSat, MCSatOptions
-from repro.inference.state import make_search_state
+from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSAT, WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.obs.metrics import MetricsRegistry
@@ -177,10 +177,10 @@ class ChunkContext:
         self._local_states = local_states
         self._local_slots: Dict[int, list] = {}
 
-    def slot(self, index: int, backend: str) -> list:
+    def slot(self, index: int) -> list:
         """The ``[state, noise, stepper]`` slot of component ``index``."""
         if self._local_states is None:
-            return _cached_slot(self._states, index, self.components[index], backend)
+            return _cached_slot(self._states, index, self.components[index])
         slot = self._local_slots.get(index)
         if slot is None:
             slot = self._local_slots[index] = [self._local_states[index], None, None]
@@ -203,7 +203,7 @@ def execute_component_task(
     if task.kind == "walksat":
         options = task.walksat
         if state is None:
-            state = make_search_state(mrf, backend=options.kernel_backend)
+            state = SearchState(mrf)
         clock = SimulatedClock(task.cost_model)
         searcher = WalkSAT(options, RandomSource(task.seed), clock)
         result = searcher.run_on_state(state, task.initial_assignment)
@@ -259,9 +259,9 @@ class BoundedStateCache:
         self.units = 0
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[Tuple[int, str], Tuple[object, int]]" = OrderedDict()
+        self._entries: "OrderedDict[int, Tuple[object, int]]" = OrderedDict()
 
-    def get(self, key: Tuple[int, str]) -> Optional[object]:
+    def get(self, key: int) -> Optional[object]:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -270,7 +270,7 @@ class BoundedStateCache:
         self._entries.move_to_end(key)
         return entry[0]
 
-    def put(self, key: Tuple[int, str], state: object, units: int) -> None:
+    def put(self, key: int, state: object, units: int) -> None:
         previous = self._entries.pop(key, None)
         if previous is not None:
             self.units -= previous[1]
@@ -284,15 +284,12 @@ class BoundedStateCache:
         return len(self._entries)
 
 
-def _cached_slot(
-    states: BoundedStateCache, index: int, mrf: MRF, backend: str
-) -> list:
+def _cached_slot(states: BoundedStateCache, index: int, mrf: MRF) -> list:
     """The cached ``[state, noise, stepper]`` slot of a component (built on a miss)."""
-    key = (index, backend)
-    slot = states.get(key)
+    slot = states.get(index)
     if slot is None:
-        slot = [make_search_state(mrf, backend=backend), None, None]
-        states.put(key, slot, mrf.size())
+        slot = [SearchState(mrf), None, None]
+        states.put(index, slot, mrf.size())
     return slot
 
 
@@ -336,7 +333,7 @@ def _worker_run_task(
     mrf = components[task.index]
     state = None
     if task.kind == "walksat":
-        state = _cached_slot(states, task.index, mrf, task.walksat.kernel_backend)[0]
+        state = _cached_slot(states, task.index, mrf)[0]
     search_start = wall_now() if traced else 0.0
     outcome = execute_component_task(task, mrf, state)
     search_end = wall_now() if traced else 0.0
@@ -373,8 +370,8 @@ def _worker_main(
     ``components`` and ``results`` are ``Process`` arguments, which under
     the ``fork`` start method are inherited, never pickled: the component
     MRFs *are* the parent's objects as of the fork.  Kernel states (and
-    with them the MRFs' flat/vector views) are built on a component's
-    first use here and cached per (component, kernel backend), bounded by
+    with them the MRFs' flat views) are built on a component's first use
+    here and cached per component, bounded by
     ``WORKER_STATE_CACHE_UNITS`` — so a component re-dispatched across
     rounds (or across a persistent session's requests) reuses its state
     exactly like the serial driver does.

@@ -1,17 +1,16 @@
-"""The seed (pre-flat-array) search kernel, kept as executable specification.
+"""The seed (pre-flat-array) search kernel: the test oracle of the kernel.
 
 :class:`ReferenceSearchState` is the list-of-tuples implementation that
-:class:`repro.inference.state.SearchState` replaced.  It is retained, nearly
-verbatim, as the oracle of the kernel-parity tests
-(``tests/test_search_kernel_parity.py``), which drive both
-implementations with identical seeds — directly and through
-``WalkSAT.run_on_state`` — and assert bit-for-bit equal costs, deltas and
-violated-set ordering.
+:class:`repro.inference.state.SearchState` replaced, kept nearly verbatim
+as the executable specification.  The kernel-parity suites drive both with
+identical seeds — directly and through ``WalkSAT.run_on_state``, whose
+per-call branch runs a state without a stepper — and assert bit-for-bit
+equal costs, deltas and violated-set ordering, on both of the kernel's
+count-initialisation paths.
 
-It implements the same public API as the flat-array kernel, including the
+It implements the same public API as the kernel, including the
 ``checkpoint``/``checkpoint_dict`` pair — realised here the way the seed
 code tracked the best assignment: a full dictionary copy per checkpoint.
-Do not use it in product code paths.
 """
 
 from __future__ import annotations

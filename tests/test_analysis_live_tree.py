@@ -43,12 +43,12 @@ class TestLiveTree:
         hygiene = [f for f in report.findings if f.rule == "bad-suppression"]
         assert hygiene == [], [f.render() for f in hygiene]
 
-    def test_all_thirteen_rules_are_registered(self) -> None:
+    def test_all_twelve_rules_are_registered(self) -> None:
         report = run_analysis([SRC], select=None)
         assert report.rule_ids == sorted(report.rule_ids)
         assert set(report.rule_ids) == {
             "det-set-iter", "det-float-sum", "det-raw-random", "det-wallclock",
             "det-id-hash-order", "fork-module-state", "fork-pool-lifecycle",
             "fork-shm-publish", "fork-task-closure", "obs-purity",
-            "req-state-isolation", "seam-kernel-api", "seam-config-threading",
+            "req-state-isolation", "seam-config-threading",
         }

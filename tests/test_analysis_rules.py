@@ -602,91 +602,10 @@ class TestReqStateIsolation:
         assert len(report.suppressed) == 1
 
 
-SEAM_STATE = """\
-    class SearchState:
-        def flip(self, clause_index, position):
-            raise NotImplementedError
-
-        def true_cost(self):
-            raise NotImplementedError
-    """
-
-
-class TestKernelApiSeam:
-    def test_missing_member_fires(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {
-            "inference/state.py": SEAM_STATE,
-            "inference/reference_kernel.py": """\
-            class ReferenceSearchState:
-                def flip(self, clause_index, position):
-                    return None
-            """,
-        })
-        found = messages(report, "seam-kernel-api")
-        assert found == [
-            "ReferenceSearchState does not implement SearchState seam member "
-            "'true_cost'"
-        ]
-
-    def test_signature_drift_fires(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {
-            "inference/state.py": SEAM_STATE,
-            "inference/vector_kernel.py": """\
-            class VectorSearchState:
-                def flip(self, atom_id):
-                    return None
-
-                def true_cost(self):
-                    return 0.0
-            """,
-        })
-        found = messages(report, "seam-kernel-api")
-        assert len(found) == 1 and "drifts from the SearchState seam" in found[0]
-
-    def test_undeclared_public_method_fires(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {
-            "inference/state.py": SEAM_STATE,
-            "inference/reference_kernel.py": """\
-            class ReferenceSearchState:
-                def flip(self, clause_index, position):
-                    return None
-
-                def true_cost(self):
-                    return 0.0
-
-                def secret_extra(self):
-                    return 1
-            """,
-        })
-        found = messages(report, "seam-kernel-api")
-        assert len(found) == 1 and "not part of the SearchState seam API" in found[0]
-
-    def test_conforming_backend_and_inheritance_are_clean(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {
-            "inference/state.py": SEAM_STATE,
-            "inference/reference_kernel.py": """\
-            from repro.inference.state import SearchState
-
-            class ReferenceSearchState(SearchState):
-                def flip(self, clause_index, position):
-                    return None
-            """,
-            "inference/vector_kernel.py": """\
-            class VectorSearchState:
-                def flip(self, clause_index, position):
-                    return None
-
-                def true_cost(self):
-                    return 0.0
-            """,
-        })
-        assert report.findings == []
-
-
 SEAM_CONFIG = """\
     class InferenceConfig:
         seed: int = 0
-        kernel_backend: str = "auto"
+        parallel_backend: str = "auto"
     """
 
 
@@ -698,12 +617,12 @@ class TestConfigThreadingSeam:
             from repro.core.config import InferenceConfig
 
             def build(parser, args):
-                parser.add_argument("--kernel-backend", default="auto")
-                return InferenceConfig(kernel_backend=args.kernel_backend)
+                parser.add_argument("--parallel-backend", default="auto")
+                return InferenceConfig(parallel_backend=args.parallel_backend)
             """,
             "core/engine.py": """\
             def run(config):
-                return config.kernel_backend
+                return config.parallel_backend
             """,
         })
         assert report.findings == []
@@ -719,12 +638,12 @@ class TestConfigThreadingSeam:
             """,
             "core/engine.py": """\
             def run(config):
-                return config.kernel_backend
+                return config.parallel_backend
             """,
         })
         found = messages(report, "seam-config-threading")
         assert len(found) == 2
-        assert any("--kernel-backend" in message for message in found)
+        assert any("--parallel-backend" in message for message in found)
         assert any("not forwarded" in message for message in found)
 
     def test_option_never_read_by_engine_fires(self, tmp_path: Path) -> None:
@@ -734,8 +653,8 @@ class TestConfigThreadingSeam:
             from repro.core.config import InferenceConfig
 
             def build(parser, args):
-                parser.add_argument("--kernel-backend", default="auto")
-                return InferenceConfig(kernel_backend=args.kernel_backend)
+                parser.add_argument("--parallel-backend", default="auto")
+                return InferenceConfig(parallel_backend=args.parallel_backend)
             """,
             "core/engine.py": """\
             def run(config):

@@ -26,8 +26,9 @@ from repro.inference.component_walksat import (
     _allocation,
 )
 from repro.inference.scheduling import weighted_flip_allocation
-from repro.inference.state import make_search_state
+from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSATOptions, WalkSATResult
+from repro.mrf import graph
 from repro.mrf.graph import MRF
 from repro.obs.events import merge_series
 from repro.parallel import processes_available
@@ -93,7 +94,6 @@ def spec_results(components, options, seed, budget, cost_model, initial=None):
                 target_cost=target,
                 random_restarts=options.random_restarts,
                 trace_label=f"component-{index}",
-                kernel_backend=options.kernel_backend,
             ),
             cost_model=cost_model,
             initial_assignment=restricted,
@@ -123,7 +123,7 @@ def spec_search(components, options, seed, budget, cost_model=None, initial=None
         if initial:
             atoms = set(components[index].atom_ids)
             restricted = {a: v for a, v in initial.items() if a in atoms}
-        state = make_search_state(components[index], restricted)
+        state = SearchState(components[index], restricted)
         results.append(
             WalkSATResult(state.assignment_dict(), state.cost, 0, 0, 0.0)
         )
@@ -290,7 +290,10 @@ class TestChunkRunnerAgainstSpec:
 class TestComponentSearchAgainstSpec:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", (0, 5))
-    def test_default_search(self, backend, seed):
+    @pytest.mark.parametrize("threshold", (10**9, 0), ids=("loop", "bincount"))
+    def test_default_search(self, backend, seed, threshold, monkeypatch):
+        """On both count-initialisation paths of the search state."""
+        monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", threshold)
         components = mixed_components(seed=seed)
         options = WalkSATOptions(max_flips=2000)
         result = search(components, options, seed, 2000, backend)

@@ -4,9 +4,9 @@
   scalar ``add`` calls leave it (``add`` is the spec) — clause ids, literal
   order, weights bit for bit across batches and rules, hard rows, the
   constant cost of empty rows, tautologies, satisfied-by-evidence counts.
-* Views: the flat and vector views of store-backed component MRFs (built
-  from CSR columns by numpy) equal the views of list-built MRFs of the same
-  clauses built by the per-literal reference loop below.
+* Views: the flat views and count arrays of store-backed component MRFs
+  (built from CSR columns by numpy) equal those of list-built MRFs of the
+  same clauses built by the per-literal reference loop below.
 * Design guard: ground → build → detect → one search state per component
   constructs no ``GroundClause`` at all.
 """
@@ -18,14 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.inference.vector_kernel as vector_kernel
 import repro.mrf.graph as graph
 from repro.datasets import DatasetScale, load_dataset
 from repro.datasets.example1 import example1_store
 from repro.grounding.bottom_up import BottomUpGrounder
 from repro.grounding.clause_table import GroundClause, GroundClauseStore
-from repro.inference.state import make_search_state
-from repro.inference.vector_kernel import VectorMRFView
+from repro.inference.state import SearchState, count_arrays, counts_by_numpy
 from repro.mrf.components import connected_components
 from repro.mrf.graph import MRF
 
@@ -147,41 +145,24 @@ def flat_relations(view):
     return tuple(view.clause_codes), candidates, tuple(view.adjacency)
 
 
-def reference_vector_arrays(mrf, thresholds):
-    """``VectorMRFView``'s arrays as the per-clause loops built them."""
-    clause_codes, clause_positions, adjacency = reference_flat_relations(mrf)
-    pos, expect, owner = [], [], []
+def reference_count_arrays(mrf):
+    """:func:`count_arrays` as the per-clause loops build it."""
+    clause_codes, _, _ = reference_flat_relations(mrf)
+    pos, positive, owner = [], [], []
     for clause_index, codes in enumerate(clause_codes):
         for code in codes:
             pos.append(abs(code) - 1)
-            expect.append(1 if code > 0 else 0)
+            positive.append(code > 0)
             owner.append(clause_index)
-    tables = {}
-    for threshold in thresholds:
-        tables[threshold] = {}
-        for clause_index, candidates in enumerate(clause_positions):
-            if len(candidates) < 2:
-                continue
-            if sum(len(adjacency[position]) for position in candidates) < threshold:
-                continue
-            entries = [
-                (position, 1 if positive else 0, other, slot)
-                for slot, position in enumerate(candidates)
-                for other, positive in adjacency[position]
-            ]
-            tables[threshold][clause_index] = (
-                [entry[0] for entry in entries],
-                [entry[1] for entry in entries],
-                [entry[2] for entry in entries],
-                [entry[3] for entry in entries],
-                len(candidates),
-            )
-    updates = [
-        ([clause for clause, _ in entries], [1 if positive else -1 for _, positive in entries])
-        for entries in adjacency
-    ]
     negated = [clause.weight < 0 for clause in mrf.clauses]
-    return (pos, expect, owner, negated), tables, updates
+    return pos, owner, positive, negated
+
+
+def assert_count_arrays(mrf):
+    for array, values, dtype in zip(
+        count_arrays(mrf), reference_count_arrays(mrf), (np.intp, np.intp, bool, bool)
+    ):
+        assert_arrays(array, values, dtype)
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,41 +193,16 @@ class TestViewsFromColumns:
     def test_store_backed_views_equal_list_built_views(self, dataset, all_numpy, monkeypatch):
         if all_numpy:
             monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", 0)
-        thresholds = (0, 128)
         for columns, atom_ids in grounded_columns(dataset):
             component = MRF(columns=columns, atom_ids=list(atom_ids))
             listed = MRF.from_clauses(component.clauses, extra_atoms=atom_ids)
             assert listed.atom_ids == component.atom_ids
             expected_flat = reference_flat_relations(listed)
-            literals, tables, updates = reference_vector_arrays(listed, thresholds)
             for mrf in (component, MRF.from_clauses(component.clauses, extra_atoms=atom_ids)):
                 view = mrf.flat_view()
                 assert flat_relations(view) == expected_flat
-                vector = VectorMRFView(mrf)
-                for array, values, dtype in zip(
-                    (vector.lit_pos, vector.lit_expect, vector.lit_clause, vector.negated),
-                    literals,
-                    (np.intp, np.int8, np.intp, bool),
-                ):
-                    assert_arrays(array, values, dtype)
-                for threshold in thresholds:
-                    monkeypatch.setattr(vector_kernel, "GREEDY_MIN_ENTRIES", threshold)
-                    built = VectorMRFView(mrf).greedy_tables()
-                    assert list(built) == list(tables[threshold])
-                    for clause_index, table in built.items():
-                        *arrays, count = table
-                        *reference, reference_count = tables[threshold][clause_index]
-                        assert count == reference_count
-                        for array, values, dtype in zip(
-                            arrays, reference, (np.intp, np.int8, np.intp, np.intp)
-                        ):
-                            assert_arrays(array, values, dtype)
-                assert len(vector.atom_updates()) == len(updates)
-                for (indices, signs), (reference_indices, reference_signs) in zip(
-                    vector.atom_updates(), updates
-                ):
-                    assert_arrays(indices, reference_indices, np.intp)
-                    assert_arrays(signs, reference_signs, np.int32)
+                if counts_by_numpy(mrf):
+                    assert_count_arrays(mrf)
 
     def test_repeated_atoms_in_list_built_clauses(self, monkeypatch):
         monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", 0)
@@ -258,16 +214,11 @@ class TestViewsFromColumns:
         mrf = MRF.from_clauses(clauses, extra_atoms=[9])
         view = mrf.flat_view()
         assert flat_relations(view) == reference_flat_relations(mrf)
-        # Candidate adjacency totals: 6 and 9 entries for clauses 1 and 3.
-        thresholds = range(11)
-        _, tables, _ = reference_vector_arrays(mrf, thresholds)
-        for threshold in thresholds:
-            monkeypatch.setattr(vector_kernel, "GREEDY_MIN_ENTRIES", threshold)
-            assert list(VectorMRFView(mrf).greedy_tables()) == list(tables[threshold])
+        assert_count_arrays(mrf)
 
     def test_one_position_pass_per_component(self, monkeypatch):
         """The decomposition's positions feed the flat view, whose arrays
-        feed the vector view: nothing searches for a literal's atom again."""
+        feed the count arrays: nothing searches for a literal's atom again."""
         monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", 0)
         columns, atom_ids = max(grounded_columns("RC"), key=lambda part: len(part[0]))
         component = connected_components(
@@ -275,11 +226,11 @@ class TestViewsFromColumns:
         ).components[0]
         handed_over = component.literal_atom_positions()
         view = component.flat_view()
-        vector = VectorMRFView(component)
+        positions, owners, _, _ = count_arrays(component)
         assert view.arrays.positions is handed_over
-        assert vector.lit_pos is handed_over
-        assert vector.lit_clause is view.arrays.owners
-        assert vector.degrees is view.arrays.degrees
+        assert positions is handed_over
+        assert owners is view.arrays.owners
+        assert view.counts is count_arrays(component)
 
     def test_candidates_are_built_on_first_read(self, monkeypatch):
         monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", 0)
@@ -294,7 +245,7 @@ class TestViewsFromColumns:
         assert view.candidates == [None, None, None]
         assert view.clause_atom_positions(2) == (2, 0, 1)
         assert view.candidates == [None, None, (2, 0, 1)]
-        state = make_search_state(mrf, backend="flat")
+        state = SearchState(mrf)
         assert state.clause_atom_positions(0) == (1, 2)
         assert view.candidates == [(1, 2), None, (2, 0, 1)]
 
@@ -345,12 +296,8 @@ class TestDesignGuard:
         for numpy_view_min_clauses in (graph.NUMPY_VIEW_MIN_CLAUSES, 0):
             monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", numpy_view_min_clauses)
             decomposition = connected_components(mrf)
-            for backend in ("flat", "vectorized"):
-                states = [
-                    make_search_state(component, backend=backend)
-                    for component in decomposition.components
-                ]
-                assert len(states) == decomposition.component_count > 1
+            states = [SearchState(component) for component in decomposition.components]
+            assert len(states) == decomposition.component_count > 1
         assert constructed == []
         # The counter sees row views: reading one constructs one.
         assert grounding.clauses[0].clause_id == 1

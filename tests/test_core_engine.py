@@ -113,70 +113,18 @@ class TestTuffyEngine:
         atom_id = engine.grounding_result.atoms.lookup("cat", ("P1", "DB"))
         assert result.marginals.probability(atom_id) >= 0.5
 
-    def test_run_marginal_honours_configured_kernel_backend(self, monkeypatch):
-        """Regression: run_marginal used to build MCSatOptions with the
-        default backend, so the config's kernel_backend was ignored."""
-        import repro.core.engine as engine_module
+    def test_marginals_identical_on_both_count_paths(self, monkeypatch):
+        """The loop and the bincount count initialisation (and with them
+        MC-SAT's scalar and batched pipelines) give the same marginals."""
+        from repro.mrf import graph
 
-        captured = {}
-        real_mcsat = engine_module.MCSat
-
-        class SpyMCSat(real_mcsat):
-            def __init__(self, options=None, rng=None):
-                captured["options"] = options
-                super().__init__(options, rng)
-
-        monkeypatch.setattr(engine_module, "MCSat", SpyMCSat)
-        config = InferenceConfig(
-            seed=0, mcsat_samples=2, mcsat_burn_in=0, kernel_backend="flat"
-        )
-        TuffyEngine(figure1_program(), config).run_marginal()
-        assert captured["options"].kernel_backend == "flat"
-        assert captured["options"].samplesat.kernel_backend == "flat"
-
-    def test_kernel_backend_threaded_into_map_search(self, monkeypatch):
-        """Every WalkSATOptions the engine constructs carries the configured
-        kernel backend (monolithic, component-aware and Gauss-Seidel)."""
-        import repro.core.engine as engine_module
-        from repro.inference.walksat import WalkSATOptions
-
-        seen = []
-        real_init = WalkSATOptions.__init__
-
-        def spy_init(self, *args, **kwargs):
-            real_init(self, *args, **kwargs)
-            seen.append(self.kernel_backend)
-
-        monkeypatch.setattr(WalkSATOptions, "__init__", spy_init)
-        for use_partitioning in (False, True):
-            config = InferenceConfig(
-                seed=0,
-                max_flips=200,
-                kernel_backend="flat",
-                use_partitioning=use_partitioning,
-                memory_budget_bytes=64 * 30 if use_partitioning else None,
-            )
-            TuffyEngine(figure1_program(), config).run_map()
-        AlchemyEngine(
-            figure1_program(), InferenceConfig(seed=0, max_flips=200, kernel_backend="flat")
-        ).run_map()
-        assert seen and all(backend == "flat" for backend in seen)
-
-    def test_marginals_identical_across_kernel_backends(self):
         results = {}
-        for backend in ("flat", "vectorized"):
-            config = InferenceConfig(
-                seed=0, mcsat_samples=15, mcsat_burn_in=3, kernel_backend=backend
-            )
+        for threshold in (10**9, 0):
+            monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", threshold)
+            config = InferenceConfig(seed=0, mcsat_samples=15, mcsat_burn_in=3)
             result = TuffyEngine(figure1_program(), config).run_marginal()
-            results[backend] = result.marginals.probabilities
-        assert results["flat"] == results["vectorized"]
-
-    def test_invalid_kernel_backend_rejected(self):
-        from repro.core.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            InferenceConfig(kernel_backend="simd")
+            results[threshold] = result.marginals.probabilities
+        assert results[10**9] == results[0]
 
     @pytest.mark.parametrize(
         "field, value",

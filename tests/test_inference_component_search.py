@@ -199,8 +199,6 @@ class TestMCSat:
             MCSatOptions(samples=0)
         with pytest.raises(ValueError):
             MCSatOptions(burn_in=-1)
-        with pytest.raises(ValueError):
-            MCSatOptions(kernel_backend="simd")
 
 
 class TestMCSatClauseSelection:

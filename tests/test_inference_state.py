@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.grounding.clause_table import GroundClauseStore
 from repro.inference.state import SearchState
-from repro.inference.vector_kernel import VectorSearchState
+from repro.mrf import graph
 from repro.mrf.cost import assignment_cost
 from repro.mrf.graph import MRF
 from repro.utils.rng import RandomSource
@@ -139,24 +139,26 @@ class TestSearchStateInvariants:
 
 
 class TestLeftFoldCosts:
-    """Costs add left to right in clause order on every kernel.
+    """Costs add left to right in clause order on both count paths.
 
     Builtin ``sum()`` compensates float rounding since Python 3.12, so a
-    kernel summing with it would report ``1e16 + 2`` here while the
-    flat kernel's loop reports ``1e16``.
+    path summing with it would report ``1e16 + 2`` here while the loop
+    reports ``1e16``.
     """
 
-    def test_flat_and_vectorized_costs_equal_the_left_fold(self):
+    def test_loop_and_bincount_costs_equal_the_left_fold(self, monkeypatch):
         store = GroundClauseStore()
         for atom, weight in ((1, 1e16), (2, 1.0), (3, 1.0)):
             store.add((atom,), weight)
         mrf = MRF.from_store(store)
         fold = functools.reduce(operator.add, [1e16, 1.0, 1.0], 0.0)
-        flat = SearchState(mrf)
-        vectorized = VectorSearchState(mrf)
-        assert flat.violated_count() == vectorized.violated_count() == 3
-        assert flat.cost == vectorized.cost == fold == 1e16
-        flat.reset()
-        vectorized.reset()
-        assert flat.cost == vectorized.cost == fold
+        loop = SearchState(mrf)
+        monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", 0)
+        bincount = SearchState(MRF.from_store(store))
+        assert loop._counts is None and bincount._counts is not None
+        assert loop.violated_count() == bincount.violated_count() == 3
+        assert loop.cost == bincount.cost == fold == 1e16
+        loop.reset()
+        bincount.reset()
+        assert loop.cost == bincount.cost == fold
         assert mrf.total_soft_weight() == fold

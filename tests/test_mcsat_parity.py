@@ -1,13 +1,18 @@
-"""MC-SAT pipeline parity: the scalar sampling loop vs the vectorized pipeline.
+"""MC-SAT pipeline parity: the scalar sampling loop vs the batched pipeline.
 
-The vectorized MC-SAT pipeline (batched clause selection, pooled SampleSAT
+The batched MC-SAT pipeline (numpy clause selection, pooled SampleSAT
 constraint states, vector marginal accumulation) must be *bit-for-bit*
 identical to the scalar loop, which is retained as the executable
 specification: same RNG stream, same constraint sets, same sample sequence,
-same marginals.  These tests drive both pipelines — plus a forced-batching
-variant with the kernel's greedy threshold at zero — with identical seeds
+same marginals.  These tests drive both pipelines with identical seeds
 over MLNs covering every clause kind (positive/negative, soft/hard,
 duplicate literals), and compare every observable.
+
+The ``count_path`` fixture runs each test on both of the search state's
+count-initialisation paths (``NUMPY_VIEW_MIN_CLAUSES`` patched to 0 or to
+a huge value), and the pipeline is forced by patching the size test
+:meth:`MCSat.run` reads; the reference is always the scalar pipeline on
+the loop path.
 """
 
 import math
@@ -15,7 +20,7 @@ import math
 import pytest
 
 from repro.grounding.clause_table import GroundClause, GroundClauseStore
-from repro.inference import vector_kernel
+from repro.inference import mcsat
 from repro.inference.mcsat import (
     MCSat,
     MCSatOptions,
@@ -23,11 +28,19 @@ from repro.inference.mcsat import (
     hard_constraint_prefix,
 )
 from repro.inference.samplesat import ConstraintPool, SampleSAT, SampleSATOptions
-from repro.inference.state import make_search_state
+from repro.inference.state import SearchState, count_arrays
+from repro.mrf import graph
 from repro.mrf.graph import MRF
 from repro.utils.rng import RandomSource
 
-BACKEND_PARAMS = ["vectorized", "vectorized-forced-batching"]
+#: ``NUMPY_VIEW_MIN_CLAUSES`` values forcing each count-initialisation path.
+LOOP, BINCOUNT = 10**9, 0
+
+
+@pytest.fixture(params=[LOOP, BINCOUNT], ids=["loop", "bincount"])
+def count_path(request, monkeypatch):
+    monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", request.param)
+    return request.param
 
 
 def sampler_options(samples=25, burn_in=5):
@@ -87,47 +100,59 @@ MLNS = {
 }
 
 
-def run_mcsat(make_mrf, backend: str, seed: int = 0, **options):
-    mcsat_options = MCSatOptions(kernel_backend=backend, **options)
-    return MCSat(mcsat_options, RandomSource(seed)).run(make_mrf())
+def run_mcsat(make_mrf, monkeypatch, threshold, batched, seed=0, initial=None, **options):
+    """One MC-SAT run with the count path and the pipeline forced."""
+    monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", threshold)
+    monkeypatch.setattr(mcsat, "counts_by_numpy", lambda mrf: batched)
+    return MCSat(MCSatOptions(**options), RandomSource(seed)).run(make_mrf(), initial)
 
 
-class TestPipelineParity:
-    @pytest.mark.parametrize("mln", sorted(MLNS))
-    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_marginals_bit_identical_across_backends(self, mln, backend, monkeypatch):
-        """flat vs vectorized (and forced-batching): exact dict equality of
-        MarginalResult.probabilities — any stream divergence in selection,
-        constraint construction or accumulation would show up here."""
-        make_mrf = MLNS[mln]
-        reference = run_mcsat(make_mrf, "flat", **sampler_options())
-        if backend == "vectorized-forced-batching":
-            monkeypatch.setattr(vector_kernel, "GREEDY_MIN_ENTRIES", 0)
-            backend = "vectorized"
-        result = run_mcsat(make_mrf, backend, **sampler_options())
+def assert_pipelines_match_spec(make_mrf, monkeypatch, count_path, **run):
+    """Both pipelines on ``count_path`` equal the scalar spec on the loop."""
+    reference = run_mcsat(make_mrf, monkeypatch, LOOP, False, **run)
+    for batched in (False, True):
+        result = run_mcsat(make_mrf, monkeypatch, count_path, batched, **run)
         assert result.probabilities == reference.probabilities
         assert result.samples == reference.samples
         assert result.burn_in == reference.burn_in
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_parity_across_seeds(self, seed):
-        make_mrf = MLNS["random-0"]
-        reference = run_mcsat(make_mrf, "flat", seed=seed, **sampler_options(15, 3))
-        result = run_mcsat(make_mrf, "vectorized", seed=seed, **sampler_options(15, 3))
-        assert result.probabilities == reference.probabilities
 
-    def test_parity_with_initial_assignment(self):
-        make_mrf = MLNS["negative-weights"]
-        initial = {1: True, 3: True, 5: False}
-        reference = MCSat(
-            MCSatOptions(kernel_backend="flat", **sampler_options(15, 2)),
-            RandomSource(7),
-        ).run(make_mrf(), initial)
-        result = MCSat(
-            MCSatOptions(kernel_backend="vectorized", **sampler_options(15, 2)),
-            RandomSource(7),
-        ).run(make_mrf(), initial)
-        assert result.probabilities == reference.probabilities
+class TestPipelineParity:
+    @pytest.mark.parametrize("mln", sorted(MLNS))
+    def test_marginals_bit_identical_to_scalar_spec(self, mln, count_path, monkeypatch):
+        """Exact dict equality of MarginalResult.probabilities — any stream
+        divergence in selection, constraint construction or accumulation
+        would show up here."""
+        assert_pipelines_match_spec(
+            MLNS[mln], monkeypatch, count_path, **sampler_options()
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parity_across_seeds(self, seed, count_path, monkeypatch):
+        assert_pipelines_match_spec(
+            MLNS["random-0"], monkeypatch, count_path, seed=seed, **sampler_options(15, 3)
+        )
+
+    def test_parity_with_initial_assignment(self, count_path, monkeypatch):
+        assert_pipelines_match_spec(
+            MLNS["negative-weights"],
+            monkeypatch,
+            count_path,
+            seed=7,
+            initial={1: True, 3: True, 5: False},
+            **sampler_options(15, 2),
+        )
+
+    def test_pipeline_follows_the_count_test(self, monkeypatch):
+        """The batched pipeline runs exactly on MRFs whose states count
+        with numpy."""
+        ran = []
+        monkeypatch.setattr(MCSat, "_run_batched", lambda *args: ran.append("batched"))
+        monkeypatch.setattr(MCSat, "_run_scalar", lambda *args: ran.append("scalar"))
+        for threshold in (LOOP, BINCOUNT):
+            monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", threshold)
+            MCSat().run(biased_mrf())
+        assert ran == ["scalar", "batched"]
 
 
 class TestBatchedSelection:
@@ -135,11 +160,11 @@ class TestBatchedSelection:
     and draw-for-draw."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_selection_matches_scalar_spec(self, seed):
+    def test_selection_matches_scalar_spec(self, seed, count_path):
         mrf = random_mln(seed + 100, atoms=9, clause_count=50)
         world_rng = RandomSource(seed)
         world = {atom_id: world_rng.coin() for atom_id in mrf.atom_ids}
-        evaluator = make_search_state(mrf, world, backend="vectorized")
+        evaluator = SearchState(mrf, world)
         flags = evaluator.satisfaction_flags()
 
         scalar_rng = RandomSource(seed + 1)
@@ -180,7 +205,7 @@ class TestConstraintPool:
     builds, so every downstream RNG consumer sees the same world."""
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_pooled_state_structure_matches_spec_path(self, seed):
+    def test_pooled_state_structure_matches_spec_path(self, seed, count_path):
         mrf = random_mln(seed + 200, atoms=8, clause_count=45)
         pool = ConstraintPool(mrf)
         select_rng = RandomSource(seed)
@@ -192,7 +217,7 @@ class TestConstraintPool:
         spec_clauses = list(pool.prefix_clauses)
         for index in selected:
             spec_clauses.extend(pool._templates[index].clauses)
-        spec_state = make_search_state(
+        spec_state = SearchState(
             MRF.from_clauses(
                 [
                     GroundClause(i + 1, clause.literals, 1.0, clause.source)
@@ -218,6 +243,13 @@ class TestConstraintPool:
         assert [list(entries) for entries in view.adjacency] == [
             list(entries) for entries in spec_view.adjacency
         ]
+        if count_path == BINCOUNT:
+            # The pool's seeded count arrays are the ones the spec path
+            # derives from the shell's columns.
+            seeded = view.counts
+            assert seeded is not None
+            for pooled_array, spec_array in zip(seeded, count_arrays(spec_state.mrf)):
+                assert pooled_array.tolist() == spec_array.tolist()
 
         # Same randomize stream -> same violated set and cost.
         pooled.randomize(RandomSource(seed + 1))
@@ -226,7 +258,7 @@ class TestConstraintPool:
         assert pooled._violated_list == spec_state._violated_list
         assert pooled.cost == spec_state.cost
 
-    def test_prefix_state_reused_between_empty_selections(self):
+    def test_prefix_state_reused_between_empty_selections(self, count_path):
         mrf = negative_weight_mrf()
         pool = ConstraintPool(mrf)
         first = pool.state_for([])
@@ -236,7 +268,7 @@ class TestConstraintPool:
         soft = sorted(pool._templates)
         assert pool.state_for(soft[:1]) is not first
 
-    def test_sample_prepared_matches_sample(self):
+    def test_sample_prepared_matches_sample(self, count_path):
         """SampleSAT over a pooled state must replay the spec path's exact
         trajectory (same RNG stream, same returned world)."""
         for seed in range(5):
@@ -262,22 +294,21 @@ class TestConstraintPool:
 
 
 class TestEvaluatorHandoff:
-    def test_reset_from_values_matches_dict_reset(self):
+    def test_reset_from_values_matches_dict_reset(self, count_path):
         mrf = random_mln(42, atoms=9, clause_count=30)
-        for backend in ("flat", "vectorized"):
-            by_dict = make_search_state(mrf, backend=backend)
-            by_buffer = make_search_state(mrf, backend=backend)
-            source = make_search_state(mrf, backend="flat")
-            source.randomize(RandomSource(3))
-            by_dict.reset(source.assignment_dict())
-            by_buffer.reset_from_values(source.assignment)
-            assert by_dict.assignment_dict() == by_buffer.assignment_dict()
-            assert by_dict._violated_list == by_buffer._violated_list
-            assert by_dict.cost == by_buffer.cost
+        by_dict = SearchState(mrf)
+        by_buffer = SearchState(mrf)
+        source = SearchState(mrf)
+        source.randomize(RandomSource(3))
+        by_dict.reset(source.assignment_dict())
+        by_buffer.reset_from_values(source.assignment)
+        assert by_dict.assignment_dict() == by_buffer.assignment_dict()
+        assert by_dict._violated_list == by_buffer._violated_list
+        assert by_dict.cost == by_buffer.cost
 
     def test_reset_from_values_rejects_misaligned_buffer(self):
         mrf = biased_mrf()
-        state = make_search_state(mrf)
+        state = SearchState(mrf)
         with pytest.raises(ValueError):
             state.reset_from_values([1, 0, 1])
 

@@ -168,13 +168,13 @@ class TestChunkedDispatchParity:
     @pytest.mark.parametrize("workload", ("example1", "RC", "IE"))
     @pytest.mark.parametrize("with_deadline", (False, True))
     def test_chunked_equals_serial(self, workloads, workload, with_deadline):
-        from repro.inference.state import make_search_state
+        from repro.inference.state import SearchState
         from repro.inference.walksat import WalkSATResult
 
         components = workloads[workload]
 
         def placeholder(index):
-            state = make_search_state(components[index])
+            state = SearchState(components[index])
             result = WalkSATResult(
                 best_assignment=state.assignment_dict(), best_cost=state.cost,
                 flips=0, tries=0, seconds=0.0,

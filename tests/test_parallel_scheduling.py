@@ -37,7 +37,10 @@ from repro.parallel.pool import (
 )
 from repro.parallel.scheduler import (
     CHUNK_SHARE,
+    _Dispatch,
+    _single_chunks,
     chunk_boundaries,
+    deadline_cutoff,
     dispatch_order,
     run_component_tasks,
     task_work,
@@ -91,11 +94,11 @@ def walksat_tasks(components, flips=300, noise=0.5):
 
 
 def zero_flip_placeholder(components):
-    from repro.inference.state import make_search_state
+    from repro.inference.state import SearchState
     from repro.inference.walksat import WalkSATResult
 
     def placeholder(index):
-        state = make_search_state(components[index])
+        state = SearchState(components[index])
         result = WalkSATResult(
             best_assignment=state.assignment_dict(),
             best_cost=state.cost,
@@ -371,10 +374,11 @@ class TestChunkedPool:
         assert outcome.dispatch_order == order[:3]
         assert outcome.skipped == sorted(order[3:])
         counters = metrics.as_dict()["counters"]
-        # One message per task, and the capped window kept dispatch from
-        # running the whole order past the cutoff.
+        # One message per task.  How far past the cutoff dispatch ran
+        # depends on which worker finishes first (a straggler at position
+        # 0 lets the whole order through); TestScriptedSteal pins that.
         assert counters["scheduler.chunks_dispatched"] == outcome.executed
-        assert 3 <= outcome.executed < len(components)
+        assert outcome.executed >= 3
 
     def test_chunk_ships_some_results_via_shm_and_others_pickled(self):
         components = many_components(12)
@@ -474,6 +478,61 @@ class TestChunkedPool:
                 pool.submit_chunk([])
             with pytest.raises(ValueError):
                 pool.submit_chunk(tasks)
+
+
+class TestScriptedSteal:
+    """``_Dispatch.steal`` driven by a scripted submit / drain, no pool.
+
+    Eight single-task chunks of cost 1.0, a deadline of 3.0 (so the
+    cutoff is position 3 once positions 0-2 are known) and a window of
+    two positions past the completed *count*.
+    """
+
+    def steal(self, straggler):
+        components = many_components(8)
+        run = _Dispatch(components, "serial", 2, 3.0, None, 0, None)
+        position_of = run.position_of
+        in_flight = []
+        submitted = []
+
+        def submit(indices):
+            cutoff = deadline_cutoff(run.costs, run.deadline)
+            for index in indices:
+                position = position_of[index]
+                # Nothing at or past a provable cutoff goes out.
+                assert cutoff is None or position < cutoff
+                submitted.append(position)
+                in_flight.append(index)
+
+        def drain():
+            # In submission order, except that position 0 (when it
+            # straggles) finishes only once nothing else is in flight.
+            ready = [
+                index for index in in_flight
+                if not (straggler and position_of[index] == 0)
+            ] or in_flight
+            index = ready[0]
+            in_flight.remove(index)
+            return 0, [(index, 1.0)]
+
+        run.steal(_single_chunks(len(components)), 2, submit, drain)
+        return run, submitted
+
+    def test_in_order_run_stops_one_past_the_window_at_the_cutoff(self):
+        run, submitted = self.steal(straggler=False)
+        # Position 3 went out before position 2 finished, while no cutoff
+        # was provable yet; nothing went out after that.
+        assert submitted == [0, 1, 2, 3]
+        assert run.chunks_sent == run.executed == 4
+        assert run.counted() == run.order[:3]
+
+    def test_straggler_at_position_zero_lets_the_whole_order_through(self):
+        run, submitted = self.steal(straggler=True)
+        # The window counts completed tasks, not a completed prefix, and
+        # no cutoff is provable while position 0 is unknown.
+        assert submitted == list(range(8))
+        assert run.chunks_sent == run.executed == 8
+        assert run.counted() == run.order[:3]
 
 
 class TestDeadlineHandling:

@@ -1,20 +1,19 @@
-"""Kernel parity: every kernel backend vs the seed reference kernel.
+"""Kernel parity: the search state vs the seed reference kernel.
 
-The flat-array rewrite and the vectorized (numpy) backend must both be
-*semantically identical* to the seed kernel: same costs, same flip deltas,
-same violated-set ordering (which seeded runs depend on, because the
-violated clause is drawn with ``rng.pick`` from that list), and the same
-best-assignment tracking.  These tests drive every implementation with
-identical randomized MRFs and identical seeds and compare every observable
-after every step.
+The flat-array kernel must be *semantically identical* to the seed kernel
+(``tests/reference_kernel.py``): same costs, same flip deltas, same
+violated-set ordering (which seeded runs depend on, because the violated
+clause is drawn with ``rng.pick`` from that list), the same RNG stream
+position, and the same best-assignment tracking.  These tests drive both
+with identical randomized MRFs and identical seeds and compare every
+observable after every step.
 
-The ``kernel`` fixture parameterizes each test over the flat backend, the
-vectorized backend (auto threshold: bulk ops numpy, greedy scalar on these
-tiny MRFs), and the vectorized backend with the batched-greedy threshold
-forced to zero so the numpy greedy/bincount path itself is proven
-bit-for-bit against the scalar loop.  The state-reuse lifecycle tests pin
-that reusing one state (and one stepper) across restarts is
-indistinguishable from building fresh states.
+The ``kernel`` fixture runs each test on both count-initialisation paths:
+``NUMPY_VIEW_MIN_CLAUSES`` patched to 0 puts these tiny MRFs on the
+``np.bincount`` path (and their flat views on the numpy build), patched
+to a huge value keeps every MRF on the Python loop.  The state-reuse
+lifecycle tests pin that reusing one state (and one stepper) across
+restarts is indistinguishable from building fresh states.
 """
 
 import math
@@ -23,34 +22,26 @@ import pytest
 
 from repro.grounding.clause_table import GroundClause
 from repro.inference.component_walksat import ComponentAwareWalkSAT
-from repro.inference.reference_kernel import ReferenceSearchState
-from repro.inference.state import SearchState, make_search_state, resolve_backend
-from repro.inference import vector_kernel
-from repro.inference.vector_kernel import VectorSearchState
+from reference_kernel import ReferenceSearchState
+from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSAT, WalkSATOptions
+from repro.mrf import graph
 from repro.mrf.graph import MRF
 from repro.utils.rng import RandomSource
 
 
-KERNEL_PARAMS = [
-    pytest.param(SearchState, id="flat"),
-    pytest.param(VectorSearchState, id="vectorized"),
-    pytest.param("forced-greedy", id="vectorized-forced-greedy"),
+#: ``NUMPY_VIEW_MIN_CLAUSES`` values forcing each count-initialisation path.
+COUNT_PATHS = [
+    pytest.param(10**9, id="loop"),
+    pytest.param(0, id="bincount"),
 ]
 
 
-@pytest.fixture(params=KERNEL_PARAMS)
+@pytest.fixture(params=COUNT_PATHS)
 def kernel(request, monkeypatch):
-    """A kernel-state factory with the SearchState constructor signature.
-
-    ``vectorized-forced-greedy`` is the vectorized backend with the
-    batching threshold at zero, so every multi-atom clause takes the
-    numpy greedy path.
-    """
-    if request.param == "forced-greedy":
-        monkeypatch.setattr(vector_kernel, "GREEDY_MIN_ENTRIES", 0)
-        return VectorSearchState
-    return request.param
+    """The search-state class, with every MRF on one count path."""
+    monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", request.param)
+    return SearchState
 
 
 def random_mrf(seed: int, atoms: int = 8, clause_count: int = 24) -> MRF:
@@ -91,6 +82,7 @@ class TestKernelParity:
             mrf = random_mrf(seed)
             reference = ReferenceSearchState(mrf)
             state = kernel(mrf)
+            assert (state._counts is not None) == (graph.NUMPY_VIEW_MIN_CLAUSES == 0)
             assert state.hard_penalty == reference.hard_penalty
             assert_states_agree(reference, state)
             for clause_index in range(mrf.clause_count):
@@ -130,23 +122,6 @@ class TestKernelParity:
                 assert_states_agree(reference, state)
             assert state.true_cost() == pytest.approx(reference.true_cost())
 
-    def test_delta_cost_batch_matches_scalar_deltas(self, kernel):
-        """delta_cost_batch must equal [delta_cost(p) for p in candidates]
-        bit-for-bit — this is the contract the batched greedy rides on."""
-        for seed in range(10):
-            mrf = random_mrf(seed, atoms=9, clause_count=30)
-            state = kernel(mrf)
-            state.randomize(RandomSource(seed))
-            walk = RandomSource(seed + 2000)
-            for _round in range(15):
-                for clause_index in range(mrf.clause_count):
-                    expected = [
-                        state.delta_cost(position)
-                        for position in state.clause_atom_positions(clause_index)
-                    ]
-                    assert state.delta_cost_batch(clause_index) == expected
-                state.flip(walk.randint(0, len(mrf.atom_ids) - 1))
-
     def test_checkpoint_tracks_best_assignment(self, kernel):
         mrf = random_mrf(3, atoms=6, clause_count=18)
         reference = ReferenceSearchState(mrf)
@@ -182,8 +157,8 @@ class TestKernelParity:
         assert state.checkpoint_dict() != state.assignment_dict()
 
     def test_satisfaction_flags_parity(self, kernel):
-        """Including after scalar flips, when the vectorized backend's
-        numpy mirror may be stale and must fall back."""
+        """After the initialisation and after every flip, as a list and as
+        the numpy array MC-SAT's batched selection reads."""
         mrf = random_mrf(9, atoms=7, clause_count=20)
         reference = ReferenceSearchState(mrf)
         state = kernel(mrf)
@@ -191,6 +166,7 @@ class TestKernelParity:
         state.randomize(RandomSource(9))
         expected = [count > 0 for count in reference._sat_count]
         assert state.satisfaction_flags() == expected
+        assert state.satisfaction_array().tolist() == expected
         walk = RandomSource(10)
         for _ in range(20):
             position = walk.randint(0, len(mrf.atom_ids) - 1)
@@ -198,6 +174,16 @@ class TestKernelParity:
             state.flip(position)
             expected = [count > 0 for count in reference._sat_count]
             assert state.satisfaction_flags() == expected
+            assert state.satisfaction_array().tolist() == expected
+
+    def test_randomize_leaves_the_rng_at_the_same_position(self, kernel):
+        """Both count paths draw exactly one random() per atom."""
+        for seed in range(5):
+            mrf = random_mrf(seed + 70)
+            reference_rng, state_rng = RandomSource(seed), RandomSource(seed)
+            ReferenceSearchState(mrf).randomize(reference_rng)
+            kernel(mrf).rerandomize(state_rng)
+            assert state_rng.random() == reference_rng.random()
 
     def test_walksat_runs_identically_on_all_kernels(self, kernel):
         """End-to-end: the same seed drives WalkSAT to the same costs and
@@ -307,26 +293,16 @@ class TestStateReuseLifecycle:
         assert caching.run(mrf, total_flips=400).best_cost == cold.best_cost
 
 
-class TestBackendSelection:
-    def test_resolve_backend_explicit(self):
-        mrf = random_mrf(1)
-        assert resolve_backend(mrf, "flat") == "flat"
-        assert resolve_backend(mrf, "vectorized") == "vectorized"
-        with pytest.raises(ValueError):
-            resolve_backend(mrf, "simd")
-
-    def test_auto_picks_flat_for_small_mrfs(self):
-        small = random_mrf(2, atoms=6, clause_count=12)
-        assert resolve_backend(small, "auto") == "flat"
-        assert isinstance(make_search_state(small), SearchState)
-        assert not isinstance(make_search_state(small), VectorSearchState)
-
-    def test_auto_picks_vectorized_for_large_mrfs(self):
-        big = random_mrf(3, atoms=40, clause_count=400)
-        assert resolve_backend(big, "auto") == "vectorized"
-        assert isinstance(make_search_state(big), VectorSearchState)
-
-    def test_explicit_vectorized_state_on_small_mrf(self):
-        small = random_mrf(4, atoms=6, clause_count=12)
-        state = make_search_state(small, backend="vectorized")
-        assert isinstance(state, VectorSearchState)
+class TestDefaultThreshold:
+    def test_large_mrf_runs_identically_to_the_reference(self):
+        """At the shipped threshold a 400-clause MRF takes the bincount
+        path and a 24-clause one the loop; both match the seed kernel."""
+        for mrf in (random_mrf(3, atoms=40, clause_count=400), random_mrf(4)):
+            options = WalkSATOptions(max_flips=400, max_tries=3, noise=0.5)
+            expected = WalkSAT(options, RandomSource(5)).run_on_state(
+                ReferenceSearchState(mrf)
+            )
+            result = WalkSAT(options, RandomSource(5)).run(mrf)
+            assert result.best_cost == expected.best_cost
+            assert result.flips == expected.flips
+            assert result.best_assignment == expected.best_assignment

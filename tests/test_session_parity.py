@@ -139,8 +139,7 @@ class TestWarmMapParity:
             _assert_same_map(warm, cold)
             # The full-MRF kernel state is cached across requests (checked
             # back into the lease once no request holds it).
-            kernel_backend = engine.config.kernel_backend
-            assert engine.session._state_lease.held(("monolithic", kernel_backend))
+            assert engine.session._state_lease.held("monolithic")
 
 
 class TestWarmMarginalParity:
@@ -602,58 +601,58 @@ class TestBoundedStateCache:
     def test_evicts_least_recently_used_by_units(self):
         cache = BoundedStateCache(budget=10)
         for index in range(5):
-            cache.put((index, "flat"), object(), units=4)
+            cache.put(index, object(), units=4)
         # 5 x 4 units against a budget of 10: the two newest remain.
         assert len(cache) == 2
         assert cache.units == 8
-        assert cache.get((2, "flat")) is None
-        assert cache.get((3, "flat")) is not None
-        assert cache.get((4, "flat")) is not None
+        assert cache.get(2) is None
+        assert cache.get(3) is not None
+        assert cache.get(4) is not None
 
     def test_many_tiny_entries_stay_resident(self):
         cache = BoundedStateCache(budget=1000)
         for index in range(500):
-            cache.put((index, "flat"), object(), units=2)
+            cache.put(index, object(), units=2)
         assert len(cache) == 500
-        cache.put((500, "flat"), object(), units=2)
+        cache.put(500, object(), units=2)
         assert len(cache) == 500
-        assert cache.get((0, "flat")) is None
+        assert cache.get(0) is None
 
     def test_get_refreshes_recency(self):
         cache = BoundedStateCache(budget=2)
         first, second, third = object(), object(), object()
-        cache.put((1, "flat"), first, units=1)
-        cache.put((2, "flat"), second, units=1)
-        assert cache.get((1, "flat")) is first  # refresh 1; 2 becomes LRU
-        cache.put((3, "flat"), third, units=1)
-        assert cache.get((2, "flat")) is None
-        assert cache.get((1, "flat")) is first
+        cache.put(1, first, units=1)
+        cache.put(2, second, units=1)
+        assert cache.get(1) is first  # refresh 1; 2 becomes LRU
+        cache.put(3, third, units=1)
+        assert cache.get(2) is None
+        assert cache.get(1) is first
 
     def test_entry_larger_than_budget_is_admitted_alone(self):
         cache = BoundedStateCache(budget=10)
         small, giant = object(), object()
-        cache.put((1, "flat"), small, units=3)
-        cache.put((2, "flat"), giant, units=50)
+        cache.put(1, small, units=3)
+        cache.put(2, giant, units=50)
         assert len(cache) == 1
         assert cache.units == 50
-        assert cache.get((2, "flat")) is giant
-        cache.put((3, "flat"), small, units=3)
-        assert cache.get((2, "flat")) is None
+        assert cache.get(2) is giant
+        cache.put(3, small, units=3)
+        assert cache.get(2) is None
         assert cache.units == 3
 
     def test_replacing_an_entry_reweighs_it(self):
         cache = BoundedStateCache(budget=10)
-        cache.put((1, "flat"), object(), units=6)
-        cache.put((1, "flat"), object(), units=2)
+        cache.put(1, object(), units=6)
+        cache.put(1, object(), units=2)
         assert len(cache) == 1
         assert cache.units == 2
 
     def test_hits_and_misses_are_counted(self):
         cache = BoundedStateCache(budget=10)
-        assert cache.get((1, "flat")) is None
-        cache.put((1, "flat"), object(), units=1)
-        cache.get((1, "flat"))
-        cache.get((1, "flat"))
+        assert cache.get(1) is None
+        cache.put(1, object(), units=1)
+        cache.get(1)
+        cache.get(1)
         assert (cache.hits, cache.misses) == (2, 1)
 
     def test_default_budget_is_the_module_constant(self):

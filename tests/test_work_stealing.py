@@ -307,11 +307,11 @@ class TestSlowWorker:
 
 
 def _zero_placeholder(components):
-    from repro.inference.state import make_search_state
+    from repro.inference.state import SearchState
     from repro.inference.walksat import WalkSATResult
 
     def placeholder(index):
-        state = make_search_state(components[index])
+        state = SearchState(components[index])
         result = WalkSATResult(
             best_assignment=state.assignment_dict(),
             best_cost=state.cost,
