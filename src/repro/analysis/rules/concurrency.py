@@ -9,12 +9,6 @@ after they are published to workers, a live pool must never repack its
 buffers or rebind what its workers inherited at fork time (tear down and
 fork a fresh pool instead), and task callables shipped to a pool must be
 picklable (no lambdas or closures).
-
-One further rule guards thread-level concurrency rather than fork
-safety: ``req-state-isolation`` checks that methods a class marks as
-request-scoped (``_request_scoped_methods`` — the engine session's
-serve/prepare/search paths, which interleave across admitted requests)
-never write session-level state directly.
 """
 
 from __future__ import annotations
@@ -515,130 +509,9 @@ class PoolTaskClosureRule(Rule):
         return nested
 
 
-@register
-class ReqStateIsolationRule(Rule):
-    """Session-state writes from request-scoped code paths."""
-
-    id: ClassVar[str] = "req-state-isolation"
-    family: ClassVar[str] = "concurrency"
-    description: ClassVar[str] = (
-        "a class may name request-scoped methods in a "
-        "`_request_scoped_methods` class attribute (the engine session "
-        "does: the serve/prepare/search paths that run one admitted "
-        "request); those methods must not write any attribute rooted at "
-        "self — no assignment, augmented assignment, deletion or in-place "
-        "container mutation — because several requests run them "
-        "interleaved over one session and a write from one request "
-        "silently corrupts another's state. Route writes through the "
-        "sanctioned plumbing methods (lease check-out/check-in, "
-        "_begin_request, _finish_request) instead."
-    )
-
-    #: Class attribute listing the request-scoped method names.
-    _SCOPED_MARKER = "_request_scoped_methods"
-
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
-        for node in source.walk():
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(source, node)
-
-    def _scoped_methods(self, class_def: ast.ClassDef) -> Set[str]:
-        """Method names listed in the class's ``_request_scoped_methods``."""
-        scoped: Set[str] = set()
-        for node in class_def.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-                value = node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-                value = node.value
-            if value is None or not any(
-                isinstance(target, ast.Name) and target.id == self._SCOPED_MARKER
-                for target in targets
-            ):
-                continue
-            if isinstance(value, (ast.Tuple, ast.List)):
-                for element in value.elts:
-                    if isinstance(element, ast.Constant) and isinstance(
-                        element.value, str
-                    ):
-                        scoped.add(element.value)
-        return scoped
-
-    def _check_class(
-        self, source: SourceFile, class_def: ast.ClassDef
-    ) -> Iterator[Finding]:
-        scoped = self._scoped_methods(class_def)
-        if not scoped:
-            return
-        for method in class_def.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if method.name not in scoped:
-                continue
-            for node in ast.walk(method):
-                for chain in self._session_writes(node):
-                    yield source.finding(
-                        node, self.id,
-                        f"request-scoped method '{method.name}' writes session "
-                        f"state '{chain}'; interleaved requests share the "
-                        "session — route the write through the sanctioned "
-                        "plumbing methods",
-                    )
-
-    def _session_writes(self, node: ast.AST) -> Iterator[str]:
-        """Chains rooted at ``self`` that this statement writes to."""
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            if isinstance(node, ast.Assign):
-                targets: List[ast.expr] = node.targets
-            else:
-                targets = [node.target]
-            for target in targets:
-                chain = self._self_rooted(target)
-                if chain is not None:
-                    yield chain
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                chain = self._self_rooted(target)
-                if chain is not None:
-                    yield chain
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATORS:
-                chain = self._self_rooted(node.func.value)
-                if chain is not None:
-                    yield f"{chain}.{node.func.attr}(...)"
-
-    def _self_rooted(self, target: ast.expr) -> Optional[str]:
-        """Dotted rendering of an attribute/subscript chain rooted at ``self``."""
-        parts: List[str] = []
-        node = target
-        while True:
-            if isinstance(node, ast.Attribute):
-                parts.append(node.attr)
-                node = node.value
-            elif isinstance(node, ast.Subscript):
-                parts.append("[...]")
-                node = node.value
-            elif isinstance(node, ast.Name):
-                if node.id != "self" or not parts:
-                    return None
-                rendered = "self"
-                for part in reversed(parts):
-                    if part == "[...]":
-                        rendered += "[...]"
-                    else:
-                        rendered += f".{part}"
-                return rendered
-            else:
-                return None
-
-
 __all__ = [
     "ForkModuleStateRule",
     "PoolLifecycleRule",
     "PoolTaskClosureRule",
-    "ReqStateIsolationRule",
     "SharedMemoryPublishRule",
 ]

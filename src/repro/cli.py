@@ -127,23 +127,14 @@ def _add_inference_arguments(parser: argparse.ArgumentParser) -> None:
         "bit-identical) and print per-request timings plus requests/sec",
     )
     parser.add_argument(
-        "--max-inflight-requests",
-        type=_positive(int, "integer"),
-        default=1,
-        metavar="N",
-        help="session admission width: how many submitted requests may be "
-        "in flight at once (every result is bit-identical whether the "
-        "request runs alone or interleaved)",
-    )
-    parser.add_argument(
         "--session-concurrent",
         type=_positive(int, "integer"),
         default=1,
         metavar="N",
-        help="submit the --session-requests requests through the session's "
-        "admission queue with N in flight at a time (implies "
-        "--max-inflight-requests N) and print a metrics summary table "
-        "instead of per-request timings",
+        help="submit the --session-requests requests as futures (served "
+        "one at a time, in submission order) and print a metrics summary "
+        "table instead of per-request timings; any N > 1 selects this "
+        "batch run",
     )
     parser.add_argument(
         "--tracing",
@@ -179,9 +170,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> InferenceConfig:
             arguments.memory_budget_kb * 1024 if arguments.memory_budget_kb else None
         ),
         mcsat_samples=arguments.mcsat_samples,
-        max_inflight_requests=max(
-            arguments.max_inflight_requests, arguments.session_concurrent
-        ),
         tracing=getattr(arguments, "tracing", "auto"),
         trace_out=getattr(arguments, "trace_out", None),
         metrics_out=getattr(arguments, "metrics_out", None),
@@ -210,8 +198,8 @@ def _run_inference(program: MLNProgram, arguments: argparse.Namespace, stream) -
         request_seconds = []
         batch_seconds = None
         if concurrent > 1:
-            # Admit every request through the session's queue with
-            # ``concurrent`` in flight; all results are bit-identical (same
+            # Submit every request as a future; the session serves them in
+            # submission order and all results are bit-identical (same
             # seed), so printing the last one is printing all of them.
             watch = Stopwatch()
             with watch.measure():
@@ -242,9 +230,7 @@ def _run_inference(program: MLNProgram, arguments: argparse.Namespace, stream) -
         print("#", file=stream)
         _print_summary(result, stream)
         if batch_seconds is not None:
-            _print_concurrent_summary(
-                engine, requests, concurrent, batch_seconds, stream
-            )
+            _print_concurrent_summary(engine, requests, batch_seconds, stream)
         elif requests > 1:
             _print_session_summary(engine, request_seconds, stream)
         trace_out = getattr(arguments, "trace_out", None)
@@ -273,7 +259,7 @@ def _print_session_summary(engine: TuffyEngine, request_seconds, stream) -> None
 
 
 def _print_concurrent_summary(
-    engine: TuffyEngine, requests: int, concurrent: int, batch_seconds, stream
+    engine: TuffyEngine, requests: int, batch_seconds, stream
 ) -> None:
     """Metrics-registry summary of a ``--session-concurrent`` batch run.
 
@@ -283,7 +269,7 @@ def _print_concurrent_summary(
     """
     print("# session (concurrent)", file=stream)
     print(f"{'requests':>20}: {requests}", file=stream)
-    print(f"{'in-flight':>20}: {concurrent}", file=stream)
+    print(f"{'served':>20}: FIFO, one at a time", file=stream)
     print(f"{'batch wall':>20}: {batch_seconds:.4f}s", file=stream)
     if batch_seconds > 0:
         print(

@@ -73,14 +73,12 @@ class InferenceConfig:
     enables the per-predicate replay cache so an evidence delta re-grounds
     only the clauses touching changed predicates.  Both preserve the
     determinism contract: a warm request with seed S is bit-identical to a
-    cold run with seed S.
-    ``max_inflight_requests`` is the session's admission width: how many
-    submitted requests (``submit_map`` / ``submit_marginal``) may be in
-    flight at once, sharing the persistent pool, shared-memory result
-    banks and kernel-state leases.  Every request's result is
-    bit-identical whether it runs alone or interleaved — concurrency
-    only changes wall-clock time.  The default of 1 serializes requests
-    (the pre-admission behavior).
+    cold run with seed S.  A session serves one request at a time:
+    ``run_map`` / ``run_marginal`` on the caller's thread, and
+    ``submit_map`` / ``submit_marginal`` futures in submission order.
+    ``max_inflight_requests`` has no effect; it is kept, with its
+    positivity check, only because the benchmark harness still passes
+    it, and ROADMAP item 10 deletes it together with that caller.
 
     Observability
     -------------

@@ -163,16 +163,16 @@ class TuffyEngine:
     def submit_map(
         self, seed: Optional[int] = None, deadline_seconds: Optional[float] = None
     ):
-        """Admit one MAP request without blocking; returns a future.
+        """Queue one MAP request without blocking; returns a future.
 
-        Up to ``config.max_inflight_requests`` submitted requests run
-        interleaved over the session; each result is bit-identical to
-        running the same request alone.
+        Submitted requests are served one at a time, in submission
+        order; each result is bit-identical to running the same request
+        alone.
         """
         return self.session.submit_map(seed=seed, deadline_seconds=deadline_seconds)
 
     def submit_marginal(self, seed: Optional[int] = None):
-        """Admit one MC-SAT marginal request without blocking; returns a future."""
+        """Queue one MC-SAT marginal request without blocking; returns a future."""
         return self.session.submit_marginal(seed=seed, sampler_factory=MCSat)
 
     def run_marginal(self, seed: Optional[int] = None) -> InferenceResult:

@@ -25,30 +25,18 @@ simulated buffer cache absorbs repeated clause-table scans — less I/O is
 the point of the warm path, and the deterministic search clock is
 unchanged.
 
-Concurrent admission
---------------------
-:meth:`submit_map` / :meth:`submit_marginal` admit up to
-``config.max_inflight_requests`` requests at once (futures); the blocking
-:meth:`run_map` / :meth:`run_marginal` are ``submit`` + ``result()``.
-Interleaved requests share the persistent pool (whose shared-memory
-result region holds one *bank* per admitted request), the grounding
-caches and the kernel-state lease, but each request is self-contained:
-its own RNG stream, timer, simulated-time accounting and telemetry.  The
-contract extends verbatim: every request's MAP assignment, marginals,
-skipped set and scheduling outcome are bit-identical whether the request
-runs alone or interleaved with others, on every backend and worker
-count — concurrency only changes wall-clock time.
-
-Two rules make that hold.  *Setup is serialized, search is concurrent*:
-everything that touches session state (grounding, loading, pool
-checkout, lease checkout, stats) happens under the session lock, while
-the search itself — the long part — runs outside it.  *Live state is
-leased, never shared*: reusable kernel states live in a
-:class:`SearchStateLease`; a request checks them out exclusively, and a
-concurrent request that finds the lease empty builds its own fresh
-states (bit-identical, because WalkSAT fully rewrites states at attempt
-0).  A re-ground drains in-flight searches before invalidating derived
-state, so buffers are never torn down under a running request.
+Serving
+-------
+One request runs at a time.  :meth:`run_map` / :meth:`run_marginal`
+serve the request on the caller's thread and hold the session lock for
+all of it: setup, search and merge.  :meth:`submit_map` /
+:meth:`submit_marginal` return futures, served in submission order by
+one executor thread that calls the same serve methods; such a request's
+``admission`` span is its wait in that queue.  :meth:`add_evidence`,
+:meth:`ground` and :meth:`close` take the same lock, so they wait for the
+running request.  Each request is self-contained — its own RNG stream,
+timer, simulated-time accounting and telemetry — so a submitted request
+is bit-identical to the same request run alone.
 
 Delta-grounding
 ---------------
@@ -79,7 +67,7 @@ The persistent pool is keyed on the component list it was forked over
 inherited at fork time.  A pool is never rebuilt in place — a grounding
 change tears it down and the next request forks a fresh one (the
 ``fork-pool-lifecycle`` analysis rule enforces this).
-Unclosed sessions shut their pool (and the admission executor) down at
+Unclosed sessions shut their pool (and the request executor) down at
 garbage collection via ``weakref.finalize``; call :meth:`close` (or use
 the session as a context manager) for deterministic teardown.
 """
@@ -92,7 +80,7 @@ import weakref
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import InferenceConfig
 from repro.core.program import MLNProgram
@@ -127,13 +115,14 @@ from repro.utils.timer import Timer
 def _shutdown_holder(holder: Dict[str, object]) -> None:
     """GC-time teardown (module-level so ``finalize`` holds no session ref).
 
-    The admission executor drains first — in-flight requests may still
-    need the pool — then the pool's workers and shared memory go.
+    The request executor stops first — queued requests are cancelled, a
+    running one may still need the pool — then the pool's workers and
+    shared memory go.
     """
     executor = holder.get("executor")
     if executor is not None:
         holder["executor"] = None
-        executor.shutdown(wait=True)
+        executor.shutdown(wait=True, cancel_futures=True)
     pool = holder.get("pool")
     if pool is not None:
         holder["pool"] = None
@@ -158,16 +147,10 @@ class SessionStats:
 class InferenceRequest:
     """Per-request state: nothing in here survives to the next request.
 
-    Fully self-contained so concurrently admitted requests cannot
-    interfere: the RNG stream and timer are private, and the simulated
-    database seconds are accounted per request (``ground_mark`` is the
-    grounding share captured at admission; ``db_simulated`` accumulates
-    this request's own loading charges) instead of being derived from the
-    shared clock's motion, which another in-flight request could advance.
-    ``session_phases`` snapshots the session timer at the end of this
-    request's setup (so phases its own setup recorded — component
-    detection on a fresh grounding — are included) and never again, so a
-    concurrent re-ground is not billed to this request's phase report.
+    The RNG stream and timer are private, and the simulated database
+    seconds are accounted per request: ``ground_mark`` is the grounding
+    share captured when the request began, ``db_simulated`` accumulates
+    this request's own loading charges.
     """
 
     seed: int
@@ -178,63 +161,18 @@ class InferenceRequest:
     deadline_seconds: Optional[float] = None
     db_simulated: float = 0.0
     ground_mark: float = 0.0
-    session_phases: Dict[str, float] = field(default_factory=dict)
-
-
-class SearchStateLease:
-    """Checked-out/returned cache of reusable kernel search states.
-
-    The warm path reuses kernel states across requests (WalkSAT rewrites
-    them at attempt 0, so reuse is bit-safe) — but a *live* state must
-    never be shared by two in-flight requests.  The lease makes reuse
-    exclusive: :meth:`checkout` hands the cached entry to exactly one
-    request (a concurrent request finds the slot empty and builds fresh
-    states via ``builder``), and :meth:`checkin` returns it when the
-    request finishes.  If two requests check in under the same key the
-    first one wins and the other states are dropped — correctness never
-    depends on which states are cached, only on exclusivity.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: Dict[str, object] = {}
-
-    def checkout(self, key: str, builder: Callable[[], object]):
-        """Take exclusive ownership of the cached entry, or build fresh."""
-        with self._lock:
-            cached = self._entries.pop(key, None)
-        if cached is not None:
-            return cached
-        return builder()
-
-    def checkin(self, key: str, value: object) -> None:
-        """Return a checked-out (or freshly built) entry to the cache."""
-        with self._lock:
-            self._entries.setdefault(key, value)
-
-    def invalidate(self) -> None:
-        """Drop every cached entry (after a re-ground)."""
-        with self._lock:
-            self._entries.clear()
-
-    def held(self, key: str) -> bool:
-        """Whether an entry is currently cached (i.e. *not* checked out)."""
-        with self._lock:
-            return key in self._entries
 
 
 @dataclass
 class _RequestPlan:
-    """Everything a request's search phase needs, assembled under the lock.
+    """What a request's search phase needs, assembled during its setup.
 
-    The serve methods build the plan during the serialized setup phase
-    and then search outside the lock using only the plan, the request and
-    immutable session state — no session attribute is written past this
-    point (the ``req-state-isolation`` analysis rule checks that).
+    ``states`` are the kernel states the session keeps across requests:
+    one per component on the serial backend, or the full-MRF state of the
+    monolithic search.
     """
 
-    lease_key: Optional[str] = None
-    leased_value: object = None
+    states: object = None
     decomposition: Optional[ComponentDecomposition] = None
     size_bound: Optional[float] = None
     small: List[MRF] = field(default_factory=list)
@@ -252,25 +190,9 @@ class EngineSession:
     Owns the database, atom registry, grounding result, MRF, component
     decomposition and (on the ``processes`` backend) the persistent worker
     pool; :class:`~repro.core.engine.TuffyEngine` is a thin per-request
-    driver over one of these.  Up to ``config.max_inflight_requests``
-    submitted requests may be in flight at once (see the module
-    docstring's *Concurrent admission* section).
+    driver over one of these.  Requests run one at a time (see the
+    module docstring's *Serving* section).
     """
-
-    #: Methods that run per-request code: their bodies must not write any
-    #: session-level attribute (reads and calls into the sanctioned
-    #: plumbing methods are fine).  The ``req-state-isolation`` analysis
-    #: rule enforces this so a request can never corrupt another's state.
-    _request_scoped_methods = (
-        "_serve_map",
-        "_serve_marginal",
-        "_prepare_partitioned",
-        "_prepare_monolithic",
-        "_prepare_marginal",
-        "_search_partitioned",
-        "_search_monolithic",
-        "_search_marginal",
-    )
 
     def __init__(
         self,
@@ -315,23 +237,26 @@ class EngineSession:
         #: request's simulated time.
         self._ground_clock_mark: float = 0.0
         self._split: Optional[Tuple[List[MRF], List[MRF]]] = None
-        self._state_lease = SearchStateLease()
-        # Serializes session-state mutation (grounding, loading, pool and
-        # lease checkout).  Reentrant because the pipeline stages call
-        # each other (serve -> ground -> build_mrf ...).
+        #: Kernel states reused across requests: ``"components"`` (one per
+        #: component, serial backend) and ``"monolithic"`` (the full MRF).
+        #: Reuse is bit-safe because WalkSAT rewrites a state at attempt 0.
+        self._states: Dict[str, object] = {}
+        # Held by each request from setup through merge, and by every
+        # session-state change.  Reentrant because the pipeline stages
+        # call each other (serve -> ground -> build_mrf ...).
         self._lock = threading.RLock()
-        # Guards the in-flight search count.  Deliberately separate from
-        # ``_lock``: a finishing search only ever takes ``_search_gate``,
-        # so ``ground()`` can wait for the drain *while holding*
-        # ``_lock`` without deadlocking.
-        self._search_gate = threading.Condition(threading.Lock())
-        self._active_searches = 0
         self._next_request_id = 0
-        # The pool and admission executor live in a plain dict so
+        # The pool and request executor live in a plain dict so
         # ``weakref.finalize`` can tear them down after the session is
         # collected without keeping the session alive (tests rarely close
-        # engines explicitly).
-        self._pool_holder: Dict[str, object] = {"pool": None, "executor": None}
+        # engines explicitly).  The executor's one thread starts on the
+        # first submit.
+        self._pool_holder: Dict[str, object] = {
+            "pool": None,
+            "executor": ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="session-request"
+            ),
+        }
         self._finalizer = weakref.finalize(self, _shutdown_holder, self._pool_holder)
         self._closed = False
 
@@ -340,14 +265,19 @@ class EngineSession:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Drain in-flight requests and tear down executor + pool.
+        """Finish the running request, cancel queued ones, tear down.
 
-        Idempotent; ``submit_*`` / ``run_*`` raise afterwards (a closed
-        session's resources are gone and would otherwise be silently —
-        and permanently — recreated).
+        The running request completes; submitted requests that have not
+        started raise ``CancelledError``.  Idempotent; ``submit_*`` /
+        ``run_*`` raise afterwards (a closed session's resources are gone
+        and would otherwise be silently — and permanently — recreated).
         """
         self._closed = True
-        self._finalizer()
+        executor = self._pool_holder.get("executor")
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+        with self._lock:
+            self._finalizer()
 
     def __enter__(self) -> "EngineSession":
         return self
@@ -403,14 +333,7 @@ class EngineSession:
     # ------------------------------------------------------------------
 
     def ground(self) -> GroundingResult:
-        """Ground the program, replaying unchanged clauses from cache.
-
-        A re-ground first waits for every in-flight search to finish:
-        the derived state about to be invalidated (pool shared memory,
-        leased kernel states) must never be torn down under a running
-        request.  New requests cannot start setup meanwhile because this
-        method holds the session lock.
-        """
+        """Ground the program, replaying unchanged clauses from cache."""
         with self._lock:
             registry = self.registry()
             if (
@@ -418,7 +341,6 @@ class EngineSession:
                 and self._ground_version == registry.version
             ):
                 return self.grounding_result
-            self._drain_searches()
             config = self.config
             is_delta = self.grounding_result is not None
             clauses = self.program.clauses()
@@ -501,29 +423,25 @@ class EngineSession:
     def submit_map(
         self, seed: Optional[int] = None, deadline_seconds: Optional[float] = None
     ) -> "Future[InferenceResult]":
-        """Admit one MAP request; returns a future with its result.
+        """Queue one MAP request; returns a future with its result.
 
-        Up to ``config.max_inflight_requests`` submitted requests run
-        interleaved over the shared session state.  ``deadline_seconds``
-        overrides ``config.deadline_seconds`` for this request only.
+        Submitted requests are served one at a time, in submission order.
+        ``deadline_seconds`` overrides ``config.deadline_seconds`` for
+        this request only.
         """
-        return self._admission_executor().submit(
-            self._serve_map, seed, deadline_seconds, self.tracer.now()
-        )
+        return self._submit(self._serve_map, seed, deadline_seconds)
 
     def submit_marginal(
         self, seed: Optional[int] = None, sampler_factory=None
     ) -> "Future[InferenceResult]":
-        """Admit one MC-SAT marginal request; returns a future."""
-        return self._admission_executor().submit(
-            self._serve_marginal, seed, sampler_factory, self.tracer.now()
-        )
+        """Queue one MC-SAT marginal request; returns a future."""
+        return self._submit(self._serve_marginal, seed, sampler_factory)
 
     def run_map(
         self, seed: Optional[int] = None, deadline_seconds: Optional[float] = None
     ) -> InferenceResult:
         """Run one MAP request against the warm session state (blocking)."""
-        return self.submit_map(seed, deadline_seconds).result()
+        return self._serve_map(seed, deadline_seconds)
 
     def run_marginal(
         self, seed: Optional[int] = None, sampler_factory=None
@@ -533,10 +451,10 @@ class EngineSession:
         ``sampler_factory`` defaults to :class:`~repro.inference.mcsat.MCSat`;
         the engine passes its module-global so tests can monkeypatch it.
         """
-        return self.submit_marginal(seed, sampler_factory).result()
+        return self._serve_marginal(seed, sampler_factory)
 
     # ------------------------------------------------------------------
-    # Request serving (request-scoped: no session-state writes)
+    # Request serving (one at a time, under the session lock)
     # ------------------------------------------------------------------
 
     def _serve_map(
@@ -545,17 +463,17 @@ class EngineSession:
         deadline_seconds: Optional[float],
         submitted_at: float = 0.0,
     ) -> InferenceResult:
-        """One MAP request: serialized setup, then search outside the lock.
+        """One MAP request: setup, then search, all under the session lock.
 
         ``submitted_at`` is the tracer timestamp :meth:`submit_map`
-        captured at admission — the gap to serve start is recorded as the
-        request's ``admission`` span (queue wait behind other in-flight
-        requests).
+        captured — the gap to serve start is recorded as the request's
+        ``admission`` span (its wait in the submission queue).
         """
         with self.tracer.span("request", kind="map") as root:
             if submitted_at:
                 self.tracer.record_span("admission", submitted_at, self.tracer.now())
             with self._lock:
+                self._check_open()
                 with self.tracer.span("setup"):
                     grounding = self.ground()
                     mrf = self.build_mrf()
@@ -567,38 +485,29 @@ class EngineSession:
                     else:
                         plan = self._prepare_monolithic(mrf, request)
                         search = self._search_monolithic
-                self._snapshot_session_phases(request)
-                self._enter_search()
-            try:
                 with self.tracer.span("search"):
                     return search(plan, mrf, grounding, request)
-            finally:
-                self._finish_request(plan)
 
     def _serve_marginal(
         self, seed: Optional[int], sampler_factory, submitted_at: float = 0.0
     ) -> InferenceResult:
-        """One marginal request: serialized setup, then search outside the lock."""
+        """One marginal request: setup, then search, under the session lock."""
         with self.tracer.span("request", kind="marginal") as root:
             if submitted_at:
                 self.tracer.record_span("admission", submitted_at, self.tracer.now())
             with self._lock:
+                self._check_open()
                 with self.tracer.span("setup"):
                     grounding = self.ground()
                     mrf = self.build_mrf()
                     request = self._begin_request(seed, "marginal", None)
                     root.annotate(request_id=request.request_id)
                     plan = self._prepare_marginal(request, sampler_factory)
-                self._snapshot_session_phases(request)
-                self._enter_search()
-            try:
                 with self.tracer.span("search"):
                     return self._search_marginal(plan, mrf, grounding, request)
-            finally:
-                self._finish_request(plan)
 
     def _prepare_partitioned(self, mrf: MRF, request: InferenceRequest) -> _RequestPlan:
-        """Assemble a partitioned-MAP plan (runs under the session lock)."""
+        """Assemble a partitioned-MAP plan."""
         config = self.config
         decomposition = self.detect_components()
         size_bound = self._size_bound()
@@ -650,22 +559,17 @@ class EngineSession:
             )
             if resolved != "processes":
                 # The serial backend reuses kernel states across warm
-                # requests via the lease; the processes backend keeps the
-                # equivalent cache inside each pool worker.
-                key = "components"
-                with self.tracer.span("lease-checkout") as lease_span:
-                    states = self._state_lease.checkout(
-                        key, lambda: [SearchState(component) for component in small_components]
-                    )
-                    if len(states) != len(small_components):
-                        states = [SearchState(component) for component in small_components]
-                    lease_span.annotate(states=len(states))
-                plan.lease_key = key
-                plan.leased_value = states
+                # requests; the processes backend keeps the equivalent
+                # cache inside each pool worker.
+                states = self._states.get("components")
+                if states is None or len(states) != len(small_components):
+                    states = [SearchState(component) for component in small_components]
+                    self._states["components"] = states
+                plan.states = states
         return plan
 
     def _prepare_monolithic(self, mrf: MRF, request: InferenceRequest) -> _RequestPlan:
-        """Assemble a monolithic (Tuffy-p) plan (runs under the session lock)."""
+        """Assemble a monolithic (Tuffy-p) plan."""
         config = self.config
         options = WalkSATOptions(
             max_flips=config.max_flips,
@@ -675,19 +579,18 @@ class EngineSession:
             deadline_seconds=request.deadline_seconds,
             trace_label="tuffy-p",
         )
-        # Warm path: reuse the full-MRF kernel state across requests via
-        # the lease.  Safe for bit-parity because attempt 0 of
-        # run_on_state fully rewrites it (randomize with random_restarts,
-        # reset otherwise); safe for concurrency because checkout is
-        # exclusive — an interleaved request builds its own state.
-        key = "monolithic"
-        state = self._state_lease.checkout(key, lambda: SearchState(mrf))
-        return _RequestPlan(lease_key=key, leased_value=state, options=options)
+        # Warm path: reuse the full-MRF kernel state across requests.  Safe
+        # for bit-parity because attempt 0 of run_on_state fully rewrites
+        # it (randomize with random_restarts, reset otherwise).
+        state = self._states.get("monolithic")
+        if state is None:
+            state = self._states["monolithic"] = SearchState(mrf)
+        return _RequestPlan(states=state, options=options)
 
     def _prepare_marginal(
         self, request: InferenceRequest, sampler_factory
     ) -> _RequestPlan:
-        """Assemble an MC-SAT plan (runs under the session lock)."""
+        """Assemble an MC-SAT plan."""
         config = self.config
         factory = sampler_factory if sampler_factory is not None else MCSat
         sampler = factory(
@@ -730,7 +633,7 @@ class EngineSession:
                     plan.small,
                     total_flips=config.max_flips,
                     pool=plan.pool,
-                    local_states=plan.leased_value,
+                    local_states=plan.states,
                     request_id=request.request_id,
                 )
                 assignment.update(component_outcome.best_assignment)
@@ -826,7 +729,7 @@ class EngineSession:
         clock = SimulatedClock(config.cost_model)
         with request.timer.measure("search"):
             searcher = WalkSAT(plan.options, request.rng, clock)
-            outcome = searcher.run_on_state(plan.leased_value, None)
+            outcome = searcher.run_on_state(plan.states, None)
         trace = outcome.trace
         trace.grounding_seconds = self._database_simulated(request)
         peak_state_bytes = config.bytes_per_state_unit * mrf.size()
@@ -900,29 +803,26 @@ class EngineSession:
     # Session plumbing
     # ------------------------------------------------------------------
 
-    def _admission_executor(self) -> ThreadPoolExecutor:
-        """The lazily-created request executor (admission width = config).
+    def _submit(self, serve, seed, argument) -> "Future[InferenceResult]":
+        """Queue ``serve(seed, argument, submitted_at)`` on the request executor.
 
-        Refuses after :meth:`close`: the finalizer has already torn the
-        executor and pool down, so a late submit would silently recreate
-        both with nothing left to ever shut them down again.
+        Never takes the session lock, so a submit does not wait for the
+        running request.
         """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("cannot submit a request to a closed EngineSession")
-            executor = self._pool_holder.get("executor")
-            if executor is None:
-                executor = ThreadPoolExecutor(
-                    max_workers=self.config.max_inflight_requests,
-                    thread_name_prefix="session-request",
-                )
-                self._pool_holder["executor"] = executor
-            return executor
+        self._check_open()
+        return self._pool_holder["executor"].submit(
+            serve, seed, argument, self.tracer.now()
+        )
+
+    def _check_open(self) -> None:
+        """Refuse requests after :meth:`close` (its pool and executor are gone)."""
+        if self._closed:
+            raise RuntimeError("cannot submit a request to a closed EngineSession")
 
     def _begin_request(
         self, seed: Optional[int], kind: str, deadline_seconds: Optional[float]
     ) -> InferenceRequest:
-        """Open a request context (runs under the session lock)."""
+        """Open a request context."""
         request_seed = self.config.seed if seed is None else seed
         self.stats.requests += 1
         self.metrics.increment("session.requests")
@@ -944,36 +844,7 @@ class EngineSession:
                 else deadline_seconds
             ),
             ground_mark=self._ground_clock_mark,
-            session_phases=dict(self.timer.breakdown()),
         )
-
-    def _enter_search(self) -> None:
-        """Count this request as in-flight (still under the session lock)."""
-        with self._search_gate:
-            self._active_searches += 1
-
-    def _finish_request(self, plan: Optional[_RequestPlan]) -> None:
-        """Check leased state back in and release the in-flight slot.
-
-        Check-in happens *before* the slot release: a re-ground waiting in
-        :meth:`_drain_searches` proceeds only after the lease is whole
-        again, so its ``invalidate`` drops every state.
-        """
-        if plan is not None and plan.lease_key is not None:
-            self._state_lease.checkin(plan.lease_key, plan.leased_value)
-        with self._search_gate:
-            self._active_searches -= 1
-            self._search_gate.notify_all()
-
-    def _drain_searches(self) -> None:
-        """Wait until no search is in flight (called holding the session lock).
-
-        The finish path (:meth:`_finish_request`) never takes the session
-        lock, so waiting here while holding it cannot deadlock.
-        """
-        with self._search_gate:
-            while self._active_searches:
-                self._search_gate.wait()
 
     def _log_request(
         self,
@@ -983,13 +854,7 @@ class EngineSession:
         shm_shipped: int = 0,
         pickle_shipped: int = 0,
     ) -> None:
-        """Fold one finished request into the log and the metrics registry.
-
-        Sanctioned plumbing for the request-scoped search methods: it
-        mutates only the bounded request log and the (thread-safe)
-        metrics registry — telemetry no other request ever reads back
-        into its inference path.
-        """
+        """Fold one finished request into the log and the metrics registry."""
         phases = dict(result.phase_seconds)
         self._request_log.append(
             {
@@ -1041,27 +906,16 @@ class EngineSession:
     def _database_simulated(self, request: InferenceRequest) -> float:
         """Simulated database seconds visible to this request.
 
-        The grounding share (captured at admission) plus whatever this
-        request itself charged to the database clock during loading — so
-        request N sees the same value a cold run with the same seed
-        would, even when other requests advance the shared clock
-        concurrently.
+        The grounding share (captured when the request began) plus
+        whatever this request itself charged to the database clock during
+        loading — so request N sees the same value a cold run with the
+        same seed would.
         """
         return request.ground_mark + request.db_simulated
 
-    def _snapshot_session_phases(self, request: InferenceRequest) -> None:
-        """Re-snapshot the session timer at the end of this request's setup.
-
-        Runs under the session lock, after plan preparation: session
-        phases this request itself triggered — ``component_detection``
-        on a fresh grounding — land in its phase report, while phases a
-        *later* request records (a concurrent re-ground) stay out.
-        """
-        request.session_phases = dict(self.timer.breakdown())
-
     def _phase_seconds(self, request: InferenceRequest) -> Dict[str, float]:
-        """Session phases as of this request's setup + request phases."""
-        return {**request.session_phases, **request.timer.breakdown()}
+        """Session phases (grounding, component detection) + request phases."""
+        return {**self.timer.breakdown(), **request.timer.breakdown()}
 
     def _bottom_up_grounder(self) -> BottomUpGrounder:
         if self._grounder is None:
@@ -1082,14 +936,13 @@ class EngineSession:
         The old decomposition is kept around so :meth:`detect_components`
         can adopt unchanged components; the pool is torn down immediately —
         its workers hold the old components as of their fork and its result
-        regions were sized for them; neither is ever rebuilt in place.  Safe
-        against in-flight requests because :meth:`ground` drains them first.
+        regions were sized for them; neither is ever rebuilt in place.
         """
         self.mrf = None
         self._previous_components = self.components
         self.components = None
         self._split = None
-        self._state_lease.invalidate()
+        self._states.clear()
         pool = self._pool_holder["pool"]
         if pool is not None:
             self._pool_holder["pool"] = None
@@ -1156,16 +1009,9 @@ class EngineSession:
 
         Lends a pool only when the backend actually resolves to
         ``processes`` for this task count and ``persistent_pool`` is on.
-        A pool forked over a different component list is torn down and a
-        fresh one forked (never rebuilt in place) — but only after every
-        in-flight search has drained: a concurrently admitted request may
-        still be reading the old pool's shared-memory result regions, and
-        ``shutdown`` destroys them (the same guard :meth:`ground` applies
-        before :meth:`_invalidate_derived`).  Setup is serialized under
-        the session lock and the caller has not yet entered its own
-        search, so the drain cannot wait on itself.  The pool is packed
-        with one result bank per admissible request so interleaved
-        requests ship results through disjoint shared-memory regions.
+        A pool forked over a different component list — or shut down
+        after a fault — is replaced by a freshly forked one (never
+        rebuilt in place).
         """
         config = self.config
         if not config.persistent_pool:
@@ -1181,15 +1027,9 @@ class EngineSession:
         if pool is not None and pool.matches(components):
             return pool
         if pool is not None:
-            self._drain_searches()
             self._pool_holder["pool"] = None
             pool.shutdown()
-        pool = WorkerPool(
-            components,
-            config.workers,
-            result_banks=config.max_inflight_requests,
-            metrics=self.metrics,
-        )
+        pool = WorkerPool(components, config.workers, metrics=self.metrics)
         self._pool_holder["pool"] = pool
         self.stats.pool_launches += 1
         return pool

@@ -62,8 +62,7 @@ class ComponentSearchResult:
 
     The telemetry fields (``steals``, ``worker_task_counts``,
     ``shm_shipped``, ``pickle_shipped``) are per-request — the scheduler
-    counts them for exactly this run even when a shared persistent pool
-    is interleaving several admitted requests.
+    counts them for exactly this run, not over a warm pool's lifetime.
     """
 
     best_assignment: Dict[int, bool]
@@ -114,17 +113,16 @@ class ComponentSearchRequest:
     budget: int
     initial_assignment: Optional[Dict[int, bool]] = None
 
-    def run_chunk(self, indices: Sequence[int], context, bank: int, traced: bool):
+    def run_chunk(self, indices: Sequence[int], context, traced: bool):
         """Search the chunk's components: one search loop, on either backend.
 
         Per component the loop reseeds the context's one RNG (the stream
         ``RandomSource(seed)`` would start), reuses the stepper kept with
         the component's cached state, runs :func:`walksat_tries` — the
         flip loop of :meth:`WalkSAT.run_on_state` — and writes the best
-        values and trace triples into the component's result region of
-        ``bank``.  A result that does not fit its region (or every result,
-        when the context has no regions or ``bank`` is ``-1``) is returned
-        as a :class:`~repro.parallel.pool.ComponentOutcome` instead.
+        values and trace triples into the component's result region.  A
+        result that does not fit its region is returned as a
+        :class:`~repro.parallel.pool.ComponentOutcome` instead.
 
         Returns ``(simulated seconds per index, fallbacks by index, bytes
         written, events)``; ``events`` holds each component's
@@ -143,7 +141,7 @@ class ComponentSearchRequest:
         seed = self.seed
         initial = self.initial_assignment
         components = context.components
-        results = context.results if bank >= 0 else None
+        results = context.results
         rng = context.rng
         stall = context.stall_seconds
         clock = SimulatedClock(self.cost_model)
@@ -185,9 +183,9 @@ class ComponentSearchRequest:
             slot[2] = step
             simulated = clock.now()
             seconds = search_end - search_start
-            if results is not None and results.write_walksat(
+            if results.write_walksat(
                 index, best, points, best_cost, simulated, flips, tries,
-                seconds, reached, hitting, bank=bank,
+                seconds, reached, hitting,
             ):
                 written += 8 * (RESULT_HEADER_SLOTS + len(best) + 3 * len(points))
             else:
@@ -271,13 +269,10 @@ class ComponentAwareWalkSAT:
         :func:`repro.parallel.scheduler.run_component_search`.
 
         ``local_states`` supplies caller-owned kernel states (one per
-        component) for the serial backend — the engine session
-        passes a checked-out lease here so two concurrently admitted
-        requests never run on the same live :class:`SearchState`; when
-        omitted, this instance's own per-component cache is used (safe
-        because the session builds one searcher per request).
-        ``request_id`` tags the chunks so a shared pool routes
-        completions back to this request.
+        component) for the serial backend — the engine session passes
+        the states it keeps across requests; when omitted, this
+        instance's own per-component cache is used.  ``request_id`` tags
+        the chunks; the pool checks every reply against it.
         """
         from repro.parallel import resolve_parallel_backend
         from repro.parallel.pool import ComponentOutcome

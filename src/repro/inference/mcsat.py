@@ -170,9 +170,8 @@ class MCSat:
         marginals are bit-identical across ``parallel_backend`` values and
         worker counts (the parallel parity suite proves it), and the
         ``processes`` backend samples the components on all cores.
-        ``request_id`` tags the tasks with the admitted session request
-        they serve, so a shared persistent pool routes completions back
-        to this request when several are in flight.
+        ``request_id`` tags the tasks with the session request they
+        serve; the pool checks every reply against it.
         """
         from repro.inference.scheduling import run_components as dispatch_components
         from repro.parallel.merge import merge_marginal_results

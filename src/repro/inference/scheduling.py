@@ -144,9 +144,8 @@ def run_components(
     :class:`~repro.parallel.pool.WorkerPool` to the ``processes``
     backend (the caller keeps ownership — it is not shut down here) and
     is ignored on the serial backend.  ``request_id``
-    names the admitted session request this run serves — a shared
-    persistent pool uses it to route completions back to the right
-    request when several are in flight.  ``tracer`` / ``metrics`` are
+    names the session request this run serves; the pool checks every
+    reply against it.  ``tracer`` / ``metrics`` are
     the injected observability surfaces, forwarded to the scheduler
     (no-ops when omitted; never consulted by the search itself).
     """

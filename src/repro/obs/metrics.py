@@ -7,11 +7,6 @@ live scattered across layers (``WorkerPool.shm_shipped``, steal counts in
 ``scheduler.steals``, ``grounding.replay_hits``, ``io.page_reads`` — so one
 dump answers "what happened" without spelunking five objects.
 
-Method names are deliberately *not* container-mutator names
-(``increment`` / ``observe`` / ``set_gauge``): request-scoped session code
-calls them directly and the ``req-state-isolation`` analysis rule flags
-mutator-style attribute calls on session state.
-
 Histograms keep bounded aggregates (count/total/min/max), never raw
 samples, so a registry's footprint is independent of request volume.
 """

@@ -101,13 +101,9 @@ class ResultBufferSet:
     ``_result_region_writers`` marker below: the named methods may write
     result-region attributes (and nothing else).
 
-    Concurrent request admission adds one more dimension: a segment
-    packed with ``banks=N`` holds ``N`` independent copies of the whole
-    per-component layout, so up to ``N`` in-flight requests can each
-    have a live result for the *same* component index without
-    clobbering each other.  Every write/read names its ``(index, bank)``
-    pair; the pool assigns each admitted request a private bank for the
-    duration of its run.
+    One request runs at a time, so one region per component serves them
+    all: a request's results are read back before the next request's
+    workers write.
     """
 
     #: Sanctioned result-region writers (see the ``fork-shm-publish``
@@ -119,15 +115,11 @@ class ResultBufferSet:
         shm,
         directory: List[ResultDirectoryEntry],
         owner: bool,
-        banks: int = 1,
-        bank_stride: int = 0,
         components: Sequence[MRF] = (),
     ) -> None:
         self._shm = shm
         self.directory = directory
         self._owner = owner
-        self.banks = banks
-        self._bank_stride = bank_stride
         self._result_ints = shm.buf.cast("q")
         self._result_floats = shm.buf.cast("d")
         #: The packed components, for the parent's bulk-read layout.
@@ -139,15 +131,13 @@ class ResultBufferSet:
         cls,
         components: Sequence[MRF],
         trace_capacity: Optional[int] = None,
-        banks: int = 1,
         shared: bool = True,
     ) -> "ResultBufferSet":
-        """Reserve ``banks`` result regions per component.
+        """Reserve one result region per component.
 
         ``trace_capacity`` overrides the per-component trace sizing (the
-        fallback tests use a tiny capacity to force the pickled path);
-        ``banks`` is the number of independent full copies of the layout
-        — one per concurrently admitted request.  ``shared=False`` packs
+        fallback tests use a tiny capacity to force the pickled path).
+        ``shared=False`` packs
         a private in-process buffer instead of a shared-memory segment
         (the serial backend's regions).
         """
@@ -162,28 +152,13 @@ class ResultBufferSet:
             )
             directory.append((total, n_atoms, capacity))
             total += RESULT_HEADER_SLOTS + n_atoms + 3 * capacity
-        banks = max(1, banks)
-        size = max(total, 1) * banks * 8
+        size = max(total, 1) * 8
         shm = (
             shared_memory.SharedMemory(create=True, size=size)
             if shared
             else _LocalSegment(size)
         )
-        return cls(
-            shm,
-            directory,
-            owner=True,
-            banks=banks,
-            bank_stride=total,
-            components=components,
-        )
-
-    def _region(self, index: int, bank: int) -> ResultDirectoryEntry:
-        """The ``(base, n_atoms, capacity)`` triple for ``(index, bank)``."""
-        if not 0 <= bank < self.banks:
-            raise IndexError(f"result bank {bank} outside 0..{self.banks - 1}")
-        base, n_atoms, capacity = self.directory[index]
-        return base + bank * self._bank_stride, n_atoms, capacity
+        return cls(shm, directory, owner=True, components=components)
 
     # ------------------------------------------------------------------
     # Writing (worker side)
@@ -195,7 +170,6 @@ class ResultBufferSet:
         result: object,
         simulated_seconds: float,
         atom_ids: Sequence[int],
-        bank: int = 0,
     ) -> bool:
         """Ship one finished result through the component's region.
 
@@ -205,10 +179,8 @@ class ResultBufferSet:
         in ``atom_ids`` (packed atom) order, which is exactly the
         insertion order of the driver-built result dictionaries, so the
         parent-side reconstruction is bit-identical, dict order included.
-        ``bank`` selects the admitted request's private copy of the
-        region, so interleaved requests never overwrite each other.
         """
-        base, n_atoms, capacity = self._region(index, bank)
+        base, n_atoms, capacity = self.directory[index]
         ints = self._result_ints
         floats = self._result_floats
         value_off = base + RESULT_HEADER_SLOTS
@@ -231,7 +203,6 @@ class ResultBufferSet:
                 result.seconds,
                 result.reached_target,
                 result.hitting_time,
-                bank=bank,
                 grounding_seconds=result.trace.grounding_seconds,
             )
         if isinstance(result, MarginalResult):
@@ -262,7 +233,6 @@ class ResultBufferSet:
         seconds: float,
         reached_target: bool,
         hitting_time: Optional[int],
-        bank: int = 0,
         grounding_seconds: float = 0.0,
     ) -> bool:
         """Write one WalkSAT result from its parts, with slice copies.
@@ -273,7 +243,7 @@ class ResultBufferSet:
         the trace exceeds the region's capacity or the values do not
         match its atom count.
         """
-        base, n_atoms, capacity = self._region(index, bank)
+        base, n_atoms, capacity = self.directory[index]
         count = len(points)
         if count > capacity or len(values) != n_atoms:
             return False
@@ -309,17 +279,15 @@ class ResultBufferSet:
         index: int,
         atom_ids: Sequence[int],
         trace_label: str = "",
-        bank: int = 0,
     ) -> Tuple[object, float]:
         """Rebuild ``(result, simulated_seconds)`` from a written region.
 
         ``atom_ids`` must be the component's packed atom order (the
         parent reads it off the component MRF it packed); ``trace_label``
         restores the label the worker's driver options carried — labels
-        travel with the task, not the region.  ``bank`` must match the
-        bank the completion token's task was submitted with.
+        travel with the task, not the region.
         """
-        base, n_atoms, _capacity = self._region(index, bank)
+        base, n_atoms, _capacity = self.directory[index]
         ints = self._result_ints
         floats = self._result_floats
         kind = ints[base]
@@ -366,8 +334,8 @@ class ResultBufferSet:
             f"result region {index} read before any worker wrote it (kind {kind})"
         )
 
-    def read_walksat_columns(self, bank: int = 0) -> WalkSATColumns:
-        """Read every component's WalkSAT result of ``bank`` in one pass.
+    def read_walksat_columns(self) -> WalkSATColumns:
+        """Read every component's WalkSAT result in one pass.
 
         The parent's bulk read after a component-search request: numpy
         gathers over all regions at once give the header fields, the best
@@ -375,24 +343,20 @@ class ResultBufferSet:
         slots, so no object is built per component.  Every region must
         hold a WalkSAT result.
         """
-        if not 0 <= bank < self.banks:
-            raise IndexError(f"result bank {bank} outside 0..{self.banks - 1}")
         bases, trace_starts, value_slots, atom_ids, value_offsets = self._bulk_layout()
-        shift = bank * self._bank_stride
-        bases = bases + shift
         ints = np.frombuffer(self._result_ints, dtype=np.int64)
         floats = ints.view(np.float64)
         header = bases[:, None] + np.arange(12, dtype=np.int64)
         header_ints = ints[header]
         header_floats = floats[header]
-        values = ints[value_slots + shift]
+        values = ints[value_slots]
         if np.any(header_ints[:, 0] != _KIND_WALKSAT):
-            raise RuntimeError(f"result bank {bank} holds a region no search wrote")
+            raise RuntimeError("a result region holds nothing a search wrote")
         lengths = header_ints[:, 8]
         trace_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=trace_offsets[1:])
         slots = np.repeat(
-            trace_starts + shift - 3 * trace_offsets[:-1], lengths
+            trace_starts - 3 * trace_offsets[:-1], lengths
         ) + 3 * np.arange(trace_offsets[-1], dtype=np.int64)
         trace_times = floats[slots].tolist()
         trace_costs = floats[slots + 1].tolist()
@@ -442,9 +406,9 @@ class ResultBufferSet:
             )
         return self._layout
 
-    def outcome_nbytes(self, index: int, bank: int = 0) -> int:
+    def outcome_nbytes(self, index: int) -> int:
         """Bytes the last shipped result actually occupied (telemetry)."""
-        base, n_atoms, _capacity = self._region(index, bank)
+        base, n_atoms, _capacity = self.directory[index]
         trace_len = self._result_ints[base + 8]
         return 8 * (RESULT_HEADER_SLOTS + n_atoms + 3 * trace_len)
 

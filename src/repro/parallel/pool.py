@@ -31,23 +31,21 @@ cold request's state construction is split over the workers) and cache
 it.
 
 Finished results ship back through shared memory, not pickling: every
-pool packs a :class:`~repro.parallel.buffers.ResultBufferSet` —
-one reserved region per component per *result bank* — and workers write
-each result in place.  A result that does not fit its region (oversized
-trace, unexpected atom set) rides the reply pickled instead, counted but
-never truncated; shipping telemetry is kept per admitted request
-(:meth:`WorkerPool.finish_request` hands the scheduler counters
-attributable to exactly one request) with :attr:`WorkerPool.shm_shipped`
-/ :attr:`WorkerPool.pickle_shipped` / :attr:`WorkerPool.shm_bytes` still
-accumulating pool-lifetime totals.
+pool packs a :class:`~repro.parallel.buffers.ResultBufferSet` — one
+reserved region per component — and workers write each result in place.
+A result that does not fit its region (oversized trace, unexpected atom
+set) rides the reply pickled instead, counted but never truncated;
+:meth:`WorkerPool.finish_request` hands the scheduler the shipping
+counters of the request that just ran, with
+:attr:`WorkerPool.shm_shipped` / :attr:`WorkerPool.pickle_shipped` /
+:attr:`WorkerPool.shm_bytes` accumulating pool-lifetime totals.
 
-Concurrent admission: every chunk is tagged with its request id, so one
-pool can multiplex several requests' chunk streams over the same worker
-set and shared task queue.  Each admitted request checks out a private
-result bank for its lifetime; a reply that belongs to another request is
-parked as a block for that request's draining thread, so every request
-sees exactly its own completions in completion order — the same stream
-it would see running alone.
+A pool serves one request at a time (the engine session's lock
+serializes them).  Every chunk carries its request id, and every reply
+echoes it: a reply tagged for any other request than the running
+one is a fault — it raises ``RuntimeError`` and shuts the pool down,
+never consumed.  A request that ends with chunks still in flight shuts
+the pool down too, so the next request forks a clean one.
 
 Because every component's search draws on a stream derived only from the
 run seed and its index, results are bit-for-bit identical across
@@ -63,7 +61,6 @@ import gc
 import logging
 import multiprocessing
 import queue as queue_module
-import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -92,13 +89,9 @@ class ComponentTask:
     stream is a pure function of the run seed and the component id,
     independent of which worker runs the task or when.
 
-    ``request_id`` tags the task with the admitted request it belongs to
-    — the pool routes the completion token back to whichever thread is
-    draining that request.  ``result_bank`` is assigned by the pool at
-    submit time: the request's private copy of the shared-memory result
-    regions (``-1`` forces the pickled fallback when no bank is free).
-    Neither field feeds the search itself, so they cannot perturb
-    results.
+    ``request_id`` tags the task with the request it belongs to; the
+    reply echoes it and the pool checks it against the running request.
+    It never feeds the search itself, so it cannot perturb results.
     """
 
     index: int
@@ -109,7 +102,6 @@ class ComponentTask:
     cost_model: CostModel = field(default_factory=CostModel)
     initial_assignment: Optional[Dict[int, bool]] = None
     request_id: int = 0
-    result_bank: int = 0
     #: When True, the worker timestamps its phases (state setup, kernel
     #: search, result shipping) on the shared monotonic clock and ships
     #: them on the completion token — bounded by
@@ -134,15 +126,13 @@ class SearchChunk:
     ``request`` describes the whole request once (a
     :class:`~repro.inference.component_walksat.ComponentSearchRequest`:
     shared options, cost model, base seed, flip allocation); the chunk
-    adds only the component indices it covers.  ``bank`` is assigned by
-    the pool at submit time, like :attr:`ComponentTask.result_bank`;
-    ``traced`` asks for per-component phase events.
+    adds only the component indices it covers; ``traced`` asks for
+    per-component phase events.
     """
 
     request_id: int
     indices: List[int]
     request: object
-    bank: int = 0
     traced: bool = False
 
 
@@ -304,7 +294,7 @@ def _worker_run_chunk(chunk: SearchChunk, context: ChunkContext) -> tuple:
     """
     try:
         costs, fallbacks, shm_bytes, events = chunk.request.run_chunk(
-            chunk.indices, context, chunk.bank, chunk.traced
+            chunk.indices, context, chunk.traced
         )
     except Exception as error:  # surface, don't hang the parent
         return (chunk.indices, None, repr(error), SHIPPED_CHUNK, None)
@@ -320,11 +310,10 @@ def _worker_run_task(
     """Execute one task of a chunk and return its completion token.
 
     The token is ``(index, payload, error, channel, events)``: a result
-    written into the task's ``(component, result bank)`` shared-memory
-    region is acknowledged with ``payload=None`` and channel ``"shm"``;
-    when the region refuses it (result too large for the reservation) —
-    or the task carries no bank (``result_bank < 0``) — the full outcome
-    rides the token instead, tagged ``"pickle"``.  ``events`` is the
+    written into the component's shared-memory region is acknowledged
+    with ``payload=None`` and channel ``"shm"``; when the region refuses
+    it (result too large for the reservation) the full outcome rides the
+    token instead, tagged ``"pickle"``.  ``events`` is the
     bounded per-task span list when the task asked to be traced, else
     ``None``.
     """
@@ -337,12 +326,8 @@ def _worker_run_task(
     search_start = wall_now() if traced else 0.0
     outcome = execute_component_task(task, mrf, state)
     search_end = wall_now() if traced else 0.0
-    shipped_shm = task.result_bank >= 0 and results.write_outcome(
-        task.index,
-        outcome.result,
-        outcome.simulated_seconds,
-        mrf.atom_ids,
-        bank=task.result_bank,
+    shipped_shm = results.write_outcome(
+        task.index, outcome.result, outcome.simulated_seconds, mrf.atom_ids
     )
     events = None
     if traced:
@@ -400,9 +385,12 @@ def _worker_main(
     ``fork`` without ``exec``: the parent's heap, inherited whole, moves to
     the permanent generation, so the worker's collections walk only what
     the worker allocates — a full collection would otherwise visit every
-    inherited object and copy-on-write-fault the pages they sit on.
+    inherited object and copy-on-write-fault the pages they sit on.  A
+    worker told to stop does not wait to flush replies nobody will read
+    (a pool shut down after a fault leaves them on the queue).
     """
     gc.freeze()
+    result_queue.cancel_join_thread()
     states = BoundedStateCache()
     context = ChunkContext(components, results, states, stall_seconds=stall_seconds)
     try:
@@ -451,16 +439,14 @@ class WorkerPool:
     was found.  Workers hold the component list and the result regions as
     of the fork, so neither is ever rebound or repacked on a live pool —
     build a new pool (the ``fork-pool-lifecycle`` analysis rule enforces
-    this).
+    this).  It runs one request at a time: the caller submits one
+    request's chunks, drains them and calls :meth:`finish_request` before
+    the next request starts.
 
     ``trace_capacity`` overrides the per-component result-region trace
     sizing (tests force the pickled fallback with a tiny capacity);
     ``stall_worker`` is the injected-slow-worker test hook: ``(worker
-    index, seconds)`` delays that worker before every task it takes;
-    ``result_banks`` is the number of requests that may be in flight at
-    once — each gets a private copy of the result regions (a request
-    admitted beyond the bank count still runs, shipping its results
-    through the pickled fallback).
+    index, seconds)`` delays that worker before every task it takes.
     """
 
     def __init__(
@@ -469,7 +455,6 @@ class WorkerPool:
         workers: int,
         trace_capacity: Optional[int] = None,
         stall_worker: Optional[Tuple[int, float]] = None,
-        result_banks: int = 1,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         context = multiprocessing.get_context("fork")
@@ -478,41 +463,30 @@ class WorkerPool:
         self._components: List[MRF] = list(components)
         # The only shared-memory allocation: if it raises there is nothing
         # to undo, and everything after it is covered by the ``try`` below.
-        self.result_buffers = ResultBufferSet.pack(
-            components, trace_capacity, banks=result_banks
-        )
+        self.result_buffers = ResultBufferSet.pack(components, trace_capacity)
         self._closed = False
         #: Dotted-name counters (``pool.*``) — shared with the owning
         #: session's registry when one is injected, private otherwise so
         #: the counters are always present for tests and summaries.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._processes: List[multiprocessing.process.BaseProcess] = []
-        #: Shipping telemetry, cumulative over the pool's lifetime;
-        #: per-request counters (see :meth:`finish_request`) are what the
-        #: scheduler reports, so interleaved requests stay attributable.
+        #: Shipping telemetry, cumulative over the pool's lifetime; the
+        #: running request's own ``[shm, pickle, bytes]`` counters (see
+        #: :meth:`finish_request`) are what the scheduler reports.
         self.shm_shipped = 0
         self.pickle_shipped = 0
         self.shm_bytes = 0
-        #: request id -> component index -> submitted, not yet collected task
-        self._inflight: Dict[int, Dict[int, ComponentTask]] = {}
-        #: request id -> completion tokens unpacked from chunk messages and
-        #: not yet collected: a request's own drain queues them here, and
-        #: so does a thread draining a *different* request (parking the
-        #: whole block for its owner).
-        self._ready: Dict[int, Deque[tuple]] = {}
-        self._route_lock = threading.Lock()
-        #: Wakes request threads the instant a block is parked for them;
-        #: one thread at a time (the elected drainer) blocks on the
-        #: results queue so a parked token never waits out a poll cycle.
-        self._route_cond = threading.Condition(self._route_lock)
-        self._drainer_busy = False
-        self._bank_of: Dict[int, int] = {}
-        self._free_banks: List[int] = list(range(max(1, result_banks)))
-        self._request_shipping: Dict[int, List[int]] = {}
-        #: Worker-emitted span records, stashed per ``(request, index)``
-        #: until the scheduler stitches them (:meth:`take_task_events`).
-        self._task_events: Dict[Tuple[int, int], dict] = {}
-        self._pickle_warned: set = set()
+        self._shipping = [0, 0, 0]
+        self._pickle_warned = False
+        #: Chunk messages of the running request submitted, not yet answered.
+        self._pending = 0
+        #: component index -> submitted, not yet collected task
+        self._inflight: Dict[int, ComponentTask] = {}
+        #: Task-path completion tokens unpacked from replies, not yet collected.
+        self._tokens: Deque[tuple] = deque()
+        #: Worker-emitted span records, stashed per component index until
+        #: the scheduler stitches them (:meth:`take_task_events`).
+        self._task_events: Dict[int, dict] = {}
         #: See :meth:`memo`.
         self._memo: Dict[Tuple, object] = {}
         try:
@@ -557,12 +531,13 @@ class WorkerPool:
         self.shutdown()
 
     def matches(self, components: Sequence[MRF]) -> bool:
-        """True when this pool was forked over exactly these components.
+        """True when this live pool was forked over exactly these components.
 
         Identity comparison, element-wise: the workers hold a fork-time
         snapshot of the component MRFs, so reuse is only sound for the
         same objects (the session invalidates the pool when grounding
-        produces new ones).
+        produces new ones).  A pool shut down after a fault matches
+        nothing, so its owner forks a fresh one.
         """
         if self._closed or len(components) != len(self._components):
             return False
@@ -571,67 +546,26 @@ class WorkerPool:
         )
 
     def submit_chunk(self, tasks: Sequence[ComponentTask]) -> None:
-        """Queue one chunk — a batch of one request's tasks — as one message.
-
-        The request's first chunk checks out a private bank for the
-        request's lifetime (returned by :meth:`finish_request`); when
-        every bank is taken its tasks are tagged ``-1`` and their results
-        ride the pickled fallback — correct, just slower.  Exhaustion is
-        never silent: it counts ``pool.bank_exhausted`` and logs one
-        structured warning per starved request.
-        """
+        """Queue one chunk — a batch of one request's tasks — as one message."""
         if not tasks:
             raise ValueError("a chunk needs at least one task")
         request_id = tasks[0].request_id
         if any(task.request_id != request_id for task in tasks):
             raise ValueError("a chunk carries the tasks of exactly one request")
-        with self._route_lock:
-            bank = self._checkout_bank(request_id)
-            inflight = self._inflight.setdefault(request_id, {})
-            for task in tasks:
-                task.result_bank = bank
-                inflight[task.index] = task
+        for task in tasks:
+            self._inflight[task.index] = task
+        self._pending += 1
         self._tasks.put(list(tasks))
 
     def submit_search_chunk(self, chunk: SearchChunk) -> None:
         """Queue one component-search chunk as one message.
 
-        The bank rules are :meth:`submit_chunk`'s; the chunk's results
-        come back through :meth:`next_chunk`.
+        Its results come back through :meth:`next_chunk`.
         """
         if not chunk.indices:
             raise ValueError("a chunk needs at least one component")
-        with self._route_lock:
-            chunk.bank = self._checkout_bank(chunk.request_id)
+        self._pending += 1
         self._tasks.put(chunk)
-
-    def _checkout_bank(self, request_id: int) -> int:
-        """The request's result bank, checked out on its first chunk.
-
-        Called under the routing lock.  ``-1`` means every bank is taken:
-        the request's results ride the pickled fallback.
-        """
-        bank = self._bank_of.get(request_id)
-        if bank is not None:
-            return bank
-        bank = self._free_banks.pop(0) if self._free_banks else -1
-        self._bank_of[request_id] = bank
-        if bank >= 0:
-            self.metrics.increment("pool.bank_checkouts")
-        else:
-            self.metrics.increment("pool.bank_exhausted")
-            _logger.warning(
-                "result-bank exhaustion: request_id=%d has no free result bank "
-                "(banks=%d); results will ship via the pickled fallback",
-                request_id,
-                self.result_buffers.banks,
-            )
-        return bank
-
-    def bank_of(self, request_id: int) -> int:
-        """The result bank the request's chunks were submitted with."""
-        with self._route_lock:
-            return self._bank_of.get(request_id, -1)
 
     def memo(self, key: Tuple, build: Callable[[], object]) -> object:
         """A value derived from this pool's component list, built once per key.
@@ -641,24 +575,22 @@ class WorkerPool:
         cuts) are cached with the pool forked over that list, so a warm
         request does not recompute them.
         """
-        with self._route_lock:
-            value = self._memo.get(key)
+        value = self._memo.get(key)
         if value is None:
-            value = build()
-            with self._route_lock:
-                value = self._memo.setdefault(key, value)
+            value = self._memo[key] = build()
         return value
 
-    def next_chunk(self, request_id: int) -> Tuple[int, List[int], List[float], Dict[int, ComponentOutcome], object]:
+    def next_chunk(self, request_id: int = 0) -> Tuple[int, List[int], List[float], Dict[int, ComponentOutcome], object]:
         """Collect one finished search chunk of ``request_id``.
 
         Returns ``(worker id, indices, simulated seconds per index,
-        fallbacks, events)``: the chunk's results sit in the request's
-        result regions, except the ``fallbacks`` (component index →
-        outcome) that did not fit theirs.  Raises ``RuntimeError`` (after
-        shutting the pool down) when the chunk failed.
+        fallbacks, events)``: the chunk's results sit in the result
+        regions, except the ``fallbacks`` (component index → outcome) that
+        did not fit theirs.  Raises ``RuntimeError`` (after shutting the
+        pool down) when the chunk failed.
         """
-        indices, payload, error, worker_id, channel, events = self._route_token(request_id)
+        worker_id, tokens = self._receive(request_id)
+        indices, payload, error, _channel, events = tokens[0]
         if error is not None:
             self.shutdown()
             raise RuntimeError(
@@ -666,193 +598,139 @@ class WorkerPool:
                 f"{indices[0]}: {error}"
             )
         costs, fallbacks, nbytes = payload
-        self._count_shipped(
-            request_id, len(indices) - len(fallbacks), nbytes, sorted(fallbacks)
-        )
+        self._count_shipped(len(indices) - len(fallbacks), nbytes, sorted(fallbacks))
         return worker_id, indices, costs, fallbacks, events
 
-    def _count_shipped(
-        self, request_id: int, shm: int, nbytes: int, pickled: Sequence[int]
-    ) -> None:
+    def _count_shipped(self, shm: int, nbytes: int, pickled: Sequence[int]) -> None:
         """Count shipped results — ``pickled`` lists the fallback indices.
 
-        Updates the pool-lifetime totals, the request's ``[shm, pickle,
-        bytes]`` counters and the ``pool.*`` metrics, and warns once per
-        request about the pickled fallback.
+        Updates the pool-lifetime totals, the running request's ``[shm,
+        pickle, bytes]`` counters and the ``pool.*`` metrics, and warns
+        once per request about the pickled fallback.
         """
-        with self._route_lock:
-            shipping = self._request_shipping.setdefault(request_id, [0, 0, 0])
-            self.shm_shipped += shm
-            self.shm_bytes += nbytes
-            self.pickle_shipped += len(pickled)
-            shipping[0] += shm
-            shipping[1] += len(pickled)
-            shipping[2] += nbytes
-            warn_fallback = bool(pickled) and request_id not in self._pickle_warned
-            if warn_fallback:
-                self._pickle_warned.add(request_id)
+        shipping = self._shipping
+        self.shm_shipped += shm
+        self.shm_bytes += nbytes
+        self.pickle_shipped += len(pickled)
+        shipping[0] += shm
+        shipping[1] += len(pickled)
+        shipping[2] += nbytes
         if shm:
             self.metrics.increment("pool.shm_shipped", shm)
             self.metrics.increment("pool.shm_bytes", nbytes)
         if pickled:
             self.metrics.increment("pool.pickle_shipped", len(pickled))
-        if warn_fallback:
-            _logger.warning(
-                "pickled-fallback shipping: request_id=%d component=%d result "
-                "did not ship via shared memory (exhausted bank or oversized "
-                "result); falling back to the pickled queue",
-                request_id,
-                pickled[0],
-            )
+            if not self._pickle_warned:
+                self._pickle_warned = True
+                _logger.warning(
+                    "pickled-fallback shipping: component=%d result did not "
+                    "fit its shared-memory region; falling back to the "
+                    "pickled queue",
+                    pickled[0],
+                )
 
     def next_outcome(self, request_id: int = 0) -> Tuple[ComponentOutcome, int]:
         """Collect one finished task of ``request_id``: ``(outcome, worker id)``.
 
-        Blocks until one of *this request's* in-flight tasks is reported
+        Blocks until one of the request's in-flight tasks is reported
         complete (the work-stealing drain: the scheduler reacts to each
-        completion as it arrives).  Chunk messages belonging to
-        other admitted requests are parked for their own draining
-        threads (see :meth:`_route_token`), so each request observes
-        exactly the completion stream it would see running alone.
+        completion as it arrives).
         """
-        index, payload, error, worker_id, channel, events = self._route_token(request_id)
-        with self._route_lock:
-            task = self._inflight.get(request_id, {}).pop(index, None)
-            if events is not None:
-                self._task_events[(request_id, index)] = {
-                    "worker": worker_id,
-                    "channel": channel,
-                    "events": events,
-                }
+        if not self._tokens:
+            worker_id, tokens = self._receive(request_id)
+            self._tokens.extend((worker_id, token) for token in tokens)
+        worker_id, (index, payload, error, channel, events) = self._tokens.popleft()
+        task = self._inflight.pop(index, None)
+        if events is not None:
+            self._task_events[index] = {
+                "worker": worker_id,
+                "channel": channel,
+                "events": events,
+            }
         if error is not None:
             self.shutdown()
             raise RuntimeError(f"parallel component task failed: component {index}: {error}")
         if channel == SHIPPED_SHM:
             if task is None:
-                # The token names a task this pool never recorded in
-                # flight — an internal routing error.  Guessing a bank
-                # would read another request's live result region, so
-                # fail loudly instead.
                 raise RuntimeError(
                     f"completion token for component {index} of request "
                     f"{request_id} has no in-flight task record"
                 )
-            bank = task.result_bank
             trace_label = (
                 task.walksat.trace_label if task.walksat is not None else ""
             )
             result, simulated_seconds = self.result_buffers.read_outcome(
-                index, self._components[index].atom_ids, trace_label, bank=bank
+                index, self._components[index].atom_ids, trace_label
             )
-            nbytes = self.result_buffers.outcome_nbytes(index, bank=bank)
-            self._count_shipped(request_id, 1, nbytes, ())
+            self._count_shipped(1, self.result_buffers.outcome_nbytes(index), ())
             return ComponentOutcome(index, result, simulated_seconds), worker_id
-        self._count_shipped(request_id, 0, 0, (index,))
+        self._count_shipped(0, 0, (index,))
         return payload, worker_id
 
-    def _route_token(self, request_id: int) -> tuple:
-        """Return the next completion token belonging to ``request_id``.
+    def _receive(self, request_id: int) -> Tuple[int, list]:
+        """Wait for the next reply; it must be ``request_id``'s.
 
-        Tokens are ``(index, payload, error, worker id, channel, events)``,
-        unpacked from the workers' per-chunk completion messages onto the
-        owning request's ready queue.  One thread at a time — the elected
-        drainer — blocks on the shared results queue; every other
-        admitted request's thread waits on the routing condition
-        instead.  A drainer that pulls a message of a different request
-        parks its tokens as one block on the owner's queue and wakes
-        everyone, so the owner claims them immediately rather than
-        waiting out a poll cycle.  The drainer polls with a timeout so a
-        worker dying without replying (OOM kill, segfault in an
-        extension — mid-chunk included) surfaces as a RuntimeError
-        instead of blocking the parent forever — ``_worker_main`` only
-        converts *Python* exceptions into error tokens.
+        Returns ``(worker id, tokens)``.  The wait is a timed ``get`` so a
+        worker dying without replying (OOM kill, segfault in an extension
+        — mid-chunk included) surfaces as a ``RuntimeError`` instead of
+        blocking the parent forever — ``_worker_main`` only converts
+        *Python* exceptions into error tokens.  A reply tagged for another
+        request is a fault (a stale reply from a request that did not
+        finish cleanly): it shuts the pool down and raises.
         """
-        woken = False
         while True:
-            claimed = None
-            with self._route_cond:
-                while True:
-                    ready = self._ready.get(request_id)
-                    if ready:
-                        claimed = ready.popleft()
-                        break
-                    if not self._drainer_busy:
-                        self._drainer_busy = True
-                        woken = False
-                        break
-                    # Timed wait for liveness: if the drainer dies with an
-                    # exception after the notify, someone must take over.
-                    self._route_cond.wait(timeout=0.5)
-                    woken = True
-            if claimed is not None:
-                if woken:
-                    self.metrics.increment("pool.parked_token_wakeups")
-                return claimed
-            message = None
             try:
-                try:
-                    message = self._results.get(timeout=0.5)
-                except queue_module.Empty:
-                    dead = [p for p in self._processes if not p.is_alive()]
-                    if dead:
-                        self.shutdown()
-                        raise RuntimeError(
-                            f"{len(dead)} parallel worker(s) died before replying "
-                            f"(exit codes {[p.exitcode for p in dead]})"
-                        )
-            finally:
-                with self._route_cond:
-                    self._drainer_busy = False
-                    if message is not None:
-                        owner, worker_id, tokens, cache_hits, cache_misses = message
-                        self._ready.setdefault(owner, deque()).extend(
-                            (index, payload, error, worker_id, channel, events)
-                            for index, payload, error, channel, events in tokens
-                        )
-                    self._route_cond.notify_all()
-            if message is not None:
-                if owner != request_id:
-                    self.metrics.increment("pool.parked_tokens", len(tokens))
-                self.metrics.increment("pool.state_cache_hits", cache_hits)
-                self.metrics.increment("pool.state_cache_misses", cache_misses)
+                message = self._results.get(timeout=0.5)
+                break
+            except queue_module.Empty:
+                dead = [p for p in self._processes if not p.is_alive()]
+                if dead:
+                    self.shutdown()
+                    raise RuntimeError(
+                        f"{len(dead)} parallel worker(s) died before replying "
+                        f"(exit codes {[p.exitcode for p in dead]})"
+                    )
+        owner, worker_id, tokens, cache_hits, cache_misses = message
+        if owner != request_id:
+            self.shutdown()
+            raise RuntimeError(
+                f"reply tagged for request {owner} while request "
+                f"{request_id} is running"
+            )
+        self._pending -= 1
+        self.metrics.increment("pool.state_cache_hits", cache_hits)
+        self.metrics.increment("pool.state_cache_misses", cache_misses)
+        return worker_id, tokens
 
-    def take_task_events(self, request_id: int) -> Dict[int, dict]:
-        """Pop the worker-emitted span records of one request's tasks.
+    def take_task_events(self) -> Dict[int, dict]:
+        """Pop the worker-emitted span records of the running request's tasks.
 
         Returns ``{component index: {"worker", "channel", "events"}}`` —
         the scheduler stitches these under the request's span tree in
         deterministic component order.  Only populated for tasks that
         asked to be traced (``ComponentTask.trace_events``).
         """
-        with self._route_lock:
-            taken = {
-                key[1]: self._task_events.pop(key)
-                for key in [k for k in self._task_events if k[0] == request_id]
-            }
+        taken, self._task_events = self._task_events, {}
         return taken
 
-    def finish_request(self, request_id: int) -> Tuple[int, int, int]:
-        """Close out one admitted request: return its bank and counters.
+    def finish_request(self) -> Tuple[int, int, int]:
+        """Close out the running request: return and reset its counters.
 
         Returns the ``(shm_shipped, pickle_shipped, shm_bytes)`` shipped
-        for exactly this request — the scheduler reports these, so a
-        warm pool's telemetry never bleeds across requests — and frees
-        the request's result bank for the next admission.  A request that
-        failed mid-chunk leaves nothing behind either: its uncollected
-        tokens and in-flight records are dropped here.
+        for exactly this request, so a warm pool's telemetry never bleeds
+        across requests.  A request that ends with chunks still in flight
+        (an exception in the parent, a failed chunk) shuts the pool down:
+        their replies would otherwise reach the next request.
         """
-        with self._route_lock:
-            bank = self._bank_of.pop(request_id, None)
-            if bank is not None and bank >= 0:
-                self._free_banks.append(bank)
-                self._free_banks.sort()
-            self._ready.pop(request_id, None)
-            self._inflight.pop(request_id, None)
-            self._pickle_warned.discard(request_id)
-            for key in [k for k in self._task_events if k[0] == request_id]:
-                del self._task_events[key]
-            shm, pickled, nbytes = self._request_shipping.pop(request_id, (0, 0, 0))
-        return shm, pickled, nbytes
+        if self._pending:
+            self.shutdown()
+        self._pending = 0
+        self._inflight.clear()
+        self._tokens.clear()
+        self._task_events.clear()
+        self._pickle_warned = False
+        shipped, self._shipping = self._shipping, [0, 0, 0]
+        return shipped[0], shipped[1], shipped[2]
 
     def drain(self, count: int, request_id: int = 0) -> List[ComponentOutcome]:
         """Collect ``count`` results of one request (any completion order)."""

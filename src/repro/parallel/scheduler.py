@@ -297,13 +297,6 @@ class _Dispatch:
         pairs)``.  At most ``window`` positions are in flight past the
         completed ones, and nothing past a provable deadline cutoff is
         submitted.
-
-        Under concurrent admission the same queue multiplexes several
-        requests' streams — this loop submits only its own request's
-        chunks and drains only its own completions (the pool parks other
-        requests' messages for their draining threads), so the
-        per-request cursor, window and deadline accounting are untouched
-        by interleaving.
         """
         order = self.order
         sent = 0
@@ -355,15 +348,15 @@ class _Dispatch:
         """Close out the request on the pool (runs in a ``finally``).
 
         Pulls the workers' task-path span records before
-        ``finish_request`` wipes the request's stash, then collects the
-        shipping counters attributable to exactly this request and frees
-        its result bank for the next one.
+        ``finish_request`` wipes them, then collects the shipping counters
+        of exactly this request (a request that leaves chunks in flight
+        shuts the pool down there).
         """
         pool = self.pool
         if self.backend == "processes" and pool is not None:
             if self.traced:
-                self.task_events.update(pool.take_task_events(self.request_id))
-            self.shipping = pool.finish_request(self.request_id)
+                self.task_events.update(pool.take_task_events())
+            self.shipping = pool.finish_request()
         if pool is not None and self.owns_pool:
             pool.shutdown()
 
@@ -461,15 +454,9 @@ def run_component_tasks(
     prefix rule (see the module docstring): identical across backends
     *and* worker counts.
 
-    ``request_id`` names the admitted request this run belongs to; every
-    task is stamped with it, so a shared persistent pool can multiplex
-    several concurrent requests' task streams (each request keeps its own
-    largest-first cursor, deadline accounting and completion drain —
-    whichever worker frees up next simply takes the head of whichever
-    stream reaches the shared queue first).  Because dispatch order, the
-    derived per-component seeds, and the post-hoc counting rule are all
-    per-request, an interleaved run's outcome is bit-identical to running
-    the request alone.
+    ``request_id`` names the session request this run belongs to; every
+    task is stamped with it, and the pool refuses a reply tagged for any
+    other request (see :class:`~repro.parallel.pool.WorkerPool`).
 
     ``tracer`` / ``metrics`` are the injected observability surfaces
     (defaulting to no-ops).  With a recording tracer, every executed
@@ -631,14 +618,13 @@ def run_component_search(
                         break
                     indices = order[start:stop]
                     costs, returned, _nbytes, events = request.run_chunk(
-                        indices, context, 0, traced
+                        indices, context, traced
                     )
                     fallbacks.update(returned)
                     run.record(0, zip(indices, costs), attributed=False)
                     if events is not None:
                         note_events(0, indices, events, None)
                     spent = functools.reduce(operator.add, costs, spent)
-                bank = 0
             else:
                 pool = run.start_pool()
                 buffers = pool.result_buffers
@@ -669,7 +655,6 @@ def run_component_search(
                     ),
                     drain,
                 )
-                bank = pool.bank_of(request_id)
             counted = run.counted()
             skipped = order[len(counted):]
             discarded = {
@@ -682,9 +667,8 @@ def run_component_search(
             overrides = {index: placeholder(index) for index in skipped}
             for index, outcome in fallbacks.items():
                 overrides.setdefault(index, outcome)
-            # The bulk read: before release_pool hands the bank to the
-            # next request.
-            columns = _read_columns(components, buffers, bank, overrides)
+            # The bulk read: before release_pool, which may shut the pool down.
+            columns = _read_columns(components, buffers, overrides)
     finally:
         run.release_pool()
         if backend == "serial" and buffers is not None:
@@ -720,7 +704,6 @@ def _search_chunks(
 def _read_columns(
     components: Sequence[MRF],
     buffers: ResultBufferSet,
-    bank: int,
     overrides: Dict[int, ComponentOutcome],
 ) -> WalkSATColumns:
     """Every component's result, in component order.
@@ -729,14 +712,14 @@ def _read_columns(
     per-component objects (region reads, ``overrides`` for fallbacks and
     placeholders) folded into columns.
     """
-    if bank >= 0 and not overrides:
-        return buffers.read_walksat_columns(bank)
+    if not overrides:
+        return buffers.read_walksat_columns()
     results = []
     for index, component in enumerate(components):
         outcome = overrides.get(index)
         if outcome is None:
             result, _seconds = buffers.read_outcome(
-                index, component.atom_ids, f"component-{index}", bank=bank
+                index, component.atom_ids, f"component-{index}"
             )
         else:
             result = outcome.result

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional, Sequence
 
 from repro.rdbms.catalog import Catalog
-from repro.rdbms.executor import Executor, QueryResult
+from repro.rdbms.executor import Executor
 from repro.rdbms.optimizer import ConjunctiveQuery, Optimizer, OptimizerOptions, PlannedQuery
 from repro.rdbms.schema import TableSchema
 from repro.rdbms.sql import render_select
@@ -83,12 +83,6 @@ class Database:
         self, query: ConjunctiveQuery, options: Optional[OptimizerOptions] = None
     ) -> PlannedQuery:
         return self.optimizer.plan(query, options)
-
-    def execute(
-        self, query: ConjunctiveQuery, options: Optional[OptimizerOptions] = None
-    ) -> QueryResult:
-        planned = self.optimizer.plan(query, options)
-        return self.executor.execute(planned)
 
     def explain(
         self, query: ConjunctiveQuery, options: Optional[OptimizerOptions] = None

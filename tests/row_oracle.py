@@ -14,9 +14,14 @@ page sequence.
 one ``GroundClauseStore.add`` — the specification of the grounder's
 columnar consumer.  :func:`ground_by_rows` puts it under an engine
 session.
+
+:func:`execute_plan` / :func:`execute_query` are the other side of the
+comparison: the engine's ``execute_batch`` output decoded to rows, as a
+:class:`QueryResult`.  Only tests read the engine's output as rows.
 """
 
-from typing import Any, Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.core import session
 from repro.grounding.bottom_up import (
@@ -28,6 +33,7 @@ from repro.grounding.bottom_up import (
 )
 from repro.grounding.pruning import LiteralOutcome, literal_outcome
 from repro.grounding.result import ClauseGroundingStats
+from repro.rdbms.executor import Executor
 from repro.rdbms.operators import (
     Distinct,
     Filter,
@@ -37,6 +43,7 @@ from repro.rdbms.operators import (
     SortMergeJoin,
     TableScan,
 )
+from repro.rdbms.schema import TableSchema
 from repro.utils.timer import Stopwatch
 
 Row = Tuple[Any, ...]
@@ -165,6 +172,42 @@ _ITERATORS = {
     SortMergeJoin: _sort_merge,
     Distinct: _distinct,
 }
+
+
+@dataclass
+class QueryResult:
+    """A plan's engine output, decoded to rows."""
+
+    schema: TableSchema
+    rows: List[Row]
+    elapsed_seconds: float
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def column(self, name: str) -> List[Any]:
+        position = self.schema.position(name)
+        return [row[position] for row in self.rows]
+
+    def as_dicts(self) -> List[dict]:
+        names = self.schema.column_names
+        return [dict(zip(names, row)) for row in self.rows]
+
+
+def execute_plan(plan, executor: Optional[Executor] = None) -> QueryResult:
+    """Run a plan (a root operator or a ``PlannedQuery``) on the engine, as rows."""
+    result = (executor or Executor()).execute_batch(plan)
+    return QueryResult(
+        result.schema, result.batch.to_rows(result.encoder), result.elapsed_seconds
+    )
+
+
+def execute_query(db, query, options=None) -> QueryResult:
+    """Plan a conjunctive query on ``db`` and run it on its engine, as rows."""
+    return execute_plan(db.plan(query, options), db.executor)
 
 
 def consume_rows(clause, compilation, schema, result_rows, store) -> Tuple[int, int]:

@@ -536,72 +536,6 @@ class TestPoolLifecycle:
         assert messages(report, "fork-pool-lifecycle") == []
 
 
-class TestReqStateIsolation:
-    def test_session_writes_in_scoped_methods_fire(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {"core/session.py": """\
-            class EngineSession:
-                _request_scoped_methods = ("_serve_map", "_search_partitioned")
-
-                def _serve_map(self, seed):
-                    self.last_result = seed
-                    self.stats.requests += 1
-                    return seed
-
-                def _search_partitioned(self, plan):
-                    self._split[0] = plan
-                    self._cached_traces.append(plan)
-            """}, select=["req-state-isolation"])
-        found = messages(report, "req-state-isolation")
-        assert len(found) == 4
-        assert any("'self.last_result'" in message for message in found)
-        assert any("'self.stats.requests'" in message for message in found)
-        assert any("'self._split[...]'" in message for message in found)
-        assert any(
-            "'self._cached_traces.append(...)'" in message for message in found
-        )
-
-    def test_local_writes_and_plumbing_methods_are_clean(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {"core/session.py": """\
-            class EngineSession:
-                _request_scoped_methods = ("_serve_map",)
-
-                def _serve_map(self, seed):
-                    with self._lock:
-                        plan = self._begin_request(seed)
-                    result = {}
-                    result["seed"] = plan.seed
-                    plan.flips += 1
-                    states = self._state_lease.checkout("key", list)
-                    return result
-
-                def _begin_request(self, seed):
-                    self.stats.requests += 1
-                    return seed
-            """}, select=["req-state-isolation"])
-        assert report.findings == []
-
-    def test_unmarked_class_is_clean(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {"core/session.py": """\
-            class EngineSession:
-                def _serve_map(self, seed):
-                    self.last_result = seed
-                    return seed
-            """}, select=["req-state-isolation"])
-        assert report.findings == []
-
-    def test_suppression_is_honored(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {"core/session.py": """\
-            class EngineSession:
-                _request_scoped_methods = ("_serve_map",)
-
-                def _serve_map(self, seed):
-                    self.debug_probe = seed  # repro: allow(req-state-isolation): test probe
-                    return seed
-            """}, select=["req-state-isolation"])
-        assert report.findings == []
-        assert len(report.suppressed) == 1
-
-
 SEAM_CONFIG = """\
     class InferenceConfig:
         seed: int = 0

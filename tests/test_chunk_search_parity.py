@@ -15,7 +15,6 @@ hitting times, traces and simulated seconds — except the wall-clock
 
 import math
 import random
-import threading
 
 import pytest
 
@@ -181,7 +180,7 @@ class TestChunkRunnerAgainstSpec:
         fallbacks = {}
         for indices in cuts:
             chunk_costs, returned, nbytes, events = request.run_chunk(
-                indices, context, 0, False
+                indices, context, False
             )
             assert events is None
             assert nbytes > 0 or returned
@@ -220,7 +219,7 @@ class TestChunkRunnerAgainstSpec:
                     components, request, cuts, context, regions
                 )
                 assert fallbacks == {}
-                columns = regions.read_walksat_columns(0)
+                columns = regions.read_walksat_columns()
                 got = columns.results()
                 for index, outcome in enumerate(spec):
                     assert fields(got[index]) == fields(outcome.result)
@@ -247,8 +246,8 @@ class TestChunkRunnerAgainstSpec:
                     allocation=_allocation(components, budget),
                             budget=budget,
                 )
-                request.run_chunk(indices, context, 0, False)
-                got = regions.read_walksat_columns(0).results()
+                request.run_chunk(indices, context, False)
+                got = regions.read_walksat_columns().results()
                 assert [fields(r) for r in got] == [fields(o.result) for o in spec]
         finally:
             regions.destroy()
@@ -275,7 +274,7 @@ class TestChunkRunnerAgainstSpec:
         regions = ResultBufferSet.pack(components, trace_capacity=0, shared=False)
         try:
             costs, fallbacks, nbytes, _events = request.run_chunk(
-                list(range(len(components))), ChunkContext(components, regions), 0, False
+                list(range(len(components))), ChunkContext(components, regions), False
             )
         finally:
             regions.destroy()
@@ -353,34 +352,28 @@ class TestComponentSearchAgainstSpec:
         assert_matches_spec(result, spec_search(components, options, 7, 1500))
 
     @needs_fork
-    @pytest.mark.parametrize("banks", (2, 1))
-    def test_two_interleaved_requests(self, banks):
-        # With one bank, a request admitted while the other holds it
-        # ships every result through the pickled fallback.
+    @pytest.mark.parametrize("trace_capacity", (None, 1), ids=("shm", "pickled"))
+    def test_two_requests_back_to_back_on_one_pool(self, trace_capacity):
+        # The second request on a warm pool sees nothing of the first:
+        # each matches its own spec run on either shipping channel.
         components = mixed_components(count=40, seed=8)
         options = WalkSATOptions(max_flips=3000)
         results = {}
-        with WorkerPool(components, 2, result_banks=banks) as pool:
-
-            def serve(request_id, seed):
-                results[request_id] = ComponentAwareWalkSAT(
-                    options, RandomSource(seed), workers=2, parallel_backend="processes"
-                ).run(components, total_flips=3000, pool=pool, request_id=request_id)
-
-            threads = [
-                threading.Thread(target=serve, args=(request_id, 10 + request_id))
-                for request_id in (1, 2)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert pool._inflight == {} and pool._ready == {}
-        for request_id in (1, 2):
-            shipped = results[request_id].shm_shipped
-            assert shipped + results[request_id].pickle_shipped == len(components)
-            assert shipped == len(components) or banks == 1
+        with WorkerPool(components, 2, trace_capacity=trace_capacity) as pool:
+            for request_id in (1, 2):
+                results[request_id] = search(
+                    components, options, 10 + request_id, 3000, "processes",
+                    pool=pool, request_id=request_id,
+                )
+                assert pool._inflight == {} and not pool._tokens, request_id
+            assert pool.matches(components)
+        for request_id, result in results.items():
+            assert result.shm_shipped + result.pickle_shipped == len(components)
+            if trace_capacity is None:
+                assert result.shm_shipped == len(components), request_id
+            else:
+                assert result.pickle_shipped > 0, request_id
             assert_matches_spec(
-                results[request_id],
-                spec_search(components, options, 10 + request_id, 3000),
+                result, spec_search(components, options, 10 + request_id, 3000)
             )
+

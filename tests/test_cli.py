@@ -181,7 +181,6 @@ class TestBadInput:
             ("--scale", "inf", "number"),
             ("--session-requests", "0", "integer"),
             ("--session-requests", "-2", "integer"),
-            ("--max-inflight-requests", "0", "integer"),
             ("--session-concurrent", "0", "integer"),
             ("--session-concurrent", "two", "integer"),
         ),

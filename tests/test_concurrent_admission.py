@@ -1,17 +1,22 @@
-"""Concurrent request admission: interleaved requests equal their solo runs.
+"""Submitted requests: served one at a time, each equal to its solo run.
 
-The session's concurrency contract (:mod:`repro.core.session`): up to
-``max_inflight_requests`` submitted requests run interleaved over the
-shared session state — persistent pool, shared-memory result banks,
-grounding caches, kernel-state lease — and every request's MAP
-assignment, marginals, skipped set and telemetry are bit-identical to
-running the same request alone.  Checked across parallel backends and
-worker counts, including a per-request deadline and
-an injected slow worker (the ``stall_worker`` hook) forcing maximal
-interleaving skew on a shared pool.
+The session's serving contract (:mod:`repro.core.session`): a blocking
+``run_map`` / ``run_marginal`` is served on the caller's thread, and
+``submit_map`` / ``submit_marginal`` futures are served in submission
+order by one executor thread, each holding the session lock from setup
+through merge.  Every request's MAP assignment, marginals, skipped set
+and simulated accounting are bit-identical to running the same request
+alone — checked across parallel backends and worker counts, with a
+per-request deadline, across an evidence delta, and on the fault paths:
+a failing request, ``close()`` with queued futures, and a reply tagged
+for the wrong request.  Every fault test waits with a bound and checks
+that the shared-memory segments it created are gone.
 """
 
+import os
 import threading
+import time
+from concurrent.futures import CancelledError
 
 import pytest
 
@@ -20,9 +25,14 @@ from repro.core.config import InferenceConfig
 from repro.core.engine import TuffyEngine
 from repro.datasets import DatasetScale, load_dataset
 from repro.grounding.clause_table import GroundClauseStore
+from repro.inference.component_walksat import (
+    ComponentAwareWalkSAT,
+    ComponentSearchRequest,
+)
 from repro.inference.walksat import WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.parallel import processes_available
+from repro.parallel.buffers import ResultBufferSet
 from repro.parallel.pool import ComponentTask, WorkerPool
 from repro.parallel.scheduler import run_component_tasks
 from repro.utils.rng import RandomSource
@@ -32,6 +42,10 @@ BACKENDS = [
     if backend != "processes" or processes_available()
 ]
 WORKER_COUNTS = (1, 2, 4)
+needs_fork = pytest.mark.skipif(not processes_available(), reason="fork not available")
+
+#: Upper bound on any single wait in the fault tests.
+WAIT_SECONDS = 60.0
 
 
 def _program():
@@ -76,9 +90,8 @@ def _assert_same_map(result, reference, key=None):
     assert result.cost == reference.cost, key
     assert result.flips == reference.flips, key
     assert result.component_count == reference.component_count, key
-    # An interleaved request never pays *more* simulated I/O than its solo
-    # run — concurrent setup is serialized and the buffer cache can only
-    # absorb repeated scans.
+    # A warm request never pays *more* simulated I/O than its solo run —
+    # the buffer cache can only absorb repeated scans.
     assert result.simulated_seconds <= reference.simulated_seconds, key
 
 
@@ -88,12 +101,49 @@ def _assert_same_marginal(result, reference, key=None):
     assert result.cost == reference.cost, key
 
 
-class TestConcurrentAdmissionParity:
-    """K mixed in-flight requests, each bit-equal to its solo run."""
+@pytest.fixture
+def shm_segments(monkeypatch):
+    """Names of the shared-memory segments packed during the test.
+
+    Recorded at pack time, so the check at teardown sees only this test's
+    own segments, never another process's.
+    """
+    created = []
+    pack = ResultBufferSet.pack
+
+    def recording(*args, **kwargs):
+        buffers = pack(*args, **kwargs)
+        name = getattr(buffers._shm, "name", None)
+        if name is not None:
+            created.append(name)
+        return buffers
+
+    monkeypatch.setattr(ResultBufferSet, "pack", staticmethod(recording))
+    yield created
+    left = [name for name in created if os.path.exists(f"/dev/shm/{name}")]
+    assert not left, f"shared-memory segments left behind: {left}"
+
+
+def _patch_run_chunk(monkeypatch, before):
+    """Call ``before(request)`` ahead of every component-search chunk.
+
+    Patched on the class before any pool forks, so workers inherit it.
+    """
+    real = ComponentSearchRequest.run_chunk
+
+    def patched(self, indices, context, traced):
+        before(self)
+        return real(self, indices, context, traced)
+
+    monkeypatch.setattr(ComponentSearchRequest, "run_chunk", patched)
+
+
+class TestFifoParity:
+    """K mixed submitted requests, each bit-equal to its solo run."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_mixed_inflight_requests_match_solo_runs(self, backend, workers):
+    def test_mixed_submitted_requests_match_solo_runs(self, backend, workers):
         solo_map_0 = TuffyEngine(_program(), _config(
             parallel_backend=backend, workers=workers)).run_map(seed=0)
         solo_map_7 = TuffyEngine(_program(), _config(
@@ -105,7 +155,7 @@ class TestConcurrentAdmissionParity:
             seed=5, deadline_seconds=1e-9)
 
         with TuffyEngine(_program(), _config(
-            parallel_backend=backend, workers=workers, max_inflight_requests=4,
+            parallel_backend=backend, workers=workers,
         )) as engine:
             futures = [
                 engine.submit_map(seed=0),
@@ -113,7 +163,8 @@ class TestConcurrentAdmissionParity:
                 engine.submit_marginal(seed=3),
                 engine.submit_map(seed=5, deadline_seconds=1e-9),
             ]
-            got = [future.result() for future in futures]
+            got = [future.result(timeout=WAIT_SECONDS) for future in futures]
+            assert engine.request_log()[-1]["request_id"] == 4
 
         key = (backend, workers)
         _assert_same_map(got[0], solo_map_0, key)
@@ -121,43 +172,42 @@ class TestConcurrentAdmissionParity:
         _assert_same_marginal(got[2], solo_marginal, key)
         _assert_same_map(got[3], solo_deadline, key)
 
-    def test_repeat_interleaved_batches_stay_warm(self):
-        # Two consecutive concurrent batches: the second reuses grounding,
-        # components and leased states, and still matches the solo run.
+    def test_repeat_submitted_batches_stay_warm(self):
+        # Two consecutive batches: the second reuses grounding, components
+        # and the pool, and still matches the solo run.
         solo = TuffyEngine(_program(), _config(workers=2)).run_map(seed=0)
-        with TuffyEngine(_program(), _config(
-            workers=2, max_inflight_requests=2,
-        )) as engine:
+        with TuffyEngine(_program(), _config(workers=2)) as engine:
             for _batch in range(2):
                 futures = [engine.submit_map(seed=0) for _ in range(2)]
                 for future in futures:
-                    _assert_same_map(future.result(), solo)
+                    _assert_same_map(future.result(timeout=WAIT_SECONDS), solo)
             assert engine.stats.requests == 4
             assert engine.stats.ground_runs == 1
+            assert engine.stats.pool_launches <= 1
 
-    def test_interleaved_requests_straddle_an_evidence_delta(self):
-        # A delta between two batches drains in-flight requests, re-grounds
-        # once, and the next batch matches a replayed solo session.
+    def test_requests_straddle_an_evidence_delta_in_call_order(self):
+        # Requests finished before the delta see the old evidence; a
+        # blocking and a submitted request after it both match a replayed
+        # solo session, and the session re-grounds exactly once.
         replay = TuffyEngine(_delta_program(), _config(workers=2))
-        replay.run_map(seed=0)
+        before = replay.run_map(seed=0)
         replay.add_evidence("wrote", ("Jake", "P1"))
         expected = replay.run_map(seed=0)
 
-        with TuffyEngine(_delta_program(), _config(
-            workers=2, max_inflight_requests=2,
-        )) as engine:
+        with TuffyEngine(_delta_program(), _config(workers=2)) as engine:
             futures = [engine.submit_map(seed=0) for _ in range(2)]
             for future in futures:
-                future.result()
+                _assert_same_map(future.result(timeout=WAIT_SECONDS), before)
             engine.add_evidence("wrote", ("Jake", "P1"))
-            futures = [engine.submit_map(seed=0) for _ in range(2)]
-            for future in futures:
-                _assert_same_map(future.result(), expected)
+            _assert_same_map(engine.run_map(seed=0), expected)
+            _assert_same_map(
+                engine.submit_map(seed=0).result(timeout=WAIT_SECONDS), expected
+            )
             assert engine.stats.ground_runs == 2
 
 
 class TestSessionGuards:
-    """Lifecycle and accounting edges of the admission path."""
+    """Lifecycle and accounting edges of the serving path."""
 
     def test_submit_after_close_raises(self):
         engine = TuffyEngine(_delta_program(), _config())
@@ -166,62 +216,201 @@ class TestSessionGuards:
             engine.submit_map(seed=0)
         with pytest.raises(RuntimeError, match="closed"):
             engine.submit_marginal(seed=0)
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.run_map(seed=0)
 
     def test_first_request_reports_component_detection_phase(self):
-        # Component detection runs during the first request's setup, after
-        # admission — its time must still land in that request's report.
+        # Component detection runs during the first request's setup — its
+        # time must land in that request's report.
         with TuffyEngine(_program(), _config(workers=2)) as engine:
             result = engine.run_map(seed=0)
         assert "component_detection" in result.phase_seconds
 
-    def test_mismatched_pool_teardown_waits_for_inflight_searches(self, monkeypatch):
-        # Regression: _pool_for used to shut a mismatched pool down while
-        # another admitted request was still draining its shared-memory
-        # result regions.  The teardown must wait for the drain.
-        from repro.core import session as session_module
+    def test_blocking_request_runs_on_the_callers_thread(self, monkeypatch):
+        threads = []
+        _patch_run_chunk(monkeypatch, lambda request: threads.append(threading.get_ident()))
+        with TuffyEngine(_program(), _config(parallel_backend="serial")) as engine:
+            engine.run_map(seed=0)
+            caller = len(threads)
+            engine.submit_map(seed=0).result(timeout=WAIT_SECONDS)
+        assert caller and set(threads[:caller]) == {threading.get_ident()}
+        assert threading.get_ident() not in threads[caller:]
+
+    def test_close_finishes_running_request_and_cancels_queued_ones(self, monkeypatch):
+        entered = threading.Event()
+        release = threading.Event()
+
+        def hold_seed_zero(request):
+            if request.seed == 0:
+                entered.set()
+                assert release.wait(WAIT_SECONDS)
+
+        solo = TuffyEngine(_program(), _config(parallel_backend="serial")).run_map(seed=0)
+        _patch_run_chunk(monkeypatch, hold_seed_zero)
+        engine = TuffyEngine(_program(), _config(parallel_backend="serial"))
+        running = engine.submit_map(seed=0)
+        assert entered.wait(WAIT_SECONDS)
+        # Submitting never waits for the running request.
+        queued = [engine.submit_map(seed=7), engine.submit_marginal(seed=3)]
+        assert not any(future.done() for future in queued)
+
+        closer = threading.Thread(target=engine.close)
+        closer.start()
+        deadline = time.monotonic() + WAIT_SECONDS
+        while not all(future.cancelled() for future in queued):
+            assert time.monotonic() < deadline, "close() did not cancel queued requests"
+            time.sleep(0.01)
+        assert not running.done()
+        release.set()
+        closer.join(WAIT_SECONDS)
+        assert not closer.is_alive(), "close() hung"
+
+        _assert_same_map(running.result(timeout=WAIT_SECONDS), solo)
+        for future in queued:
+            with pytest.raises(CancelledError):
+                future.result(timeout=WAIT_SECONDS)
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.submit_map(seed=0)
+
+    @needs_fork
+    def test_mismatched_pool_is_shut_down_before_the_next_fork(
+        self, monkeypatch, shm_segments
+    ):
+        # A request over a different component list replaces the pool:
+        # the old one is shut down (workers joined, segment unlinked)
+        # before the new one forks, and a matching request reuses it.
         from repro.core.session import EngineSession
 
-        session = EngineSession(_delta_program(), _config(
-            parallel_backend="processes", workers=2))
         events = []
+        fork, shutdown = WorkerPool.__init__, WorkerPool.shutdown
 
-        class OldPool:
-            def matches(self, components):
-                return False
+        def recording_fork(pool, components, *args, **kwargs):
+            fork(pool, components, *args, **kwargs)
+            events.append(("forked", len(components)))
 
-            def shutdown(self):
-                events.append(("shutdown", session._active_searches))
+        def recording_shutdown(pool):
+            if not pool._closed:
+                events.append(("shutdown", len(pool._components)))
+            shutdown(pool)
 
-        class FreshPool:
-            def __init__(self, components, workers, result_banks=1, metrics=None):
-                events.append(("forked", len(components)))
+        monkeypatch.setattr(WorkerPool, "__init__", recording_fork)
+        monkeypatch.setattr(WorkerPool, "shutdown", recording_shutdown)
+        first, second = imbalanced_components(), imbalanced_components()[:4]
+        with EngineSession(_delta_program(), _config(
+            parallel_backend="processes", workers=2,
+        )) as session:
+            old = session._pool_for(first)
+            new = session._pool_for(second)
+            assert new is not old and new.matches(second)
+            assert old._closed and not old.matches(first)
+            assert not os.path.exists(f"/dev/shm/{shm_segments[0]}")
+            assert session._pool_for(second) is new
+            assert session.stats.pool_launches == 2
+        assert events == [
+            ("forked", 6), ("shutdown", 6), ("forked", 4), ("shutdown", 4),
+        ]
 
-            def shutdown(self):
-                pass
 
-        monkeypatch.setattr(session_module, "WorkerPool", FreshPool)
-        monkeypatch.setattr(
-            session_module, "resolve_parallel_backend", lambda *a, **k: "processes"
-        )
-        session._pool_holder["pool"] = OldPool()
-        session._enter_search()  # a concurrent request mid-search
+class TestFaultPaths:
+    """A fault fails exactly its own request; later requests are clean."""
 
-        done = threading.Event()
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_failing_request_fails_only_its_future(self, backend, monkeypatch, shm_segments):
+        def fail_seed_13(request):
+            if request.seed == 13:
+                raise ValueError("injected kernel failure")
 
-        def swap_pool():
-            session._pool_for([object(), object()])
-            done.set()
+        config = dict(parallel_backend=backend, workers=2)
+        solo = {}
+        for seed in (0, 7):
+            with TuffyEngine(_program(), _config(**config)) as engine:
+                solo[seed] = engine.run_map(seed=seed)
+        _patch_run_chunk(monkeypatch, fail_seed_13)
+        with TuffyEngine(_program(), _config(**config)) as engine:
+            futures = [
+                engine.submit_map(seed=0),
+                engine.submit_map(seed=13),
+                engine.submit_map(seed=7),
+            ]
+            _assert_same_map(futures[0].result(timeout=WAIT_SECONDS), solo[0])
+            with pytest.raises((RuntimeError, ValueError), match="injected kernel failure"):
+                futures[1].result(timeout=WAIT_SECONDS)
+            _assert_same_map(futures[2].result(timeout=WAIT_SECONDS), solo[7])
+            if backend == "processes":
+                # The failed request shut its pool down; the request behind
+                # it ran on a freshly forked one.
+                assert engine.stats.pool_launches == 2
+            assert engine.stats.requests == 3
 
-        thread = threading.Thread(target=swap_pool)
-        thread.start()
-        try:
-            assert not done.wait(0.2), "teardown did not wait for the drain"
-            assert events == []
-        finally:
-            session._finish_request(None)
-            thread.join(timeout=5.0)
-        assert done.is_set()
-        assert events == [("shutdown", 0), ("forked", 2)]
+    @needs_fork
+    def test_dead_worker_fails_only_its_request(self, monkeypatch, shm_segments):
+        # A worker that exits without replying (as after an OOM kill) is
+        # found by the timed drain: only that request fails, and the one
+        # behind it runs on a freshly forked pool.
+        def exit_on_seed_13(request):
+            if request.seed == 13:
+                os._exit(3)
+
+        config = dict(parallel_backend="processes", workers=2)
+        with TuffyEngine(_program(), _config(**config)) as engine:
+            solo = engine.run_map(seed=7)
+        _patch_run_chunk(monkeypatch, exit_on_seed_13)
+        with TuffyEngine(_program(), _config(**config)) as engine:
+            failing = engine.submit_map(seed=13)
+            behind = engine.submit_map(seed=7)
+            with pytest.raises(RuntimeError, match="died before replying"):
+                failing.result(timeout=WAIT_SECONDS)
+            _assert_same_map(behind.result(timeout=WAIT_SECONDS), solo)
+            assert engine.stats.pool_launches == 2
+            assert engine.stats.requests == 2
+
+    @needs_fork
+    @pytest.mark.parametrize("path", ("tasks", "search"))
+    def test_reply_tagged_for_another_request_raises(self, path, shm_segments):
+        components = imbalanced_components()
+        with WorkerPool(components, 2) as pool:
+            # A reply left behind by request 99, ahead of request 1's own.
+            pool._results.put((99, 0, [], 0, 0))
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="tagged for request 99"):
+                if path == "tasks":
+                    run_component_tasks(
+                        components, walksat_tasks(components), backend="processes",
+                        workers=2, pool=pool, request_id=1,
+                    )
+                else:
+                    ComponentAwareWalkSAT(
+                        WalkSATOptions(max_flips=400), RandomSource(7), workers=2,
+                        parallel_backend="processes",
+                    ).run(components, pool=pool, request_id=1)
+            assert time.monotonic() - started < WAIT_SECONDS
+            # The stale reply was never consumed as a result: the pool is
+            # shut down and matches nothing, so its owner forks afresh.
+            assert not pool.matches(components)
+        assert len(shm_segments) == 1
+
+    @needs_fork
+    def test_request_leaving_chunks_in_flight_shuts_its_pool_down(self, shm_segments):
+        # Every result rides the reply pickled (no trace fits a region),
+        # so the one unread reply is larger than a pipe holds.
+        components = [
+            conflicted_chain(400, first_atom=1 + 1000 * index) for index in range(60)
+        ]
+        with WorkerPool(components, 1, trace_capacity=0) as pool:
+            pool.submit_chunk(walksat_tasks(components, flips=20))
+            deadline = time.monotonic() + WAIT_SECONDS
+            while pool._results.empty():
+                assert time.monotonic() < deadline, "the worker never replied"
+                time.sleep(0.01)
+            # The request ends (say, its parent thread raised) without
+            # reading the reply: the pool shuts down rather than hand the
+            # reply to the next request, and its worker exits regardless.
+            closer = threading.Thread(target=pool.finish_request, daemon=True)
+            closer.start()
+            closer.join(WAIT_SECONDS)
+            assert not closer.is_alive(), "shutting the pool down hung"
+            assert not pool.matches(components)
+        assert len(shm_segments) == 1
 
 
 def conflicted_chain(n_atoms, first_atom=1, weight=1.0):
@@ -270,133 +459,29 @@ def result_fields(result):
     )
 
 
-@pytest.mark.skipif(not processes_available(), reason="fork not available")
-class TestSharedPoolMultiplexing:
-    """Two requests drive one pool at once; tokens route per request."""
+@needs_fork
+class TestSharedPoolRequests:
+    """Consecutive requests on one warm pool, each equal to its solo run."""
 
-    def _drive_concurrently(self, pool, components, request_ids):
-        reference = run_component_tasks(
-            components, walksat_tasks(components), backend="serial", workers=1
-        )
-        outcomes = {}
-        errors = []
-
-        def drive(request_id):
-            try:
-                outcomes[request_id] = run_component_tasks(
-                    components,
-                    walksat_tasks(components),
-                    backend="processes",
-                    workers=2,
-                    pool=pool,
-                    request_id=request_id,
-                )
-            except Exception as error:  # pragma: no cover - surfaced below
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=drive, args=(request_id,))
-            for request_id in request_ids
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors, errors
-        return reference, outcomes
-
-    def test_interleaved_requests_with_stalled_worker(self):
-        components = imbalanced_components()
-        with WorkerPool(
-            components, 2, stall_worker=(0, 0.02), result_banks=2
-        ) as pool:
-            reference, outcomes = self._drive_concurrently(
-                pool, components, (1, 2)
-            )
-        for request_id, outcome in outcomes.items():
-            for got, want in zip(outcome.results, reference.results):
-                assert result_fields(got) == result_fields(want), request_id
-            # Shipping counters are attributed per request, not cumulative
-            # across the pool's lifetime.
-            assert outcome.shm_shipped == len(components), request_id
-            assert outcome.pickle_shipped == 0, request_id
-            assert outcome.executed == len(components), request_id
-
-    def test_bank_exhaustion_falls_back_to_pickle(self):
-        # One result bank, two in-flight requests: whichever request misses
-        # the bank ships every result through the pickled queue — slower,
-        # never wrong.
-        components = imbalanced_components()
-        with WorkerPool(components, 2, result_banks=1) as pool:
-            reference, outcomes = self._drive_concurrently(
-                pool, components, (1, 2)
-            )
-        shipped = []
-        for request_id, outcome in outcomes.items():
-            for got, want in zip(outcome.results, reference.results):
-                assert result_fields(got) == result_fields(want), request_id
-            assert (
-                outcome.shm_shipped + outcome.pickle_shipped == len(components)
-            ), request_id
-            shipped.append((outcome.shm_shipped, outcome.pickle_shipped))
-        total_shm = sum(shm for shm, _pickled in shipped)
-        total_pickled = sum(pickled for _shm, pickled in shipped)
-        assert total_shm + total_pickled == 2 * len(components)
-
-    def test_other_requests_chunk_message_is_parked_as_a_block(self):
-        # One worker, so completion messages arrive in submission order:
-        # request 1's chunk answers first, and the thread draining request
-        # 2 is the one that reads it — the whole block is parked for its
-        # owner, who then collects it without touching the queue.
-        components = imbalanced_components()
-        reference = run_component_tasks(
-            components, walksat_tasks(components), backend="serial", workers=1
-        )
-        chunks = {}
-        for request_id in (1, 2):
-            chunks[request_id] = walksat_tasks(components)
-            for task in chunks[request_id]:
-                task.request_id = request_id
-        with WorkerPool(components, 1, result_banks=2) as pool:
-            pool.submit_chunk(chunks[1])
-            pool.submit_chunk(chunks[2][:4])
-            pool.submit_chunk(chunks[2][4:])
-            counters = lambda: pool.metrics.as_dict()["counters"]
-            first, _worker = pool.next_outcome(2)
-            assert counters()["pool.parked_tokens"] == len(components)
-            assert len(pool._ready[1]) == len(components)
-            assert first.index == 0
-            # Request 1 collects its parked block while request 2's second
-            # chunk message is still on the queue (or not even produced).
-            got = {}
-            for _ in components:
-                outcome, _worker = pool.next_outcome(1)
-                got[outcome.index] = outcome
-            assert sorted(got) == list(range(len(components)))
-            for index, want in enumerate(reference.results):
-                assert result_fields(got[index].result) == result_fields(want)
-            assert counters()["pool.parked_tokens"] == len(components)
-            # Request 2's own messages are queued locally, never "parked".
-            rest = [pool.next_outcome(2)[0].index for _ in components[1:]]
-            assert rest == [1, 2, 3, 4, 5]
-            assert counters()["pool.parked_tokens"] == len(components)
-            assert pool.finish_request(1)[0] == len(components)
-            assert pool.finish_request(2)[0] == len(components)
-            assert pool._inflight == {} and pool._ready == {}
-
-    def test_interleaved_chunked_requests_match_solo(self):
-        # Enough components that each request travels in multi-task
-        # chunks; two threads drain one pool, parking each other's blocks.
+    def test_chunked_requests_back_to_back_match_solo(self):
+        # Enough components that each request travels in multi-task chunks.
         components = [
             conflicted_chain(2 + index % 5, first_atom=1 + 100 * index)
             for index in range(40)
         ]
-        with WorkerPool(components, 2, result_banks=2) as pool:
-            reference, outcomes = self._drive_concurrently(
-                pool, components, (1, 2)
-            )
+        reference = run_component_tasks(
+            components, walksat_tasks(components), backend="serial", workers=1
+        )
+        with WorkerPool(components, 2) as pool:
+            outcomes = {
+                request_id: run_component_tasks(
+                    components, walksat_tasks(components), backend="processes",
+                    workers=2, pool=pool, request_id=request_id,
+                )
+                for request_id in (1, 2)
+            }
             counters = pool.metrics.as_dict()["counters"]
-            assert pool._inflight == {} and pool._ready == {}
+            assert pool._inflight == {} and not pool._tokens
         assert counters["pool.shm_shipped"] == 2 * len(components)
         for request_id, outcome in outcomes.items():
             assert outcome.dispatch_order == reference.dispatch_order
@@ -405,23 +490,11 @@ class TestSharedPoolMultiplexing:
             assert outcome.shm_shipped == len(components), request_id
             assert sum(outcome.worker_task_counts.values()) == len(components)
 
-    def test_shm_token_without_inflight_record_raises(self):
-        # Regression: a shm completion token with no in-flight record used
-        # to default to bank 0 — another request's live result region.
-        components = [conflicted_chain(3)]
-        with WorkerPool(components, 1) as pool:
-            task = walksat_tasks(components)[0]
-            pool.submit_chunk([task])
-            with pool._route_lock:
-                pool._inflight.clear()
-            with pytest.raises(RuntimeError, match="no in-flight task record"):
-                pool.next_outcome(task.request_id)
-
     def test_warm_sequential_requests_report_per_request_shipping(self):
         # Regression for the stale-telemetry bug: the second warm request
         # used to report the pool-lifetime cumulative counters.
         components = imbalanced_components()
-        with WorkerPool(components, 2, result_banks=1) as pool:
+        with WorkerPool(components, 2) as pool:
             for request_id in (1, 2):
                 outcome = run_component_tasks(
                     components,
@@ -439,6 +512,24 @@ class TestSharedPoolMultiplexing:
             # The pool-lifetime counters do accumulate.
             assert pool.shm_shipped == 2 * len(components)
 
+    def test_back_to_back_requests_with_stalled_worker(self):
+        # A slow worker changes which worker runs what, never the results.
+        components = imbalanced_components()
+        reference = run_component_tasks(
+            components, walksat_tasks(components), backend="serial", workers=1
+        )
+        with WorkerPool(components, 2, stall_worker=(0, 0.02)) as pool:
+            for request_id in (1, 2):
+                outcome = run_component_tasks(
+                    components, walksat_tasks(components), backend="processes",
+                    workers=2, pool=pool, request_id=request_id,
+                )
+                for got, want in zip(outcome.results, reference.results):
+                    assert result_fields(got) == result_fields(want), request_id
+                assert outcome.shm_shipped == len(components), request_id
+                assert outcome.pickle_shipped == 0, request_id
+                assert outcome.executed == len(components), request_id
+
 
 class TestConcurrentCLI:
     def test_session_concurrent_prints_aggregate_throughput(self, capsys):
@@ -450,4 +541,4 @@ class TestConcurrentCLI:
         assert status == 0
         assert "# session (concurrent)" in captured
         assert "aggregate req/sec" in captured
-        assert "in-flight" in captured
+        assert "FIFO, one at a time" in captured

@@ -133,6 +133,7 @@ class TestTuffyEngine:
             ("mcsat_burn_in", -5),
             ("bytes_per_state_unit", 0),
             ("deadline_seconds", -1.0),
+            ("max_inflight_requests", 0),
         ),
     )
     def test_out_of_range_value_rejected_at_construction(self, field, value):

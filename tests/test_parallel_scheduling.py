@@ -170,7 +170,7 @@ class TestForkInheritedComponents:
             shipped = {
                 outcome.index: outcome for outcome in pool.drain(len(tasks))
             }
-            pool.finish_request(0)
+            pool.finish_request()
         for task in tasks:
             local = execute_component_task(task, components[task.index])
             remote = shipped[task.index]
@@ -397,7 +397,7 @@ class TestChunkedPool:
             for _ in components:
                 outcome, _worker = pool.next_outcome()
                 outcomes[outcome.index] = outcome
-            assert pool.finish_request(0)[:2] == (fits.count(True), fits.count(False))
+            assert pool.finish_request()[:2] == (fits.count(True), fits.count(False))
         for index, want in enumerate(expected):
             assert outcome_fields(outcomes[index]) == outcome_fields(want)
 
@@ -422,17 +422,14 @@ class TestChunkedPool:
             with pytest.raises(RuntimeError, match="component 2.*bogus"):
                 pool.next_outcome(7)
             # ... and the request closes out clean: no in-flight records
-            # (the chunk's never-run tasks included), no queued tokens,
-            # the bank back on the free list.
-            assert pool.finish_request(7) == (2, 0, pool.shm_bytes)
-            assert 7 not in pool._inflight
-            assert 7 not in pool._ready
-            assert 7 not in pool._bank_of
-            assert pool._free_banks == [0]
+            # (the chunk's never-run tasks included), no queued tokens.
+            assert pool.finish_request() == (2, 0, pool.shm_bytes)
+            assert pool._inflight == {}
+            assert not pool._tokens
         finally:
             pool.shutdown()
 
-    def test_scheduler_surfaces_mid_chunk_error_and_frees_the_bank(self):
+    def test_scheduler_surfaces_mid_chunk_error_and_closes_out(self):
         components = many_components(6)
         tasks = walksat_tasks(components)
         tasks[3] = ComponentTask(index=3, kind="bogus", seed=0)
@@ -443,8 +440,6 @@ class TestChunkedPool:
                     request_id=5,
                 )
             assert pool._inflight == {}
-            assert pool._bank_of == {}
-            assert pool._free_banks == [0]
 
     def test_worker_dying_mid_chunk_surfaces_through_liveness_poll(self, monkeypatch):
         components = many_components(4)
@@ -464,7 +459,7 @@ class TestChunkedPool:
             with pytest.raises(RuntimeError, match="died before replying"):
                 pool.next_outcome()
             assert time.monotonic() - started < 10.0
-            pool.finish_request(0)
+            pool.finish_request()
             assert pool._inflight == {}
         finally:
             pool.shutdown()

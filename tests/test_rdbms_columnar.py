@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from row_oracle import rows as oracle_rows
+from row_oracle import execute_plan, execute_query, rows as oracle_rows
 
 from repro.rdbms.column_batch import (
     NULL_CODE,
@@ -24,7 +24,6 @@ from repro.rdbms.column_batch import (
 )
 from repro.grounding.bottom_up import plan_intermediate_tuples
 from repro.rdbms.database import Database
-from repro.rdbms.executor import Executor
 from repro.rdbms.expressions import (
     And,
     ColumnRef,
@@ -98,7 +97,7 @@ def run_both(plan_factory):
     row_plan = plan_factory()
     col_plan = plan_factory()
     rows = oracle_rows(row_plan)
-    cols = Executor().execute(col_plan).rows
+    cols = execute_plan(col_plan).rows
     return rows, cols, row_plan, col_plan
 
 
@@ -373,7 +372,7 @@ class TestRandomizedPlanParity:
             OptimizerOptions(enable_predicate_pushdown=False),
         ):
             oracle_plan, engine_plan = db.plan(query, options), db.plan(query, options)
-            assert oracle_rows(oracle_plan) == db.executor.execute(engine_plan).rows
+            assert oracle_rows(oracle_plan) == execute_plan(engine_plan, db.executor).rows
             assert plan_intermediate_tuples(oracle_plan.root) == plan_intermediate_tuples(
                 engine_plan.root
             )
@@ -404,7 +403,7 @@ class TestIOAccountingParity:
 
         stats = {}
         options = OptimizerOptions(charge_io=True)
-        for backend, run in (("row", oracle_rows), ("columnar", Executor().execute)):
+        for backend, run in (("row", oracle_rows), ("columnar", execute_plan)):
             db = fresh_db()
             db.reset_io_statistics()
             run(db.plan(query(), options))
@@ -421,9 +420,9 @@ class TestIOAccountingParity:
         q.add_output("t0.x", "x")
         options = OptimizerOptions(charge_io=True)
         db.reset_io_statistics()
-        db.execute(q, options)
+        execute_query(db, q, options)
         first = db.io_statistics().page_reads
-        db.execute(q, options)
+        execute_query(db, q, options)
         # The column cache avoids re-encoding but never avoids I/O charges.
         assert db.io_statistics().page_reads == 2 * first
 

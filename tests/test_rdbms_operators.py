@@ -6,9 +6,8 @@ checks each join algorithm against the row oracle.
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from row_oracle import rows as oracle_rows
+from row_oracle import execute_plan, rows as oracle_rows
 
-from repro.rdbms.executor import Executor
 from repro.rdbms.expressions import ColumnRef, Comparison, Const, columns_equal
 from repro.rdbms.operators import (
     Distinct,
@@ -25,7 +24,7 @@ from repro.rdbms.types import ColumnType
 
 
 def run(plan):
-    return Executor().execute(plan).rows
+    return execute_plan(plan).rows
 
 
 def make_table(name, columns, rows):

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from row_oracle import execute_query
 
 from repro.rdbms.database import Database
 from repro.rdbms.operators import HashJoin, SortMergeJoin
@@ -97,13 +98,13 @@ class TestOptimizerPlans:
     def test_join_results_identical_across_lesion_settings(self):
         db = build_database()
         query = join_query()
-        expected = sorted(db.execute(query, OptimizerOptions.full_optimizer()).rows)
+        expected = sorted(execute_query(db, query, OptimizerOptions.full_optimizer()).rows)
         for options in (
             OptimizerOptions.fixed_join_order(),
             OptimizerOptions.nested_loop_only(),
             OptimizerOptions(enable_hash_join=False),
         ):
-            assert sorted(db.execute(query, options).rows) == expected
+            assert sorted(execute_query(db, query, options).rows) == expected
         assert expected  # non-empty join
 
     def test_full_optimizer_uses_hash_join(self):
@@ -138,8 +139,8 @@ class TestOptimizerPlans:
         db = build_database()
         query = join_query()
         query.add_constant_filter("t1.category", "=", "db")
-        with_pushdown = db.execute(query, OptimizerOptions(enable_predicate_pushdown=True))
-        without_pushdown = db.execute(query, OptimizerOptions(enable_predicate_pushdown=False))
+        with_pushdown = execute_query(db, query, OptimizerOptions(enable_predicate_pushdown=True))
+        without_pushdown = execute_query(db, query, OptimizerOptions(enable_predicate_pushdown=False))
         assert sorted(with_pushdown.rows) == sorted(without_pushdown.rows)
         assert len(with_pushdown.rows) == 2
 
@@ -152,7 +153,7 @@ class TestOptimizerPlans:
         query.add_column_comparison("t0.category", "!=", "t1.category")
         query.add_output("t0.aid")
         query.add_output("t1.aid")
-        rows = db.execute(query).rows
+        rows = execute_query(db, query).rows
         assert (10, 13) in rows and (13, 10) in rows
         assert all(left != right for left, right in rows)
 
@@ -161,7 +162,7 @@ class TestOptimizerPlans:
         query = ConjunctiveQuery(distinct=True)
         query.add_relation("t0", "cat")
         query.add_output("t0.category", "category")
-        assert sorted(db.execute(query).rows) == [("ai",), ("db",)]
+        assert sorted(execute_query(db, query).rows) == [("ai",), ("db",)]
 
     def test_cross_product_when_no_join_condition(self):
         db = build_database()
@@ -170,7 +171,7 @@ class TestOptimizerPlans:
         query.add_relation("t1", "cat")
         query.add_output("t0.aid")
         query.add_output("t1.aid")
-        assert len(db.execute(query).rows) == 12
+        assert len(execute_query(db, query).rows) == 12
 
     def test_unknown_table_raises(self):
         db = build_database()
@@ -232,7 +233,7 @@ class TestSqlRendering:
 class TestExecutor:
     def test_query_result_helpers(self):
         db = build_database()
-        result = db.execute(join_query())
+        result = execute_query(db, join_query())
         assert len(result) == 4
         assert set(result.column("wrote_aid")) == {1, 2, 3}
         assert result.as_dicts()[0].keys() == {"wrote_aid", "cat_aid"}
@@ -265,6 +266,6 @@ class TestOptimizerEquivalenceProperty:
         query.add_join("a.k", "b.k")
         query.add_output("a.v")
         query.add_output("b.v")
-        reference = sorted(db.execute(query, OptimizerOptions.nested_loop_only()).rows)
+        reference = sorted(execute_query(db, query, OptimizerOptions.nested_loop_only()).rows)
         for options in (OptimizerOptions.full_optimizer(), OptimizerOptions(enable_hash_join=False)):
-            assert sorted(db.execute(query, options).rows) == reference
+            assert sorted(execute_query(db, query, options).rows) == reference

@@ -137,9 +137,8 @@ class TestWarmMapParity:
             for _request in range(3):
                 warm = engine.run_map()
             _assert_same_map(warm, cold)
-            # The full-MRF kernel state is cached across requests (checked
-            # back into the lease once no request holds it).
-            assert engine.session._state_lease.held("monolithic")
+            # The full-MRF kernel state is cached across requests.
+            assert "monolithic" in engine.session._states
 
 
 class TestWarmMarginalParity:
