@@ -6,8 +6,9 @@
 # Clones <base-rev> of this repository into a temporary directory, runs the
 # same CLI commands on it and on this working tree (the commands of the
 # verify notes: MAP on RC, IE over the process pool, monolithic LP, MC-SAT
-# marginals on IE, ER under a 2 KB memory budget, and `infer -i/-e` on the
-# program of tests/test_cli.py), masks the wall-clock and memory lines and
+# marginals on IE and ER under a 2 KB memory budget — each of these two also
+# over the process pool — and `infer -i/-e` on the program of
+# tests/test_cli.py), masks the wall-clock and memory lines and
 # diffs the outputs.  Exits non-zero on any difference.  Then prints the
 # `src/repro` line count per package for both trees.
 set -euo pipefail
@@ -47,7 +48,9 @@ COMMANDS=(
   "dataset IE --scale 0.5 --max-flips 20000 --seed 3 --workers 4 --parallel-backend processes"
   "dataset LP --max-flips 15000 --seed 7 --no-partitioning"
   "dataset IE --scale 0.3 --max-flips 4000 --seed 5 --marginal --mcsat-samples 20"
+  "dataset IE --scale 0.3 --max-flips 4000 --seed 5 --marginal --mcsat-samples 20 --workers 2 --parallel-backend processes"
   "dataset ER --scale 0.5 --max-flips 8000 --seed 2 --memory-budget-kb 2"
+  "dataset ER --scale 0.5 --max-flips 8000 --seed 2 --memory-budget-kb 2 --workers 2 --parallel-backend processes"
   "infer -i $work/prog.mln -e $work/prog.db --max-flips 2000"
 )
 

@@ -63,7 +63,8 @@ def _is_mutable_container(node: ast.expr) -> bool:
 
 
 def _is_worker_entrypoint(name: str) -> bool:
-    return name == "execute_component_task" or name.startswith("_worker")
+    """What forked workers run: a request's ``run_chunk`` and ``_worker*``."""
+    return name == "run_chunk" or name.startswith("_worker")
 
 
 @register
@@ -73,15 +74,15 @@ class ForkModuleStateRule(Rule):
     id: ClassVar[str] = "fork-module-state"
     family: ClassVar[str] = "fork-safety"
     description: ClassVar[str] = (
-        "worker entrypoints (execute_component_task, _worker*) must not "
+        "worker entrypoints (every request's run_chunk, _worker*) must not "
         "mutate module-level mutable state: forked workers each inherit a "
         "private copy, so writes silently diverge between processes and "
         "between the serial and processes backends. Keep worker caches in "
-        "locals owned by the worker loop."
+        "locals owned by the worker loop or in the chunk's context."
     )
 
     def applies_to(self, source: SourceFile) -> bool:
-        return source.in_directory("parallel")
+        return source.in_directory("parallel", "inference")
 
     def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
         if source.tree is None:

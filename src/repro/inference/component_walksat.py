@@ -36,7 +36,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.inference.scheduling import ParallelOutcome, weighted_flip_allocation
 from repro.inference.state import SearchState
@@ -48,6 +48,7 @@ from repro.utils.clock import CostModel, SimulatedClock, wall_now, wall_sleep
 from repro.utils.rng import RandomSource, child_seed
 
 if TYPE_CHECKING:
+    from repro.parallel.buffers import ResultBufferSet
     from repro.parallel.merge import WalkSATColumns
 
 
@@ -99,11 +100,13 @@ class ComponentSearchRequest:
     The parent builds it once per request; every chunk message is this
     description plus the chunk's component indices.  Component ``i``
     searches ``allocation[i]`` flips (at least one) on the stream
-    ``RandomSource(seed).spawn(i + 1)`` with its own simulated clock
-    under ``cost_model``; ``options`` supplies what every component
-    shares (tries, noise, restarts, target cost, flip event, kernel
-    backend).  ``budget`` is the total the allocation
-    splits, the key its cached plans are stored under.
+    ``RandomSource(seed).spawn(salt)`` with its own simulated clock
+    under ``cost_model``; the salt is ``salts[i]``, or ``i + 1`` when
+    ``salts`` is ``None`` (Gauss-Seidel's first pass salts its
+    partitions ``500_001 + partition``).  ``options`` supplies what every
+    component shares (tries, noise, restarts, target cost, flip event).
+    ``budget`` is the total the allocation splits, the key its cached
+    plans are stored under.
     """
 
     options: WalkSATOptions
@@ -112,6 +115,45 @@ class ComponentSearchRequest:
     allocation: Sequence[int]
     budget: int
     initial_assignment: Optional[Dict[int, bool]] = None
+    salts: Optional[Sequence[int]] = None
+
+    @property
+    def plan_key(self) -> Tuple:
+        """What a pool caches this request's chunk cuts under."""
+        return ("search", self.budget)
+
+    def chunk_work(self, components: Sequence[MRF], order: Sequence[int]) -> List[int]:
+        """Estimated work per dispatch position: size × allocated flips."""
+        allocation = self.allocation
+        return [components[index].size() * max(allocation[index], 1) for index in order]
+
+    def read_results(
+        self,
+        components: Sequence[MRF],
+        buffers: "ResultBufferSet",
+        overrides: Mapping[int, object],
+    ) -> "WalkSATColumns":
+        """Every component's result, in component order, as columns.
+
+        One bulk read when every result sits in its region; otherwise the
+        per-component objects (region reads, ``overrides`` for fallbacks
+        and placeholders) folded into columns.
+        """
+        from repro.parallel.merge import WalkSATColumns
+
+        if not overrides:
+            return buffers.read_walksat_columns()
+        results = []
+        for index, component in enumerate(components):
+            outcome = overrides.get(index)
+            if outcome is None:
+                result, _seconds = buffers.read_outcome(
+                    index, component.atom_ids, f"component-{index}"
+                )
+            else:
+                result = outcome.result
+            results.append(result)
+        return WalkSATColumns.from_results(results)
 
     def run_chunk(self, indices: Sequence[int], context, traced: bool):
         """Search the chunk's components: one search loop, on either backend.
@@ -128,8 +170,8 @@ class ComponentSearchRequest:
         written, events)``; ``events`` holds each component's
         ``state-setup`` / ``kernel-search`` / ``ship-result`` phases when
         ``traced``, else it is ``None``.  Results equal
-        :func:`~repro.parallel.pool.execute_component_task` on the
-        per-component task, bit for bit.
+        :meth:`WalkSAT.run_on_state` on each component's own stream and
+        simulated clock, bit for bit.
         """
         from repro.parallel.buffers import RESULT_HEADER_SLOTS
         from repro.parallel.pool import ComponentOutcome
@@ -139,6 +181,7 @@ class ComponentSearchRequest:
         allocation = self.allocation
         target = options.target_cost
         seed = self.seed
+        salts = self.salts
         initial = self.initial_assignment
         components = context.components
         results = context.results
@@ -156,7 +199,7 @@ class ComponentSearchRequest:
             mrf = components[index]
             slot = context.slot(index)
             state = slot[0]
-            rng.reseed(child_seed(seed, index + 1))
+            rng.reseed(child_seed(seed, index + 1 if salts is None else salts[index]))
             clock.restart()
             points: list = []
             restricted = (
@@ -266,7 +309,7 @@ class ComponentAwareWalkSAT:
         session's) to the ``processes`` backend, which also keeps the
         request's flip allocation, dispatch order and chunk cuts cached
         for the next request; see
-        :func:`repro.parallel.scheduler.run_component_search`.
+        :func:`repro.parallel.scheduler.run_component_request`.
 
         ``local_states`` supplies caller-owned kernel states (one per
         component) for the serial backend — the engine session passes
@@ -276,7 +319,7 @@ class ComponentAwareWalkSAT:
         """
         from repro.parallel import resolve_parallel_backend
         from repro.parallel.pool import ComponentOutcome
-        from repro.parallel.scheduler import run_component_search
+        from repro.parallel.scheduler import run_component_request
 
         components = self._components(source)
         budget = total_flips if total_flips is not None else self.options.max_flips
@@ -330,7 +373,7 @@ class ComponentAwareWalkSAT:
             return ComponentOutcome(index, result, 0.0)
 
         with self.tracer.span("dispatch", components=len(components)):
-            outcome: ParallelOutcome = run_component_search(
+            outcome: ParallelOutcome = run_component_request(
                 components,
                 request,
                 backend,

@@ -36,13 +36,17 @@ the search state's count initialisation):
 Both consume the identical RNG stream — selection draws ``rng.random()``
 only for eligible clauses, in clause order — so seeded marginals are
 bit-for-bit identical whichever pipeline runs (``tests/test_mcsat_parity.py``).
+
+Over several components, :meth:`MCSat.run_components` describes the run
+once as a :class:`ComponentSampleRequest` and hands it to the partition
+scheduler, which ships it in chunks like a component search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.grounding.clause_table import GroundClause
 from repro.inference.samplesat import (
@@ -53,7 +57,11 @@ from repro.inference.samplesat import (
 )
 from repro.inference.state import SearchState, counts_by_numpy
 from repro.mrf.graph import MRF
-from repro.utils.rng import RandomSource
+from repro.utils.clock import wall_now, wall_sleep
+from repro.utils.rng import RandomSource, child_seed
+
+if TYPE_CHECKING:
+    from repro.parallel.buffers import ResultBufferSet
 
 
 @dataclass
@@ -85,6 +93,82 @@ class MCSatOptions:
             raise ValueError("samples must be positive")
         if self.burn_in < 0:
             raise ValueError("burn_in cannot be negative")
+
+
+@dataclass
+class ComponentSampleRequest:
+    """One MC-SAT request over components, described once for all its chunks.
+
+    Every chunk message is this description plus component indices.
+    Component ``i`` runs :meth:`MCSat.run` with ``options`` on the stream
+    ``RandomSource(seed).spawn(i + 1)``; its probabilities go into its
+    result region, and the parent reads every region back at once.
+    """
+
+    options: MCSatOptions
+    seed: Optional[int]
+
+    @property
+    def plan_key(self) -> Tuple:
+        """What a pool caches this request's chunk cuts under."""
+        return ("sample", self.options.samples + self.options.burn_in)
+
+    def chunk_work(self, components: Sequence[MRF], order: Sequence[int]) -> List[int]:
+        """Estimated work per dispatch position: size × sampling iterations."""
+        steps = max(self.options.samples + self.options.burn_in, 1)
+        return [components[index].size() * steps for index in order]
+
+    def run_chunk(self, indices: Sequence[int], context, traced: bool):
+        """Sample the chunk's components; the same return shape as a search chunk.
+
+        Returns ``(simulated seconds per index, fallbacks, bytes written,
+        events)``: sampling charges no simulated time and every result
+        fits its region, so the seconds are zero and there are no
+        fallbacks.  ``events`` holds each component's ``state-setup`` /
+        ``kernel-search`` / ``ship-result`` phases when ``traced``.
+        """
+        from repro.parallel.buffers import RESULT_HEADER_SLOTS
+
+        components = context.components
+        results = context.results
+        stall = context.stall_seconds
+        events: Optional[List[list]] = [] if traced else None
+        written = 0
+        for index in indices:
+            if stall > 0.0:
+                wall_sleep(stall)
+            setup_start = wall_now()
+            mrf = components[index]
+            sampler = MCSat(self.options, RandomSource(child_seed(self.seed, index + 1)))
+            search_start = wall_now()
+            probabilities = sampler.run(mrf).probabilities
+            search_end = wall_now()
+            results.write_marginals(index, [probabilities[atom] for atom in mrf.atom_ids])
+            written += 8 * (RESULT_HEADER_SLOTS + mrf.atom_count)
+            if events is not None:
+                events.append(
+                    [
+                        {"name": "state-setup", "start": setup_start, "end": search_start},
+                        {"name": "kernel-search", "start": search_start, "end": search_end},
+                        {"name": "ship-result", "start": search_end, "end": wall_now()},
+                    ]
+                )
+        return [0.0] * len(indices), {}, written, events
+
+    def read_results(
+        self,
+        components: Sequence[MRF],
+        buffers: "ResultBufferSet",
+        overrides: Mapping[int, object],
+    ) -> "MarginalResult":
+        """The joint marginals: every region in one read, in component order.
+
+        There are no ``overrides``: sampling has no deadline placeholders
+        and every result fits its region.
+        """
+        return MarginalResult(
+            buffers.read_marginals(), self.options.samples, self.options.burn_in
+        )
 
 
 class _BatchedSelection:
@@ -170,33 +254,30 @@ class MCSat:
         marginals are bit-identical across ``parallel_backend`` values and
         worker counts (the parallel parity suite proves it), and the
         ``processes`` backend samples the components on all cores.
-        ``request_id`` tags the tasks with the session request they
-        serve; the pool checks every reply against it.
+        The run travels as one :class:`ComponentSampleRequest` through
+        :func:`repro.parallel.scheduler.run_component_request`;
+        ``request_id`` tags its chunks with the session request they
+        serve, and the pool checks every reply against it.
         """
-        from repro.inference.scheduling import run_components as dispatch_components
-        from repro.parallel.merge import merge_marginal_results
-        from repro.parallel.pool import ComponentTask
+        from repro.parallel import resolve_parallel_backend
+        from repro.parallel.scheduler import run_component_request
 
         components = list(components)
         if len(components) == 1:
             return self.run(components[0])
-        tasks = [
-            ComponentTask(
-                index=index,
-                kind="mcsat",
-                seed=self.rng.child_seed(index + 1),
-                mcsat=self.options,
-            )
-            for index in range(len(components))
-        ]
-        outcome = dispatch_components(
-            components, tasks, parallel_backend=parallel_backend, workers=workers,
-            pool=pool, request_id=request_id,
-            tracer=tracer, metrics=metrics,
+        backend = resolve_parallel_backend(
+            parallel_backend, workers=workers, task_count=len(components)
         )
-        return merge_marginal_results(
-            outcome.results, self.options.samples, self.options.burn_in
-        )
+        return run_component_request(
+            components,
+            ComponentSampleRequest(self.options, self.rng.seed),
+            backend,
+            workers=workers,
+            pool=pool,
+            request_id=request_id,
+            tracer=tracer,
+            metrics=metrics,
+        ).results
 
     def run(self, mrf: MRF, initial_assignment: Optional[Mapping[int, bool]] = None) -> MarginalResult:
         """Estimate marginal probabilities of every atom in the MRF."""

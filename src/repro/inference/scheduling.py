@@ -3,18 +3,17 @@
 The paper runs WalkSAT on each MRF component with a *weighted round-robin*
 policy — component ``G_i`` receives ``total_flips * |G_i| / |G|`` steps — and
 uses a worker pool to process loaded components in parallel (Section 3.3,
-Table 7).  This module provides the flip-allocation policy, the
+Table 7).  This module provides the flip-allocation policy and the
 simulated-time model of parallel execution (list-scheduling makespan, so
-speed-ups can be reported deterministically), and :func:`run_components`
-— the ``parallel_backend`` seam that hands per-component tasks to the
-partition scheduler (:mod:`repro.parallel.scheduler`), including the true
-multiprocess shared-memory backend.
+speed-ups can be reported deterministically).  The dispatch itself — on
+the ``serial`` or the multiprocess shared-memory ``processes`` backend —
+is :func:`repro.parallel.scheduler.run_component_request`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.mrf.graph import MRF
 
@@ -108,63 +107,3 @@ def _list_schedule_makespan(durations: Sequence[float], workers: int) -> float:
         index = loads.index(min(loads))
         loads[index] += duration
     return max(loads)
-
-
-def run_components(
-    components: Sequence[MRF],
-    tasks: Sequence["object"],
-    parallel_backend: str = "auto",
-    workers: int = 1,
-    deadline_seconds: Optional[float] = None,
-    local_states=None,
-    placeholder: Optional[Callable[[int], object]] = None,
-    pool=None,
-    request_id: int = 0,
-    tracer=None,
-    metrics=None,
-):
-    """Run one :class:`~repro.parallel.pool.ComponentTask` per component.
-
-    The parallel seam of the component drivers: resolves
-    ``parallel_backend`` (``auto`` | ``serial`` | ``processes``, see
-    :func:`repro.parallel.resolve_parallel_backend`) and hands the tasks
-    to the partition scheduler
-    (:func:`repro.parallel.scheduler.run_component_tasks`), which
-    dispatches them largest-first — sequentially on ``serial``,
-    work-stealing on ``processes`` — and returns results in component
-    order.  ``deadline_seconds`` is honored by
-    post-hoc bookkeeping over the per-component simulated costs — a
-    dispatch position counts iff the summed costs of the positions
-    before it stay under the deadline — so the set of skipped
-    components (each receiving ``placeholder(index)``) is bit-identical
-    across backends *and* worker counts.
-    ``local_states`` may be a sequence of cached kernel states or a
-    zero-arg callable building them; it is consulted only on the serial
-    backend.  ``pool`` lends a caller-owned persistent
-    :class:`~repro.parallel.pool.WorkerPool` to the ``processes``
-    backend (the caller keeps ownership — it is not shut down here) and
-    is ignored on the serial backend.  ``request_id``
-    names the session request this run serves; the pool checks every
-    reply against it.  ``tracer`` / ``metrics`` are
-    the injected observability surfaces, forwarded to the scheduler
-    (no-ops when omitted; never consulted by the search itself).
-    """
-    from repro.parallel import resolve_parallel_backend
-    from repro.parallel.scheduler import run_component_tasks
-
-    resolved = resolve_parallel_backend(
-        parallel_backend, workers=workers, task_count=len(components)
-    )
-    return run_component_tasks(
-        components,
-        tasks,
-        backend=resolved,
-        workers=workers,
-        deadline_seconds=deadline_seconds,
-        local_states=local_states,
-        placeholder=placeholder,
-        pool=pool,
-        request_id=request_id,
-        tracer=tracer,
-        metrics=metrics,
-    )

@@ -4,27 +4,30 @@ The repo's one backend seam:
 
 ``parallel_backend = auto | serial | processes``
 
-selects the vehicle that runs per-component inference tasks.  ``serial``
-runs them in the calling thread (the executable specification), and
-``processes`` forks a worker pool whose workers search
-the component MRFs they inherited from the parent at fork time — nothing
-is shipped down, each worker builds a component's kernel state the first
-time it runs it — with the existing WalkSAT / MC-SAT drivers unchanged
-(:mod:`repro.parallel.pool`), shipping results back through a
+selects the vehicle that runs per-component inference.  ``serial``
+runs it in the calling thread, and ``processes`` forks a worker pool
+whose workers search or sample the component MRFs they inherited from
+the parent at fork time — nothing is shipped down, each worker builds a
+component's kernel state the first time it runs it
+(:mod:`repro.parallel.pool`) — shipping results back through a
 per-component shared-memory result region
 (:mod:`repro.parallel.buffers`).  Dispatch (largest-first
 work-stealing) lives in :mod:`repro.parallel.scheduler`;
-deterministic result merging in :mod:`repro.parallel.merge`.  Tasks
-cross the process boundary in **chunks**: the stealing loop cuts the
-largest-first order into consecutive batches by estimated work (fat
-first, single tasks at the tail), the pool moves one queue message per
-chunk each way, and workers steal whole chunks — so a request of
-thousands of tiny components pays for a few dozen round-trips, not
-thousands, while every result, span and steal is still accounted per
-task.
+deterministic result merging in :mod:`repro.parallel.merge`.
 
-**Determinism contract**: each component's task runs on an RNG stream
-derived only from the run seed and the component index, and every merge
+Work crosses the process boundary in one form, the **chunk**: a request
+described once — a component search (MAP, Gauss-Seidel's first pass) or
+an MC-SAT sample request — plus a batch of component indices.  The
+stealing loop cuts the largest-first order into consecutive chunks by
+estimated work (fat first, single components at the tail), the pool
+moves one queue message per chunk each way, workers steal whole chunks,
+and the parent reads every result region back in one bulk pass — so a
+request of thousands of tiny components pays for a few dozen
+round-trips, not thousands, while every result, span and steal is still
+accounted per component.
+
+**Determinism contract**: each component runs on an RNG stream derived
+only from the run seed and the component index, and every merge
 is performed in component order — so MAP assignments and marginals are
 bit-for-bit identical across backends and worker counts
 (``tests/test_parallel_parity.py`` proves it on example1, RC and IE).

@@ -4,8 +4,8 @@ Only one direction of the process backend's traffic needs a buffer.
 *Down*, nothing is shipped at all: workers are forked from the parent
 (the only start method the backend supports — see
 :func:`repro.parallel.resolve_parallel_backend`) and therefore already
-hold every component MRF the pool was built over; a task names its
-component by index into that fork-inherited list.  *Up*,
+hold every component MRF the pool was built over; a chunk names its
+components by index into that fork-inherited list.  *Up*,
 :class:`ResultBufferSet` reserves a per-component *result region* (atom
 values, trace slots, hitting/flip counters) in one
 :class:`multiprocessing.shared_memory.SharedMemory` segment at pack time;
@@ -14,9 +14,11 @@ one small reply per chunk — no pickling of large assignments or marginal
 vectors.  The serial backend packs the same layout into a private buffer
 (``shared=False``), so both backends write and read results one way.
 
-Regions are written with stdlib ``memoryview`` slice copies.  The parent
-reads a component-search request back in one pass
-(:meth:`ResultBufferSet.read_walksat_columns`): numpy gathers over every
+Regions are written with stdlib ``memoryview`` slice copies, by two
+writers: :meth:`ResultBufferSet.write_walksat` (a search result) and
+:meth:`ResultBufferSet.write_marginals` (an MC-SAT result).  The parent
+reads a request back in one pass — :meth:`ResultBufferSet.read_walksat_columns`
+or :meth:`ResultBufferSet.read_marginals`: numpy gathers over every
 region at once, no object per component.
 """
 
@@ -24,11 +26,10 @@ from __future__ import annotations
 
 from array import array
 from multiprocessing import shared_memory
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.inference.mcsat import MarginalResult
 from repro.inference.walksat import WalkSATResult
 from repro.mrf.graph import MRF
 from repro.obs.events import Series, SeriesPoint
@@ -39,7 +40,8 @@ from repro.parallel.merge import WalkSATColumns
 #: 0 kind (0 = empty, 1 = walksat, 2 = mcsat) · 1 best_cost (f) ·
 #: 2 simulated_seconds (f) · 3 flips · 4 tries · 5 seconds (f) ·
 #: 6 reached_target · 7 hitting_time (-1 = None) · 8 trace_len ·
-#: 9 samples · 10 burn_in · 11 grounding_seconds (f) · 12-15 reserved.
+#: 9-10 reserved · 11 grounding_seconds (f) · 12-15 reserved.  A marginal
+#: result sets only the kind; its probabilities fill the value region.
 RESULT_HEADER_SLOTS = 16
 
 _KIND_EMPTY = 0
@@ -85,17 +87,19 @@ class ResultBufferSet:
     + trace slots + a fixed header), workers *write a finished result in
     place* and send only one small reply per chunk through the result
     queue — no pickling of large assignments or marginal vectors.  A
-    result that does not fit its reserved region (an oversized trace, an
-    unexpected atom set) is never truncated: :meth:`write_walksat` /
-    :meth:`write_outcome` refuse and the worker falls back to the pickled
-    queue (the pool counts how often).  The parent reads a search
-    request's regions back in one pass (:meth:`read_walksat_columns`);
-    task-path results are read one by one (:meth:`read_outcome`).
+    search result that does not fit its reserved region (an oversized
+    trace) is never truncated: :meth:`write_walksat` refuses and the
+    worker falls back to the pickled queue (the pool counts how often).
+    Marginals always fit: one probability per packed atom.  The parent
+    reads a request's regions back in one pass
+    (:meth:`read_walksat_columns`, :meth:`read_marginals`);
+    :meth:`read_outcome` reads one search region when fallbacks or
+    placeholders stand in for others.
 
     Worker-side writes to a published segment are exactly what the
     ``fork-shm-publish`` rule exists to forbid — but here they are the
     design: each region is written by exactly one worker (the one that
-    ran the component's task) strictly before the parent reads it (the
+    ran the component's chunk) strictly before the parent reads it (the
     chunk's reply establishes the ordering), so there is no race and
     no nondeterminism.  The rule sanctions precisely this via the
     ``_result_region_writers`` marker below: the named methods may write
@@ -108,7 +112,7 @@ class ResultBufferSet:
 
     #: Sanctioned result-region writers (see the ``fork-shm-publish``
     #: rule): only these methods may write the ``*result*`` buffers.
-    _result_region_writers = ("write_outcome", "write_walksat")
+    _result_region_writers = ("write_walksat", "write_marginals")
 
     def __init__(
         self,
@@ -164,63 +168,6 @@ class ResultBufferSet:
     # Writing (worker side)
     # ------------------------------------------------------------------
 
-    def write_outcome(
-        self,
-        index: int,
-        result: object,
-        simulated_seconds: float,
-        atom_ids: Sequence[int],
-    ) -> bool:
-        """Ship one finished result through the component's region.
-
-        Returns ``False`` — leaving the region untouched — whenever the
-        result does not fit or does not match the packed atom set; the
-        caller then falls back to the pickled queue.  Values are written
-        in ``atom_ids`` (packed atom) order, which is exactly the
-        insertion order of the driver-built result dictionaries, so the
-        parent-side reconstruction is bit-identical, dict order included.
-        """
-        base, n_atoms, capacity = self.directory[index]
-        ints = self._result_ints
-        floats = self._result_floats
-        value_off = base + RESULT_HEADER_SLOTS
-        trace_off = value_off + n_atoms
-        if isinstance(result, WalkSATResult):
-            try:
-                values = [result.best_assignment[atom_id] for atom_id in atom_ids]
-            except KeyError:
-                return False
-            if len(result.best_assignment) != n_atoms:
-                return False
-            return self.write_walksat(
-                index,
-                values,
-                [(point.time, point.cost, point.flips) for point in result.trace.points],
-                result.best_cost,
-                simulated_seconds,
-                result.flips,
-                result.tries,
-                result.seconds,
-                result.reached_target,
-                result.hitting_time,
-                grounding_seconds=result.trace.grounding_seconds,
-            )
-        if isinstance(result, MarginalResult):
-            if len(result.probabilities) != n_atoms or n_atoms != len(atom_ids):
-                return False
-            try:
-                values = [result.probabilities[atom_id] for atom_id in atom_ids]
-            except KeyError:
-                return False
-            for position, probability in enumerate(values):
-                floats[value_off + position] = probability
-            floats[base + 2] = simulated_seconds
-            ints[base + 9] = result.samples
-            ints[base + 10] = result.burn_in
-            ints[base] = _KIND_MCSAT
-            return True
-        return False
-
     def write_walksat(
         self,
         index: int,
@@ -270,6 +217,13 @@ class ResultBufferSet:
         ints[base] = _KIND_WALKSAT
         return True
 
+    def write_marginals(self, index: int, probabilities: Sequence[float]) -> None:
+        """Write one component's marginals, one per atom in its packed order."""
+        base, n_atoms, _capacity = self.directory[index]
+        value_off = base + RESULT_HEADER_SLOTS
+        self._result_floats[value_off : value_off + n_atoms] = array("d", probabilities)
+        self._result_ints[base] = _KIND_MCSAT
+
     # ------------------------------------------------------------------
     # Reading (parent side)
     # ------------------------------------------------------------------
@@ -279,13 +233,12 @@ class ResultBufferSet:
         index: int,
         atom_ids: Sequence[int],
         trace_label: str = "",
-    ) -> Tuple[object, float]:
-        """Rebuild ``(result, simulated_seconds)`` from a written region.
+    ) -> Tuple[WalkSATResult, float]:
+        """Rebuild ``(result, simulated_seconds)`` from a search region.
 
         ``atom_ids`` must be the component's packed atom order (the
         parent reads it off the component MRF it packed); ``trace_label``
-        restores the label the worker's driver options carried — labels
-        travel with the task, not the region.
+        is the label the trace gets — labels are not stored in regions.
         """
         base, n_atoms, _capacity = self.directory[index]
         ints = self._result_ints
@@ -310,7 +263,7 @@ class ResultBufferSet:
                 for slot in range(ints[base + 8])
             ]
             hitting = ints[base + 7]
-            result: object = WalkSATResult(
+            result = WalkSATResult(
                 best_assignment=assignment,
                 best_cost=floats[base + 1],
                 flips=ints[base + 3],
@@ -319,15 +272,6 @@ class ResultBufferSet:
                 trace=trace,
                 reached_target=bool(ints[base + 6]),
                 hitting_time=None if hitting < 0 else hitting,
-            )
-            return result, floats[base + 2]
-        if kind == _KIND_MCSAT:
-            probabilities = {
-                atom_id: floats[value_off + position]
-                for position, atom_id in enumerate(atom_ids)
-            }
-            result = MarginalResult(
-                probabilities, samples=ints[base + 9], burn_in=ints[base + 10]
             )
             return result, floats[base + 2]
         raise RuntimeError(
@@ -379,6 +323,20 @@ class ResultBufferSet:
             trace_flips,
         )
 
+    def read_marginals(self) -> Dict[int, float]:
+        """Read every component's marginals in one pass.
+
+        Returns ``{atom id: probability}`` in component order, then packed
+        atom order.  Every region must hold a marginal result.
+        """
+        bases, _trace_starts, value_slots, atom_ids, _offsets = self._bulk_layout()
+        ints = np.frombuffer(self._result_ints, dtype=np.int64)
+        if np.any(ints[bases] != _KIND_MCSAT):
+            raise RuntimeError("a result region holds nothing a sampler wrote")
+        probabilities = dict(zip(atom_ids, ints.view(np.float64)[value_slots].tolist()))
+        del ints  # release the buffer export before returning
+        return probabilities
+
     def _bulk_layout(self) -> tuple:
         """Gather indices of the bulk read, computed once (parent side)."""
         if self._layout is None:
@@ -405,12 +363,6 @@ class ResultBufferSet:
                 value_offsets.tolist(),
             )
         return self._layout
-
-    def outcome_nbytes(self, index: int) -> int:
-        """Bytes the last shipped result actually occupied (telemetry)."""
-        base, n_atoms, _capacity = self.directory[index]
-        trace_len = self._result_ints[base + 8]
-        return 8 * (RESULT_HEADER_SLOTS + n_atoms + 3 * trace_len)
 
     def __len__(self) -> int:
         return len(self.directory)

@@ -2,11 +2,11 @@
 
 Every parallel backend returns its per-component results in component
 order (see :mod:`repro.parallel.scheduler`), and every component's search
-runs on an RNG stream derived only from the run seed and the component id
-(``rng.child_seed(index + 1)``).  Merging is therefore pure bookkeeping
-— the combined assignment, cost, flips and trace are bit-for-bit
-identical to the serial backend regardless of worker count or completion
-order:
+runs on an RNG stream derived only from the run seed and a per-component
+salt (``rng.child_seed(index + 1)``).  Merging is therefore pure
+bookkeeping — the combined assignment, cost, flips and trace are
+bit-for-bit identical to the serial backend regardless of worker count or
+completion order:
 
 * :class:`WalkSATColumns` — the component-search combine: union of
   per-component best assignments, costs summed in component order (float
@@ -14,16 +14,16 @@ order:
   :func:`~repro.obs.events.merge_series_columns`.  The columns come from
   one bulk read of the result regions, so a request of thousands of
   components builds no per-component result object to merge them.
-* :func:`merge_marginal_results` — the MC-SAT combine: components are
-  disjoint atom sets, so the union of per-component marginal dictionaries
-  (in component order) is the joint marginal estimate.
+  (The MC-SAT combine needs no code here: components are disjoint atom
+  sets, so one bulk read of the marginal regions in component order is
+  the joint estimate — :meth:`~repro.parallel.buffers.ResultBufferSet.read_marginals`.)
 * :func:`gauss_seidel_refine` — the *partition* combine for oversized
   components (Algorithm 3): partitions share cut clauses, so after an
   embarrassingly parallel first pass (each partition searched with the
-  others frozen at the initial assignment), the merged state seeds
-  Gauss-Seidel rounds across the cut atoms
-  (:class:`~repro.inference.gauss_seidel.GaussSeidelSearch` unchanged),
-  which reconciles the cut deterministically.
+  others frozen at the initial assignment, as one chunked search
+  request), the merged state seeds Gauss-Seidel rounds across the cut
+  atoms (:class:`~repro.inference.gauss_seidel.GaussSeidelSearch`
+  unchanged), which reconciles the cut deterministically.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ from repro.inference.gauss_seidel import (
     GaussSeidelSearch,
     conditioned_mrf,
 )
-from repro.inference.mcsat import MarginalResult
 from repro.inference.walksat import WalkSATOptions, WalkSATResult
 from repro.mrf.graph import MRF
 from repro.obs.events import Series, SeriesPoint, merge_series_columns
-from repro.utils.clock import SimulatedClock
+from repro.utils.clock import CostModel, SimulatedClock
 from repro.utils.rng import RandomSource
 
 
@@ -53,8 +52,8 @@ class WalkSATColumns:
 
     Two constructors fill it: the parent's one bulk read of every result
     region (:meth:`~repro.parallel.buffers.ResultBufferSet.read_walksat_columns`)
-    and :meth:`from_results` over result objects (pickled fallbacks,
-    deadline placeholders, the spec path).  :meth:`merge` combines the
+    and :meth:`from_results` over result objects (when pickled fallbacks
+    or deadline placeholders stand in for some regions).  :meth:`merge` combines the
     columns without building a per-component object; :meth:`results`
     builds the per-component :class:`WalkSATResult` list only when a
     caller asks for it.
@@ -203,22 +202,6 @@ class WalkSATColumns:
         return self._results
 
 
-def merge_marginal_results(
-    results: Sequence[MarginalResult], samples: int, burn_in: int
-) -> MarginalResult:
-    """Combine per-component marginal estimates into one result.
-
-    Components partition the atom set, so the dictionaries are disjoint;
-    they are merged in component order for a deterministic iteration
-    order.  ``samples``/``burn_in`` are the per-component settings (every
-    component draws the same number of samples).
-    """
-    probabilities: Dict[int, float] = {}
-    for result in results:
-        probabilities.update(result.probabilities)
-    return MarginalResult(probabilities, samples, burn_in)
-
-
 def gauss_seidel_refine(
     full_mrf: MRF,
     partitions: Sequence[Sequence[int]],
@@ -229,23 +212,28 @@ def gauss_seidel_refine(
     parallel_backend: str = "serial",
     workers: int = 1,
     initial_assignment: Optional[Mapping[int, bool]] = None,
-    pool=None,
 ) -> GaussSeidelResult:
     """Partition-parallel first pass, then Gauss-Seidel rounds on the cut.
 
     Pass one searches every partition *independently* — each partition's
     conditioned MRF freezes the other partitions at the initial assignment
-    (all-false by default), so the tasks touch disjoint atoms and can run
-    on any parallel backend; each partition draws its RNG from
-    ``rng.spawn(500_000 + index + 1)`` (salted away from the streams the
-    Gauss-Seidel sweeps spawn per part).  The merged assignment then seeds
+    (all-false by default), so the searches touch disjoint atoms and can
+    run on any parallel backend.  The pass is one
+    :class:`~repro.inference.component_walksat.ComponentSearchRequest`
+    over the conditioned MRFs that have clauses: each partition gets
+    ``max_flips // partitions`` flips and draws its RNG from
+    ``rng.spawn(500_001 + partition)`` (salted away from the streams the
+    Gauss-Seidel sweeps spawn per part).  The conditioned MRFs are new
+    objects on every call, so the ``processes`` backend forks an
+    ephemeral pool over them.  The merged assignment then seeds
     the standard Gauss-Seidel sweeps — sequential by construction (part
     ``i`` conditions on the fresh state of parts ``< i``) — which repair
     the cut clauses the first pass ignored.  Deterministic for a given
     seed on every backend and worker count.
     """
-    from repro.inference.scheduling import run_components
-    from repro.parallel.pool import ComponentTask
+    from repro.inference.component_walksat import ComponentSearchRequest
+    from repro.parallel import resolve_parallel_backend
+    from repro.parallel.scheduler import run_component_request
 
     partition_sets = [set(partition) for partition in partitions]
     assignment: Dict[int, bool] = {atom_id: False for atom_id in full_mrf.atom_ids}
@@ -263,49 +251,35 @@ def gauss_seidel_refine(
     active = [index for index, mrf in enumerate(conditioned) if mrf.clause_count > 0]
     first_pass_flips = 0
     if active:
-        part_options = WalkSATOptions(
-            max_flips=flips_per_part,
-            max_tries=1,
-            noise=options.noise,
-            target_cost=0.0,
-            random_restarts=False,
-            flip_cost_event=options.flip_cost_event,
-            trace_label="partition-pass",
+        request = ComponentSearchRequest(
+            options=WalkSATOptions(
+                max_flips=flips_per_part,
+                max_tries=1,
+                noise=options.noise,
+                target_cost=0.0,
+                random_restarts=False,
+                flip_cost_event=options.flip_cost_event,
+            ),
+            cost_model=CostModel(),
+            seed=rng.seed,
+            allocation=[flips_per_part] * len(active),
+            budget=options.max_flips,
+            initial_assignment=dict(assignment),
+            salts=[500_001 + index for index in active],
         )
-        tasks = []
-        for index in active:
-            local_initial = {
-                atom_id: assignment[atom_id]
-                for atom_id in conditioned[index].atom_ids
-                if atom_id in assignment
-            }
-            tasks.append(
-                ComponentTask(
-                    index=len(tasks),
-                    kind="walksat",
-                    seed=rng.child_seed(500_000 + index + 1),
-                    walksat=part_options,
-                    initial_assignment=local_initial,
-                )
-            )
-        # The conditioned MRFs are fresh objects each call, so a lent pool
-        # can only be used when the caller packed it from exactly them
-        # (run_component_tasks verifies identity and otherwise raises);
-        # an ephemeral processes pool is torn down in the scheduler's
-        # ``finally`` even when a partition task raises.
-        outcome = run_components(
-            [conditioned[index] for index in active],
-            tasks,
-            parallel_backend=parallel_backend,
-            workers=workers,
-            pool=pool,
+        parts = [conditioned[index] for index in active]
+        backend = resolve_parallel_backend(
+            parallel_backend, workers=workers, task_count=len(parts)
         )
-        for index, result in zip(active, outcome.results):
-            first_pass_flips += result.flips
+        columns = run_component_request(parts, request, backend, workers=workers).results
+        offsets = columns.value_offsets
+        for position, index in enumerate(active):
             atom_set = partition_sets[index]
-            for atom_id, value in result.best_assignment.items():
+            low, high = offsets[position], offsets[position + 1]
+            for atom_id, value in zip(columns.atom_ids[low:high], columns.values[low:high]):
                 if atom_id in atom_set:
                     assignment[atom_id] = value
+        first_pass_flips = sum(columns.flips)
 
     refined = seidel.run(full_mrf, partitions, initial_assignment=assignment)
     return GaussSeidelResult(

@@ -1,28 +1,26 @@
 """The multiprocess worker pool (and its serial stand-in).
 
-Two kinds of work travel through the pool, both in **chunks** — one
+One kind of message travels through the pool: a :class:`Chunk` — one
 queue message per batch of one request's components, one reply message
-back:
+back.  A chunk is the request's description, built once by the parent,
+plus the chunk's component indices:
 
-* **Component search** (MAP) travels as a :class:`SearchChunk`: the
-  request's description, built once by the parent (shared options, cost
-  model, base seed, per-component flip allocation — a
-  :class:`~repro.inference.component_walksat.ComponentSearchRequest`),
-  plus the chunk's component indices.  The worker runs the chunk through
-  the request's one search loop against a :class:`ChunkContext` — its
-  fork-inherited component list, its cached kernel states and steppers,
-  one reusable RNG — writing every result into the component's
-  shared-memory region, and answers with a single token for the chunk.
-  The serial backend runs the same loop in-process against a private
-  copy of the regions.  Nothing is built per component on the parent
-  side: after the last chunk it reads every region at once
-  (:meth:`~repro.parallel.buffers.ResultBufferSet.read_walksat_columns`).
-* **Task lists** (MC-SAT components, Gauss-Seidel partitions) travel as
-  lists of :class:`ComponentTask`, each naming a component by index and
-  carrying its own run parameters; :func:`execute_component_task` runs
-  one, on every backend, and each task answers with its own token
-  ``(index, payload, error, channel, events)`` inside the chunk's reply
-  (:meth:`WorkerPool.next_outcome` hands them out one by one).
+* a component search (MAP, and Gauss-Seidel's first pass) is a
+  :class:`~repro.inference.component_walksat.ComponentSearchRequest`:
+  shared options, cost model, base seed, per-component flip allocation
+  and stream salts;
+* an MC-SAT request is a
+  :class:`~repro.inference.mcsat.ComponentSampleRequest`: the sampler
+  options and the base seed.
+
+The worker runs the chunk through the request's ``run_chunk`` against a
+:class:`ChunkContext` — its fork-inherited component list, its cached
+kernel states and steppers, one reusable RNG — writing every result into
+the component's shared-memory region, and answers with a single token
+for the chunk.  The serial backend runs the same ``run_chunk`` in-process
+against a private copy of the regions.  Nothing is built per component
+on the parent side: after the last chunk the request reads every region
+at once.
 
 Workers index the component list they inherited through ``fork`` — the
 parent's own MRF objects, never shipped, pickled or decoded — build a
@@ -33,8 +31,8 @@ it.
 Finished results ship back through shared memory, not pickling: every
 pool packs a :class:`~repro.parallel.buffers.ResultBufferSet` — one
 reserved region per component — and workers write each result in place.
-A result that does not fit its region (oversized trace, unexpected atom
-set) rides the reply pickled instead, counted but never truncated;
+A search result that does not fit its region (oversized trace) rides the
+reply pickled instead, counted but never truncated;
 :meth:`WorkerPool.finish_request` hands the scheduler the shipping
 counters of the request that just ran, with
 :attr:`WorkerPool.shm_shipped` / :attr:`WorkerPool.pickle_shipped` /
@@ -61,72 +59,40 @@ import gc
 import logging
 import multiprocessing
 import queue as queue_module
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.inference.mcsat import MCSat, MCSatOptions
 from repro.inference.state import SearchState
-from repro.inference.walksat import WalkSAT, WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.buffers import ResultBufferSet
-from repro.utils.clock import CostModel, SimulatedClock, wall_now, wall_sleep
 from repro.utils.rng import RandomSource
 
 _logger = logging.getLogger(__name__)
 
 
 @dataclass
-class ComponentTask:
-    """One unit of work: search (or sample) one component.
+class ComponentOutcome:
+    """One component's result object plus its deterministic simulated duration.
 
-    ``index`` is the component's position in the caller's component list —
-    it names the worker's fork-inherited MRF and the shared-memory result
-    region on the processes backend, and the result slot on every backend.
-    ``seed`` is the derived child-stream seed
-    (``parent_rng.spawn(index + 1).seed``), computed by the caller so the
-    stream is a pure function of the run seed and the component id,
-    independent of which worker runs the task or when.
-
-    ``request_id`` tags the task with the request it belongs to; the
-    reply echoes it and the pool checks it against the running request.
-    It never feeds the search itself, so it cannot perturb results.
+    What a chunk returns for a search result that did not fit its region,
+    and what a deadline placeholder supplies for a component it skipped.
     """
 
     index: int
-    kind: str  # "walksat" | "mcsat"
-    seed: Optional[int]
-    walksat: Optional[WalkSATOptions] = None
-    mcsat: Optional[MCSatOptions] = None
-    cost_model: CostModel = field(default_factory=CostModel)
-    initial_assignment: Optional[Dict[int, bool]] = None
-    request_id: int = 0
-    #: When True, the worker timestamps its phases (state setup, kernel
-    #: search, result shipping) on the shared monotonic clock and ships
-    #: them on the completion token — bounded by
-    #: ``WORKER_TASK_EVENT_BUDGET`` — for the request's span tree.
-    #: Pure telemetry: never read by the search itself.
-    trace_events: bool = False
-
-
-@dataclass
-class ComponentOutcome:
-    """A task's result plus its deterministic simulated duration."""
-
-    index: int
-    result: object  # WalkSATResult | MarginalResult
+    result: object  # WalkSATResult
     simulated_seconds: float
 
 
 @dataclass
-class SearchChunk:
-    """One chunk of a component-search request: the request plus indices.
+class Chunk:
+    """One chunk of a request: the request's description plus indices.
 
     ``request`` describes the whole request once (a
-    :class:`~repro.inference.component_walksat.ComponentSearchRequest`:
-    shared options, cost model, base seed, flip allocation); the chunk
-    adds only the component indices it covers; ``traced`` asks for
+    :class:`~repro.inference.component_walksat.ComponentSearchRequest`
+    or a :class:`~repro.inference.mcsat.ComponentSampleRequest`); the
+    chunk adds only the component indices it covers; ``traced`` asks for
     per-component phase events.
     """
 
@@ -177,34 +143,6 @@ class ChunkContext:
         return slot
 
 
-def execute_component_task(
-    task: ComponentTask, mrf: MRF, state=None
-) -> ComponentOutcome:
-    """Run one task against a component MRF (the task path's executor).
-
-    The task path carries MC-SAT components and Gauss-Seidel partitions;
-    component search travels as :class:`SearchChunk` instead.  For
-    WalkSAT tasks this is the per-component spec of the component search:
-    a fresh :class:`WalkSAT` over the task's derived RNG stream and its
-    own simulated clock, run on a (reused or fresh) kernel state —
-    ``run_on_state`` rewrites reused states in place at the start of every
-    try, so a cached state is bit-identical to a fresh one.
-    """
-    if task.kind == "walksat":
-        options = task.walksat
-        if state is None:
-            state = SearchState(mrf)
-        clock = SimulatedClock(task.cost_model)
-        searcher = WalkSAT(options, RandomSource(task.seed), clock)
-        result = searcher.run_on_state(state, task.initial_assignment)
-        return ComponentOutcome(task.index, result, clock.now())
-    if task.kind == "mcsat":
-        sampler = MCSat(task.mcsat, RandomSource(task.seed))
-        result = sampler.run(mrf, task.initial_assignment)
-        return ComponentOutcome(task.index, result, 0.0)
-    raise ValueError(f"unknown component task kind {task.kind!r}")
-
-
 # ----------------------------------------------------------------------
 # The worker process
 # ----------------------------------------------------------------------
@@ -220,18 +158,9 @@ def execute_component_task(
 #: try — a rebuilt state is identical.
 WORKER_STATE_CACHE_UNITS = 1_000_000
 
-#: Completion-token channel tags (the only payloads besides errors).
+#: Span ``channel`` attributes: how a component's result reached the parent.
 SHIPPED_SHM = "shm"
 SHIPPED_PICKLE = "pickle"
-#: A search chunk's single token: its results are in the regions, plus
-#: any fallbacks riding the token.
-SHIPPED_CHUNK = "chunk"
-
-#: Upper bound on span/event records one task may ship on its completion
-#: token.  Worker tracing rides the same queue as completion tokens, so
-#: the budget keeps a traced task's token small and its cost bounded no
-#: matter what the worker instruments.
-WORKER_TASK_EVENT_BUDGET = 8
 
 
 class BoundedStateCache:
@@ -283,12 +212,12 @@ def _cached_slot(states: BoundedStateCache, index: int, mrf: MRF) -> list:
     return slot
 
 
-def _worker_run_chunk(chunk: SearchChunk, context: ChunkContext) -> tuple:
-    """Run one search chunk; return its single completion token.
+def _worker_run_chunk(chunk: Chunk, context: ChunkContext) -> tuple:
+    """Run one chunk; return its completion token.
 
-    The token is ``(indices, payload, error, channel, events)`` with
-    ``payload = (simulated seconds per index, fallbacks, shm bytes)`` —
-    see :meth:`~repro.inference.component_walksat.ComponentSearchRequest.run_chunk`.
+    The token is ``(indices, payload, error, events)`` with ``payload =
+    (simulated seconds per index, fallbacks, shm bytes)`` — see
+    :meth:`~repro.inference.component_walksat.ComponentSearchRequest.run_chunk`.
     A chunk that raises answers with an error token naming its first
     component; the parent fails the request on it.
     """
@@ -297,49 +226,8 @@ def _worker_run_chunk(chunk: SearchChunk, context: ChunkContext) -> tuple:
             chunk.indices, context, chunk.traced
         )
     except Exception as error:  # surface, don't hang the parent
-        return (chunk.indices, None, repr(error), SHIPPED_CHUNK, None)
-    return (chunk.indices, (costs, fallbacks, shm_bytes), None, SHIPPED_CHUNK, events)
-
-
-def _worker_run_task(
-    task: ComponentTask,
-    components: Sequence[MRF],
-    results: ResultBufferSet,
-    states: BoundedStateCache,
-) -> tuple:
-    """Execute one task of a chunk and return its completion token.
-
-    The token is ``(index, payload, error, channel, events)``: a result
-    written into the component's shared-memory region is acknowledged
-    with ``payload=None`` and channel ``"shm"``; when the region refuses
-    it (result too large for the reservation) the full outcome rides the
-    token instead, tagged ``"pickle"``.  ``events`` is the
-    bounded per-task span list when the task asked to be traced, else
-    ``None``.
-    """
-    traced = task.trace_events
-    setup_start = wall_now() if traced else 0.0
-    mrf = components[task.index]
-    state = None
-    if task.kind == "walksat":
-        state = _cached_slot(states, task.index, mrf)[0]
-    search_start = wall_now() if traced else 0.0
-    outcome = execute_component_task(task, mrf, state)
-    search_end = wall_now() if traced else 0.0
-    shipped_shm = results.write_outcome(
-        task.index, outcome.result, outcome.simulated_seconds, mrf.atom_ids
-    )
-    events = None
-    if traced:
-        ship_end = wall_now()
-        events = [
-            {"name": "state-setup", "start": setup_start, "end": search_start},
-            {"name": "kernel-search", "start": search_start, "end": search_end},
-            {"name": "ship-result", "start": search_end, "end": ship_end},
-        ][:WORKER_TASK_EVENT_BUDGET]
-    if shipped_shm:
-        return (task.index, None, None, SHIPPED_SHM, events)
-    return (task.index, outcome, None, SHIPPED_PICKLE, events)
+        return (chunk.indices, None, repr(error), None)
+    return (chunk.indices, (costs, fallbacks, shm_bytes), None, events)
 
 
 def _worker_main(
@@ -361,20 +249,12 @@ def _worker_main(
     rounds (or across a persistent session's requests) reuses its state
     exactly like the serial driver does.
 
-    A queue item is one chunk of one request, in one of two shapes:
+    A queue item is one :class:`Chunk` of one request.  It runs through
+    the request's ``run_chunk`` — one loop over the chunk's components,
+    one reused RNG, results written into the regions — and answers with
+    a single token for the whole chunk (:func:`_worker_run_chunk`).
 
-    * a :class:`SearchChunk` (component search) runs through the
-      request's chunk runner — one search loop over the chunk's
-      components, one reused RNG, results written into the regions — and
-      answers with a single token for the whole chunk;
-    * a non-empty list of :class:`ComponentTask` (MC-SAT components,
-      Gauss-Seidel partitions) runs task by task through
-      :func:`_worker_run_task` and answers with one token per task.  A
-      task that raises ends its chunk: the tokens of the tasks finished
-      before it are still delivered, followed by an error token for
-      exactly that task.
-
-    The reply is a single ``(request_id, worker_id, tokens, cache_hits,
+    The reply is a single ``(request_id, worker_id, token, cache_hits,
     cache_misses)`` message, sent only *after* every region write of the
     chunk completes, so the parent's reads are ordered-after the writes
     without any locking.  ``stall_seconds`` is the injected-slow-worker
@@ -399,25 +279,12 @@ def _worker_main(
             if chunk is None:
                 break
             hits, misses = states.hits, states.misses
-            if isinstance(chunk, SearchChunk):
-                request_id = chunk.request_id
-                tokens = [_worker_run_chunk(chunk, context)]
-            else:
-                request_id = chunk[0].request_id
-                tokens = []
-                for task in chunk:
-                    if stall_seconds > 0.0:
-                        wall_sleep(stall_seconds)
-                    try:
-                        tokens.append(_worker_run_task(task, components, results, states))
-                    except BaseException as error:  # surface, don't hang the parent
-                        tokens.append((task.index, None, repr(error), None, None))
-                        break
+            token = _worker_run_chunk(chunk, context)
             result_queue.put(
                 (
-                    request_id,
+                    chunk.request_id,
                     worker_id,
-                    tokens,
+                    token,
                     states.hits - hits,
                     states.misses - misses,
                 )
@@ -440,13 +307,13 @@ class WorkerPool:
     of the fork, so neither is ever rebound or repacked on a live pool —
     build a new pool (the ``fork-pool-lifecycle`` analysis rule enforces
     this).  It runs one request at a time: the caller submits one
-    request's chunks, drains them and calls :meth:`finish_request` before
+    request's chunks, collects their replies and calls :meth:`finish_request` before
     the next request starts.
 
     ``trace_capacity`` overrides the per-component result-region trace
     sizing (tests force the pickled fallback with a tiny capacity);
     ``stall_worker`` is the injected-slow-worker test hook: ``(worker
-    index, seconds)`` delays that worker before every task it takes.
+    index, seconds)`` delays that worker before every component it runs.
     """
 
     def __init__(
@@ -480,13 +347,6 @@ class WorkerPool:
         self._pickle_warned = False
         #: Chunk messages of the running request submitted, not yet answered.
         self._pending = 0
-        #: component index -> submitted, not yet collected task
-        self._inflight: Dict[int, ComponentTask] = {}
-        #: Task-path completion tokens unpacked from replies, not yet collected.
-        self._tokens: Deque[tuple] = deque()
-        #: Worker-emitted span records, stashed per component index until
-        #: the scheduler stitches them (:meth:`take_task_events`).
-        self._task_events: Dict[int, dict] = {}
         #: See :meth:`memo`.
         self._memo: Dict[Tuple, object] = {}
         try:
@@ -545,23 +405,8 @@ class WorkerPool:
             ours is theirs for ours, theirs in zip(self._components, components)
         )
 
-    def submit_chunk(self, tasks: Sequence[ComponentTask]) -> None:
-        """Queue one chunk — a batch of one request's tasks — as one message."""
-        if not tasks:
-            raise ValueError("a chunk needs at least one task")
-        request_id = tasks[0].request_id
-        if any(task.request_id != request_id for task in tasks):
-            raise ValueError("a chunk carries the tasks of exactly one request")
-        for task in tasks:
-            self._inflight[task.index] = task
-        self._pending += 1
-        self._tasks.put(list(tasks))
-
-    def submit_search_chunk(self, chunk: SearchChunk) -> None:
-        """Queue one component-search chunk as one message.
-
-        Its results come back through :meth:`next_chunk`.
-        """
+    def submit(self, chunk: Chunk) -> None:
+        """Queue one chunk as one message; collect it with :meth:`next_chunk`."""
         if not chunk.indices:
             raise ValueError("a chunk needs at least one component")
         self._pending += 1
@@ -581,7 +426,7 @@ class WorkerPool:
         return value
 
     def next_chunk(self, request_id: int = 0) -> Tuple[int, List[int], List[float], Dict[int, ComponentOutcome], object]:
-        """Collect one finished search chunk of ``request_id``.
+        """Collect one finished chunk of ``request_id``.
 
         Returns ``(worker id, indices, simulated seconds per index,
         fallbacks, events)``: the chunk's results sit in the result
@@ -589,12 +434,12 @@ class WorkerPool:
         did not fit theirs.  Raises ``RuntimeError`` (after shutting the
         pool down) when the chunk failed.
         """
-        worker_id, tokens = self._receive(request_id)
-        indices, payload, error, _channel, events = tokens[0]
+        worker_id, token = self._receive(request_id)
+        indices, payload, error, events = token
         if error is not None:
             self.shutdown()
             raise RuntimeError(
-                f"parallel component search failed: chunk from component "
+                f"parallel component work failed: chunk from component "
                 f"{indices[0]}: {error}"
             )
         costs, fallbacks, nbytes = payload
@@ -629,48 +474,10 @@ class WorkerPool:
                     pickled[0],
                 )
 
-    def next_outcome(self, request_id: int = 0) -> Tuple[ComponentOutcome, int]:
-        """Collect one finished task of ``request_id``: ``(outcome, worker id)``.
-
-        Blocks until one of the request's in-flight tasks is reported
-        complete (the work-stealing drain: the scheduler reacts to each
-        completion as it arrives).
-        """
-        if not self._tokens:
-            worker_id, tokens = self._receive(request_id)
-            self._tokens.extend((worker_id, token) for token in tokens)
-        worker_id, (index, payload, error, channel, events) = self._tokens.popleft()
-        task = self._inflight.pop(index, None)
-        if events is not None:
-            self._task_events[index] = {
-                "worker": worker_id,
-                "channel": channel,
-                "events": events,
-            }
-        if error is not None:
-            self.shutdown()
-            raise RuntimeError(f"parallel component task failed: component {index}: {error}")
-        if channel == SHIPPED_SHM:
-            if task is None:
-                raise RuntimeError(
-                    f"completion token for component {index} of request "
-                    f"{request_id} has no in-flight task record"
-                )
-            trace_label = (
-                task.walksat.trace_label if task.walksat is not None else ""
-            )
-            result, simulated_seconds = self.result_buffers.read_outcome(
-                index, self._components[index].atom_ids, trace_label
-            )
-            self._count_shipped(1, self.result_buffers.outcome_nbytes(index), ())
-            return ComponentOutcome(index, result, simulated_seconds), worker_id
-        self._count_shipped(0, 0, (index,))
-        return payload, worker_id
-
-    def _receive(self, request_id: int) -> Tuple[int, list]:
+    def _receive(self, request_id: int) -> Tuple[int, tuple]:
         """Wait for the next reply; it must be ``request_id``'s.
 
-        Returns ``(worker id, tokens)``.  The wait is a timed ``get`` so a
+        Returns ``(worker id, token)``.  The wait is a timed ``get`` so a
         worker dying without replying (OOM kill, segfault in an extension
         — mid-chunk included) surfaces as a ``RuntimeError`` instead of
         blocking the parent forever — ``_worker_main`` only converts
@@ -690,7 +497,7 @@ class WorkerPool:
                         f"{len(dead)} parallel worker(s) died before replying "
                         f"(exit codes {[p.exitcode for p in dead]})"
                     )
-        owner, worker_id, tokens, cache_hits, cache_misses = message
+        owner, worker_id, token, cache_hits, cache_misses = message
         if owner != request_id:
             self.shutdown()
             raise RuntimeError(
@@ -700,18 +507,7 @@ class WorkerPool:
         self._pending -= 1
         self.metrics.increment("pool.state_cache_hits", cache_hits)
         self.metrics.increment("pool.state_cache_misses", cache_misses)
-        return worker_id, tokens
-
-    def take_task_events(self) -> Dict[int, dict]:
-        """Pop the worker-emitted span records of the running request's tasks.
-
-        Returns ``{component index: {"worker", "channel", "events"}}`` —
-        the scheduler stitches these under the request's span tree in
-        deterministic component order.  Only populated for tasks that
-        asked to be traced (``ComponentTask.trace_events``).
-        """
-        taken, self._task_events = self._task_events, {}
-        return taken
+        return worker_id, token
 
     def finish_request(self) -> Tuple[int, int, int]:
         """Close out the running request: return and reset its counters.
@@ -725,16 +521,9 @@ class WorkerPool:
         if self._pending:
             self.shutdown()
         self._pending = 0
-        self._inflight.clear()
-        self._tokens.clear()
-        self._task_events.clear()
         self._pickle_warned = False
         shipped, self._shipping = self._shipping, [0, 0, 0]
         return shipped[0], shipped[1], shipped[2]
-
-    def drain(self, count: int, request_id: int = 0) -> List[ComponentOutcome]:
-        """Collect ``count`` results of one request (any completion order)."""
-        return [self.next_outcome(request_id)[0] for _ in range(count)]
 
     def shutdown(self) -> None:
         if self._closed:

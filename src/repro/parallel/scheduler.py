@@ -1,19 +1,18 @@
 """The partition scheduler: dispatch component work on a parallel backend.
 
 This is the execution layer behind ``parallel_backend``
-(:func:`repro.parallel.resolve_parallel_backend`).  It has two entry
-points over one set of bookkeeping (:class:`_Dispatch`):
+(:func:`repro.parallel.resolve_parallel_backend`).  It has one entry
+point, :func:`run_component_request`, and one dispatch loop.  A request
+is described once — a component search
+(:class:`~repro.inference.component_walksat.ComponentSearchRequest`: MAP
+and Gauss-Seidel's first pass) or an MC-SAT sample request
+(:class:`~repro.inference.mcsat.ComponentSampleRequest`) — and shipped
+as chunks of component indices.  The request supplies the three things
+that differ: its per-component work estimate (the chunk cuts), its
+``run_chunk`` and its bulk read of the result regions, so results never
+come back as an object per component.
 
-* :func:`run_component_search` — a component-search request, described
-  once (a :class:`~repro.inference.component_walksat.ComponentSearchRequest`)
-  and shipped as chunks of component indices; its results come back as
-  columns from one bulk read of the result regions, never as an object
-  per component;
-* :func:`run_component_tasks` — one :class:`ComponentTask` per component
-  (MC-SAT components, Gauss-Seidel partitions), results returned per
-  component.
-
-Either way the components (typically straight from a
+The components (typically straight from a
 :class:`~repro.partitioning.loader.LoadPlan` batch, flattened in batch
 order) run
 
@@ -33,8 +32,8 @@ order) run
   fixed share of the work still undispatched, so chunks shrink to single
   components at the tail) and the pool moves one message per chunk each
   way.  Thousands of tiny components cost a few dozen queue round-trips
-  and, on the search path, a few dozen search-loop entries; a handful of
-  coarse ones still travel one by one.  The worker that takes a chunk
+  and a few dozen ``run_chunk`` entries; a handful of coarse ones still
+  travel one by one.  The worker that takes a chunk
   owns its components, so stealing happens between chunks.
 
 **Deadline accounting is post-hoc bookkeeping, not completion order.**
@@ -52,7 +51,7 @@ bit-identical across ``serial | processes`` and across worker counts.
 Simulated costs are nonnegative, so the prefix sums are monotone and the
 cutoff becomes *provable* mid-run as soon as the known prefix crosses
 the deadline; dispatch stops submitting there, and with a deadline the
-chunks are single tasks and the in-flight window is capped at
+chunks are single components and the in-flight window is capped at
 ``workers``, so at most ``workers - 1`` results are ever discarded.
 
 Results are always returned **in component order** regardless of
@@ -60,9 +59,9 @@ completion order, and every aggregate (sequential simulated seconds,
 list-scheduling makespan) is computed in the same order as the serial
 path, so seeded runs are bit-for-bit identical across backends and
 worker counts (``tests/test_parallel_parity.py``).  The
-telemetry on :class:`ScheduledOutcome` (steal counts, per-worker task
-counts, shm-vs-pickled shipping) is the one deliberately nondeterministic
-part — it reports what actually happened on the machine.
+telemetry on :class:`ScheduledOutcome` (steal counts, per-worker
+component counts, shm-vs-pickled shipping) is the one deliberately
+nondeterministic part — it reports what actually happened on the machine.
 """
 
 from __future__ import annotations
@@ -75,16 +74,13 @@ from repro.inference.scheduling import ParallelOutcome, _list_schedule_makespan
 from repro.mrf.graph import MRF
 from repro.obs.tracer import NullTracer
 from repro.parallel.buffers import ResultBufferSet
-from repro.parallel.merge import WalkSATColumns
 from repro.parallel.pool import (
+    Chunk,
     ChunkContext,
     ComponentOutcome,
-    ComponentTask,
     SHIPPED_PICKLE,
     SHIPPED_SHM,
-    SearchChunk,
     WorkerPool,
-    execute_component_task,
 )
 from repro.utils.clock import wall_now
 from repro.utils.timer import Stopwatch
@@ -95,11 +91,11 @@ class ScheduledOutcome(ParallelOutcome):
 
     ``dispatch_order`` and ``skipped`` are deterministic (part of the
     parity contract); the remaining fields are execution telemetry —
-    ``executed`` tasks actually ran, of which ``discarded`` finished past
-    the deadline cutoff and were replaced by placeholders; ``steals`` is
-    how many tasks a worker pulled beyond its first (0 on the serial
+    ``executed`` components actually ran, of which ``discarded`` finished
+    past the deadline cutoff and were replaced by placeholders; ``steals``
+    is how many components a worker ran beyond its first (0 on the serial
     path, which records no per-worker attribution);
-    ``worker_task_counts`` maps worker id → tasks executed;
+    ``worker_task_counts`` maps worker id → components run;
     ``shm_shipped`` / ``pickle_shipped`` / ``shm_bytes`` report the
     result-shipping split on the processes backend, counted per request
     (a warm pool's lifetime totals never bleed into one request's
@@ -143,24 +139,13 @@ def dispatch_order(components: Sequence[MRF]) -> List[int]:
 CHUNK_SHARE = 2
 
 
-def task_work(task: ComponentTask, component: MRF) -> int:
-    """Estimated work of one task: component size × allocated flips/samples."""
-    if task.walksat is not None:
-        steps = task.walksat.max_flips
-    elif task.mcsat is not None:
-        steps = task.mcsat.samples + task.mcsat.burn_in
-    else:
-        steps = 1
-    return component.size() * max(steps, 1)
-
-
 def chunk_boundaries(work: Sequence[int], workers: int) -> List[Tuple[int, int]]:
     """Cut dispatch positions ``0..len(work)`` into consecutive chunks.
 
     ``work[p]`` is the estimated work of dispatch position ``p``.  Each
     chunk ``(start, stop)`` takes positions while their summed work stays
     within ``remaining / (CHUNK_SHARE * workers)`` — always at least one —
-    so early chunks are fat, the tail is single tasks, and a position
+    so early chunks are fat, the tail is single components, and a position
     heavier than the share travels alone.  Every position lands in
     exactly one chunk and order is preserved.
     """
@@ -190,7 +175,7 @@ def deadline_cutoff(
     left-to-right sum of positions ``0..p-1`` is below the deadline; the
     sums are monotone (costs are nonnegative), so the first crossing is
     final the moment every position before it is known — returning a
-    cutoff here is therefore sound even while later tasks are still in
+    cutoff here is therefore sound even while later chunks are still in
     flight.  Returns ``None`` when there is no deadline, or no cutoff is
     provable yet (an unknown cost precedes any crossing).
     """
@@ -207,13 +192,11 @@ def deadline_cutoff(
 
 
 class _Dispatch:
-    """The bookkeeping one scheduled run shares across both entry points.
+    """The bookkeeping of one scheduled run.
 
     Dispatch order, the per-position simulated costs, per-worker
     attribution, the stealing loop, the post-hoc deadline rule and the
-    outcome record are the same whether the run ships
-    :class:`ComponentTask` lists (:func:`run_component_tasks`) or
-    component-search chunks (:func:`run_component_search`).
+    outcome record — the same for every request kind.
     """
 
     def __init__(
@@ -257,11 +240,9 @@ class _Dispatch:
         self.worker_counts: Dict[int, int] = {}
         #: component index -> worker id, where attribution is known
         self.worker_of: Dict[int, int] = {}
-        #: component index -> (wall start, wall end) for serial-loop tasks
-        self.task_walls: List[Optional[Tuple[float, float]]] = [None] * len(components)
         #: component index -> {"worker", "channel"?, "events"} phase records
         self.task_events: Dict[int, dict] = {}
-        #: [first drain start, last drain end] on the processes backend
+        #: [first collect start, last collect end] on the processes backend
         self.ship_window: List[Optional[float]] = [None, None]
         self.executed = 0
         self.chunks_sent = 0
@@ -286,13 +267,13 @@ class _Dispatch:
         if attributed:
             self.worker_counts[worker_id] = self.worker_counts.get(worker_id, 0) + count
 
-    def steal(self, chunks: Sequence[Tuple[int, int]], window: int, submit, drain) -> None:
+    def steal(self, chunks: Sequence[Tuple[int, int]], window: int, submit, collect) -> None:
         """The stealing loop on the forked pool.
 
         The pool's task queue *is* the shared cursor: chunks of the
         largest-first order enter it in order and whichever worker frees
         up first takes the head.  ``submit(indices)`` queues one chunk;
-        ``drain()`` blocks for one of this request's completion messages
+        ``collect()`` blocks for one of this request's completion messages
         and returns ``(worker id, finished (index, simulated seconds)
         pairs)``.  At most ``window`` positions are in flight past the
         completed ones, and nothing past a provable deadline cutoff is
@@ -315,11 +296,11 @@ class _Dispatch:
                 sent += 1
             if completed >= submitted:
                 break
-            drain_start = wall_now() if self.traced else 0.0
-            worker_id, finished = drain()
+            collect_start = wall_now() if self.traced else 0.0
+            worker_id, finished = collect()
             if self.traced:
                 if self.ship_window[0] is None:
-                    self.ship_window[0] = drain_start
+                    self.ship_window[0] = collect_start
                 self.ship_window[1] = wall_now()
             finished = list(finished)
             completed += len(finished)
@@ -347,15 +328,11 @@ class _Dispatch:
     def release_pool(self) -> None:
         """Close out the request on the pool (runs in a ``finally``).
 
-        Pulls the workers' task-path span records before
-        ``finish_request`` wipes them, then collects the shipping counters
-        of exactly this request (a request that leaves chunks in flight
-        shuts the pool down there).
+        Collects the shipping counters of exactly this request (a request
+        that leaves chunks in flight shuts the pool down there).
         """
         pool = self.pool
         if self.backend == "processes" and pool is not None:
-            if self.traced:
-                self.task_events.update(pool.take_task_events())
             self.shipping = pool.finish_request()
         if pool is not None and self.owns_pool:
             pool.shutdown()
@@ -375,7 +352,6 @@ class _Dispatch:
             _emit_task_spans(
                 self.tracer,
                 self.order,
-                self.task_walls,
                 self.task_events,
                 self.worker_of,
                 self.costs,
@@ -418,136 +394,7 @@ def _order_and_positions(components: Sequence[MRF]) -> Tuple[List[int], Dict[int
     return order, {index: position for position, index in enumerate(order)}
 
 
-def run_component_tasks(
-    components: Sequence[MRF],
-    tasks: Sequence[ComponentTask],
-    backend: str,
-    workers: int = 1,
-    deadline_seconds: Optional[float] = None,
-    local_states=None,
-    placeholder: Optional[Callable[[int], ComponentOutcome]] = None,
-    pool: Optional[WorkerPool] = None,
-    request_id: int = 0,
-    tracer=None,
-    metrics=None,
-) -> ScheduledOutcome:
-    """Run one task per component, returning results in component order.
-
-    ``local_states`` supplies the caller's cached kernel states — one per
-    component, for the WalkSAT state-reuse lifecycle — either as a
-    sequence or as a zero-argument callable; it is only consulted (and a
-    callable only invoked) on the serial backend, so callers never
-    build states the processes backend would ignore.  ``placeholder``
-    builds the outcome of a component the deadline excluded (it must not
-    consume the run's RNG streams — each component owns a derived stream,
-    so skipping one never shifts another's).
-
-    ``pool`` lends a caller-owned :class:`WorkerPool` (the engine
-    session's persistent pool) to the ``processes`` backend: the pool must
-    have been forked over exactly these component objects, it is *not*
-    shut down here (the owner keeps it warm across calls), and it is
-    ignored on the serial backend.  Without it the scheduler builds
-    an ephemeral pool whose shared-memory segment is released in a
-    ``finally`` even when a task raises.
-
-    Deadline-bounded runs count the components chosen by the post-hoc
-    prefix rule (see the module docstring): identical across backends
-    *and* worker counts.
-
-    ``request_id`` names the session request this run belongs to; every
-    task is stamped with it, and the pool refuses a reply tagged for any
-    other request (see :class:`~repro.parallel.pool.WorkerPool`).
-
-    ``tracer`` / ``metrics`` are the injected observability surfaces
-    (defaulting to no-ops).  With a recording tracer, every executed
-    task gets a post-hoc ``component[i]`` span — emitted from *this*
-    thread in dispatch order, so the merged order is deterministic even
-    though completion order is not — stitched with the worker-side
-    phase events shipped on the completion tokens, plus one ``ship``
-    span covering the result drain.  Pure read-side telemetry: no RNG,
-    no simulated-clock mutation, bit-identical results traced or not.
-    """
-    if len(tasks) != len(components):
-        raise ValueError("one task per component is required")
-    run = _Dispatch(
-        components, backend, workers, deadline_seconds, pool, request_id, tracer
-    )
-    if backend == "processes":
-        local_states = None
-    elif callable(local_states):
-        local_states = local_states()
-    traced = run.traced
-    for task in tasks:
-        task.request_id = request_id
-        task.trace_events = traced
-    order = run.order
-    slots: List[Optional[ComponentOutcome]] = [None] * len(tasks)
-
-    try:
-        with run.stopwatch.measure():
-            if backend == "serial":
-                # The executable specification: strictly sequential in
-                # dispatch order, stopping exactly at the deadline rule.
-                spent = 0.0
-                for index in order:
-                    if deadline_seconds is not None and spent >= deadline_seconds:
-                        break
-                    start = wall_now() if traced else 0.0
-                    state = local_states[index] if local_states is not None else None
-                    outcome = execute_component_task(
-                        tasks[index], components[index], state
-                    )
-                    if traced:
-                        run.task_walls[index] = (start, wall_now())
-                    slots[index] = outcome
-                    run.record(0, [(index, outcome.simulated_seconds)], attributed=False)
-                    spent += outcome.simulated_seconds
-            else:
-                pool = run.start_pool()
-                if deadline_seconds is None:
-                    chunks = chunk_boundaries(
-                        [task_work(tasks[index], components[index]) for index in order],
-                        workers,
-                    )
-                    window = len(order)
-                else:
-                    chunks = _single_chunks(len(order))
-                    window = max(workers, 1)
-
-                def drain():
-                    outcome, worker_id = pool.next_outcome(request_id)
-                    slots[outcome.index] = outcome
-                    return worker_id, [(outcome.index, outcome.simulated_seconds)]
-
-                run.steal(
-                    chunks,
-                    window,
-                    lambda indices: pool.submit_chunk([tasks[i] for i in indices]),
-                    drain,
-                )
-            counted = run.counted()
-            skipped = order[len(counted):]
-            discarded = {index for index in skipped if slots[index] is not None}
-            if skipped and placeholder is None:
-                raise RuntimeError(
-                    "deadline skipped components but no placeholder was provided"
-                )
-            for index in skipped:
-                slots[index] = placeholder(index)
-    finally:
-        run.release_pool()
-
-    return run.outcome(
-        [slot.result for slot in slots],
-        [slot.simulated_seconds for slot in slots],
-        counted,
-        skipped,
-        discarded,
-        metrics,
-    )
-
-
-def run_component_search(
+def run_component_request(
     components: Sequence[MRF],
     request,
     backend: str,
@@ -560,27 +407,55 @@ def run_component_search(
     tracer=None,
     metrics=None,
 ) -> ScheduledOutcome:
-    """Run a component-search request; its results come back as columns.
+    """Run one request over the components, returning results in component order.
 
-    ``request`` is a
-    :class:`~repro.inference.component_walksat.ComponentSearchRequest`
-    — the whole request described once.  Dispatch order, chunk
-    boundaries, the deadline rule and telemetry are those of
-    :func:`run_component_tasks`; what differs is what travels and what
-    comes back.  A chunk message is the request plus the chunk's
-    component indices, run by the request's one search loop
-    (:meth:`~repro.inference.component_walksat.ComponentSearchRequest.run_chunk`)
-    — in a worker on the ``processes`` backend, in this thread against
-    a private copy of the result regions on ``serial``.  After the last
-    chunk the parent reads every region at once
-    (:meth:`~repro.parallel.buffers.ResultBufferSet.read_walksat_columns`);
-    the outcome's ``results`` is that :class:`WalkSATColumns`, in
-    component order.  Results that did not fit their region, and the
-    ``placeholder(index)`` outcomes of components a deadline skipped,
-    are folded in through :meth:`WalkSATColumns.from_results`.
+    ``request`` describes the whole request once: a
+    :class:`~repro.inference.component_walksat.ComponentSearchRequest` or
+    a :class:`~repro.inference.mcsat.ComponentSampleRequest`.  It supplies
 
-    On the processes backend, the dispatch order, the chunk cuts and
-    (through the request) the flip allocation are cached with the pool.
+    * ``chunk_work(components, order)`` — the estimated work of every
+      dispatch position, from which the chunk cuts are made (and
+      ``plan_key``, under which a lent pool caches them);
+    * ``run_chunk(indices, context, traced)`` — the one loop over a
+      chunk's components, in a worker on the ``processes`` backend, in
+      this thread against a private copy of the result regions on
+      ``serial``; it returns ``(simulated seconds per index, fallbacks,
+      shm bytes, events)``;
+    * ``read_results(components, buffers, overrides)`` — the one bulk
+      read of every region after the last chunk, with ``overrides``
+      (component index → :class:`ComponentOutcome`) standing in for the
+      results that did not fit their region and for the components a
+      deadline skipped.  The outcome's ``results`` is what it returns.
+
+    ``local_states`` supplies the caller's cached kernel states — one per
+    component — either as a sequence or as a zero-argument callable; it
+    is only consulted (and a callable only invoked) on the serial
+    backend.  ``placeholder`` builds the outcome of a component the
+    deadline excluded (it must not consume the run's RNG streams — each
+    component owns a derived stream, so skipping one never shifts
+    another's).
+
+    ``pool`` lends a caller-owned :class:`WorkerPool` (the engine
+    session's persistent pool) to the ``processes`` backend: the pool must
+    have been forked over exactly these component objects, it is *not*
+    shut down here (the owner keeps it warm across calls), and it is
+    ignored on the serial backend.  Without it the scheduler builds an
+    ephemeral pool whose shared-memory segment is released in a
+    ``finally`` even when a chunk raises.  On a lent pool the dispatch
+    order and the chunk cuts are cached with the pool.
+
+    ``request_id`` names the session request this run belongs to; every
+    chunk carries it, and the pool refuses a reply tagged for any other
+    request (see :class:`~repro.parallel.pool.WorkerPool`).
+
+    ``tracer`` / ``metrics`` are the injected observability surfaces
+    (defaulting to no-ops).  With a recording tracer, every executed
+    component gets a post-hoc ``component[i]`` span — emitted from *this*
+    thread in dispatch order, so the merged order is deterministic even
+    though completion order is not — stitched with the phase events
+    ``run_chunk`` returned, plus one ``ship`` span covering the result
+    collection.  Pure read-side telemetry: no RNG, no simulated-clock
+    mutation, bit-identical results traced or not.
     """
     run = _Dispatch(
         components, backend, workers, deadline_seconds, pool, request_id, tracer
@@ -630,15 +505,17 @@ def run_component_search(
                 buffers = pool.result_buffers
                 if deadline_seconds is None:
                     chunks = pool.memo(
-                        ("search-chunks", request.budget, workers),
-                        lambda: _search_chunks(components, request, order, workers),
+                        ("chunks", request.plan_key, workers),
+                        lambda: chunk_boundaries(
+                            request.chunk_work(components, order), workers
+                        ),
                     )
                     window = len(order)
                 else:
                     chunks = _single_chunks(len(order))
                     window = max(workers, 1)
 
-                def drain():
+                def collect():
                     worker_id, indices, costs, returned, events = pool.next_chunk(
                         request_id
                     )
@@ -650,10 +527,10 @@ def run_component_search(
                 run.steal(
                     chunks,
                     window,
-                    lambda indices: pool.submit_search_chunk(
-                        SearchChunk(request_id, list(indices), request, traced=traced)
+                    lambda indices: pool.submit(
+                        Chunk(request_id, list(indices), request, traced=traced)
                     ),
-                    drain,
+                    collect,
                 )
             counted = run.counted()
             skipped = order[len(counted):]
@@ -668,7 +545,7 @@ def run_component_search(
             for index, outcome in fallbacks.items():
                 overrides.setdefault(index, outcome)
             # The bulk read: before release_pool, which may shut the pool down.
-            columns = _read_columns(components, buffers, overrides)
+            results = request.read_results(components, buffers, overrides)
     finally:
         run.release_pool()
         if backend == "serial" and buffers is not None:
@@ -682,7 +559,7 @@ def run_component_search(
         else costs[position_of[index]]
         for index in range(len(components))
     ]
-    return run.outcome(columns, durations, counted, skipped, discarded, metrics)
+    return run.outcome(results, durations, counted, skipped, discarded, metrics)
 
 
 def _single_chunks(count: int) -> List[Tuple[int, int]]:
@@ -690,47 +567,9 @@ def _single_chunks(count: int) -> List[Tuple[int, int]]:
     return [(position, position + 1) for position in range(count)]
 
 
-def _search_chunks(
-    components: Sequence[MRF], request, order: Sequence[int], workers: int
-) -> List[Tuple[int, int]]:
-    """Chunk cuts of a search request: :func:`task_work` without tasks."""
-    allocation = request.allocation
-    return chunk_boundaries(
-        [components[index].size() * max(allocation[index], 1) for index in order],
-        workers,
-    )
-
-
-def _read_columns(
-    components: Sequence[MRF],
-    buffers: ResultBufferSet,
-    overrides: Dict[int, ComponentOutcome],
-) -> WalkSATColumns:
-    """Every component's result, in component order.
-
-    One bulk read when every result sits in its region; otherwise the
-    per-component objects (region reads, ``overrides`` for fallbacks and
-    placeholders) folded into columns.
-    """
-    if not overrides:
-        return buffers.read_walksat_columns()
-    results = []
-    for index, component in enumerate(components):
-        outcome = overrides.get(index)
-        if outcome is None:
-            result, _seconds = buffers.read_outcome(
-                index, component.atom_ids, f"component-{index}"
-            )
-        else:
-            result = outcome.result
-        results.append(result)
-    return WalkSATColumns.from_results(results)
-
-
 def _emit_task_spans(
     tracer,
     order: Sequence[int],
-    task_walls: List[Optional[Tuple[float, float]]],
     task_event_map: Dict[int, dict],
     worker_of: Dict[int, int],
     costs: List[Optional[float]],
@@ -741,30 +580,28 @@ def _emit_task_spans(
     pickle_shipped: int,
     shm_bytes: int,
 ) -> None:
-    """Stitch the run's task spans under the ambient (request) span.
+    """Stitch the run's component spans under the ambient (request) span.
 
     Emitted post-hoc from the request's own thread, iterating dispatch
     positions in order — the merged span order is deterministic no matter
-    which worker finished when.  Worker-side phase events (shipped on the
-    completion tokens) become child spans of their task's span.
+    which worker finished when.  The phase events ``run_chunk`` returned
+    become child spans of their component's span.
     """
     for position, index in enumerate(order):
-        walls = task_walls[index]
         info = task_event_map.get(index)
-        events = info["events"] if info else None
-        if walls is None and events:
-            walls = (events[0]["start"], events[-1]["end"])
-        if walls is None:
+        if info is None:
             continue  # excluded by the deadline before anyone ran it
+        events = info["events"]
+        walls = (events[0]["start"], events[-1]["end"])
         attributes = {
             "component": index,
             "position": position,
             "backend": backend,
         }
-        worker = worker_of.get(index, info["worker"] if info else None)
+        worker = worker_of.get(index, info["worker"])
         if worker is not None:
             attributes["worker"] = worker
-        if info is not None and "channel" in info:
+        if "channel" in info:
             attributes["channel"] = info["channel"]
         cost = costs[position]
         if cost is not None:
@@ -774,9 +611,8 @@ def _emit_task_spans(
         task_span = tracer.record_span(
             f"component[{index}]", walls[0], walls[1], **attributes
         )
-        if events:
-            for event in events:
-                tracer.record_span(
+        for event in events:
+            tracer.record_span(
                     event["name"],
                     event["start"],
                     event["end"],

@@ -246,11 +246,24 @@ class TestForkModuleState:
         report = analyze(tmp_path, {"parallel/pool.py": """\
             _CACHE = {}
 
-            def execute_component_task(task):
+            def _worker_run(task):
                 _CACHE[task.component_id] = task
                 _CACHE.update({})
             """})
         assert len(messages(report, "fork-module-state")) == 2
+
+    def test_request_run_chunk_mutating_module_global_fires(self, tmp_path: Path) -> None:
+        # Every forked worker runs a request's run_chunk, wherever the
+        # request class lives.
+        report = analyze(tmp_path, {"inference/sampler.py": """\
+            _SEEN = []
+
+            class SampleRequest:
+                def run_chunk(self, indices, context, traced):
+                    _SEEN.extend(indices)
+                    return [], {}, 0, None
+            """})
+        assert rules_fired(report) == ["fork-module-state"]
 
     def test_global_declaration_fires(self, tmp_path: Path) -> None:
         report = analyze(tmp_path, {"parallel/pool.py": """\
@@ -263,25 +276,31 @@ class TestForkModuleState:
         assert rules_fired(report) == ["fork-module-state"]
 
     def test_local_state_and_non_worker_are_clean(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {"parallel/pool.py": """\
+        report = analyze(tmp_path, {"inference/search.py": """\
             _CACHE = {}
 
-            def execute_component_task(task):
-                local = {}
-                local[task.component_id] = task
-                return local
+            class SearchRequest:
+                def run_chunk(self, indices, context, traced):
+                    local = {}
+                    for index in indices:
+                        local[index] = context.slot(index)
+                    return local
+
+                def read_results(self, components, buffers, overrides):
+                    _CACHE[len(components)] = buffers
 
             def coordinator_only(task):
                 _CACHE[task.component_id] = task
             """})
         assert report.findings == []
 
-    def test_same_code_outside_parallel_dir_is_clean(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {"inference/pool.py": """\
+    def test_same_code_outside_worker_dirs_is_clean(self, tmp_path: Path) -> None:
+        report = analyze(tmp_path, {"core/pool.py": """\
             _CACHE = {}
 
-            def execute_component_task(task):
-                _CACHE[task.component_id] = task
+            class Request:
+                def run_chunk(self, indices, context, traced):
+                    _CACHE[len(indices)] = context
             """})
         assert report.findings == []
 
@@ -506,7 +525,7 @@ class TestPoolLifecycle:
         # WorkerPool must be seen, with its fork-time state protected.
         import ast
 
-        from repro.analysis.rules.concurrency import PoolLifecycleRule
+        from repro.analysis.rules.fork import PoolLifecycleRule
         from repro.parallel import pool as pool_module
 
         tree = ast.parse(Path(pool_module.__file__).read_text())

@@ -4,10 +4,11 @@ A component-search request travels as one description plus chunks of
 component indices, runs through one search loop per chunk
 (:meth:`ComponentSearchRequest.run_chunk`) and comes back through one
 bulk read of the result regions.  The spec is the per-component path it
-replaced: one :class:`ComponentTask` per component, run by
-``WalkSAT.run_on_state`` on a fresh ``RandomSource`` and simulated
-clock (:func:`execute_component_task`), placeholders for what a
-deadline skips, merged component by component.  Every field
+replaced, kept as the oracle in ``component_oracle``: one
+:class:`ComponentTask` per component, run by ``WalkSAT.run_on_state`` on
+a fresh ``RandomSource`` and simulated clock
+(:func:`execute_component_task`), placeholders for what a deadline
+skips, merged component by component.  Every field
 is compared — assignments with their dict order, costs, flips, tries,
 hitting times, traces and simulated seconds — except the wall-clock
 ``seconds``.
@@ -18,6 +19,7 @@ import random
 
 import pytest
 
+from component_oracle import ComponentTask, execute_component_task
 from repro.grounding.clause_table import GroundClauseStore
 from repro.inference.component_walksat import (
     ComponentAwareWalkSAT,
@@ -33,13 +35,7 @@ from repro.obs.events import merge_series
 from repro.parallel import processes_available
 from repro.parallel.buffers import ResultBufferSet
 from repro.parallel.merge import WalkSATColumns
-from repro.parallel.pool import (
-    ChunkContext,
-    ComponentOutcome,
-    ComponentTask,
-    WorkerPool,
-    execute_component_task,
-)
+from repro.parallel.pool import ChunkContext, ComponentOutcome, WorkerPool
 from repro.parallel.scheduler import dispatch_order
 from repro.utils.clock import CostModel
 from repro.utils.rng import RandomSource
@@ -365,7 +361,7 @@ class TestComponentSearchAgainstSpec:
                     components, options, 10 + request_id, 3000, "processes",
                     pool=pool, request_id=request_id,
                 )
-                assert pool._inflight == {} and not pool._tokens, request_id
+                assert pool._pending == 0, request_id
             assert pool.matches(components)
         for request_id, result in results.items():
             assert result.shm_shipped + result.pickle_shipped == len(components)

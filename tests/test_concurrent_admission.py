@@ -8,9 +8,11 @@ through merge.  Every request's MAP assignment, marginals, skipped set
 and simulated accounting are bit-identical to running the same request
 alone — checked across parallel backends and worker counts, with a
 per-request deadline, across an evidence delta, and on the fault paths:
-a failing request, ``close()`` with queued futures, and a reply tagged
-for the wrong request.  Every fault test waits with a bound and checks
-that the shared-memory segments it created are gone.
+a failing request, a dying worker, ``close()`` with queued futures, and a
+reply tagged for the wrong request — each on both request forms that
+cross the pool, a MAP search and an MC-SAT sample request.  Every fault
+test waits with a bound and checks that the shared-memory segments it
+created are gone.
 """
 
 import os
@@ -20,6 +22,7 @@ from concurrent.futures import CancelledError
 
 import pytest
 
+from component_oracle import run_tasks, search_request, walksat_tasks
 from repro.cli import main
 from repro.core.config import InferenceConfig
 from repro.core.engine import TuffyEngine
@@ -29,12 +32,14 @@ from repro.inference.component_walksat import (
     ComponentAwareWalkSAT,
     ComponentSearchRequest,
 )
+from repro.inference.mcsat import ComponentSampleRequest, MCSat, MCSatOptions
+from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.parallel import processes_available
 from repro.parallel.buffers import ResultBufferSet
-from repro.parallel.pool import ComponentTask, WorkerPool
-from repro.parallel.scheduler import run_component_tasks
+from repro.parallel.pool import Chunk, WorkerPool
+from repro.parallel.scheduler import run_component_request
 from repro.utils.rng import RandomSource
 
 BACKENDS = [
@@ -124,18 +129,33 @@ def shm_segments(monkeypatch):
     assert not left, f"shared-memory segments left behind: {left}"
 
 
-def _patch_run_chunk(monkeypatch, before):
-    """Call ``before(request)`` ahead of every component-search chunk.
+#: The two request forms that cross the pool: the session verb that
+#: submits one, and the request class whose chunks it ships.
+FORMS = {
+    "map": ("submit_map", ComponentSearchRequest),
+    "marginal": ("submit_marginal", ComponentSampleRequest),
+}
+
+
+def _patch_run_chunk(monkeypatch, before, request_class=ComponentSearchRequest):
+    """Call ``before(request)`` ahead of every chunk of ``request_class``.
 
     Patched on the class before any pool forks, so workers inherit it.
     """
-    real = ComponentSearchRequest.run_chunk
+    real = request_class.run_chunk
 
     def patched(self, indices, context, traced):
         before(self)
         return real(self, indices, context, traced)
 
-    monkeypatch.setattr(ComponentSearchRequest, "run_chunk", patched)
+    monkeypatch.setattr(request_class, "run_chunk", patched)
+
+
+def _assert_same(form, result, reference, key=None):
+    if form == "map":
+        _assert_same_map(result, reference, key)
+    else:
+        _assert_same_marginal(result, reference, key)
 
 
 class TestFifoParity:
@@ -236,7 +256,10 @@ class TestSessionGuards:
         assert caller and set(threads[:caller]) == {threading.get_ident()}
         assert threading.get_ident() not in threads[caller:]
 
-    def test_close_finishes_running_request_and_cancels_queued_ones(self, monkeypatch):
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_close_finishes_running_request_and_cancels_queued_ones(
+        self, form, monkeypatch
+    ):
         entered = threading.Event()
         release = threading.Event()
 
@@ -245,10 +268,13 @@ class TestSessionGuards:
                 entered.set()
                 assert release.wait(WAIT_SECONDS)
 
-        solo = TuffyEngine(_program(), _config(parallel_backend="serial")).run_map(seed=0)
-        _patch_run_chunk(monkeypatch, hold_seed_zero)
-        engine = TuffyEngine(_program(), _config(parallel_backend="serial"))
-        running = engine.submit_map(seed=0)
+        verb, request_class = FORMS[form]
+        config = dict(parallel_backend="serial", mcsat_samples=5)
+        with TuffyEngine(_program(), _config(**config)) as solo_engine:
+            solo = getattr(solo_engine, verb)(seed=0).result(timeout=WAIT_SECONDS)
+        _patch_run_chunk(monkeypatch, hold_seed_zero, request_class)
+        engine = TuffyEngine(_program(), _config(**config))
+        running = getattr(engine, verb)(seed=0)
         assert entered.wait(WAIT_SECONDS)
         # Submitting never waits for the running request.
         queued = [engine.submit_map(seed=7), engine.submit_marginal(seed=3)]
@@ -265,7 +291,7 @@ class TestSessionGuards:
         closer.join(WAIT_SECONDS)
         assert not closer.is_alive(), "close() hung"
 
-        _assert_same_map(running.result(timeout=WAIT_SECONDS), solo)
+        _assert_same(form, running.result(timeout=WAIT_SECONDS), solo)
         for future in queued:
             with pytest.raises(CancelledError):
                 future.result(timeout=WAIT_SECONDS)
@@ -315,27 +341,28 @@ class TestFaultPaths:
     """A fault fails exactly its own request; later requests are clean."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_failing_request_fails_only_its_future(self, backend, monkeypatch, shm_segments):
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_failing_request_fails_only_its_future(
+        self, backend, form, monkeypatch, shm_segments
+    ):
         def fail_seed_13(request):
             if request.seed == 13:
                 raise ValueError("injected kernel failure")
 
-        config = dict(parallel_backend=backend, workers=2)
+        verb, request_class = FORMS[form]
+        config = dict(parallel_backend=backend, workers=2, mcsat_samples=5)
         solo = {}
         for seed in (0, 7):
             with TuffyEngine(_program(), _config(**config)) as engine:
-                solo[seed] = engine.run_map(seed=seed)
-        _patch_run_chunk(monkeypatch, fail_seed_13)
+                solo[seed] = getattr(engine, verb)(seed=seed).result(timeout=WAIT_SECONDS)
+        _patch_run_chunk(monkeypatch, fail_seed_13, request_class)
         with TuffyEngine(_program(), _config(**config)) as engine:
-            futures = [
-                engine.submit_map(seed=0),
-                engine.submit_map(seed=13),
-                engine.submit_map(seed=7),
-            ]
-            _assert_same_map(futures[0].result(timeout=WAIT_SECONDS), solo[0])
+            submit = getattr(engine, verb)
+            futures = [submit(seed=0), submit(seed=13), submit(seed=7)]
+            _assert_same(form, futures[0].result(timeout=WAIT_SECONDS), solo[0])
             with pytest.raises((RuntimeError, ValueError), match="injected kernel failure"):
                 futures[1].result(timeout=WAIT_SECONDS)
-            _assert_same_map(futures[2].result(timeout=WAIT_SECONDS), solo[7])
+            _assert_same(form, futures[2].result(timeout=WAIT_SECONDS), solo[7])
             if backend == "processes":
                 # The failed request shut its pool down; the request behind
                 # it ran on a freshly forked one.
@@ -343,40 +370,42 @@ class TestFaultPaths:
             assert engine.stats.requests == 3
 
     @needs_fork
-    def test_dead_worker_fails_only_its_request(self, monkeypatch, shm_segments):
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_dead_worker_fails_only_its_request(self, form, monkeypatch, shm_segments):
         # A worker that exits without replying (as after an OOM kill) is
-        # found by the timed drain: only that request fails, and the one
-        # behind it runs on a freshly forked pool.
+        # found by the timed wait for its reply: only that request fails,
+        # and the one behind it runs on a freshly forked pool.
         def exit_on_seed_13(request):
             if request.seed == 13:
                 os._exit(3)
 
-        config = dict(parallel_backend="processes", workers=2)
+        verb, request_class = FORMS[form]
+        config = dict(parallel_backend="processes", workers=2, mcsat_samples=5)
         with TuffyEngine(_program(), _config(**config)) as engine:
-            solo = engine.run_map(seed=7)
-        _patch_run_chunk(monkeypatch, exit_on_seed_13)
+            solo = getattr(engine, verb)(seed=7).result(timeout=WAIT_SECONDS)
+        _patch_run_chunk(monkeypatch, exit_on_seed_13, request_class)
         with TuffyEngine(_program(), _config(**config)) as engine:
-            failing = engine.submit_map(seed=13)
-            behind = engine.submit_map(seed=7)
+            failing = getattr(engine, verb)(seed=13)
+            behind = getattr(engine, verb)(seed=7)
             with pytest.raises(RuntimeError, match="died before replying"):
                 failing.result(timeout=WAIT_SECONDS)
-            _assert_same_map(behind.result(timeout=WAIT_SECONDS), solo)
+            _assert_same(form, behind.result(timeout=WAIT_SECONDS), solo)
             assert engine.stats.pool_launches == 2
             assert engine.stats.requests == 2
 
     @needs_fork
-    @pytest.mark.parametrize("path", ("tasks", "search"))
+    @pytest.mark.parametrize("path", ("sample", "search"))
     def test_reply_tagged_for_another_request_raises(self, path, shm_segments):
         components = imbalanced_components()
         with WorkerPool(components, 2) as pool:
             # A reply left behind by request 99, ahead of request 1's own.
-            pool._results.put((99, 0, [], 0, 0))
+            pool._results.put((99, 0, None, 0, 0))
             started = time.monotonic()
             with pytest.raises(RuntimeError, match="tagged for request 99"):
-                if path == "tasks":
-                    run_component_tasks(
-                        components, walksat_tasks(components), backend="processes",
-                        workers=2, pool=pool, request_id=1,
+                if path == "sample":
+                    MCSat(MCSatOptions(samples=4, burn_in=1), RandomSource(7)).run_components(
+                        components, parallel_backend="processes", workers=2,
+                        pool=pool, request_id=1,
                     )
                 else:
                     ComponentAwareWalkSAT(
@@ -389,6 +418,32 @@ class TestFaultPaths:
             assert not pool.matches(components)
         assert len(shm_segments) == 1
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_deadline_zero_on_a_warm_session_sends_no_chunk(self, backend, shm_segments):
+        # Every component gets its placeholder (the reset state, 0 flips)
+        # without a chunk leaving the parent, the pool's segment stays as
+        # it was, and the next request is a fresh session's, bit for bit.
+        config = dict(parallel_backend=backend, workers=2)
+        with TuffyEngine(_program(), _config(**config)) as fresh:
+            want = fresh.run_map(seed=7)
+        packed = len(shm_segments)
+        with TuffyEngine(_program(), _config(**config)) as engine:
+            engine.run_map(seed=0)  # warm: grounding, components and pool
+            segments = list(shm_segments)
+            counters = engine.metrics_snapshot().as_dict()["counters"]
+            before = (counters["scheduler.chunks_dispatched"], counters["scheduler.tasks_executed"])
+            result = engine.run_map(seed=5, deadline_seconds=0.0)
+            counters = engine.metrics_snapshot().as_dict()["counters"]
+            after = (counters["scheduler.chunks_dispatched"], counters["scheduler.tasks_executed"])
+            assert after == before
+            assert result.flips == 0
+            for component in engine.detect_components().components:
+                for atom, value in SearchState(component).assignment_dict().items():
+                    assert result.assignment[atom] == value
+            assert shm_segments == segments
+            assert all(os.path.exists(f"/dev/shm/{name}") for name in segments[packed:])
+            _assert_same_map(engine.run_map(seed=7), want)
+
     @needs_fork
     def test_request_leaving_chunks_in_flight_shuts_its_pool_down(self, shm_segments):
         # Every result rides the reply pickled (no trace fits a region),
@@ -397,7 +452,9 @@ class TestFaultPaths:
             conflicted_chain(400, first_atom=1 + 1000 * index) for index in range(60)
         ]
         with WorkerPool(components, 1, trace_capacity=0) as pool:
-            pool.submit_chunk(walksat_tasks(components, flips=20))
+            pool.submit(
+                Chunk(0, list(range(len(components))), search_request(components, 7, 20))
+            )
             deadline = time.monotonic() + WAIT_SECONDS
             while pool._results.empty():
                 assert time.monotonic() < deadline, "the worker never replied"
@@ -435,17 +492,20 @@ def imbalanced_components():
     return components
 
 
-def walksat_tasks(components, flips=400):
-    rng = RandomSource(7)
-    return [
-        ComponentTask(
-            index=index,
-            kind="walksat",
-            seed=rng.spawn(index + 1).seed,
-            walksat=WalkSATOptions(max_flips=flips, trace_label=f"component-{index}"),
-        )
-        for index in range(len(components))
-    ]
+def run(components, backend, workers=2, **kwargs):
+    """A chunked search request: 400 flips per component on seed 7's streams."""
+    return run_component_request(
+        components, search_request(components, 7, 400), backend, workers=workers,
+        **kwargs,
+    )
+
+
+def oracle_run(components):
+    """The per-component task oracle of :func:`run`."""
+    tasks = walksat_tasks(components, 7, 400)
+    for task in tasks:
+        task.walksat.trace_label = f"component-{task.index}"
+    return run_tasks(components, tasks)
 
 
 def result_fields(result):
@@ -469,23 +529,20 @@ class TestSharedPoolRequests:
             conflicted_chain(2 + index % 5, first_atom=1 + 100 * index)
             for index in range(40)
         ]
-        reference = run_component_tasks(
-            components, walksat_tasks(components), backend="serial", workers=1
-        )
+        reference = oracle_run(components)
         with WorkerPool(components, 2) as pool:
             outcomes = {
-                request_id: run_component_tasks(
-                    components, walksat_tasks(components), backend="processes",
-                    workers=2, pool=pool, request_id=request_id,
+                request_id: run(
+                    components, "processes", pool=pool, request_id=request_id
                 )
                 for request_id in (1, 2)
             }
             counters = pool.metrics.as_dict()["counters"]
-            assert pool._inflight == {} and not pool._tokens
+            assert pool._pending == 0
         assert counters["pool.shm_shipped"] == 2 * len(components)
         for request_id, outcome in outcomes.items():
             assert outcome.dispatch_order == reference.dispatch_order
-            for got, want in zip(outcome.results, reference.results):
+            for got, want in zip(outcome.results.results(), reference.results):
                 assert result_fields(got) == result_fields(want), request_id
             assert outcome.shm_shipped == len(components), request_id
             assert sum(outcome.worker_task_counts.values()) == len(components)
@@ -496,14 +553,7 @@ class TestSharedPoolRequests:
         components = imbalanced_components()
         with WorkerPool(components, 2) as pool:
             for request_id in (1, 2):
-                outcome = run_component_tasks(
-                    components,
-                    walksat_tasks(components),
-                    backend="processes",
-                    workers=2,
-                    pool=pool,
-                    request_id=request_id,
-                )
+                outcome = run(components, "processes", pool=pool, request_id=request_id)
                 assert outcome.shm_shipped == len(components), request_id
                 assert outcome.pickle_shipped == 0, request_id
                 assert (
@@ -515,16 +565,11 @@ class TestSharedPoolRequests:
     def test_back_to_back_requests_with_stalled_worker(self):
         # A slow worker changes which worker runs what, never the results.
         components = imbalanced_components()
-        reference = run_component_tasks(
-            components, walksat_tasks(components), backend="serial", workers=1
-        )
+        reference = oracle_run(components)
         with WorkerPool(components, 2, stall_worker=(0, 0.02)) as pool:
             for request_id in (1, 2):
-                outcome = run_component_tasks(
-                    components, walksat_tasks(components), backend="processes",
-                    workers=2, pool=pool, request_id=request_id,
-                )
-                for got, want in zip(outcome.results, reference.results):
+                outcome = run(components, "processes", pool=pool, request_id=request_id)
+                for got, want in zip(outcome.results.results(), reference.results):
                     assert result_fields(got) == result_fields(want), request_id
                 assert outcome.shm_shipped == len(components), request_id
                 assert outcome.pickle_shipped == 0, request_id

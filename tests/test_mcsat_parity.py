@@ -6,7 +6,9 @@ identical to the scalar loop, which is retained as the executable
 specification: same RNG stream, same constraint sets, same sample sequence,
 same marginals.  These tests drive both pipelines with identical seeds
 over MLNs covering every clause kind (positive/negative, soft/hard,
-duplicate literals), and compare every observable.
+duplicate literals), and compare every observable.  A sample request's
+chunks (:class:`ComponentSampleRequest`) are checked against the
+per-component runs of ``component_oracle``.
 
 The ``count_path`` fixture runs each test on both of the search state's
 count-initialisation paths (``NUMPY_VIEW_MIN_CLAUSES`` patched to 0 or to
@@ -16,12 +18,15 @@ the loop path.
 """
 
 import math
+import random
 
 import pytest
 
+from component_oracle import mcsat_marginals
 from repro.grounding.clause_table import GroundClause, GroundClauseStore
 from repro.inference import mcsat
 from repro.inference.mcsat import (
+    ComponentSampleRequest,
     MCSat,
     MCSatOptions,
     _BatchedSelection,
@@ -31,6 +36,8 @@ from repro.inference.samplesat import ConstraintPool, SampleSAT, SampleSATOption
 from repro.inference.state import SearchState, count_arrays
 from repro.mrf import graph
 from repro.mrf.graph import MRF
+from repro.parallel.buffers import ResultBufferSet
+from repro.parallel.pool import ChunkContext
 from repro.utils.rng import RandomSource
 
 #: ``NUMPY_VIEW_MIN_CLAUSES`` values forcing each count-initialisation path.
@@ -324,3 +331,52 @@ class TestHardConstraintPrefix:
         assert [clause.literals for clause in prefix] == [(1, 2), (-2,), (4,)]
         assert all(clause.weight == 1.0 for clause in prefix)
         assert [clause.clause_id for clause in prefix] == [1, 2, 3]
+
+
+def disjoint_components(count=5):
+    """Random MLNs of every weight kind, shifted onto disjoint atom ranges."""
+    components = []
+    for index in range(count):
+        mrf = random_mln(index, atoms=6 + index, clause_count=20 + 5 * index)
+        offset = 100 * index
+        clauses = [
+            GroundClause(
+                clause.clause_id,
+                tuple(lit + offset if lit > 0 else lit - offset for lit in clause.literals),
+                clause.weight,
+            )
+            for clause in mrf.clauses
+        ]
+        components.append(
+            MRF.from_clauses(clauses, extra_atoms=[atom + offset for atom in mrf.atom_ids])
+        )
+    return components
+
+
+class TestSampleChunk:
+    """A sample request's chunks == the oracle's per-component MC-SAT runs."""
+
+    @pytest.mark.parametrize("batched", (False, True), ids=("scalar", "batched"))
+    @pytest.mark.parametrize("seed", (0, 3))
+    def test_random_chunk_cuts_match_the_oracle(self, batched, seed, monkeypatch):
+        monkeypatch.setattr(mcsat, "counts_by_numpy", lambda mrf: batched)
+        components = disjoint_components()
+        options = MCSatOptions(samples=8, burn_in=3)
+        reference, _parts = mcsat_marginals(components, options, seed)
+        request = ComponentSampleRequest(options, seed)
+        regions = ResultBufferSet.pack(components, shared=False)
+        try:
+            context = ChunkContext(components, regions)
+            indices = list(range(len(components)))
+            random.Random(seed).shuffle(indices)
+            for cut in (indices[:2], indices[2:3], indices[3:]):
+                costs, fallbacks, nbytes, events = request.run_chunk(cut, context, True)
+                assert costs == [0.0] * len(cut) and fallbacks == {} and nbytes > 0
+                assert [[e["name"] for e in phases] for phases in events] == [
+                    ["state-setup", "kernel-search", "ship-result"]
+                ] * len(cut)
+            result = request.read_results(components, regions, {})
+        finally:
+            regions.destroy()
+        assert list(result.probabilities.items()) == list(reference.probabilities.items())
+        assert (result.samples, result.burn_in) == (reference.samples, reference.burn_in)

@@ -14,6 +14,7 @@ component span, and the post-hoc emission order is deterministic.
 import logging
 
 import pytest
+from component_oracle import search_request
 from row_oracle import ground_by_rows
 
 from repro.core.config import InferenceConfig
@@ -26,7 +27,7 @@ from repro.inference.walksat import WalkSATOptions
 from repro.mrf.components import connected_components
 from repro.obs import MetricsRegistry, RecordingTracer
 from repro.parallel import processes_available
-from repro.parallel.pool import ComponentTask, WorkerPool
+from repro.parallel.pool import Chunk, WorkerPool
 from repro.rdbms.column_batch import ColumnBatch
 from repro.utils.rng import RandomSource
 
@@ -161,6 +162,37 @@ class TestSpanTreeShape:
                 parent = by_id[span.parent_id]
                 assert parent.name.startswith("component[")
                 assert "worker" in span.attributes
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_marginal_request_tree(self, backend):
+        # A marginal request's ``search`` span is its dispatch: it holds
+        # the component spans (each with its three phase children) and one
+        # ``ship`` span, and no ``dispatch`` span of its own.
+        dataset = load_dataset("RC", DatasetScale(factor=0.25, seed=0))
+        config = InferenceConfig(
+            seed=0, mcsat_samples=5, workers=2, parallel_backend=backend,
+            tracing="on",
+        )
+        with EngineSession(dataset.program, config) as session:
+            session.run_marginal()
+            spans = session.tracer.request_spans(1)
+        by_id = {span.span_id: span for span in spans}
+        (search,) = [span for span in spans if span.name == "search"]
+        assert "dispatch" not in [span.name for span in spans]
+        under_search = [span.name for span in spans if span.parent_id == search.span_id]
+        assert under_search.count("ship") == 1
+        component_spans = [s for s in spans if s.name.startswith("component[")]
+        assert len(component_spans) > 1
+        assert all(span.parent_id == search.span_id for span in component_spans)
+        for span in component_spans:
+            assert ("channel" in span.attributes) == (backend == "processes")
+            children = [s.name for s in spans if s.parent_id == span.span_id]
+            assert children == ["state-setup", "kernel-search", "ship-result"]
+        assert all(
+            by_id[span.parent_id].name.startswith("component[")
+            for span in spans
+            if span.name in ("state-setup", "kernel-search", "ship-result")
+        )
 
     def test_join_output_is_read_before_clause_ingest_opens(self, monkeypatch):
         # Reading a join's output gathers it through the join's selection:
@@ -312,16 +344,13 @@ class TestPickledFallbackSurfacing:
         with caplog.at_level(logging.WARNING, logger="repro.parallel.pool"):
             with WorkerPool(components, 1, trace_capacity=0, metrics=registry) as pool:
                 for request_id in (1, 2):
-                    pool.submit_chunk([
-                        ComponentTask(
-                            index=index, kind="walksat", seed=11 + index,
-                            walksat=WalkSATOptions(max_flips=50),
-                            request_id=request_id,
-                        )
-                        for index in range(len(components))
-                    ])
-                    outcomes = pool.drain(len(components), request_id)
-                    assert all(outcome.result.best_assignment for outcome in outcomes)
+                    pool.submit(Chunk(
+                        request_id, list(range(len(components))),
+                        search_request(components, 11, 50),
+                    ))
+                    fallbacks = pool.next_chunk(request_id)[3]
+                    assert sorted(fallbacks) == list(range(len(components)))
+                    assert all(o.result.best_assignment for o in fallbacks.values())
                     assert pool.finish_request() == (0, len(components), 0)
         assert registry.counter("pool.pickle_shipped") == 2 * len(components)
         assert registry.counter("pool.shm_shipped") == 0.0

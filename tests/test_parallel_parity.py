@@ -12,12 +12,20 @@ is purely a wall-clock decision.
 
 import pytest
 
+from component_oracle import (
+    mcsat_marginals,
+    run_tasks,
+    search_request,
+    walksat_tasks,
+    zero_flip_placeholder,
+)
 from repro.core.config import InferenceConfig
 from repro.core.engine import TuffyEngine
 from repro.datasets import DatasetScale, load_dataset
 from repro.datasets.example1 import example1_mrf
 from repro.inference.component_walksat import ComponentAwareWalkSAT
 from repro.inference.mcsat import MCSat, MCSatOptions
+from repro.inference.scheduling import _list_schedule_makespan
 from repro.inference.walksat import WalkSATOptions
 from repro.mrf.components import connected_components
 from repro.obs.metrics import MetricsRegistry
@@ -27,12 +35,10 @@ from repro.parallel import (
     processes_available,
     resolve_parallel_backend,
 )
-from repro.parallel.pool import ComponentOutcome, ComponentTask
 from repro.parallel.scheduler import (
     chunk_boundaries,
     dispatch_order,
-    run_component_tasks,
-    task_work,
+    run_component_request,
 )
 from repro.utils.rng import RandomSource
 
@@ -127,104 +133,84 @@ class TestMapParity:
             assert payload == reference, backend
 
 
-def _walksat_tasks(components, flips=300):
-    rng = RandomSource(11)
-    return [
-        ComponentTask(
-            index=index,
-            kind="walksat",
-            seed=rng.spawn(index + 1).seed,
-            walksat=WalkSATOptions(max_flips=flips, trace_label=f"component-{index}"),
-        )
-        for index in range(len(components))
-    ]
-
-
 def _result_fields(result):
-    """Everything deterministic about a WalkSATResult (``seconds`` is wall)."""
+    """Everything a WalkSATResult's search computed (``seconds`` is wall)."""
     return (
-        result.best_assignment,
+        list(result.best_assignment.items()),
         result.best_cost,
         result.flips,
         result.tries,
         result.reached_target,
         result.hitting_time,
-        result.trace.label,
         [(p.time, p.cost, p.flips) for p in result.trace.points],
     )
 
 
 @pytest.mark.skipif(not processes_available(), reason="fork start method unavailable")
 class TestChunkedDispatchParity:
-    """Chunked pool dispatch == the serial executable specification.
+    """Chunked dispatch == the per-component task oracle, on every backend.
 
     Bit-for-bit — assignments, costs, flips, traces, ``dispatch_order``,
     ``skipped`` and the simulated accounting — on example1, RC and IE,
     at 1/2/4 workers, with and without a deadline that falls inside the
-    run (the no-deadline runs travel in multi-task chunks, the deadline
-    runs in single-task chunks through the same loop).
+    run (the no-deadline runs travel in multi-component chunks, the
+    deadline runs in single-component chunks through the same loop).
     """
 
     @pytest.mark.parametrize("workload", ("example1", "RC", "IE"))
     @pytest.mark.parametrize("with_deadline", (False, True))
     def test_chunked_equals_serial(self, workloads, workload, with_deadline):
-        from repro.inference.state import SearchState
-        from repro.inference.walksat import WalkSATResult
-
         components = workloads[workload]
-
-        def placeholder(index):
-            state = SearchState(components[index])
-            result = WalkSATResult(
-                best_assignment=state.assignment_dict(), best_cost=state.cost,
-                flips=0, tries=0, seconds=0.0,
-            )
-            return ComponentOutcome(index, result, 0.0)
+        placeholder = zero_flip_placeholder(components)
 
         def run(backend, workers, deadline, metrics=None):
-            return run_component_tasks(
-                components, _walksat_tasks(components), backend=backend,
-                workers=workers, deadline_seconds=deadline,
+            return run_component_request(
+                components, search_request(components, 11, 300),
+                backend, workers=workers, deadline_seconds=deadline,
                 placeholder=placeholder, metrics=metrics,
             )
 
-        full = run("serial", 1, None)
+        def oracle(deadline):
+            return run_tasks(
+                components, walksat_tasks(components, 11, 300), deadline, placeholder
+            )
+
+        full = oracle(None)
         order = dispatch_order(components)
         assert full.dispatch_order == order
         deadline = None
         if with_deadline:
             # Half of the full run's simulated spend: a cutoff mid-order.
             deadline = full.sequential_simulated_seconds / 2
-        for workers in WORKER_COUNTS:
-            reference = run("serial", workers, deadline)
-            if with_deadline:
-                assert 0 < len(reference.skipped) < len(components)
+        reference = oracle(deadline)
+        if with_deadline:
+            assert 0 < len(reference.skipped) < len(components)
+        for backend, workers in [("serial", 1)] + [("processes", w) for w in WORKER_COUNTS]:
             metrics = MetricsRegistry()
-            result = run("processes", workers, deadline, metrics)
-            key = (workload, workers, deadline)
+            result = run(backend, workers, deadline, metrics)
+            key = (workload, backend, workers, deadline)
             assert result.dispatch_order == reference.dispatch_order, key
             assert result.skipped == reference.skipped, key
-            assert [_result_fields(r) for r in result.results] == [
+            assert [_result_fields(r) for r in result.results.results()] == [
                 _result_fields(r) for r in reference.results
             ], key
             assert (
                 result.sequential_simulated_seconds
                 == reference.sequential_simulated_seconds
             ), key
-            assert (
-                result.parallel_simulated_seconds
-                == reference.parallel_simulated_seconds
+            assert result.parallel_simulated_seconds == _list_schedule_makespan(
+                [outcome.simulated_seconds for outcome in reference.outcomes], workers
             ), key
+            if backend == "serial":
+                continue
             chunks = metrics.as_dict()["counters"][
                 "scheduler.chunks_dispatched"
             ]
             if with_deadline:
                 assert chunks == result.executed, key
             else:
-                tasks = _walksat_tasks(components)
-                cut = chunk_boundaries(
-                    [task_work(tasks[i], components[i]) for i in order], workers
-                )
+                request = search_request(components, 11, 300)
+                cut = chunk_boundaries(request.chunk_work(components, order), workers)
                 assert chunks == len(cut), key
                 if workers == 1:
                     assert chunks < len(components), key
@@ -233,21 +219,21 @@ class TestChunkedDispatchParity:
 class TestMarginalParity:
     @pytest.mark.parametrize("workload", ("example1", "RC", "IE"))
     def test_marginals_bit_identical(self, workloads, workload):
-        components = workloads[workload]
-        reference = MCSat(
-            MCSatOptions(samples=6, burn_in=2), RandomSource(0)
-        ).run_components(components, parallel_backend="serial")
+        # Every backend and worker count against the oracle's per-component
+        # MC-SAT runs merged in component order: values, dict order and
+        # sample counts.
+        options = MCSatOptions(samples=6, burn_in=2)
+        reference, _parts = mcsat_marginals(workloads[workload], options, 0)
         for backend in BACKENDS:
             for workers in WORKER_COUNTS:
-                result = MCSat(
-                    MCSatOptions(samples=6, burn_in=2), RandomSource(0)
-                ).run_components(components, parallel_backend=backend, workers=workers)
-                assert result.probabilities == reference.probabilities, (
-                    workload,
-                    backend,
-                    workers,
+                result = MCSat(options, RandomSource(0)).run_components(
+                    workloads[workload], parallel_backend=backend, workers=workers
                 )
-                assert result.samples == reference.samples
+                key = (workload, backend, workers)
+                assert list(result.probabilities.items()) == list(
+                    reference.probabilities.items()
+                ), key
+                assert (result.samples, result.burn_in) == (6, 2), key
 
     def test_engine_marginal_parity_across_backends(self):
         results = {}

@@ -3,11 +3,12 @@
 Covers the pieces under the ``parallel_backend`` seam that the parity
 suite does not: workers search the parent's own component objects (one
 shared-memory segment per pool, for results only), dispatch is
-largest-first, ``scheduling.run_components`` honors the
-deadline by post-hoc bookkeeping (a dispatch position counts iff the
-summed simulated costs of the positions before it stay under the
-deadline — identical across backends and worker counts),
-and the Gauss-Seidel refinement merge is backend-independent.
+largest-first, ``run_component_request`` honors the deadline by post-hoc
+bookkeeping (a dispatch position counts iff the summed simulated costs
+of the positions before it stay under the deadline — identical across
+backends and worker counts), and the Gauss-Seidel refinement is
+backend-independent and equal to its per-partition task pass
+(``component_oracle``).
 """
 
 import math
@@ -18,23 +19,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from component_oracle import (
+    execute_component_task,
+    gauss_seidel_first_pass,
+    run_tasks,
+    search_request,
+    walksat_tasks as oracle_tasks,
+    zero_flip_placeholder,
+)
 from repro.grounding.clause_table import GroundClauseStore
 from repro.inference.component_walksat import ComponentAwareWalkSAT
-from repro.inference.scheduling import run_components
+from repro.inference.gauss_seidel import GaussSeidelSearch
+from repro.inference.mcsat import ComponentSampleRequest, MCSatOptions
 from repro.inference.walksat import WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.parallel import processes_available
 from repro.parallel.buffers import ResultBufferSet
 from repro.parallel.merge import gauss_seidel_refine
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import pool as pool_module
-from repro.parallel.pool import (
-    BoundedStateCache,
-    ComponentOutcome,
-    ComponentTask,
-    WorkerPool,
-    execute_component_task,
-)
+from repro.parallel.pool import Chunk, ChunkContext, WorkerPool
 from repro.parallel.scheduler import (
     CHUNK_SHARE,
     _Dispatch,
@@ -42,8 +45,7 @@ from repro.parallel.scheduler import (
     chunk_boundaries,
     deadline_cutoff,
     dispatch_order,
-    run_component_tasks,
-    task_work,
+    run_component_request,
 )
 from repro.partitioning.greedy import GreedyPartitioner
 from repro.utils.rng import RandomSource
@@ -80,35 +82,21 @@ def sized_components():
     ]
 
 
-def walksat_tasks(components, flips=300, noise=0.5):
-    rng = RandomSource(0)
-    return [
-        ComponentTask(
-            index=index,
-            kind="walksat",
-            seed=rng.spawn(index + 1).seed,
-            walksat=WalkSATOptions(max_flips=flips, noise=noise),
-        )
-        for index in range(len(components))
-    ]
+def walksat_tasks(components, flips=300):
+    """The oracle's per-component tasks of :func:`walksat_request`."""
+    return oracle_tasks(components, 0, flips)
 
 
-def zero_flip_placeholder(components):
-    from repro.inference.state import SearchState
-    from repro.inference.walksat import WalkSATResult
+def walksat_request(components, flips=300):
+    """One search request: ``flips`` per component, on streams ``index + 1`` of seed 0."""
+    return search_request(components, 0, flips)
 
-    def placeholder(index):
-        state = SearchState(components[index])
-        result = WalkSATResult(
-            best_assignment=state.assignment_dict(),
-            best_cost=state.cost,
-            flips=0,
-            tries=0,
-            seconds=0.0,
-        )
-        return ComponentOutcome(index, result, 0.0)
 
-    return placeholder
+def run(components, backend, workers=1, flips=300, **kwargs):
+    """``run_component_request`` over :func:`walksat_request`."""
+    return run_component_request(
+        components, walksat_request(components, flips), backend, workers=workers, **kwargs
+    )
 
 
 def weighted_components():
@@ -134,30 +122,21 @@ class TestForkInheritedComponents:
             pool.shutdown()
         assert set(os.listdir("/dev/shm")) == before
 
-    def test_worker_searches_the_parents_component_object(self, monkeypatch):
+    def test_worker_searches_the_parents_component_object(self):
         components = weighted_components()
-        searched = []
-        real = execute_component_task
-
-        def spy(task, mrf, state=None):
-            searched.append((mrf, state))
-            return real(task, mrf, state)
-
-        monkeypatch.setattr(pool_module, "execute_component_task", spy)
         results = ResultBufferSet.pack(components)
         try:
-            states = BoundedStateCache()
-            for task in walksat_tasks(components):
-                assert components[task.index]._flat_view is None
-                pool_module._worker_run_task(task, components, results, states)
+            context = ChunkContext(components, results)
+            for component in components:
+                assert component._flat_view is None
+            walksat_request(components).run_chunk(range(len(components)), context, False)
+            for index, component in enumerate(components):
+                # The chunk ran on the very object the parent holds, and its
+                # flat view was built by the worker's first use, not ahead of it.
+                assert context.slot(index)[0].mrf is component
+                assert component._flat_view is not None
         finally:
             results.destroy()
-        # The task ran on the very object the parent holds, and its flat
-        # view was built by the worker's first use, not ahead of it.
-        for (mrf, state), component in zip(searched, components):
-            assert mrf is component
-            assert state.mrf is component
-            assert component._flat_view is not None
 
     @pytest.mark.skipif(
         not processes_available(), reason="fork start method unavailable"
@@ -166,19 +145,19 @@ class TestForkInheritedComponents:
         components = weighted_components()
         tasks = walksat_tasks(components)
         with WorkerPool(components, 2) as pool:
-            pool.submit_chunk(tasks)
-            shipped = {
-                outcome.index: outcome for outcome in pool.drain(len(tasks))
-            }
+            pool.submit(Chunk(0, list(range(len(components))), walksat_request(components)))
+            _worker, indices, costs, fallbacks, _events = pool.next_chunk()
+            assert fallbacks == {}
+            shipped = pool.result_buffers.read_walksat_columns().results()
             pool.finish_request()
-        for task in tasks:
+        for task, cost in zip(tasks, costs):
             local = execute_component_task(task, components[task.index])
             remote = shipped[task.index]
-            assert remote.result.best_assignment == local.result.best_assignment
-            assert list(remote.result.best_assignment) == components[task.index].atom_ids
-            assert remote.result.best_cost == local.result.best_cost
-            assert remote.result.flips == local.result.flips
-            assert remote.simulated_seconds == local.simulated_seconds
+            assert remote.best_assignment == local.result.best_assignment
+            assert list(remote.best_assignment) == components[task.index].atom_ids
+            assert remote.best_cost == local.result.best_cost
+            assert remote.flips == local.result.flips
+            assert cost == local.simulated_seconds
 
 
 class TestDispatchOrder:
@@ -192,12 +171,7 @@ class TestDispatchOrder:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_scheduler_records_dispatch_order(self, backend):
         components = list(reversed(sized_components()))
-        outcome = run_components(
-            components,
-            walksat_tasks(components),
-            parallel_backend=backend,
-            workers=2,
-        )
+        outcome = run(components, backend, workers=2)
         assert outcome.dispatch_order == [2, 1, 0]
         assert outcome.skipped == []
 
@@ -211,16 +185,11 @@ class TestDispatchOrder:
             execute_component_task(task, component)
             for task, component in zip(walksat_tasks(components), components)
         ]
-        outcome = run_components(
-            components,
-            walksat_tasks(components),
-            parallel_backend=backend,
-            workers=workers,
-        )
+        outcome = run(components, backend, workers=workers)
         assert outcome.dispatch_order == dispatch_order(components)
         assert outcome.skipped == []
         # Results come back in component order, whoever ran them.
-        for got, want in zip(outcome.results, expected):
+        for got, want in zip(outcome.results.results(), expected):
             assert got.best_assignment == want.result.best_assignment
             assert got.best_cost == want.result.best_cost
             assert got.flips == want.result.flips
@@ -276,18 +245,15 @@ class TestChunkBoundaries:
         assert max(lengths) == 48 // (CHUNK_SHARE * 2)
         assert lengths.count(1) >= CHUNK_SHARE * 2
 
-    def test_task_work_is_size_times_allocated_steps(self):
-        from repro.inference.mcsat import MCSatOptions
-
-        component = conflicted_chain(5)
-        walksat = ComponentTask(
-            index=0, kind="walksat", seed=0, walksat=WalkSATOptions(max_flips=300)
-        )
-        mcsat = ComponentTask(
-            index=0, kind="mcsat", seed=0, mcsat=MCSatOptions(samples=6, burn_in=2)
-        )
-        assert task_work(walksat, component) == component.size() * 300
-        assert task_work(mcsat, component) == component.size() * 8
+    def test_chunk_work_is_size_times_allocated_steps(self):
+        components = [conflicted_chain(5), conflicted_chain(3, first_atom=100)]
+        search = walksat_request(components)
+        search.allocation = [300, 0]
+        sample = ComponentSampleRequest(MCSatOptions(samples=6, burn_in=2), 0)
+        sizes = [component.size() for component in components]
+        assert search.chunk_work(components, [1, 0]) == [sizes[1], sizes[0] * 300]
+        assert sample.chunk_work(components, [0, 1]) == [sizes[0] * 8, sizes[1] * 8]
+        assert search.plan_key != sample.plan_key
 
 
 def many_components(count=24):
@@ -298,18 +264,43 @@ def many_components(count=24):
     ]
 
 
-def outcome_fields(outcome):
-    """Comparable projection of a ComponentOutcome (trace included)."""
-    result = outcome.result
+def result_fields(result):
+    """Comparable projection of a WalkSATResult (trace included)."""
     return (
-        outcome.index,
-        outcome.simulated_seconds,
         result.best_assignment,
         result.best_cost,
         result.flips,
         result.tries,
         [(p.time, p.cost, p.flips) for p in result.trace.points],
     )
+
+
+class RaisingRequest:
+    """A request whose chunk raises once it reaches component ``bad``."""
+
+    def __init__(self, request, bad):
+        self.request = request
+        self.bad = bad
+        self.plan_key = request.plan_key
+
+    def chunk_work(self, components, order):
+        return self.request.chunk_work(components, order)
+
+    def run_chunk(self, indices, context, traced):
+        if self.bad in indices:
+            raise ValueError(f"injected failure at component {self.bad}")
+        return self.request.run_chunk(indices, context, traced)
+
+    def read_results(self, components, buffers, overrides):
+        return self.request.read_results(components, buffers, overrides)
+
+
+def sample_request():
+    return ComponentSampleRequest(MCSatOptions(samples=4, burn_in=1), 0)
+
+
+#: The two request forms every fault test runs on.
+REQUEST_FORMS = {"search": walksat_request, "sample": lambda components: sample_request()}
 
 
 @pytest.mark.skipif(not processes_available(), reason="fork start method unavailable")
@@ -325,29 +316,24 @@ class TestChunkedPool:
         metrics = MetricsRegistry()
         with WorkerPool(components, 1, metrics=metrics) as pool:
             for _ in range(2):
-                outcome = run_component_tasks(
-                    components, walksat_tasks(components), backend="processes",
-                    workers=2, pool=pool, metrics=metrics,
+                outcome = run(
+                    components, "processes", workers=2, pool=pool, metrics=metrics
                 )
                 assert outcome.dispatch_order == dispatch_order(components)
                 assert outcome.skipped == []
                 assert outcome.executed == len(components)
-                for got, want in zip(outcome.results, expected):
+                for got, want in zip(outcome.results.results(), expected):
                     assert got.best_assignment == want.result.best_assignment
                     assert got.best_cost == want.result.best_cost
                     assert got.flips == want.result.flips
         counters = metrics.as_dict()["counters"]
-        tasks = walksat_tasks(components)
         chunks = chunk_boundaries(
-            [
-                task_work(tasks[index], components[index])
-                for index in dispatch_order(components)
-            ],
+            walksat_request(components).chunk_work(components, dispatch_order(components)),
             2,
         )
         assert 1 < len(chunks) < len(components)
         assert counters["scheduler.chunks_dispatched"] == 2 * len(chunks)
-        # Tasks are still counted one by one.
+        # Components are still counted one by one.
         assert counters["scheduler.tasks_executed"] == 2 * len(components)
         assert counters["pool.shm_shipped"] == 2 * len(components)
         # One worker: the first request builds every state, the second
@@ -355,26 +341,24 @@ class TestChunkedPool:
         assert counters["pool.state_cache_misses"] == len(components)
         assert counters["pool.state_cache_hits"] == len(components)
 
-    def test_deadline_run_sends_single_task_chunks(self):
+    def test_deadline_run_sends_single_component_chunks(self):
         components = many_components(8)
-        tasks = walksat_tasks(components)
         costs = [
             execute_component_task(task, component).simulated_seconds
-            for task, component in zip(tasks, components)
+            for task, component in zip(walksat_tasks(components), components)
         ]
         order = dispatch_order(components)
         # The deadline falls strictly inside the run: after three positions.
         deadline = sum(costs[index] for index in order[:3])
         metrics = MetricsRegistry()
-        outcome = run_component_tasks(
-            components, walksat_tasks(components), backend="processes", workers=2,
-            deadline_seconds=deadline,
+        outcome = run(
+            components, "processes", workers=2, deadline_seconds=deadline,
             placeholder=zero_flip_placeholder(components), metrics=metrics,
         )
         assert outcome.dispatch_order == order[:3]
         assert outcome.skipped == sorted(order[3:])
         counters = metrics.as_dict()["counters"]
-        # One message per task.  How far past the cutoff dispatch ran
+        # One message per component.  How far past the cutoff dispatch ran
         # depends on which worker finishes first (a straggler at position
         # 0 lets the whole order through); TestScriptedSteal pins that.
         assert counters["scheduler.chunks_dispatched"] == outcome.executed
@@ -382,97 +366,90 @@ class TestChunkedPool:
 
     def test_chunk_ships_some_results_via_shm_and_others_pickled(self):
         components = many_components(12)
-        tasks = walksat_tasks(components)
         expected = [
             execute_component_task(task, component)
-            for task, component in zip(tasks, components)
+            for task, component in zip(walksat_tasks(components), components)
         ]
         trace_lengths = [len(out.result.trace.points) for out in expected]
         capacity = sorted(trace_lengths)[len(trace_lengths) // 2 - 1]
         fits = [length <= capacity for length in trace_lengths]
         assert any(fits) and not all(fits)
         with WorkerPool(components, 2, trace_capacity=capacity) as pool:
-            pool.submit_chunk(walksat_tasks(components))  # one message, one worker
-            outcomes = {}
-            for _ in components:
-                outcome, _worker = pool.next_outcome()
-                outcomes[outcome.index] = outcome
+            # One message, one worker.
+            pool.submit(Chunk(0, list(range(len(components))), walksat_request(components)))
+            _worker, _indices, costs, fallbacks, _events = pool.next_chunk()
             assert pool.finish_request()[:2] == (fits.count(True), fits.count(False))
-        for index, want in enumerate(expected):
-            assert outcome_fields(outcomes[index]) == outcome_fields(want)
+            assert sorted(fallbacks) == [i for i, fit in enumerate(fits) if not fit]
+            for index, want in enumerate(expected):
+                if index in fallbacks:
+                    got = fallbacks[index].result
+                    assert fallbacks[index].simulated_seconds == want.simulated_seconds
+                else:
+                    got, _seconds = pool.result_buffers.read_outcome(
+                        index, components[index].atom_ids
+                    )
+                assert result_fields(got) == result_fields(want.result)
+                assert costs[index] == want.simulated_seconds
 
-    def test_error_mid_chunk_delivers_finished_tokens_then_fails_cleanly(self):
+    @pytest.mark.parametrize("form", sorted(REQUEST_FORMS))
+    def test_raising_chunk_fails_cleanly(self, form):
         components = many_components(6)
-        tasks = walksat_tasks(components)
-        for task in tasks:
-            task.request_id = 7
-        tasks[2] = ComponentTask(index=2, kind="bogus", seed=0, request_id=7)
-        expected = [
-            execute_component_task(task, component)
-            for task, component in zip(tasks[:2], components)
-        ]
+        request = RaisingRequest(REQUEST_FORMS[form](components), bad=2)
         pool = WorkerPool(components, 2)
         try:
-            pool.submit_chunk(tasks)
-            # The two tasks finished before the failing one are delivered.
-            for want in expected:
-                outcome, _worker = pool.next_outcome(7)
-                assert outcome_fields(outcome) == outcome_fields(want)
-            # The error names exactly the failing task ...
-            with pytest.raises(RuntimeError, match="component 2.*bogus"):
-                pool.next_outcome(7)
-            # ... and the request closes out clean: no in-flight records
-            # (the chunk's never-run tasks included), no queued tokens.
-            assert pool.finish_request() == (2, 0, pool.shm_bytes)
-            assert pool._inflight == {}
-            assert not pool._tokens
+            pool.submit(Chunk(7, [0, 1, 2, 3], request))
+            # The error names the chunk's first component and the failure.
+            with pytest.raises(RuntimeError, match="chunk from component 0.*component 2"):
+                pool.next_chunk(7)
+            # The failed chunk shut the pool down: its owner forks afresh.
+            assert pool.finish_request() == (0, 0, 0)
+            assert not pool.matches(components)
         finally:
             pool.shutdown()
 
-    def test_scheduler_surfaces_mid_chunk_error_and_closes_out(self):
+    @pytest.mark.parametrize("form", sorted(REQUEST_FORMS))
+    def test_scheduler_surfaces_chunk_error_and_closes_out(self, form):
         components = many_components(6)
-        tasks = walksat_tasks(components)
-        tasks[3] = ComponentTask(index=3, kind="bogus", seed=0)
+        request = RaisingRequest(REQUEST_FORMS[form](components), bad=3)
         with WorkerPool(components, 2) as pool:
             with pytest.raises(RuntimeError, match="component 3"):
-                run_component_tasks(
-                    components, tasks, backend="processes", workers=2, pool=pool,
+                run_component_request(
+                    components, request, "processes", workers=2, pool=pool,
                     request_id=5,
                 )
-            assert pool._inflight == {}
+            assert pool._pending == 0
+            assert not pool.matches(components)
 
-    def test_worker_dying_mid_chunk_surfaces_through_liveness_poll(self, monkeypatch):
+    @pytest.mark.parametrize("form", sorted(REQUEST_FORMS))
+    def test_worker_dying_mid_chunk_surfaces_through_liveness_poll(self, form):
         components = many_components(4)
-        real = pool_module.execute_component_task
-
-        def dying(task, mrf, state=None):
-            if task.index == 1:
-                os._exit(3)  # no reply, no cleanup: an OOM kill's shape
-            return real(task, mrf, state)
-
-        # Patched before the fork, so the workers inherit it.
-        monkeypatch.setattr(pool_module, "execute_component_task", dying)
+        request = DyingRequest(REQUEST_FORMS[form](components), bad=1)
         pool = WorkerPool(components, 1)
         try:
-            pool.submit_chunk(walksat_tasks(components))
+            pool.submit(Chunk(0, list(range(len(components))), request))
             started = time.monotonic()
             with pytest.raises(RuntimeError, match="died before replying"):
-                pool.next_outcome()
+                pool.next_chunk()
             assert time.monotonic() - started < 10.0
             pool.finish_request()
-            assert pool._inflight == {}
+            assert not pool.matches(components)
         finally:
             pool.shutdown()
 
-    def test_chunk_must_be_one_requests_nonempty_batch(self):
+    def test_empty_chunk_is_refused(self):
         components = many_components(2)
-        tasks = walksat_tasks(components)
-        tasks[1].request_id = 9
         with WorkerPool(components, 1) as pool:
             with pytest.raises(ValueError):
-                pool.submit_chunk([])
-            with pytest.raises(ValueError):
-                pool.submit_chunk(tasks)
+                pool.submit(Chunk(0, [], walksat_request(components)))
+
+
+class DyingRequest(RaisingRequest):
+    """A request whose worker exits without replying at component ``bad``."""
+
+    def run_chunk(self, indices, context, traced):
+        if self.bad in indices:
+            os._exit(3)  # no reply, no cleanup: an OOM kill's shape
+        return self.request.run_chunk(indices, context, traced)
 
 
 class TestScriptedSteal:
@@ -534,31 +511,22 @@ class TestDeadlineHandling:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_expired_deadline_stops_all_dispatch(self, backend):
         components = sized_components()
-        tasks = walksat_tasks(components)
-        outcome = run_components(
-            components,
-            tasks,
-            parallel_backend=backend,
-            workers=2,
-            deadline_seconds=0.0,
+        outcome = run(
+            components, backend, workers=2, deadline_seconds=0.0,
             placeholder=zero_flip_placeholder(components),
         )
         assert outcome.skipped == [0, 1, 2]
         assert outcome.dispatch_order == []
-        assert all(result.flips == 0 for result in outcome.results)
+        assert outcome.executed == 0
+        assert outcome.results.flips == [0, 0, 0]
         assert outcome.sequential_simulated_seconds == 0.0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_tiny_deadline_counts_only_first_position(self, backend, workers):
         components = sized_components()
-        tasks = walksat_tasks(components)
-        outcome = run_components(
-            components,
-            tasks,
-            parallel_backend=backend,
-            workers=workers,
-            deadline_seconds=1e-9,
+        outcome = run(
+            components, backend, workers=workers, deadline_seconds=1e-9,
             placeholder=zero_flip_placeholder(components),
         )
         # Post-hoc rule: position 0 always counts (zero spend before it);
@@ -566,11 +534,8 @@ class TestDeadlineHandling:
         # skipped — on every backend and worker count.
         assert outcome.dispatch_order == dispatch_order(components)[:1]
         assert outcome.skipped == [1, 2]
-        for index, result in enumerate(outcome.results):
-            if index == 0:
-                assert result.flips > 0
-            else:
-                assert result.flips == 0
+        flips = outcome.results.flips
+        assert flips[0] > 0 and flips[1:] == [0, 0]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_component_walksat_deadline_is_deterministic(self, backend):
@@ -625,37 +590,46 @@ class TestDeadlineHandling:
 
     def test_no_deadline_dispatches_everything(self):
         components = sized_components()
-        outcome = run_components(
-            components,
-            walksat_tasks(components),
-            parallel_backend="serial",
-            workers=1,
-        )
+        outcome = run(components, "serial")
         assert outcome.skipped == []
-        assert all(result.flips > 0 for result in outcome.results)
+        assert all(flips > 0 for flips in outcome.results.flips)
 
     def test_missing_placeholder_is_an_error(self):
         components = sized_components()
         with pytest.raises(RuntimeError):
-            run_components(
-                components,
-                walksat_tasks(components),
-                parallel_backend="serial",
-                workers=1,
-                deadline_seconds=0.0,
-            )
+            run(components, "serial", deadline_seconds=0.0)
 
-
-class TestTaskErrors:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bad_task_kind_surfaces(self, backend):
-        components = sized_components()
-        tasks = walksat_tasks(components)
-        tasks[1] = ComponentTask(index=1, kind="bogus", seed=0)
-        with pytest.raises((ValueError, RuntimeError)):
-            run_components(
-                components, tasks, parallel_backend=backend, workers=2
+    def test_deadline_matches_the_task_oracle(self, backend):
+        components = many_components(10)
+        full = run_tasks(components, walksat_tasks(components))
+        deadline = full.sequential_simulated_seconds / 2
+        want = run_tasks(
+            components, walksat_tasks(components), deadline,
+            zero_flip_placeholder(components),
+        )
+        assert 0 < len(want.skipped) < len(components)
+        for workers in (1, 2, 4):
+            got = run(
+                components, backend, workers=workers, deadline_seconds=deadline,
+                placeholder=zero_flip_placeholder(components),
             )
+            assert got.dispatch_order == want.dispatch_order
+            assert got.skipped == want.skipped
+            assert [result_fields(r) for r in got.results.results()] == [
+                result_fields(r) for r in want.results
+            ]
+            assert got.sequential_simulated_seconds == want.sequential_simulated_seconds
+
+
+class TestChunkErrors:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("form", sorted(REQUEST_FORMS))
+    def test_raising_chunk_surfaces(self, backend, form):
+        components = sized_components()
+        request = RaisingRequest(REQUEST_FORMS[form](components), bad=1)
+        with pytest.raises((ValueError, RuntimeError), match="component 1"):
+            run_component_request(components, request, backend, workers=2)
 
 
 class TestGaussSeidelRefine:
@@ -712,6 +686,35 @@ class TestGaussSeidelRefine:
         assert result.best_cost == reference.best_cost
         assert result.flips == reference.flips
         assert result.cut_clause_count == reference.cut_clause_count
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_chunked_first_pass_matches_the_task_oracle(self, backend, workers):
+        # The whole refinement, rebuilt from the oracle's per-partition task
+        # pass plus the same Gauss-Seidel sweeps: assignment, cost, flips
+        # and the RNG stream position after the call.
+        mrf, partitioner = self._oversized()
+        partitions = partitioner.partition(mrf).atom_partitions
+        initial = {atom: atom % 2 == 0 for atom in mrf.atom_ids}
+        options = WalkSATOptions(max_flips=800, noise=0.3)
+        oracle_rng = RandomSource(9)
+        assignment, first_flips, parts = gauss_seidel_first_pass(
+            mrf, partitions, options, oracle_rng, initial
+        )
+        assert len(parts) > 1 and first_flips > 0
+        refined = GaussSeidelSearch(options, oracle_rng, rounds=2).run(
+            mrf, partitions, initial_assignment=assignment
+        )
+        rng = RandomSource(9)
+        result = gauss_seidel_refine(
+            mrf, partitions, options=options, rng=rng, rounds=2,
+            parallel_backend=backend, workers=workers, initial_assignment=initial,
+        )
+        assert list(result.best_assignment.items()) == list(refined.best_assignment.items())
+        assert result.best_cost == refined.best_cost
+        assert result.flips == refined.flips + first_flips
+        assert result.cut_clause_count == refined.cut_clause_count
+        assert rng.raw().getstate() == oracle_rng.raw().getstate()
 
     def test_refine_covers_all_atoms_and_counts_cut(self):
         mrf, partitioner = self._oversized()

@@ -11,21 +11,23 @@ truncated), and the scheduler reports the shipping split.
 
 import pytest
 
+import component_oracle
+from component_oracle import (
+    execute_component_task,
+    mcsat_marginals,
+    run_tasks,
+    search_request,
+    zero_flip_placeholder,
+)
 from repro.grounding.clause_table import GroundClauseStore
 from repro.inference.component_walksat import ComponentAwareWalkSAT
-from repro.inference.mcsat import MCSat, MCSatOptions
-from repro.inference.scheduling import run_components
+from repro.inference.mcsat import ComponentSampleRequest, MCSat, MCSatOptions
 from repro.inference.walksat import WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.parallel import processes_available
 from repro.parallel.buffers import ResultBufferSet
-from repro.parallel.pool import (
-    ComponentOutcome,
-    ComponentTask,
-    WorkerPool,
-    execute_component_task,
-)
-from repro.parallel.scheduler import deadline_cutoff, run_component_tasks
+from repro.parallel.pool import ChunkContext, WorkerPool
+from repro.parallel.scheduler import deadline_cutoff, run_component_request
 from repro.utils.rng import RandomSource
 
 BACKENDS = [
@@ -59,29 +61,22 @@ def imbalanced_components():
 
 
 def walksat_tasks(components, flips=400):
-    rng = RandomSource(7)
-    return [
-        ComponentTask(
-            index=index,
-            kind="walksat",
-            seed=rng.spawn(index + 1).seed,
-            walksat=WalkSATOptions(max_flips=flips, trace_label=f"component-{index}"),
-        )
-        for index in range(len(components))
-    ]
+    """The oracle's tasks, labelled as the chunked search labels its traces."""
+    tasks = component_oracle.walksat_tasks(components, 7, flips)
+    for task in tasks:
+        task.walksat.trace_label = f"component-{task.index}"
+    return tasks
 
 
-def mcsat_tasks(components, samples=6, burn_in=2):
-    rng = RandomSource(7)
-    return [
-        ComponentTask(
-            index=index,
-            kind="mcsat",
-            seed=rng.spawn(index + 1).seed,
-            mcsat=MCSatOptions(samples=samples, burn_in=burn_in),
-        )
-        for index in range(len(components))
-    ]
+def run(components, backend, workers=2, flips=400, **kwargs):
+    """The chunked request equal to :func:`walksat_tasks`."""
+    return run_component_request(
+        components, search_request(components, 7, flips), backend, workers=workers,
+        **kwargs,
+    )
+
+
+SAMPLING = MCSatOptions(samples=6, burn_in=2)
 
 
 def result_fields(result):
@@ -262,146 +257,108 @@ class TestSlowWorker:
 
     def test_processes_steal_with_stalled_worker(self):
         components = imbalanced_components()
-        reference = run_component_tasks(
-            components, walksat_tasks(components), backend="serial", workers=1
-        )
+        reference = run_tasks(components, walksat_tasks(components))
         with WorkerPool(components, 2, stall_worker=(0, 0.02)) as pool:
-            outcome = run_component_tasks(
-                components,
-                walksat_tasks(components),
-                backend="processes",
-                workers=2,
-                pool=pool,
-            )
-        for got, want in zip(outcome.results, reference.results):
+            outcome = run(components, "processes", pool=pool)
+        for got, want in zip(outcome.results.results(), reference.results):
             assert result_fields(got) == result_fields(want)
-        # The healthy worker picked up the slack: every task ran, and the
-        # per-worker attribution accounts for all of them.
+        # The healthy worker picked up the slack: every component ran, and
+        # the per-worker attribution accounts for all of them.
         assert outcome.executed == len(components)
         assert sum(outcome.worker_task_counts.values()) == len(components)
 
     def test_stalled_worker_does_not_change_deadline_report(self):
         components = imbalanced_components()
-        reference = run_component_tasks(
-            components,
-            walksat_tasks(components),
-            backend="serial",
-            workers=1,
-            deadline_seconds=1e-9,
-            placeholder=_zero_placeholder(components),
+        reference = run_tasks(
+            components, walksat_tasks(components), 1e-9, zero_flip_placeholder(components)
         )
         with WorkerPool(components, 4, stall_worker=(1, 0.02)) as pool:
-            outcome = run_component_tasks(
-                components,
-                walksat_tasks(components),
-                backend="processes",
-                workers=4,
-                deadline_seconds=1e-9,
-                placeholder=_zero_placeholder(components),
-                pool=pool,
+            outcome = run(
+                components, "processes", workers=4, deadline_seconds=1e-9,
+                placeholder=zero_flip_placeholder(components), pool=pool,
             )
         assert outcome.skipped == reference.skipped
         assert outcome.dispatch_order == reference.dispatch_order
-        for got, want in zip(outcome.results, reference.results):
+        for got, want in zip(outcome.results.results(), reference.results):
             assert result_fields(got) == result_fields(want)
 
-
-def _zero_placeholder(components):
-    from repro.inference.state import SearchState
-    from repro.inference.walksat import WalkSATResult
-
-    def placeholder(index):
-        state = SearchState(components[index])
-        result = WalkSATResult(
-            best_assignment=state.assignment_dict(),
-            best_cost=state.cost,
-            flips=0,
-            tries=0,
-            seconds=0.0,
+    def test_stalled_worker_does_not_change_marginals(self):
+        components = imbalanced_components()
+        reference, _parts = mcsat_marginals(components, SAMPLING, 7)
+        with WorkerPool(components, 2, stall_worker=(0, 0.02)) as pool:
+            outcome = run_component_request(
+                components, ComponentSampleRequest(SAMPLING, 7), "processes",
+                workers=2, pool=pool,
+            )
+        assert list(outcome.results.probabilities.items()) == list(
+            reference.probabilities.items()
         )
-        return ComponentOutcome(index, result, 0.0)
-
-    return placeholder
+        assert sum(outcome.worker_task_counts.values()) == len(components)
 
 
 @pytest.mark.skipif(not processes_available(), reason="fork not available")
 class TestResultShipping:
     def test_walksat_results_ship_via_shared_memory(self):
         components = imbalanced_components()
-        tasks = walksat_tasks(components)
-        expected = [
-            execute_component_task(task, component)
-            for task, component in zip(tasks, components)
-        ]
+        expected = run_tasks(components, walksat_tasks(components))
         with WorkerPool(components, 2) as pool:
-            outcome = run_component_tasks(
-                components, tasks, backend="processes", workers=2, pool=pool
-            )
+            outcome = run(components, "processes", pool=pool)
             assert pool.shm_shipped == len(components)
             assert pool.pickle_shipped == 0
             assert pool.shm_bytes > 0
         assert outcome.shm_shipped == len(components)
         assert outcome.pickle_shipped == 0
         assert outcome.shm_bytes > 0
-        for got, want in zip(outcome.results, expected):
-            assert result_fields(got) == result_fields(want.result)
+        for got, want in zip(outcome.results.results(), expected.results):
+            assert result_fields(got) == result_fields(want)
 
     def test_marginal_results_ship_via_shared_memory(self):
         components = imbalanced_components()[:3]
-        tasks = mcsat_tasks(components)
-        expected = [
-            execute_component_task(task, component)
-            for task, component in zip(tasks, components)
-        ]
+        reference, _parts = mcsat_marginals(components, SAMPLING, 7)
         with WorkerPool(components, 2) as pool:
-            outcome = run_component_tasks(
-                components, tasks, backend="processes", workers=2, pool=pool
+            outcome = run_component_request(
+                components, ComponentSampleRequest(SAMPLING, 7), "processes",
+                workers=2, pool=pool,
             )
             assert pool.shm_shipped == len(components)
             assert pool.pickle_shipped == 0
-        for got, want in zip(outcome.results, expected):
-            assert got.probabilities == want.result.probabilities
-            assert got.samples == want.result.samples
-            assert got.burn_in == want.result.burn_in
+            assert pool.shm_bytes > 0
+        got = outcome.results
+        assert list(got.probabilities.items()) == list(reference.probabilities.items())
+        assert (got.samples, got.burn_in) == (reference.samples, reference.burn_in)
 
     def test_oversized_trace_falls_back_to_pickle(self):
         components = imbalanced_components()
-        tasks = walksat_tasks(components)
-        expected = [
-            execute_component_task(task, component)
-            for task, component in zip(tasks, components)
-        ]
-        assert any(len(out.result.trace.points) > 0 for out in expected)
+        expected = run_tasks(components, walksat_tasks(components))
+        assert any(len(result.trace.points) > 0 for result in expected.results)
         # A zero-capacity trace region cannot hold any trace point, so
         # every result must take the pickled path — bit-identically.
         with WorkerPool(components, 2, trace_capacity=0) as pool:
-            outcome = run_component_tasks(
-                components, tasks, backend="processes", workers=2, pool=pool
-            )
+            outcome = run(components, "processes", pool=pool)
             assert pool.pickle_shipped == len(components)
             assert pool.shm_shipped == 0
         assert outcome.pickle_shipped == len(components)
         assert outcome.shm_shipped == 0
-        for got, want in zip(outcome.results, expected):
-            assert result_fields(got) == result_fields(want.result)
+        for got, want in zip(outcome.results.results(), expected.results):
+            assert result_fields(got) == result_fields(want)
 
     def test_result_region_roundtrip_is_exact(self):
         components = imbalanced_components()[:2]
         tasks = walksat_tasks(components)
         buffers = ResultBufferSet.pack(components)
         try:
+            context = ChunkContext(components, buffers)
+            costs, fallbacks, _nbytes, _events = search_request(
+                components, 7, 400
+            ).run_chunk([0, 1], context, False)
+            assert fallbacks == {}
             for task, component in zip(tasks, components):
                 outcome = execute_component_task(task, component)
-                wrote = buffers.write_outcome(
-                    task.index, outcome.result, outcome.simulated_seconds,
-                    component.atom_ids,
-                )
-                assert wrote
                 rebuilt, simulated = buffers.read_outcome(
                     task.index, component.atom_ids,
                     trace_label=task.walksat.trace_label,
                 )
-                assert simulated == outcome.simulated_seconds
+                assert simulated == outcome.simulated_seconds == costs[task.index]
                 assert result_fields(rebuilt) == result_fields(outcome.result)
                 # Dict insertion order is part of the parity contract.
                 assert list(rebuilt.best_assignment) == list(
@@ -410,22 +367,32 @@ class TestResultShipping:
         finally:
             buffers.destroy()
 
+    def test_marginal_region_roundtrip_is_exact(self):
+        components = imbalanced_components()[:3]
+        _reference, parts = mcsat_marginals(components, SAMPLING, 7)
+        buffers = ResultBufferSet.pack(components)
+        try:
+            for index, part in enumerate(parts):
+                buffers.write_marginals(index, list(part.probabilities.values()))
+            read = buffers.read_marginals()
+            with pytest.raises(ValueError):
+                buffers.write_marginals(0, [0.5])
+        finally:
+            buffers.destroy()
+        want = [item for part in parts for item in part.probabilities.items()]
+        assert list(read.items()) == want
+
 
 class TestTelemetry:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_scheduler_reports_execution_counts(self, backend):
         components = imbalanced_components()
-        outcome = run_component_tasks(
-            components,
-            walksat_tasks(components),
-            backend=backend,
-            workers=2,
-        )
+        outcome = run(components, backend)
         assert outcome.executed == len(components)
         assert outcome.discarded == 0
         assert outcome.steals >= 0
         if backend == "serial":
-            # No per-worker attribution on the sequential spec loop.
+            # No per-worker attribution on the sequential loop.
             assert outcome.steals == 0
         else:
             assert sum(outcome.worker_task_counts.values()) == len(components)
@@ -434,6 +401,4 @@ class TestTelemetry:
     def test_unresolved_backend_is_rejected(self, backend):
         components = imbalanced_components()[:2]
         with pytest.raises(ValueError):
-            run_component_tasks(
-                components, walksat_tasks(components), backend=backend, workers=2
-            )
+            run(components, backend)
