@@ -7,9 +7,10 @@
 # same CLI commands on it and on this working tree (the commands of the
 # verify notes: MAP on RC, IE over the process pool, monolithic LP, MC-SAT
 # marginals on IE and ER under a 2 KB memory budget — each of these two also
-# over the process pool — and `infer -i/-e` on the program of
-# tests/test_cli.py), masks the wall-clock and memory lines and
-# diffs the outputs.  Exits non-zero on any difference.  Then prints the
+# over the process pool, and ER once more as three requests on one warm
+# engine — and `infer -i/-e` on the program of tests/test_cli.py), masks the
+# wall-clock and memory lines (and the session summary's per-request
+# timings) and diffs the outputs.  Exits non-zero on any difference.  Then prints the
 # `src/repro` line count per package for both trees.
 set -euo pipefail
 
@@ -51,6 +52,7 @@ COMMANDS=(
   "dataset IE --scale 0.3 --max-flips 4000 --seed 5 --marginal --mcsat-samples 20 --workers 2 --parallel-backend processes"
   "dataset ER --scale 0.5 --max-flips 8000 --seed 2 --memory-budget-kb 2"
   "dataset ER --scale 0.5 --max-flips 8000 --seed 2 --memory-budget-kb 2 --workers 2 --parallel-backend processes"
+  "dataset ER --scale 0.5 --max-flips 8000 --seed 2 --memory-budget-kb 2 --session-requests 3 --workers 2 --parallel-backend processes"
   "infer -i $work/prog.mln -e $work/prog.db --max-flips 2000"
 )
 
@@ -61,7 +63,8 @@ run_tree() {
     echo "\$ repro-tuffy $command"
     # shellcheck disable=SC2086  # the command string is split on purpose
     (cd "$1" && PYTHONPATH=src python3 -m repro.cli $command 2>&1) \
-      | sed -E 's/^([^:]*(seconds|peak_memory_mb)[^:]*):.*$/\1: <masked>/'
+      | sed -E -e 's/^([^:]*(seconds|peak_memory_mb)[^:]*):.*$/\1: <masked>/' \
+        -e 's/^( *(request [0-9]+ \((cold|warm)\)|warm requests\/sec)):.*$/\1: <masked>/'
   done >"$2"
 }
 

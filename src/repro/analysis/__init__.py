@@ -6,7 +6,7 @@ two count-initialisation paths and its test-side seed kernel, and between
 the relational engine and its test-side row oracle.  The invariants that
 make that parity possible —
 deterministic iteration order, sequential float accumulation, seed-derived
-RNG streams, fork-safe shared-memory access, fully threaded seam options —
+RNG streams, fork-safe shared-memory access, a pure observability layer —
 are enforced here as purpose-built AST rules rather than left to review.
 
 Run it as ``python -m repro.analysis src`` (wired into ``scripts/check.sh``

@@ -4,9 +4,7 @@ The analyzer turns the ROADMAP's "Invariants to preserve" list into
 machine-checked rules over the source tree.  This module is the rule-agnostic
 half: it loads every Python file under the scanned roots, parses it once,
 indexes ``# repro: allow(<rule>): <justification>`` suppression comments, and
-runs every registered :class:`Rule` — per-file rules against each
-:class:`SourceFile`, project rules (the cross-file seam checks) against the
-whole :class:`Project`.
+runs every registered :class:`Rule` against each :class:`SourceFile`.
 
 Suppressions
 ------------
@@ -217,8 +215,7 @@ class Project:
 class Rule:
     """Base class of every analyzer rule.
 
-    Subclasses set the class-level metadata and override :meth:`check`
-    (per-file rules) and/or :meth:`check_project` (cross-file seam rules).
+    Subclasses set the class-level metadata and override :meth:`check`.
     Rules must be stateless: one instance is reused across all files.
     """
 
@@ -230,9 +227,6 @@ class Rule:
         return True
 
     def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
         return iter(())
 
 
@@ -335,8 +329,6 @@ def run_analysis(
         for rule in rules:
             if rule.applies_to(source):
                 raw.extend(rule.check(source, project))
-    for rule in rules:
-        raw.extend(rule.check_project(project))
 
     # Split suppressed findings out and track which suppressions fired.
     used: Dict[Tuple[str, int, int], None] = {}

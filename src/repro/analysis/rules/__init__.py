@@ -8,12 +8,10 @@ Importing this package registers every rule with
 * :mod:`repro.analysis.rules.fork` — fork-safety of the parallel
   backend (module state, shared-memory publication, pool lifecycle,
   picklable submissions);
-* :mod:`repro.analysis.rules.seams` — the ``*_backend`` configuration
-  seams threaded across files;
 * :mod:`repro.analysis.rules.obs` — purity of the observability layer
   (no randomness, no session-state reach-back, no clock mutation).
 """
 
-from repro.analysis.rules import determinism, fork, obs, seams
+from repro.analysis.rules import determinism, fork, obs
 
-__all__ = ["determinism", "fork", "obs", "seams"]
+__all__ = ["determinism", "fork", "obs"]

@@ -8,9 +8,9 @@ code may observe, never act:
 * no randomness: importing ``random`` / ``secrets`` or the repo's
   ``RandomSource`` from inside ``repro/obs`` means an exporter or tracer
   could consume RNG state the search depends on;
-* no engine state: importing ``repro.core.session`` / ``repro.core.engine``
-  would let obs code reach back into the layer it is supposed to watch
-  (the dependency must point one way: session → obs);
+* no engine state: importing ``repro.core.engine`` would let obs code
+  reach back into the layer it is supposed to watch (the dependency must
+  point one way: engine → obs);
 * no clock mutation: ``.advance(...)`` / ``.charge(...)`` calls are the
   simulated clock's write API — obs code reads the clock through a
   caller-supplied zero-argument callable and must never move it.
@@ -24,12 +24,11 @@ from typing import ClassVar, Iterator
 from repro.analysis.framework import Finding, Project, Rule, SourceFile, register
 
 #: Modules observability code must never import (randomness and the
-#: session/engine layer it observes).
+#: engine layer it observes).
 _FORBIDDEN_IMPORTS = (
     "random",
     "secrets",
     "repro.utils.rng",
-    "repro.core.session",
     "repro.core.engine",
 )
 
@@ -50,7 +49,7 @@ def _imported_module(node: ast.AST) -> Iterator[str]:
 
 @register
 class ObsPurityRule(Rule):
-    """Observability code drawing randomness, touching session state or
+    """Observability code drawing randomness, touching engine state or
     advancing a clock."""
 
     id: ClassVar[str] = "obs-purity"
@@ -58,8 +57,8 @@ class ObsPurityRule(Rule):
     description: ClassVar[str] = (
         "repro/obs code must be purely observational: no random/secrets/"
         "RandomSource imports (tracing may never consume RNG state the "
-        "search depends on), no repro.core.session/engine imports (the "
-        "dependency points session -> obs, never back), and no "
+        "search depends on), no repro.core.engine imports (the "
+        "dependency points engine -> obs, never back), and no "
         ".advance()/.charge() calls (the simulated clock is read through "
         "a caller-supplied callable, never moved). Tracing on vs off must "
         "be bit-identical; this rule pins the static half of that "
@@ -80,7 +79,7 @@ class ObsPurityRule(Rule):
                         node,
                         self.id,
                         f"obs code imports {module!r}: observability must "
-                        "not draw randomness or reach into the session "
+                        "not draw randomness or reach into the engine "
                         "layer it observes",
                     )
             if isinstance(node, ast.ImportFrom):

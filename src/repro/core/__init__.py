@@ -14,20 +14,21 @@ A typical MAP-inference session looks like::
 evidence, domains); :class:`TuffyEngine` runs the Tuffy pipeline — bottom-up
 grounding in the relational engine, component detection, optional
 partitioning, and in-memory (component-aware) WalkSAT — and returns an
-:class:`InferenceResult`.
+:class:`InferenceResult`.  One engine is a long-lived session: repeated
+requests reuse its grounding, components and worker pool, and
+``engine.stats`` (a :class:`SessionStats`) snapshots its ``session.*``
+counters.
 """
 
 from repro.core.config import InferenceConfig
-from repro.core.engine import TuffyEngine
+from repro.core.engine import SessionStats, TuffyEngine
 from repro.core.errors import ConfigurationError, ProgramError, ReproError
 from repro.core.program import DatasetStatistics, MLNProgram
 from repro.core.results import InferenceResult
-from repro.core.session import EngineSession, SessionStats
 
 __all__ = [
     "ConfigurationError",
     "DatasetStatistics",
-    "EngineSession",
     "InferenceConfig",
     "InferenceResult",
     "MLNProgram",

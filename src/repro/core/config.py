@@ -64,16 +64,14 @@ class InferenceConfig:
 
     Sessions
     --------
-    Long-lived state reuse across requests on one
-    :class:`~repro.core.session.EngineSession` (and therefore on one
-    :class:`~repro.core.engine.TuffyEngine`, which owns a session):
-    ``persistent_pool`` keeps the multiprocess worker pool alive between
-    requests so repeated runs skip the fork + shared-memory repack and
-    workers keep their per-component caches warm; ``delta_grounding``
+    One :class:`~repro.core.engine.TuffyEngine` is a long-lived session:
+    on the ``processes`` backend it keeps its worker pool alive between
+    requests, so repeated runs skip the fork + shared-memory repack and
+    workers keep their per-component caches warm.  ``delta_grounding``
     enables the per-predicate replay cache so an evidence delta re-grounds
     only the clauses touching changed predicates.  Both preserve the
     determinism contract: a warm request with seed S is bit-identical to a
-    cold run with seed S.  A session serves one request at a time:
+    cold run with seed S.  An engine serves one request at a time:
     ``run_map`` / ``run_marginal`` on the caller's thread, and
     ``submit_map`` / ``submit_marginal`` futures in submission order.
     ``max_inflight_requests`` has no effect; it is kept, with its
@@ -113,7 +111,6 @@ class InferenceConfig:
     mcsat_samples: int = 100
     mcsat_burn_in: int = 10
     # Sessions (warm request path).
-    persistent_pool: bool = True
     delta_grounding: bool = True
     max_inflight_requests: int = 1
     # Observability.

@@ -255,7 +255,7 @@ class BottomUpGrounder:
     enable_replay_cache:
         Record per-clause event streams so later ``ground()`` calls replay
         clauses whose predicates are unchanged (delta-grounding; used by
-        :class:`~repro.core.session.EngineSession`).  Off by default — the
+        :class:`~repro.core.engine.TuffyEngine`).  Off by default — the
         cache holds a copy of the grounding output, which one-shot callers
         should not pay for.
     tracer:

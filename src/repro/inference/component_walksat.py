@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.inference.scheduling import ParallelOutcome, weighted_flip_allocation
+from repro.inference.scheduling import weighted_flip_allocation
 from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSATOptions, WalkSATResult, walksat_tries
 from repro.mrf.components import ComponentDecomposition, connected_components
@@ -59,11 +59,9 @@ class ComponentSearchResult:
     ``columns`` holds every component's result as flat columns (see
     :class:`~repro.parallel.merge.WalkSATColumns`);
     :attr:`component_results` builds the per-component
-    :class:`WalkSATResult` list from them on first read.
-
-    The telemetry fields (``steals``, ``worker_task_counts``,
-    ``shm_shipped``, ``pickle_shipped``) are per-request — the scheduler
-    counts them for exactly this run, not over a warm pool's lifetime.
+    :class:`WalkSATResult` list from them on first read.  Steals and the
+    result-shipping split are counted in the metrics registry
+    (``scheduler.steals``, ``pool.*``), not here.
     """
 
     best_assignment: Dict[int, bool]
@@ -75,10 +73,6 @@ class ComponentSearchResult:
     parallel_simulated_seconds: float
     trace: Series = field(default_factory=Series)
     skipped_components: List[int] = field(default_factory=list)
-    steals: int = 0
-    worker_task_counts: Dict[int, int] = field(default_factory=dict)
-    shm_shipped: int = 0
-    pickle_shipped: int = 0
 
     @cached_property
     def component_results(self) -> List[WalkSATResult]:
@@ -373,7 +367,7 @@ class ComponentAwareWalkSAT:
             return ComponentOutcome(index, result, 0.0)
 
         with self.tracer.span("dispatch", components=len(components)):
-            outcome: ParallelOutcome = run_component_request(
+            outcome = run_component_request(
                 components,
                 request,
                 backend,
@@ -405,11 +399,7 @@ class ComponentAwareWalkSAT:
             simulated_seconds=outcome.sequential_simulated_seconds,
             parallel_simulated_seconds=outcome.parallel_simulated_seconds,
             trace=trace,
-            skipped_components=list(getattr(outcome, "skipped", [])),
-            steals=int(getattr(outcome, "steals", 0)),
-            worker_task_counts=dict(getattr(outcome, "worker_task_counts", {})),
-            shm_shipped=int(getattr(outcome, "shm_shipped", 0)),
-            pickle_shipped=int(getattr(outcome, "pickle_shipped", 0)),
+            skipped_components=list(outcome.skipped),
         )
 
     # ------------------------------------------------------------------

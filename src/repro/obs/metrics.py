@@ -1,11 +1,12 @@
 """The metrics registry: counters, gauges and histograms under dotted names.
 
-One :class:`MetricsRegistry` per session absorbs the counters that used to
-live scattered across layers (``WorkerPool.shm_shipped``, steal counts in
-``ScheduledOutcome``, replay-cache hits in grounding reports, IO charges in
-``IOStatistics``) under stable dotted names — ``pool.shm_shipped``,
-``scheduler.steals``, ``grounding.replay_hits``, ``io.page_reads`` — so one
-dump answers "what happened" without spelunking five objects.
+One :class:`MetricsRegistry` per engine is the one counter of every fact
+the layers report, under stable dotted names — ``pool.shm_shipped``,
+``scheduler.steals``, ``grounding.replay_hits``, ``session.requests``,
+``io.page_reads`` — so one dump answers "what happened".  A per-request
+value (the request log's shipping split, a ``ship`` span's attributes) is
+the difference of two :meth:`MetricsRegistry.counters` readings around
+that request, never a second copy of the count.
 
 Histograms keep bounded aggregates (count/total/min/max), never raw
 samples, so a registry's footprint is independent of request volume.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class MetricsRegistry:
@@ -59,6 +60,11 @@ class MetricsRegistry:
     def counter(self, name: str) -> float:
         with self._lock:
             return self._counters.get(name, 0.0)
+
+    def counters(self, names: Iterable[str]) -> Tuple[float, ...]:
+        """Several counters at once; subtract two readings for a delta."""
+        with self._lock:
+            return tuple(self._counters.get(name, 0.0) for name in names)
 
     def gauge(self, name: str) -> Optional[float]:
         with self._lock:

@@ -32,11 +32,9 @@ Finished results ship back through shared memory, not pickling: every
 pool packs a :class:`~repro.parallel.buffers.ResultBufferSet` — one
 reserved region per component — and workers write each result in place.
 A search result that does not fit its region (oversized trace) rides the
-reply pickled instead, counted but never truncated;
-:meth:`WorkerPool.finish_request` hands the scheduler the shipping
-counters of the request that just ran, with
-:attr:`WorkerPool.shm_shipped` / :attr:`WorkerPool.pickle_shipped` /
-:attr:`WorkerPool.shm_bytes` accumulating pool-lifetime totals.
+reply pickled instead, counted but never truncated.  The pool counts what
+it ships once, in its metrics registry (:data:`SHIPPING_COUNTERS`); a
+request's own share is the difference of two readings around it.
 
 A pool serves one request at a time (the engine session's lock
 serializes them).  Every chunk carries its request id, and every reply
@@ -161,6 +159,10 @@ WORKER_STATE_CACHE_UNITS = 1_000_000
 #: Span ``channel`` attributes: how a component's result reached the parent.
 SHIPPED_SHM = "shm"
 SHIPPED_PICKLE = "pickle"
+
+#: The registry counters of what a pool ships: results through shared
+#: memory, results pickled on the reply, and shared-memory bytes.
+SHIPPING_COUNTERS = ("pool.shm_shipped", "pool.pickle_shipped", "pool.shm_bytes")
 
 
 class BoundedStateCache:
@@ -333,17 +335,10 @@ class WorkerPool:
         self.result_buffers = ResultBufferSet.pack(components, trace_capacity)
         self._closed = False
         #: Dotted-name counters (``pool.*``) — shared with the owning
-        #: session's registry when one is injected, private otherwise so
+        #: engine's registry when one is injected, private otherwise so
         #: the counters are always present for tests and summaries.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._processes: List[multiprocessing.process.BaseProcess] = []
-        #: Shipping telemetry, cumulative over the pool's lifetime; the
-        #: running request's own ``[shm, pickle, bytes]`` counters (see
-        #: :meth:`finish_request`) are what the scheduler reports.
-        self.shm_shipped = 0
-        self.pickle_shipped = 0
-        self.shm_bytes = 0
-        self._shipping = [0, 0, 0]
         self._pickle_warned = False
         #: Chunk messages of the running request submitted, not yet answered.
         self._pending = 0
@@ -449,17 +444,9 @@ class WorkerPool:
     def _count_shipped(self, shm: int, nbytes: int, pickled: Sequence[int]) -> None:
         """Count shipped results — ``pickled`` lists the fallback indices.
 
-        Updates the pool-lifetime totals, the running request's ``[shm,
-        pickle, bytes]`` counters and the ``pool.*`` metrics, and warns
-        once per request about the pickled fallback.
+        Updates the ``pool.*`` counters and warns once per request about
+        the pickled fallback.
         """
-        shipping = self._shipping
-        self.shm_shipped += shm
-        self.shm_bytes += nbytes
-        self.pickle_shipped += len(pickled)
-        shipping[0] += shm
-        shipping[1] += len(pickled)
-        shipping[2] += nbytes
         if shm:
             self.metrics.increment("pool.shm_shipped", shm)
             self.metrics.increment("pool.shm_bytes", nbytes)
@@ -509,21 +496,17 @@ class WorkerPool:
         self.metrics.increment("pool.state_cache_misses", cache_misses)
         return worker_id, token
 
-    def finish_request(self) -> Tuple[int, int, int]:
-        """Close out the running request: return and reset its counters.
+    def finish_request(self) -> None:
+        """Close out the running request.
 
-        Returns the ``(shm_shipped, pickle_shipped, shm_bytes)`` shipped
-        for exactly this request, so a warm pool's telemetry never bleeds
-        across requests.  A request that ends with chunks still in flight
-        (an exception in the parent, a failed chunk) shuts the pool down:
-        their replies would otherwise reach the next request.
+        A request that ends with chunks still in flight (an exception in
+        the parent, a failed chunk) shuts the pool down: their replies
+        would otherwise reach the next request.
         """
         if self._pending:
             self.shutdown()
         self._pending = 0
         self._pickle_warned = False
-        shipped, self._shipping = self._shipping, [0, 0, 0]
-        return shipped[0], shipped[1], shipped[2]
 
     def shutdown(self) -> None:
         if self._closed:

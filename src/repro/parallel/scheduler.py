@@ -58,10 +58,11 @@ Results are always returned **in component order** regardless of
 completion order, and every aggregate (sequential simulated seconds,
 list-scheduling makespan) is computed in the same order as the serial
 path, so seeded runs are bit-for-bit identical across backends and
-worker counts (``tests/test_parallel_parity.py``).  The
-telemetry on :class:`ScheduledOutcome` (steal counts, per-worker
-component counts, shm-vs-pickled shipping) is the one deliberately
-nondeterministic part — it reports what actually happened on the machine.
+worker counts (``tests/test_parallel_parity.py``).  The execution
+telemetry (per-worker component counts on :class:`ScheduledOutcome`; the
+``scheduler.steals`` counter and the pool's ``pool.*`` shipping counters
+in the metrics registry) is the one deliberately nondeterministic part —
+it reports what actually happened on the machine.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from repro.parallel.pool import (
     ComponentOutcome,
     SHIPPED_PICKLE,
     SHIPPED_SHM,
+    SHIPPING_COUNTERS,
     WorkerPool,
 )
 from repro.utils.clock import wall_now
@@ -92,14 +94,11 @@ class ScheduledOutcome(ParallelOutcome):
     ``dispatch_order`` and ``skipped`` are deterministic (part of the
     parity contract); the remaining fields are execution telemetry —
     ``executed`` components actually ran, of which ``discarded`` finished
-    past the deadline cutoff and were replaced by placeholders; ``steals``
-    is how many components a worker ran beyond its first (0 on the serial
-    path, which records no per-worker attribution);
-    ``worker_task_counts`` maps worker id → components run;
-    ``shm_shipped`` / ``pickle_shipped`` / ``shm_bytes`` report the
-    result-shipping split on the processes backend, counted per request
-    (a warm pool's lifetime totals never bleed into one request's
-    record).
+    past the deadline cutoff and were replaced by placeholders;
+    ``worker_task_counts`` maps worker id → components run (empty on the
+    serial path, which records no per-worker attribution).  Steals and
+    the result-shipping split are counted once, in the metrics registry
+    (``scheduler.steals``, ``pool.*``).
     """
 
     def __init__(
@@ -109,11 +108,7 @@ class ScheduledOutcome(ParallelOutcome):
         skipped=None,
         executed: int = 0,
         discarded: int = 0,
-        steals: int = 0,
         worker_task_counts=None,
-        shm_shipped: int = 0,
-        pickle_shipped: int = 0,
-        shm_bytes: int = 0,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -121,11 +116,7 @@ class ScheduledOutcome(ParallelOutcome):
         self.skipped: List[int] = skipped or []
         self.executed = executed
         self.discarded = discarded
-        self.steals = steals
         self.worker_task_counts: Dict[int, int] = worker_task_counts or {}
-        self.shm_shipped = shm_shipped
-        self.pickle_shipped = pickle_shipped
-        self.shm_bytes = shm_bytes
 
 
 def dispatch_order(components: Sequence[MRF]) -> List[int]:
@@ -246,7 +237,8 @@ class _Dispatch:
         self.ship_window: List[Optional[float]] = [None, None]
         self.executed = 0
         self.chunks_sent = 0
-        self.shipping: Tuple[int, int, int] = (0, 0, 0)
+        #: The pool's shipping counters when this run started with it.
+        self.ship_mark: Optional[Tuple[float, ...]] = None
         self.stopwatch = Stopwatch()
 
     def start_pool(self) -> WorkerPool:
@@ -254,7 +246,15 @@ class _Dispatch:
         if self.pool is None:
             self.pool = WorkerPool(self.components, self.workers)
             self.owns_pool = True
+        self.ship_mark = self.pool.metrics.counters(SHIPPING_COUNTERS)
         return self.pool
+
+    def shipped(self) -> Tuple[int, ...]:
+        """This run's ``(shm, pickle, shm bytes)``: pool registry deltas."""
+        if self.ship_mark is None:
+            return (0, 0, 0)
+        now = self.pool.metrics.counters(SHIPPING_COUNTERS)
+        return tuple(int(after - before) for after, before in zip(now, self.ship_mark))
 
     def record(self, worker_id: int, finished, attributed: bool = True) -> None:
         """Note finished ``(index, simulated seconds)`` pairs of one worker."""
@@ -328,12 +328,11 @@ class _Dispatch:
     def release_pool(self) -> None:
         """Close out the request on the pool (runs in a ``finally``).
 
-        Collects the shipping counters of exactly this request (a request
-        that leaves chunks in flight shuts the pool down there).
+        A request that leaves chunks in flight shuts the pool down there.
         """
         pool = self.pool
         if self.backend == "processes" and pool is not None:
-            self.shipping = pool.finish_request()
+            pool.finish_request()
         if pool is not None and self.owns_pool:
             pool.shutdown()
 
@@ -347,7 +346,6 @@ class _Dispatch:
         metrics,
     ) -> ScheduledOutcome:
         """Emit the run's spans and metrics and build its record."""
-        shm_shipped, pickle_shipped, shm_bytes = self.shipping
         if self.traced:
             _emit_task_spans(
                 self.tracer,
@@ -358,9 +356,7 @@ class _Dispatch:
                 discarded_indices,
                 self.ship_window,
                 self.backend,
-                shm_shipped,
-                pickle_shipped,
-                shm_bytes,
+                self.shipped(),
             )
         participating = len(self.worker_counts)
         steals = max(0, self.executed - participating) if participating else 0
@@ -381,11 +377,7 @@ class _Dispatch:
             skipped=sorted(skipped),
             executed=self.executed,
             discarded=len(discarded_indices),
-            steals=steals,
             worker_task_counts=self.worker_counts,
-            shm_shipped=shm_shipped,
-            pickle_shipped=pickle_shipped,
-            shm_bytes=shm_bytes,
         )
 
 
@@ -576,16 +568,15 @@ def _emit_task_spans(
     discarded_indices: set,
     ship_window: List[Optional[float]],
     backend: str,
-    shm_shipped: int,
-    pickle_shipped: int,
-    shm_bytes: int,
+    shipped: Sequence[int],
 ) -> None:
     """Stitch the run's component spans under the ambient (request) span.
 
     Emitted post-hoc from the request's own thread, iterating dispatch
     positions in order — the merged span order is deterministic no matter
     which worker finished when.  The phase events ``run_chunk`` returned
-    become child spans of their component's span.
+    become child spans of their component's span; ``shipped`` is the
+    run's ``(shm, pickle, shm bytes)`` split for the ``ship`` span.
     """
     for position, index in enumerate(order):
         info = task_event_map.get(index)
@@ -624,12 +615,13 @@ def _emit_task_spans(
     else:
         now = tracer.now()
         ship_start = ship_end = now
+    shm, pickle, shm_bytes = shipped
     tracer.record_span(
         "ship",
         ship_start,
         ship_end,
         backend=backend,
-        shm=shm_shipped,
-        pickle=pickle_shipped,
+        shm=shm,
+        pickle=pickle,
         shm_bytes=shm_bytes,
     )

@@ -12,8 +12,8 @@ page sequence.
 :class:`RowOracleGrounder` grounds with it: each clause's query through
 :func:`rows`, each binding through the per-literal evidence outcome and
 one ``GroundClauseStore.add`` — the specification of the grounder's
-columnar consumer.  :func:`ground_by_rows` puts it under an engine
-session.
+columnar consumer.  :func:`ground_by_rows` puts it under a whole
+engine.
 
 :func:`execute_plan` / :func:`execute_query` are the other side of the
 comparison: the engine's ``execute_batch`` output decoded to rows, as a
@@ -23,7 +23,7 @@ comparison: the engine's ``execute_batch`` output decoded to rows, as a
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.core import session
+from repro.core import engine as engine_module
 from repro.grounding.bottom_up import (
     BottomUpGrounder,
     _ingest_attributes,
@@ -287,5 +287,5 @@ class RowOracleGrounder(BottomUpGrounder):
 
 
 def ground_by_rows(monkeypatch) -> None:
-    """Make engine sessions ground through the oracle (pytest ``monkeypatch``)."""
-    monkeypatch.setattr(session, "BottomUpGrounder", RowOracleGrounder)
+    """Make engines ground through the oracle (pytest ``monkeypatch``)."""
+    monkeypatch.setattr(engine_module, "BottomUpGrounder", RowOracleGrounder)

@@ -59,7 +59,7 @@ class TestExitCodes:
     def test_list_rules(self, capsys) -> None:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "det-set-iter" in out and "seam-config-threading" in out
+        assert "det-set-iter" in out and "obs-purity" in out
         assert "repro: allow(" in out
 
 

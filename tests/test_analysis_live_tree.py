@@ -2,7 +2,7 @@
 
 This is the same check ``scripts/check.sh`` runs, expressed as a test so the
 tier-1 suite fails the moment a change introduces a new determinism,
-fork-safety or seam-conformance violation (or lets the checked-in baseline /
+fork-safety or observability-purity violation (or lets the checked-in baseline /
 inline suppressions rot).
 """
 
@@ -43,12 +43,11 @@ class TestLiveTree:
         hygiene = [f for f in report.findings if f.rule == "bad-suppression"]
         assert hygiene == [], [f.render() for f in hygiene]
 
-    def test_all_eleven_rules_are_registered(self) -> None:
+    def test_all_ten_rules_are_registered(self) -> None:
         report = run_analysis([SRC], select=None)
         assert report.rule_ids == sorted(report.rule_ids)
         assert set(report.rule_ids) == {
             "det-set-iter", "det-float-sum", "det-raw-random", "det-wallclock",
             "det-id-hash-order", "fork-module-state", "fork-pool-lifecycle",
             "fork-shm-publish", "fork-task-closure", "obs-purity",
-            "seam-config-threading",
         }

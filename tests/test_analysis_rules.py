@@ -4,8 +4,7 @@ Each rule gets a positive fixture (the violation fires), a negative fixture
 (conforming code stays clean) and, for the per-file rules, a suppressed
 fixture (``# repro: allow(...)`` silences it).  Fixtures are written into a
 ``tmp_path`` tree shaped like ``src/repro`` so the directory-scoped rules
-(``fork-*``, ``det-wallclock``) and the cross-file seam rules see the paths
-they key on.
+(``fork-*``, ``det-wallclock``, ``obs-purity``) see the paths they key on.
 """
 
 from pathlib import Path
@@ -555,69 +554,6 @@ class TestPoolLifecycle:
         assert messages(report, "fork-pool-lifecycle") == []
 
 
-SEAM_CONFIG = """\
-    class InferenceConfig:
-        seed: int = 0
-        parallel_backend: str = "auto"
-    """
-
-
-class TestConfigThreadingSeam:
-    def test_fully_threaded_option_is_clean(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {
-            "core/config.py": SEAM_CONFIG,
-            "cli.py": """\
-            from repro.core.config import InferenceConfig
-
-            def build(parser, args):
-                parser.add_argument("--parallel-backend", default="auto")
-                return InferenceConfig(parallel_backend=args.parallel_backend)
-            """,
-            "core/engine.py": """\
-            def run(config):
-                return config.parallel_backend
-            """,
-        })
-        assert report.findings == []
-
-    def test_missing_cli_flag_and_forwarding_fire(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {
-            "core/config.py": SEAM_CONFIG,
-            "cli.py": """\
-            from repro.core.config import InferenceConfig
-
-            def build(args):
-                return InferenceConfig(seed=args.seed)
-            """,
-            "core/engine.py": """\
-            def run(config):
-                return config.parallel_backend
-            """,
-        })
-        found = messages(report, "seam-config-threading")
-        assert len(found) == 2
-        assert any("--parallel-backend" in message for message in found)
-        assert any("not forwarded" in message for message in found)
-
-    def test_option_never_read_by_engine_fires(self, tmp_path: Path) -> None:
-        report = analyze(tmp_path, {
-            "core/config.py": SEAM_CONFIG,
-            "cli.py": """\
-            from repro.core.config import InferenceConfig
-
-            def build(parser, args):
-                parser.add_argument("--parallel-backend", default="auto")
-                return InferenceConfig(parallel_backend=args.parallel_backend)
-            """,
-            "core/engine.py": """\
-            def run(config):
-                return config.seed
-            """,
-        })
-        found = messages(report, "seam-config-threading")
-        assert len(found) == 1 and "never read by" in found[0]
-
-
 class TestSuppressionHygiene:
     def test_missing_justification_is_reported(self, tmp_path: Path) -> None:
         report = analyze(tmp_path, {"mod.py": """\
@@ -699,15 +635,15 @@ class TestObsPurity:
         assert rules_fired(report) == ["obs-purity"]
         assert "randomness" in messages(report, "obs-purity")[0]
 
-    def test_rng_and_session_imports_fire(self, tmp_path: Path) -> None:
+    def test_rng_and_engine_imports_fire(self, tmp_path: Path) -> None:
         report = analyze(tmp_path, {"repro/obs/export.py": """\
             from repro.utils.rng import RandomSource
-            from repro.core.session import EngineSession
+            from repro.core.engine import TuffyEngine
             """}, select=["obs-purity"])
         fired = messages(report, "obs-purity")
         assert len(fired) >= 2
         assert any("RandomSource" in message for message in fired)
-        assert any("repro.core.session" in message for message in fired)
+        assert any("repro.core.engine" in message for message in fired)
 
     def test_clock_mutation_fires(self, tmp_path: Path) -> None:
         report = analyze(tmp_path, {"repro/obs/tracer.py": """\

@@ -35,7 +35,12 @@ from repro.obs.events import merge_series
 from repro.parallel import processes_available
 from repro.parallel.buffers import ResultBufferSet
 from repro.parallel.merge import WalkSATColumns
-from repro.parallel.pool import ChunkContext, ComponentOutcome, WorkerPool
+from repro.parallel.pool import (
+    SHIPPING_COUNTERS,
+    ChunkContext,
+    ComponentOutcome,
+    WorkerPool,
+)
 from repro.parallel.scheduler import dispatch_order
 from repro.utils.clock import CostModel
 from repro.utils.rng import RandomSource
@@ -166,6 +171,14 @@ def search(components, options, seed, budget, backend, **kwargs):
     return ComponentAwareWalkSAT(
         options, RandomSource(seed), workers=2, parallel_backend=backend
     ).run(components, total_flips=budget, **kwargs)
+
+
+def shipped_search(pool, *args, **kwargs):
+    """:func:`search` on ``pool``, with its ``(shm, pickle)`` results shipped."""
+    before = pool.metrics.counters(SHIPPING_COUNTERS)
+    result = search(*args, pool=pool, **kwargs)
+    after = pool.metrics.counters(SHIPPING_COUNTERS)
+    return result, (after[0] - before[0], after[1] - before[1])
 
 
 class TestChunkRunnerAgainstSpec:
@@ -342,9 +355,11 @@ class TestComponentSearchAgainstSpec:
         components = mixed_components(seed=7)
         options = WalkSATOptions(max_flips=1500)
         with WorkerPool(components, 2, trace_capacity=1) as pool:
-            result = search(components, options, 7, 1500, "processes", pool=pool)
-        assert result.pickle_shipped > 0
-        assert result.shm_shipped + result.pickle_shipped == len(components)
+            result, (shm, pickled) = shipped_search(
+                pool, components, options, 7, 1500, "processes"
+            )
+        assert pickled > 0
+        assert shm + pickled == len(components)
         assert_matches_spec(result, spec_search(components, options, 7, 1500))
 
     @needs_fork
@@ -357,18 +372,18 @@ class TestComponentSearchAgainstSpec:
         results = {}
         with WorkerPool(components, 2, trace_capacity=trace_capacity) as pool:
             for request_id in (1, 2):
-                results[request_id] = search(
-                    components, options, 10 + request_id, 3000, "processes",
-                    pool=pool, request_id=request_id,
+                results[request_id] = shipped_search(
+                    pool, components, options, 10 + request_id, 3000, "processes",
+                    request_id=request_id,
                 )
                 assert pool._pending == 0, request_id
             assert pool.matches(components)
-        for request_id, result in results.items():
-            assert result.shm_shipped + result.pickle_shipped == len(components)
+        for request_id, (result, (shm, pickled)) in results.items():
+            assert shm + pickled == len(components)
             if trace_capacity is None:
-                assert result.shm_shipped == len(components), request_id
+                assert shm == len(components), request_id
             else:
-                assert result.pickle_shipped > 0, request_id
+                assert pickled > 0, request_id
             assert_matches_spec(
                 result, spec_search(components, options, 10 + request_id, 3000)
             )

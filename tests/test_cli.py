@@ -1,11 +1,16 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+import importlib
 import io
+import sys
 
 import pytest
 from row_oracle import ground_by_rows
 
 from repro.cli import build_parser, main
+from repro.core.config import InferenceConfig
+from repro.parallel import processes_available
 
 PROGRAM_TEXT = """
 *wrote(author, paper)
@@ -18,6 +23,21 @@ EVIDENCE_TEXT = """
 wrote(Joe, P1)
 wrote(Joe, P2)
 cat(P1, "DB")
+"""
+
+
+#: Two independent components, so ``auto`` with two workers forks a pool.
+ISLANDS_TEXT = """
+*link(node, node)
+label(node)
+2 link(a, b), label(a) => label(b)
+-0.5 label(n)
+"""
+
+ISLANDS_EVIDENCE = """
+link(A1, A2)
+link(B1, B2)
+label(A1)
 """
 
 
@@ -63,6 +83,58 @@ class TestParser:
         assert build_parser().parse_args(["dataset", "IE"]).parallel_backend == "auto"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dataset", "IE", "--parallel-backend", "cluster"])
+
+    def test_every_backend_seam_reaches_the_engine(self, monkeypatch):
+        # Derived from the config, so a new ``*_backend`` seam is covered
+        # without editing this test: each one needs a ``--x-backend`` flag
+        # whose every choice reaches InferenceConfig, and the engine must
+        # hand that value to the seam's resolver (``resolve_x_backend`` in
+        # ``repro.x``) and run on what the resolver returned.
+        from repro.cli import _config_from_arguments
+        from repro.core.engine import TuffyEngine
+        from repro.core.program import MLNProgram
+
+        names = [f.name for f in dataclasses.fields(InferenceConfig)]
+        seams = [name for name in names if name.endswith("_backend")]
+        assert seams, "InferenceConfig declares no *_backend seam"
+        dataset = build_parser()._subparsers._group_actions[0].choices["dataset"]
+        for name in seams:
+            flag = "--" + name.replace("_", "-")
+            assert flag in dataset._option_string_actions, f"no {flag} CLI flag"
+            package = importlib.import_module("repro." + name[: -len("_backend")])
+            resolver = getattr(package, "resolve_" + name)
+            calls = []
+
+            def spy(requested, *args, **kwargs):
+                resolved = resolver(requested, *args, **kwargs)
+                calls.append((requested, resolved))
+                return resolved
+
+            for module in list(sys.modules.values()):
+                if getattr(module, "resolve_" + name, None) is resolver:
+                    monkeypatch.setattr(module, "resolve_" + name, spy)
+            for choice in dataset._option_string_actions[flag].choices:
+                if choice == "processes" and not processes_available():
+                    continue
+                arguments = build_parser().parse_args(
+                    ["dataset", "IE", flag, choice, "--workers", "2"]
+                )
+                config = _config_from_arguments(arguments)
+                assert getattr(config, name) == choice, (name, choice)
+                program = MLNProgram.from_text(ISLANDS_TEXT, ISLANDS_EVIDENCE)
+                calls.clear()
+                with TuffyEngine(
+                    program, dataclasses.replace(config, max_flips=200, tracing="on")
+                ) as engine:
+                    engine.run_map()
+                    ran = {
+                        span.attributes["backend"]
+                        for span in engine.tracer.spans()
+                        if "backend" in span.attributes
+                    }
+                assert calls, (name, choice)
+                assert {requested for requested, _ in calls} == {choice}, name
+                assert ran and ran <= {resolved for _, resolved in calls}, (name, choice)
 
     def test_parallel_backend_threaded_into_config(self):
         from repro.cli import _config_from_arguments

@@ -1,6 +1,6 @@
 """Submitted requests: served one at a time, each equal to its solo run.
 
-The session's serving contract (:mod:`repro.core.session`): a blocking
+The engine's serving contract (:mod:`repro.core.engine`): a blocking
 ``run_map`` / ``run_marginal`` is served on the caller's thread, and
 ``submit_map`` / ``submit_marginal`` futures are served in submission
 order by one executor thread, each holding the session lock from setup
@@ -38,7 +38,7 @@ from repro.inference.walksat import WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.parallel import processes_available
 from repro.parallel.buffers import ResultBufferSet
-from repro.parallel.pool import Chunk, WorkerPool
+from repro.parallel.pool import SHIPPING_COUNTERS, Chunk, WorkerPool
 from repro.parallel.scheduler import run_component_request
 from repro.utils.rng import RandomSource
 
@@ -305,8 +305,6 @@ class TestSessionGuards:
         # A request over a different component list replaces the pool:
         # the old one is shut down (workers joined, segment unlinked)
         # before the new one forks, and a matching request reuses it.
-        from repro.core.session import EngineSession
-
         events = []
         fork, shutdown = WorkerPool.__init__, WorkerPool.shutdown
 
@@ -322,16 +320,16 @@ class TestSessionGuards:
         monkeypatch.setattr(WorkerPool, "__init__", recording_fork)
         monkeypatch.setattr(WorkerPool, "shutdown", recording_shutdown)
         first, second = imbalanced_components(), imbalanced_components()[:4]
-        with EngineSession(_delta_program(), _config(
+        with TuffyEngine(_delta_program(), _config(
             parallel_backend="processes", workers=2,
-        )) as session:
-            old = session._pool_for(first)
-            new = session._pool_for(second)
+        )) as engine:
+            old = engine._pool_for(first)
+            new = engine._pool_for(second)
             assert new is not old and new.matches(second)
             assert old._closed and not old.matches(first)
             assert not os.path.exists(f"/dev/shm/{shm_segments[0]}")
-            assert session._pool_for(second) is new
-            assert session.stats.pool_launches == 2
+            assert engine._pool_for(second) is new
+            assert engine.stats.pool_launches == 2
         assert events == [
             ("forked", 6), ("shutdown", 6), ("forked", 4), ("shutdown", 4),
         ]
@@ -445,6 +443,95 @@ class TestFaultPaths:
             _assert_same_map(engine.run_map(seed=7), want)
 
     @needs_fork
+    def test_failed_pool_allocation_fails_only_its_request(
+        self, monkeypatch, shm_segments
+    ):
+        # The pool's shared-memory allocation fails (say, /dev/shm is full)
+        # inside ``_pool_for``: the request raises on its own call or
+        # future, no segment leaks, the engine holds no pool, and the
+        # request behind it forks a fresh one.
+        config = dict(parallel_backend="processes", workers=2)
+        fact = ("wrote", ("Jake", "P1"))
+        with TuffyEngine(_delta_program(), _config(**config)) as replay:
+            replay.run_map(seed=0)
+            replay.add_evidence(*fact)
+            want = replay.run_map(seed=7)
+        failures = []
+        pack = ResultBufferSet.pack
+
+        def failing_pack(*args, **kwargs):
+            if failures:
+                failures.pop()
+                raise OSError(28, "No space left on device")
+            return pack(*args, **kwargs)
+
+        monkeypatch.setattr(ResultBufferSet, "pack", staticmethod(failing_pack))
+        with TuffyEngine(_delta_program(), _config(**config)) as engine:
+            engine.run_map(seed=0)  # the first pool
+            engine.add_evidence(*fact)  # the delta tears it down
+            failures.extend(["call", "future"])
+            with pytest.raises(OSError, match="No space left"):
+                engine.run_map(seed=7)
+            assert engine._pool_holder["pool"] is None
+            futures = [engine.submit_map(seed=7), engine.submit_map(seed=7)]
+            with pytest.raises(OSError, match="No space left"):
+                futures[0].result(timeout=WAIT_SECONDS)
+            _assert_same_map(futures[1].result(timeout=WAIT_SECONDS), want)
+            assert engine.stats.pool_launches == 2
+            assert engine.stats.requests == 4
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_evidence_added_behind_a_running_request_reaches_the_queued_one(
+        self, backend, monkeypatch, shm_segments
+    ):
+        # ``add_evidence`` is called while request 1 runs and request 2 is
+        # queued: it waits for request 1, and request 2 — started only once
+        # the call holds the lock — grounds the new fact.
+        config = dict(parallel_backend=backend, workers=2)
+        fact = ("wrote", ("Jake", "P1"))
+        with TuffyEngine(_delta_program(), _config(**config)) as replay:
+            before = replay.run_map(seed=0)
+            replay.add_evidence(*fact)
+            want = replay.run_map(seed=7)
+
+        engine = TuffyEngine(_delta_program(), _config(**config))
+        running, release, adding = threading.Event(), threading.Event(), threading.Event()
+        finish, serve, add = engine._finish, engine._serve, engine.program.add_evidence
+
+        def held_finish(request, grounding, found):
+            if request.request_id == 1:
+                running.set()
+                assert release.wait(WAIT_SECONDS)
+            return finish(request, grounding, found)
+
+        def gated_serve(kind, seed, *rest):
+            if seed == 7:
+                assert adding.wait(WAIT_SECONDS)
+            return serve(kind, seed, *rest)
+
+        def recording_add(*args, **kwargs):
+            adding.set()
+            return add(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_finish", held_finish)
+        monkeypatch.setattr(engine, "_serve", gated_serve)
+        monkeypatch.setattr(engine.program, "add_evidence", recording_add)
+        with engine:
+            first = engine.submit_map(seed=0)
+            assert running.wait(WAIT_SECONDS)
+            queued = engine.submit_map(seed=7)
+            adder = threading.Thread(target=engine.add_evidence, args=fact)
+            adder.start()
+            # The call waits for the running request.
+            assert not adding.wait(0.05)
+            release.set()
+            adder.join(WAIT_SECONDS)
+            assert not adder.is_alive(), "add_evidence hung"
+            _assert_same_map(first.result(timeout=WAIT_SECONDS), before)
+            _assert_same_map(queued.result(timeout=WAIT_SECONDS), want)
+            assert engine.stats.ground_runs == 2
+
+    @needs_fork
     def test_request_leaving_chunks_in_flight_shuts_its_pool_down(self, shm_segments):
         # Every result rides the reply pickled (no trace fits a region),
         # so the one unread reply is larger than a pipe holds.
@@ -500,6 +587,14 @@ def run(components, backend, workers=2, **kwargs):
     )
 
 
+def shipped_by(pool, action):
+    """``action()``'s result and its ``(shm, pickle, shm bytes)`` on ``pool``."""
+    before = pool.metrics.counters(SHIPPING_COUNTERS)
+    result = action()
+    after = pool.metrics.counters(SHIPPING_COUNTERS)
+    return result, tuple(int(a - b) for a, b in zip(after, before))
+
+
 def oracle_run(components):
     """The per-component task oracle of :func:`run`."""
     tasks = walksat_tasks(components, 7, 400)
@@ -532,35 +627,37 @@ class TestSharedPoolRequests:
         reference = oracle_run(components)
         with WorkerPool(components, 2) as pool:
             outcomes = {
-                request_id: run(
+                request_id: shipped_by(pool, lambda: run(
                     components, "processes", pool=pool, request_id=request_id
-                )
+                ))
                 for request_id in (1, 2)
             }
             counters = pool.metrics.as_dict()["counters"]
             assert pool._pending == 0
         assert counters["pool.shm_shipped"] == 2 * len(components)
-        for request_id, outcome in outcomes.items():
+        for request_id, (outcome, shipped) in outcomes.items():
             assert outcome.dispatch_order == reference.dispatch_order
             for got, want in zip(outcome.results.results(), reference.results):
                 assert result_fields(got) == result_fields(want), request_id
-            assert outcome.shm_shipped == len(components), request_id
+            assert shipped[:2] == (len(components), 0), request_id
             assert sum(outcome.worker_task_counts.values()) == len(components)
 
     def test_warm_sequential_requests_report_per_request_shipping(self):
         # Regression for the stale-telemetry bug: the second warm request
-        # used to report the pool-lifetime cumulative counters.
+        # used to report the pool-lifetime cumulative counters.  Each
+        # request's share is the registry delta over its own call.
         components = imbalanced_components()
         with WorkerPool(components, 2) as pool:
             for request_id in (1, 2):
-                outcome = run(components, "processes", pool=pool, request_id=request_id)
-                assert outcome.shm_shipped == len(components), request_id
-                assert outcome.pickle_shipped == 0, request_id
+                outcome, shipped = shipped_by(pool, lambda: run(
+                    components, "processes", pool=pool, request_id=request_id
+                ))
+                assert shipped[:2] == (len(components), 0), request_id
                 assert (
                     sum(outcome.worker_task_counts.values()) == len(components)
                 ), request_id
-            # The pool-lifetime counters do accumulate.
-            assert pool.shm_shipped == 2 * len(components)
+            # The pool's counters do accumulate.
+            assert pool.metrics.counter("pool.shm_shipped") == 2 * len(components)
 
     def test_back_to_back_requests_with_stalled_worker(self):
         # A slow worker changes which worker runs what, never the results.
@@ -568,11 +665,12 @@ class TestSharedPoolRequests:
         reference = oracle_run(components)
         with WorkerPool(components, 2, stall_worker=(0, 0.02)) as pool:
             for request_id in (1, 2):
-                outcome = run(components, "processes", pool=pool, request_id=request_id)
+                outcome, shipped = shipped_by(pool, lambda: run(
+                    components, "processes", pool=pool, request_id=request_id
+                ))
                 for got, want in zip(outcome.results.results(), reference.results):
                     assert result_fields(got) == result_fields(want), request_id
-                assert outcome.shm_shipped == len(components), request_id
-                assert outcome.pickle_shipped == 0, request_id
+                assert shipped[:2] == (len(components), 0), request_id
                 assert outcome.executed == len(components), request_id
 
 

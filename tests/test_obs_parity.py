@@ -18,7 +18,7 @@ from component_oracle import search_request
 from row_oracle import ground_by_rows
 
 from repro.core.config import InferenceConfig
-from repro.core.session import EngineSession
+from repro.core.engine import TuffyEngine
 from repro.datasets import DatasetScale, load_dataset
 from repro.datasets.example1 import example1_mrf
 from repro.grounding.bottom_up import BottomUpGrounder
@@ -27,7 +27,7 @@ from repro.inference.walksat import WalkSATOptions
 from repro.mrf.components import connected_components
 from repro.obs import MetricsRegistry, RecordingTracer
 from repro.parallel import processes_available
-from repro.parallel.pool import Chunk, WorkerPool
+from repro.parallel.pool import SHIPPING_COUNTERS, Chunk, WorkerPool
 from repro.rdbms.column_batch import ColumnBatch
 from repro.utils.rng import RandomSource
 
@@ -40,8 +40,6 @@ WORKER_COUNTS = (1, 4)
 
 def _dataset_components(name, factor):
     dataset = load_dataset(name, DatasetScale(factor=factor, seed=0))
-    from repro.core.engine import TuffyEngine
-
     return TuffyEngine(dataset.program, InferenceConfig(seed=0)).detect_components().components
 
 
@@ -108,9 +106,9 @@ class TestTraceParity:
                 mcsat_burn_in=2,
                 tracing=tracing,
             )
-            with EngineSession(dataset.program, config) as session:
-                map_result = session.run_map()
-                marginal_result = session.run_marginal()
+            with TuffyEngine(dataset.program, config) as engine:
+                map_result = engine.run_map()
+                marginal_result = engine.run_marginal()
                 return (
                     map_result.assignment,
                     map_result.cost,
@@ -118,7 +116,7 @@ class TestTraceParity:
                     map_result.simulated_seconds,
                     marginal_result.marginals.probabilities,
                     marginal_result.cost,
-                    session.database.clock.now(),
+                    engine.database.clock.now(),
                 )
 
         assert run("on") == run("off")
@@ -134,9 +132,9 @@ class TestSpanTreeShape:
             parallel_backend=backend,
             tracing="on",
         )
-        with EngineSession(dataset.program, config) as session:
-            session.run_map()
-            tracer = session.tracer
+        with TuffyEngine(dataset.program, config) as engine:
+            engine.run_map()
+            tracer = engine.tracer
         return tracer
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -173,9 +171,9 @@ class TestSpanTreeShape:
             seed=0, mcsat_samples=5, workers=2, parallel_backend=backend,
             tracing="on",
         )
-        with EngineSession(dataset.program, config) as session:
-            session.run_marginal()
-            spans = session.tracer.request_spans(1)
+        with TuffyEngine(dataset.program, config) as engine:
+            engine.run_marginal()
+            spans = engine.tracer.request_spans(1)
         by_id = {span.span_id: span for span in spans}
         (search,) = [span for span in spans if span.name == "search"]
         assert "dispatch" not in [span.name for span in spans]
@@ -223,9 +221,9 @@ class TestSpanTreeShape:
         # ingest.
         dataset = load_dataset("RC", DatasetScale(factor=0.25, seed=0))
         config = InferenceConfig(seed=0, tracing="on")
-        with EngineSession(dataset.program, config) as session:
-            grounding = session.ground()
-            spans = session.tracer.spans()
+        with TuffyEngine(dataset.program, config) as engine:
+            grounding = engine.ground()
+            spans = engine.tracer.spans()
             (ground,) = [span for span in spans if span.name == "ground"]
             ingests = [span for span in spans if span.name == "clause-ingest"]
             assert ingests and all(s.parent_id == ground.span_id for s in ingests)
@@ -236,7 +234,7 @@ class TestSpanTreeShape:
                 assert 0.0 <= stats.ingest_seconds <= stats.seconds
             total = sum(stats.ingest_seconds for stats in grounding.per_clause)
             assert total > 0.0
-            assert session.metrics.counter("grounding.ingest_seconds") == total
+            assert engine.metrics.counter("grounding.ingest_seconds") == total
             # The span sits inside the stopwatch, around the same call.
             assert 0.0 < sum(s.wall_duration for s in ingests) <= total
 
@@ -245,14 +243,14 @@ class TestSpanTreeShape:
                 for f in dataset.program.evidence
                 if f.atom.predicate.name == "wrote"
             )
-            session.remove_evidence("wrote", fact)
-            delta = session.ground()
+            engine.remove_evidence("wrote", fact)
+            delta = engine.ground()
             replayed = [
                 span
-                for span in session.tracer.spans()
+                for span in engine.tracer.spans()
                 if span.name == "clause-ingest" and span.attributes.get("replayed")
             ]
-            assert len(replayed) == session.last_ground_report.clauses_replayed > 0
+            assert len(replayed) == engine.last_ground_report.clauses_replayed > 0
             replayed_names = {span.attributes["clause"] for span in replayed}
             for stats in delta.per_clause:
                 if stats.clause_name in replayed_names:
@@ -267,7 +265,7 @@ class TestSpanTreeShape:
             ground_by_rows(monkeypatch)
         dataset = load_dataset("RC", DatasetScale(factor=0.25, seed=0))
         config = InferenceConfig(seed=0, tracing="on")
-        with EngineSession(dataset.program, config) as session:
+        with TuffyEngine(dataset.program, config) as engine:
 
             def check(grounding, spans):
                 stats = {s.clause_name: s for s in grounding.per_clause}
@@ -291,18 +289,18 @@ class TestSpanTreeShape:
             ATTRIBUTES = (
                 "rows_in", "rows_stored", "rows_merged", "tautologies", "repeats_dropped"
             )
-            grounding = session.ground()
-            check(grounding, [s for s in session.tracer.spans() if s.name == "clause-ingest"])
+            grounding = engine.ground()
+            check(grounding, [s for s in engine.tracer.spans() if s.name == "clause-ingest"])
             assert grounding.clauses.tautologies > 0
             fact = next(
                 f.atom.argument_values()
                 for f in dataset.program.evidence
                 if f.atom.predicate.name == "wrote"
             )
-            seen = len(session.tracer.spans())
-            session.remove_evidence("wrote", fact)
-            delta = session.ground()
-            spans = [s for s in session.tracer.spans()[seen:] if s.name == "clause-ingest"]
+            seen = len(engine.tracer.spans())
+            engine.remove_evidence("wrote", fact)
+            delta = engine.ground()
+            spans = [s for s in engine.tracer.spans()[seen:] if s.name == "clause-ingest"]
             assert any(s.attributes.get("replayed") for s in spans)
             check(delta, spans)
 
@@ -322,16 +320,51 @@ class TestSpanTreeShape:
     def test_concurrent_requests_get_disjoint_complete_trees(self):
         dataset = load_dataset("RC", DatasetScale(factor=0.25, seed=0))
         config = InferenceConfig(seed=0, max_flips=800, workers=2, tracing="on")
-        with EngineSession(dataset.program, config) as session:
-            futures = [session.submit_map() for _ in range(4)]
+        with TuffyEngine(dataset.program, config) as engine:
+            futures = [engine.submit_map() for _ in range(4)]
             results = [future.result() for future in futures]
-            tracer = session.tracer
+            tracer = engine.tracer
         assert len({repr(sorted(r.assignment.items())) for r in results}) == 1
         assert tracer.request_ids() == [1, 2, 3, 4]
         for request_id in (1, 2, 3, 4):
             names = [span.name for span in tracer.request_spans(request_id)]
             for expected in ("request", "admission", "setup", "search", "dispatch"):
                 assert expected in names, (request_id, expected)
+
+
+class TestPerRequestCounts:
+    @pytest.mark.skipif(not processes_available(), reason="fork not available")
+    def test_ship_span_and_request_log_read_the_requests_own_counts(self):
+        # The pool counts what it ships once, in the registry; each warm
+        # request's ``ship`` span and log entry report that request's own
+        # share, never the pool's running total.
+        dataset = load_dataset("RC", DatasetScale(factor=0.25, seed=0))
+        config = InferenceConfig(
+            seed=0, max_flips=1000, workers=2, parallel_backend="processes",
+            tracing="on",
+        )
+        with TuffyEngine(dataset.program, config) as engine:
+            for seed in (0, 1):
+                engine.run_map(seed=seed)
+            count = len(engine.detect_components().components)
+            log = engine.request_log()
+            totals = engine.metrics.counters(
+                ("scheduler.steals", "pool.shm_shipped", "pool.pickle_shipped")
+            )
+            tracer = engine.tracer
+        for entry in log:
+            (ship,) = [
+                span for span in tracer.request_spans(entry["request_id"])
+                if span.name == "ship"
+            ]
+            shipped = (ship.attributes["shm"], ship.attributes["pickle"])
+            assert shipped == (entry["shm_shipped"], entry["pickle_shipped"])
+            assert sum(shipped) == count
+            assert ship.attributes["shm_bytes"] > 0
+        assert totals == tuple(
+            sum(entry[key] for entry in log)
+            for key in ("steals", "shm_shipped", "pickle_shipped")
+        )
 
 
 class TestPickledFallbackSurfacing:
@@ -344,6 +377,7 @@ class TestPickledFallbackSurfacing:
         with caplog.at_level(logging.WARNING, logger="repro.parallel.pool"):
             with WorkerPool(components, 1, trace_capacity=0, metrics=registry) as pool:
                 for request_id in (1, 2):
+                    before = registry.counters(SHIPPING_COUNTERS)
                     pool.submit(Chunk(
                         request_id, list(range(len(components))),
                         search_request(components, 11, 50),
@@ -351,7 +385,10 @@ class TestPickledFallbackSurfacing:
                     fallbacks = pool.next_chunk(request_id)[3]
                     assert sorted(fallbacks) == list(range(len(components)))
                     assert all(o.result.best_assignment for o in fallbacks.values())
-                    assert pool.finish_request() == (0, len(components), 0)
+                    pool.finish_request()
+                    after = registry.counters(SHIPPING_COUNTERS)
+                    shipped = tuple(a - b for a, b in zip(after, before))
+                    assert shipped == (0, len(components), 0)
         assert registry.counter("pool.pickle_shipped") == 2 * len(components)
         assert registry.counter("pool.shm_shipped") == 0.0
         warnings = [

@@ -37,7 +37,7 @@ from repro.parallel import processes_available
 from repro.parallel.buffers import ResultBufferSet
 from repro.parallel.merge import gauss_seidel_refine
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.pool import Chunk, ChunkContext, WorkerPool
+from repro.parallel.pool import SHIPPING_COUNTERS, Chunk, ChunkContext, WorkerPool
 from repro.parallel.scheduler import (
     CHUNK_SHARE,
     _Dispatch,
@@ -378,7 +378,9 @@ class TestChunkedPool:
             # One message, one worker.
             pool.submit(Chunk(0, list(range(len(components))), walksat_request(components)))
             _worker, _indices, costs, fallbacks, _events = pool.next_chunk()
-            assert pool.finish_request()[:2] == (fits.count(True), fits.count(False))
+            pool.finish_request()
+            shm, pickled, _bytes = pool.metrics.counters(SHIPPING_COUNTERS)
+            assert (shm, pickled) == (fits.count(True), fits.count(False))
             assert sorted(fallbacks) == [i for i, fit in enumerate(fits) if not fit]
             for index, want in enumerate(expected):
                 if index in fallbacks:
@@ -401,8 +403,10 @@ class TestChunkedPool:
             # The error names the chunk's first component and the failure.
             with pytest.raises(RuntimeError, match="chunk from component 0.*component 2"):
                 pool.next_chunk(7)
-            # The failed chunk shut the pool down: its owner forks afresh.
-            assert pool.finish_request() == (0, 0, 0)
+            # The failed chunk shut the pool down (nothing was shipped):
+            # its owner forks afresh.
+            pool.finish_request()
+            assert pool.metrics.counters(SHIPPING_COUNTERS) == (0, 0, 0)
             assert not pool.matches(components)
         finally:
             pool.shutdown()

@@ -1,8 +1,7 @@
 """Session parity: warm requests are bit-identical to cold runs.
 
-The session architecture's determinism contract
-(:mod:`repro.core.session`): the Nth request on a warm
-:class:`~repro.core.session.EngineSession` — reused grounding, MRF,
+The engine's determinism contract (:mod:`repro.core.engine`): the Nth
+request on a warm :class:`~repro.core.engine.TuffyEngine` — reused grounding, MRF,
 component decomposition, kernel states and (on the ``processes`` backend)
 worker pool — returns bit-for-bit the same assignments, costs, flips,
 marginals and simulated seconds as a fresh engine running once with the
@@ -29,6 +28,7 @@ from repro.parallel import pool as pool_module
 from repro.parallel import buffers as buffers_module
 from repro.parallel.buffers import ResultBufferSet
 from repro.parallel.pool import BoundedStateCache, WorkerPool
+from repro.partitioning.greedy import GreedyPartitioner
 
 BACKENDS = [
     backend for backend in ("serial", "processes")
@@ -138,7 +138,76 @@ class TestWarmMapParity:
                 warm = engine.run_map()
             _assert_same_map(warm, cold)
             # The full-MRF kernel state is cached across requests.
-            assert "monolithic" in engine.session._states
+            assert "monolithic" in engine._states
+
+
+def _er_program():
+    return load_dataset("ER", DatasetScale(factor=0.5, seed=2)).program
+
+
+def _er_config(backend):
+    # A 2 KB budget leaves ER's one component oversized: Gauss-Seidel.
+    return InferenceConfig(
+        seed=2, max_flips=8000, memory_budget_bytes=2048, workers=2,
+        parallel_backend=backend,
+    )
+
+
+def _map_digest(result):
+    """Assignment with its dict order, cost, flips and simulated seconds."""
+    return (
+        list(result.assignment.items()),
+        result.cost,
+        result.flips,
+        result.simulated_seconds,
+    )
+
+
+@pytest.fixture
+def partition_calls(monkeypatch):
+    """The identity of every MRF the greedy partitioner runs on, in order."""
+    calls = []
+    partition = GreedyPartitioner.partition
+
+    def counting(self, mrf):
+        calls.append(id(mrf))
+        return partition(self, mrf)
+
+    monkeypatch.setattr(GreedyPartitioner, "partition", counting)
+    return calls
+
+
+class TestWarmBudgetedParity:
+    """Warm Gauss-Seidel requests reuse the partitions cached per grounding."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_warm_requests_match_a_fresh_engine(self, backend, partition_calls):
+        with TuffyEngine(_er_program(), _er_config(backend)) as fresh:
+            want = _map_digest(fresh.run_map(seed=2))
+        partition_calls.clear()
+        with TuffyEngine(_er_program(), _er_config(backend)) as engine:
+            engine.run_map(seed=0)
+            oversized = [id(part.component) for part in engine._split[1]]
+            assert oversized and partition_calls == oversized
+            for _request in range(2):
+                assert _map_digest(engine.run_map(seed=2)) == want, backend
+            assert partition_calls == oversized  # reused, not re-run
+
+    def test_evidence_delta_rebuilds_the_partitions(self, partition_calls):
+        fact = ("simHigh", ("B0_0", "B1_0"))
+        with TuffyEngine(_er_program(), _er_config("serial")) as replay:
+            replay.run_map(seed=0)
+            replay.add_evidence(*fact)
+            want = _map_digest(replay.run_map(seed=2))
+        with TuffyEngine(_er_program(), _er_config("serial")) as engine:
+            engine.run_map(seed=0)
+            split = engine._split
+            seen = len(partition_calls)
+            engine.add_evidence(*fact)
+            assert _map_digest(engine.run_map(seed=2)) == want
+            assert engine._split is not split
+            rebuilt = [id(part.component) for part in engine._split[1]]
+            assert rebuilt and partition_calls[seen:] == rebuilt
 
 
 class TestWarmMarginalParity:
@@ -184,7 +253,7 @@ class TestEvidenceDelta:
     def test_delta_regrounds_only_clauses_touching_changed_predicate(self):
         with TuffyEngine(figure1_program(), InferenceConfig(seed=0, max_flips=3000)) as engine:
             engine.run_map()
-            first = engine.session.last_ground_report
+            first = engine.last_ground_report
             assert not first.is_delta
             assert first.queries_executed == 4
             assert first.clauses_replayed == 0
@@ -192,7 +261,7 @@ class TestEvidenceDelta:
             # three clauses replay and only the wrote table reloads.
             engine.add_evidence("wrote", ("Jake", "P2"))
             engine.run_map()
-            report = engine.session.last_ground_report
+            report = engine.last_ground_report
             assert report.is_delta
             assert report.queries_executed == 1
             assert report.clauses_replayed == 3
@@ -256,7 +325,7 @@ class TestEvidenceRetraction:
             # the exact counters of the add-evidence delta.
             atom = engine.remove_evidence("wrote", ("Joe", "P2"))
             engine.run_map()
-            report = engine.session.last_ground_report
+            report = engine.last_ground_report
             assert report.is_delta
             assert report.queries_executed == 1
             assert report.clauses_replayed == 3
@@ -266,7 +335,7 @@ class TestEvidenceRetraction:
             assert engine.stats.delta_ground_runs == 1
             # 'wrote' is closed-world: the record survives with the
             # closed-world default truth, never as a query variable.
-            registry = engine.session.registry()
+            registry = engine.registry()
             atom_id = registry.lookup("wrote", atom.argument_values())
             assert registry.truth(atom_id) is False
 
@@ -277,13 +346,13 @@ class TestEvidenceRetraction:
             # re-executes, and only the cat atom table reloads.
             atom = engine.remove_evidence("cat", ("P2", "DB"))
             result = engine.run_map()
-            report = engine.session.last_ground_report
+            report = engine.last_ground_report
             # Every clause reads 'cat', so nothing replays (is_delta False).
             assert report.queries_executed == 4
             assert report.clauses_replayed == 0
             assert report.atom_tables_loaded == 1
             assert report.atom_tables_reused == 2
-            registry = engine.session.registry()
+            registry = engine.registry()
             atom_id = registry.lookup("cat", atom.argument_values())
             assert registry.truth(atom_id) is None
             # The retracted atom is a search variable again.
@@ -416,7 +485,7 @@ class TestBatchReplayParity:
             assert _store_fingerprint(replaying.ground().clauses) == _store_fingerprint(
                 reexecuting.ground().clauses
             )
-            recorded = replaying.session._bottom_up_grounder()._replay
+            recorded = replaying._bottom_up_grounder()._replay
             assert any(
                 kind == expected_event
                 for replay in recorded.values()
@@ -427,9 +496,9 @@ class TestBatchReplayParity:
                 getattr(reexecuting, call)(predicate, arguments)
                 replayed = replaying.ground()
                 executed = reexecuting.ground()
-                report = replaying.session.last_ground_report
+                report = replaying.last_ground_report
                 assert report.clauses_replayed > 0, (dataset, step)
-                assert reexecuting.session.last_ground_report.clauses_replayed == 0
+                assert reexecuting.last_ground_report.clauses_replayed == 0
                 assert _store_fingerprint(replayed.clauses) == _store_fingerprint(
                     executed.clauses
                 ), (dataset, step)
@@ -452,7 +521,7 @@ class TestPersistentPool:
             engine.run_map()
             engine.run_marginal()
             assert engine.stats.pool_launches == 1
-        assert engine.session._pool_holder["pool"] is None
+        assert engine._pool_holder["pool"] is None
 
     def test_evidence_delta_tears_down_and_reforks_the_pool(self):
         config = InferenceConfig(
@@ -487,15 +556,6 @@ class TestPersistentPool:
         assert misses <= 2 * count
         assert hits >= count
         assert counters["scheduler.chunks_dispatched"] < 3 * count
-
-    def test_persistent_pool_off_never_launches_a_session_pool(self):
-        config = _rc_config(
-            parallel_backend="processes", workers=2, persistent_pool=False
-        )
-        with TuffyEngine(_rc_program(), config) as engine:
-            engine.run_map()
-            engine.run_map()
-            assert engine.stats.pool_launches == 0
 
 
 class TestWorkerPoolLifecycle:

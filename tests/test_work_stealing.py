@@ -26,7 +26,8 @@ from repro.inference.walksat import WalkSATOptions
 from repro.mrf.graph import MRF
 from repro.parallel import processes_available
 from repro.parallel.buffers import ResultBufferSet
-from repro.parallel.pool import ChunkContext, WorkerPool
+from repro.obs.metrics import MetricsRegistry
+from repro.parallel.pool import SHIPPING_COUNTERS, ChunkContext, WorkerPool
 from repro.parallel.scheduler import deadline_cutoff, run_component_request
 from repro.utils.rng import RandomSource
 
@@ -303,12 +304,9 @@ class TestResultShipping:
         expected = run_tasks(components, walksat_tasks(components))
         with WorkerPool(components, 2) as pool:
             outcome = run(components, "processes", pool=pool)
-            assert pool.shm_shipped == len(components)
-            assert pool.pickle_shipped == 0
-            assert pool.shm_bytes > 0
-        assert outcome.shm_shipped == len(components)
-        assert outcome.pickle_shipped == 0
-        assert outcome.shm_bytes > 0
+            shm, pickled, shm_bytes = pool.metrics.counters(SHIPPING_COUNTERS)
+        assert (shm, pickled) == (len(components), 0)
+        assert shm_bytes > 0
         for got, want in zip(outcome.results.results(), expected.results):
             assert result_fields(got) == result_fields(want)
 
@@ -320,9 +318,9 @@ class TestResultShipping:
                 components, ComponentSampleRequest(SAMPLING, 7), "processes",
                 workers=2, pool=pool,
             )
-            assert pool.shm_shipped == len(components)
-            assert pool.pickle_shipped == 0
-            assert pool.shm_bytes > 0
+            shm, pickled, shm_bytes = pool.metrics.counters(SHIPPING_COUNTERS)
+        assert (shm, pickled) == (len(components), 0)
+        assert shm_bytes > 0
         got = outcome.results
         assert list(got.probabilities.items()) == list(reference.probabilities.items())
         assert (got.samples, got.burn_in) == (reference.samples, reference.burn_in)
@@ -335,10 +333,8 @@ class TestResultShipping:
         # every result must take the pickled path — bit-identically.
         with WorkerPool(components, 2, trace_capacity=0) as pool:
             outcome = run(components, "processes", pool=pool)
-            assert pool.pickle_shipped == len(components)
-            assert pool.shm_shipped == 0
-        assert outcome.pickle_shipped == len(components)
-        assert outcome.shm_shipped == 0
+            shm, pickled, shm_bytes = pool.metrics.counters(SHIPPING_COUNTERS)
+        assert (shm, pickled, shm_bytes) == (0, len(components), 0)
         for got, want in zip(outcome.results.results(), expected.results):
             assert result_fields(got) == result_fields(want)
 
@@ -387,15 +383,20 @@ class TestTelemetry:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_scheduler_reports_execution_counts(self, backend):
         components = imbalanced_components()
-        outcome = run(components, backend)
+        metrics = MetricsRegistry()
+        outcome = run(components, backend, metrics=metrics)
         assert outcome.executed == len(components)
         assert outcome.discarded == 0
-        assert outcome.steals >= 0
+        steals = metrics.counter("scheduler.steals")
         if backend == "serial":
             # No per-worker attribution on the sequential loop.
-            assert outcome.steals == 0
+            assert outcome.worker_task_counts == {}
+            assert steals == 0
         else:
-            assert sum(outcome.worker_task_counts.values()) == len(components)
+            counts = outcome.worker_task_counts
+            assert sum(counts.values()) == len(components)
+            # Steals: components run beyond each participating worker's first.
+            assert steals == len(components) - len(counts)
 
     @pytest.mark.parametrize("backend", ("threads", "auto"))
     def test_unresolved_backend_is_rejected(self, backend):
