@@ -12,8 +12,7 @@ echo "== compileall =="
 python -m compileall -q src
 
 echo "== static analysis (determinism & parity linter; gating) =="
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.analysis src \
-  --json-out benchmarks/results/ANALYSIS_findings.json
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.analysis src
 
 if command -v ruff >/dev/null 2>&1; then
   echo "== ruff (pyproject.toml config) =="
@@ -37,7 +36,7 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 # the structural validator.  Tracing overhead is measured per workload
 # by the e2e benchmark (obs.tracing_overhead_ratio).
 echo "== obs-purity rule (observability layer static gate) =="
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.analysis src --select obs-purity --no-baseline
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.analysis src --select obs-purity
 OBS_TRACE="$(mktemp -t obs_trace_XXXXXX.json)"
 OBS_METRICS="$(mktemp -t obs_metrics_XXXXXX.json)"
 E2E_OUT="$(mktemp -t e2e_traced_XXXXXX.txt)"

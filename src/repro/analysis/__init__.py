@@ -12,13 +12,13 @@ are enforced here as purpose-built AST rules rather than left to review.
 Run it as ``python -m repro.analysis src`` (wired into ``scripts/check.sh``
 as a gating stage); see ``--list-rules`` for the rule families and
 ROADMAP.md ("Static analysis") for how rules map to the invariant list.
+The one escape hatch is a justified inline ``# repro: allow(<rule>): <why>``
+comment; any other finding fails the run.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry, BaselineMatch
 from repro.analysis.framework import (
     AnalysisReport,
     Finding,
-    Project,
     Rule,
     RULE_REGISTRY,
     SourceFile,
@@ -30,11 +30,7 @@ from repro.analysis.framework import (
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
-    "BaselineEntry",
-    "BaselineMatch",
     "Finding",
-    "Project",
     "RULE_REGISTRY",
     "Rule",
     "SourceFile",

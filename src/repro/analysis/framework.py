@@ -19,7 +19,8 @@ comment on the line(s) immediately above the offending statement::
 Several rules may share one comment (``allow(rule-a, rule-b): why``).  The
 justification text after the colon is *required*: a suppression without one
 (or naming an unknown rule, or matching no finding) is itself reported under
-the ``bad-suppression`` rule, so the escape hatch cannot silently rot.
+the ``bad-suppression`` rule, so the linter's one escape hatch cannot
+silently rot.
 """
 
 from __future__ import annotations
@@ -54,25 +55,8 @@ class Finding:
     column: int
     message: str
 
-    def key(self) -> Tuple[str, str, str]:
-        """The location-independent identity used for baseline matching.
-
-        Line/column are deliberately excluded so unrelated edits above a
-        grandfathered finding do not invalidate the baseline.
-        """
-        return (self.rule, self.path, self.message)
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.column}: [{self.rule}] {self.message}"
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "message": self.message,
-        }
 
 
 @dataclass(frozen=True)
@@ -193,25 +177,6 @@ class SourceFile:
         return Finding(rule=rule, path=self.rel_path, line=line, column=column, message=message)
 
 
-class Project:
-    """Every scanned source file, addressable by relative-path suffix."""
-
-    def __init__(self, root: Path, files: Sequence[SourceFile]) -> None:
-        self.root = root
-        self.files: List[SourceFile] = list(files)
-
-    def find(self, rel_suffix: str) -> Optional[SourceFile]:
-        """The unique file whose relative path ends with the given suffix."""
-        matches = [
-            source
-            for source in self.files
-            if source.rel_path == rel_suffix or source.rel_path.endswith("/" + rel_suffix)
-        ]
-        if len(matches) == 1:
-            return matches[0]
-        return None
-
-
 class Rule:
     """Base class of every analyzer rule.
 
@@ -226,7 +191,7 @@ class Rule:
     def applies_to(self, source: SourceFile) -> bool:
         return True
 
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
         return iter(())
 
 
@@ -266,9 +231,8 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
 
 @dataclass
 class AnalysisReport:
-    """The outcome of one analyzer run, before baseline filtering."""
+    """The outcome of one analyzer run."""
 
-    root: Path
     rule_ids: List[str]
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
@@ -302,13 +266,11 @@ def run_analysis(
 ) -> AnalysisReport:
     """Run every (selected) rule over the given paths.
 
-    Returns the raw report: genuine findings (with suppressed ones split
-    out), plus suppression-hygiene findings.  Baseline filtering is layered
-    on top by the CLI so programmatic callers see everything.
+    Returns the findings (with suppressed ones split out), plus
+    suppression-hygiene findings.
     """
     root = _scan_root(paths)
     sources = [SourceFile(root, path) for path in iter_python_files(paths)]
-    project = Project(root, sources)
 
     rules = all_rules()
     if select is not None:
@@ -318,7 +280,7 @@ def run_analysis(
             raise ValueError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
         rules = [rule for rule in rules if rule.id in wanted]
 
-    report = AnalysisReport(root=root, rule_ids=[rule.id for rule in rules])
+    report = AnalysisReport(rule_ids=[rule.id for rule in rules])
     report.file_count = len(sources)
 
     raw: List[Finding] = []
@@ -328,13 +290,13 @@ def run_analysis(
             continue
         for rule in rules:
             if rule.applies_to(source):
-                raw.extend(rule.check(source, project))
+                raw.extend(rule.check(source))
 
     # Split suppressed findings out and track which suppressions fired.
+    by_path = {source.rel_path: source for source in sources}
     used: Dict[Tuple[str, int, int], None] = {}
     for finding in raw:
-        source = project.find(finding.path)
-        suppression = source.suppression_for(finding) if source is not None else None
+        suppression = by_path[finding.path].suppression_for(finding)
         if suppression is not None:
             used.setdefault((finding.path, suppression.comment_line, id(suppression)))
             report.suppressed.append(finding)
@@ -342,14 +304,14 @@ def run_analysis(
             report.findings.append(finding)
 
     report.findings.extend(
-        _suppression_hygiene(project, used, full_rule_set=select is None)
+        _suppression_hygiene(sources, used, full_rule_set=select is None)
     )
     report.findings = report.sorted_findings()
     return report
 
 
 def _suppression_hygiene(
-    project: Project,
+    sources: Sequence[SourceFile],
     used: Dict[Tuple[str, int, int], None],
     full_rule_set: bool,
 ) -> Iterator[Finding]:
@@ -359,47 +321,29 @@ def _suppression_hygiene(
     (``--select`` would otherwise make valid suppressions look unused).
     """
     known = set(RULE_REGISTRY) | {BAD_SUPPRESSION, PARSE_ERROR}
-    for source in project.files:
+    for source in sources:
         for suppression in source.suppressions:
-            where = Finding(
+            unknown = [rule for rule in suppression.rules if rule not in known]
+            key = (source.rel_path, suppression.comment_line, id(suppression))
+            if not suppression.justification:
+                message = (
+                    "suppression is missing its justification; write "
+                    "'# repro: allow(<rule>): <why this is safe>'"
+                )
+            elif unknown:
+                message = f"suppression names unknown rule(s): {', '.join(unknown)}"
+            elif full_rule_set and key not in used:
+                message = (
+                    "unused suppression (no "
+                    + ", ".join(suppression.rules)
+                    + " finding on the suppressed line); delete it"
+                )
+            else:
+                continue
+            yield Finding(
                 rule=BAD_SUPPRESSION,
                 path=source.rel_path,
                 line=suppression.comment_line,
                 column=0,
-                message="",
+                message=message,
             )
-            if not suppression.justification:
-                yield Finding(
-                    rule=BAD_SUPPRESSION,
-                    path=where.path,
-                    line=where.line,
-                    column=0,
-                    message=(
-                        "suppression is missing its justification; write "
-                        "'# repro: allow(<rule>): <why this is safe>'"
-                    ),
-                )
-                continue
-            unknown = [rule for rule in suppression.rules if rule not in known]
-            if unknown:
-                yield Finding(
-                    rule=BAD_SUPPRESSION,
-                    path=where.path,
-                    line=where.line,
-                    column=0,
-                    message=f"suppression names unknown rule(s): {', '.join(unknown)}",
-                )
-                continue
-            key = (source.rel_path, suppression.comment_line, id(suppression))
-            if full_rule_set and key not in used:
-                yield Finding(
-                    rule=BAD_SUPPRESSION,
-                    path=where.path,
-                    line=where.line,
-                    column=0,
-                    message=(
-                        "unused suppression (no "
-                        + ", ".join(suppression.rules)
-                        + " finding on the suppressed line); delete it"
-                    ),
-                )

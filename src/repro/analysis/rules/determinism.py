@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, Dict, Iterator, Optional, Set
 
-from repro.analysis.framework import Finding, Project, Rule, SourceFile, register
+from repro.analysis.framework import Finding, Rule, SourceFile, register
 
 #: Builtin constructors producing unordered collections.
 _UNORDERED_CALLS = ("set", "frozenset")
@@ -79,7 +79,7 @@ class UnorderedIterationRule(Rule):
         "is deterministic"
     )
 
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
         for node in source.walk():
             if isinstance(node, ast.For) and _is_unordered_expr(node.iter):
                 yield source.finding(node.iter, self.id, self._MESSAGE)
@@ -176,7 +176,7 @@ class UnorderedFloatSumRule(Rule):
             return f"{base.value.id}.add.{func.attr}()"
         return None
 
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
         core = source.in_directory(*_CORE_DIRS)
         numpy_names = _module_aliases(source, "numpy") if core else set()
         imported = _from_imports(source, "numpy") if core else {}
@@ -222,7 +222,7 @@ class RawRandomRule(Rule):
         segments = source.segments()
         return segments[-2:] != self._SANCTIONED
 
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
         random_aliases = _module_aliases(source, "random")
         secrets_aliases = _module_aliases(source, "secrets")
         numpy_random_aliases = _module_aliases(source, "numpy.random")
@@ -293,7 +293,7 @@ class WallClockRule(Rule):
     def applies_to(self, source: SourceFile) -> bool:
         return source.in_directory(*self._SCOPED_DIRS)
 
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
         time_aliases = _module_aliases(source, "time")
         from_time = _from_imports(source, "time")
         for node in source.walk():
@@ -343,7 +343,7 @@ class IdHashOrderRule(Rule):
                 return func.id
         return None
 
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
         for node in source.walk():
             if not isinstance(node, ast.Call):
                 continue

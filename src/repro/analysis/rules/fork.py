@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, Dict, Iterator, List, Optional, Set
 
-from repro.analysis.framework import Finding, Project, Rule, SourceFile, register
+from repro.analysis.framework import Finding, Rule, SourceFile, register
 
 #: Methods that mutate the builtin containers in place.
 _MUTATORS = (
@@ -84,7 +84,7 @@ class ForkModuleStateRule(Rule):
     def applies_to(self, source: SourceFile) -> bool:
         return source.in_directory("parallel", "inference")
 
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
         if source.tree is None:
             return
         module_mutables = _module_mutable_names(source.tree)
@@ -192,7 +192,7 @@ class SharedMemoryPublishRule(Rule):
     def applies_to(self, source: SourceFile) -> bool:
         return source.in_directory("parallel")
 
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
         for node in source.walk():
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(source, node)
@@ -327,7 +327,7 @@ class PoolLifecycleRule(Rule):
     def applies_to(self, source: SourceFile) -> bool:
         return source.in_directory("parallel")
 
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
         for node in source.walk():
             if isinstance(node, ast.ClassDef) and self._is_pool_class(node):
                 yield from self._check_pool_class(source, node)
@@ -450,7 +450,7 @@ class PoolTaskClosureRule(Rule):
         "arguments."
     )
 
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
         nested = self._nested_function_names(source)
         for node in source.walk():
             if not isinstance(node, ast.Call):

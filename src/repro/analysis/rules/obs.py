@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, Iterator
 
-from repro.analysis.framework import Finding, Project, Rule, SourceFile, register
+from repro.analysis.framework import Finding, Rule, SourceFile, register
 
 #: Modules observability code must never import (randomness and the
 #: engine layer it observes).
@@ -68,7 +68,7 @@ class ObsPurityRule(Rule):
     def applies_to(self, source: SourceFile) -> bool:
         return source.in_directory("obs")
 
-    def check(self, source: SourceFile, project: Project) -> Iterator[Finding]:
+    def check(self, source: SourceFile) -> Iterator[Finding]:
         if source.tree is None:
             return
         for node in source.walk():

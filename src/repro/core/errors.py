@@ -13,11 +13,3 @@ class ProgramError(ReproError):
 
 class ConfigurationError(ReproError):
     """Raised for invalid inference configurations."""
-
-
-class GroundingError(ReproError):
-    """Raised when the grounding phase cannot proceed."""
-
-
-class SearchError(ReproError):
-    """Raised when the search phase cannot proceed."""

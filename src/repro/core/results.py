@@ -70,15 +70,6 @@ class InferenceResult:
                 result.append(record.atom)
         return result
 
-    def query_assignment(self) -> Dict[GroundAtom, bool]:
-        """The full inferred world over query atoms, keyed by ground atom."""
-        result = {}
-        for atom_id, value in self.assignment.items():
-            record = self.atoms.record(atom_id)
-            if record.truth is None:
-                result[record.atom] = value
-        return result
-
     @property
     def total_seconds(self) -> float:
         return sum(self.phase_seconds.values())

@@ -86,14 +86,6 @@ class AtomRecord:
     atom: GroundAtom
     truth: Optional[bool]
 
-    @property
-    def is_evidence(self) -> bool:
-        return self.truth is not None
-
-    @property
-    def is_query(self) -> bool:
-        return self.truth is None
-
 
 class _PredicateAtoms:
     """One predicate's atoms as columns, in id order."""

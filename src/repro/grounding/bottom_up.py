@@ -157,7 +157,7 @@ class _ClauseReplay:
     """Cached outcome of one clause's grounding query.
 
     ``events`` is the ordered clause-store call sequence the query
-    produced: ``("add", literal_tuple)``, ``("add_batch", (matrix,
+    produced: ``("add", literal_tuple)``, ``("add_matrix", (matrix,
     repeat_pairs, tautology_pairs))`` — one :meth:`GroundClauseStore.add_matrix`
     call — and ``("satisfied", count)`` entries, replayed
     verbatim so the store state is bit-identical to a re-executed query.
@@ -200,7 +200,7 @@ class _RecordingStore:
         self.store.record_satisfied_by_evidence(count)
 
     def add_matrix(self, matrix, weight, source=None, repeat_pairs=None, tautology_pairs=None):
-        self.events.append(("add_batch", (matrix, repeat_pairs, tautology_pairs)))
+        self.events.append(("add_matrix", (matrix, repeat_pairs, tautology_pairs)))
         return self.store.add_matrix(matrix, weight, source, repeat_pairs, tautology_pairs)
 
 
@@ -440,7 +440,7 @@ class BottomUpGrounder:
             for kind, payload in cached.events:
                 if kind == "add":
                     store.add(payload, clause.weight, clause.name)
-                elif kind == "add_batch":
+                elif kind == "add_matrix":
                     matrix, repeat_pairs, tautology_pairs = payload
                     store.add_matrix(
                         matrix, clause.weight, clause.name, repeat_pairs, tautology_pairs

@@ -502,8 +502,7 @@ class GroundClauseStore:
 
         Returns the stored clause, or ``None`` when the clause was empty
         (fully decided by evidence) and only affected the constant cost.
-        This is the specification :meth:`add_batch` and :meth:`add_matrix`
-        are held to.
+        This is the specification :meth:`add_matrix` is held to.
         """
         self._check_open()
         row = self._add_row(literals, weight, source)
@@ -618,52 +617,6 @@ class GroundClauseStore:
             source_id = self._source_ids[source] = len(self.columns.sources)
             self.columns.sources.append(source)
         return source_id
-
-    def add_batch(
-        self,
-        flat_literals: Sequence[int],
-        row_lengths: Sequence[int],
-        weight: float,
-        source: Optional[str] = None,
-    ) -> int:
-        """Add many ground clauses of one first-order clause at once.
-
-        ``flat_literals`` holds the signed literals of every clause
-        back-to-back; ``row_lengths`` gives each clause's literal count, in
-        order.  Semantics — duplicate merging, weight summing, hard-clause
-        handling, tautology/empty-clause accounting and clause ordering —
-        are exactly those of calling :meth:`add` once per row.  Returns the
-        number of rows that stored or merged a clause (i.e. for which
-        :meth:`add` returned a clause).  Numpy inputs are laid out as a
-        0-padded matrix and taken by :meth:`add_matrix`, with every column
-        pair checked; lists go through :meth:`add` row by row.
-        """
-        self._check_open()
-        if isinstance(flat_literals, np.ndarray):
-            flat = flat_literals.astype(np.int64, copy=False)
-            lengths = np.asarray(row_lengths, dtype=np.int64)
-            if int(lengths.sum()) != len(flat):
-                raise ValueError(
-                    f"row_lengths cover {int(lengths.sum())} literals, got {len(flat)}"
-                )
-            if not flat.all():
-                raise ValueError("literal ids must be non-zero signed integers")
-            width = int(lengths.max()) if len(lengths) else 0
-            padded = np.zeros((len(lengths), width), dtype=np.int64)
-            padded[np.arange(width) < lengths[:, None]] = flat
-            return self.add_matrix(padded, weight, source)
-        if sum(row_lengths) != len(flat_literals):
-            raise ValueError(
-                f"row_lengths cover {sum(row_lengths)} literals, got {len(flat_literals)}"
-            )
-        stored = 0
-        offset = 0
-        for length in row_lengths:
-            end = offset + length
-            if self._add_row(flat_literals[offset:end], weight, source) is not None:
-                stored += 1
-            offset = end
-        return stored
 
     def add_matrix(
         self,

@@ -106,9 +106,6 @@ class ParsedProgram:
     predicates: List[Predicate] = field(default_factory=list)
     rules: List[ParsedRule] = field(default_factory=list)
 
-    def predicate_map(self) -> Dict[str, Predicate]:
-        return {predicate.name: predicate for predicate in self.predicates}
-
 
 _TOKEN_PATTERN = re.compile(
     r"""

@@ -85,12 +85,6 @@ class Span:
             return 0.0
         return self.wall_end - self.wall_start
 
-    @property
-    def simulated_duration(self) -> float:
-        if self.simulated_end is None:
-            return 0.0
-        return self.simulated_end - self.simulated_start
-
     def annotate(self, **attributes: object) -> "Span":
         """Attach attributes after the span was opened (e.g. the request
         id, which is only known once setup assigns one)."""

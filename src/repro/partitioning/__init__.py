@@ -11,7 +11,8 @@
   of reading each batch from the clause table exactly once versus once per
   component (Table 7);
 * :mod:`repro.partitioning.bisection` — balanced-bisection cost, the
-  quantity Theorem 3.2 shows is NP-hard to minimise;
+  quantity Theorem 3.2 shows is NP-hard to minimise, and the random
+  balanced bisection the partitioning ablation compares Algorithm 3 with;
 * :mod:`repro.partitioning.tradeoff` — the Appendix B.8 estimator of the
   benefit (or detriment) of a partitioning.
 """

@@ -4,14 +4,14 @@ The paper defines the *cost* of a balanced bisection ``(V1, V2)`` as the
 number of hyperedges (clauses) touching both sides and proves that finding a
 minimum-cost balanced bisection of an MLN-generated MRF is NP-hard (by
 reduction from graph minimum bisection).  The library therefore does not try
-to solve it exactly; this module provides the cost function itself, a random
-balanced bisection baseline and a simple local-improvement heuristic, which
-the ablation benchmarks compare against Algorithm 3.
+to solve it exactly; this module provides the cost function itself and a
+random balanced bisection, which the partitioning ablation benchmark
+compares against Algorithm 3's greedy cut.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from repro.mrf.graph import MRF
 from repro.utils.rng import RandomSource
@@ -37,39 +37,3 @@ def random_balanced_bisection(
     rng.shuffle(atoms)
     half = len(atoms) // 2
     return sorted(atoms[:half]), sorted(atoms[half:])
-
-
-def greedy_improve_bisection(
-    mrf: MRF,
-    side_one: Sequence[int],
-    side_two: Sequence[int],
-    max_swaps: int = 1000,
-) -> Tuple[List[int], List[int], int]:
-    """Pairwise-swap local search over a balanced bisection.
-
-    Repeatedly finds the single swap of one atom from each side that most
-    reduces the cut cost, stopping when no swap improves it (or after
-    ``max_swaps`` swaps).  Returns the improved sides and the final cost.
-    This is a deliberately simple baseline: the point of Theorem 3.2 is that
-    optimal bisection is intractable, so Tuffy uses the streaming greedy
-    partitioner instead.
-    """
-    one = list(side_one)
-    two = list(side_two)
-    best_cost = bisection_cost(mrf, one)
-    for _swap in range(max_swaps):
-        best_pair = None
-        best_new_cost = best_cost
-        for i, atom_a in enumerate(one):
-            for j, atom_b in enumerate(two):
-                candidate = one[:i] + one[i + 1 :] + [atom_b]
-                cost = bisection_cost(mrf, candidate)
-                if cost < best_new_cost:
-                    best_new_cost = cost
-                    best_pair = (i, j)
-        if best_pair is None:
-            break
-        i, j = best_pair
-        one[i], two[j] = two[j], one[i]
-        best_cost = best_new_cost
-    return sorted(one), sorted(two), best_cost

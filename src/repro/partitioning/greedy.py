@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
 from repro.grounding.clause_table import GroundClause
 from repro.mrf.graph import MRF
@@ -44,40 +44,6 @@ class Partitioning:
     @property
     def cut_size(self) -> int:
         return len(self.cut_clauses)
-
-    def partition_of_atom(self, atom_id: int) -> Optional[int]:
-        for index, atoms in enumerate(self.atom_partitions):
-            if atom_id in self._atom_sets[index]:
-                return index
-        return None
-
-    def __post_init__(self) -> None:
-        self._atom_sets: List[Set[int]] = [set(atoms) for atoms in self.atom_partitions]
-
-    def refresh_sets(self) -> None:
-        self._atom_sets = [set(atoms) for atoms in self.atom_partitions]
-
-    def partition_mrfs(self, mrf: MRF) -> List[MRF]:
-        """Materialise each partition as its own MRF (cut clauses excluded)."""
-        clause_lists: List[List[GroundClause]] = [[] for _ in self.atom_partitions]
-        for clause_index, partition_index in self.clause_assignment.items():
-            clause_lists[partition_index].append(mrf.clauses[clause_index])
-        return [
-            MRF.from_clauses(clauses, extra_atoms=atoms)
-            for clauses, atoms in zip(clause_lists, self.atom_partitions)
-        ]
-
-    def cut_clause_objects(self, mrf: MRF) -> List[GroundClause]:
-        return [mrf.clauses[index] for index in self.cut_clauses]
-
-    def cut_weight(self, mrf: MRF) -> float:
-        """Total |weight| of cut clauses (hard clauses counted as 0 here)."""
-        total = 0.0
-        for index in self.cut_clauses:
-            clause = mrf.clauses[index]
-            if not clause.is_hard:
-                total += abs(clause.weight)
-        return total
 
     def sizes(self, mrf: MRF) -> List[int]:
         """Size (atoms + literals) of each partition."""
@@ -139,14 +105,12 @@ class GreedyPartitioner:
             root = union_find.find(clause.atom_ids[0])
             clause_assignment[clause_index] = root_to_partition[root]
 
-        partitioning = Partitioning(
+        return Partitioning(
             atom_partitions=atom_partitions,
             clause_assignment=clause_assignment,
             cut_clauses=sorted(cut_clauses),
             size_bound=self.size_bound,
         )
-        partitioning.refresh_sets()
-        return partitioning
 
     @staticmethod
     def _effective_weight(clause: GroundClause) -> float:
@@ -154,17 +118,3 @@ class GreedyPartitioner:
         if clause.is_hard:
             return math.inf
         return abs(clause.weight)
-
-
-def partition_for_memory_budget(
-    mrf: MRF, budget_bytes: int, bytes_per_unit: int = 64
-) -> Partitioning:
-    """Convenience wrapper: translate a memory budget into a size bound.
-
-    ``bytes_per_unit`` approximates the in-memory cost of one atom or one
-    literal in the search state; the Figure 6 benchmark sweeps the budget.
-    """
-    if budget_bytes <= 0:
-        raise ValueError("budget_bytes must be positive")
-    size_bound = max(budget_bytes / bytes_per_unit, 1.0)
-    return GreedyPartitioner(size_bound).partition(mrf)

@@ -9,7 +9,7 @@ to read the output as encoded columns.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.rdbms.catalog import Catalog
 from repro.rdbms.executor import Executor
@@ -102,9 +102,6 @@ class Database:
 
     def reset_io_statistics(self) -> None:
         self.storage.stats.reset()
-
-    def table_sizes(self) -> Dict[str, int]:
-        return {table.name: len(table) for table in self.catalog}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database(tables={self.catalog.table_names()})"

@@ -193,9 +193,6 @@ class Table:
         names = self.schema.column_names
         return [dict(zip(names, row)) for row in self.rows]
 
-    def row_at(self, index: int) -> Tuple[Any, ...]:
-        return self.rows[index]
-
     def page_count(self, page_size: int = 128) -> int:
         """Number of pages this table occupies (for the cost model)."""
         if self.storage is not None:

@@ -16,7 +16,7 @@ does not care which one it is given.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def wall_now() -> float:
@@ -121,27 +121,3 @@ class SimulatedClock:
         """Reset simulated time and event counters."""
         self._time = 0.0
         self._events.clear()
-
-
-@dataclass
-class HybridClock:
-    """Pairs a wall clock with a simulated clock.
-
-    Inference loops charge simulated events while also exposing real elapsed
-    time; experiment harnesses choose which axis to report.
-    """
-
-    simulated: SimulatedClock = field(default_factory=SimulatedClock)
-    wall: WallClock = field(default_factory=WallClock)
-
-    def now(self) -> float:
-        return self.simulated.now()
-
-    def elapsed(self) -> float:
-        return self.simulated.elapsed()
-
-    def charge(self, event: str, count: int = 1) -> None:
-        self.simulated.charge(event, count)
-
-    def wall_elapsed(self) -> float:
-        return self.wall.elapsed()

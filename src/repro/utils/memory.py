@@ -123,10 +123,6 @@ class MemoryModel:
         return self._peak
 
     @property
-    def peak_megabytes(self) -> float:
-        return self._peak / (1024.0 * 1024.0)
-
-    @property
     def current_bytes(self) -> int:
         return sum(self._current.values())
 

@@ -8,7 +8,7 @@ experiment can be reproduced exactly from a single integer seed.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional, Sequence, TypeVar
+from typing import Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -114,22 +114,3 @@ def spawn_rng(seed: Optional[int], salt: int = 0) -> RandomSource:
     if salt:
         return source.spawn(salt)
     return source
-
-
-def round_robin(groups: Sequence[Sequence[T]]) -> Iterator[T]:
-    """Yield items from each group in round-robin order.
-
-    Used by the component scheduler; kept here because it is a pure utility
-    with no dependency on inference state.
-    """
-    iterators = [iter(group) for group in groups]
-    active = list(iterators)
-    while active:
-        still_active = []
-        for iterator in active:
-            try:
-                yield next(iterator)
-            except StopIteration:
-                continue
-            still_active.append(iterator)
-        active = still_active

@@ -1,13 +1,16 @@
-"""End-to-end tests for ``python -m repro.analysis``: exit codes, baseline
-resolution, ``--update-baseline`` and the machine-readable ``--json-out``
-document (which mirrors the benchmark result shape)."""
+"""End-to-end tests for ``python -m repro.analysis``: exit codes, rule
+listing and the quiet summary.  The inline suppression is the one escape
+hatch; a baseline file beside the scan root is not read."""
 
 import json
 from pathlib import Path
 from textwrap import dedent
-from typing import Dict
+from typing import Dict, List
 
-from repro.analysis.cli import main
+import pytest
+
+from repro.analysis.cli import build_parser, main
+from repro.analysis.framework import run_analysis
 
 CLEAN = """\
     def f(xs):
@@ -32,10 +35,18 @@ class TestExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path: Path, capsys) -> None:
         root = write_tree(tmp_path / "src", {"mod.py": CLEAN})
         assert main([str(root)]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_violations_exit_one(self, tmp_path: Path, capsys) -> None:
         root = write_tree(tmp_path / "src", {"mod.py": VIOLATING})
+        # A baseline file that lists the finding grandfathers nothing: only
+        # an inline suppression silences a finding.
+        (finding,) = run_analysis([root]).findings
+        listed = {"rule": finding.rule, "path": finding.path, "message": finding.message,
+                  "count": 1, "justification": "reviewed"}
+        (tmp_path / "analysis_baseline.json").write_text(
+            json.dumps({"version": 1, "findings": [listed]}), encoding="utf-8"
+        )
         assert main([str(root)]) == 1
         out = capsys.readouterr().out
         assert "[det-set-iter]" in out and "mod.py:2" in out
@@ -49,80 +60,11 @@ class TestExitCodes:
         assert main([str(root), "--select", "not-a-rule"]) == 2
         assert "unknown rule id" in capsys.readouterr().err
 
-    def test_unreadable_baseline_exits_one(self, tmp_path: Path, capsys) -> None:
-        root = write_tree(tmp_path / "src", {"mod.py": CLEAN})
-        bad = tmp_path / "broken.json"
-        bad.write_text("{not json")
-        assert main([str(root), "--baseline", str(bad)]) == 1
-        assert "cannot load baseline" in capsys.readouterr().err
-
     def test_list_rules(self, capsys) -> None:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "det-set-iter" in out and "obs-purity" in out
         assert "repro: allow(" in out
-
-
-class TestBaselineFlow:
-    def test_update_baseline_then_clean_run(self, tmp_path: Path, capsys) -> None:
-        root = write_tree(tmp_path / "src", {"mod.py": VIOLATING})
-        baseline = tmp_path / "analysis_baseline.json"
-
-        assert main([str(root), "--baseline", str(baseline), "--update-baseline"]) == 0
-        assert baseline.exists()
-        document = json.loads(baseline.read_text())
-        assert document["version"] == 1 and len(document["findings"]) == 1
-
-        capsys.readouterr()
-        assert main([str(root), "--baseline", str(baseline)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_default_baseline_found_beside_scan_root(self, tmp_path: Path) -> None:
-        root = write_tree(tmp_path / "src", {"mod.py": VIOLATING})
-        assert main([str(root), "--update-baseline"]) == 0
-        assert (tmp_path / "analysis_baseline.json").exists()
-        # No --baseline flag: the default is resolved next to the scan root.
-        assert main([str(root)]) == 0
-
-    def test_no_baseline_overrides_default(self, tmp_path: Path) -> None:
-        root = write_tree(tmp_path / "src", {"mod.py": VIOLATING})
-        assert main([str(root), "--update-baseline"]) == 0
-        assert main([str(root), "--no-baseline"]) == 1
-
-    def test_stale_entries_warn_but_do_not_fail(self, tmp_path: Path, capsys) -> None:
-        root = write_tree(tmp_path / "src", {"mod.py": VIOLATING})
-        baseline = tmp_path / "b.json"
-        assert main([str(root), "--baseline", str(baseline), "--update-baseline"]) == 0
-        (root / "mod.py").write_text(dedent(CLEAN), encoding="utf-8")
-        capsys.readouterr()
-        assert main([str(root), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "stale baseline entry" in out and "1 stale" in out
-
-
-class TestJsonOut:
-    def test_document_shape_matches_benchmark_convention(self, tmp_path: Path) -> None:
-        root = write_tree(tmp_path / "src", {"mod.py": VIOLATING})
-        out_path = tmp_path / "results" / "ANALYSIS_findings.json"
-        assert main([str(root), "--no-baseline", "--json-out", str(out_path)]) == 1
-
-        document = json.loads(out_path.read_text())
-        assert set(document) == {"benchmark", "metadata", "rows"}
-        assert document["benchmark"] == "analysis"
-        metadata = document["metadata"]
-        assert metadata["files_scanned"] == 1
-        assert metadata["baseline"] is None
-        assert metadata["counts"]["new"] == 1
-        assert "det-set-iter" in metadata["rules"]
-        (row,) = document["rows"]
-        assert set(row) == {"rule", "path", "line", "column", "message"}
-        assert row["rule"] == "det-set-iter" and row["path"] == "mod.py"
-
-    def test_clean_run_writes_empty_rows(self, tmp_path: Path) -> None:
-        root = write_tree(tmp_path / "src", {"mod.py": CLEAN})
-        out_path = tmp_path / "out.json"
-        assert main([str(root), "--no-baseline", "--json-out", str(out_path)]) == 0
-        assert json.loads(out_path.read_text())["rows"] == []
 
 
 class TestQuiet:
@@ -131,3 +73,66 @@ class TestQuiet:
         assert main([str(root), "-q"]) == 1
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1 and out[0].startswith("repro.analysis:")
+
+
+class TestSummary:
+    def test_suppressed_finding_is_counted_and_the_run_is_clean(
+        self, tmp_path: Path, capsys
+    ) -> None:
+        root = write_tree(tmp_path / "src", {"mod.py": """\
+            def f(xs):
+                return list(set(xs))  # repro: allow(det-set-iter): sorted by caller
+            """})
+        assert main([str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "0 finding(s), 1 suppressed" in out
+        assert "[det-set-iter]" not in out
+
+    def test_bad_suppression_alone_exits_one(self, tmp_path: Path, capsys) -> None:
+        root = write_tree(tmp_path / "src", {"mod.py": """\
+            def f(xs):
+                return sorted(xs)  # repro: allow(det-set-iter): stale comment
+            """})
+        assert main([str(root)]) == 1
+        assert "[bad-suppression]" in capsys.readouterr().out
+
+    def test_unparseable_file_exits_one(self, tmp_path: Path, capsys) -> None:
+        root = write_tree(tmp_path / "src", {"mod.py": "def broken(:\n"})
+        assert main([str(root)]) == 1
+        assert "[parse-error]" in capsys.readouterr().out
+
+    def test_select_ignores_blank_entries(self, tmp_path: Path, capsys) -> None:
+        root = write_tree(tmp_path / "src", {"mod.py": VIOLATING})
+        assert main([str(root), "--select", " det-set-iter, ,"]) == 1
+        assert "1 rules: 1 finding(s)" in capsys.readouterr().out
+
+    def test_a_run_writes_no_file(self, tmp_path: Path, capsys) -> None:
+        root = write_tree(tmp_path / "src", {"mod.py": VIOLATING, "ok.py": CLEAN})
+        before = sorted(path for path in tmp_path.rglob("*"))
+        assert main([str(root)]) == 1
+        assert sorted(path for path in tmp_path.rglob("*")) == before
+
+
+class TestOptions:
+    def test_default_scan_path_is_src(self) -> None:
+        assert build_parser().parse_args([]).paths == ["src"]
+
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            ["--baseline", "analysis_baseline.json"],
+            ["--no-baseline"],
+            ["--update-baseline"],
+            ["--json-out", "findings.json"],
+        ],
+        ids=["baseline", "no-baseline", "update-baseline", "json-out"],
+    )
+    def test_retired_flag_is_a_usage_error(
+        self, tmp_path: Path, capsys, retired: List[str]
+    ) -> None:
+        root = write_tree(tmp_path / "src", {"mod.py": CLEAN})
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(root), *retired])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["src"]

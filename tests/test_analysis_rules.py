@@ -601,6 +601,121 @@ class TestSuppressionHygiene:
         assert report.findings == []
         assert report.suppressed == []
 
+    def test_dangling_comment_at_end_of_file_is_unused(self, tmp_path: Path) -> None:
+        report = analyze(tmp_path, {"mod.py": """\
+            def f(xs):
+                return sorted(xs)
+            # repro: allow(det-set-iter): nothing follows
+            """})
+        assert rules_fired(report) == [BAD_SUPPRESSION]
+        assert report.findings[0].line == 3
+        assert "unused suppression" in report.findings[0].message
+
+
+class TestSuppressionMatching:
+    """A suppression covers its own file, line and named rules, nothing more."""
+
+    SUPPRESSED = """\
+        def f(xs):
+            return list(set(xs))  # repro: allow(det-set-iter): order fixed below
+        """
+
+    def test_suppression_does_not_cover_the_same_line_of_another_file(
+        self, tmp_path: Path
+    ) -> None:
+        report = analyze(tmp_path, {
+            "a.py": self.SUPPRESSED,
+            "b.py": "def f(xs):\n    return list(set(xs))\n",
+        })
+        assert [(f.path, f.line, f.rule) for f in report.findings] == [
+            ("b.py", 2, "det-set-iter")
+        ]
+        assert [(f.path, f.line) for f in report.suppressed] == [("a.py", 2)]
+
+    def test_same_named_files_in_two_directories_are_kept_apart(
+        self, tmp_path: Path
+    ) -> None:
+        report = analyze(tmp_path, {
+            "one/mod.py": self.SUPPRESSED,
+            "two/mod.py": "def f(xs):\n    return list(set(xs))\n",
+        })
+        assert [f.path for f in report.findings] == ["two/mod.py"]
+        assert [f.path for f in report.suppressed] == ["one/mod.py"]
+
+    def test_suppression_naming_another_rule_covers_nothing(
+        self, tmp_path: Path
+    ) -> None:
+        report = analyze(tmp_path, {"mod.py": """\
+            def f(xs):
+                return list(set(xs))  # repro: allow(det-float-sum): wrong rule
+            """})
+        assert rules_fired(report) == [BAD_SUPPRESSION, "det-set-iter"]
+        assert "unused suppression" in messages(report, BAD_SUPPRESSION)[0]
+        assert report.suppressed == []
+
+    def test_one_comment_covers_several_rules(self, tmp_path: Path) -> None:
+        report = analyze(tmp_path, {"mod.py": """\
+            import random
+
+            def f(xs):
+                # repro: allow(det-raw-random, det-set-iter): fixture only
+                random.shuffle(xs); return list(set(xs))
+            """})
+        assert report.findings == []
+        assert sorted(f.rule for f in report.suppressed) == ["det-raw-random", "det-set-iter"]
+
+    def test_comment_covers_only_the_next_code_line(self, tmp_path: Path) -> None:
+        report = analyze(tmp_path, {"mod.py": """\
+            def f(xs):
+                # repro: allow(det-set-iter): first line only
+                first = list(set(xs))
+                second = list(set(xs))
+                return first + second
+            """})
+        assert [(f.line, f.rule) for f in report.findings] == [(4, "det-set-iter")]
+        assert [f.line for f in report.suppressed] == [3]
+
+
+class TestFileDiscovery:
+    def test_overlapping_paths_scan_each_file_once(self, tmp_path: Path) -> None:
+        root = tmp_path / "tree"
+        (root / "pkg").mkdir(parents=True)
+        target = root / "pkg" / "mod.py"
+        target.write_text("def f(xs):\n    return list(set(xs))\n", encoding="utf-8")
+        report = run_analysis([root, target])
+        assert report.file_count == 1
+        assert [(f.path, f.rule) for f in report.findings] == [
+            ("pkg/mod.py", "det-set-iter")
+        ]
+
+    def test_bytecode_cache_and_other_suffixes_are_skipped(self, tmp_path: Path) -> None:
+        report = analyze(tmp_path, {
+            "mod.py": "x = 1\n",
+            "__pycache__/stale.py": "def f(xs):\n    return list(set(xs))\n",
+            "notes.txt": "list(set(xs))\n",
+        })
+        assert report.file_count == 1 and report.findings == []
+
+    def test_several_files_report_against_their_common_parent(
+        self, tmp_path: Path
+    ) -> None:
+        root = tmp_path / "tree"
+        for rel in ("a/one.py", "b/two.py"):
+            path = root / rel
+            path.parent.mkdir(parents=True)
+            path.write_text("def f(xs):\n    return list(set(xs))\n", encoding="utf-8")
+        report = run_analysis([root / "b" / "two.py", root / "a" / "one.py"])
+        assert [f.path for f in report.findings] == ["a/one.py", "b/two.py"]
+
+    def test_findings_are_ordered_by_path_then_line(self, tmp_path: Path) -> None:
+        report = analyze(tmp_path, {
+            "z.py": "import random\nrandom.random()\n",
+            "a.py": "def f(xs):\n    y = list(set(xs))\n    return list(set(y))\n",
+        })
+        assert [(f.path, f.line) for f in report.findings] == [
+            ("a.py", 2), ("a.py", 3), ("z.py", 2)
+        ]
+
 
 class TestParseError:
     def test_unparseable_file_is_reported(self, tmp_path: Path) -> None:

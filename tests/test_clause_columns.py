@@ -1,7 +1,7 @@
 """The columnar clause store, and the views built from its columns.
 
-* Ingest: the numpy ``add_batch`` path leaves the store exactly as repeated
-  scalar ``add`` calls leave it (``add`` is the spec) — clause ids, literal
+* Ingest: ``add_matrix`` over 0-padded rows leaves the store exactly as
+  repeated scalar ``add`` calls leave it (``add`` is the spec) — clause ids, literal
   order, weights bit for bit across batches and rules, hard rows, the
   constant cost of empty rows, tautologies, satisfied-by-evidence counts.
 * Views: the flat views and count arrays of store-backed component MRFs
@@ -26,6 +26,7 @@ from repro.grounding.clause_table import GroundClause, GroundClauseStore
 from repro.inference.state import SearchState, count_arrays, counts_by_numpy
 from repro.mrf.components import connected_components
 from repro.mrf.graph import MRF
+from test_clause_store_batch import padded
 
 
 def fingerprint(store):
@@ -66,25 +67,21 @@ class TestColumnarIngest:
         for rows, weight, source, satisfied in batches:
             stored = sum(reference.add(row, weight, source) is not None for row in rows)
             reference.record_satisfied_by_evidence(satisfied)
-            flat = np.asarray([literal for row in rows for literal in row], dtype=np.int64)
-            lengths = np.asarray([len(row) for row in rows], dtype=np.int64)
-            assert columnar.add_batch(flat, lengths, weight, source) == stored
+            assert columnar.add_matrix(padded(rows), weight, source) == stored
             columnar.record_satisfied_by_evidence(satisfied)
         assert fingerprint(columnar) == fingerprint(reference)
         assert columnar.columns == reference.columns
 
     def test_repeated_literals_keep_first_occurrence_order(self):
         store = GroundClauseStore()
-        rows = [(3, -1, 3, 2), (2, 3, -1), (5, 5)]
-        flat = np.asarray([literal for row in rows for literal in row], dtype=np.int64)
-        store.add_batch(flat, np.asarray([4, 3, 2]), 0.1)
+        store.add_matrix(padded([(3, -1, 3, 2), (2, 3, -1), (5, 5)]), 0.1)
         assert [(c.literals, c.weight) for c in store] == [((3, -1, 2), 0.1 + 0.1), ((5,), 0.1)]
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_row_that_overflowed_to_hard_is_not_merged_into(self, sign):
         columnar = GroundClauseStore()
-        columnar.add_batch(np.asarray([1, 2, 2, 1]), np.asarray([2, 2]), sign * 1e308)
-        columnar.add_batch(np.asarray([1, 2]), np.asarray([2]), 0.5)
+        columnar.add_matrix(padded([(1, 2), (2, 1)]), sign * 1e308)
+        columnar.add_matrix(padded([(1, 2)]), 0.5)
         reference = GroundClauseStore()
         for literals, weight in (((1, 2), sign * 1e308), ((2, 1), sign * 1e308), ((1, 2), 0.5)):
             reference.add(literals, weight)
@@ -95,7 +92,7 @@ class TestColumnarIngest:
         # add: (1,) at 1e308, (2,), (1,) merges to inf, the next (1,) finds
         # a hard row and starts a new one.
         store = GroundClauseStore()
-        store.add_batch(np.asarray([1, 2, 1, 1]), np.asarray([1, 1, 1, 1]), 1e308)
+        store.add_matrix(padded([(1,), (2,), (1,), (1,)]), 1e308)
         assert [(c.clause_id, c.literals, c.weight) for c in store] == [
             (1, (1,), math.inf),
             (2, (2,), 1e308),
@@ -110,13 +107,13 @@ class TestColumnarIngest:
         with pytest.raises(RuntimeError):
             store.add((3,), 1.0)
         with pytest.raises(RuntimeError):
-            store.add_batch(np.asarray([3]), np.asarray([1]), 1.0)
+            store.add_matrix(padded([(3,)]), 1.0)
         assert len(store) == 1 and mrf.clause_count == 1
 
     def test_cross_rule_merge_adds_in_batch_order(self):
         store = GroundClauseStore()
-        store.add_batch(np.asarray([1, 2, 1, 2]), np.asarray([2, 2]), 0.1, "R1")
-        store.add_batch(np.asarray([2, 1, 3]), np.asarray([2, 1]), 1 / 3, "R2")
+        store.add_matrix(padded([(1, 2), (1, 2)]), 0.1, "R1")
+        store.add_matrix(padded([(2, 1), (3,)]), 1 / 3, "R2")
         assert store[0].weight == (0.1 + 0.1) + 1 / 3
         assert (store[0].source, store[1].source) == ("R1", "R2")
 

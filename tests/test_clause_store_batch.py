@@ -1,13 +1,12 @@
 """GroundClauseStore batch ingest: semantics identical to repeated add calls.
 
-``add_batch`` has two implementations under one contract — the plain
-Python loop (list inputs), and the numpy path (array inputs, through
-``add_matrix`` with every column pair checked) — and the batched grounding
-consumer hands ``add_matrix`` one first-order clause's literal matrix with
-only its same-atom column pairs.  All of them must match ``add`` exactly:
-duplicate merging, sequential weight summing, hard-clause handling,
-tautology/empty accounting and clause ordering, also when row and batch
-adds are mixed in one store — and none may modify the arrays it is given.
+``add_matrix`` takes a batch of rows as a 0-padded literal matrix.  Given
+rows padded to one width (every column pair checked), or one first-order
+clause's matrix with only its same-atom column pairs, as the batched
+grounding consumer hands it, it must match ``add`` exactly: duplicate
+merging, sequential weight summing, hard-clause handling, tautology/empty
+accounting and clause ordering, also when row and batch adds are mixed in
+one store — and it may not modify the matrix it is given.
 """
 
 import math
@@ -20,10 +19,12 @@ from hypothesis import given, settings, strategies as st
 from repro.grounding.clause_table import GroundClauseStore
 
 
-def flatten(rows):
-    flat = [literal for row in rows for literal in row]
-    lengths = [len(row) for row in rows]
-    return flat, lengths
+def padded(rows):
+    """The rows as an ``add_matrix`` input: left-aligned, 0-padded, int64."""
+    width = max((len(row) for row in rows), default=0)
+    return np.array(
+        [list(row) + [0] * (width - len(row)) for row in rows], dtype=np.int64
+    ).reshape(len(rows), width)
 
 
 def store_state(store):
@@ -41,41 +42,17 @@ def store_state(store):
     }
 
 
-def input_variants(rows):
-    """The same batch as list input and as numpy input."""
-    flat, lengths = flatten(rows)
-    return [
-        ("list", flat, lengths),
-        ("array", np.asarray(flat, dtype=np.int64), np.asarray(lengths, dtype=np.int64)),
-    ]
-
-
 def assert_batch_matches_sequential(batches, merge_duplicates=True):
-    """Apply batches via add() and via each add_batch input form; compare."""
+    """Apply batches via add() row by row and via add_matrix; compare."""
     reference = GroundClauseStore(merge_duplicates=merge_duplicates)
-    expected_stored = []
+    store = GroundClauseStore(merge_duplicates=merge_duplicates)
     for rows, weight, source in batches:
-        stored = 0
-        for row in rows:
-            if reference.add(row, weight, source) is not None:
-                stored += 1
-        expected_stored.append(stored)
-    expected = store_state(reference)
-
-    variant_names = {name for rows, _, _ in batches for name, _, _ in input_variants(rows)}
-    for variant in sorted(variant_names):
-        store = GroundClauseStore(merge_duplicates=merge_duplicates)
-        returned = []
-        for rows, weight, source in batches:
-            for name, flat, lengths in input_variants(rows):
-                if name != variant:
-                    continue
-                returned.append(store.add_batch(flat, lengths, weight, source))
-        assert store_state(store) == expected, f"variant {variant}"
-        assert returned == expected_stored, f"variant {variant}"
+        stored = sum(reference.add(row, weight, source) is not None for row in rows)
+        assert store.add_matrix(padded(rows), weight, source) == stored
+    assert store_state(store) == store_state(reference)
 
 
-class TestAddBatchSemantics:
+class TestPaddedMatrixSemantics:
     def test_merges_duplicates_and_sums_weights(self):
         rows = [(1, -2), (3,), (1, -2), (-2, 1), (3,)]
         assert_batch_matches_sequential([(rows, 1.5, "r")])
@@ -128,38 +105,20 @@ class TestAddBatchSemantics:
 
     def test_weight_summing_is_sequential_addition(self):
         # 0.1 cannot be represented exactly; repeated addition and
-        # count*weight differ in the last ulp, and add_batch must take the
+        # count*weight differ in the last ulp, and add_matrix must take the
         # sequential route the row engine takes.
         rows = [(9,)] * 7
         weight = 0.1
         sequential = GroundClauseStore()
         for row in rows:
             sequential.add(row, weight)
-        for name, flat, lengths in input_variants(rows):
-            store = GroundClauseStore()
-            store.add_batch(flat, lengths, weight)
-            assert store[0].weight == sequential[0].weight, name
-
-    def test_length_mismatch_raises_before_mutation(self):
         store = GroundClauseStore()
-        with pytest.raises(ValueError):
-            store.add_batch([1, 2, 3], [2, 2], 1.0)
-        assert len(store) == 0 and store.evidence_violation_cost == 0.0
-        with pytest.raises(ValueError):
-            store.add_batch(
-                np.asarray([1, 2, 3], dtype=np.int64),
-                np.asarray([2, 2], dtype=np.int64),
-                1.0,
-            )
-        assert len(store) == 0 and store.evidence_violation_cost == 0.0
+        store.add_matrix(padded(rows), weight)
+        assert store[0].weight == sequential[0].weight
 
     def test_empty_batch(self):
         store = GroundClauseStore()
-        assert store.add_batch([], [], 1.0) == 0
-        assert (
-            store.add_batch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 1.0)
-            == 0
-        )
+        assert store.add_matrix(padded([]), 1.0) == 0
         assert len(store) == 0
 
     @settings(max_examples=60, deadline=None)
@@ -183,6 +142,37 @@ class TestAddBatchSemantics:
         )
 
 
+class TestMatrixInput:
+    def test_interior_zeros_are_dropped_literals(self):
+        store = GroundClauseStore()
+        matrix = np.array([[1, 0, 2], [0, 0, 3], [2, 0, 1], [0, 0, 0]], dtype=np.int64)
+        reference = GroundClauseStore()
+        stored = sum(
+            reference.add(row, 0.5) is not None for row in [(1, 2), (3,), (2, 1), ()]
+        )
+        assert store.add_matrix(matrix, 0.5) == stored
+        assert store_state(store) == store_state(reference)
+
+    def test_nested_lists_are_read_as_int64(self):
+        from_lists = GroundClauseStore()
+        from_lists.add_matrix([[1, -2], [-2, 1], [3, 0]], 0.25, "R")
+        from_padded = GroundClauseStore()
+        from_padded.add_matrix(padded([(1, -2), (-2, 1), (3,)]), 0.25, "R")
+        assert store_state(from_lists) == store_state(from_padded)
+
+    def test_pairs_that_cover_every_repeat_match_the_default(self):
+        # Only columns 0 and 2 can hold the same atom, so only that pair is
+        # checked; the rows repeat (row 0) or negate (row 1) across it.
+        matrix = np.array([[1, 2, 1], [1, 3, -1], [4, 5, 6]], dtype=np.int64)
+        narrowed = GroundClauseStore()
+        narrowed.add_matrix(matrix, 1.0, repeat_pairs=[(0, 2)], tautology_pairs=[(0, 2)])
+        default = GroundClauseStore()
+        default.add_matrix(matrix, 1.0)
+        assert store_state(narrowed) == store_state(default)
+        assert (narrowed.tautologies, narrowed.repeated_literals) == (1, 1)
+        assert [clause.literals for clause in narrowed] == [(1, 2), (4, 5, 6)]
+
+
 class TestRecordSatisfied:
     def test_counted_batches(self):
         store = GroundClauseStore()
@@ -192,7 +182,7 @@ class TestRecordSatisfied:
 
 
 # ----------------------------------------------------------------------
-# Mixed ingest: add, add_batch and add_matrix into one store
+# Mixed ingest: add, padded rows and clause matrices into one store
 # ----------------------------------------------------------------------
 
 #: Per predicate, two disjoint atom pools: the atoms a literal over one of
@@ -252,7 +242,7 @@ _ROW = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 5, -5]), max_size=3)
 
 _OPERATION = st.one_of(
     st.tuples(st.just("add"), _ROW),
-    st.tuples(st.just("add_batch"), st.lists(_ROW, max_size=10)),
+    st.tuples(st.just("padded"), st.lists(_ROW, max_size=10)),
     st.tuples(st.just("add_matrix"), clause_batches()),
 )
 
@@ -280,15 +270,9 @@ def apply_mixed(operations, merge_duplicates):
             rows = [payload]
             clause = store.add(payload, weight, source)
             returned = int(clause is not None)
-        elif kind == "add_batch":
-            rows = payload
-            flat, lengths = flatten(rows)
-            flat = np.asarray(flat, dtype=np.int64)
-            lengths = np.asarray(lengths, dtype=np.int64)
-            given = (flat.copy(), lengths.copy())
-            returned = store.add_batch(flat, lengths, weight, source)
-            assert np.array_equal(flat, given[0]) and np.array_equal(lengths, given[1])
         else:
+            if kind == "padded":
+                payload = (padded(payload), None, None)
             matrix, repeat_pairs, tautology_pairs = payload
             rows = matrix_rows(matrix)
             given = matrix.copy()

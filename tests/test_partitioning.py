@@ -12,12 +12,8 @@ from repro.grounding.clause_table import GroundClauseStore
 from repro.mrf.components import connected_components
 from repro.mrf.graph import MRF
 from repro.partitioning.binpacking import Bin, first_fit_decreasing, packing_quality
-from repro.partitioning.bisection import (
-    bisection_cost,
-    greedy_improve_bisection,
-    random_balanced_bisection,
-)
-from repro.partitioning.greedy import GreedyPartitioner, partition_for_memory_budget
+from repro.partitioning.bisection import bisection_cost, random_balanced_bisection
+from repro.partitioning.greedy import GreedyPartitioner
 from repro.partitioning.loader import BatchLoader
 from repro.partitioning.tradeoff import partitioning_benefit
 from repro.rdbms.database import Database
@@ -63,6 +59,29 @@ class TestGreedyPartitioner:
         covered = [atom for atoms in partitioning.atom_partitions for atom in atoms]
         assert sorted(covered) == sorted(mrf.atom_ids)
 
+    def test_kept_clauses_lie_inside_their_partition_and_cut_ones_span_two(self):
+        mrf = chain_mrf(25)
+        partitioning = GreedyPartitioner(10).partition(mrf)
+        owner = {
+            atom: index
+            for index, atoms in enumerate(partitioning.atom_partitions)
+            for atom in atoms
+        }
+        for clause_index, partition_index in partitioning.clause_assignment.items():
+            literals = mrf.clauses[clause_index].literals
+            assert {owner[abs(literal)] for literal in literals} == {partition_index}
+        assert partitioning.cut_size > 0
+        for clause_index in partitioning.cut_clauses:
+            literals = mrf.clauses[clause_index].literals
+            assert len({owner[abs(literal)] for literal in literals}) > 1
+
+    def test_sizes_count_atoms_plus_literals(self):
+        # Unbounded, a 10-atom path is one partition: 10 atoms, 9 clauses of
+        # two literals each.
+        mrf = chain_mrf(10)
+        partitioning = GreedyPartitioner(math.inf).partition(mrf)
+        assert partitioning.sizes(mrf) == [10 + 2 * 9]
+
     def test_high_weight_clauses_preferred(self):
         # Clause weights increase along the chain; the partitioner should cut
         # lower-weight clauses rather than the heaviest ones.
@@ -74,23 +93,9 @@ class TestGreedyPartitioner:
         assert min(kept_weights) >= 1.0
         assert max(cut_weights) < max(kept_weights)
 
-    def test_partition_mrfs_and_cut_objects(self):
-        mrf = chain_mrf(10)
-        partitioning = GreedyPartitioner(8).partition(mrf)
-        parts = partitioning.partition_mrfs(mrf)
-        assert sum(part.clause_count for part in parts) == len(partitioning.clause_assignment)
-        assert len(partitioning.cut_clause_objects(mrf)) == partitioning.cut_size
-        assert partitioning.cut_weight(mrf) > 0
-
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
             GreedyPartitioner(0)
-
-    def test_memory_budget_wrapper(self):
-        mrf = chain_mrf(30)
-        partitioning = partition_for_memory_budget(mrf, budget_bytes=64 * 12, bytes_per_unit=64)
-        for size in partitioning.sizes(mrf):
-            assert size <= 12
 
     @given(st.integers(min_value=4, max_value=40), st.integers(min_value=4, max_value=20))
     @settings(max_examples=30, deadline=None)
@@ -197,22 +202,15 @@ class TestBisection:
         # Splitting a path in the middle cuts exactly one clause.
         assert bisection_cost(mrf, {1, 2, 3}) == 1
         assert bisection_cost(mrf, set(mrf.atom_ids)) == 0
+        # The natural split of Example 2 cuts exactly one clause.
+        example, side_one, _ = example2_mrf(4)
+        assert bisection_cost(example, side_one) == 1
 
     def test_random_bisection_is_balanced(self):
         mrf = chain_mrf(10, weight_step=False)
         one, two = random_balanced_bisection(mrf, RandomSource(0))
         assert abs(len(one) - len(two)) <= 1
         assert sorted(one + two) == sorted(mrf.atom_ids)
-
-    def test_greedy_improvement_never_worse(self):
-        mrf, side_one, side_two = example2_mrf(4)
-        rng = RandomSource(3)
-        random_one, random_two = random_balanced_bisection(mrf, rng)
-        start_cost = bisection_cost(mrf, random_one)
-        _, _, improved = greedy_improve_bisection(mrf, random_one, random_two, max_swaps=20)
-        assert improved <= start_cost
-        # The natural split of Example 2 cuts exactly one clause.
-        assert bisection_cost(mrf, side_one) == 1
 
 
 class TestTradeoffEstimator:

@@ -443,7 +443,7 @@ def _store_fingerprint(store):
 
 
 class TestBatchReplayParity:
-    """A recorded ``add_batch`` event replays to the store a re-run builds.
+    """A recorded ``add_matrix`` event replays to the store a re-run builds.
 
     Two sessions walk the same add/retract schedule, one replaying
     unchanged clauses from its recorded events (batches as batches), the
@@ -459,7 +459,7 @@ class TestBatchReplayParity:
     def test_replayed_store_equals_reexecuted_store(self, dataset, grounding, monkeypatch):
         # ``row`` grounds through the row oracle, whose per-binding ``add``
         # calls are recorded and replayed as such.
-        expected_event = "add_batch"
+        expected_event = "add_matrix"
         if grounding == "row":
             ground_by_rows(monkeypatch)
             expected_event = "add"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.clock import CostModel, HybridClock, SimulatedClock, WallClock
+from repro.utils.clock import CostModel, SimulatedClock, WallClock
 
 
 class TestWallClock:
@@ -63,11 +63,3 @@ class TestSimulatedClock:
         model = CostModel()
         assert model.page_read / model.memory_flip >= 100
         assert model.rdbms_flip_overhead / model.memory_flip >= 100
-
-
-class TestHybridClock:
-    def test_exposes_both_clocks(self):
-        clock = HybridClock()
-        clock.charge("memory_flip", count=2)
-        assert clock.now() == pytest.approx(2 * clock.simulated.cost_model.memory_flip)
-        assert clock.wall_elapsed() >= 0.0

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.rng import RandomSource, child_seed, round_robin, spawn_rng
+from repro.utils.rng import RandomSource, child_seed, spawn_rng
 
 
 class TestRandomSource:
@@ -97,13 +97,3 @@ class TestChildSeed:
         assert [reused.random() for _ in range(5)] == [fresh.random() for _ in range(5)]
         assert reused.gauss(0.0, 1.0) == fresh.gauss(0.0, 1.0)
         assert reused.raw().getrandbits(40) == fresh.raw().getrandbits(40)
-
-
-class TestRoundRobin:
-    def test_interleaves_groups(self):
-        groups = [[1, 2, 3], ["a", "b"], [True]]
-        assert list(round_robin(groups)) == [1, "a", True, 2, "b", 3]
-
-    def test_empty_groups(self):
-        assert list(round_robin([])) == []
-        assert list(round_robin([[], []])) == []
