@@ -8,7 +8,9 @@
 # verify notes: MAP on RC, IE over the process pool, monolithic LP, MC-SAT
 # marginals on IE and ER under a 2 KB memory budget — each of these two also
 # over the process pool, and ER once more as three requests on one warm
-# engine — and `infer -i/-e` on the program of tests/test_cli.py), masks the
+# engine — MC-SAT marginals on RC (small components) and on RC at scale 2
+# over the process pool (constraint states past the numpy count crossover),
+# and `infer -i/-e` on the program of tests/test_cli.py), masks the
 # wall-clock and memory lines (and the session summary's per-request
 # timings) and diffs the outputs.  Exits non-zero on any difference.  Then prints the
 # `src/repro` line count per package for both trees.
@@ -53,6 +55,8 @@ COMMANDS=(
   "dataset ER --scale 0.5 --max-flips 8000 --seed 2 --memory-budget-kb 2"
   "dataset ER --scale 0.5 --max-flips 8000 --seed 2 --memory-budget-kb 2 --workers 2 --parallel-backend processes"
   "dataset ER --scale 0.5 --max-flips 8000 --seed 2 --memory-budget-kb 2 --session-requests 3 --workers 2 --parallel-backend processes"
+  "dataset RC --seed 3 --marginal --mcsat-samples 10"
+  "dataset RC --scale 2 --seed 3 --marginal --mcsat-samples 10 --workers 2 --parallel-backend processes"
   "infer -i $work/prog.mln -e $work/prog.db --max-flips 2000"
 )
 

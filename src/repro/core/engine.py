@@ -608,7 +608,8 @@ class TuffyEngine:
                 # Partition-parallel first pass + Gauss-Seidel cut repair.
                 # The conditioned partition MRFs are fresh objects per call,
                 # so the persistent pool (forked over the components) is
-                # never lent here.
+                # never lent here: the processes backend forks an
+                # ephemeral pool, counted in the session's registry.
                 outcome = gauss_seidel_refine(
                     part.component,
                     part.partitions,
@@ -622,6 +623,8 @@ class TuffyEngine:
                     clock=SimulatedClock(config.cost_model),
                     parallel_backend=config.parallel_backend,
                     workers=config.workers,
+                    tracer=self.tracer,
+                    metrics=self.metrics,
                 )
                 found.assignment.update(outcome.best_assignment)
                 found.costs.append(outcome.best_cost)

@@ -183,12 +183,10 @@ class ClauseColumns:
         bounds = self.offsets.tolist()
         return [literals[start:end] for start, end in zip(bounds, bounds[1:])]
 
-    def take(self, order: Sequence[int]) -> "ClauseColumns":
-        """The rows at ``order`` (row indices), in that order."""
-        return self._take(np.asarray(order, dtype=np.intp))[0]
-
-    def _take(self, order: "np.ndarray") -> Tuple["ClauseColumns", "np.ndarray"]:
-        """:meth:`take`, plus the literal gather it made (old index per new literal)."""
+    def take(self, order: Sequence[int]) -> Tuple["ClauseColumns", "np.ndarray"]:
+        """The rows at ``order`` (row indices), in that order, plus the
+        literal gather it made (the old index of every new literal)."""
+        order = np.asarray(order, dtype=np.intp)
         offsets = np.frombuffer(self.offsets, dtype=np.int64)
         lengths = np.diff(offsets)[order]
         new_offsets = np.zeros(len(order) + 1, dtype=np.int64)
@@ -218,7 +216,7 @@ class ClauseColumns:
         """
         keyed = np.asarray(labels, dtype=np.intp)
         sizes = np.bincount(keyed, minlength=count).tolist()
-        whole, gather = self._take(np.argsort(keyed, kind="stable"))
+        whole, gather = self.take(np.argsort(keyed, kind="stable"))
         values = literal_values[gather]
         offsets = whole.offsets
         starts = list(accumulate(sizes, initial=0))

@@ -15,23 +15,21 @@ Two details matter for ergodicity of the enclosing MC-SAT chain:
   back to the current state only if it never satisfied everything).
 
 Every move runs on the one :class:`~repro.inference.state.SearchState`
-kernel.  MC-SAT's batched pipeline builds its per-step constraint states
-through a :class:`ConstraintPool`, which assembles them from structure
-cached per parent clause — including, for constraint sets large enough to
-initialise their counts with numpy, the literal arrays that path reads.
+kernel.  MC-SAT's per-step constraint states are ordinary search states
+over rows of one packed constraint table (:class:`ConstraintPool`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.grounding.clause_table import GroundClause
-from repro.inference.state import SearchState, counts_by_numpy
-from repro.mrf.graph import MRF, MRFFlatView
+from repro.grounding.clause_table import ClauseColumns, GroundClause
+from repro.inference.state import SearchState
+from repro.mrf.graph import MRF, literal_positions
 from repro.utils.rng import RandomSource
 
 
@@ -67,41 +65,13 @@ class SampleSAT:
         self.options = options or SampleSATOptions()
         self.rng = rng or RandomSource(0)
 
-    def sample(
-        self,
-        clauses: Sequence[GroundClause],
-        atom_ids: Sequence[int],
-        initial_assignment: Optional[Mapping[int, bool]] = None,
-    ) -> Dict[int, bool]:
-        """Return an assignment satisfying the clauses (best-effort).
-
-        All clauses are treated as *constraints*: their weights are ignored
-        and the sampler simply tries to satisfy every one of them, starting
-        from ``initial_assignment`` (or a random state).
-        """
-        constraints = [
-            GroundClause(index + 1, clause.literals, 1.0, clause.source)
-            for index, clause in enumerate(clauses)
-        ]
-        mrf = MRF.from_clauses(constraints, extra_atoms=atom_ids)
-        state = SearchState(mrf, initial_assignment)
-        if initial_assignment is None:
-            state.randomize(self.rng)
-        if self.run_moves(state):
-            return state.checkpoint_dict()
-        return state.assignment_dict()
-
     def sample_prepared(self, state: SearchState) -> bool:
         """Randomize and run the move loop on a prepared constraint state.
 
-        The bulk-pipeline entry point: MC-SAT assembles the constraint state
-        through a :class:`ConstraintPool` (reusing cached structure) and
-        hands it here.  Consumes exactly the same RNG stream as
-        :meth:`sample` without an initial assignment — one coin per atom for
-        the restart, then the move loop — so pooled and spec paths are
-        seed-for-seed interchangeable.  Returns whether a satisfying
-        assignment was found; the state's checkpoint snapshot holds the most
-        recent satisfying assignment when it was.
+        Consumes one coin per atom for the restart, then the move loop's
+        draws.  Returns whether a satisfying assignment was found; the
+        state's checkpoint snapshot holds the most recent satisfying
+        assignment when it was.
         """
         state.randomize(self.rng)
         return self.run_moves(state)
@@ -164,148 +134,71 @@ class SampleSAT:
 
 
 # ----------------------------------------------------------------------
-# Pooled constraint-state construction (MC-SAT's per-iteration fast path)
+# MC-SAT's constraint states
 # ----------------------------------------------------------------------
+
+
+def constraint_rows(clause: GroundClause) -> List[Tuple[int, ...]]:
+    """The constraint literals selecting a clause adds to an MC-SAT step.
+
+    A positive clause must stay satisfied: it is one constraint, itself.  A
+    negative clause must stay unsatisfied: every literal must stay false,
+    one unit constraint (the literal's negation) per literal.
+    """
+    if clause.weight > 0:
+        return [clause.literals]
+    return [(-literal,) for literal in clause.literals]
 
 
 def hard_constraint_prefix(clauses: Sequence[GroundClause]) -> List[GroundClause]:
     """The always-selected constraint prefix of an MC-SAT step.
 
-    In clause order: a hard positive clause is kept as-is (it must stay
-    satisfied), a hard negative clause contributes the unit negation of each
-    of its literals (it must stay unsatisfied).  Constraints are renumbered
-    from 1 and weighted 1.0, the form SampleSAT expects.  Every selection —
-    including the initial state's — starts with exactly this prefix; this
-    function is the single source of that expansion (the scalar selection
-    spec and :class:`ConstraintPool` both consume it).
+    The :func:`constraint_rows` of every hard clause, in clause order,
+    renumbered from 1 and weighted 1.0.  Every selection, the initial
+    state's included, starts with exactly this prefix.
     """
     prefix: List[GroundClause] = []
     for clause in clauses:
-        if not clause.is_hard:
-            continue
-        if clause.weight > 0:
-            prefix.append(
-                GroundClause(len(prefix) + 1, clause.literals, 1.0, clause.source)
-            )
-        else:
-            for literal in clause.literals:
-                prefix.append(
-                    GroundClause(len(prefix) + 1, (-literal,), 1.0, clause.source)
-                )
+        if clause.is_hard:
+            for literals in constraint_rows(clause):
+                prefix.append(GroundClause(len(prefix) + 1, literals, 1.0, clause.source))
     return prefix
 
 
-class _SoftTemplate:
-    """Prebuilt constraint pieces for one soft clause of the parent MRF.
-
-    Selecting a positive-weight clause contributes the clause itself as one
-    constraint; selecting a negative-weight clause contributes one unit
-    constraint per literal (the literal's negation).  Either way the pieces
-    — signed-code tuples, distinct-position tuples and weight-1 clause
-    objects — are fixed per parent clause, so they are built once and
-    concatenated per iteration.
-    """
-
-    __slots__ = ("codes", "positions", "clauses")
-
-    def __init__(self, codes, positions, clauses) -> None:
-        self.codes = codes
-        self.positions = positions
-        self.clauses = clauses
-
-
 class ConstraintPool:
-    """Reusable constraint-state machinery over one MRF's atom universe.
+    """Every constraint an MC-SAT step over one MRF can select, packed once.
 
-    MC-SAT builds one SampleSAT constraint state per iteration, always over
-    the *same* atom universe (the parent MRF's atoms) and always containing
-    the same always-selected hard-clause prefix.  The spec path rebuilds
-    everything from scratch each time (``MRF.from_clauses`` + a fresh flat
-    view + a fresh search state); this pool caches what never changes —
-
-    * the atom order and position map (shared with the parent's flat view),
-    * the hard prefix's codes/positions/adjacency and weight-1 clauses,
-    * per-soft-clause constraint templates (:class:`_SoftTemplate`),
-
-    and assembles each iteration's state directly from those pieces.  The
-    assembled structure is element-for-element identical to what the spec
-    path builds — same atom order, same constraint order (hard prefix first,
-    then selected soft clauses in parent clause order), same adjacency entry
-    order — so seeded SampleSAT streams are bit-identical (the MC-SAT
-    parity suite pins this).  When an iteration selects nothing beyond the
-    prefix, one cached prefix state is reused and re-randomized in place,
-    mirroring the kernel's state-reuse lifecycle.
+    The table lists, in the order a selection lists them, the hard prefix
+    (:func:`hard_constraint_prefix`) and then each soft clause's
+    :func:`constraint_rows` in parent clause order; every row weighs 1.0.
+    ``owners`` maps each row to its parent clause, the prefix rows to an
+    extra slot that every step keeps.  A step's constraint state is an
+    ordinary :class:`SearchState` over the kept rows, taken from the table
+    in order, over the parent's atom ids: its flat view, count arrays and
+    hard penalty (``max(10 * rows, 10)``) are built the way every state
+    builds them.  A prefix-only selection reuses one cached state.
     """
 
     def __init__(self, mrf: MRF) -> None:
-        view = mrf.flat_view()
-        self._atom_ids = view.atom_ids
-        self._atom_position = view.atom_position
-
-        # The prefix constraints come from the one authoritative expansion;
-        # only their flat encoding (codes in the parent's atom order) is
-        # derived here.
-        prefix_clauses = hard_constraint_prefix(mrf.clauses)
-        position = view.atom_position
-        prefix_codes: List[Tuple[int, ...]] = []
-        prefix_positions: List[Tuple[int, ...]] = []
-        for constraint in prefix_clauses:
-            codes = tuple(
-                position[literal] + 1 if literal > 0 else -(position[-literal] + 1)
-                for literal in constraint.literals
-            )
-            distinct: List[int] = []
-            for code in codes:
-                atom_position = abs(code) - 1
-                if atom_position not in distinct:
-                    distinct.append(atom_position)
-            prefix_codes.append(codes)
-            prefix_positions.append(tuple(distinct))
-
-        templates: Dict[int, _SoftTemplate] = {}
-        for index, clause in enumerate(mrf.clauses):
-            codes = view.clause_codes[index]
-            if clause.is_hard:
+        clauses = mrf.clauses
+        rows = hard_constraint_prefix(clauses)
+        self._prefix_rows = np.arange(len(rows))
+        owners = [len(clauses)] * len(rows)
+        for index, clause in enumerate(clauses):
+            if clause.is_hard or clause.weight == 0:
                 continue
-            if clause.weight > 0:
-                templates[index] = _SoftTemplate(
-                    (codes,),
-                    (view.clause_atom_positions(index),),
-                    (GroundClause(clause.clause_id, clause.literals, 1.0, clause.source),),
-                )
-            elif clause.weight < 0:
-                templates[index] = _SoftTemplate(
-                    tuple((-code,) for code in codes),
-                    tuple((abs(code) - 1,) for code in codes),
-                    tuple(
-                        GroundClause(clause.clause_id, (-literal,), 1.0, clause.source)
-                        for literal in clause.literals
-                    ),
-                )
-        self._prefix_codes = prefix_codes
-        self._prefix_positions = prefix_positions
-        self._prefix_clauses = prefix_clauses
-        self._templates = templates
-
-        adjacency: List[List[Tuple[int, bool]]] = [[] for _ in self._atom_ids]
-        for clause_index, codes in enumerate(prefix_codes):
-            for code in codes:
-                if code > 0:
-                    adjacency[code - 1].append((clause_index, True))
-                else:
-                    adjacency[-code - 1].append((clause_index, False))
-        self._prefix_adjacency: Tuple[Tuple[Tuple[int, bool], ...], ...] = tuple(
-            tuple(entries) for entries in adjacency
+            for literals in constraint_rows(clause):
+                rows.append(GroundClause(clause.clause_id, literals, 1.0, clause.source))
+                owners.append(index)
+        self._atom_ids = mrf.atom_ids
+        self._table = ClauseColumns.pack(rows)
+        self._positions = literal_positions(
+            np.frombuffer(self._table.literals, dtype=np.int64), self._atom_ids
         )
+        self._owners = np.asarray(owners, dtype=np.intp)
+        self._keep = np.zeros(len(clauses) + 1, dtype=bool)
+        self._keep[-1] = True
         self._prefix_state: Optional[SearchState] = None
-        # Literal-array fragments for the numpy count arrays, built on the
-        # first constraint set large enough to need them.
-        self._lit_fragments: Optional[dict] = None
-
-    @property
-    def prefix_clauses(self) -> List[GroundClause]:
-        """The always-selected constraint prefix (read-only)."""
-        return self._prefix_clauses
 
     def prefix_state(
         self, initial_assignment: Optional[Mapping[int, bool]] = None
@@ -316,18 +209,7 @@ class ConstraintPool:
         initial assignment is given (callers about to randomize skip that).
         """
         if self._prefix_state is None:
-            mrf = self._shell_mrf(
-                self._prefix_codes,
-                self._prefix_positions,
-                self._prefix_clauses,
-                self._prefix_adjacency,
-            )
-            self._seed_count_arrays(mrf, ())
-            self._prefix_state = SearchState(
-                mrf,
-                initial_assignment,
-                hard_penalty=self._constraint_penalty(len(self._prefix_clauses)),
-            )
+            self._prefix_state = self._state(self._prefix_rows, initial_assignment)
         elif initial_assignment is not None:
             self._prefix_state.reset(initial_assignment)
         return self._prefix_state
@@ -335,119 +217,18 @@ class ConstraintPool:
     def state_for(self, selected_soft: Sequence[int]) -> SearchState:
         """A constraint state for the prefix plus the selected soft clauses.
 
-        ``selected_soft`` holds parent-MRF clause indices of the selected
-        soft clauses, ascending (i.e. parent clause order).  An empty
-        selection reuses the cached prefix state.
+        ``selected_soft`` holds parent-MRF clause indices of soft clauses.
+        An empty selection reuses the cached prefix state.
         """
         if not len(selected_soft):
             return self.prefix_state()
-        codes = list(self._prefix_codes)
-        positions = list(self._prefix_positions)
-        clauses = list(self._prefix_clauses)
-        adjacency: List[List[Tuple[int, bool]]] = [
-            list(entries) for entries in self._prefix_adjacency
-        ]
-        clause_index = len(codes)
-        templates = self._templates
-        for index in selected_soft:
-            template = templates[index]
-            positions.extend(template.positions)
-            clauses.extend(template.clauses)
-            for constraint_codes in template.codes:
-                codes.append(constraint_codes)
-                for code in constraint_codes:
-                    if code > 0:
-                        adjacency[code - 1].append((clause_index, True))
-                    else:
-                        adjacency[-code - 1].append((clause_index, False))
-                clause_index += 1
-        mrf = self._shell_mrf(codes, positions, clauses, adjacency)
-        self._seed_count_arrays(mrf, selected_soft)
-        return SearchState(mrf, hard_penalty=self._constraint_penalty(len(clauses)))
+        keep = self._keep.copy()
+        keep[selected_soft] = True
+        return self._state(np.flatnonzero(keep[self._owners]))
 
-    @staticmethod
-    def _constraint_penalty(clause_count: int) -> float:
-        """The hard penalty a fresh state over weight-1.0 constraints computes.
-
-        Bit-identical to the spec path's ``max(10.0 * soft_total, 10.0)``
-        (``soft_total`` is an exact integer-valued float there), passed
-        explicitly so the pooled path skips the per-clause weight sum.
-        """
-        return max(10.0 * clause_count, 10.0)
-
-    def _seed_count_arrays(self, mrf: MRF, selected_soft: Sequence[int]) -> None:
-        """Seed the shell's count arrays when its counts use numpy.
-
-        The shell's view is assembled from parts and holds no literal
-        arrays for :func:`~repro.inference.state.count_arrays` to read, so
-        they are concatenated from fragments cached per parent clause; a
-        no-op for shells small enough for the loop.
-        """
-        if not counts_by_numpy(mrf):
-            return
-        fragments = self._lit_fragments
-        if fragments is None:
-            fragments = self._lit_fragments = self._build_lit_fragments()
-        lit_pos = list(fragments["prefix_pos"])
-        lit_expect = list(fragments["prefix_expect"])
-        lit_clause = list(fragments["prefix_clause"])
-        clause_index = len(self._prefix_codes)
-        template_fragments = fragments["templates"]
-        for index in selected_soft:
-            pos, expect, sizes = template_fragments[index]
-            lit_pos.extend(pos)
-            lit_expect.extend(expect)
-            for size in sizes:
-                lit_clause.extend([clause_index] * size)
-                clause_index += 1
-        # Constraints all weigh 1.0: no clause is negated.
-        mrf._flat_view.counts = (  # type: ignore[union-attr]
-            np.asarray(lit_pos, dtype=np.intp),
-            np.asarray(lit_clause, dtype=np.intp),
-            np.asarray(lit_expect, dtype=bool),
-            np.zeros(clause_index, dtype=bool),
-        )
-
-    def _build_lit_fragments(self) -> dict:
-        """Per-parent-clause literal-array pieces for the count arrays."""
-
-        def expand(code_groups):
-            pos: List[int] = []
-            expect: List[int] = []
-            sizes: List[int] = []
-            for constraint_codes in code_groups:
-                sizes.append(len(constraint_codes))
-                for code in constraint_codes:
-                    if code > 0:
-                        pos.append(code - 1)
-                        expect.append(1)
-                    else:
-                        pos.append(-code - 1)
-                        expect.append(0)
-            return pos, expect, sizes
-
-        prefix_pos, prefix_expect, prefix_sizes = expand(self._prefix_codes)
-        prefix_clause: List[int] = []
-        for clause_index, size in enumerate(prefix_sizes):
-            prefix_clause.extend([clause_index] * size)
-        return {
-            "prefix_pos": prefix_pos,
-            "prefix_expect": prefix_expect,
-            "prefix_clause": prefix_clause,
-            "templates": {
-                index: expand(template.codes)
-                for index, template in self._templates.items()
-            },
-        }
-
-    def _shell_mrf(self, codes, positions, clauses, adjacency) -> MRF:
-        """An MRF shell over prebuilt flat structure.
-
-        The shell skips ``MRF.from_clauses``'s atom-set union/sort; only
-        the flat view (which is all the search kernel reads) is populated.
-        """
-        mrf = MRF(clauses=clauses, atom_ids=self._atom_ids)
-        mrf._flat_view = MRFFlatView.from_parts(
-            self._atom_ids, self._atom_position, codes, positions, adjacency
-        )
-        return mrf
+    def _state(
+        self, rows: "np.ndarray", initial_assignment: Optional[Mapping[int, bool]] = None
+    ) -> SearchState:
+        columns, gather = self._table.take(rows)
+        mrf = MRF(columns=columns, atom_ids=self._atom_ids, positions=self._positions[gather])
+        return SearchState(mrf, initial_assignment)

@@ -77,8 +77,7 @@ from repro.utils.rng import RandomSource
 def counts_by_numpy(mrf: MRF) -> bool:
     """Whether states over this MRF initialise their counts with numpy.
 
-    The one size decision of the kernel (see the module doc); MC-SAT picks
-    its pipeline by the same test.
+    The one size decision of the kernel (see the module doc).
     """
     return mrf.clause_count >= graph.NUMPY_VIEW_MIN_CLAUSES
 
@@ -89,8 +88,8 @@ def count_arrays(mrf: MRF) -> Tuple["np.ndarray", ...]:
     Each literal's atom position and clause index (the flat view's
     :class:`~repro.mrf.graph.LiteralArrays`, which a view of an MRF this
     large holds) and whether it is positive; per clause, whether its
-    weight is negative.  Built once and cached on the flat view (the
-    SampleSAT constraint pool seeds it for its shells).
+    weight is negative.  Read off the MRF's columns once and cached on the
+    flat view.
     """
     view = mrf.flat_view()
     if view.counts is None:
@@ -248,9 +247,8 @@ class SearchState:
 
         Consumes exactly one ``rng.coin()`` per atom, the same stream as the
         seed kernel's ``randomize``, but keeps the assignment buffer (and
-        therefore any stepper closure bound to it) alive.  The presence of
-        this method is the contract drivers test for when deciding whether
-        one stepper can survive WalkSAT restarts.
+        therefore any stepper closure bound to it) alive, so one stepper
+        survives every WalkSAT restart.
         """
         assignment = self.assignment
         if self._counts is not None:

@@ -127,10 +127,6 @@ class WalkSAT:
             hitting_time=hitting_time,
         )
 
-    def _choose_atom(self, state: SearchState, clause_index: int) -> int:
-        """Pick the atom of a violated clause to flip (random vs greedy)."""
-        return _pick_atom(state, clause_index, self.rng, self.options.noise)
-
 
 def walksat_tries(
     state: SearchState,
@@ -168,13 +164,9 @@ def walksat_tries(
     reached_target = False
     hitting_time: Optional[int] = None
 
-    # State-reuse lifecycle: kernels exposing rerandomize() rewrite
-    # their buffers in place across restarts, so one stepper (created
-    # lazily below) survives every try.  The seed reference kernel has
-    # neither rerandomize nor a stepper and keeps its original path.
-    make_stepper = getattr(state, "make_walksat_stepper", None)
-    rerandomize = getattr(state, "rerandomize", None)
-    noise = options.noise
+    # State-reuse lifecycle: randomize, rerandomize and reset rewrite the
+    # state's buffers in place, so one stepper (created lazily below)
+    # survives every try.
     deadline = options.deadline_seconds
     charge = clock.charge
     flip_event = options.flip_cost_event
@@ -187,14 +179,11 @@ def walksat_tries(
             else:
                 state.reset(initial_assignment)
         elif options.random_restarts:
-            if rerandomize is not None:
-                rerandomize(rng)
-            else:
-                state.randomize(rng)
+            state.rerandomize(rng)
         else:
             state.reset(initial_assignment)
-        if make_stepper is not None and (step is None or rerandomize is None):
-            step = make_stepper(rng, noise)
+        if step is None:
+            step = state.make_walksat_stepper(rng, options.noise)
 
         # Improvements are tracked through the state's flip journal:
         # checkpoint() is O(flips since the last improvement) and the
@@ -234,15 +223,7 @@ def walksat_tries(
                         pending_charges = 0
                     if clock.now() >= deadline:
                         break
-                if step is not None:
-                    cost = step()
-                else:
-                    # Seed-kernel path (ReferenceSearchState): the
-                    # original sample/choose/flip call sequence, which
-                    # consumes the identical RNG stream.
-                    clause_index = state.sample_violated_clause(rng)
-                    state.flip(_pick_atom(state, clause_index, rng, noise))
-                    cost = state.cost
+                cost = step()
                 total_flips += 1
                 pending_charges += 1
                 if cost < best_cost:
@@ -271,27 +252,6 @@ def walksat_tries(
             break
 
     return best, best_cost, total_flips, tries, reached_target, hitting_time, step
-
-
-def _pick_atom(
-    state: SearchState, clause_index: int, rng: RandomSource, noise: float
-) -> int:
-    """Pick the atom of a violated clause to flip (random vs greedy)."""
-    positions = state.clause_atom_positions(clause_index)
-    if len(positions) == 1:
-        return positions[0]
-    # Strict comparison: noise=0.0 must be purely greedy even when the
-    # RNG returns exactly 0.0, and noise=1.0 purely random.
-    if rng.random() < noise:
-        return rng.pick(positions)
-    best_position = positions[0]
-    best_delta = state.delta_cost(best_position)
-    for position in positions[1:]:
-        delta = state.delta_cost(position)
-        if delta < best_delta:
-            best_delta = delta
-            best_position = position
-    return best_position
 
 
 def expected_hitting_time(

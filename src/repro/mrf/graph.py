@@ -149,8 +149,8 @@ class MRFFlatView:
     memory, which the flip loop walks.  Smaller MRFs take the equivalent
     per-literal loop, which builds every relation eagerly.
 
-    A view is built lazily by :meth:`MRF.flat_view` and cached; it assumes
-    the MRF is not mutated afterwards.  All buffers are read-only shared
+    A view is built only by :meth:`MRF.flat_view`, lazily, and cached; it
+    assumes the MRF is not mutated afterwards.  All buffers are read-only shared
     state: every :class:`SearchState` over the same MRF reuses one view
     (the lazily filled entries are idempotent, so concurrent readers at
     worst build the same tuple twice).
@@ -167,33 +167,6 @@ class MRFFlatView:
         "_literals",
         "_offsets",
     )
-
-    @classmethod
-    def from_parts(
-        cls,
-        atom_ids: List[int],
-        atom_position: Dict[int, int],
-        clause_codes: Sequence[Tuple[int, ...]],
-        clause_atom_positions: Sequence[Tuple[int, ...]],
-        adjacency: Sequence[Sequence[Tuple[int, bool]]],
-    ) -> "MRFFlatView":
-        """Assemble a view from prebuilt pieces, bypassing the per-literal scan.
-
-        Callers (the SampleSAT constraint pool) derive the pieces from an
-        existing view over the same atom universe, so the invariants — codes
-        reference positions in ``atom_ids`` order, adjacency entries appear
-        in clause order — must already hold.  All arguments are adopted
-        without copying and must be treated as read-only afterwards.
-        """
-        view = cls.__new__(cls)
-        view.atom_ids = atom_ids
-        view.atom_position = atom_position
-        view._clause_codes = clause_codes
-        view.candidates = clause_atom_positions
-        view.adjacency = adjacency
-        view.arrays = None
-        view.counts = None
-        return view
 
     def __init__(self, mrf: "MRF") -> None:
         self.atom_ids: List[int] = list(mrf.atom_ids)
@@ -391,8 +364,8 @@ class MRF:
     def weight_column(self) -> array:
         """The clause weights, in clause order (``array('d')``).
 
-        Read from the columns; an MRF that only has a clause list (a
-        SampleSAT constraint shell) reads it off the list without packing.
+        Read from the columns; an MRF that only has a clause list reads it
+        off the list without packing.
         """
         if self._columns is None:
             return array("d", [clause.weight for clause in self._clauses])  # type: ignore[union-attr]

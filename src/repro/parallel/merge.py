@@ -212,6 +212,8 @@ def gauss_seidel_refine(
     parallel_backend: str = "serial",
     workers: int = 1,
     initial_assignment: Optional[Mapping[int, bool]] = None,
+    tracer=None,
+    metrics=None,
 ) -> GaussSeidelResult:
     """Partition-parallel first pass, then Gauss-Seidel rounds on the cut.
 
@@ -225,7 +227,8 @@ def gauss_seidel_refine(
     ``rng.spawn(500_001 + partition)`` (salted away from the streams the
     Gauss-Seidel sweeps spawn per part).  The conditioned MRFs are new
     objects on every call, so the ``processes`` backend forks an
-    ephemeral pool over them.  The merged assignment then seeds
+    ephemeral pool over them (counted, with its shipping, in ``metrics``;
+    ``tracer`` gets the pass's spans).  The merged assignment then seeds
     the standard Gauss-Seidel sweeps — sequential by construction (part
     ``i`` conditions on the fresh state of parts ``< i``) — which repair
     the cut clauses the first pass ignored.  Deterministic for a given
@@ -271,7 +274,9 @@ def gauss_seidel_refine(
         backend = resolve_parallel_backend(
             parallel_backend, workers=workers, task_count=len(parts)
         )
-        columns = run_component_request(parts, request, backend, workers=workers).results
+        columns = run_component_request(
+            parts, request, backend, workers=workers, tracer=tracer, metrics=metrics
+        ).results
         offsets = columns.value_offsets
         for position, index in enumerate(active):
             atom_set = partition_sets[index]

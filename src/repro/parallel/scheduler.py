@@ -199,6 +199,7 @@ class _Dispatch:
         pool: Optional[WorkerPool],
         request_id: int,
         tracer,
+        metrics=None,
     ) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
@@ -222,6 +223,7 @@ class _Dispatch:
         self.request_id = request_id
         self.tracer = tracer if tracer is not None else NullTracer()
         self.traced = self.tracer.enabled
+        self.metrics = metrics
         self.order, self.position_of = (
             pool.memo(("dispatch-order",), lambda: _order_and_positions(components))
             if pool is not None
@@ -242,10 +244,17 @@ class _Dispatch:
         self.stopwatch = Stopwatch()
 
     def start_pool(self) -> WorkerPool:
-        """The lent pool, or an ephemeral one this run shuts down."""
+        """The lent pool, or an ephemeral one this run shuts down.
+
+        An ephemeral pool counts into the run's registry: one
+        ``scheduler.ephemeral_pool_launches`` per fork, and its ``pool.*``
+        shipping counters.
+        """
         if self.pool is None:
-            self.pool = WorkerPool(self.components, self.workers)
+            self.pool = WorkerPool(self.components, self.workers, metrics=self.metrics)
             self.owns_pool = True
+            if self.metrics is not None:
+                self.metrics.increment("scheduler.ephemeral_pool_launches")
         self.ship_mark = self.pool.metrics.counters(SHIPPING_COUNTERS)
         return self.pool
 
@@ -441,7 +450,8 @@ def run_component_request(
     request (see :class:`~repro.parallel.pool.WorkerPool`).
 
     ``tracer`` / ``metrics`` are the injected observability surfaces
-    (defaulting to no-ops).  With a recording tracer, every executed
+    (defaulting to no-ops); an ephemeral pool counts its launch and its
+    shipping into ``metrics``.  With a recording tracer, every executed
     component gets a post-hoc ``component[i]`` span — emitted from *this*
     thread in dispatch order, so the merged order is deterministic even
     though completion order is not — stitched with the phase events
@@ -450,7 +460,7 @@ def run_component_request(
     mutation, bit-identical results traced or not.
     """
     run = _Dispatch(
-        components, backend, workers, deadline_seconds, pool, request_id, tracer
+        components, backend, workers, deadline_seconds, pool, request_id, tracer, metrics
     )
     if backend == "processes":
         local_states = None

@@ -1,20 +1,18 @@
 """Expression trees for filters and join conditions.
 
-``bind`` evaluates an expression against a row and a schema (column names
-resolve to positions at bind time for speed); it is the per-row semantics
-the test-side row oracle evaluates plans with.  The grounding compiler
-only produces comparisons, conjunctions and negations, but the full set
-here keeps the engine usable as a standalone component and exercised by
-its own tests.
+The grounding compiler only produces comparisons, conjunctions and
+negations, but the full set here keeps the engine usable as a standalone
+component and exercised by its own tests.
 
-Each node also supports ``bind_batch``, the columnar twin of ``bind``: it
-compiles the expression to a vectorized evaluator over a
-:class:`~repro.rdbms.column_batch.ColumnBatch`, returning a boolean numpy
-mask (predicates) or a code array (value nodes).  Equality and null-safe
-comparisons run directly on dictionary codes — code equality is value
-equality because the encoder is shared — while ordering comparisons decode
-back to values, preserving ``bind``'s Python comparison semantics
-exactly (including "NULL compares False" for the standard operators).
+Each node supports ``bind_batch``: it compiles the expression to a
+vectorized evaluator over a :class:`~repro.rdbms.column_batch.ColumnBatch`,
+returning a boolean numpy mask (predicates) or a code array (value nodes).
+Equality and null-safe comparisons run directly on dictionary codes — code
+equality is value equality because the encoder is shared — while ordering
+comparisons decode back to values, preserving Python comparison semantics
+exactly (including "NULL compares False" for the standard operators).  The
+per-row semantics (``bind`` in ``tests/row_oracle.py``) are the
+specification the batch evaluators are checked against.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ import numpy as np
 from repro.rdbms.column_batch import NULL_CODE
 from repro.rdbms.schema import TableSchema
 from repro.rdbms.types import format_value
-
-BoundEvaluator = Callable[[Tuple[Any, ...]], Any]
 
 #: A compiled batch evaluator: ColumnBatch -> bool mask | code array | scalar code.
 BatchEvaluator = Callable[[Any], Any]
@@ -72,10 +68,6 @@ def _decoded_values(result: Any, batch, encoder) -> List[Any]:
 class Expression:
     """Base class for expression nodes."""
 
-    def bind(self, schema: TableSchema) -> BoundEvaluator:
-        """Return a fast row -> value evaluator for the given schema."""
-        raise NotImplementedError
-
     def bind_batch(self, schema: TableSchema, encoder) -> BatchEvaluator:
         """Return a vectorized ColumnBatch evaluator for the given schema."""
         raise NotImplementedError
@@ -95,10 +87,6 @@ class Const(Expression):
 
     value: Any
 
-    def bind(self, schema: TableSchema) -> BoundEvaluator:
-        value = self.value
-        return lambda row: value
-
     def bind_batch(self, schema: TableSchema, encoder) -> BatchEvaluator:
         code = encoder.encode_scalar(self.value)
         return lambda batch: code
@@ -115,10 +103,6 @@ class ColumnRef(Expression):
     """A reference to a column by (possibly alias-qualified) name."""
 
     name: str
-
-    def bind(self, schema: TableSchema) -> BoundEvaluator:
-        position = schema.position(self.name)
-        return lambda row: row[position]
 
     def bind_batch(self, schema: TableSchema, encoder) -> BatchEvaluator:
         position = schema.position(self.name)
@@ -166,23 +150,6 @@ class Comparison(Expression):
     def __post_init__(self) -> None:
         if self.operator not in _COMPARATORS and self.operator not in _NULL_SAFE_COMPARATORS:
             raise ValueError(f"unsupported comparison operator {self.operator!r}")
-
-    def bind(self, schema: TableSchema) -> BoundEvaluator:
-        left = self.left.bind(schema)
-        right = self.right.bind(schema)
-        if self.operator in _NULL_SAFE_COMPARATORS:
-            compare_null_safe = _NULL_SAFE_COMPARATORS[self.operator]
-            return lambda row: compare_null_safe(left(row), right(row))
-        compare = _COMPARATORS[self.operator]
-
-        def evaluate(row: Tuple[Any, ...]) -> bool:
-            left_value = left(row)
-            right_value = right(row)
-            if left_value is None or right_value is None:
-                return False
-            return compare(left_value, right_value)
-
-        return evaluate
 
     def bind_batch(self, schema: TableSchema, encoder) -> BatchEvaluator:
         left = self.left.bind_batch(schema, encoder)
@@ -252,11 +219,6 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def bind(self, schema: TableSchema) -> BoundEvaluator:
-        operand = self.operand.bind(schema)
-        negated = self.negated
-        return lambda row: (operand(row) is not None) if negated else (operand(row) is None)
-
     def bind_batch(self, schema: TableSchema, encoder) -> BatchEvaluator:
         operand = self.operand.bind_batch(schema, encoder)
         negated = self.negated
@@ -287,10 +249,6 @@ class And(Expression):
     @classmethod
     def of(cls, *operands: Expression) -> "And":
         return cls(tuple(operands))
-
-    def bind(self, schema: TableSchema) -> BoundEvaluator:
-        bound = [operand.bind(schema) for operand in self.operands]
-        return lambda row: all(evaluate(row) for evaluate in bound)
 
     def bind_batch(self, schema: TableSchema, encoder) -> BatchEvaluator:
         bound = [operand.bind_batch(schema, encoder) for operand in self.operands]
@@ -325,10 +283,6 @@ class Or(Expression):
     def of(cls, *operands: Expression) -> "Or":
         return cls(tuple(operands))
 
-    def bind(self, schema: TableSchema) -> BoundEvaluator:
-        bound = [operand.bind(schema) for operand in self.operands]
-        return lambda row: any(evaluate(row) for evaluate in bound)
-
     def bind_batch(self, schema: TableSchema, encoder) -> BatchEvaluator:
         bound = [operand.bind_batch(schema, encoder) for operand in self.operands]
 
@@ -357,10 +311,6 @@ class Not(Expression):
     """Logical negation."""
 
     operand: Expression
-
-    def bind(self, schema: TableSchema) -> BoundEvaluator:
-        operand = self.operand.bind(schema)
-        return lambda row: not operand(row)
 
     def bind_batch(self, schema: TableSchema, encoder) -> BatchEvaluator:
         operand = self.operand.bind_batch(schema, encoder)

@@ -2,10 +2,12 @@
 
 :class:`ReferenceSearchState` is the list-of-tuples implementation that
 :class:`repro.inference.state.SearchState` replaced, kept nearly verbatim
-as the executable specification.  The kernel-parity suites drive both with
-identical seeds — directly and through ``WalkSAT.run_on_state``, whose
-per-call branch runs a state without a stepper — and assert bit-for-bit
-equal costs, deltas and violated-set ordering, on both of the kernel's
+as the executable specification.  :class:`ReferenceWalkSAT` drives it the
+way the seed code did — one ``sample_violated_clause`` / :func:`pick_atom`
+/ ``flip`` call sequence per step, a fresh ``randomize`` per restart —
+where ``WalkSAT`` runs the kernel's own stepper.  The kernel-parity suites
+drive both with identical seeds and assert bit-for-bit equal costs, deltas,
+violated-set ordering and search results, on both of the kernel's
 count-initialisation paths.
 
 It implements the same public API as the kernel, including the
@@ -21,7 +23,10 @@ import operator
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.grounding.clause_table import GroundClause
+from repro.inference.walksat import WalkSATOptions, WalkSATResult
 from repro.mrf.graph import MRF
+from repro.obs.events import Series, SeriesPoint
+from repro.utils.clock import SimulatedClock
 from repro.utils.rng import RandomSource
 
 
@@ -237,3 +242,110 @@ class ReferenceSearchState:
 
     def clause(self, clause_index: int) -> GroundClause:
         return self.mrf.clauses[clause_index]
+
+
+def pick_atom(state, clause_index: int, rng: RandomSource, noise: float) -> int:
+    """Pick the atom of a violated clause to flip (random vs greedy)."""
+    positions = state.clause_atom_positions(clause_index)
+    if len(positions) == 1:
+        return positions[0]
+    # Strict comparison: noise=0.0 must be purely greedy even when the
+    # RNG returns exactly 0.0, and noise=1.0 purely random.
+    if rng.random() < noise:
+        return rng.pick(positions)
+    best_position = positions[0]
+    best_delta = state.delta_cost(best_position)
+    for position in positions[1:]:
+        delta = state.delta_cost(position)
+        if delta < best_delta:
+            best_delta = delta
+            best_position = position
+    return best_position
+
+
+class ReferenceWalkSAT:
+    """``WalkSAT.run_on_state`` as the seed code drove a state.
+
+    Any state with the reference kernel's API will do (the kernel's own
+    :class:`~repro.inference.state.SearchState` too).  Flip costs are
+    charged to the simulated clock one flip at a time.
+    """
+
+    def __init__(
+        self,
+        options: WalkSATOptions,
+        rng: RandomSource,
+        clock: Optional[SimulatedClock] = None,
+    ) -> None:
+        self.options = options
+        self.rng = rng
+        self.clock = clock or SimulatedClock()
+
+    def _choose_atom(self, state, clause_index: int) -> int:
+        return pick_atom(state, clause_index, self.rng, self.options.noise)
+
+    def run_on_state(
+        self, state, initial_assignment: Optional[Mapping[int, bool]] = None
+    ) -> WalkSATResult:
+        options, rng, clock = self.options, self.rng, self.clock
+        target, deadline = options.target_cost, options.deadline_seconds
+        best = state.assignment_dict()
+        best_cost = math.inf
+        total_flips = tries = 0
+        reached_target = False
+        hitting_time: Optional[int] = None
+        points: List[Tuple[float, float, int]] = []
+        for attempt in range(options.max_tries):
+            tries += 1
+            if options.random_restarts and (attempt > 0 or initial_assignment is None):
+                state.randomize(rng)
+            else:
+                state.reset(initial_assignment)
+            try_improved = False
+            if state.cost < best_cost:
+                best_cost = state.cost
+                state.checkpoint()
+                try_improved = True
+                points.append((clock.now(), best_cost, total_flips))
+            if target is not None and best_cost <= target:
+                reached_target = True
+                if hitting_time is None:
+                    hitting_time = total_flips
+            else:
+                for _flip in range(options.max_flips):
+                    if not state.has_violations():
+                        break
+                    if deadline is not None and clock.now() >= deadline:
+                        break
+                    clause_index = state.sample_violated_clause(rng)
+                    state.flip(self._choose_atom(state, clause_index))
+                    total_flips += 1
+                    clock.charge(options.flip_cost_event)
+                    if state.cost < best_cost:
+                        best_cost = state.cost
+                        state.checkpoint()
+                        try_improved = True
+                        points.append((clock.now(), best_cost, total_flips))
+                        if hitting_time is None and target is not None and best_cost <= target:
+                            hitting_time = total_flips
+                    if target is not None and best_cost <= target:
+                        reached_target = True
+                        break
+            if try_improved:
+                best = state.checkpoint_dict()
+            if reached_target or (deadline is not None and clock.now() >= deadline):
+                break
+            if not state.has_violations():
+                break
+        trace = Series(options.trace_label)
+        trace.points = [SeriesPoint(*point) for point in points]
+        return WalkSATResult(
+            best_assignment=best,
+            best_cost=best_cost,
+            flips=total_flips,
+            tries=tries,
+            seconds=0.0,
+            trace=trace,
+            reached_target=reached_target,
+            hitting_time=hitting_time,
+        )

@@ -15,13 +15,16 @@ one ``GroundClauseStore.add`` — the specification of the grounder's
 columnar consumer.  :func:`ground_by_rows` puts it under a whole
 engine.
 
+:func:`bind` is the per-row semantics of an expression tree, the
+specification of the engine's ``bind_batch`` evaluators.
+
 :func:`execute_plan` / :func:`execute_query` are the other side of the
 comparison: the engine's ``execute_batch`` output decoded to rows, as a
 :class:`QueryResult`.  Only tests read the engine's output as rows.
 """
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.core import engine as engine_module
 from repro.grounding.bottom_up import (
@@ -34,6 +37,17 @@ from repro.grounding.bottom_up import (
 from repro.grounding.pruning import LiteralOutcome, literal_outcome
 from repro.grounding.result import ClauseGroundingStats
 from repro.rdbms.executor import Executor
+from repro.rdbms.expressions import (
+    _COMPARATORS,
+    _NULL_SAFE_COMPARATORS,
+    And,
+    ColumnRef,
+    Comparison,
+    Const,
+    IsNull,
+    Not,
+    Or,
+)
 from repro.rdbms.operators import (
     Distinct,
     Filter,
@@ -47,6 +61,79 @@ from repro.rdbms.schema import TableSchema
 from repro.utils.timer import Stopwatch
 
 Row = Tuple[Any, ...]
+
+#: An expression bound to a schema: row -> value.
+BoundEvaluator = Callable[[Row], Any]
+
+
+def bind(expression, schema: TableSchema) -> BoundEvaluator:
+    """A row -> value evaluator of the expression over the schema.
+
+    Column names resolve to positions once, at bind time.  Comparisons
+    involving NULL are False, except the null-safe operators.
+    """
+    return _BINDERS[type(expression)](expression, schema)
+
+
+def _bind_const(node: Const, schema: TableSchema) -> BoundEvaluator:
+    value = node.value
+    return lambda row: value
+
+
+def _bind_column(node: ColumnRef, schema: TableSchema) -> BoundEvaluator:
+    position = schema.position(node.name)
+    return lambda row: row[position]
+
+
+def _bind_comparison(node: Comparison, schema: TableSchema) -> BoundEvaluator:
+    left = bind(node.left, schema)
+    right = bind(node.right, schema)
+    if node.operator in _NULL_SAFE_COMPARATORS:
+        compare_null_safe = _NULL_SAFE_COMPARATORS[node.operator]
+        return lambda row: compare_null_safe(left(row), right(row))
+    compare = _COMPARATORS[node.operator]
+
+    def evaluate(row: Row) -> bool:
+        left_value = left(row)
+        right_value = right(row)
+        if left_value is None or right_value is None:
+            return False
+        return compare(left_value, right_value)
+
+    return evaluate
+
+
+def _bind_is_null(node: IsNull, schema: TableSchema) -> BoundEvaluator:
+    operand = bind(node.operand, schema)
+    if node.negated:
+        return lambda row: operand(row) is not None
+    return lambda row: operand(row) is None
+
+
+def _bind_and(node: And, schema: TableSchema) -> BoundEvaluator:
+    bound = [bind(operand, schema) for operand in node.operands]
+    return lambda row: all(evaluate(row) for evaluate in bound)
+
+
+def _bind_or(node: Or, schema: TableSchema) -> BoundEvaluator:
+    bound = [bind(operand, schema) for operand in node.operands]
+    return lambda row: any(evaluate(row) for evaluate in bound)
+
+
+def _bind_not(node: Not, schema: TableSchema) -> BoundEvaluator:
+    operand = bind(node.operand, schema)
+    return lambda row: not operand(row)
+
+
+_BINDERS = {
+    Const: _bind_const,
+    ColumnRef: _bind_column,
+    Comparison: _bind_comparison,
+    IsNull: _bind_is_null,
+    And: _bind_and,
+    Or: _bind_or,
+    Not: _bind_not,
+}
 
 
 def rows(operator) -> List[Row]:
@@ -65,7 +152,7 @@ def _scan(scan: TableScan) -> Iterator[Row]:
 
 
 def _filter(node: Filter) -> Iterator[Row]:
-    evaluate = node.expression.bind(node.child.output_schema)
+    evaluate = bind(node.expression, node.child.output_schema)
     for row in iterate(node.child):
         if evaluate(row):
             node.rows_out += 1
@@ -81,7 +168,7 @@ def _project(node: Project) -> Iterator[Row]:
 def _nested_loop(join: NestedLoopJoin) -> Iterator[Row]:
     inner_rows = rows(join.right)
     condition = join.condition
-    evaluate = condition.bind(join.output_schema) if condition is not None else None
+    evaluate = bind(condition, join.output_schema) if condition is not None else None
     for outer in iterate(join.left):
         for inner in inner_rows:
             join.comparisons += 1
@@ -96,7 +183,7 @@ def _keys(join, side: str) -> List[int]:
 
 
 def _residual(join):
-    return join.residual.bind(join.output_schema) if join.residual is not None else None
+    return bind(join.residual, join.output_schema) if join.residual is not None else None
 
 
 def _hash_join(join: HashJoin) -> Iterator[Row]:

@@ -8,7 +8,9 @@ from repro.baselines.alchemy import AlchemyEngine
 from repro.core.config import InferenceConfig
 from repro.core.engine import TuffyEngine
 from repro.core.program import MLNProgram
+from repro.datasets import DatasetScale, load_dataset
 from repro.mrf.cost import assignment_cost
+from repro.parallel import processes_available
 
 PROGRAM_TEXT = """
 *wrote(author, paper)
@@ -210,3 +212,27 @@ class TestAlchemyEngine:
         tuffy = TuffyEngine(figure1_program(), InferenceConfig(seed=0, max_flips=100))
         alchemy = AlchemyEngine(figure1_program(), InferenceConfig(seed=0, max_flips=100))
         assert tuffy.ground().ground_clause_count == alchemy.ground().ground_clause_count
+
+
+@pytest.mark.skipif(not processes_available(), reason="fork not available")
+class TestEphemeralPoolLaunches:
+    def test_budgeted_warm_requests_count_their_first_pass_pools(self):
+        """A budgeted request on processes forks one ephemeral pool for
+        Gauss-Seidel's first pass: the scheduler counts it in the session's
+        registry, apart from the session's persistent pool launches."""
+        program = load_dataset("ER", DatasetScale(factor=0.5, seed=2)).program
+        config = InferenceConfig(
+            seed=2,
+            max_flips=8000,
+            memory_budget_bytes=2048,
+            workers=2,
+            parallel_backend="processes",
+        )
+        with TuffyEngine(program, config) as engine:
+            engine.run_map()
+            launches = engine.stats.pool_launches
+            ephemeral = engine.metrics.counter("scheduler.ephemeral_pool_launches")
+            for _ in range(3):
+                engine.run_map()
+            assert engine.metrics.counter("scheduler.ephemeral_pool_launches") == ephemeral + 3
+            assert engine.stats.pool_launches == launches

@@ -1,9 +1,9 @@
 """The size crossover that steers the search kernel.
 
 It is one plain module constant, ``NUMPY_VIEW_MIN_CLAUSES``: MRFs with at
-least that many clauses get a numpy-built flat view, search states that
-initialise their counts with ``np.bincount``, and MC-SAT's batched
-pipeline.  These tests pin its value and its boundary: an input one below
+least that many clauses get a numpy-built flat view and search states
+that initialise their counts with ``np.bincount`` (MC-SAT's constraint
+states included; MC-SAT itself has one pipeline at every size).  These tests pin its value and its boundary: an input one below
 the constant takes the slow (loop) path, an input exactly at it the fast
 (numpy) path.  Both paths are bit-identical in results (the parity suites
 prove that), so a moved constant changes speed, never output — which is

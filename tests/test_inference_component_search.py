@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.datasets.example1 import example1_mrf, example1_optimal_cost
@@ -9,8 +10,9 @@ from repro.datasets.example2 import example2_mrf
 from repro.grounding.clause_table import GroundClause, GroundClauseStore
 from repro.inference.component_walksat import ComponentAwareWalkSAT
 from repro.inference.gauss_seidel import GaussSeidelSearch
-from repro.inference.mcsat import MCSat, MCSatOptions
-from repro.inference.samplesat import SampleSAT, SampleSATOptions
+from repro.inference.mcsat import MCSat, MCSatOptions, _BatchedSelection
+from repro.inference.samplesat import ConstraintPool, SampleSAT, SampleSATOptions
+from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSAT, WalkSATOptions
 from repro.mrf.components import connected_components
 from repro.mrf.cost import assignment_cost
@@ -135,13 +137,20 @@ class TestGaussSeidelSearch:
             GaussSeidelSearch(rounds=0)
 
 
+def sample_constraints(clauses, atom_ids, seed):
+    """SampleSAT over a search state of the clauses as constraints."""
+    state = SearchState(MRF.from_clauses(clauses, extra_atoms=atom_ids))
+    found = SampleSAT(rng=RandomSource(seed)).sample_prepared(state)
+    return state.checkpoint_dict() if found else state.assignment_dict()
+
+
 class TestSampleSAT:
     def test_satisfies_simple_constraints(self):
         store = GroundClauseStore()
         store.add((1, 2), 1.0)
         store.add((-1, 3), 1.0)
         clauses = store.clauses()
-        sample = SampleSAT(rng=RandomSource(0)).sample(clauses, [1, 2, 3])
+        sample = sample_constraints(clauses, [1, 2, 3], 0)
         for clause in clauses:
             satisfied = any(
                 sample[abs(l)] == (l > 0) for l in clause.literals
@@ -159,7 +168,7 @@ class TestSampleSAT:
         store.add((1, 2), 1.0)
         clauses = store.clauses()
         samples = {
-            tuple(sorted(SampleSAT(rng=RandomSource(seed)).sample(clauses, [1, 2]).items()))
+            tuple(sorted(sample_constraints(clauses, [1, 2], seed).items()))
             for seed in range(12)
         }
         assert len(samples) > 1
@@ -202,19 +211,28 @@ class TestMCSat:
 
 
 class TestMCSatClauseSelection:
-    """Selection edge cases around hard and negative weights (the spec's
-    ``_select_clauses``): hard clauses of either sign are constrained
-    without consuming randomness, and a hard negative clause is constrained
-    even when the current world satisfies it (regression: it used to be
+    """Selection edge cases around hard and negative weights, on the
+    program's selection (``_BatchedSelection``) and the constraint rows of
+    the pool's state: hard clauses of either sign are constrained without
+    consuming randomness, and a hard negative clause is constrained even
+    when the current world satisfies it (regression: it used to be
     silently dropped from M, and the unsatisfied case burned an rng draw on
     a keep probability that is always 1)."""
 
     @staticmethod
     def _select(clauses, flags, seed=0):
+        """The step's constraint rows, and whether the rng went untouched."""
         rng = RandomSource(seed)
         before = rng.raw().getstate()
-        selected = MCSat(rng=rng)._select_clauses(clauses, flags)
-        return selected, before == rng.raw().getstate()
+        mrf = MRF.from_clauses(clauses)
+        selected = _BatchedSelection(mrf).select(rng, np.array(flags, dtype=bool))
+        state = ConstraintPool(mrf).state_for(selected)
+        columns = state.mrf.columns()
+        rows = [
+            GroundClause(0, tuple(literals), weight)
+            for literals, weight in zip(columns.literal_rows(), columns.weights)
+        ]
+        return rows, before == rng.raw().getstate()
 
     def test_hard_negative_satisfied_is_constrained_to_stay_unsatisfied(self):
         clause = GroundClause(1, (1, -2), -math.inf)
@@ -246,7 +264,7 @@ class TestMCSatClauseSelection:
         reference = RandomSource(0)
         reference.random()  # exactly one draw consumed
         rng = RandomSource(0)
-        MCSat(rng=rng)._select_clauses([clause], [False])
+        _BatchedSelection(MRF.from_clauses([clause])).select(rng, np.array([False]))
         assert rng.raw().getstate() == reference.raw().getstate()
 
     def test_soft_negative_satisfied_is_skipped_without_a_draw(self):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from reference_kernel import ReferenceWalkSAT
 from repro.datasets.example1 import example1_mrf
 from repro.grounding.clause_table import GroundClauseStore
 from repro.inference.rdbms_walksat import RDBMSWalkSAT
@@ -129,11 +130,12 @@ def greedy_test_state():
 
 class TestNoiseBoundary:
     """Regression: ``rng.random() <= noise`` made noise=0.0 take a random
-    flip whenever the RNG returned exactly 0.0."""
+    flip whenever the RNG returned exactly 0.0 (on the seed WalkSAT loop's
+    atom choice; ``TestKernelStepperNoiseBoundary`` pins the stepper)."""
 
     def test_zero_noise_is_purely_greedy(self):
         state = greedy_test_state()
-        searcher = WalkSAT(WalkSATOptions(noise=0.0), _NoPickRandom(0.0))
+        searcher = ReferenceWalkSAT(WalkSATOptions(noise=0.0), _NoPickRandom(0.0))
         position = searcher._choose_atom(state, 0)
         assert state.atom_id_at(position) == 2
 
@@ -146,7 +148,7 @@ class TestNoiseBoundary:
 
         # random() returns just under 1.0; noise=1.0 must take the random
         # branch, which here picks atom 1 (the greedy choice is atom 2).
-        searcher = WalkSAT(WalkSATOptions(noise=1.0), PickFirst(1.0 - 2**-53))
+        searcher = ReferenceWalkSAT(WalkSATOptions(noise=1.0), PickFirst(1.0 - 2**-53))
         position = searcher._choose_atom(state, 0)
         assert state.atom_id_at(position) == 1
 

@@ -1,20 +1,18 @@
-"""MC-SAT pipeline parity: the scalar sampling loop vs the batched pipeline.
+"""MC-SAT parity: ``MCSat.run`` vs the scalar loop of ``mcsat_oracle``.
 
-The batched MC-SAT pipeline (numpy clause selection, pooled SampleSAT
-constraint states, vector marginal accumulation) must be *bit-for-bit*
-identical to the scalar loop, which is retained as the executable
-specification: same RNG stream, same constraint sets, same sample sequence,
-same marginals.  These tests drive both pipelines with identical seeds
-over MLNs covering every clause kind (positive/negative, soft/hard,
+The MC-SAT pipeline (numpy clause selection, constraint states taken from
+one packed constraint table, vector marginal accumulation) must be
+*bit-for-bit* identical to the scalar loop in ``tests/mcsat_oracle.py``,
+the executable specification: same RNG stream, same constraint sets, same
+sample sequence, same marginals.  These tests drive both with identical
+seeds over MLNs covering every clause kind (positive/negative, soft/hard,
 duplicate literals), and compare every observable.  A sample request's
 chunks (:class:`ComponentSampleRequest`) are checked against the
 per-component runs of ``component_oracle``.
 
 The ``count_path`` fixture runs each test on both of the search state's
 count-initialisation paths (``NUMPY_VIEW_MIN_CLAUSES`` patched to 0 or to
-a huge value), and the pipeline is forced by patching the size test
-:meth:`MCSat.run` reads; the reference is always the scalar pipeline on
-the loop path.
+a huge value); the reference is always the oracle on the loop path.
 """
 
 import math
@@ -22,17 +20,22 @@ import random
 
 import pytest
 
+import mcsat_oracle
 from component_oracle import mcsat_marginals
+from mcsat_oracle import constraint_pieces, soft_indices
 from repro.grounding.clause_table import GroundClause, GroundClauseStore
-from repro.inference import mcsat
 from repro.inference.mcsat import (
     ComponentSampleRequest,
     MCSat,
     MCSatOptions,
     _BatchedSelection,
+)
+from repro.inference.samplesat import (
+    ConstraintPool,
+    SampleSAT,
+    SampleSATOptions,
     hard_constraint_prefix,
 )
-from repro.inference.samplesat import ConstraintPool, SampleSAT, SampleSATOptions
 from repro.inference.state import SearchState, count_arrays
 from repro.mrf import graph
 from repro.mrf.graph import MRF
@@ -107,21 +110,16 @@ MLNS = {
 }
 
 
-def run_mcsat(make_mrf, monkeypatch, threshold, batched, seed=0, initial=None, **options):
-    """One MC-SAT run with the count path and the pipeline forced."""
-    monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", threshold)
-    monkeypatch.setattr(mcsat, "counts_by_numpy", lambda mrf: batched)
-    return MCSat(MCSatOptions(**options), RandomSource(seed)).run(make_mrf(), initial)
-
-
-def assert_pipelines_match_spec(make_mrf, monkeypatch, count_path, **run):
-    """Both pipelines on ``count_path`` equal the scalar spec on the loop."""
-    reference = run_mcsat(make_mrf, monkeypatch, LOOP, False, **run)
-    for batched in (False, True):
-        result = run_mcsat(make_mrf, monkeypatch, count_path, batched, **run)
-        assert result.probabilities == reference.probabilities
-        assert result.samples == reference.samples
-        assert result.burn_in == reference.burn_in
+def assert_run_matches_spec(make_mrf, monkeypatch, count_path, seed=0, initial=None, **run):
+    """``MCSat.run`` on ``count_path`` equals the scalar spec on the loop."""
+    options = MCSatOptions(**run)
+    monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", LOOP)
+    reference = mcsat_oracle.run_mcsat(options, RandomSource(seed), make_mrf(), initial)
+    monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", count_path)
+    result = MCSat(options, RandomSource(seed)).run(make_mrf(), initial)
+    assert result.probabilities == reference.probabilities
+    assert result.samples == reference.samples
+    assert result.burn_in == reference.burn_in
 
 
 class TestPipelineParity:
@@ -130,18 +128,16 @@ class TestPipelineParity:
         """Exact dict equality of MarginalResult.probabilities — any stream
         divergence in selection, constraint construction or accumulation
         would show up here."""
-        assert_pipelines_match_spec(
-            MLNS[mln], monkeypatch, count_path, **sampler_options()
-        )
+        assert_run_matches_spec(MLNS[mln], monkeypatch, count_path, **sampler_options())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_parity_across_seeds(self, seed, count_path, monkeypatch):
-        assert_pipelines_match_spec(
+        assert_run_matches_spec(
             MLNS["random-0"], monkeypatch, count_path, seed=seed, **sampler_options(15, 3)
         )
 
     def test_parity_with_initial_assignment(self, count_path, monkeypatch):
-        assert_pipelines_match_spec(
+        assert_run_matches_spec(
             MLNS["negative-weights"],
             monkeypatch,
             count_path,
@@ -150,16 +146,21 @@ class TestPipelineParity:
             **sampler_options(15, 2),
         )
 
-    def test_pipeline_follows_the_count_test(self, monkeypatch):
-        """The batched pipeline runs exactly on MRFs whose states count
-        with numpy."""
-        ran = []
-        monkeypatch.setattr(MCSat, "_run_batched", lambda *args: ran.append("batched"))
-        monkeypatch.setattr(MCSat, "_run_scalar", lambda *args: ran.append("scalar"))
-        for threshold in (LOOP, BINCOUNT):
-            monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", threshold)
-            MCSat().run(biased_mrf())
-        assert ran == ["scalar", "batched"]
+    def test_small_mrf_steps_through_the_constraint_pool(self, monkeypatch):
+        """Every MRF, however few its clauses, samples on constraint
+        states from the pool: one pipeline at every size."""
+        built = []
+        state_for = ConstraintPool.state_for
+
+        def recording(pool, selected):
+            built.append(len(selected))
+            return state_for(pool, selected)
+
+        monkeypatch.setattr(ConstraintPool, "state_for", recording)
+        mrf = random_mln(5, atoms=6, clause_count=10)
+        assert mrf.clause_count == 10
+        MCSat(MCSatOptions(samples=6, burn_in=2), RandomSource(0)).run(mrf)
+        assert len(built) == 8
 
 
 class TestBatchedSelection:
@@ -175,7 +176,7 @@ class TestBatchedSelection:
         flags = evaluator.satisfaction_flags()
 
         scalar_rng = RandomSource(seed + 1)
-        scalar = MCSat(rng=scalar_rng)._select_clauses(mrf.clauses, flags)
+        scalar = mcsat_oracle.select_clauses(scalar_rng, mrf.clauses, flags)
 
         batched_rng = RandomSource(seed + 1)
         selection = _BatchedSelection(mrf)
@@ -185,25 +186,36 @@ class TestBatchedSelection:
         assert batched_rng.raw().getstate() == scalar_rng.raw().getstate()
 
         # Identical constraint sets, in order: the scalar list is the hard
-        # prefix plus the selected soft clauses' constraint literals.
-        pool = ConstraintPool(mrf)
-        expected = [clause.literals for clause in pool.prefix_clauses]
+        # prefix plus the selected soft clauses' constraint literals, and
+        # the pool's state holds exactly those rows.
+        expected = [clause.literals for clause in hard_constraint_prefix(mrf.clauses)]
         for index in selected:
             expected.extend(
-                clause.literals for clause in pool._templates[index].clauses
+                piece.literals for piece in constraint_pieces(mrf.clauses[index])
             )
         assert [clause.literals for clause in scalar] == expected
         assert all(clause.weight == 1.0 for clause in scalar)
+        state = ConstraintPool(mrf).state_for(selected)
+        assert [tuple(row) for row in state.mrf.columns().literal_rows()] == expected
 
     def test_zero_weight_clauses_never_selected_or_drawn(self):
         clauses = [GroundClause(1, (1, 2), 0.0), GroundClause(2, (1,), 0.0)]
         mrf = MRF.from_clauses(clauses, extra_atoms=(1, 2))
         rng = RandomSource(0)
         before = rng.raw().getstate()
-        assert MCSat(rng=rng)._select_clauses(mrf.clauses, [True, True]) == []
+        assert mcsat_oracle.select_clauses(rng, mrf.clauses, [True, True]) == []
         assert rng.raw().getstate() == before
         selection = _BatchedSelection(mrf)
         assert selection.soft_indices.size == 0
+
+
+def spec_constraints(mrf, selected):
+    """The spec's constraint list: the hard prefix, then each selected soft
+    clause's pieces in parent clause order."""
+    constraints = hard_constraint_prefix(mrf.clauses)
+    for index in selected:
+        constraints.extend(constraint_pieces(mrf.clauses[index]))
+    return constraints
 
 
 class TestConstraintPool:
@@ -216,14 +228,11 @@ class TestConstraintPool:
         mrf = random_mln(seed + 200, atoms=8, clause_count=45)
         pool = ConstraintPool(mrf)
         select_rng = RandomSource(seed)
-        soft = sorted(pool._templates)
-        selected = [index for index in soft if select_rng.coin(0.4)]
+        selected = [index for index in soft_indices(mrf) if select_rng.coin(0.4)]
         pooled = pool.state_for(selected)
 
         # The spec path: wrap the same constraints and rebuild from scratch.
-        spec_clauses = list(pool.prefix_clauses)
-        for index in selected:
-            spec_clauses.extend(pool._templates[index].clauses)
+        spec_clauses = spec_constraints(mrf, selected)
         spec_state = SearchState(
             MRF.from_clauses(
                 [
@@ -251,11 +260,11 @@ class TestConstraintPool:
             list(entries) for entries in spec_view.adjacency
         ]
         if count_path == BINCOUNT:
-            # The pool's seeded count arrays are the ones the spec path
-            # derives from the shell's columns.
-            seeded = view.counts
-            assert seeded is not None
-            for pooled_array, spec_array in zip(seeded, count_arrays(spec_state.mrf)):
+            # The pooled state's count arrays, built from the taken rows,
+            # are the ones the spec path derives from its own columns.
+            built = view.counts
+            assert built is not None
+            for pooled_array, spec_array in zip(built, count_arrays(spec_state.mrf)):
                 assert pooled_array.tolist() == spec_array.tolist()
 
         # Same randomize stream -> same violated set and cost.
@@ -272,8 +281,7 @@ class TestConstraintPool:
         second = pool.state_for([])
         assert first is second
         # A non-empty selection builds a fresh state.
-        soft = sorted(pool._templates)
-        assert pool.state_for(soft[:1]) is not first
+        assert pool.state_for(soft_indices(mrf)[:1]) is not first
 
     def test_sample_prepared_matches_sample(self, count_path):
         """SampleSAT over a pooled state must replay the spec path's exact
@@ -281,14 +289,13 @@ class TestConstraintPool:
         for seed in range(5):
             mrf = random_mln(seed + 300, atoms=8, clause_count=40)
             pool = ConstraintPool(mrf)
-            soft = sorted(pool._templates)
+            soft = soft_indices(mrf)
             selected = soft[:: max(1, seed)] if soft else []
 
             spec_sampler = SampleSAT(SampleSATOptions(max_flips=400), RandomSource(seed))
-            spec_clauses = list(pool.prefix_clauses)
-            for index in selected:
-                spec_clauses.extend(pool._templates[index].clauses)
-            spec_world = spec_sampler.sample(spec_clauses, mrf.atom_ids)
+            spec_world = mcsat_oracle.sample(
+                spec_sampler, spec_constraints(mrf, selected), mrf.atom_ids
+            )
 
             pooled_sampler = SampleSAT(SampleSATOptions(max_flips=400), RandomSource(seed))
             state = pool.state_for(selected)
@@ -356,13 +363,14 @@ def disjoint_components(count=5):
 class TestSampleChunk:
     """A sample request's chunks == the oracle's per-component MC-SAT runs."""
 
-    @pytest.mark.parametrize("batched", (False, True), ids=("scalar", "batched"))
     @pytest.mark.parametrize("seed", (0, 3))
-    def test_random_chunk_cuts_match_the_oracle(self, batched, seed, monkeypatch):
-        monkeypatch.setattr(mcsat, "counts_by_numpy", lambda mrf: batched)
-        components = disjoint_components()
+    def test_random_chunk_cuts_match_the_oracle(self, seed, count_path, monkeypatch):
+        """The chunks run on ``count_path``; the oracle on the loop path."""
         options = MCSatOptions(samples=8, burn_in=3)
-        reference, _parts = mcsat_marginals(components, options, seed)
+        monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", LOOP)
+        reference, _parts = mcsat_marginals(disjoint_components(), options, seed)
+        monkeypatch.setattr(graph, "NUMPY_VIEW_MIN_CLAUSES", count_path)
+        components = disjoint_components()
         request = ComponentSampleRequest(options, seed)
         regions = ResultBufferSet.pack(components, shared=False)
         try:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from row_oracle import bind
 from repro.rdbms.expressions import (
     And,
     ColumnRef,
@@ -23,7 +24,7 @@ SCHEMA = TableSchema.of(
 
 
 def evaluate(expression, row):
-    return expression.bind(SCHEMA)(row)
+    return bind(expression, SCHEMA)(row)
 
 
 class TestBasicExpressions:

@@ -22,7 +22,7 @@ import pytest
 
 from repro.grounding.clause_table import GroundClause
 from repro.inference.component_walksat import ComponentAwareWalkSAT
-from reference_kernel import ReferenceSearchState
+from reference_kernel import ReferenceSearchState, ReferenceWalkSAT
 from repro.inference.state import SearchState
 from repro.inference.walksat import WalkSAT, WalkSATOptions
 from repro.mrf import graph
@@ -186,13 +186,14 @@ class TestKernelParity:
             assert state_rng.random() == reference_rng.random()
 
     def test_walksat_runs_identically_on_all_kernels(self, kernel):
-        """End-to-end: the same seed drives WalkSAT to the same costs and
-        the same best assignment on any kernel (multiple tries, so the
-        restart/rerandomize path is exercised too)."""
+        """End-to-end: the same seed drives WalkSAT (the kernel's stepper)
+        to the same costs and the same best assignment as the seed WalkSAT
+        loop on the seed kernel (multiple tries, so the restart/rerandomize
+        path is exercised too)."""
         for seed in range(8):
             mrf = random_mrf(seed + 200, atoms=10, clause_count=32)
             options = WalkSATOptions(max_flips=300, max_tries=2, noise=0.5)
-            result_reference = WalkSAT(options, RandomSource(seed)).run_on_state(
+            result_reference = ReferenceWalkSAT(options, RandomSource(seed)).run_on_state(
                 ReferenceSearchState(mrf)
             )
             result_state = WalkSAT(options, RandomSource(seed)).run_on_state(
@@ -296,10 +297,11 @@ class TestStateReuseLifecycle:
 class TestDefaultThreshold:
     def test_large_mrf_runs_identically_to_the_reference(self):
         """At the shipped threshold a 400-clause MRF takes the bincount
-        path and a 24-clause one the loop; both match the seed kernel."""
+        path and a 24-clause one the loop; both match the seed WalkSAT
+        loop on the seed kernel."""
         for mrf in (random_mrf(3, atoms=40, clause_count=400), random_mrf(4)):
             options = WalkSATOptions(max_flips=400, max_tries=3, noise=0.5)
-            expected = WalkSAT(options, RandomSource(5)).run_on_state(
+            expected = ReferenceWalkSAT(options, RandomSource(5)).run_on_state(
                 ReferenceSearchState(mrf)
             )
             result = WalkSAT(options, RandomSource(5)).run(mrf)
